@@ -4,7 +4,7 @@ experiments, and manifest-driven suites, all seeded and CSV-reporting.
 Verbs: oracle, test, reduce, lb {solve,gen,probe}, suite. Every run embeds its
 resolved seed, so identical (config, seed) produce byte-identical CSV (LF line
 endings, repr-formatted floats, "." decimals). Exit codes: 0 ok, 2 validation
-error, 3 infeasible parameters. POSET_DIST_THREADS caps suite parallelism.
+error, 3 infeasible parameters.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -285,8 +284,7 @@ def run_suite(manifest: str, out: str | None, master_seed: int) -> str:
             continue
         rows.append(_parse_manifest_line(ln))
 
-    def run_row(idx_cfg):
-        idx, cfg = idx_cfg
+    def run_row(idx, cfg):
         cfg = dict(cfg)
         cfg["seed"] = master_seed ^ idx
         try:
@@ -315,14 +313,7 @@ def run_suite(manifest: str, out: str | None, master_seed: int) -> str:
                 check = "pass" if lo <= value <= hi else "fail"
         return [idx, cfg["seed"], status, value, check]
 
-    workers = int(os.environ.get("POSET_DIST_THREADS", os.cpu_count() or 1))
-    indexed = list(enumerate(rows))
-    if workers > 1 and len(indexed) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_row, indexed))
-    else:
-        results = [run_row(ic) for ic in indexed]
-    results.sort(key=lambda r: r[0])
+    results = [run_row(idx, cfg) for idx, cfg in enumerate(rows)]
     text = _csv(["row", "seed", "status", "value", "check"], results)
     _emit(text, out)
     return text

@@ -13,7 +13,11 @@ Four distances live here, all desk-scale exact:
 LP duality makes the function distance equal the weight of a maximum-weight
 matching on the transitive closure with violation weights max(0, p(u)-p(v)),
 and the TV distance is sandwiched between half that weight and the weight
-itself; both facts are exercised heavily by the test suite.
+itself; both facts are exercised heavily by the test suite. That matching is
+found by one assignment on the closure's double cover (tails as rows, heads as
+columns): the chosen links form vertex-disjoint chains whose weights
+telescope, so each chain collapses to the closure edge between its endpoints
+without losing weight.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .prob import Distribution, PairHistogram
 from .simplex import solve_lp
 
 DEFAULT_LP_CAP = 64
-GENERAL_MATCHING_CAP = 24
 PERM_CAP = 9
 WEIGHT_TOL = 1e-12
 
@@ -157,53 +160,6 @@ def _violation_edges(G: Poset, probs: np.ndarray):
     return out
 
 
-def _matching_dp(cand):
-    """Exact max-weight matching by subset DP over the incident vertices.
-
-    Optima are compared by weight (1e-12 tolerance), then by fewer edges; the
-    greedy reconstruction over the sorted candidate list then yields the
-    lexicographically smallest edge set among what remains tied.
-    """
-    verts = sorted({u for u, _, _ in cand} | {v for _, v, _ in cand})
-    idx = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
-    by_low: list[list[tuple[int, float]]] = [[] for _ in range(k)]
-    for u, v, w in cand:
-        a, b = idx[u], idx[v]
-        lo, hi = min(a, b), max(a, b)
-        by_low[lo].append((hi, w))
-    size = 1 << k
-    best = np.zeros(size)
-    cnt = np.zeros(size, dtype=np.int64)
-    for mask in range(1, size):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        bw, bc = best[rest], cnt[rest]
-        for hi, w in by_low[low]:
-            if mask >> hi & 1:
-                m2 = rest ^ (1 << hi)
-                cw, cc = best[m2] + w, cnt[m2] + 1
-                if cw > bw + WEIGHT_TOL or (cw > bw - WEIGHT_TOL and cc < bc):
-                    bw, bc = cw, cc
-        best[mask] = bw
-        cnt[mask] = bc
-
-    full = size - 1
-    chosen = []
-    remaining = full
-    target_w, target_c = best[full], cnt[full]
-    for u, v, w in cand:
-        a, b = idx[u], idx[v]
-        if remaining >> a & 1 and remaining >> b & 1:
-            m2 = remaining & ~(1 << a) & ~(1 << b)
-            if abs(w + best[m2] - target_w) <= WEIGHT_TOL and cnt[m2] + 1 == target_c:
-                chosen.append(((u, v), w))
-                remaining = m2
-                target_w -= w
-                target_c -= 1
-    return chosen
-
-
 def _assignment_max_weight(weights: np.ndarray):
     """Max-weight assignment on a square matrix via shortest augmenting paths
     with potentials. Returns the column matched to each row."""
@@ -251,9 +207,17 @@ def _assignment_max_weight(weights: np.ndarray):
 def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     """Maximum-weight matching on TC(G) under weights max(0, p(u) - p(v)).
 
-    Exact for every poset: matchings decompose per edge, bipartite posets run
-    an assignment solver on the (closure-free) edge grid, and general posets
-    up to n=24 run the subset DP. Zero-weight edges never appear in the output.
+    Matching posets have no 2-paths, so every violating edge is taken. Every
+    other kind runs one max-weight assignment on the double cover of the
+    closure: rows are the tails of the violating edges, columns their heads,
+    and each cell holds that edge's violation weight. The chosen links leave
+    and enter each vertex at most once and follow the acyclic order, so they
+    form vertex-disjoint chains. A chain's weights telescope to
+    p(start) - p(end), the weight of the closure edge start -> end, so
+    collapsing each chain to that edge gives a matching of the assignment's
+    weight, and every matching is itself an assignment: the result is exact.
+    Edge weights are read from the candidate list, the edges come out sorted,
+    and zero-weight edges never appear in the output.
     """
     if p.n != G.n:
         raise ValueError("distribution length does not match poset")
@@ -263,28 +227,26 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     if G.kind == "matching":
         edges = tuple(((u, v), w) for u, v, w in cand)
         return WeightedMatching(edges, float(sum(w for _, _, w in cand)))
-    if G.kind == "bipartite":
-        bots = sorted({u for u, _, _ in cand})
-        tops = sorted({v for _, v, _ in cand})
-        size = max(len(bots), len(tops))
-        W = np.zeros((size, size))
-        bi = {b: i for i, b in enumerate(bots)}
-        ti = {t: i for i, t in enumerate(tops)}
-        for u, v, w in cand:
-            W[bi[u], ti[v]] = w
-        col = _assignment_max_weight(W)
-        chosen = []
-        for i, b in enumerate(bots):
-            j = col[i]
-            if j < len(tops):
-                w = W[i, j]
-                if w > WEIGHT_TOL:
-                    chosen.append(((b, tops[j]), float(w)))
-        chosen.sort()
-        return WeightedMatching(tuple(chosen), float(sum(w for _, w in chosen)))
-    if G.n > GENERAL_MATCHING_CAP:
-        raise SizeCapError(f"general-poset matching capped at n={GENERAL_MATCHING_CAP}")
-    chosen = _matching_dp(cand)
+    weight = {(u, v): w for u, v, w in cand}
+    tails = sorted({u for u, _, _ in cand})
+    heads = sorted({v for _, v, _ in cand})
+    row = {u: i for i, u in enumerate(tails)}
+    col = {v: j for j, v in enumerate(heads)}
+    size = max(len(tails), len(heads))
+    W = np.zeros((size, size))
+    for u, v, w in cand:
+        W[row[u], col[v]] = w
+    link = {}
+    for i, j in enumerate(_assignment_max_weight(W)[: len(tails)]):
+        if W[i, j] > 0:
+            link[tails[i]] = heads[j]
+    chosen = []
+    for start in link.keys() - set(link.values()):
+        end = start
+        while end in link:
+            end = link[end]
+        chosen.append(((start, end), weight[start, end]))
+    chosen.sort()
     return WeightedMatching(tuple(chosen), float(sum(w for _, w in chosen)))
 
 

@@ -157,11 +157,16 @@ def make_matching(n_pairs: int) -> Poset:
     )
 
 
+def _complement(n: int, bottom) -> tuple[int, ...]:
+    """The vertices 0..n-1 outside bottom, in order."""
+    bot = set(bottom)
+    return tuple(i for i in range(n) if i not in bot)
+
+
 def make_bipartite(n: int, edges, bottom) -> Poset:
     """Bipartite poset with an explicit bottom set; top is the complement."""
     bottom = tuple(sorted(set(int(i) for i in bottom)))
-    top = tuple(i for i in range(n) if i not in set(bottom))
-    return Poset(n, tuple(edges), kind="bipartite", bottom=bottom, top=top)
+    return Poset(n, tuple(edges), kind="bipartite", bottom=bottom, top=_complement(n, bottom))
 
 
 def make_hypercube(d: int) -> Poset:
@@ -249,35 +254,48 @@ def is_monotone(G: Poset, probs, tol: float = MONOTONE_TOL) -> bool:
     return all(p[u] <= p[v] + tol for u, v in G.edges)
 
 
+def _ints(path, lineno: int, toks, count: int | None = None) -> list[int]:
+    """Parse the integer tokens of one file line; count, if given, is exact."""
+    if count is not None and len(toks) != count:
+        raise PosetError(f"{path}:{lineno}: expected {count} integers, got {len(toks)}")
+    try:
+        return [int(tok) for tok in toks]
+    except ValueError:
+        raise PosetError(f"{path}:{lineno}: non-integer token in {' '.join(toks)!r}") from None
+
+
 def read_poset(path) -> Poset:
-    """Parse the poset file format: "n m kind", m edge lines, optional bottom line."""
+    """Parse the poset file format: "n m kind", m edge lines, optional bottom line.
+
+    Blank and '#' lines are skipped; errors name the file and the 1-based line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
+        numbered = [(k, ln.strip()) for k, ln in enumerate(fh, 1)]
+    lines = [(k, ln) for k, ln in numbered if ln and not ln.startswith("#")]
     if not lines:
         raise PosetError(f"{path}: empty poset file")
-    head = lines[0].split()
+    k, ln = lines[0]
+    head = ln.split()
     if len(head) != 3:
-        raise PosetError(f"{path}: header must be 'n m kind'")
-    n, m, kind = int(head[0]), int(head[1]), head[2]
+        raise PosetError(f"{path}:{k}: header must be 'n m kind'")
+    n, m = _ints(path, k, head[:2])
+    kind = head[2]
     if kind not in KINDS:
-        raise PosetError(f"{path}: unknown kind {kind!r}")
-    if len(lines) < 1 + m:
+        raise PosetError(f"{path}:{k}: unknown kind {kind!r}")
+    if m < 0 or len(lines) < 1 + m:
         raise PosetError(f"{path}: expected {m} edge lines")
-    edges = []
-    for ln in lines[1 : 1 + m]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
+    edges = [tuple(_ints(path, k, ln.split(), 2)) for k, ln in lines[1 : 1 + m]]
     bottom: tuple[int, ...] = ()
     rest = lines[1 + m :]
     if rest:
-        if not rest[0].startswith("bottom:"):
-            raise PosetError(f"{path}: trailing content is not a bottom line")
-        bottom = tuple(int(tok) for tok in rest[0][len("bottom:") :].split())
+        k, ln = rest[0]
+        if not ln.startswith("bottom:"):
+            raise PosetError(f"{path}:{k}: trailing content is not a bottom line")
+        bottom = tuple(_ints(path, k, ln[len("bottom:") :].split()))
     if kind == "bipartite":
         return make_bipartite(n, edges, bottom)
     if kind == "matching" and bottom:
-        top = tuple(i for i in range(n) if i not in set(bottom))
-        return Poset(n, tuple(edges), kind=kind, bottom=bottom, top=top)
+        return Poset(n, tuple(edges), kind=kind, bottom=bottom, top=_complement(n, bottom))
     if kind == "hypercube":
         return Poset(n, tuple(edges), kind=kind, dim=n.bit_length() - 1)
     return Poset(n, tuple(edges), kind=kind)

@@ -47,6 +47,8 @@ class Distribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("distribution must be a nonempty vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("distribution has non-finite entries")
         if np.any(p < 0):
             raise ValueError("distribution has negative entries")
         if abs(float(p.sum()) - 1.0) > SUM_TOL:

@@ -360,8 +360,6 @@ def all_matchings_test(
     for tops, bottoms in pairs:
         if not tops:
             continue
-        if not pair_admits_perfect_matching(G, tops, bottoms):
-            continue
         w_top = hist[:, list(tops)].sum(axis=1)
         w_bottom = hist[:, list(bottoms)].sum(axis=1)
         gap = float(np.median(w_bottom - w_top))

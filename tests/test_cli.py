@@ -7,6 +7,7 @@ import pytest
 from posetdist import (
     Distribution,
     make_bipartite,
+    make_hypercube,
     make_line,
     make_matching,
     read_distribution,
@@ -193,12 +194,33 @@ def test_suite_empty_manifest(workdir):
     assert (workdir / "agg.csv").read_text() == out
 
 
-def test_suite_thread_env(workdir, monkeypatch):
-    monkeypatch.setenv("POSET_DIST_THREADS", "1")
+def test_suite_single_row(workdir):
     manifest = workdir / "one.suite"
     manifest.write_text("verb=oracle poset=line3.poset dist=line3.dist\n")
     out = run_suite(str(manifest), None, 7)
     assert "pass" in out
+
+
+def test_oracle_verb_on_six_cube(tmp_path, capsys):
+    G = make_hypercube(6)
+    write_poset(G, tmp_path / "cube6.poset")
+    v = np.random.default_rng(36).exponential(1.0, G.n)
+    write_distribution(Distribution(v / v.sum()), tmp_path / "cube6.dist")
+    rc = main(["oracle", "--poset", str(tmp_path / "cube6.poset"), "--dist", str(tmp_path / "cube6.dist")])
+    assert rc == EXIT_OK
+    d_tv, w, lp = (float(tok) for tok in capsys.readouterr().out.strip().split("\n")[1].split(","))
+    assert w == pytest.approx(lp, abs=1e-7)
+    assert w / 2 - 1e-9 <= d_tv <= w + 1e-9
+
+
+def test_malformed_poset_exits_2_with_file_and_line(workdir, capsys):
+    bad = workdir / "bad.poset"
+    bad.write_text("# a comment\n3 2 line\n0 1\n1\n")
+    rc = main(["oracle", "--poset", str(bad), "--dist", str(workdir / "line3.dist")])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{bad}:4:" in err
+    assert "Traceback" not in err
 
 
 def test_run_record_embeds_config(workdir, capsys):

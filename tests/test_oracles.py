@@ -4,12 +4,14 @@ import pytest
 from posetdist import (
     Distribution,
     PairHistogram,
+    Poset,
     SizeCapError,
     closest_monotone_on_matching,
     dist_to_bigness,
     exact_dtv_to_monotone,
     func_dist_to_monotone,
     is_monotone,
+    make_hypercube,
     make_line,
     make_matching,
     max_violation_matching,
@@ -18,6 +20,7 @@ from posetdist import (
     pair_histogram,
     w_distance,
 )
+from posetdist.poset import transitive_closure
 from posetdist.simplex import solve_lp
 
 from genutil import (
@@ -87,7 +90,7 @@ def test_matching_examples_and_tiebreak():
     G = make_line(3)
     p = Distribution(np.array([0.5, 0.3, 0.2]))
     m = max_violation_matching(G, p)
-    # ties break toward fewer edges: the single closure edge (0, 2) wins
+    # the assignment links 0 -> 1 -> 2, and the chain collapses to (0, 2)
     assert m.edges == (((0, 2), pytest.approx(0.3)),)
     assert m.weight == pytest.approx(0.3)
     assert max_violation_matching(G, Distribution(np.array([0.2, 0.3, 0.5]))).edges == ()
@@ -114,6 +117,34 @@ def test_bipartite_matching_path_agrees_with_dp():
         p = random_distribution(rng, G.n)
         W = max_violation_matching(G, p).weight
         assert W == pytest.approx(brute_force_violation_matching(G, p), abs=1e-10)
+
+
+def test_matching_on_large_posets_equals_lp():
+    # beyond brute-force reach the function-distance LP is the independent route
+    rng = np.random.default_rng(35)
+    posets = [random_dag(rng, n, edge_prob=0.1) for n in (25, 40, 64)] + [make_hypercube(5), make_hypercube(6)]
+    for G in posets:
+        p = random_distribution(rng, G.n)
+        m = max_violation_matching(G, p)
+        d, _ = func_dist_to_monotone(G, p)
+        assert m.weight == pytest.approx(d, abs=1e-7)
+        tc = transitive_closure(G)
+        for (u, v), w in m.edges:
+            assert tc.reach(u, v)
+            assert w == p.probs[u] - p.probs[v]
+        assert list(m.edges) == sorted(m.edges)
+
+
+def test_matching_structural_tie_is_deterministic():
+    # a chain 0 < 1 < 2 < 3 among 30 vertices, decreasing in p:
+    # {(0,3),(1,2)} and {(0,2),(1,3)} weigh the same
+    G = Poset(30, ((0, 1), (1, 2), (2, 3)), kind="general")
+    p = Distribution.normalized([4.0, 3.0, 2.0, 1.0] + [1.0] * 26)
+    first = max_violation_matching(G, p)
+    assert first.weight == pytest.approx(p.probs[0] + p.probs[1] - p.probs[2] - p.probs[3])
+    assert len(first.edges) == 2
+    for _ in range(5):
+        assert max_violation_matching(G, p) == first
 
 
 def test_exact_dtv_examples_and_sandwich():

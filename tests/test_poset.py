@@ -109,7 +109,7 @@ def test_poset_file_roundtrip(tmp_path):
         write_poset(G, path)
         H = read_poset(path)
         assert H.n == G.n and H.edges == G.edges and H.kind == G.kind
-        assert H.bottom == G.bottom
+        assert H.bottom == G.bottom and H.top == G.top
     with pytest.raises(PosetError):
         read_poset(write_text(tmp_path / "bad.poset", "3 1 nosuchkind\n0 1\n"))
 
@@ -117,6 +117,36 @@ def test_poset_file_roundtrip(tmp_path):
 def write_text(path, text):
     path.write_text(text)
     return path
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3 x line\n0 1\n1 2\n", 1),  # non-integer header token
+        ("3 2 line 7\n0 1\n1 2\n", 1),  # long header
+        ("# comment\n\n3 2 line\n0\n1 2\n", 4),  # short edge line
+        ("3 2 line\n0 1\n\n1 2 2\n", 4),  # long edge line
+        ("3 2 line\n0 1\n# comment\n1 two\n", 4),  # non-integer edge token
+        ("3 1 bipartite\n0 2\nbottom: 0 b\n", 3),  # non-integer bottom token
+        ("3 1 general\n0 2\n\n1 2\n", 4),  # trailing line that is not a bottom line
+        ("3 1 nosuchkind\n0 1\n", 1),  # unknown kind
+    ],
+)
+def test_read_poset_malformed_names_file_and_line(tmp_path, text, line):
+    path = write_text(tmp_path / "bad.poset", text)
+    with pytest.raises(PosetError, match=f"bad.poset:{line}: "):
+        read_poset(path)
+
+
+def test_read_poset_malformed_without_line(tmp_path):
+    for text in ("\n# only a comment\n", "3 2 line\n0 1\n", "3 -1 general\n"):
+        with pytest.raises(PosetError, match="bad.poset: "):
+            read_poset(write_text(tmp_path / "bad.poset", text))
+
+
+def test_complement_top_set():
+    G = make_bipartite(6, [(0, 3)], bottom=[4, 0, 2, 0])
+    assert G.bottom == (0, 2, 4) and G.top == (1, 3, 5)
 
 
 def test_bitset_and_dfs_paths_agree():

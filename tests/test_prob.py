@@ -30,6 +30,15 @@ def test_distribution_validation():
     assert d.n == 2
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5], [np.inf, 0.5, 0.5], [-np.inf, 0.5, 0.5], [np.nan]],
+)
+def test_distribution_rejects_non_finite(probs):
+    with pytest.raises(ValueError, match="non-finite"):
+        Distribution(np.array(probs))
+
+
 def test_rng_reproducible():
     a = sample(Distribution.uniform(10), 1000, Rng(42, 3))
     b = sample(Distribution.uniform(10), 1000, Rng(42, 3))
