@@ -31,7 +31,7 @@ from .poset import Poset, transitive_closure
 from .prob import Distribution, PairHistogram
 from .simplex import solve_lp
 
-DEFAULT_LP_CAP = 64
+DEFAULT_LP_CAP = 128
 PERM_CAP = 9
 WEIGHT_TOL = 1e-12
 

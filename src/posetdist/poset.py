@@ -267,7 +267,9 @@ def _ints(path, lineno: int, toks, count: int | None = None) -> list[int]:
 def read_poset(path) -> Poset:
     """Parse the poset file format: "n m kind", m edge lines, optional bottom line.
 
-    Blank and '#' lines are skipped; errors name the file and the 1-based line.
+    Blank and '#' lines are skipped; errors name the file, and a malformed
+    line also its 1-based number. Structural faults (range, self-loop, cycle,
+    kind) come from the Poset checks, prefixed with the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         numbered = [(k, ln.strip()) for k, ln in enumerate(fh, 1)]
@@ -292,13 +294,16 @@ def read_poset(path) -> Poset:
         if not ln.startswith("bottom:"):
             raise PosetError(f"{path}:{k}: trailing content is not a bottom line")
         bottom = tuple(_ints(path, k, ln[len("bottom:") :].split()))
-    if kind == "bipartite":
-        return make_bipartite(n, edges, bottom)
-    if kind == "matching" and bottom:
-        return Poset(n, tuple(edges), kind=kind, bottom=bottom, top=_complement(n, bottom))
-    if kind == "hypercube":
-        return Poset(n, tuple(edges), kind=kind, dim=n.bit_length() - 1)
-    return Poset(n, tuple(edges), kind=kind)
+    try:
+        if kind == "bipartite":
+            return make_bipartite(n, edges, bottom)
+        if kind == "matching" and bottom:
+            return Poset(n, tuple(edges), kind=kind, bottom=bottom, top=_complement(n, bottom))
+        if kind == "hypercube":
+            return Poset(n, tuple(edges), kind=kind, dim=n.bit_length() - 1)
+        return Poset(n, tuple(edges), kind=kind)
+    except PosetError as exc:
+        raise PosetError(f"{path}: {exc}") from None
 
 
 def write_poset(G: Poset, path) -> None:

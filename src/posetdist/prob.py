@@ -235,10 +235,25 @@ class ExactDistAccess(SampleAccess):
 
 
 def read_distribution(path) -> Distribution:
-    """One decimal probability per line; the sum is validated."""
+    """One decimal probability per line; the sum is validated.
+
+    Blank and '#' lines are skipped; errors name the file, and a bad token
+    also the 1-based line.
+    """
+    vals = []
     with open(path, "r", encoding="utf-8") as fh:
-        vals = [float(ln.strip()) for ln in fh if ln.strip() and not ln.strip().startswith("#")]
-    return Distribution(np.array(vals))
+        for k, ln in enumerate(fh, 1):
+            tok = ln.strip()
+            if not tok or tok.startswith("#"):
+                continue
+            try:
+                vals.append(float(tok))
+            except ValueError:
+                raise ValueError(f"{path}:{k}: not a number: {tok!r}") from None
+    try:
+        return Distribution(np.array(vals))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_distribution(p: Distribution, path) -> None:

@@ -2,12 +2,23 @@
 
 Solves   min c.x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
-Every LP in this library is desk-scale (a few hundred rows at most), so each
-iteration refactorizes the basis from the original data: the returned point
-always satisfies the constraints to linear-solve precision, with no pivot
-drift to accumulate. Pricing is most-negative-reduced-cost; when the objective
-stalls on degenerate pivots the solver switches to Bland's anti-cycling rule,
-which guarantees termination. The feasibility contract is the 1e-9 tolerance.
+Every LP in this library is desk-scale (a few hundred rows at most), so the
+basis inverse is kept as a dense array. The start basis is the slack of every
+<= row with a nonnegative right-hand side plus one artificial for each other
+row; it is exactly the identity, and an LP that needs no artificial skips
+phase 1. Each pivot updates B^-1 with one rank-1 eta step, touching only the
+block where the entering column and the pivot row are nonzero, so a pivot
+costs at most O(m^2) rather than a refactorization. B^-1 carries over from
+phase 1, through the removal of leftover artificials, into phase 2.
+
+When a phase finds no entering column, the basic point and the duals are
+recomputed from the original data by a linear solve. If the fresh reduced
+costs still admit an entering column, B^-1 is re-inverted and the phase goes
+on; otherwise the fresh point is what the phase reports, so the returned
+point satisfies the constraints to linear-solve precision and eta drift never
+reaches it. Pricing is most-negative-reduced-cost; when the objective stalls
+on degenerate pivots the solver switches to Bland's anti-cycling rule, which
+guarantees termination. The feasibility contract is the 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -31,20 +42,40 @@ class LpUnboundedError(LpError):
     pass
 
 
-def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, n_enterable: int):
+def _entering(reduced: np.ndarray, basis: np.ndarray, bland: bool) -> int:
+    """Column to enter the basis, or -1 when no reduced cost is below -TOL."""
+    reduced[basis] = 0.0
+    if bland:
+        nz = np.flatnonzero(reduced < -TOL)
+        return int(nz[0]) if nz.size else -1
+    j = int(np.argmin(reduced))
+    return j if reduced[j] < -TOL else -1
+
+
+def _pivot(Binv: np.ndarray, d: np.ndarray, leave: int) -> None:
+    """Eta update of B^-1 in place for the basis change at row `leave`,
+    where d = B^-1 a is the entering column. Only the block where d and the
+    pivot row are both nonzero changes; B^-1 of these LPs stays sparse."""
+    pivot_row = Binv[leave] / d[leave]
+    rows = np.flatnonzero(d)
+    cols = np.flatnonzero(pivot_row)
+    Binv[np.ix_(rows, cols)] -= np.outer(d[rows], pivot_row[cols])
+    Binv[leave, cols] = pivot_row[cols]
+
+
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Binv: np.ndarray):
     """Run the revised simplex to optimality from a feasible basis.
 
-    Only columns below n_enterable may enter (lets phase 2 lock out
-    artificials). Returns (basis, x_basic).
+    Binv is the inverse of A[:, basis] and is updated in place, except when
+    the end-of-phase check re-inverts it. Returns (basis, Binv, x_basic) with
+    x_basic solved afresh from the original data.
     """
     m = A.shape[0]
+    xB = np.maximum(Binv @ b, 0.0)
     bland = False
     stall = 0
     prev_obj = np.inf
     for _ in range(_MAX_ITER):
-        B = A[:, basis]
-        xB = np.linalg.solve(B, b)
-        np.maximum(xB, 0.0, out=xB)  # clip solve noise on degenerate rows
         obj = float(c[basis] @ xB)
         if obj < prev_obj - 1e-12:
             stall = 0
@@ -54,18 +85,16 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, n_e
             if stall > _STALL_LIMIT:
                 bland = True
         prev_obj = obj
-        y = np.linalg.solve(B.T, c[basis])
-        reduced = c[:n_enterable] - A[:, :n_enterable].T @ y
-        reduced[basis[basis < n_enterable]] = 0.0
-        if bland:
-            nz = np.nonzero(reduced < -TOL)[0]
-            enter = int(nz[0]) if nz.size else -1
-        else:
-            j = int(np.argmin(reduced))
-            enter = j if reduced[j] < -TOL else -1
+        enter = _entering(c - (c[basis] @ Binv) @ A, basis, bland)
         if enter < 0:
-            return basis, xB
-        d = np.linalg.solve(B, A[:, enter])
+            B = A[:, basis]
+            xB = np.linalg.solve(B, b)
+            np.maximum(xB, 0.0, out=xB)  # clip solve noise on degenerate rows
+            enter = _entering(c - np.linalg.solve(B.T, c[basis]) @ A, basis, bland)
+            if enter < 0:
+                return basis, Binv, xB
+            Binv = np.linalg.inv(B)
+        d = Binv @ A[:, enter]
         pos = d > TOL
         if not pos.any():
             raise LpUnboundedError("objective unbounded below")
@@ -77,6 +106,11 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, n_e
             leave = int(ties[np.argmin(basis[ties])])
         else:
             leave = int(ties[np.argmax(d[ties])])
+        theta = xB[leave] / d[leave]
+        xB -= theta * d
+        xB[leave] = theta
+        np.maximum(xB, 0.0, out=xB)
+        _pivot(Binv, d, leave)
         basis[leave] = enter
     raise LpError("simplex iteration limit exceeded")
 
@@ -105,36 +139,44 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[float, np.n
     b0 = np.concatenate(rhs_parts)
     m = A0.shape[0]
 
-    # Slacks for the <= rows, then flip rows to nonnegative rhs, then one
-    # artificial per row as the phase-1 identity basis.
-    A = np.hstack([A0, np.zeros((m, n_ub))])
-    for i in range(n_ub):
-        A[i, nvar + i] = 1.0
+    # Slacks for the <= rows, then flip rows to nonnegative rhs. A <= row that
+    # kept its sign starts with its slack basic; every other row (equalities
+    # and flipped rows) gets an artificial. The start basis is the identity.
+    n_real = nvar + n_ub
     b = b0.copy()
     neg = b < 0
-    A[neg] *= -1.0
     b[neg] *= -1.0
-    n_real = nvar + n_ub
-    A = np.hstack([A, np.eye(m)])
-    basis = np.arange(n_real, n_real + m)
+    art_rows = np.flatnonzero(neg | (np.arange(m) >= n_ub))
+    A = np.zeros((m, n_real + art_rows.size))
+    A[:, :nvar] = A0
+    A[np.arange(n_ub), nvar + np.arange(n_ub)] = 1.0
+    A[neg] *= -1.0
+    A[art_rows, n_real + np.arange(art_rows.size)] = 1.0
+    basis = nvar + np.arange(m)
+    basis[art_rows] = n_real + np.arange(art_rows.size)
+    Binv = np.eye(m)
 
-    c1 = np.zeros(n_real + m)
-    c1[n_real:] = 1.0
-    basis, xB = _simplex(A, b, c1, basis, n_real + m)
-    art_level = float(xB[basis >= n_real].sum())
-    if art_level > 1e-7:
-        raise LpInfeasibleError(f"phase-1 residual {art_level:g}")
+    if art_rows.size:
+        c1 = np.zeros(A.shape[1])
+        c1[n_real:] = 1.0
+        basis, Binv, xB = _simplex(A, b, c1, basis, Binv)
+        art_level = float(xB[basis >= n_real].sum())
+        if art_level > 1e-7:
+            raise LpInfeasibleError(f"phase-1 residual {art_level:g}")
+    A = np.ascontiguousarray(A[:, :n_real])
 
     # Remove artificials from the basis: pivot onto any real column with a
     # nonzero coefficient in that row of B^-1 A, else the row is redundant.
+    # An artificial never changes basis position, so the one at position i is
+    # row i's own unit column, and dropping row i with position i leaves B^-1
+    # of the smaller basis as B^-1 without row i and column i.
     drop_rows = []
-    for i in range(m):
-        if basis[i] < n_real:
-            continue
-        row = np.linalg.solve(A[:, basis], A[:, :n_real])[i]
+    for i in np.flatnonzero(basis >= n_real):
+        row = Binv[i] @ A
         row[basis[basis < n_real]] = 0.0
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > 1e-7:
+            _pivot(Binv, Binv @ A[:, j], i)
             basis[i] = j
         else:
             drop_rows.append(i)
@@ -143,14 +185,15 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[float, np.n
         A = A[keep]
         b = b[keep]
         basis = basis[keep]
+        Binv = Binv[np.ix_(keep, keep)]
         if basis.size == 0:
             if np.all(c >= -TOL):
                 return 0.0, np.zeros(nvar)
             raise LpUnboundedError("all rows redundant with a negative cost direction")
 
-    c2 = np.zeros(A.shape[1])
+    c2 = np.zeros(n_real)
     c2[:nvar] = c
-    basis, xB = _simplex(A, b, c2, basis, n_real)
-    x = np.zeros(A.shape[1])
+    basis, _, xB = _simplex(A, b, c2, basis, Binv)
+    x = np.zeros(n_real)
     x[basis] = xB
     return float(c @ x[:nvar]), x[:nvar]

@@ -238,6 +238,8 @@ def uniform_subset_test(
         raise ValueError("eps must lie in (0, 1]")
     if support_size < 1:
         raise ValueError("support size must be positive")
+    if access.n != G.n:
+        raise ValueError("sample access does not match the poset")
     rng = rng or Rng(0)
     n = G.n
     s1 = int(math.ceil(8.0 * n ** (2.0 / 3.0) / eps))
@@ -346,6 +348,8 @@ def all_matchings_test(
         raise ValueError("all_matchings_test needs a bipartite poset")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
+    if access.n != G.n:
+        raise ValueError("sample access does not match the poset")
     rng = rng or Rng(0)
     pairs = _enumerate_matchable_pairs(G, pair_cap)
     n_pairs = len(pairs)

@@ -223,6 +223,38 @@ def test_malformed_poset_exits_2_with_file_and_line(workdir, capsys):
     assert "Traceback" not in err
 
 
+def test_malformed_distribution_exits_2_with_file_and_line(workdir, capsys):
+    bad = workdir / "bad.dist"
+    bad.write_text("0.5\n\n# a comment\nabc\n0.5\n")
+    rc = main(["oracle", "--poset", str(workdir / "line3.poset"), "--dist", str(bad)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{bad}:4:" in err and "abc" in err
+    assert "Traceback" not in err
+
+
+def test_structural_poset_fault_exits_2_with_file(workdir, capsys):
+    bad = workdir / "bad.poset"
+    bad.write_text("3 1 general\n0 5\n")
+    rc = main(["oracle", "--poset", str(bad), "--dist", str(workdir / "line3.dist")])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{bad}: edge (0,5) out of range for n=3" in err
+
+
+def test_oracle_verb_on_128_vertices(tmp_path, capsys):
+    n = 128  # DEFAULT_LP_CAP, the largest poset the LP oracles accept
+    G = make_line(n)
+    write_poset(G, tmp_path / "line.poset")
+    v = np.random.default_rng(128).exponential(1.0, n)
+    write_distribution(Distribution(v / v.sum()), tmp_path / "line.dist")
+    rc = main(["oracle", "--poset", str(tmp_path / "line.poset"), "--dist", str(tmp_path / "line.dist")])
+    assert rc == EXIT_OK
+    d_tv, w, lp = (float(tok) for tok in capsys.readouterr().out.strip().split("\n")[1].split(","))
+    assert w == pytest.approx(lp, abs=1e-7)
+    assert w / 2 - 1e-9 <= d_tv <= w + 1e-9
+
+
 def test_run_record_embeds_config(workdir, capsys):
     out = workdir / "run.csv"
     rc = main([

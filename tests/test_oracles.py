@@ -20,6 +20,7 @@ from posetdist import (
     pair_histogram,
     w_distance,
 )
+from posetdist.oracles import DEFAULT_LP_CAP
 from posetdist.poset import transitive_closure
 from posetdist.simplex import solve_lp
 
@@ -83,7 +84,7 @@ def test_func_dist_examples():
     d, _ = func_dist_to_monotone(make_line(3), Distribution(np.array([0.2, 0.3, 0.5])))
     assert d == 0.0
     with pytest.raises(SizeCapError):
-        func_dist_to_monotone(make_line(100), Distribution.uniform(100))
+        func_dist_to_monotone(make_line(DEFAULT_LP_CAP + 1), Distribution.uniform(DEFAULT_LP_CAP + 1))
 
 
 def test_matching_examples_and_tiebreak():

@@ -144,6 +144,21 @@ def test_read_poset_malformed_without_line(tmp_path):
             read_poset(write_text(tmp_path / "bad.poset", text))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1 general\n0 5\n", "edge (0,5) out of range for n=3"),
+        ("3 1 general\n# comment\n1 1\n", "self-loop at 1"),
+        ("3 1 bipartite\n0 1\nbottom: 0 1\n", "must run bottom -> top"),
+    ],
+)
+def test_read_poset_structural_fault_names_file(tmp_path, text, message):
+    path = write_text(tmp_path / "bad.poset", text)
+    with pytest.raises(PosetError) as exc:
+        read_poset(path)
+    assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+
+
 def test_complement_top_set():
     G = make_bipartite(6, [(0, 3)], bottom=[4, 0, 2, 0])
     assert G.bottom == (0, 2, 4) and G.top == (1, 3, 5)

@@ -167,6 +167,16 @@ def test_distribution_file_roundtrip(tmp_path):
         read_distribution(tmp_path / "bad.dist")
 
 
+def test_read_distribution_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.dist"
+    path.write_text("# header\n0.5\n\n0.5x\n")
+    with pytest.raises(ValueError, match="bad.dist:4: not a number: '0.5x'"):
+        read_distribution(path)
+    path.write_text("0.5\n0.6\n")
+    with pytest.raises(ValueError, match="bad.dist: distribution sums to"):
+        read_distribution(path)
+
+
 def test_histogram_csv_roundtrip(tmp_path):
     h = SampleHistogram(np.array([3, 0, 2]))
     path = tmp_path / "h.csv"

@@ -178,6 +178,18 @@ def test_uniform_subset_empty_bottom_branch():
     assert v.accepted and v.details["branch"] == 1 and v.stat == 0.0
 
 
+def test_uniform_subset_rejects_mismatched_access():
+    G = make_matching(3)
+    with pytest.raises(ValueError, match="sample access does not match the poset"):
+        uniform_subset_test(G, 6, 0.2, ExactDistAccess(Distribution.uniform(10)), Rng(0))
+
+
+def test_all_matchings_rejects_mismatched_access():
+    G = make_matching(3)
+    with pytest.raises(ValueError, match="sample access does not match the poset"):
+        all_matchings_test(G, 0.2, ExactDistAccess(Distribution.uniform(10)), Rng(0))
+
+
 def test_all_matchings_tester():
     K22 = make_bipartite(4, [(0, 2), (0, 3), (1, 2), (1, 3)], bottom=[0, 1])
     pm = Distribution(np.array([0.15, 0.15, 0.35, 0.35]))
