@@ -1,10 +1,12 @@
 """Batch CLI: oracle evaluation, tester runs, reductions, lower-bound
 experiments, and manifest-driven suites, all seeded and CSV-reporting.
 
-Verbs: oracle, test, reduce, lb {solve,gen,probe}, suite. Every run embeds its
-resolved seed, so identical (config, seed) produce byte-identical CSV (LF line
-endings, repr-formatted floats, "." decimals). Exit codes: 0 ok, 2 validation
-error, 3 infeasible parameters.
+Verbs: oracle, test, reduce, lb {solve,gen,probe}, suite. A suite manifest row
+`verb=V k=v ...` is read as the command line `V --k=v ...` by the same parser.
+Every run embeds its resolved seed, so identical (config, seed) produce
+byte-identical CSV (LF line endings, repr-formatted floats, "." decimals).
+Exit codes, and suite row statuses: 0 ok, 1 internal error (a bug; the
+traceback is printed), 2 validation or usage error, 3 infeasible parameters.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import os
 import shlex
 import sys
+import traceback
 
 import numpy as np
 
@@ -24,9 +27,8 @@ from .lowerbound import (
     indistinguishability_probe,
 )
 from .oracles import exact_dtv_to_monotone, func_dist_to_monotone, max_violation_matching
-from .poset import read_poset, write_poset
+from .poset import make_hypercube, read_poset, write_poset
 from .prob import (
-    Distribution,
     ExactDistAccess,
     Rng,
     SampleHistogram,
@@ -50,8 +52,12 @@ from .testers import (
 )
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
+
+# Suite-only row keys: they check a row's summary and are not verb flags.
+_EXPECT_KEYS = ("expect_field", "expect_min", "expect_max")
 
 
 def _fmt(v) -> str:
@@ -72,29 +78,29 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _write_config_sidecar(cfg: dict, out: str) -> None:
-    """Record the fully resolved config (seed included) next to the artifact."""
-    items = sorted((k, v) for k, v in cfg.items() if v is not None and k != "out")
-    text = "".join(f"{k}={v}\n" for k, v in items)
-    _emit(text, out + ".config")
+def _save(a: argparse.Namespace, text: str, base: str = "") -> bool:
+    """Write a run's CSV to its --out file, if it has one, with the fully
+    resolved config (seed included) in FILE.config; True iff it wrote."""
+    out = getattr(a, "out", None)
+    if out is None:
+        return False
+    path = os.path.join(base, out)
+    _emit(text, path)
+    items = sorted((k, v) for k, v in vars(a).items() if v is not None and k not in ("out", "run"))
+    _emit("".join(f"{k}={v}\n" for k, v in items), path + ".config")
+    return True
 
 
-def _resolve(path: str, base: str | None) -> str:
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def _run_oracle(cfg: dict, base=None):
-    G = read_poset(_resolve(cfg["poset"], base))
-    p = read_distribution(_resolve(cfg["dist"], base))
+def _run_oracle(a, base=""):
+    G = read_poset(os.path.join(base, a.poset))
+    p = read_distribution(os.path.join(base, a.dist))
     d_tv = exact_dtv_to_monotone(G, p)
     W = max_violation_matching(G, p).weight
     lp, _ = func_dist_to_monotone(G, p)
@@ -103,116 +109,93 @@ def _run_oracle(cfg: dict, base=None):
     return {"d_tv": d_tv, "matching_weight": W, "lp_value": lp}, text
 
 
-def _run_test(cfg: dict, base=None):
-    alg = cfg["alg"]
-    p = read_distribution(_resolve(cfg["dist"], base))
-    eps = float(cfg["eps"])
-    seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 1))
-    mult = cfg.get("multiplier")
-    learner = LearnerSpec(budget_multiplier=float(mult)) if mult is not None else LearnerSpec()
-    G = read_poset(_resolve(cfg["poset"], base)) if cfg.get("poset") else None
-    if alg != "bigness" and G is None:
-        raise ValueError(f"algorithm {alg!r} needs --poset")
+def _run_test(a, base=""):
+    p = read_distribution(os.path.join(base, a.dist))
+    learner = LearnerSpec(budget_multiplier=a.multiplier)
+    G = read_poset(os.path.join(base, a.poset)) if a.poset is not None else None
+    if a.alg != "bigness" and G is None:
+        raise ValueError(f"algorithm {a.alg!r} needs --poset")
+    if a.trials < 1:
+        raise ValueError("--trials must be at least 1")
     access = ExactDistAccess(p)
     rows = []
     accepts = 0
-    for t in range(trials):
-        rng = Rng(seed).derive(t)
-        if alg == "bigness":
-            T = float(cfg["T"]) if cfg.get("T") else 1.0 / p.n
-            v = bigness_test(access, p.n, T, eps, learner, rng)
-        elif alg == "matching":
-            v = matching_monotonicity_test(G, access, eps, learner, rng)
-        elif alg == "bipartite":
-            delta = int(cfg["delta"]) if cfg.get("delta") else G.max_degree()
-            v = bipartite_bounded_degree_test(G, access, delta, eps, learner, rng)
-        elif alg == "uniform-subset":
-            size = int(cfg["support_size"]) if cfg.get("support_size") else int(np.count_nonzero(p.probs))
-            v = uniform_subset_test(G, size, eps, access, rng)
-        elif alg == "all-matchings":
-            v = all_matchings_test(G, eps, access, rng)
+    for t in range(a.trials):
+        rng = Rng(a.seed).derive(t)
+        if a.alg == "bigness":
+            T = a.T if a.T is not None else 1.0 / p.n
+            v = bigness_test(access, p.n, T, a.eps, learner, rng)
+        elif a.alg == "matching":
+            v = matching_monotonicity_test(G, access, a.eps, learner, rng)
+        elif a.alg == "bipartite":
+            delta = a.delta if a.delta is not None else G.max_degree()
+            v = bipartite_bounded_degree_test(G, access, delta, a.eps, learner, rng)
+        elif a.alg == "uniform-subset":
+            size = a.support_size if a.support_size is not None else int(np.count_nonzero(p.probs))
+            v = uniform_subset_test(G, size, a.eps, access, rng)
         else:
-            raise ValueError(f"unknown algorithm {alg!r}")
+            v = all_matchings_test(G, a.eps, access, rng)
         accepts += v.accepted
         rows.append([t, v.decision, v.stat, v.threshold])
     text = _csv(["trial", "decision", "stat", "threshold"], rows)
-    return {"accept_rate": accepts / trials, "trials": trials}, text
+    return {"accept_rate": accepts / a.trials, "trials": a.trials}, text
 
 
-def _run_reduce(cfg: dict, base=None):
-    kind = cfg["kind"]
-    out_poset = _resolve(cfg["out_poset"], base)
-    out_dist = _resolve(cfg["out_dist"], base)
-    if kind in ("g2b", "b2m"):
-        G = read_poset(_resolve(cfg["from"], base))
-        if kind == "g2b":
+def _run_reduce(a, base=""):
+    source = os.path.join(base, getattr(a, "from"))
+    out_poset = os.path.join(base, a.out_poset)
+    out_dist = os.path.join(base, a.out_dist)
+    if a.kind in ("g2b", "b2m"):
+        if a.dist is None:
+            raise ValueError(f"{a.kind} needs a source distribution (--dist) to emit one")
+        G = read_poset(source)
+        if a.kind == "g2b":
             red = general_to_bipartite(G)
         else:
-            delta = int(cfg["delta"]) if cfg.get("delta") else G.max_degree()
-            red = bipartite_to_matching(G, delta)
+            red = bipartite_to_matching(G, a.delta if a.delta is not None else G.max_degree())
         write_poset(red.target, out_poset)
-        if not cfg.get("dist"):
-            raise ValueError(f"{kind} needs a source distribution (--dist) to emit one")
-        q = red.map_distribution(read_distribution(_resolve(cfg["dist"], base)))
+        q = red.map_distribution(read_distribution(os.path.join(base, a.dist)))
         write_distribution(q, out_dist)
         summary = {"target_n": red.target.n, "far_divisor": red.far_divisor}
-    elif kind == "big2m":
-        p = read_distribution(_resolve(cfg["from"], base))
-        T = float(cfg["T"]) if cfg.get("T") else 1.0 / p.n
-        q, meta = bigness_to_matching(p, T)
+    elif a.kind == "big2m":
+        p = read_distribution(source)
+        q, meta = bigness_to_matching(p, a.T if a.T is not None else 1.0 / p.n)
         write_poset(meta["poset"], out_poset)
         write_distribution(q, out_dist)
         summary = {"target_n": meta["poset"].n, "far_divisor": meta["far_divisor"]}
-    elif kind == "m2hyp":
-        from .poset import make_hypercube
-
-        p = read_distribution(_resolve(cfg["from"], base))
-        d = int(cfg["d"])
-        ell = int(cfg["ell"])
-        pmax = float(cfg["pmax"])
-        q = matching_to_hypercube(d, ell, p, pmax)
-        write_poset(make_hypercube(d), out_poset)
+    else:
+        if None in (a.d, a.ell, a.pmax):
+            raise ValueError("m2hyp needs --d, --ell and --pmax")
+        p = read_distribution(source)
+        q = matching_to_hypercube(a.d, a.ell, p, a.pmax)
+        write_poset(make_hypercube(a.d), out_poset)
         write_distribution(q, out_dist)
         summary = {"target_n": q.n, "far_divisor": 0.0}
-    else:
-        raise ValueError(f"unknown reduction kind {kind!r}")
     return summary, None
 
 
-def _lb_params(cfg):
-    nu = float(cfg["nu"])
-    lam = float(cfg["lambda"])
-    L = int(cfg["L"])
-    grid = int(cfg.get("grid", 400))
-    return nu, lam, L, grid
-
-
-def _run_lb_solve(cfg: dict, base=None):
-    nu, lam, L, grid = _lb_params(cfg)
-    priors = build_priors(nu, lam, L, grid)
+def _run_lb_solve(a, base=""):
+    priors = build_priors(a.nu, a.lam, a.L, a.grid)
     rows = []
     for side, atoms, mass in ((0, priors.atoms_big, priors.mass_big), (1, priors.atoms_far, priors.mass_far)):
-        for a, m in zip(atoms, mass):
-            rows.append([side, float(a), float(m), priors.beta, priors.gap])
+        for x, m in zip(atoms, mass):
+            rows.append([side, float(x), float(m), priors.beta, priors.gap])
     text = _csv(["side", "atom", "mass", "beta", "objective"], rows)
     return {"objective": priors.gap, "beta": priors.beta}, text
 
 
-def _run_lb_gen(cfg: dict, base=None):
-    seed = int(cfg.get("seed", 0))
-    n = int(cfg["n"])
-    L = int(cfg["L"])
-    if cfg.get("eps"):
-        params = assign_parameters(n, float(cfg["eps"]), L)
+def _run_lb_gen(a, base=""):
+    explicit = (a.nu, a.lam, a.s)
+    if a.eps is not None and explicit == (None, None, None):
+        params = assign_parameters(a.n, a.eps, a.L)
         nu, lam, s = params.nu, params.lam, params.s
-        grid = int(cfg.get("grid", 400))
+    elif a.eps is None and None not in explicit:
+        nu, lam, s = explicit
     else:
-        nu, lam, L, grid = _lb_params(cfg)
-        s = int(cfg["s"])
-    priors = build_priors(nu, lam, L, grid)
-    inst = generate_instance(priors, n, s, Rng(seed))
-    prefix = _resolve(cfg["out_prefix"], base)
+        raise ValueError("lb gen takes either --eps or all of --nu, --lambda and --s")
+    priors = build_priors(nu, lam, a.L, a.grid)
+    inst = generate_instance(priors, a.n, s, Rng(a.seed))
+    prefix = os.path.join(base, a.out_prefix)
     if inst.norm_big is not None:
         write_distribution(inst.norm_big, prefix + ".big.dist")
     if inst.norm_far is not None:
@@ -220,7 +203,7 @@ def _run_lb_gen(cfg: dict, base=None):
     write_histogram_csv(SampleHistogram(inst.hist_big), prefix + ".big.hist.csv")
     write_histogram_csv(SampleHistogram(inst.hist_far), prefix + ".far.hist.csv")
     header = ["n", "s", "zero_count", "event_big", "event_far", "p_max"]
-    row = [n, s, inst.zero_count, inst.event_big, inst.event_far, inst.p_max]
+    row = [a.n, s, inst.zero_count, inst.event_big, inst.event_far, inst.p_max]
     _emit(_csv(header, [row]), prefix + ".events.csv")
     return {
         "event_big": int(inst.event_big),
@@ -229,104 +212,126 @@ def _run_lb_gen(cfg: dict, base=None):
     }, None
 
 
-def _run_lb_probe(cfg: dict, base=None):
-    nu, lam, L, grid = _lb_params(cfg)
-    n = int(cfg["n"])
-    trials = int(cfg.get("trials", 200))
-    seed = int(cfg.get("seed", 0))
-    s_values = [int(tok) for tok in str(cfg["s_values"]).split(",") if tok != ""]
-    priors = build_priors(nu, lam, L, grid)
-    rows = indistinguishability_probe(priors, n, s_values, trials, Rng(seed))
+def _run_lb_probe(a, base=""):
+    s_values = [int(tok) for tok in a.s_values.split(",") if tok != ""]
+    priors = build_priors(a.nu, a.lam, a.L, a.grid)
+    rows = indistinguishability_probe(priors, a.n, s_values, a.trials, Rng(a.seed))
     table = [[r.s, r.kept_big, r.kept_far, r.best_stat, r.advantage, r.ci_half] for r in rows]
     text = _csv(["s", "kept_big", "kept_far", "best_stat", "advantage", "ci_half"], table)
     last = rows[-1] if rows else None
     return {"advantage_at_max_s": last.advantage if last else 0.0}, text
 
 
-_HANDLERS = {
-    "oracle": _run_oracle,
-    "test": _run_test,
-    "reduce": _run_reduce,
-    "lb-solve": _run_lb_solve,
-    "lb-gen": _run_lb_gen,
-    "lb-probe": _run_lb_probe,
-}
+def run_config(a: argparse.Namespace, base: str = ""):
+    """Run one parsed config, a CLI run or a suite row, through the handler
+    its subparser set: returns (summary, csv text). Relative paths resolve
+    against base."""
+    return a.run(a, base)
 
 
-def run_config(cfg: dict, base: str | None = None):
-    """Dispatch one flat config to its verb handler: returns (summary, csv text)."""
-    verb = cfg.get("verb")
-    if verb not in _HANDLERS:
-        raise ValueError(f"unknown verb {verb!r}")
-    return _HANDLERS[verb](cfg, base)
-
-
-def _parse_manifest_line(line: str) -> dict:
-    cfg = {}
+def _row_argv(line: str) -> tuple[list[str], dict]:
+    """One manifest row `verb=V k=v ...` as the argv `V --k=v ...`, plus its
+    expect_* keys. `lb-<sub>` verbs become `lb <sub>` and `_` in a key
+    becomes `-`; the `--k=v` form keeps a value that starts with '-' a value."""
+    verb, argv, expect = None, [], {}
     for tok in shlex.split(line, comments=True):
-        if "=" not in tok:
-            raise ValueError(f"manifest token {tok!r} is not key=value")
-        k, v = tok.split("=", 1)
-        cfg[k.replace("-", "_")] = v
-    return cfg
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"token {tok!r} is not key=value")
+        key = key.replace("-", "_")
+        if key in _EXPECT_KEYS:
+            expect[key] = val
+        elif key == "verb":
+            verb = val
+        elif key == "seed":
+            raise ValueError("a row cannot set seed: it is the suite seed xor the row index")
+        else:
+            argv.append(f"--{key.replace('_', '-')}={val}")
+    if verb is None:
+        raise ValueError("row has no verb=")
+    if verb == "suite":
+        raise ValueError("a suite row cannot run a suite")
+    return (verb.split("-", 1) if verb.startswith("lb-") else [verb]) + argv, expect
+
+
+def _run_row(parser, line: str, seed: int, base: str) -> tuple[float, bool]:
+    """Run one manifest row: returns (checked value, check passed)."""
+    argv, expect = _row_argv(line)
+    field = expect.get("expect_field")
+    if field is None and expect:
+        raise ValueError("expect_min/expect_max need expect_field")
+    lo = float(expect.get("expect_min", "-inf"))
+    hi = float(expect.get("expect_max", "inf"))
+    a = parser.parse_args(argv)
+    if hasattr(a, "seed"):
+        a.seed = seed
+    summary, text = run_config(a, base)
+    _save(a, text, base)
+    if field is None:
+        return 0.0, True
+    if field not in summary:
+        raise ValueError(f"expect_field {field!r} is not in the summary ({', '.join(summary)})")
+    value = float(summary[field])
+    return value, lo <= value <= hi
 
 
 def run_suite(manifest: str, out: str | None, master_seed: int) -> str:
     """Run every manifest row (derived seed = master xor row index), aggregate
-    one line per row with a pass/fail check column. Row failures mark the row
-    and never abort the suite."""
+    one line per row with a pass/fail check column. A failed row gets its
+    status and one stderr line naming manifest:line; the suite goes on."""
     base = os.path.dirname(os.path.abspath(manifest))
     with open(manifest, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    rows = []
-    for ln in lines:
-        if not ln or ln.startswith("#"):
-            continue
-        rows.append(_parse_manifest_line(ln))
-
-    def run_row(idx, cfg):
-        cfg = dict(cfg)
-        cfg["seed"] = master_seed ^ idx
+        rows = [(k, ln.strip()) for k, ln in enumerate(fh, 1)]
+    rows = [(k, ln) for k, ln in rows if ln and not ln.startswith("#")]
+    parser = _build_parser()
+    results = []
+    for idx, (lineno, line) in enumerate(rows):
+        seed = master_seed ^ idx
+        value, passed, status = 0.0, False, EXIT_OK
         try:
-            summary, text = run_config(cfg, base)
-            if cfg.get("out"):
-                path = _resolve(cfg["out"], base)
-                _emit(text or "", path)
-                _write_config_sidecar(cfg, path)
-            status = EXIT_OK
-        except ParameterError:
-            summary, status = {}, EXIT_INFEASIBLE
-        except Exception:
-            summary, status = {}, EXIT_VALIDATION
-        check = "pass"
-        value = 0.0
-        field = cfg.get("expect_field")
+            value, passed = _run_row(parser, line, seed, base)
+        except ParameterError as exc:
+            status, message = EXIT_INFEASIBLE, f"infeasible parameters: {exc}"
+        except (ValueError, OSError) as exc:
+            status, message = EXIT_VALIDATION, str(exc)
+        except Exception as exc:  # a bug, not bad input: keep the traceback
+            status, message = EXIT_INTERNAL, f"internal error: {exc!r}\n{traceback.format_exc().rstrip()}"
         if status != EXIT_OK:
-            check = "fail"
-        elif field:
-            if field not in summary:
-                check = "fail"
-            else:
-                value = float(summary[field])
-                lo = float(cfg.get("expect_min", "-inf"))
-                hi = float(cfg.get("expect_max", "inf"))
-                check = "pass" if lo <= value <= hi else "fail"
-        return [idx, cfg["seed"], status, value, check]
-
-    results = [run_row(idx, cfg) for idx, cfg in enumerate(rows)]
+            print(f"{manifest}:{lineno}: row {idx}: {message}", file=sys.stderr)
+        results.append([idx, seed, status, value, "pass" if passed else "fail"])
     text = _csv(["row", "seed", "status", "value", "check"], results)
     _emit(text, out)
     return text
 
 
+class UsageError(ValueError):
+    """A command line or manifest row that the parser rejects."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(f"{parser.prog}: {message}")
+        self.parser, self.message = parser, message
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting, so that a bad manifest row fails
+    only that row; flags must be spelled out, as a row key names one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(self, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="posetdist", description=__doc__)
+    ap = _Parser(prog="posetdist", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
 
     o = sub.add_parser("oracle", help="exact distances for a poset + distribution")
     o.add_argument("--poset", required=True)
     o.add_argument("--dist", required=True)
     o.add_argument("--out")
+    o.set_defaults(run=_run_oracle)
 
     t = sub.add_parser("test", help="run a tester for several seeded trials")
     t.add_argument("--alg", required=True, choices=["bigness", "matching", "bipartite", "uniform-subset", "all-matchings"])
@@ -340,6 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--support-size", dest="support_size", type=int)
     t.add_argument("--multiplier", type=float)
     t.add_argument("--out")
+    t.set_defaults(run=_run_test)
 
     r = sub.add_parser("reduce", help="apply a structural reduction")
     r.add_argument("--from", dest="from", required=True)
@@ -352,6 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--d", type=int)
     r.add_argument("--ell", type=int)
     r.add_argument("--pmax", type=float)
+    r.set_defaults(run=_run_reduce)
 
     lb = sub.add_parser("lb", help="lower-bound construction tools")
     lbsub = lb.add_subparsers(dest="lbverb", required=True)
@@ -361,6 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--L", required=True, type=int)
     ls.add_argument("--grid", type=int, default=400)
     ls.add_argument("--out")
+    ls.set_defaults(run=_run_lb_solve)
     lg = lbsub.add_parser("gen", help="generate one two-sided instance")
     lg.add_argument("--n", required=True, type=int)
     lg.add_argument("--L", required=True, type=int)
@@ -371,6 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--grid", type=int, default=400)
     lg.add_argument("--seed", type=int, default=0)
     lg.add_argument("--out-prefix", dest="out_prefix", required=True)
+    lg.set_defaults(run=_run_lb_gen)
     lp = lbsub.add_parser("probe", help="advantage-vs-s indistinguishability probe")
     lp.add_argument("--nu", required=True, type=float)
     lp.add_argument("--lambda", dest="lam", required=True, type=float)
@@ -381,6 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--grid", type=int, default=400)
     lp.add_argument("--seed", type=int, default=0)
     lp.add_argument("--out")
+    lp.set_defaults(run=_run_lb_probe)
 
     s = sub.add_parser("suite", help="run a manifest of configs, aggregate pass/fail")
     s.add_argument("--manifest", required=True)
@@ -390,28 +400,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    ns = vars(args)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        argparse.ArgumentParser.error(exc.parser, exc.message)  # usage line, exit 2
     try:
         if args.verb == "suite":
             run_suite(args.manifest, args.out, args.seed)
             return EXIT_OK
-        cfg = {k: v for k, v in ns.items() if v is not None}
-        if args.verb == "lb":
-            cfg["verb"] = f"lb-{ns['lbverb']}"
-            if "lam" in cfg:
-                cfg["lambda"] = cfg.pop("lam")
-        summary, text = run_config(cfg)
-        if text is not None:
-            _emit(text, cfg.get("out"))
-        if cfg.get("out"):
-            _write_config_sidecar(cfg, cfg["out"])
+        _, text = run_config(args)
+        if not _save(args, text) and text is not None:
+            sys.stdout.write(text)
         return EXIT_OK
     except ParameterError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

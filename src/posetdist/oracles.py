@@ -22,7 +22,6 @@ without losing weight.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from .prob import Distribution, PairHistogram
 from .simplex import solve_lp
 
 DEFAULT_LP_CAP = 128
-PERM_CAP = 9
 WEIGHT_TOL = 1e-12
 
 
@@ -392,7 +390,8 @@ def min_w_to_monotone_pairhist(
 def min_perm_l1(p1, p2, q1, q2) -> float:
     """min over label permutations pi of |p1 - q1 o pi|_1 + |p2 - q2 o pi|_1.
 
-    Factorial enumeration; capped at n = 9.
+    An assignment problem: label i goes to label j at cost
+    |p1_i - q1_j| + |p2_i - q2_j|.
     """
     a1 = np.asarray(p1, dtype=float)
     a2 = np.asarray(p2, dtype=float)
@@ -401,12 +400,6 @@ def min_perm_l1(p1, p2, q1, q2) -> float:
     n = a1.size
     if not (a2.size == b1.size == b2.size == n):
         raise ValueError("all four vectors must share a length")
-    if n > PERM_CAP:
-        raise SizeCapError(f"permutation enumeration capped at n={PERM_CAP}")
-    best = np.inf
-    for perm in itertools.permutations(range(n)):
-        pi = np.asarray(perm)
-        val = np.abs(a1 - b1[pi]).sum() + np.abs(a2 - b2[pi]).sum()
-        if val < best:
-            best = float(val)
-    return best
+    cost = np.abs(a1[:, None] - b1[None, :]) + np.abs(a2[:, None] - b2[None, :])
+    pi = _assignment_max_weight(-cost)
+    return float(np.abs(a1 - b1[pi]).sum() + np.abs(a2 - b2[pi]).sum())

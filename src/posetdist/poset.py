@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Above this vertex count reachability falls back from dense bitsets to
-# per-source DFS with Python sets.
-_BITSET_MAX_N = 4096
-
 # make_hypercube refuses dimensions whose edge list would not fit a desk-scale
 # memory budget (d=16 is ~0.5M edges).
 HYPERCUBE_MAX_DIM = 16
@@ -189,7 +185,7 @@ class TransitiveClosure:
     """Reachability relation of a Poset: reach(u, v) iff a directed u->v path exists.
 
     Irreflexive by construction. Stored as one Python-int bitset per source
-    vertex for n <= 4096, per-source reachable sets above.
+    vertex.
     """
 
     n: int
@@ -222,22 +218,12 @@ def transitive_closure(G: Poset) -> TransitiveClosure:
     """Compute reach(u, v) for all pairs by sweeping a topological order backwards."""
     order = _check_acyclic(G.n, G.edges)
     adj = G.adjacency()
-    if G.n <= _BITSET_MAX_N:
-        bits = [0] * G.n
-        for u in reversed(order):
-            acc = 0
-            for w in adj[u]:
-                acc |= 1 << w | bits[w]
-            bits[u] = acc
-        return TransitiveClosure(G.n, bits)
-    reach_sets: list[set[int]] = [set() for _ in range(G.n)]
+    bits = [0] * G.n
     for u in reversed(order):
-        acc: set[int] = set()
+        acc = 0
         for w in adj[u]:
-            acc.add(w)
-            acc |= reach_sets[w]
-        reach_sets[u] = acc
-    bits = [sum(1 << v for v in s) for s in reach_sets]
+            acc |= 1 << w | bits[w]
+        bits[u] = acc
     return TransitiveClosure(G.n, bits)
 
 

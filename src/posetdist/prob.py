@@ -263,17 +263,28 @@ def write_distribution(p: Distribution, path) -> None:
 
 
 def read_histogram_csv(path) -> SampleHistogram:
-    """Histogram CSV "index,count" with a header row."""
+    """Histogram CSV "index,count" with a header row.
+
+    Blank lines are skipped; errors name the file and the 1-based line.
+    """
     counts: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "index,count":
-            raise ValueError(f"{path}: expected 'index,count' header")
-        for ln in fh:
-            if not ln.strip():
+            raise ValueError(f"{path}:1: expected 'index,count' header")
+        for k, ln in enumerate(fh, 2):
+            line = ln.strip()
+            if not line:
                 continue
-            i, c = ln.strip().split(",")
-            counts[int(i)] = int(c)
+            try:
+                i, c = (int(tok) for tok in line.split(","))
+            except ValueError:
+                raise ValueError(f"{path}:{k}: expected two integers 'index,count', got {line!r}") from None
+            if i < 0 or c < 0:
+                raise ValueError(f"{path}:{k}: negative index or count: {line!r}")
+            if i in counts:
+                raise ValueError(f"{path}:{k}: duplicate index {i}")
+            counts[i] = c
     n = max(counts, default=-1) + 1
     vec = np.zeros(n, dtype=np.int64)
     for i, c in counts.items():

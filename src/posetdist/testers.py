@@ -69,6 +69,8 @@ class LearnerSpec:
             raise ValueError(f"unknown learner kind {self.kind!r}")
         if self.kind == "external" and not (self.learn_distribution or self.learn_pair_histogram):
             raise ValueError("external learner needs at least one learn callable")
+        if self.budget_multiplier is not None and not self.budget_multiplier > 0:
+            raise ValueError("budget_multiplier must be positive")
 
     def budget(self, n: int, eps: float) -> int:
         ln_n = math.log(max(n, 2))
@@ -149,7 +151,6 @@ def matching_monotonicity_test(
     eps: float,
     learner: LearnerSpec | None = None,
     rng: Rng | None = None,
-    w_mode: str = "midpoint",
 ) -> Verdict:
     """Monotonicity tester for matching posets.
 
@@ -189,8 +190,7 @@ def matching_monotonicity_test(
             continue
         rescaled[key] = rescaled.get(key, 0.0) + cnt
     g_hat = PairHistogram(rescaled)
-    grid_step = step if w_mode == "lp" else None
-    stat, _ = min_w_to_monotone_pairhist(g_hat, mode=w_mode, grid_step=grid_step)
+    stat, _ = min_w_to_monotone_pairhist(g_hat)
     return _verdict(
         stat,
         3.0 * eps1,

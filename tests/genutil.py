@@ -8,6 +8,8 @@ so each check runs along two routes.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from posetdist import Distribution, Poset, make_bipartite, transitive_closure
@@ -59,6 +61,17 @@ def brute_force_violation_matching(G: Poset, p: Distribution) -> float:
         return best
 
     return rec(0, frozenset())
+
+
+def brute_force_min_perm_l1(p1, p2, q1, q2) -> float:
+    """min over label permutations pi of |p1 - q1 o pi|_1 + |p2 - q2 o pi|_1
+    by factorial enumeration (desk scale: n <= 7)."""
+    a1, a2, b1, b2 = (np.asarray(v, dtype=float) for v in (p1, p2, q1, q2))
+    best = np.inf
+    for perm in itertools.permutations(range(a1.size)):
+        pi = np.asarray(perm, dtype=int)
+        best = min(best, float(np.abs(a1 - b1[pi]).sum() + np.abs(a2 - b2[pi]).sum()))
+    return best
 
 
 def monotone_matching_dist(rng: np.random.Generator, n_pairs: int) -> Distribution:

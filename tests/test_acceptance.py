@@ -427,7 +427,7 @@ def test_criterion_09_pair_histogram_laws():
         assert whg >= min_perm_l1(p1, p2, q1, q2) - 1e-8
         checked += 1
     report(9, "W symmetry, triangle, and W >= min-perm l1 (100 instances)", checked == 100,
-           f"{checked} instances, n <= 7, full permutation enumeration")
+           f"{checked} instances, n <= 7, min-perm l1 by assignment")
 
 
 def test_criterion_10_probe_monotone_in_s():

@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -15,7 +16,15 @@ from posetdist import (
     write_distribution,
     write_poset,
 )
-from posetdist.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main, run_suite
+from posetdist.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _build_parser,
+    main,
+    run_suite,
+)
 
 
 @pytest.fixture()
@@ -272,3 +281,138 @@ def test_shipped_demo_manifest():
     out = run_suite(manifest, None, 42)
     rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
     assert rows and all(r[4] == "pass" for r in rows)
+
+
+# One config per verb, as argv; the parity test derives the manifest row from
+# it (`--out-poset X` -> `out_poset=X`, `lb solve` -> `verb=lb-solve`). Output
+# names carry "{o}" so the two runs write side by side.
+PARITY_ARGV = [
+    ["oracle", "--poset", "line3.poset", "--dist", "line3.dist", "--out", "{o}.csv"],
+    ["test", "--alg", "matching", "--poset", "m6.poset", "--dist", "m6mono.dist", "--eps", "0.3",
+     "--trials", "3", "--seed", "5", "--out", "{o}.csv"],
+    ["test", "--alg", "bigness", "--dist", "u40.dist", "--eps", "0.2", "--T", "0.02", "--multiplier", "2",
+     "--seed", "5", "--out", "{o}.csv"],
+    ["reduce", "--from", "line3.poset", "--kind", "g2b", "--dist", "line3.dist",
+     "--out-poset", "{o}.poset", "--out-dist", "{o}.dist"],
+    ["lb", "solve", "--nu", "0.5", "--lambda", "6", "--L", "4", "--out", "{o}.csv"],
+    ["lb", "gen", "--n", "300", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "40", "--seed", "5",
+     "--out-prefix", "{o}"],
+    ["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "200", "--s-values", "0,20",
+     "--trials", "10", "--seed", "5", "--out", "{o}.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: "-".join(argv[:2]))
+def test_argv_and_manifest_row_give_identical_bytes(workdir, monkeypatch, argv):
+    monkeypatch.chdir(workdir)
+    nverb = 2 if argv[0] == "lb" else 1
+    assert main([tok.format(o="cli") for tok in argv]) == EXIT_OK
+    flags = argv[nverb:]
+    pairs = [(flags[i][2:].replace("-", "_"), flags[i + 1]) for i in range(0, len(flags), 2)]
+    row = " ".join([f"verb={'-'.join(argv[:nverb])}"] + [f"{k}={v}" for k, v in pairs if k != "seed"])
+    (workdir / "parity.suite").write_text(row.format(o="row") + "\n")
+    out = run_suite("parity.suite", None, 5)  # row 0 runs with seed 5 xor 0
+    assert out.split("\n")[1].split(",")[2:] == ["0", "0.0", "pass"]
+    cli_files = sorted(p.name for p in workdir.glob("cli*"))
+    assert cli_files and cli_files == sorted(p.name.replace("row", "cli", 1) for p in workdir.glob("row*"))
+    for name in cli_files:
+        assert (workdir / name).read_bytes() == (workdir / name.replace("cli", "row", 1)).read_bytes(), name
+    if "--seed" in argv and "--out" in argv:
+        assert "seed=5\n" in (workdir / "cli.csv.config").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["test", "--alg", "bigness", "--dist", "u40.dist", "--eps", "0.2", "--T", "0"], EXIT_VALIDATION),
+        (["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--eps", "0.2", "--delta", "0"],
+         EXIT_VALIDATION),
+        (["test", "--alg", "uniform-subset", "--poset", "b.poset", "--dist", "b.dist", "--eps", "0.2",
+          "--support-size", "0"], EXIT_VALIDATION),
+        (["test", "--alg", "bigness", "--dist", "u40.dist", "--eps", "0.2", "--trials", "0"], EXIT_VALIDATION),
+        (["test", "--alg", "matching", "--poset", "m6.poset", "--dist", "m6mono.dist", "--eps", "0.2",
+          "--multiplier", "0"], EXIT_VALIDATION),
+        (["reduce", "--from", "u40.dist", "--kind", "big2m", "--T", "0", "--out-poset", "x.poset",
+          "--out-dist", "x.dist"], EXIT_VALIDATION),
+        (["reduce", "--from", "u40.dist", "--kind", "m2hyp", "--d", "4", "--out-poset", "x.poset",
+          "--out-dist", "x.dist"], EXIT_VALIDATION),
+        (["lb", "gen", "--n", "100", "--L", "4", "--eps", "0", "--out-prefix", "x"], EXIT_INFEASIBLE),
+        (["lb", "gen", "--n", "100", "--L", "4", "--eps", "0.001", "--s", "3", "--out-prefix", "x"],
+         EXIT_VALIDATION),
+        (["lb", "gen", "--n", "100", "--L", "4", "--nu", "0.5", "--lambda", "6", "--out-prefix", "x"],
+         EXIT_VALIDATION),
+        (["lb", "gen", "--n", "100", "--L", "4", "--out-prefix", "x"], EXIT_VALIDATION),
+    ],
+)
+def test_explicit_values_are_never_replaced_by_defaults(workdir, monkeypatch, capsys, argv, code):
+    """An explicit zero (or an incomplete parameter set) fails loudly instead
+    of falling back to the default."""
+    monkeypatch.chdir(workdir)
+    write_poset(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]), workdir / "b.poset")
+    write_distribution(Distribution.uniform(4), workdir / "b.dist")
+    assert main(argv) == code
+    assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("verb=test alg=bigness dist=u40.dist eps=0.2 trails=20", "unrecognized arguments: --trails=20"),
+        ("verb=test alg=bigness dist=u40.dist eps=0.2 trial=3", "unrecognized arguments: --trial=3"),
+        ("verb=oracle poset=line3.poset dist=line3.dist expect_feild=lp_value expect_min=5",
+         "expect_min/expect_max need expect_field"),
+        ("verb=oracle poset=line3.poset dist=line3.dist expect_feild=lp_value",
+         "unrecognized arguments: --expect-feild=lp_value"),
+        ("verb=oracle poset=line3.poset dist=line3.dist expect_field=lp_vlaue",
+         "expect_field 'lp_vlaue' is not in the summary (d_tv, matching_weight, lp_value)"),
+        ("verb=oracle poset=line3.poset", "the following arguments are required: --dist"),
+        ("verb=test alg=bigness dist=u40.dist eps=0.2 T=0", "threshold must lie in (0, 1/n]"),
+        ("verb=test alg=bigness dist=u40.dist eps=zero", "argument --eps: invalid float value: 'zero'"),
+        ("verb=reduce from=line3.poset kind=g2b dist=line3.dist out_poset=a out_dist=b out=c",
+         "unrecognized arguments: --out=c"),
+        ("verb=test alg=bigness dist=u40.dist eps=0.2 seed=3", "a row cannot set seed"),
+        ("verb=suite manifest=x.suite", "a suite row cannot run a suite"),
+        ("verb=frob", "invalid choice: 'frob'"),
+        ("poset=line3.poset dist=line3.dist", "row has no verb="),
+        ("verb=oracle poset=line3.poset dist", "token 'dist' is not key=value"),
+        ("verb=oracle poset='line3.poset dist=line3.dist", "No closing quotation"),
+    ],
+)
+def test_bad_manifest_row_fails_only_that_row(workdir, capsys, row, message):
+    manifest = workdir / "bad.suite"
+    manifest.write_text(f"# the bad row is on line 2\n{row}\n\nverb=oracle poset=line3.poset dist=line3.dist\n")
+    out = run_suite(str(manifest), None, 0)
+    rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+    assert rows == [["0", "0", "2", "0.0", "fail"], ["1", "1", "0", "0.0", "pass"]]
+    err = capsys.readouterr().err
+    assert err.startswith(f"{manifest}:2: row 0: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bug", [KeyError, RuntimeError])
+def test_internal_error_is_not_a_validation_error(workdir, monkeypatch, capsys, bug):
+    import posetdist.cli as cli
+
+    def broken(path):
+        raise bug("a bug")
+
+    monkeypatch.setattr(cli, "read_poset", broken)
+    manifest = workdir / "one.suite"
+    manifest.write_text("verb=oracle poset=line3.poset dist=line3.dist\n")
+    out = run_suite(str(manifest), None, 0)
+    assert out.split("\n")[1] == f"0,0,{EXIT_INTERNAL},0.0,fail"
+    err = capsys.readouterr().err
+    assert err.startswith(f"{manifest}:1: row 0: internal error: {bug.__name__}('a bug')") and "Traceback" in err
+    with pytest.raises(bug):  # the command line shows the traceback and exits 1
+        main(["oracle", "--poset", str(workdir / "line3.poset"), "--dist", str(workdir / "line3.dist")])
+
+
+def test_readme_examples_parse():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.startswith("posetdist ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.verb == "suite" or callable(args.run), line

@@ -25,6 +25,7 @@ from posetdist.poset import transitive_closure
 from posetdist.simplex import solve_lp
 
 from genutil import (
+    brute_force_min_perm_l1,
     brute_force_violation_matching,
     random_bipartite,
     random_dag,
@@ -267,13 +268,20 @@ def test_midpoint_upper_bounds_lp():
 def test_min_perm_l1():
     assert min_perm_l1([0.5, 0.5], [0.1, 0.9], [0.5, 0.5], [0.1, 0.9]) == 0.0
     assert min_perm_l1([0.4, 0.6], [0.1, 0.9], [0.6, 0.4], [0.9, 0.1]) == 0.0
-    with pytest.raises(SizeCapError):
-        min_perm_l1(np.ones(10), np.ones(10), np.ones(10), np.ones(10))
+    rng = np.random.default_rng(7)
+    for n in (10, 50):  # beyond enumeration: a permuted copy is at distance 0
+        p1, p2 = random_distribution(rng, n).probs, random_distribution(rng, n).probs
+        pi = rng.permutation(n)
+        assert min_perm_l1(p1, p2, p1[pi], p2[pi]) == 0.0
+    for _ in range(100):
+        n = int(rng.integers(1, 8))
+        p1, p2, q1, q2 = (random_distribution(rng, n).probs for _ in range(4))
+        assert min_perm_l1(p1, p2, q1, q2) == pytest.approx(brute_force_min_perm_l1(p1, p2, q1, q2), abs=1e-12)
 
 
 def test_w_dominates_min_perm_l1():
     # transport distance between pair histograms upper-bounds the best
-    # label-matching l1 gap; checked by full enumeration
+    # label-matching l1 gap
     rng = np.random.default_rng(88)
     for _ in range(40):
         n = int(rng.integers(2, 6))

@@ -164,16 +164,23 @@ def test_complement_top_set():
     assert G.bottom == (0, 2, 4) and G.top == (1, 3, 5)
 
 
-def test_bitset_and_dfs_paths_agree():
+def test_closure_on_4200_vertices_matches_bfs():
     rng = np.random.default_rng(11)
-    G = random_dag(rng, 30, edge_prob=0.1)
-    import posetdist.poset as poset_mod
-
-    tc_bitset = transitive_closure(G)
-    old = poset_mod._BITSET_MAX_N
-    poset_mod._BITSET_MAX_N = 1
-    try:
-        tc_dfs = transitive_closure(G)
-    finally:
-        poset_mod._BITSET_MAX_N = old
-    assert sorted(tc_bitset.edges()) == sorted(tc_dfs.edges())
+    n = 4200
+    perm = rng.permutation(n)  # labels out of topological order
+    lo = rng.integers(0, n - 1, 3 * n)
+    hi = lo + 1 + (rng.random(3 * n) * (n - 1 - lo)).astype(int)
+    G = Poset(n, tuple({(int(perm[u]), int(perm[v])) for u, v in zip(lo, hi)}), kind="general")
+    tc = transitive_closure(G)
+    adj = G.adjacency()
+    for src in rng.choice(n, 50, replace=False):
+        seen, frontier = set(), [int(src)]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        assert [v for v in range(n) if tc.reach(int(src), v)] == sorted(seen)

@@ -184,6 +184,26 @@ def test_histogram_csv_roundtrip(tmp_path):
     assert read_histogram_csv(path).counts.tolist() == [3, 0, 2]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("index,count\n0,3\n1\n", ":3: expected two integers 'index,count', got '1'"),
+        ("index,count\n0,3,4\n", ":2: expected two integers 'index,count', got '0,3,4'"),
+        ("index,count\n0,3\n\n1,x\n", ":4: expected two integers 'index,count', got '1,x'"),
+        ("index,count\n0,1\n-1,5\n", ":3: negative index or count: '-1,5'"),
+        ("index,count\n0,1\n1,-5\n", ":3: negative index or count: '1,-5'"),
+        ("index,count\n0,1\n1,2\n0,4\n", ":4: duplicate index 0"),
+        ("idx,count\n0,1\n", ":1: expected 'index,count' header"),
+    ],
+)
+def test_read_histogram_csv_names_file_and_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_histogram_csv(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
 def test_exact_access_consistency():
     p = Distribution(np.array([0.7, 0.2, 0.1]))
     acc = ExactDistAccess(p)
