@@ -268,6 +268,10 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     s(1-nu)/2 total samples; the far side additionally needs at least
     beta*n*gap/2 zero-weight elements.
     """
+    if n < 1:
+        raise ValueError(f"instance size n must be at least 1, got {n}")
+    if s < 0:
+        raise ValueError(f"sample rate s must be nonnegative, got {s}")
     vs_big = _draw_atoms(priors.atoms_big, priors.mass_big, n, rng)
     vs_far = _draw_atoms(priors.atoms_far, priors.mass_far, n, rng)
     raw_big = vs_big / n
@@ -362,10 +366,16 @@ def indistinguishability_probe(
     Wilson 95% half-width. This lower-bounds the histogram TV distance; it
     cannot certify an upper bound.
     """
+    s_values = [int(s) for s in s_values]
+    if n < 1:
+        raise ValueError(f"instance size n must be at least 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if any(s < 0 for s in s_values):
+        raise ValueError(f"sample rates must be nonnegative, got {s_values}")
     rows = []
     stream = 1_000_000
     for s in s_values:
-        s = int(s)
         stats_big = np.zeros((trials, 4))
         stats_far = np.zeros((trials, 4))
         kept_big = kept_far = 0

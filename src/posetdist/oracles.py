@@ -330,22 +330,17 @@ def min_w_to_monotone_pairhist(
 
     Returns (value, g*).
     """
+    if mode == "midpoint":
+        x, y, c = g.x, g.y, g.count
+        bad = x > y
+        # summed one term at a time in key order, so the value does not
+        # depend on numpy's pairwise summation
+        cost = float(np.cumsum(c[bad] * (x[bad] - y[bad]))[-1]) if bad.any() else 0.0
+        mid = 0.5 * (x + y)
+        return cost, PairHistogram.from_arrays(np.where(bad, mid, x), np.where(bad, mid, y), c)
     items = g.items()
     if not items:
         return 0.0, PairHistogram({})
-    if mode == "midpoint":
-        cost = 0.0
-        out: dict[tuple[float, float], float] = {}
-        for (x, y), c in items:
-            if x > y:
-                mid = 0.5 * (x + y)
-                cost += c * (x - y)
-                key = (mid, mid)
-            else:
-                key = (x, y)
-            if key != (0.0, 0.0):
-                out[key] = out.get(key, 0.0) + c
-        return float(cost), PairHistogram(out)
     if mode != "lp":
         raise ValueError("mode must be 'midpoint' or 'lp'")
     if grid_step is None or grid_step <= 0:

@@ -7,6 +7,10 @@ concurrent work derives disjoint streams instead of sharing state.
 Sampling is exposed both per-draw (sample) and as exact histogram laws
 (SampleAccess.histogram draws the multinomial of the counts directly, which is
 the same distribution as histogramming s i.i.d. draws but costs O(n)).
+
+A PairHistogram is three numpy arrays x, y, count sorted by (x, y) with unique
+keys and no (0, 0) key; building, rescaling and merging one are array
+operations (a sort and a bincount), never a loop over keys.
 """
 
 from __future__ import annotations
@@ -99,29 +103,85 @@ class SampleHistogram:
 class PairHistogram:
     """Finite map (x, y) -> count: how many domain elements carry mass x in the
     first vector and y in the second. (0, 0) keys are excluded; counts may be
-    fractional for learned or rescaled histograms."""
+    fractional for learned or rescaled histograms.
+
+    Stored as three read-only float arrays x, y, count, sorted by (x, y) with
+    unique keys. The constructor takes a mapping and rejects (0, 0), duplicate
+    keys and counts that are not positive; from_arrays builds one from
+    weighted key arrays, dropping (0, 0) and merging equal keys.
+    """
 
     def __init__(self, support):
-        self.support: dict[tuple[float, float], float] = {}
-        for key, count in dict(support).items():
-            x, y = float(key[0]), float(key[1])
-            if count <= 0:
-                raise ValueError(f"count at {key} must be positive")
-            if x == 0.0 and y == 0.0:
-                raise ValueError("(0, 0) is excluded from pair-histogram support")
-            if (x, y) in self.support:
-                raise ValueError(f"duplicate key {(x, y)}")
-            self.support[(x, y)] = float(count)
+        rows = [(float(k[0]), float(k[1]), float(c)) for k, c in dict(support).items()]
+        x, y, count = np.array(rows, dtype=float).reshape(-1, 3).T
+        if np.any((x == 0.0) & (y == 0.0)):
+            raise ValueError("(0, 0) is excluded from pair-histogram support")
+        h = PairHistogram.from_arrays(x, y, count)
+        if h.x.size != x.size:
+            raise ValueError("pair-histogram support has duplicate keys")
+        self.x, self.y, self.count = h.x, h.y, h.count
+
+    @classmethod
+    def from_arrays(cls, x, y, count) -> "PairHistogram":
+        """Histogram of the weighted keys (x[i], y[i]) -> count[i].
+
+        (0, 0) keys are dropped and equal keys merged; a merged count is the
+        sum of its parts in input order, as a dict accumulating the keys one
+        by one would give it.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        count = np.asarray(count, dtype=float)
+        if not x.shape == y.shape == count.shape or x.ndim != 1:
+            raise ValueError("from_arrays needs three equal-length vectors")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("pair-histogram keys must be finite")
+        bad = ~((count > 0) & np.isfinite(count))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"count at {(float(x[k]), float(y[k]))} must be positive and finite")
+        keep = (x != 0.0) | (y != 0.0)
+        x, y, count = x[keep], y[keep], count[keep]
+        # lexsort is stable, so equal keys keep their input order; keys that
+        # arrive sorted (a rescaled histogram, a midpoint fix that moved
+        # nothing) skip the sort.
+        in_order = np.all((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] >= y[:-1])))
+        order = np.arange(x.size) if in_order else np.lexsort((y, x))
+        xs, ys = x[order], y[order]
+        first = np.ones(xs.size, dtype=bool)
+        first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+        group = np.empty(xs.size, dtype=np.intp)
+        group[order] = np.cumsum(first) - 1
+        h = cls.__new__(cls)
+        h.x, h.y = xs[first], ys[first]
+        h.count = np.bincount(group, weights=count, minlength=int(first.sum()))
+        for a in (h.x, h.y, h.count):
+            a.flags.writeable = False
+        return h
+
+    @property
+    def support(self) -> dict:
+        """(x, y) -> count as a new dict, in key order."""
+        return dict(self.items())
 
     def total(self) -> float:
-        return sum(self.support.values())
+        return float(self.count.sum())
 
     def items(self):
         """Support in deterministic (x, y) order."""
-        return sorted(self.support.items())
+        return list(zip(zip(self.x.tolist(), self.y.tolist()), self.count.tolist()))
+
+    def scaled(self, a: float, b: float) -> "PairHistogram":
+        """The histogram with every key (x, y) moved to (a * x, b * y)."""
+        return PairHistogram.from_arrays(a * self.x, b * self.y, self.count)
 
     def __eq__(self, other):
-        return isinstance(other, PairHistogram) and self.support == other.support
+        return (
+            isinstance(other, PairHistogram)
+            and np.array_equal(self.x, other.x)
+            and np.array_equal(self.y, other.y)
+            and np.array_equal(self.count, other.count)
+        )
 
     def __repr__(self):
         return f"PairHistogram({self.items()})"
@@ -174,12 +234,7 @@ def pair_histogram(p1, p2, quantize: float | None = None) -> PairHistogram:
             raise ValueError("quantization step must be positive")
         a = np.round(a / quantize) * quantize
         b = np.round(b / quantize) * quantize
-    support: dict[tuple[float, float], float] = {}
-    for x, y in zip(a.tolist(), b.tolist()):
-        if x == 0.0 and y == 0.0:
-            continue
-        support[(x, y)] = support.get((x, y), 0.0) + 1.0
-    return PairHistogram(support)
+    return PairHistogram.from_arrays(a, b, np.ones(a.size))
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import Poset, make_matching, transitive_closure
+from .poset import HYPERCUBE_MAX_DIM, CapacityError, Poset, make_matching, transitive_closure
 from .prob import Distribution, Rng, SampleAccess
 
 
@@ -192,6 +192,8 @@ def hypercube_embedding(d: int, ell: int) -> HypercubeEmbedding:
         raise ValueError("d must be positive")
     if not 1 <= ell <= d:
         raise ValueError("level must satisfy 1 <= ell <= d")
+    if d > HYPERCUBE_MAX_DIM:
+        raise CapacityError(f"hypercube dimension {d} exceeds capacity cap {HYPERCUBE_MAX_DIM}")
     last = 1 << (d - 1)
     pairs = []
     for prefix in range(last):

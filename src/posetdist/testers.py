@@ -11,6 +11,7 @@ threshold" comparisons are inclusive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -175,22 +176,15 @@ def matching_monotonicity_test(
     budget = learner.budget(n_pairs, eps1)
     mixed = MixedWithUniform(access)
     h = mixed.histogram(budget, rng)
-    bottoms = np.array([u for u, _ in G.edges])
-    tops = np.array([v for _, v in G.edges])
+    ends = np.fromiter(itertools.chain.from_iterable(G.edges), dtype=np.intp, count=G.n)
+    bottoms, tops = ends[0::2], ends[1::2]
     step = 1.0 / (4.0 * budget)
     learned = learner.pair_hist(h[bottoms].astype(float), h[tops].astype(float), step)
     m = int(math.ceil(MASS_EST_CONST / (eps1 * eps1)))
     hw = mixed.histogram(m, rng)
     w_bottom = float(hw[bottoms].sum()) / m
     w_top = 1.0 - w_bottom
-    rescaled: dict[tuple[float, float], float] = {}
-    for (x, y), cnt in learned.items():
-        key = (w_bottom * x, w_top * y)
-        if key == (0.0, 0.0):
-            continue
-        rescaled[key] = rescaled.get(key, 0.0) + cnt
-    g_hat = PairHistogram(rescaled)
-    stat, _ = min_w_to_monotone_pairhist(g_hat)
+    stat, _ = min_w_to_monotone_pairhist(learned.scaled(w_bottom, w_top))
     return _verdict(
         stat,
         3.0 * eps1,

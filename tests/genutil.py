@@ -96,3 +96,52 @@ def far_matching_dist(rng: np.random.Generator, n_pairs: int, eps: float) -> tup
     dist = 0.5 * float(np.maximum(0.0, p.probs[:n_pairs] - p.probs[n_pairs:]).sum())
     assert dist >= eps, dist
     return p, dist
+
+
+# Dict-loop references for the pair-histogram pipeline of the matching tester:
+# one Python pass per key, the way the library computed it before its
+# histograms became sorted numpy arrays. Each returns plain sorted dicts.
+
+
+def reference_pair_histogram(p1, p2, quantize: float | None = None) -> dict:
+    """Pair histogram by counting the elements one at a time."""
+    a = np.asarray(p1, dtype=float)
+    b = np.asarray(p2, dtype=float)
+    if quantize is not None:
+        a = np.round(a / quantize) * quantize
+        b = np.round(b / quantize) * quantize
+    support: dict[tuple[float, float], float] = {}
+    for x, y in zip(a.tolist(), b.tolist()):
+        if x == 0.0 and y == 0.0:
+            continue
+        support[(x, y)] = support.get((x, y), 0.0) + 1.0
+    return dict(sorted(support.items()))
+
+
+def reference_rescale(items, w_bottom: float, w_top: float) -> dict:
+    """Keys (x, y) moved to (w_bottom * x, w_top * y) in item order; (0, 0)
+    dropped, colliding keys summed in that order."""
+    out: dict[tuple[float, float], float] = {}
+    for (x, y), c in items:
+        key = (w_bottom * x, w_top * y)
+        if key == (0.0, 0.0):
+            continue
+        out[key] = out.get(key, 0.0) + c
+    return dict(sorted(out.items()))
+
+
+def reference_midpoint(items) -> tuple[float, dict]:
+    """Midpoint fix of every violating key (x > y) in item order: its cost
+    summed one term at a time, and the fixed histogram."""
+    cost = 0.0
+    out: dict[tuple[float, float], float] = {}
+    for (x, y), c in items:
+        if x > y:
+            mid = 0.5 * (x + y)
+            cost += c * (x - y)
+            key = (mid, mid)
+        else:
+            key = (x, y)
+        if key != (0.0, 0.0):
+            out[key] = out.get(key, 0.0) + c
+    return float(cost), dict(sorted(out.items()))

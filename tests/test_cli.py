@@ -416,3 +416,60 @@ def test_readme_examples_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert args.verb == "suite" or callable(args.run), line
+
+
+def test_m2hyp_above_the_dimension_cap_exits_2_at_once(workdir):
+    # Without the cap, hypercube_embedding would enumerate 2^40 vertices and
+    # never return; a child process with a timeout makes such a regression
+    # fail instead of hanging the suite.
+    import subprocess
+    import sys
+
+    import posetdist
+
+    write_distribution(Distribution(np.full(6, 1 / 6)), workdir / "m3.dist")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetdist.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetdist.cli", "reduce", "--from", str(workdir / "m3.dist"),
+         "--kind", "m2hyp", "--d", "40", "--ell", "2", "--pmax", "0.3",
+         "--out-poset", str(workdir / "h.poset"), "--out-dist", str(workdir / "h.dist")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert "hypercube dimension 40 exceeds capacity cap" in proc.stderr
+    assert not (workdir / "h.poset").exists()
+
+
+LB_BAD_INPUTS = [
+    (["lb", "gen", "--n", "0", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "10"], "n must be at least 1"),
+    (["lb", "gen", "--n", "50", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "-1"], "s must be nonnegative"),
+    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "0", "--s-values", "0,20"],
+     "n must be at least 1"),
+    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "-5"],
+     "sample rates must be nonnegative"),
+    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0",
+      "--trials", "0"], "trials must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", LB_BAD_INPUTS)
+def test_lb_bad_inputs_exit_2(workdir, capsys, argv, message):
+    if argv[1] == "gen":
+        argv = argv + ["--out-prefix", str(workdir / "inst")]
+    assert main(argv) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not list(workdir.glob("inst*"))
+
+
+@pytest.mark.parametrize("argv,message", LB_BAD_INPUTS)
+def test_lb_bad_inputs_are_status_2_in_a_suite(workdir, capsys, argv, message):
+    row = "verb=lb-" + argv[1] + " " + " ".join(
+        f"{flag[2:].replace('-', '_')}={value}" for flag, value in zip(argv[2::2], argv[3::2])
+    )
+    if argv[1] == "gen":
+        row += " out_prefix=inst"
+    manifest = workdir / "lb.suite"
+    manifest.write_text(row + "\n")
+    out = run_suite(str(manifest), None, 0)
+    assert out.split("\n")[1] == f"0,0,{EXIT_VALIDATION},0.0,fail"
+    assert message in capsys.readouterr().err

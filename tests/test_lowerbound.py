@@ -148,3 +148,23 @@ def test_probe_endpoints():
     assert rows[1].advantage > 0.9  # huge budget separates zeros from support
     assert 0 <= rows[1].best_stat <= 3
     assert rows[0].kept_big == 60 and rows[0].kept_far == 60
+
+
+@pytest.mark.parametrize("n,s,message", [(0, 10, "n must be at least 1"), (-3, 10, "n must be at least 1"),
+                                         (50, -1, "s must be nonnegative")])
+def test_generate_instance_rejects_bad_sizes(n, s, message):
+    with pytest.raises(ValueError, match=message):
+        generate_instance(build_priors(0.5, 6.0, 4), n, s, Rng(0))
+
+
+@pytest.mark.parametrize(
+    "n,s_values,trials,message",
+    [
+        (0, [0, 20], 5, "n must be at least 1"),
+        (50, [0, 20], 0, "trials must be at least 1"),
+        (50, [20, -5], 5, "sample rates must be nonnegative"),
+    ],
+)
+def test_probe_rejects_bad_inputs(n, s_values, trials, message):
+    with pytest.raises(ValueError, match=message):
+        indistinguishability_probe(build_priors(0.5, 6.0, 4), n, s_values, trials, Rng(0))

@@ -129,6 +129,12 @@ def test_pair_histogram_validation():
         PairHistogram({(0.0, 0.0): 1.0})
     with pytest.raises(ValueError):
         PairHistogram({(0.1, 0.0): -1.0})
+    for bad in ({(0.1, 0.0): float("nan")}, {(0.1, 0.0): float("inf")}, {(float("nan"), 0.2): 1.0},
+                {("0.5", 0.2): 1.0, (0.5, 0.2): 2.0}):  # the last: two keys, one float key
+        with pytest.raises(ValueError):
+            PairHistogram(bad)
+    with pytest.raises(ValueError):
+        pair_histogram([0.1, float("nan")], [0.2, 0.3])
 
 
 def test_tv_distance():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from posetdist import (
+    CapacityError,
     Distribution,
     ExactDistAccess,
     LiftedAccess,
@@ -183,3 +184,14 @@ def test_matching_to_hypercube_monotone_and_distance():
     assert is_monotone(H, q.probs)
     with pytest.raises(ValueError):
         matching_to_hypercube(d, ell, p, float(p.probs.max()) / 2)  # mass above p_max
+
+
+def test_hypercube_embedding_dimension_cap():
+    from posetdist.poset import HYPERCUBE_MAX_DIM
+
+    for d in (HYPERCUBE_MAX_DIM + 1, 40, 1000):
+        with pytest.raises(CapacityError, match=f"hypercube dimension {d} exceeds capacity cap"):
+            hypercube_embedding(d, 2)
+    with pytest.raises(CapacityError):
+        matching_to_hypercube(40, 2, Distribution.uniform(2), 0.5)
+    assert len(hypercube_embedding(HYPERCUBE_MAX_DIM, 1).pairs) == 1
