@@ -1,6 +1,6 @@
-"""Byte-level pins of the matching tester's output.
+"""Byte-level pins of the testers' and the lower-bound construction's output.
 
-The expected strings below were produced by the dict-loop implementation of
+The tester strings below were produced by the dict-loop implementation of
 the pair histogram, the tester's rescale and the midpoint statistic (before
 they moved onto numpy arrays), from exactly the inputs built here. Any change
 to those steps that moves a bit of a statistic, a threshold, a sample count or
@@ -8,6 +8,8 @@ a detail shows up as a string mismatch.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from posetdist import (
     PairHistogram,
     Rng,
     bipartite_bounded_degree_test,
+    build_priors,
+    generate_instance,
     make_bipartite,
     make_matching,
     matching_monotonicity_test,
@@ -162,3 +166,110 @@ GOLDEN_VERDICTS = [
 
 def test_verdict_reprs():
     assert _verdicts() == GOLDEN_VERDICTS
+
+
+# Lower-bound construction: byte pins of `lb gen`, `lb probe` and the raw
+# generate_instance output, produced by the construction's first
+# implementation (atoms drawn with Generator.choice, normalized views built
+# eagerly). BENCH_PRIORS are the two prior settings of the benchmark.
+
+BENCH_PRIORS = [(0.5, 6.0, 4), (0.5, 12.0, 5)]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _lb_gen_digests(tmp_path, argv) -> dict:
+    prefix = tmp_path / "inst"
+    assert main(["lb", "gen", *argv, "--out-prefix", str(prefix)]) == 0
+    return {p.name[len("inst."):]: _sha(p.read_bytes()) for p in sorted(tmp_path.glob("inst.*"))}
+
+
+GOLDEN_LB_GEN = {
+    "eps": {
+        "big.dist": "e2b495fb0633f9b162eb541015d865ccad86c88c316c38b39f7396dfefb0a9f6",
+        "big.hist.csv": "974e8e95971e585ba288fcf4058f05d3e398e0c955608b2db84747e181fbbaf0",
+        "events.csv": "82b49d449eb746ab5878b6491098bf07586dbaac7e2414ab3220a01c96ac19c9",
+        "far.dist": "fa0dde0571417af19e163d6645903de7c253801ebb41f056f6d40b181219f4bf",
+        "far.hist.csv": "1279425dd257cce96628b0bf8d9106f203f03a73ee689d9a798f9826cf620dde",
+    },
+    "explicit": {
+        "big.dist": "297b6c41d40c5cd945e99f86119675b5fae7e2c8444d9b0b5b402d96124e0cab",
+        "big.hist.csv": "771db7d80d4708f221002aafa957c42f227077ac4166c42b6e28496a0d6ddfe3",
+        "events.csv": "fc9f7b4f9b8c427eb5c70c0d37d7e1aa1ff9d4dd688e734a080d8730bedce82a",
+        "far.dist": "47ff65b70d3880c2f77be8a6f106b71054b02cd8095d227b489f392ca594fc67",
+        "far.hist.csv": "771db7d80d4708f221002aafa957c42f227077ac4166c42b6e28496a0d6ddfe3",
+    },
+}
+
+_LB_GEN_ARGV = {
+    "eps": ["--n", "3000", "--L", "4", "--eps", "0.0025", "--seed", "31"],
+    "explicit": ["--n", "2500", "--L", "5", "--nu", "0.5", "--lambda", "12", "--s", "0", "--seed", "37"],
+}
+
+
+@pytest.mark.parametrize("run", ["eps", "explicit"])
+def test_lb_gen_artifact_bytes(tmp_path, run):
+    assert _lb_gen_digests(tmp_path, _LB_GEN_ARGV[run]) == GOLDEN_LB_GEN[run]
+
+
+GOLDEN_LB_PROBE_CSV = (
+    's,kept_big,kept_far,best_stat,advantage,ci_half\n'
+    '0,40,40,0,0.0,0.08762160119728664\n'
+    '300,40,40,0,0.375,0.2578915221489899\n'
+    '5000,40,40,0,1.0,0.08762160119728664\n'
+)
+
+
+def test_lb_probe_csv_bytes(capsys):
+    out = _cli_csv(capsys, ["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "800",
+                            "--s-values", "0,300,5000", "--trials", "40", "--seed", "41"])
+    assert out == GOLDEN_LB_PROBE_CSV
+
+
+def _instance_pin(priors, n: int, s: int, seed: int) -> str:
+    """sha256 over every array of one instance (dtype, shape and bytes, the
+    normalized views included) and the generator state it leaves, followed by
+    the repr of its scalar fields."""
+    rng = Rng(seed)
+    inst = generate_instance(priors, n, s, rng)
+    h = hashlib.sha256()
+    arrays = [inst.raw_big, inst.raw_far, inst.hist_big, inst.hist_far]
+    arrays += [norm.probs for norm in (inst.norm_big, inst.norm_far) if norm is not None]
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(repr(rng.gen.bit_generator.state).encode())
+    fields = (inst.zero_count, inst.event_big, inst.event_far, inst.p_max,
+              inst.norm_big is None, inst.norm_far is None)
+    return h.hexdigest()[:32] + " " + " ".join(repr(f) for f in fields)
+
+
+# (prior setting, n, s, seed); the last two seeds draw the far side's zero
+# atom for the single element, so that side has no normalized view
+_INSTANCE_CASES = [(k, n, s, 1000 * k + n + s) for k in (0, 1) for n in (1, 10_000) for s in (0, 100_000)]
+_INSTANCE_CASES += [(0, 1, 100_000, 22), (1, 1, 0, 7)]
+
+
+def _instance_pins() -> list[str]:
+    priors = [build_priors(*setting) for setting in BENCH_PRIORS]
+    return [_instance_pin(priors[k], n, s, seed) for k, n, s, seed in _INSTANCE_CASES]
+
+
+GOLDEN_INSTANCES = [
+    '2967f0daccc610a544fe987067f0622a 0 np.False_ False 1.0 False False',
+    '37de3f778ce584d3a1d6df5bbce16541 0 np.True_ False 1.0 False False',
+    '408c710d0d13b4effccfa65f18e3e3b4 450 np.False_ np.False_ 0.00025522207487864825 False False',
+    'da36ee80d8c7b521f4ebea333929baf0 449 np.True_ np.True_ 0.0002548442796916962 False False',
+    'b2b116338a0feb4ed442d056a00f0742 0 np.False_ False 1.0 False False',
+    '49fe7345a691a5ea01a0a6507b4378ee 0 np.True_ False 1.0 False False',
+    'fd17f0f1d8afc43c4c7213359248afd5 775 np.False_ np.False_ 0.00046802380851732376 False False',
+    'f6409b9e513b10b28203fd1266d52d43 785 np.True_ np.True_ 0.0004687385930170577 False False',
+    '9fc9ef8cf2200cb09d4aff80eea11114 1 np.True_ np.False_ 1.0 False True',
+    'c209a5ea828578ae08812a39b994ddad 1 np.False_ np.False_ 1.0 False True',
+]
+
+
+def test_generate_instance_pins():
+    assert _instance_pins() == GOLDEN_INSTANCES
