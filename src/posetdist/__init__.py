@@ -63,7 +63,6 @@ from .testers import (
     bigness_test,
     bipartite_bounded_degree_test,
     matching_monotonicity_test,
-    pair_admits_perfect_matching,
     uniform_subset_test,
 )
 from .lowerbound import (

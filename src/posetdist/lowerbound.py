@@ -18,11 +18,12 @@ same value from a discretized LP and uses the closed form as the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .prob import Distribution, Rng
+from .prob import Distribution, Rng, choice_cdf, choice_indices
 from .simplex import solve_lp
 
 MASS_TOL = 1e-9
@@ -108,7 +109,9 @@ class MomentPriors:
     """The prior pair (V, V') plus its construction parameters.
 
     gap is the construction's objective value (1/beta) * Pr[V' = 0]; it equals
-    the expected distance of the far-side vector to 1/(beta*n)-bigness.
+    the expected distance of the far-side vector to 1/(beta*n)-bigness. The
+    arrays are not to be modified once instances are drawn: atom_tables keeps
+    what the draws read from them.
     """
 
     atoms_big: np.ndarray
@@ -155,6 +158,17 @@ class MomentPriors:
 
     def zero_mass(self) -> float:
         return float(self.mass_far[self.atoms_far == 0.0].sum())
+
+    @cached_property
+    def atom_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """(atoms, cdf) of the big and the far prior, cdf being what
+        Generator.choice(k, p=mass/mass.sum()) draws the atom indices from.
+        Built on the first draw and kept, so every instance drawn from these
+        priors (each retry of a probe, say) reuses it."""
+        return tuple(
+            (atoms, choice_cdf(mass / mass.sum()))
+            for atoms, mass in ((self.atoms_big, self.mass_big), (self.atoms_far, self.mass_far))
+        )
 
 
 def priors_from_gap_solution(nu, lam, L, atoms_x, mass_x, atoms_x2, mass_x2) -> MomentPriors:
@@ -240,7 +254,11 @@ def assign_parameters(n: int, eps: float, L: int) -> ParameterAssignment:
 
 @dataclass
 class LBInstance:
-    """One draw of the two-step process for both priors."""
+    """One draw of the two-step process for both priors.
+
+    norm_big and norm_far, the raw vectors normalized to distributions (None
+    for a side with no mass), are built on first access and then kept.
+    """
 
     n: int
     s: int
@@ -251,18 +269,23 @@ class LBInstance:
     hist_far: np.ndarray
     event_big: bool
     event_far: bool
-    norm_big: Distribution | None = None
-    norm_far: Distribution | None = None
-    p_max: float = field(default=0.0)
+    p_max: float
 
+    @cached_property
+    def norm_big(self) -> Distribution | None:
+        return Distribution.normalized(self.raw_big) if self.raw_big.sum() > 0 else None
 
-def _draw_atoms(atoms: np.ndarray, mass: np.ndarray, n: int, rng: Rng) -> np.ndarray:
-    idx = rng.gen.choice(atoms.size, size=n, p=mass / mass.sum())
-    return atoms[idx]
+    @cached_property
+    def norm_far(self) -> Distribution | None:
+        return Distribution.normalized(self.raw_far) if self.raw_far.sum() > 0 else None
 
 
 def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInstance:
     """Step 1 draws n i.i.d. prior weights per side; step 2 Poissonizes.
+
+    The atom draws reproduce Generator.choice(k, size=n, p=mass/mass.sum())
+    draw for draw, so a seed gives the same instance as a choice-based draw.
+    The normalized views norm_big and norm_far are built only when read.
 
     Event flags: the big side needs raw mass within nu of 1 and more than
     s(1-nu)/2 total samples; the far side additionally needs at least
@@ -272,42 +295,42 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
         raise ValueError(f"instance size n must be at least 1, got {n}")
     if s < 0:
         raise ValueError(f"sample rate s must be nonnegative, got {s}")
-    vs_big = _draw_atoms(priors.atoms_big, priors.mass_big, n, rng)
-    vs_far = _draw_atoms(priors.atoms_far, priors.mass_far, n, rng)
-    raw_big = vs_big / n
-    raw_far = vs_far / n
-    hist_big = rng.gen.poisson(s * raw_big) if s > 0 else np.zeros(n, dtype=np.int64)
-    hist_far = rng.gen.poisson(s * raw_far) if s > 0 else np.zeros(n, dtype=np.int64)
-    zero_count = int(np.count_nonzero(vs_far == 0.0))
+    (atoms_big, cdf_big), (atoms_far, cdf_far) = priors.atom_tables
+    idx_big = choice_indices(cdf_big, n, rng)
+    idx_far = choice_indices(cdf_far, n, rng)
+    raw_big = (atoms_big / n).take(idx_big)
+    raw_far = (atoms_far / n).take(idx_far)
+    if s > 0:
+        hist_big = rng.gen.poisson((s * (atoms_big / n)).take(idx_big))
+        hist_far = rng.gen.poisson((s * (atoms_far / n)).take(idx_far))
+    else:
+        hist_big = np.zeros(n, dtype=np.int64)
+        hist_far = np.zeros(n, dtype=np.int64)
+    # numpy scalars, not floats: the event flags keep their numpy bool type
+    mass_big, mass_far = raw_big.sum(), raw_far.sum()
+    zero_count = int(np.count_nonzero(raw_far == 0.0))
     count_floor = s * (1 - priors.nu) / 2.0
-    event_big = abs(raw_big.sum() - 1.0) <= priors.nu and hist_big.sum() > count_floor
+    event_big = abs(mass_big - 1.0) <= priors.nu and hist_big.sum() > count_floor
     event_far = (
-        abs(raw_far.sum() - 1.0) <= priors.nu
+        abs(mass_far - 1.0) <= priors.nu
         and zero_count >= priors.beta * n * priors.gap / 2.0
         and hist_far.sum() > count_floor
     )
-    inst = LBInstance(
+    # division by a positive total is monotone, so this is the largest
+    # probability of the normalized views
+    peaks = [raw.max() / mass for raw, mass in ((raw_big, mass_big), (raw_far, mass_far)) if mass > 0]
+    return LBInstance(
         n=n,
         s=s,
         raw_big=raw_big,
         raw_far=raw_far,
         zero_count=zero_count,
-        hist_big=hist_big.astype(np.int64),
-        hist_far=hist_far.astype(np.int64),
+        hist_big=hist_big,
+        hist_far=hist_far,
         event_big=event_big,
         event_far=event_far,
+        p_max=float(max(peaks, default=0.0)),
     )
-    if raw_big.sum() > 0:
-        inst.norm_big = Distribution.normalized(raw_big)
-    if raw_far.sum() > 0:
-        inst.norm_far = Distribution.normalized(raw_far)
-    peaks = []
-    if inst.norm_big is not None:
-        peaks.append(inst.norm_big.probs.max())
-    if inst.norm_far is not None:
-        peaks.append(inst.norm_far.probs.max())
-    inst.p_max = float(max(peaks, default=0.0))
-    return inst
 
 
 def fingerprint_stats(hist: np.ndarray) -> tuple[int, int, int, int]:
@@ -364,7 +387,8 @@ def indistinguishability_probe(
     the raw-mass clause is enforced), then reports the best advantage any
     single fingerprint statistic achieves as a threshold classifier, with a
     Wilson 95% half-width. This lower-bounds the histogram TV distance; it
-    cannot certify an upper bound.
+    cannot certify an upper bound. A trial whose events fail max_retries
+    draws in a row raises ParameterError: the events are too rare at this n.
     """
     s_values = [int(s) for s in s_values]
     if n < 1:
@@ -400,7 +424,10 @@ def indistinguishability_probe(
                 if got_big and got_far:
                     break
             if not (got_big and got_far):
-                raise RuntimeError(f"event conditioning failed after {max_retries} retries at s={s}")
+                raise ParameterError(
+                    f"event conditioning failed after {max_retries} retries at s={s}, n={n}: "
+                    "the events are too rare at this size"
+                )
             kept_big += 1
             kept_far += 1
         best_adv, best_stat, best_thr = -1.0, 0, 0.0

@@ -63,7 +63,6 @@ class WeightedMatching:
 class LpSolution:
     objective: float
     x: np.ndarray
-    optimal: bool
 
 
 def dist_to_bigness(p: Distribution, threshold: float) -> float:
@@ -93,7 +92,7 @@ def func_dist_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CA
     m = len(G.edges)
     c = np.ones(2 * n)
     if m == 0:
-        return 0.0, LpSolution(0.0, np.zeros(n), True)
+        return 0.0, LpSolution(0.0, np.zeros(n))
     A = np.zeros((m, 2 * n))
     b = np.zeros(m)
     for k, (u, v) in enumerate(G.edges):
@@ -105,7 +104,7 @@ def func_dist_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CA
         b[k] = p.probs[v] - p.probs[u]
     obj, z = solve_lp(c, A_ub=A, b_ub=b)
     x = z[:n] - z[n:]
-    return float(obj), LpSolution(float(obj), x, True)
+    return float(obj), LpSolution(float(obj), x)
 
 
 def exact_dtv_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CAP) -> float:

@@ -15,6 +15,7 @@ operations (a sort and a bincount), never a loop over keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,13 +188,50 @@ class PairHistogram:
         return f"PairHistogram({self.items()})"
 
 
+# Generator.choice's tolerance on the total of its probabilities
+_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
+# Up to this many cdf entries, one vectorized comparison per entry counts
+# faster than a binary search per draw (10^6 draws, 2-core Xeon, numpy 2.4:
+# 2 ms against 14 ms at 4 entries, 29 ms against 47 ms at 64)
+_COUNT_MAX = 64
+
+
+def choice_cdf(p) -> np.ndarray:
+    """The normalized cumulative probabilities that Generator.choice(len(p),
+    p=p) draws from, after the checks that choice makes on p."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > _CHOICE_ATOL:
+        raise ValueError("probabilities must be a finite nonnegative vector that sums to 1")
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def choice_indices(cdf: np.ndarray, size: int | None, rng: Rng) -> np.ndarray:
+    """Generator.choice(cdf.size, size, p=p) for cdf = choice_cdf(p): the same
+    indices, and the same generator state after. Each draw takes one uniform."""
+    return cdf_count(cdf, rng.gen.random(size))
+
+
+def cdf_count(cdf: np.ndarray, u) -> np.ndarray:
+    """The index that Generator.choice draws from cdf with uniform u: the
+    number of cdf entries at or below u. The last entry is 1.0, above every
+    uniform, so it is never counted."""
+    if cdf.size > _COUNT_MAX:
+        return np.searchsorted(cdf, u, side="right")
+    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(cdf.size))
+    for c in cdf[:-1]:
+        idx += u >= c
+    return idx.astype(np.intp)
+
+
 def sample(p: Distribution, s: int, rng: Rng) -> np.ndarray:
     """s i.i.d. element indices drawn from p."""
     if s < 0:
         raise ValueError("sample count must be nonnegative")
     if s == 0:
         return np.empty(0, dtype=np.int64)
-    return rng.gen.choice(p.n, size=s, p=p.probs).astype(np.int64)
+    return choice_indices(choice_cdf(p.probs), s, rng).astype(np.int64)
 
 
 def multinomial_histogram(p: Distribution, s: int, rng: Rng) -> SampleHistogram:

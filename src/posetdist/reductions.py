@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .poset import HYPERCUBE_MAX_DIM, CapacityError, Poset, make_matching, transitive_closure
-from .prob import Distribution, Rng, SampleAccess
+from .prob import Distribution, Rng, SampleAccess, cdf_count, choice_cdf, choice_indices
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,8 @@ class Reduction:
         branches = self.lift_table[i]
         if len(branches) == 1:
             return branches[0][0]
-        probs = np.array([pr for _, pr in branches])
-        k = rng.gen.choice(len(branches), p=probs)
-        return branches[k][0]
+        cdf = choice_cdf([pr for _, pr in branches])
+        return branches[int(choice_indices(cdf, None, rng))][0]
 
 
 class LiftedAccess(SampleAccess):
@@ -65,21 +65,47 @@ class LiftedAccess(SampleAccess):
         self.n = reduction.target.n
 
     def draw(self, s: int, rng: Rng) -> np.ndarray:
+        """The s source samples, each lifted as Reduction.lift would lift it
+        in turn: one uniform per sample whose row has more than one branch,
+        drawn in sample order after the source samples."""
         src = self.base.draw(s, rng)
-        return np.array([self.reduction.lift(int(i), rng) for i in src], dtype=np.int64)
+        kinds, group, targets = self._lift_arrays
+        rows = group[src]
+        drawn = np.array([len(probs) > 1 for probs in kinds], dtype=bool)[rows]
+        u = np.zeros(src.size)
+        u[drawn] = rng.gen.random(np.count_nonzero(drawn))
+        branch = np.zeros(src.size, dtype=np.intp)
+        for kind, probs in enumerate(kinds):
+            at = np.flatnonzero(rows == kind)
+            branch[at] = cdf_count(choice_cdf(probs), u[at])
+        return targets[src, branch].astype(np.int64)
+
+    @cached_property
+    def _lift_arrays(self) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
+        """The lift table as arrays: its distinct branch-probability tuples,
+        each source row's index into them, and each row's targets (padded)."""
+        table = self.reduction.lift_table
+        kinds: dict[tuple[float, ...], int] = {}
+        group = np.array([kinds.setdefault(tuple(pr for _, pr in b), len(kinds)) for b in table], dtype=np.intp)
+        width = max(map(len, table), default=1)
+        targets = np.array([[j for j, _ in b] + [0] * (width - len(b)) for b in table], dtype=np.intp)
+        return list(kinds), group, targets.reshape(len(table), width)
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
+        """Each source count splits over its row's branches as a multinomial.
+        A run of consecutive nonzero rows with the same branch probabilities
+        is split by one multinomial call, which draws exactly what one call
+        per row draws; a multinomial over one branch draws nothing."""
         src_counts = self.base.histogram(s, rng)
+        kinds, group, targets = self._lift_arrays
+        rows = np.flatnonzero(src_counts)
         out = np.zeros(self.n, dtype=np.int64)
-        for i in np.nonzero(src_counts)[0]:
-            branches = self.reduction.lift_table[int(i)]
-            if len(branches) == 1:
-                out[branches[0][0]] += src_counts[i]
+        for run in np.split(rows, np.flatnonzero(np.diff(group[rows])) + 1):
+            if run.size == 0:
                 continue
-            probs = np.array([pr for _, pr in branches])
-            split = rng.gen.multinomial(int(src_counts[i]), probs)
-            for (j, _), cnt in zip(branches, split):
-                out[j] += cnt
+            probs = kinds[group[run[0]]]
+            split = rng.gen.multinomial(src_counts[run], probs)
+            np.add.at(out, targets[run, : len(probs)], split)
         return out
 
 

@@ -14,6 +14,9 @@ import numpy as np
 
 from posetdist import Distribution, Poset, make_bipartite, transitive_closure
 
+# (nu, lam, L) of the two prior pairs the benchmark draws from
+BENCH_PRIORS = [(0.5, 6.0, 4), (0.5, 12.0, 5)]
+
 
 def random_dag(rng: np.random.Generator, n: int, edge_prob: float = 0.35) -> Poset:
     """Random DAG: orient a random relabeling of a random upper-triangular graph."""
@@ -145,3 +148,64 @@ def reference_midpoint(items) -> tuple[float, dict]:
         if key != (0.0, 0.0):
             out[key] = out.get(key, 0.0) + c
     return float(cost), dict(sorted(out.items()))
+
+
+def pair_admits_perfect_matching(G: Poset, tops, bottoms) -> bool:
+    """Hall-style check via augmenting paths on the induced subgraph."""
+    tops = list(tops)
+    bottoms = list(bottoms)
+    if len(tops) != len(bottoms):
+        return False
+    tset = set(tops)
+    adj = {b: [] for b in bottoms}
+    for u, v in G.edges:
+        if u in adj and v in tset:
+            adj[u].append(v)
+    match: dict[int, int] = {}
+
+    def augment(b, seen):
+        for t in adj[b]:
+            if t in seen:
+                continue
+            seen.add(t)
+            if t not in match or augment(match[t], seen):
+                match[t] = b
+                return True
+        return False
+
+    return all(augment(b, set()) for b in bottoms)
+
+
+# Generator-call references for the library's sampling routines: the numpy
+# calls they replace, one call per draw or per row.
+
+
+def reference_choice(p, size, gen: np.random.Generator):
+    """Indices drawn by Generator.choice itself."""
+    return gen.choice(len(p), size=size, p=p)
+
+
+def reference_lift_draw(reduction, src, gen: np.random.Generator) -> np.ndarray:
+    """Source samples lifted one at a time, each by its own choice call; a
+    single-branch row draws nothing."""
+    out = []
+    for i in src:
+        branches = reduction.lift_table[int(i)]
+        k = 0 if len(branches) == 1 else reference_choice([pr for _, pr in branches], None, gen)
+        out.append(branches[k][0])
+    return np.array(out, dtype=np.int64)
+
+
+def reference_lift_histogram(reduction, src_counts, gen: np.random.Generator) -> np.ndarray:
+    """Lift of a source histogram with one multinomial call per nonzero row;
+    a single-branch row draws nothing."""
+    out = np.zeros(reduction.target.n, dtype=np.int64)
+    for i in np.nonzero(src_counts)[0]:
+        branches = reduction.lift_table[int(i)]
+        if len(branches) == 1:
+            out[branches[0][0]] += src_counts[i]
+            continue
+        split = gen.multinomial(int(src_counts[i]), np.array([pr for _, pr in branches]))
+        for (j, _), cnt in zip(branches, split):
+            out[j] += cnt
+    return out

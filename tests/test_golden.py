@@ -32,6 +32,8 @@ from posetdist import (
 )
 from posetdist.cli import main
 
+from genutil import BENCH_PRIORS
+
 EPS = 0.25
 
 
@@ -171,9 +173,7 @@ def test_verdict_reprs():
 # Lower-bound construction: byte pins of `lb gen`, `lb probe` and the raw
 # generate_instance output, produced by the construction's first
 # implementation (atoms drawn with Generator.choice, normalized views built
-# eagerly). BENCH_PRIORS are the two prior settings of the benchmark.
-
-BENCH_PRIORS = [(0.5, 6.0, 4), (0.5, 12.0, 5)]
+# eagerly), on the benchmark's two prior settings.
 
 
 def _sha(data: bytes) -> str:

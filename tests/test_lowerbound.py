@@ -18,6 +18,9 @@ from posetdist import (
     solve_moment_gap,
 )
 from posetdist.lowerbound import chebyshev_grid, fingerprint_stats
+from posetdist.prob import choice_indices
+
+from genutil import BENCH_PRIORS, reference_choice
 
 
 def test_gap_closed_form_values():
@@ -168,3 +171,66 @@ def test_generate_instance_rejects_bad_sizes(n, s, message):
 def test_probe_rejects_bad_inputs(n, s_values, trials, message):
     with pytest.raises(ValueError, match=message):
         indistinguishability_probe(build_priors(0.5, 6.0, 4), n, s_values, trials, Rng(0))
+
+
+def _hand_priors(atoms_far, mass_far):
+    """Unvalidated priors: only the atom tables are read."""
+    return MomentPriors(
+        atoms_big=np.array([1.0, 2.0]),
+        mass_big=np.array([0.75, 0.25]),
+        atoms_far=np.array(atoms_far),
+        mass_far=np.array(mass_far),
+        beta=1.5,
+        nu=0.5,
+        lam=6.0,
+        L=2,
+        gap=0.0,
+    )
+
+
+@pytest.fixture(scope="module")
+def draw_priors():
+    """The benchmark's two prior pairs, whose far side has its zero atom, and
+    a far side whose masses tie in the cdf (a zero-mass atom) and do not sum
+    to 1 before normalization."""
+    priors = [build_priors(*setting) for setting in BENCH_PRIORS]
+    assert all(pr.atoms_far[0] == 0.0 and pr.mass_far[0] > 0 for pr in priors)
+    return priors + [_hand_priors([0.0, 1.0, 2.0, 3.0], [0.5, 0.0, 1.0, 0.5])]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 7, 10_000, 1_000_000])
+def test_atom_draw_reproduces_choice(draw_priors, k, n):
+    priors = draw_priors[k]
+    ref, rng = Rng(n, k), Rng(n, k)
+    for (_, cdf), mass in zip(priors.atom_tables, (priors.mass_big, priors.mass_far)):
+        expected = reference_choice(mass / mass.sum(), n, ref.gen)
+        assert np.array_equal(choice_indices(cdf, n, rng), expected)
+        assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+def test_atom_tables_reject_bad_masses():
+    with pytest.raises(ValueError, match="probabilities must be"):
+        _hand_priors([0.0, 1.0], [-0.5, 1.0]).atom_tables
+    with pytest.raises(ValueError, match="probabilities must be"):
+        generate_instance(_hand_priors([0.0, 1.0], [np.nan, 1.0]), 10, 5, Rng(0))
+
+
+def test_normalized_views_are_built_on_first_read():
+    inst = generate_instance(build_priors(0.5, 6.0, 4), 500, 100, Rng(4))
+    assert "norm_big" not in vars(inst) and "norm_far" not in vars(inst)
+    norm = inst.norm_big
+    assert inst.norm_big is norm
+    np.testing.assert_array_equal(norm.probs, Distribution.normalized(inst.raw_big).probs)
+    assert inst.p_max == max(inst.norm_big.probs.max(), inst.norm_far.probs.max())
+    massless_big = MomentPriors(np.array([0.0]), np.array([1.0]), np.array([0.0, 2.0]), np.array([0.5, 0.5]),
+                                beta=1.5, nu=0.5, lam=6.0, L=2, gap=0.0)
+    inst = generate_instance(massless_big, 50, 0, Rng(4))
+    assert inst.norm_big is None
+    assert inst.p_max == inst.norm_far.probs.max()
+
+
+def test_probe_reports_failed_conditioning_as_infeasible():
+    # one element never meets the far side's zero-count and raw-mass events together
+    with pytest.raises(ParameterError, match="after 5 retries at s=0, n=1"):
+        indistinguishability_probe(build_priors(0.5, 6.0, 4), 1, [0], 3, Rng(0), max_retries=5)

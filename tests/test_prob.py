@@ -18,7 +18,9 @@ from posetdist import (
     tv_distance,
     write_distribution,
 )
-from posetdist.prob import read_histogram_csv, write_histogram_csv
+from posetdist.prob import choice_cdf, choice_indices, read_histogram_csv, write_histogram_csv
+
+from genutil import reference_choice
 
 
 def test_distribution_validation():
@@ -217,3 +219,60 @@ def test_exact_access_consistency():
     np.testing.assert_allclose(h / 200_000, p.probs, atol=0.01)
     d = acc.draw(1000, Rng(4))
     assert d.min() >= 0 and d.max() <= 2
+
+
+def _assert_draws_like_choice(p, size, seed):
+    ref, rng = Rng(seed), Rng(seed)
+    expected = reference_choice(p, size, ref.gen)
+    got = choice_indices(choice_cdf(p), size, rng)
+    assert np.shape(got) == np.shape(expected)
+    assert np.array_equal(got, expected)
+    assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+_MASSES = {
+    "one": [1.0],
+    "leading zero": [0.0, 1.0],
+    "ties": [0.2, 0.0, 0.5, 0.0, 0.3],
+    "trailing zeros": [0.5, 0.5, 0.0, 0.0],
+    "counted, widest": list(np.full(64, 1 / 64)),
+    "searched, narrowest": list(np.full(65, 1 / 65)),
+    "searched, with zeros": list(np.where(np.arange(500) % 7 == 0, 0.0, np.linspace(1, 2, 500))),
+}
+
+
+@pytest.mark.parametrize("name", list(_MASSES))
+@pytest.mark.parametrize("size", [None, 1, 7, 10_000])
+def test_choice_indices_reproduce_choice(name, size):
+    w = np.array(_MASSES[name])
+    _assert_draws_like_choice(w / w.sum(), size, len(w) + (size or 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=80).filter(lambda w: sum(w) > 0),
+    st.integers(0, 60),
+    st.integers(0, 2**32),
+)
+def test_choice_indices_reproduce_choice_on_random_masses(w, size, seed):
+    w = np.array(w)
+    _assert_draws_like_choice(w / w.sum(), size, seed)
+
+
+@pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [np.inf, 0.0], [-0.1, 1.1], [0.5, 0.4], [], [[0.5, 0.5]]])
+def test_choice_cdf_rejects_what_choice_rejects(p):
+    with pytest.raises(ValueError):
+        reference_choice(p, None, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="probabilities must be"):
+        choice_cdf(p)
+
+
+@pytest.mark.parametrize("n", [10, 300])
+def test_sample_reproduces_choice(n):
+    p = Distribution(np.linspace(1.0, 3.0, n) / np.linspace(1.0, 3.0, n).sum())
+    ref = Rng(n)
+    expected = reference_choice(p.probs, 5000, ref.gen)
+    rng = Rng(n)
+    got = sample(p, 5000, rng)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert rng.gen.bit_generator.state == ref.gen.bit_generator.state

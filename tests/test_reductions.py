@@ -8,6 +8,7 @@ from posetdist import (
     Distribution,
     ExactDistAccess,
     LiftedAccess,
+    Reduction,
     Rng,
     bigness_to_matching,
     bipartite_to_matching,
@@ -25,7 +26,7 @@ from posetdist import (
     transitive_closure,
 )
 
-from genutil import random_dag, random_distribution
+from genutil import random_dag, random_distribution, reference_choice, reference_lift_draw, reference_lift_histogram
 
 
 def induced_lift_distribution(red, p: Distribution) -> np.ndarray:
@@ -195,3 +196,62 @@ def test_hypercube_embedding_dimension_cap():
     with pytest.raises(CapacityError):
         matching_to_hypercube(40, 2, Distribution.uniform(2), 0.5)
     assert len(hypercube_embedding(HYPERCUBE_MAX_DIM, 1).pairs) == 1
+
+
+@pytest.mark.parametrize("build", [lambda: general_to_bipartite(make_line(4)),
+                                   lambda: bipartite_to_matching(make_bipartite(4, [(0, 2), (1, 2), (1, 3)], bottom=[0, 1]), 3)])
+def test_lift_reproduces_choice(build):
+    red = build()
+    ref, rng = Rng(5), Rng(5)
+    for i in [0, 1, 2, 3] * 50:
+        branches = red.lift_table[i]
+        expected = branches[reference_choice([pr for _, pr in branches], None, ref.gen)][0]
+        assert red.lift(i, rng) == expected
+    assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+def _mixed_lift():
+    """Rows with two-way, one-way and skewed branches, in runs and apart; the
+    last row shares a target with the first."""
+    table = (
+        ((0, 0.5), (1, 0.5)),
+        ((2, 0.5), (3, 0.5)),
+        ((4, 1.0),),
+        ((5, 0.25), (6, 0.75)),
+        ((7, 0.5), (8, 0.5)),
+        ((9, 0.5), (0, 0.5)),
+    )
+    return Reduction(make_line(6), make_line(10), far_divisor=1.0, monotone_preserved=False, lift_table=table)
+
+
+@pytest.mark.parametrize("s", [3, 40, 100_000])
+def test_lifted_histogram_matches_one_multinomial_per_row(s):
+    red = _mixed_lift()
+    base = ExactDistAccess(Distribution(np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])))
+    for seed in range(20):
+        ref, rng = Rng(seed), Rng(seed)
+        expected = reference_lift_histogram(red, base.histogram(s, ref), ref.gen)
+        got = LiftedAccess(base, red).histogram(s, rng)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+        assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+@pytest.mark.parametrize("s", [0, 1, 500])
+def test_lifted_draw_matches_one_choice_per_sample(s):
+    base = ExactDistAccess(Distribution(np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])))
+    for red in (_mixed_lift(), general_to_bipartite(make_line(6))):
+        for seed in range(10):
+            ref, rng = Rng(seed), Rng(seed)
+            expected = reference_lift_draw(red, base.draw(s, ref), ref.gen)
+            got = LiftedAccess(base, red).draw(s, rng)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+            assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+def test_lifted_histogram_with_one_copy_draws_nothing():
+    red = bipartite_to_matching(make_bipartite(2, [(0, 1)], bottom=[0]), 1)
+    base = ExactDistAccess(Distribution(np.array([0.4, 0.6])))
+    ref, rng = Rng(9), Rng(9)
+    src = base.histogram(1000, ref)
+    np.testing.assert_array_equal(LiftedAccess(base, red).histogram(1000, rng), src)
+    assert rng.gen.bit_generator.state == ref.gen.bit_generator.state

@@ -17,12 +17,11 @@ from posetdist import (
     make_line,
     make_matching,
     matching_monotonicity_test,
-    pair_admits_perfect_matching,
     uniform_subset_test,
 )
 from posetdist.testers import MixedWithUniform, _enumerate_matchable_pairs
 
-from genutil import far_matching_dist, monotone_matching_dist
+from genutil import far_matching_dist, monotone_matching_dist, pair_admits_perfect_matching
 
 
 def rates(fn, trials=30, seed=101):
