@@ -1,4 +1,5 @@
-"""Byte-level pins of the testers' and the lower-bound construction's output.
+"""Byte-level pins of the testers', the oracle's, the poset writer's and the
+lower-bound construction's output.
 
 The tester strings below were produced by the dict-loop implementation of
 the pair histogram, the tester's rescale and the midpoint statistic (before
@@ -21,9 +22,13 @@ from posetdist import (
     PairHistogram,
     Rng,
     bipartite_bounded_degree_test,
+    bipartite_to_matching,
     build_priors,
+    general_to_bipartite,
     generate_instance,
     make_bipartite,
+    make_hypercube,
+    make_line,
     make_matching,
     matching_monotonicity_test,
     pair_histogram,
@@ -32,7 +37,7 @@ from posetdist import (
 )
 from posetdist.cli import main
 
-from genutil import BENCH_PRIORS
+from genutil import BENCH_PRIORS, random_bipartite, random_dag
 
 EPS = 0.25
 
@@ -273,3 +278,69 @@ GOLDEN_INSTANCES = [
 
 def test_generate_instance_pins():
     assert _instance_pins() == GOLDEN_INSTANCES
+
+
+# Poset files and the oracle CSV: byte pins produced by the tuple-backed
+# Poset (loop-based validation, stored top/dim), from exactly the inputs
+# built here.
+
+
+def _pin_posets():
+    rng = np.random.default_rng(4242)
+    bip = make_bipartite(9, [(0, 5), (0, 6), (1, 5), (2, 7), (3, 8), (4, 8), (4, 5)], bottom=[4, 0, 2, 1, 3])
+    return {
+        "line": make_line(7),
+        "matching": make_matching(5),
+        "bipartite": bip,
+        "hypercube": make_hypercube(4),
+        "g2b": general_to_bipartite(random_dag(rng, 9)).target,
+        "b2m": bipartite_to_matching(bip, 3).target,
+    }
+
+
+GOLDEN_POSET_FILES = {
+    "line": "a150d67c0a5162b05b3e3fde2c303eeb7ec4c01449b52822916efdddaa826bf6",
+    "matching": "fb5b5dadae02a0eac6670ccb857ce3ab325070c4fc01cd68fa474696494c3894",
+    "bipartite": "07cda8fb56521567d136d9ddd991ece2bc38faaaadaa57a24249ec49ca30527e",
+    "hypercube": "8509689bf89567ebd864d23f847106791e2d24f5bdd9f03a57ef077f6e5ed07e",
+    "g2b": "603262a3a862c65febea98e8f8f8a07537aac8bd7caf141bb6f93c3c89079623",
+    "b2m": "93f719426a37b903c2e47e922f1d8e98ba813a8429890f4cef0ac036a46bbb9a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_POSET_FILES))
+def test_write_poset_bytes(tmp_path, name):
+    path = tmp_path / f"{name}.poset"
+    write_poset(_pin_posets()[name], path)
+    assert _sha(path.read_bytes()) == GOLDEN_POSET_FILES[name]
+
+
+def _oracle_inputs(name: str):
+    rng = np.random.default_rng({"cube5": 51, "dag40": 52, "bipartite": 53, "matching": 54}[name])
+    if name == "cube5":
+        G = make_hypercube(5)
+    elif name == "dag40":
+        G = random_dag(rng, 40, edge_prob=0.15)
+    elif name == "bipartite":
+        G = random_bipartite(rng, 10, 14, edge_prob=0.3)
+    else:
+        G = make_matching(20)
+    v = rng.exponential(1.0, G.n)
+    return G, Distribution(v / v.sum())
+
+
+GOLDEN_ORACLE_CSV = {
+    "cube5": 'd_tv,matching_weight,lp_value\n0.29037334449855556,0.5590136694871812,0.5590136694871812\n',
+    "dag40": 'd_tv,matching_weight,lp_value\n0.24666857189935612,0.4853439818113151,0.4853439818113151\n',
+    "bipartite": 'd_tv,matching_weight,lp_value\n0.07949292189799255,0.15898584379598507,0.1589858437959851\n',
+    "matching": 'd_tv,matching_weight,lp_value\n0.1831213082571746,0.3662426165143492,0.3662426165143492\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORACLE_CSV))
+def test_oracle_csv_bytes(tmp_path, capsys, name):
+    G, p = _oracle_inputs(name)
+    write_poset(G, tmp_path / "g.poset")
+    write_distribution(p, tmp_path / "g.dist")
+    out = _cli_csv(capsys, ["oracle", "--poset", str(tmp_path / "g.poset"), "--dist", str(tmp_path / "g.dist")])
+    assert out == GOLDEN_ORACLE_CSV[name]
