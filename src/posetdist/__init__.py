@@ -31,7 +31,6 @@ from .prob import (
     write_distribution,
 )
 from .oracles import (
-    GridInfeasibleError,
     LpSolution,
     SizeCapError,
     WeightedMatching,

@@ -38,10 +38,6 @@ class SizeCapError(ValueError):
     """Instance exceeds the configured exact-computation cap."""
 
 
-class GridInfeasibleError(ValueError):
-    """The lp mode's quantized grid would be too large; use midpoint mode."""
-
-
 @dataclass(frozen=True)
 class WeightedMatching:
     """Vertex-disjoint directed edges with positive violation weights."""
@@ -299,86 +295,23 @@ def w_distance(h: PairHistogram, g: PairHistogram) -> float:
     return _transport_cost(supply, demand)
 
 
-def _monotone_grid(step: float, upper: float, max_points: int):
-    ticks = int(np.ceil(upper / step - 1e-12)) + 1
-    pts = [
-        (i * step, j * step)
-        for j in range(ticks)
-        for i in range(j + 1)
-        if not (i == 0 and j == 0)
-    ]
-    if len(pts) > max_points:
-        raise GridInfeasibleError(f"monotone grid needs {len(pts)} points (cap {max_points})")
-    return pts
-
-
-def min_w_to_monotone_pairhist(
-    g: PairHistogram,
-    mode: str = "midpoint",
-    grid_step: float | None = None,
-    max_grid_points: int = 5000,
-):
+def min_w_to_monotone_pairhist(g: PairHistogram):
     """Distance from g to the pair histogram of some monotone distribution.
 
-    midpoint mode reconstructs a labeling consistent with g, applies the
-    matching midpoint fix to each violating key (x > y), and reports that
-    scheme's transport cost: an upper bound on the true minimum, exact enough
-    for tester thresholds. lp mode minimizes W(g, g*) jointly over transport
-    plans and histograms g* supported on a quantized monotone grid carrying
-    total probability mass 1; it is cap-limited and meant for oracle use.
+    Reconstructs a labeling consistent with g, applies the matching midpoint
+    fix to each violating key (x > y), and reports that scheme's transport
+    cost: an upper bound on the true minimum, exact enough for tester
+    thresholds.
 
     Returns (value, g*).
     """
-    if mode == "midpoint":
-        x, y, c = g.x, g.y, g.count
-        bad = x > y
-        # summed one term at a time in key order, so the value does not
-        # depend on numpy's pairwise summation
-        cost = float(np.cumsum(c[bad] * (x[bad] - y[bad]))[-1]) if bad.any() else 0.0
-        mid = 0.5 * (x + y)
-        return cost, PairHistogram.from_arrays(np.where(bad, mid, x), np.where(bad, mid, y), c)
-    items = g.items()
-    if not items:
-        return 0.0, PairHistogram({})
-    if mode != "lp":
-        raise ValueError("mode must be 'midpoint' or 'lp'")
-    if grid_step is None or grid_step <= 0:
-        raise ValueError("lp mode needs a positive grid_step")
-
-    upper = max(max(x, y) for (x, y), _ in items)
-    grid = _monotone_grid(grid_step, upper, max_grid_points)
-    supply = [((x, y), c) for (x, y), c in items]
-    ns = len(supply)
-    nd = len(grid)
-    # Columns: moves F[i, j] from supply i to grid point j, one sink column per
-    # supply (mass destroyed at (0,0)), one source column per grid point (mass
-    # created from (0,0)).
-    nvar = ns * nd + ns + nd
-    c_vec = np.empty(nvar)
-    for i, ((x, y), _) in enumerate(supply):
-        for j, (a, b) in enumerate(grid):
-            c_vec[i * nd + j] = abs(x - a) + abs(y - b)
-        c_vec[ns * nd + i] = x + y  # to the (0,0) sink
-    for j, (a, b) in enumerate(grid):
-        c_vec[ns * nd + ns + j] = a + b  # created from (0,0)
-    A_eq = np.zeros((ns + 1, nvar))
-    b_eq = np.zeros(ns + 1)
-    for i, (_, cnt) in enumerate(supply):
-        A_eq[i, i * nd : (i + 1) * nd] = 1.0
-        A_eq[i, ns * nd + i] = 1.0
-        b_eq[i] = cnt
-    # g* must be the histogram of a probability distribution: total mass 1.
-    for j, (a, b) in enumerate(grid):
-        A_eq[ns, j::nd][:ns] = a + b
-        A_eq[ns, ns * nd + ns + j] = a + b
-    b_eq[ns] = 1.0
-    obj, flow = solve_lp(c_vec, A_eq=A_eq, b_eq=b_eq)
-    out = {}
-    for j, pt in enumerate(grid):
-        col = float(flow[j:ns * nd:nd].sum() + flow[ns * nd + ns + j])
-        if col > 1e-9:
-            out[pt] = col
-    return float(obj), PairHistogram(out)
+    x, y, c = g.x, g.y, g.count
+    bad = x > y
+    # summed one term at a time in key order, so the value does not
+    # depend on numpy's pairwise summation
+    cost = float(np.cumsum(c[bad] * (x[bad] - y[bad]))[-1]) if bad.any() else 0.0
+    mid = 0.5 * (x + y)
+    return cost, PairHistogram.from_arrays(np.where(bad, mid, x), np.where(bad, mid, y), c)
 
 
 def min_perm_l1(p1, p2, q1, q2) -> float:

@@ -2,15 +2,18 @@
 
 A poset is a directed acyclic edge relation on vertices 0..n-1 where an edge
 (u, v) means u precedes v. Canonical families (line, matching, hypercube,
-bipartite) carry a kind tag plus the structure the rest of the library needs:
-bottom/top vertex sets for bipartite-like posets and the dimension for
-hypercubes. A distribution p is monotone on G when p(u) <= p(v) along every
-edge; since monotonicity composes along paths, checking the edges of G and
-checking its transitive closure are equivalent.
+bipartite) carry a kind tag. A Poset stores only what its edges cannot give,
+the bottom set of a bipartite poset: a matching's bottom and top sets are its
+edge tails and heads, a bipartite top set is the complement of the bottom
+set, and a hypercube's dimension is log2(n). A distribution p is monotone on
+G when p(u) <= p(v) along every edge; since monotonicity composes along
+paths, checking the edges of G and checking its transitive closure are
+equivalent.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,70 +56,130 @@ def _check_acyclic(n: int, edges) -> list[int]:
     return order
 
 
+def _int_array(values, ndim: int, message: str) -> np.ndarray:
+    """values as an integer array of ndim dimensions (pairs when ndim is 2);
+    PosetError(message) for anything else, such as floats or strings."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged rows
+        raise PosetError(message) from None
+    if a.size == 0 and a.ndim == 1:
+        return np.empty((0, 2) if ndim == 2 else 0, dtype=np.int64)
+    if a.ndim != ndim or (ndim == 2 and a.shape[1] != 2) or a.dtype.kind not in "iu":
+        raise PosetError(message)
+    return a
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
 @dataclass(frozen=True)
 class Poset:
     """Immutable DAG with an optional structural kind tag.
 
-    bottom/top are populated for matching and bipartite kinds; dim for
-    hypercubes. Edges are stored sorted so equal posets compare equal and
-    downstream iteration order is deterministic.
+    edges may be given as any (m, 2) integer sequence or array. They are
+    stored sorted, as a tuple of Python-int pairs, so equal posets compare
+    equal and downstream iteration order is deterministic; edge_array holds
+    the same pairs as a read-only (m, 2) int64 array.
+    bottom is data only for a bipartite poset. A matching's bottom must be
+    its edge tails (they are filled in when it is omitted), and the other
+    kinds take none. top and dim are derived.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     kind: str = "general"
     bottom: tuple[int, ...] = ()
-    top: tuple[int, ...] = ()
-    dim: int = 0
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 0:
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise PosetError(f"vertex count must be an integer, got {self.n!r}") from None
+        if n < 0:
             raise PosetError("vertex count must be nonnegative")
         if self.kind not in KINDS:
             raise PosetError(f"unknown kind {self.kind!r}")
-        edges = tuple(sorted((int(u), int(v)) for u, v in self.edges))
-        object.__setattr__(self, "edges", edges)
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise PosetError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u == v:
-                raise PosetError(f"self-loop at {u}")
-            if (u, v) in seen:
-                raise PosetError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-        _check_acyclic(self.n, edges)
-        object.__setattr__(self, "bottom", tuple(int(i) for i in self.bottom))
-        object.__setattr__(self, "top", tuple(int(i) for i in self.top))
-        self._check_kind()
-
-    def _check_kind(self):
-        if self.kind == "line":
-            want = tuple((i, i + 1) for i in range(self.n - 1))
-            if self.edges != want:
+        a = _int_array(self.edges, 2, "edges must be (u, v) pairs of integers")
+        a = a[np.lexsort((a[:, 1], a[:, 0]))]
+        u, v = a[:, 0], a[:, 1]
+        out = (a < 0).any(axis=1) | (a >= n).any(axis=1)
+        loop = u == v
+        dup = np.zeros(len(a), dtype=bool)
+        dup[1:] = (a[1:] == a[:-1]).all(axis=1)
+        k = _first(out | loop | dup)
+        if k is not None:
+            bad = f"({u[k]},{v[k]})"
+            if out[k]:
+                raise PosetError(f"edge {bad} out of range for n={n}")
+            if loop[k]:
+                raise PosetError(f"self-loop at {u[k]}")
+            raise PosetError(f"duplicate edge {bad}")
+        a = a.astype(np.int64, copy=False)
+        u, v = a[:, 0], a[:, 1]
+        a.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_array", a)
+        object.__setattr__(self, "edges", tuple(zip(u.tolist(), v.tolist())))
+        bottom = np.sort(_int_array(self.bottom, 1, "bottom must be a set of integer vertices"))
+        repeat = np.zeros(len(bottom), dtype=bool)
+        repeat[1:] = bottom[1:] == bottom[:-1]
+        bottom = bottom[~repeat]
+        k = _first((bottom < 0) | (bottom >= n))
+        if k is not None:
+            raise PosetError(f"bottom vertex {bottom[k]} out of range for n={n}")
+        if bottom.size and self.kind not in ("bipartite", "matching"):
+            raise PosetError(f"a {self.kind} poset takes no bottom set")
+        # Each kind's check but general's implies acyclicity: line and
+        # hypercube edges run from lower to higher indices, matching edges are
+        # vertex-disjoint, and bipartite edges run from bottom to top.
+        if self.kind == "general":
+            _check_acyclic(n, self.edges)
+        elif self.kind == "line":
+            if len(a) != max(n - 1, 0) or (u != np.arange(len(a))).any() or (v != u + 1).any():
                 raise PosetError("line kind requires exactly the edges (i, i+1)")
         elif self.kind == "matching":
-            endpoints = [w for e in self.edges for w in e]
-            if len(endpoints) != len(set(endpoints)):
+            if np.bincount(a.ravel()).max(initial=0) > 1:
                 raise PosetError("matching kind requires vertex-disjoint edges")
+            tails = np.sort(u)
+            if bottom.size and not np.array_equal(bottom, tails):
+                raise PosetError("a matching's bottom set must be its edge tails")
+            bottom = tails
         elif self.kind == "bipartite":
-            bot = set(self.bottom)
-            top = set(self.top)
-            if bot & top:
-                raise PosetError("bottom and top sets overlap")
-            for u, v in self.edges:
-                if u not in bot or v not in top:
-                    raise PosetError(f"bipartite edge ({u},{v}) must run bottom -> top")
+            in_bottom = np.zeros(n, dtype=bool)
+            in_bottom[bottom] = True
+            k = _first(~in_bottom[u] | in_bottom[v])
+            if k is not None:
+                raise PosetError(f"bipartite edge ({u[k]},{v[k]}) must run bottom -> top")
         elif self.kind == "hypercube":
-            if self.dim < 1 or self.n != 1 << self.dim:
+            d = self.dim
+            if d < 1 or n != 1 << d:
                 raise PosetError("hypercube kind requires n = 2^dim")
-            for u, v in self.edges:
-                diff = u ^ v
-                if v <= u or diff & (diff - 1):
-                    raise PosetError(f"hypercube edge ({u},{v}) is not a single 0->1 bit flip")
-        if self.kind == "matching" and not self.bottom and self.edges:
-            object.__setattr__(self, "bottom", tuple(sorted(u for u, _ in self.edges)))
-            object.__setattr__(self, "top", tuple(sorted(v for _, v in self.edges)))
+            diff = u ^ v
+            k = _first((v <= u) | ((diff & (diff - 1)) != 0))
+            if k is not None:
+                raise PosetError(f"hypercube edge ({u[k]},{v[k]}) is not a single 0->1 bit flip")
+            if len(a) != d << (d - 1):
+                raise PosetError(f"hypercube kind requires all {d << (d - 1)} edges, got {len(a)}")
+        object.__setattr__(self, "bottom", tuple(bottom.tolist()))
+
+    @property
+    def top(self) -> tuple[int, ...]:
+        """A matching's edge heads, sorted; a bipartite poset's complement
+        of bottom; empty for the other kinds."""
+        if self.kind == "matching":
+            return tuple(np.sort(self.edge_array[:, 1]).tolist())
+        if self.kind == "bipartite":
+            return tuple(sorted(set(range(self.n)).difference(self.bottom)))
+        return ()
+
+    @property
+    def dim(self) -> int:
+        """log2(n) for a hypercube, 0 for the other kinds."""
+        return self.n.bit_length() - 1 if self.kind == "hypercube" else 0
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.n)]
@@ -125,11 +188,7 @@ class Poset:
         return adj
 
     def max_degree(self) -> int:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return max(deg, default=0)
+        return int(np.bincount(self.edge_array.ravel()).max(initial=0))
 
 
 def make_line(n: int) -> Poset:
@@ -143,26 +202,13 @@ def make_matching(n_pairs: int) -> Poset:
     """Disjoint edges (i, n_pairs + i): bottoms are 0..n_pairs-1, tops follow."""
     if n_pairs < 1:
         raise PosetError("matching poset needs at least one pair")
-    edges = tuple((i, n_pairs + i) for i in range(n_pairs))
-    return Poset(
-        2 * n_pairs,
-        edges,
-        kind="matching",
-        bottom=tuple(range(n_pairs)),
-        top=tuple(range(n_pairs, 2 * n_pairs)),
-    )
-
-
-def _complement(n: int, bottom) -> tuple[int, ...]:
-    """The vertices 0..n-1 outside bottom, in order."""
-    bot = set(bottom)
-    return tuple(i for i in range(n) if i not in bot)
+    i = np.arange(n_pairs)
+    return Poset(2 * n_pairs, np.column_stack((i, n_pairs + i)), kind="matching")
 
 
 def make_bipartite(n: int, edges, bottom) -> Poset:
     """Bipartite poset with an explicit bottom set; top is the complement."""
-    bottom = tuple(sorted(set(int(i) for i in bottom)))
-    return Poset(n, tuple(edges), kind="bipartite", bottom=bottom, top=_complement(n, bottom))
+    return Poset(n, tuple(edges), kind="bipartite", bottom=tuple(bottom))
 
 
 def make_hypercube(d: int) -> Poset:
@@ -177,7 +223,7 @@ def make_hypercube(d: int) -> Poset:
         for j in range(d):
             if not u >> j & 1:
                 edges.append((u, u | 1 << j))
-    return Poset(n, tuple(edges), kind="hypercube", dim=d)
+    return Poset(n, edges, kind="hypercube")
 
 
 @dataclass
@@ -237,7 +283,8 @@ def is_monotone(G: Poset, probs, tol: float = MONOTONE_TOL) -> bool:
     p = np.asarray(probs, dtype=float)
     if p.shape != (G.n,):
         raise ValueError(f"distribution length {p.shape} does not match n={G.n}")
-    return all(p[u] <= p[v] + tol for u, v in G.edges)
+    u, v = G.edge_array.T
+    return bool(np.all(p[u] <= p[v] + tol))
 
 
 def _ints(path, lineno: int, toks, count: int | None = None) -> list[int]:
@@ -281,13 +328,7 @@ def read_poset(path) -> Poset:
             raise PosetError(f"{path}:{k}: trailing content is not a bottom line")
         bottom = tuple(_ints(path, k, ln[len("bottom:") :].split()))
     try:
-        if kind == "bipartite":
-            return make_bipartite(n, edges, bottom)
-        if kind == "matching" and bottom:
-            return Poset(n, tuple(edges), kind=kind, bottom=bottom, top=_complement(n, bottom))
-        if kind == "hypercube":
-            return Poset(n, tuple(edges), kind=kind, dim=n.bit_length() - 1)
-        return Poset(n, tuple(edges), kind=kind)
+        return Poset(n, edges, kind=kind, bottom=bottom)
     except PosetError as exc:
         raise PosetError(f"{path}: {exc}") from None
 
@@ -297,5 +338,5 @@ def write_poset(G: Poset, path) -> None:
         fh.write(f"{G.n} {len(G.edges)} {G.kind}\n")
         for u, v in G.edges:
             fh.write(f"{u} {v}\n")
-        if G.kind in ("bipartite", "matching") and G.bottom:
+        if G.bottom:
             fh.write("bottom: " + " ".join(str(i) for i in G.bottom) + "\n")

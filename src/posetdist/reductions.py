@@ -116,13 +116,7 @@ def general_to_bipartite(G: Poset) -> Reduction:
     n = G.n
     tc = transitive_closure(G)
     edges = [(u, n + v) for u in range(n) for v in tc.successors(u)]
-    target = Poset(
-        2 * n,
-        tuple(edges),
-        kind="bipartite",
-        bottom=tuple(range(n)),
-        top=tuple(range(n, 2 * n)),
-    )
+    target = Poset(2 * n, edges, kind="bipartite", bottom=range(n))
     table = tuple(((i, 0.5), (n + i, 0.5)) for i in range(n))
     return Reduction(G, target, far_divisor=4.0, monotone_preserved=True, lift_table=table)
 
@@ -159,16 +153,7 @@ def bipartite_to_matching(G: Poset, delta: int) -> Reduction:
             dummy_edges.append((dummy_base + dummies, copy_id(w, c)))
             dummies += 1
 
-    all_edges = copy_edges + dummy_edges
-    bottom = sorted(u for u, _ in all_edges)
-    top = sorted(v for _, v in all_edges)
-    target = Poset(
-        dummy_base + dummies,
-        tuple(all_edges),
-        kind="matching",
-        bottom=tuple(bottom),
-        top=tuple(top),
-    )
+    target = Poset(dummy_base + dummies, copy_edges + dummy_edges, kind="matching")
     share = 1.0 / delta
     table = tuple(
         tuple((copy_id(w, c), share) for c in range(delta)) for w in range(n)

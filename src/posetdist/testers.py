@@ -11,7 +11,6 @@ threshold" comparisons are inclusive.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -176,8 +175,7 @@ def matching_monotonicity_test(
     budget = learner.budget(n_pairs, eps1)
     mixed = MixedWithUniform(access)
     h = mixed.histogram(budget, rng)
-    ends = np.fromiter(itertools.chain.from_iterable(G.edges), dtype=np.intp, count=G.n)
-    bottoms, tops = ends[0::2], ends[1::2]
+    bottoms, tops = G.edge_array.T
     step = 1.0 / (4.0 * budget)
     learned = learner.pair_hist(h[bottoms].astype(float), h[tops].astype(float), step)
     m = int(math.ceil(MASS_EST_CONST / (eps1 * eps1)))

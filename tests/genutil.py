@@ -12,7 +12,9 @@ import itertools
 
 import numpy as np
 
-from posetdist import Distribution, Poset, make_bipartite, transitive_closure
+from posetdist import Distribution, PairHistogram, Poset, PosetError, make_bipartite, transitive_closure
+from posetdist.poset import KINDS
+from posetdist.simplex import solve_lp
 
 # (nu, lam, L) of the two prior pairs the benchmark draws from
 BENCH_PRIORS = [(0.5, 6.0, 4), (0.5, 12.0, 5)]
@@ -209,3 +211,135 @@ def reference_lift_histogram(reduction, src_counts, gen: np.random.Generator) ->
         for (j, _), cnt in zip(branches, split):
             out[j] += cnt
     return out
+
+
+# Loop-based reference for Poset validation: the checks the library ran one
+# edge at a time before its edges became a sorted array, with top and dim
+# passed in, and the matching bottom/top filled in from the edges.
+
+
+def reference_poset_check(n: int, edges, kind: str = "general", bottom=(), top=(), dim: int = 0):
+    """Return (edges, bottom, top) the way the loop-based Poset stored them,
+    or raise PosetError with the message it raised."""
+    if n < 0:
+        raise PosetError("vertex count must be nonnegative")
+    if kind not in KINDS:
+        raise PosetError(f"unknown kind {kind!r}")
+    edges = tuple(sorted((int(u), int(v)) for u, v in edges))
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise PosetError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise PosetError(f"self-loop at {u}")
+        if (u, v) in seen:
+            raise PosetError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+    adj = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in edges:
+        adj[u].append(v)
+        indeg[v] += 1
+    stack = [v for v in range(n) if indeg[v] == 0]
+    done = 0
+    while stack:
+        u = stack.pop()
+        done += 1
+        for w in adj[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                stack.append(w)
+    if done != n:
+        raise PosetError("edge relation contains a cycle")
+    bottom = tuple(int(i) for i in bottom)
+    top = tuple(int(i) for i in top)
+    if kind == "line":
+        if edges != tuple((i, i + 1) for i in range(n - 1)):
+            raise PosetError("line kind requires exactly the edges (i, i+1)")
+    elif kind == "matching":
+        endpoints = [w for e in edges for w in e]
+        if len(endpoints) != len(set(endpoints)):
+            raise PosetError("matching kind requires vertex-disjoint edges")
+    elif kind == "bipartite":
+        if set(bottom) & set(top):
+            raise PosetError("bottom and top sets overlap")
+        for u, v in edges:
+            if u not in bottom or v not in top:
+                raise PosetError(f"bipartite edge ({u},{v}) must run bottom -> top")
+    elif kind == "hypercube":
+        if dim < 1 or n != 1 << dim:
+            raise PosetError("hypercube kind requires n = 2^dim")
+        for u, v in edges:
+            diff = u ^ v
+            if v <= u or diff & (diff - 1):
+                raise PosetError(f"hypercube edge ({u},{v}) is not a single 0->1 bit flip")
+    if kind == "matching" and not bottom and edges:
+        bottom = tuple(sorted(u for u, _ in edges))
+        top = tuple(sorted(v for _, v in edges))
+    return edges, bottom, top
+
+
+# LP reference for the tester's midpoint statistic: the exact minimum of
+# W(g, g*) over histograms g* on a quantized monotone grid, one transport LP.
+
+
+class GridInfeasibleError(ValueError):
+    """The quantized monotone grid would exceed its point cap."""
+
+
+def _monotone_grid(step: float, upper: float, max_points: int):
+    ticks = int(np.ceil(upper / step - 1e-12)) + 1
+    pts = [
+        (i * step, j * step)
+        for j in range(ticks)
+        for i in range(j + 1)
+        if not (i == 0 and j == 0)
+    ]
+    if len(pts) > max_points:
+        raise GridInfeasibleError(f"monotone grid needs {len(pts)} points (cap {max_points})")
+    return pts
+
+
+def lp_min_w_to_monotone_pairhist(g, grid_step: float, max_grid_points: int = 5000):
+    """Minimize W(g, g*) jointly over transport plans and histograms g*
+    supported on a quantized monotone grid carrying total probability mass 1.
+    Returns (value, g*)."""
+    items = g.items()
+    if not items:
+        return 0.0, PairHistogram({})
+    if grid_step <= 0:
+        raise ValueError("grid_step must be positive")
+    upper = max(max(x, y) for (x, y), _ in items)
+    grid = _monotone_grid(grid_step, upper, max_grid_points)
+    supply = [((x, y), c) for (x, y), c in items]
+    ns = len(supply)
+    nd = len(grid)
+    # Columns: moves F[i, j] from supply i to grid point j, one sink column per
+    # supply (mass destroyed at (0,0)), one source column per grid point (mass
+    # created from (0,0)).
+    nvar = ns * nd + ns + nd
+    c_vec = np.empty(nvar)
+    for i, ((x, y), _) in enumerate(supply):
+        for j, (a, b) in enumerate(grid):
+            c_vec[i * nd + j] = abs(x - a) + abs(y - b)
+        c_vec[ns * nd + i] = x + y  # to the (0,0) sink
+    for j, (a, b) in enumerate(grid):
+        c_vec[ns * nd + ns + j] = a + b  # created from (0,0)
+    A_eq = np.zeros((ns + 1, nvar))
+    b_eq = np.zeros(ns + 1)
+    for i, (_, cnt) in enumerate(supply):
+        A_eq[i, i * nd : (i + 1) * nd] = 1.0
+        A_eq[i, ns * nd + i] = 1.0
+        b_eq[i] = cnt
+    # g* must be the histogram of a probability distribution: total mass 1.
+    for j, (a, b) in enumerate(grid):
+        A_eq[ns, j::nd][:ns] = a + b
+        A_eq[ns, ns * nd + ns + j] = a + b
+    b_eq[ns] = 1.0
+    obj, flow = solve_lp(c_vec, A_eq=A_eq, b_eq=b_eq)
+    out = {}
+    for j, pt in enumerate(grid):
+        col = float(flow[j:ns * nd:nd].sum() + flow[ns * nd + ns + j])
+        if col > 1e-9:
+            out[pt] = col
+    return float(obj), PairHistogram(out)

@@ -452,6 +452,21 @@ LB_BAD_INPUTS = [
 ]
 
 
+def test_matching_bottom_naming_the_heads_exits_2(workdir, capsys):
+    n = 200
+    edges = "".join(f"{i} {n + i}\n" for i in range(n))
+    write_distribution(Distribution.uniform(2 * n), workdir / "u400.dist")
+    argv = ["test", "--alg", "uniform-subset", "--dist", str(workdir / "u400.dist"), "--eps", "0.5"]
+    for name, bottom, code in (("tails", range(n), EXIT_OK), ("heads", range(n, 2 * n), EXIT_VALIDATION)):
+        path = workdir / f"{name}.poset"
+        path.write_text(f"{2 * n} {n} matching\n{edges}bottom: {' '.join(map(str, bottom))}\n")
+        capsys.readouterr()
+        assert main(argv + ["--poset", str(path)]) == code
+    err = capsys.readouterr().err
+    assert f"{workdir / 'heads.poset'}: a matching's bottom set must be its edge tails" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,message", LB_BAD_INPUTS)
 def test_lb_bad_inputs_exit_2(workdir, capsys, argv, message):
     if argv[1] == "gen":

@@ -25,8 +25,10 @@ from posetdist.poset import transitive_closure
 from posetdist.simplex import solve_lp
 
 from genutil import (
+    GridInfeasibleError,
     brute_force_min_perm_l1,
     brute_force_violation_matching,
+    lp_min_w_to_monotone_pairhist,
     random_bipartite,
     random_dag,
     random_distribution,
@@ -215,34 +217,31 @@ def test_w_distance_symmetry_triangle():
 
 
 def test_min_w_grid_cap():
-    from posetdist import GridInfeasibleError
-
     g = PairHistogram({(0.75, 0.25): 1})
     with pytest.raises(GridInfeasibleError):
-        min_w_to_monotone_pairhist(g, mode="lp", grid_step=0.25, max_grid_points=3)
+        lp_min_w_to_monotone_pairhist(g, grid_step=0.25, max_grid_points=3)
     with pytest.raises(ValueError):
-        min_w_to_monotone_pairhist(g, mode="lp")  # lp mode needs a step
-    with pytest.raises(ValueError):
-        min_w_to_monotone_pairhist(g, mode="median")
+        lp_min_w_to_monotone_pairhist(g, grid_step=0.0)
+    with pytest.raises(TypeError):
+        min_w_to_monotone_pairhist(g, mode="lp")  # the library keeps the midpoint statistic only
 
 
 def test_min_w_modes():
     g = PairHistogram({(0.75, 0.25): 1})
-    val, gstar = min_w_to_monotone_pairhist(g, mode="lp", grid_step=0.25)
+    val, gstar = lp_min_w_to_monotone_pairhist(g, grid_step=0.25)
     assert val == pytest.approx(0.5, abs=1e-9)
     for (x, y), _ in gstar.items():
         assert x <= y
-    val_mid, gstar_mid = min_w_to_monotone_pairhist(g, mode="midpoint")
+    val_mid, gstar_mid = min_w_to_monotone_pairhist(g)
     assert val_mid == pytest.approx(0.5)
     assert gstar_mid.items() == [((0.5, 0.5), 1.0)]
-    assert min_w_to_monotone_pairhist(PairHistogram({}), mode="lp", grid_step=0.1)[0] == 0.0
+    assert lp_min_w_to_monotone_pairhist(PairHistogram({}), grid_step=0.1)[0] == 0.0
 
 
 def test_min_w_monotone_input_is_zero():
     p = Distribution(np.array([0.1, 0.15, 0.3, 0.45]))
     g = pair_histogram(p.probs[:2], p.probs[2:])
-    for mode, step in (("lp", 0.05), ("midpoint", None)):
-        val, _ = min_w_to_monotone_pairhist(g, mode=mode, grid_step=step)
+    for val, _ in (lp_min_w_to_monotone_pairhist(g, grid_step=0.05), min_w_to_monotone_pairhist(g)):
         assert val == pytest.approx(0.0, abs=1e-9)
 
 
@@ -260,8 +259,8 @@ def test_midpoint_upper_bounds_lp():
         g = pair_histogram(v[:n_pairs], v[n_pairs:])
         if not g.support:
             continue
-        lp_val, _ = min_w_to_monotone_pairhist(g, mode="lp", grid_step=0.05)
-        mid_val, _ = min_w_to_monotone_pairhist(g, mode="midpoint")
+        lp_val, _ = lp_min_w_to_monotone_pairhist(g, grid_step=0.05)
+        mid_val, _ = min_w_to_monotone_pairhist(g)
         assert mid_val >= lp_val - 1e-9
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import posetdist.poset as poset_module
 from posetdist import (
     CapacityError,
     Poset,
@@ -14,9 +17,9 @@ from posetdist import (
     transitive_closure,
     write_poset,
 )
-from posetdist.poset import closure_poset
+from posetdist.poset import KINDS, closure_poset
 
-from genutil import random_dag
+from genutil import random_dag, reference_poset_check
 
 
 def test_make_line():
@@ -184,3 +187,167 @@ def test_closure_on_4200_vertices_matches_bfs():
                         nxt.append(w)
             frontier = nxt
         assert [v for v in range(n) if tc.reach(int(src), v)] == sorted(seen)
+
+
+@st.composite
+def poset_inputs(draw):
+    """(n, edges, kind, bottom): a kind's canonical edges with some dropped
+    and random pairs added, and a bottom set that is often the canonical one."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.sampled_from([0, 1, 2, 4, 8])) if kind == "hypercube" else draw(st.integers(0, 8))
+    half = n // 2
+    if kind == "line":
+        base = [(i, i + 1) for i in range(n - 1)]
+    elif kind in ("matching", "bipartite"):
+        base = [(i, half + i) for i in range(half)]
+    elif kind == "hypercube":
+        base = [(u, u | 1 << j) for u in range(n) for j in range(max(n.bit_length() - 1, 0)) if not u >> j & 1]
+    else:
+        base = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    drop = draw(st.sets(st.integers(0, max(len(base) - 1, 0)), max_size=2))
+    vertex = st.integers(-1, n)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    edges = [e for k, e in enumerate(base) if k not in drop] + extra
+    edges = draw(st.permutations(edges))
+    bottom = draw(st.one_of(st.just(()), st.just(tuple(range(half))), st.lists(vertex, max_size=4).map(tuple)))
+    return n, edges, kind, bottom
+
+
+def _newly_rejected(n, edges, kind, bottom) -> bool:
+    """Inputs the loop-based checks accepted and the array checks refuse."""
+    if any(not 0 <= b < n for b in bottom):
+        return True
+    if bottom and kind not in ("bipartite", "matching"):
+        return True
+    if kind == "matching" and bottom and set(bottom) != {u for u, _ in edges}:
+        return True
+    d = n.bit_length() - 1
+    return kind == "hypercube" and len(set(edges)) != max(d, 0) << max(d - 1, 0)
+
+
+def _reference(n, edges, kind, bottom):
+    """The loop-based checks given the top set and dimension that read_poset
+    derived for them: a bipartite or bottom-carrying matching file's top set
+    is the complement of its bottom set, a hypercube's dimension is log2(n)."""
+    top, dim = (), 0
+    if kind == "bipartite" or kind == "matching" and bottom:
+        top = tuple(i for i in range(n) if i not in set(bottom))
+    if kind == "bipartite":
+        bottom = tuple(sorted(set(bottom)))
+    if kind == "hypercube":
+        dim = n.bit_length() - 1
+    return reference_poset_check(n, edges, kind, bottom, top, dim)
+
+
+@given(poset_inputs())
+@settings(max_examples=600, deadline=None)
+def test_array_checks_match_loop_reference(case):
+    n, edges, kind, bottom = case
+    try:
+        want = _reference(n, edges, kind, bottom)
+    except PosetError as exc:
+        want = exc
+    try:
+        G = Poset(n, tuple(edges), kind=kind, bottom=bottom)
+    except PosetError as exc:
+        got = exc
+    else:
+        got = (G.edges, G.bottom, G.top)
+    if _newly_rejected(n, edges, kind, bottom):
+        assert isinstance(got, PosetError)
+    elif isinstance(want, PosetError):
+        assert isinstance(got, PosetError)
+        # a cyclic edge set fails every kind check but general's, which is
+        # all that runs for the other kinds
+        if not (str(want) == "edge relation contains a cycle" and kind != "general"):
+            assert str(got) == str(want)
+    else:
+        assert got[:2] == want[:2]
+        if not (kind == "matching" and bottom):  # top is now the heads, not the complement
+            assert got[2] == want[2]
+        assert G.edge_array.tolist() == [list(e) for e in want[0]]
+
+
+def test_derived_top_and_dim():
+    M = Poset(6, ((2, 5), (0, 3)), kind="matching")
+    assert M.bottom == (0, 2) and M.top == (3, 5) and M.dim == 0
+    assert make_matching(3).top == (3, 4, 5)
+    B = make_bipartite(5, [(0, 2), (1, 3)], bottom=[1, 0])
+    assert B.bottom == (0, 1) and B.top == (2, 3, 4)
+    assert make_hypercube(4).dim == 4 and make_hypercube(4).top == ()
+    assert make_line(3).top == () and make_line(3).bottom == () and make_line(3).dim == 0
+    for kw in ({"top": (1,)}, {"dim": 1}):
+        with pytest.raises(TypeError):
+            Poset(2, ((0, 1),), kind="line", **kw)
+
+
+def test_edge_array_is_the_sorted_edges_read_only():
+    G = Poset(4, [(2, 3), (0, 1), (0, 2)])
+    assert G.edges == ((0, 1), (0, 2), (2, 3))
+    assert all(type(w) is int for e in G.edges for w in e)
+    assert G.edge_array.dtype == np.int64 and G.edge_array.tolist() == [[0, 1], [0, 2], [2, 3]]
+    with pytest.raises(ValueError):
+        G.edge_array[0, 0] = 3
+    assert G == Poset(4, np.array([[0, 2], [2, 3], [0, 1]])) and hash(G) == hash(Poset(4, G.edges))
+    assert Poset(0, ()).edge_array.shape == (0, 2)
+
+
+def test_only_general_posets_run_the_topological_sort(monkeypatch):
+    calls = []
+    real = poset_module._check_acyclic
+    monkeypatch.setattr(poset_module, "_check_acyclic", lambda n, e: calls.append(n) or real(n, e))
+    for G in (make_line(5), make_matching(3), make_hypercube(3), make_bipartite(4, [(0, 2)], bottom=[0])):
+        assert calls == [], G.kind
+    Poset(3, ((0, 1), (1, 2)))
+    assert calls == [3]
+
+
+@pytest.mark.parametrize(
+    "edges", [((0.7, 1.9),), (("0", "1"),), ((0, 1.0),), ((0, 1), (1,)), ((0, 1, 2),), ((True, False),)]
+)
+def test_non_integer_edges_are_rejected(edges):
+    with pytest.raises(PosetError, match="edges must be"):
+        Poset(3, edges)
+
+
+def test_non_integer_vertex_count_is_rejected():
+    with pytest.raises(PosetError, match="vertex count must be an integer"):
+        Poset(3.0, ((0, 1),))
+
+
+def test_bottom_out_of_range_is_rejected():
+    with pytest.raises(PosetError, match="bottom vertex -1 out of range for n=3"):
+        make_bipartite(3, [], bottom=[5, -1])
+    with pytest.raises(PosetError, match="bottom vertex 3 out of range"):
+        Poset(3, ((0, 1),), kind="bipartite", bottom=(0, 3))
+    with pytest.raises(PosetError, match="bottom must be"):
+        make_bipartite(3, [(0, 1)], bottom=[0.5])
+
+
+def test_hypercube_needs_every_edge(tmp_path):
+    with pytest.raises(PosetError, match="requires all 12 edges, got 0"):
+        Poset(8, (), kind="hypercube")
+    with pytest.raises(PosetError, match="requires all 12 edges, got 11"):
+        Poset(8, make_hypercube(3).edges[1:], kind="hypercube")
+    with pytest.raises(PosetError, match="bad.poset: hypercube kind requires all 12 edges"):
+        read_poset(write_text(tmp_path / "bad.poset", "8 0 hypercube\n"))
+
+
+@pytest.mark.parametrize("kind, edges", [("line", ((0, 1), (1, 2))), ("general", ((0, 2),)),
+                                         ("hypercube", ((0, 1),))])
+def test_bottom_is_rejected_where_the_file_cannot_keep_it(tmp_path, kind, edges):
+    n = 2 if kind == "hypercube" else 3
+    with pytest.raises(PosetError, match=f"a {kind} poset takes no bottom set"):
+        Poset(n, edges, kind=kind, bottom=(0,))
+    text = f"{n} {len(edges)} {kind}\n" + "".join(f"{u} {v}\n" for u, v in edges) + "bottom: 0\n"
+    with pytest.raises(PosetError, match=f"bad.poset: a {kind} poset takes no bottom set"):
+        read_poset(write_text(tmp_path / "bad.poset", text))
+
+
+def test_matching_bottom_must_be_the_edge_tails(tmp_path):
+    with pytest.raises(PosetError, match="bad.poset: a matching's bottom set must be its edge tails"):
+        read_poset(write_text(tmp_path / "bad.poset", "4 2 matching\n0 2\n1 3\nbottom: 2 3\n"))
+    with pytest.raises(PosetError, match="edge tails"):
+        Poset(4, ((0, 2), (1, 3)), kind="matching", bottom=(0,))
+    G = read_poset(write_text(tmp_path / "ok.poset", "4 2 matching\n0 2\n1 3\nbottom: 1 0\n"))
+    assert G == make_matching(2) and G.bottom == (0, 1) and G.top == (2, 3)
