@@ -261,8 +261,11 @@ class TransitiveClosure:
 
 
 def transitive_closure(G: Poset) -> TransitiveClosure:
-    """Compute reach(u, v) for all pairs by sweeping a topological order backwards."""
-    order = _check_acyclic(G.n, G.edges)
+    """Compute reach(u, v) for all pairs by sweeping a topological order
+    backwards. Only a general poset needs a sort for it: line and hypercube
+    edges run upwards, and matching and bipartite heads have no out-edges, so
+    for those kinds descending index order is a valid sweep."""
+    order = _check_acyclic(G.n, G.edges) if G.kind == "general" else range(G.n)
     adj = G.adjacency()
     bits = [0] * G.n
     for u in reversed(order):

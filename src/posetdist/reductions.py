@@ -2,56 +2,70 @@
 
 Each reduction maps a source poset/distribution to a target pair while
 controlling the distance to monotonicity: monotone sources stay monotone and
-an eps-far source lands at least eps/far_divisor from monotone. Reductions
-that operate sample-by-sample (general->bipartite, bipartite->matching) expose
-a per-sample lifter next to the distribution map; the two views are defined
-from the same conditional table, so they agree exactly.
+an eps-far source lands at least eps/far_divisor from monotone. The two that
+operate sample-by-sample (general->bipartite, bipartite->matching) are
+uniform splits: every source vertex has k copies in the target, each taking
+1/k of its mass, and a lifted sample is one of them drawn uniformly, so the
+distribution map and the per-sample lifter agree exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .poset import HYPERCUBE_MAX_DIM, CapacityError, Poset, make_matching, transitive_closure
-from .prob import Distribution, Rng, SampleAccess, cdf_count, choice_cdf, choice_indices
+from .prob import Distribution, Rng, SampleAccess, cdf_count, choice_cdf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reduction:
-    """Poset/distribution transformer plus per-sample lifting.
+    """A uniform split of every source vertex over k target copies.
 
-    lift_table[i] is the conditional distribution of a lifted sample given a
-    source sample i, as (target index, probability) pairs.
+    copies is a read-only (source.n, k) int64 array: source vertex i sends
+    p(i) * (1/k) to each target vertex in copies[i], and a lifted sample of i
+    is one of them, drawn uniformly.
     """
 
     source: Poset
     target: Poset
     far_divisor: float
-    monotone_preserved: bool
-    lift_table: tuple[tuple[tuple[int, float], ...], ...]
+    copies: np.ndarray
+
+    def __post_init__(self):
+        try:
+            c = np.array(self.copies)  # own copy: callers keep theirs writable
+        except ValueError:  # ragged rows
+            raise ValueError("copies must be a (source.n, k) integer array") from None
+        if c.dtype.kind not in "iu":
+            raise ValueError(f"copies must be integers, got dtype {c.dtype}")
+        if c.ndim != 2 or c.shape[0] != self.source.n or c.shape[1] < 1:
+            raise ValueError(f"copies must have shape ({self.source.n}, k) with k >= 1, got {c.shape}")
+        if c.size and (c.min() < 0 or c.max() >= self.target.n):
+            raise ValueError(f"copies must lie in 0..{self.target.n - 1}")
+        c = c.astype(np.int64, copy=False)
+        c.flags.writeable = False
+        object.__setattr__(self, "copies", c)
 
     def map_distribution(self, p: Distribution) -> Distribution:
         if p.n != self.source.n:
             raise ValueError("distribution length does not match source poset")
-        q = np.zeros(self.target.n)
-        for i, branches in enumerate(self.lift_table):
-            for j, pr in branches:
-                q[j] += p.probs[i] * pr
-        return Distribution(q)
-
-    def lift_conditional(self, i: int):
-        return self.lift_table[i]
+        k = self.copies.shape[1]
+        share = np.repeat(p.probs * (1.0 / k), k)
+        return Distribution(np.bincount(self.copies.ravel(), weights=share, minlength=self.target.n))
 
     def lift(self, i: int, rng: Rng) -> int:
-        branches = self.lift_table[i]
-        if len(branches) == 1:
-            return branches[0][0]
-        cdf = choice_cdf([pr for _, pr in branches])
-        return branches[int(choice_indices(cdf, None, rng))][0]
+        row = self.copies[i]
+        if row.size == 1:
+            return int(row[0])
+        return int(row[int(cdf_count(_uniform_cdf(row.size), rng.gen.random()))])
+
+
+def _uniform_cdf(k: int) -> np.ndarray:
+    """The cdf Generator.choice draws from for k equal probabilities 1/k."""
+    return choice_cdf(np.full(k, 1.0 / k))
 
 
 class LiftedAccess(SampleAccess):
@@ -66,46 +80,25 @@ class LiftedAccess(SampleAccess):
 
     def draw(self, s: int, rng: Rng) -> np.ndarray:
         """The s source samples, each lifted as Reduction.lift would lift it
-        in turn: one uniform per sample whose row has more than one branch,
-        drawn in sample order after the source samples."""
+        in turn: with k > 1 copies, s uniforms drawn after the source samples;
+        with one copy, none."""
         src = self.base.draw(s, rng)
-        kinds, group, targets = self._lift_arrays
-        rows = group[src]
-        drawn = np.array([len(probs) > 1 for probs in kinds], dtype=bool)[rows]
-        u = np.zeros(src.size)
-        u[drawn] = rng.gen.random(np.count_nonzero(drawn))
-        branch = np.zeros(src.size, dtype=np.intp)
-        for kind, probs in enumerate(kinds):
-            at = np.flatnonzero(rows == kind)
-            branch[at] = cdf_count(choice_cdf(probs), u[at])
-        return targets[src, branch].astype(np.int64)
-
-    @cached_property
-    def _lift_arrays(self) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
-        """The lift table as arrays: its distinct branch-probability tuples,
-        each source row's index into them, and each row's targets (padded)."""
-        table = self.reduction.lift_table
-        kinds: dict[tuple[float, ...], int] = {}
-        group = np.array([kinds.setdefault(tuple(pr for _, pr in b), len(kinds)) for b in table], dtype=np.intp)
-        width = max(map(len, table), default=1)
-        targets = np.array([[j for j, _ in b] + [0] * (width - len(b)) for b in table], dtype=np.intp)
-        return list(kinds), group, targets.reshape(len(table), width)
+        copies = self.reduction.copies
+        k = copies.shape[1]
+        c = cdf_count(_uniform_cdf(k), rng.gen.random(src.size)) if k > 1 else 0
+        return copies[src, c]
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
-        """Each source count splits over its row's branches as a multinomial.
-        A run of consecutive nonzero rows with the same branch probabilities
-        is split by one multinomial call, which draws exactly what one call
-        per row draws; a multinomial over one branch draws nothing."""
+        """Each nonzero source count splits evenly over its copies as a
+        multinomial; one call splits every row, which draws exactly what one
+        call per row draws. A multinomial over one copy draws nothing."""
         src_counts = self.base.histogram(s, rng)
-        kinds, group, targets = self._lift_arrays
+        copies = self.reduction.copies
+        k = copies.shape[1]
         rows = np.flatnonzero(src_counts)
         out = np.zeros(self.n, dtype=np.int64)
-        for run in np.split(rows, np.flatnonzero(np.diff(group[rows])) + 1):
-            if run.size == 0:
-                continue
-            probs = kinds[group[run[0]]]
-            split = rng.gen.multinomial(src_counts[run], probs)
-            np.add.at(out, targets[run, : len(probs)], split)
+        if rows.size:
+            np.add.at(out, copies[rows], rng.gen.multinomial(src_counts[rows], np.full(k, 1.0 / k)))
         return out
 
 
@@ -114,17 +107,20 @@ def general_to_bipartite(G: Poset) -> Reduction:
     (index n+v); connect u-bottom to v-top whenever v is reachable from u.
     Mass halves onto the two copies; a lifted sample appends a fair sign."""
     n = G.n
-    tc = transitive_closure(G)
-    edges = [(u, n + v) for u in range(n) for v in tc.successors(u)]
-    target = Poset(2 * n, edges, kind="bipartite", bottom=range(n))
-    table = tuple(((i, 0.5), (n + i, 0.5)) for i in range(n))
-    return Reduction(G, target, far_divisor=4.0, monotone_preserved=True, lift_table=table)
+    closure = np.array(transitive_closure(G).edges(), dtype=np.int64).reshape(-1, 2)
+    target = Poset(2 * n, closure + [0, n], kind="bipartite", bottom=range(n))
+    v = np.arange(n)
+    return Reduction(G, target, far_divisor=4.0, copies=np.column_stack((v, n + v)))
 
 
 def bipartite_to_matching(G: Poset, delta: int) -> Reduction:
     """Realize the edges of a degree-<=delta bipartite poset disjointly on
     delta copies of every vertex; leftover copies pair with zero-mass bottom
-    dummies. Mass spreads evenly over the copies of each vertex."""
+    dummies. Mass spreads evenly over the copies of each vertex.
+
+    Copy c of vertex w is target vertex w*delta + c. In sorted edge order,
+    the r-th edge at a vertex takes its copy r; the free copies, in (w, c)
+    order, are the heads of the dummy edges."""
     if G.kind != "bipartite":
         raise ValueError("bipartite_to_matching needs a bipartite poset")
     if delta < 1:
@@ -132,33 +128,19 @@ def bipartite_to_matching(G: Poset, delta: int) -> Reduction:
     if G.max_degree() > delta:
         raise ValueError(f"max degree {G.max_degree()} exceeds delta={delta}")
     n = G.n
-
-    def copy_id(w: int, c: int) -> int:
-        return w * delta + c
-
-    next_free = [0] * n
-    copy_edges = []
-    for u, v in G.edges:  # input order: Poset stores edges sorted
-        cu = next_free[u]
-        next_free[u] += 1
-        cv = next_free[v]
-        next_free[v] += 1
-        copy_edges.append((copy_id(u, cu), copy_id(v, cv)))
-
-    dummy_base = n * delta
-    dummies = 0
-    dummy_edges = []
-    for w in range(n):
-        for c in range(next_free[w], delta):
-            dummy_edges.append((dummy_base + dummies, copy_id(w, c)))
-            dummies += 1
-
-    target = Poset(dummy_base + dummies, copy_edges + dummy_edges, kind="matching")
-    share = 1.0 / delta
-    table = tuple(
-        tuple((copy_id(w, c), share) for c in range(delta)) for w in range(n)
-    )
-    return Reduction(G, target, far_divisor=2.0 * delta, monotone_preserved=True, lift_table=table)
+    u, v = G.edge_array.T  # sorted by tail, then head
+    at = np.arange(len(u))
+    cu = at - np.searchsorted(u, u)
+    by_head = np.argsort(v, kind="stable")
+    heads = v[by_head]
+    cv = np.empty_like(cu)
+    cv[by_head] = at - np.searchsorted(heads, heads)
+    degree = np.bincount(G.edge_array.ravel(), minlength=n)
+    free = np.flatnonzero(np.arange(delta) >= degree[:, None])
+    dummies = n * delta + np.arange(free.size)
+    edges = np.concatenate((np.column_stack((u * delta + cu, v * delta + cv)), np.column_stack((dummies, free))))
+    target = Poset(n * delta + free.size, edges, kind="matching")
+    return Reduction(G, target, far_divisor=2.0 * delta, copies=np.arange(n * delta).reshape(n, delta))
 
 
 def bigness_to_matching(p: Distribution, threshold: float):

@@ -188,29 +188,63 @@ def reference_choice(p, size, gen: np.random.Generator):
 
 
 def reference_lift_draw(reduction, src, gen: np.random.Generator) -> np.ndarray:
-    """Source samples lifted one at a time, each by its own choice call; a
-    single-branch row draws nothing."""
+    """Source samples lifted one at a time, each to a copy picked by its own
+    choice call; with a single copy nothing is drawn."""
+    k = reduction.copies.shape[1]
     out = []
     for i in src:
-        branches = reduction.lift_table[int(i)]
-        k = 0 if len(branches) == 1 else reference_choice([pr for _, pr in branches], None, gen)
-        out.append(branches[k][0])
+        c = 0 if k == 1 else reference_choice(np.full(k, 1.0 / k), None, gen)
+        out.append(reduction.copies[int(i), c])
     return np.array(out, dtype=np.int64)
 
 
 def reference_lift_histogram(reduction, src_counts, gen: np.random.Generator) -> np.ndarray:
     """Lift of a source histogram with one multinomial call per nonzero row;
-    a single-branch row draws nothing."""
+    with a single copy nothing is drawn."""
+    k = reduction.copies.shape[1]
     out = np.zeros(reduction.target.n, dtype=np.int64)
     for i in np.nonzero(src_counts)[0]:
-        branches = reduction.lift_table[int(i)]
-        if len(branches) == 1:
-            out[branches[0][0]] += src_counts[i]
+        row = reduction.copies[int(i)]
+        if k == 1:
+            out[row[0]] += src_counts[i]
             continue
-        split = gen.multinomial(int(src_counts[i]), np.array([pr for _, pr in branches]))
-        for (j, _), cnt in zip(branches, split):
+        split = gen.multinomial(int(src_counts[i]), np.full(k, 1.0 / k))
+        for j, cnt in zip(row, split):
             out[j] += cnt
     return out
+
+
+def reference_bipartite_to_matching(G: Poset, delta: int, probs) -> tuple[Poset, np.ndarray]:
+    """The bipartite-to-matching target built one edge at a time, and probs
+    mapped onto it one (row, copy) term at a time: the loops the library ran
+    while a reduction carried a per-row lift table."""
+    n = G.n
+
+    def copy_id(w: int, c: int) -> int:
+        return w * delta + c
+
+    next_free = [0] * n
+    copy_edges = []
+    for u, v in G.edges:
+        cu = next_free[u]
+        next_free[u] += 1
+        cv = next_free[v]
+        next_free[v] += 1
+        copy_edges.append((copy_id(u, cu), copy_id(v, cv)))
+    dummy_base = n * delta
+    dummies = 0
+    dummy_edges = []
+    for w in range(n):
+        for c in range(next_free[w], delta):
+            dummy_edges.append((dummy_base + dummies, copy_id(w, c)))
+            dummies += 1
+    target = Poset(dummy_base + dummies, copy_edges + dummy_edges, kind="matching")
+    share = 1.0 / delta
+    q = np.zeros(target.n)
+    for w in range(n):
+        for c in range(delta):
+            q[copy_id(w, c)] += probs[w] * share
+    return target, q
 
 
 # Loop-based reference for Poset validation: the checks the library ran one

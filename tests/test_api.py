@@ -4,7 +4,7 @@ import dataclasses
 import types
 
 import posetdist
-from posetdist import Poset
+from posetdist import Poset, Reduction
 
 PUBLIC_NAMES = [
     "CapacityError", "Distribution", "ExactDistAccess", "HypercubeEmbedding", "LBInstance",
@@ -35,3 +35,7 @@ def test_public_names():
 
 def test_poset_constructor_fields():
     assert [f.name for f in dataclasses.fields(Poset) if f.init] == ["n", "edges", "kind", "bottom"]
+
+
+def test_reduction_constructor_fields():
+    assert [f.name for f in dataclasses.fields(Reduction) if f.init] == ["source", "target", "far_divisor", "copies"]

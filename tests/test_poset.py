@@ -175,18 +175,50 @@ def test_closure_on_4200_vertices_matches_bfs():
     hi = lo + 1 + (rng.random(3 * n) * (n - 1 - lo)).astype(int)
     G = Poset(n, tuple({(int(perm[u]), int(perm[v])) for u, v in zip(lo, hi)}), kind="general")
     tc = transitive_closure(G)
-    adj = G.adjacency()
     for src in rng.choice(n, 50, replace=False):
-        seen, frontier = set(), [int(src)]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        assert [v for v in range(n) if tc.reach(int(src), v)] == sorted(seen)
+        assert [v for v in range(n) if tc.reach(int(src), v)] == _bfs_reach(G, int(src))
+
+
+def _bfs_reach(G: Poset, src: int) -> list[int]:
+    """The vertices reachable from src by a nonempty path, by breadth-first search."""
+    adj = G.adjacency()
+    seen, frontier = set(), [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _one_poset_per_kind() -> list[Poset]:
+    return [
+        random_dag(np.random.default_rng(17), 12),
+        make_line(7),
+        Poset(6, ((5, 0), (3, 1), (4, 2)), kind="matching"),  # heads below tails
+        make_bipartite(7, [(6, 0), (6, 1), (4, 1), (5, 2), (3, 2)], bottom=[3, 4, 5, 6]),
+        make_hypercube(4),
+    ]
+
+
+def test_closure_of_every_kind_matches_bfs():
+    for G in _one_poset_per_kind():
+        tc = transitive_closure(G)
+        for src in range(G.n):
+            assert tc.successors(src) == _bfs_reach(G, src), (G.kind, src)
+
+
+def test_closure_sorts_only_general_posets(monkeypatch):
+    posets = _one_poset_per_kind()
+    calls = []
+    real = poset_module._check_acyclic
+    monkeypatch.setattr(poset_module, "_check_acyclic", lambda n, e: calls.append(n) or real(n, e))
+    for G in posets:
+        transitive_closure(G)
+    assert calls == [posets[0].n]
 
 
 @st.composite

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetdist import (
     CapacityError,
@@ -26,15 +28,23 @@ from posetdist import (
     transitive_closure,
 )
 
-from genutil import random_dag, random_distribution, reference_choice, reference_lift_draw, reference_lift_histogram
+from genutil import (
+    random_dag,
+    random_distribution,
+    reference_bipartite_to_matching,
+    reference_choice,
+    reference_lift_draw,
+    reference_lift_histogram,
+)
 
 
 def induced_lift_distribution(red, p: Distribution) -> np.ndarray:
-    """Exact law of one lifted sample, summed over the conditional table."""
+    """Exact law of one lifted sample: each copy of i takes p(i)/k."""
+    k = red.copies.shape[1]
     q = np.zeros(red.target.n)
     for i in range(red.source.n):
-        for j, pr in red.lift_conditional(i):
-            q[j] += p.probs[i] * pr
+        for j in red.copies[i]:
+            q[j] += p.probs[i] / k
     return q
 
 
@@ -202,44 +212,45 @@ def test_hypercube_embedding_dimension_cap():
                                    lambda: bipartite_to_matching(make_bipartite(4, [(0, 2), (1, 2), (1, 3)], bottom=[0, 1]), 3)])
 def test_lift_reproduces_choice(build):
     red = build()
+    k = red.copies.shape[1]
     ref, rng = Rng(5), Rng(5)
     for i in [0, 1, 2, 3] * 50:
-        branches = red.lift_table[i]
-        expected = branches[reference_choice([pr for _, pr in branches], None, ref.gen)][0]
+        expected = red.copies[i, reference_choice(np.full(k, 1.0 / k), None, ref.gen)]
         assert red.lift(i, rng) == expected
     assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
 
 
-def _mixed_lift():
-    """Rows with two-way, one-way and skewed branches, in runs and apart; the
-    last row shares a target with the first."""
-    table = (
-        ((0, 0.5), (1, 0.5)),
-        ((2, 0.5), (3, 0.5)),
-        ((4, 1.0),),
-        ((5, 0.25), (6, 0.75)),
-        ((7, 0.5), (8, 0.5)),
-        ((9, 0.5), (0, 0.5)),
-    )
-    return Reduction(make_line(6), make_line(10), far_divisor=1.0, monotone_preserved=False, lift_table=table)
+def _shared_lift():
+    """Two copies per row, the last row sharing a target with the first."""
+    copies = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [9, 0]]
+    return Reduction(make_line(6), make_line(10), far_divisor=1.0, copies=copies)
+
+
+def _lift_cases():
+    return [
+        _shared_lift(),
+        general_to_bipartite(make_line(6)),
+        bipartite_to_matching(make_bipartite(6, [(0, 3), (1, 4)], bottom=[0, 1, 2]), 1),
+        bipartite_to_matching(make_bipartite(6, [(0, 2), (0, 3), (1, 3), (1, 4)], bottom=[0, 1, 5]), 3),
+    ]
 
 
 @pytest.mark.parametrize("s", [3, 40, 100_000])
 def test_lifted_histogram_matches_one_multinomial_per_row(s):
-    red = _mixed_lift()
     base = ExactDistAccess(Distribution(np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])))
-    for seed in range(20):
-        ref, rng = Rng(seed), Rng(seed)
-        expected = reference_lift_histogram(red, base.histogram(s, ref), ref.gen)
-        got = LiftedAccess(base, red).histogram(s, rng)
-        assert got.dtype == np.int64 and np.array_equal(got, expected)
-        assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+    for red in _lift_cases():
+        for seed in range(10):
+            ref, rng = Rng(seed), Rng(seed)
+            expected = reference_lift_histogram(red, base.histogram(s, ref), ref.gen)
+            got = LiftedAccess(base, red).histogram(s, rng)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+            assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
 
 
 @pytest.mark.parametrize("s", [0, 1, 500])
 def test_lifted_draw_matches_one_choice_per_sample(s):
     base = ExactDistAccess(Distribution(np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])))
-    for red in (_mixed_lift(), general_to_bipartite(make_line(6))):
+    for red in _lift_cases():
         for seed in range(10):
             ref, rng = Rng(seed), Rng(seed)
             expected = reference_lift_draw(red, base.draw(s, ref), ref.gen)
@@ -255,3 +266,62 @@ def test_lifted_histogram_with_one_copy_draws_nothing():
     src = base.histogram(1000, ref)
     np.testing.assert_array_equal(LiftedAccess(base, red).histogram(1000, rng), src)
     assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+@st.composite
+def bipartite_and_delta(draw):
+    """A random bipartite poset (bottoms and tops interleaved in index order)
+    and a delta from its max degree to two above it, at least 1."""
+    n = draw(st.integers(1, 10))
+    bottom = draw(st.sets(st.integers(0, n - 1)))
+    pairs = [(b, t) for b in sorted(bottom) for t in range(n) if t not in bottom]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    G = make_bipartite(n, edges, bottom=sorted(bottom))
+    delta = max(G.max_degree(), 1) + draw(st.integers(0, 2))
+    return G, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_and_delta(), st.integers(0, 2**32 - 1))
+def test_bipartite_to_matching_equals_reference(case, seed):
+    G, delta = case
+    p = random_distribution(np.random.default_rng(seed), G.n)
+    red = bipartite_to_matching(G, delta)
+    target, q = reference_bipartite_to_matching(G, delta, p.probs)
+    assert red.target == target and repr(red.target) == repr(target)
+    assert red.map_distribution(p).probs.tobytes() == q.tobytes()
+    assert red.copies.shape == (G.n, delta)
+
+
+def test_reduction_rejects_non_integer_copies():
+    with pytest.raises(ValueError, match="integers"):
+        Reduction(make_line(2), make_line(4), 1.0, [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(ValueError, match="integer array"):
+        Reduction(make_line(2), make_line(4), 1.0, [[0, 1], [2]])
+
+
+def test_reduction_rejects_wrong_row_count():
+    with pytest.raises(ValueError, match="shape"):
+        Reduction(make_line(3), make_line(4), 1.0, [[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="shape"):
+        Reduction(make_line(2), make_line(4), 1.0, [0, 1])
+
+
+def test_reduction_rejects_zero_copies():
+    with pytest.raises(ValueError, match="k >= 1"):
+        Reduction(make_line(2), make_line(4), 1.0, np.zeros((2, 0), dtype=np.int64))
+
+
+def test_reduction_rejects_out_of_range_copies():
+    for bad in ([[0, 1], [2, 4]], [[0, -1], [2, 3]]):
+        with pytest.raises(ValueError, match=r"0\.\.3"):
+            Reduction(make_line(2), make_line(4), 1.0, bad)
+
+
+def test_reduction_copies_are_read_only_and_its_own():
+    mine = np.array([[0, 1], [2, 3]])
+    red = Reduction(make_line(2), make_line(4), 1.0, mine)
+    mine[0, 0] = 3
+    assert red.copies.dtype == np.int64 and red.copies[0, 0] == 0
+    with pytest.raises(ValueError):
+        red.copies[0, 0] = 1
