@@ -377,3 +377,27 @@ def lp_min_w_to_monotone_pairhist(g, grid_step: float, max_grid_points: int = 50
         if col > 1e-9:
             out[pt] = col
     return float(obj), PairHistogram(out)
+
+
+# Seed that perfbench/workloads.py draws the oracle workload's instance shapes from.
+ORACLE_BASE_SEED = 1907_03182
+
+
+def bench_shaped_pair_histograms(seed: int, pairs: int = 10) -> list[tuple[PairHistogram, PairHistogram]]:
+    """Pairs of 20- and 22-key pair histograms built the way the benchmark's
+    oracle workload builds its w_distance inputs: keys on a 1/200 grid below
+    0.4 with counts 1-4 drawn from ORACLE_BASE_SEED, every coordinate then
+    moved by at most 0.5% by a generator on `seed`."""
+    base = np.random.default_rng(ORACLE_BASE_SEED)
+    rng = np.random.default_rng(seed)
+
+    def keys(k: int) -> dict:
+        support = {}
+        while len(support) < k:
+            x, y = (int(t) for t in base.integers(0, 80, 2))
+            if x or y:
+                support[(x / 200.0, y / 200.0)] = float(base.integers(1, 5))
+        return {(x * (1 + 0.005 * (2 * rng.random() - 1)), y * (1 + 0.005 * (2 * rng.random() - 1))): c
+                for (x, y), c in support.items()}
+
+    return [(PairHistogram(keys(20)), PairHistogram(keys(22))) for _ in range(pairs)]
