@@ -33,6 +33,7 @@ from .prob import (
     Rng,
     SampleHistogram,
     read_distribution,
+    text_lines,
     write_distribution,
     write_histogram_csv,
 )
@@ -280,8 +281,7 @@ def run_suite(manifest: str, out: str | None, master_seed: int) -> str:
     one line per row with a pass/fail check column. A failed row gets its
     status and one stderr line naming manifest:line; the suite goes on."""
     base = os.path.dirname(os.path.abspath(manifest))
-    with open(manifest, "r", encoding="utf-8") as fh:
-        rows = [(k, ln.strip()) for k, ln in enumerate(fh, 1)]
+    rows = [(k, ln.strip()) for k, ln in enumerate(text_lines(manifest), 1)]
     rows = [(k, ln) for k, ln in rows if ln and not ln.startswith("#")]
     parser = _build_parser()
     results = []

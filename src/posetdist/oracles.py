@@ -8,7 +8,8 @@ Four distances live here, all desk-scale exact:
 * total variation distance to the nearest monotone *distribution* (an LP over
   the monotone simplex),
 * the transport distance W between pair histograms, with unit cost
-  |dx| + |dy| and (0,0) padding to balance totals.
+  |dx| + |dy| and (0,0) padding to balance totals (the transportation network
+  simplex on the dense key-to-key cost matrix; no LP).
 
 LP duality makes the function distance equal the weight of a maximum-weight
 matching on the transitive closure with violation weights max(0, p(u)-p(v)),
@@ -28,10 +29,13 @@ import numpy as np
 
 from .poset import Poset, transitive_closure
 from .prob import Distribution, PairHistogram
-from .simplex import solve_lp
+from .simplex import TOL, LpError, solve_lp
 
 DEFAULT_LP_CAP = 128
 WEIGHT_TOL = 1e-12
+# transportation simplex: pivot limit, and pivots without progress before Bland's rule
+_MAX_ITER = 100_000
+_STALL_LIMIT = 50
 
 
 class SizeCapError(ValueError):
@@ -259,40 +263,122 @@ def closest_monotone_on_matching(G: Poset, p: Distribution) -> Distribution:
     return Distribution(q)
 
 
-def _transport_cost(supply, demand) -> float:
-    """Balanced transportation LP between weighted point lists in the plane
-    under l1 ground cost."""
-    ns, nd = len(supply), len(demand)
-    nvar = ns * nd
-    c = np.empty(nvar)
-    for i, ((x, y), _) in enumerate(supply):
-        for j, ((a, b), _) in enumerate(demand):
-            c[i * nd + j] = abs(x - a) + abs(y - b)
-    A_eq = np.zeros((ns + nd, nvar))
-    b_eq = np.zeros(ns + nd)
-    for i, (_, s) in enumerate(supply):
-        A_eq[i, i * nd : (i + 1) * nd] = 1.0
-        b_eq[i] = s
-    for j, (_, d) in enumerate(demand):
-        A_eq[ns + j, j::nd] = 1.0
-        b_eq[ns + j] = d
-    obj, _ = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
-    return float(obj)
+def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) -> float:
+    """Minimum of sum(cost * flow) over flows with row sums `supply` and
+    column sums `demand` (equal totals), by the transportation simplex.
+
+    The basis is a spanning tree on the ns + nd row and column nodes whose
+    edges are the ns + nd - 1 basic cells; the northwest corner rule gives the
+    first one, zero-flow cells included. Each pivot walks the tree once for
+    the potentials u_i + v_j = cost_ij and the parent and depth pointers,
+    lets the cell of most negative reduced cost enter, and sends the largest
+    feasible flow around the cycle it closes; the lowest-index tied cell on
+    the cycle's minus side leaves. After _STALL_LIMIT pivots without progress
+    the lowest-index improving cell enters instead (Bland's rule), which
+    guarantees termination.
+    """
+    ns, nd = cost.shape
+    c = cost.ravel().tolist()
+    flow = np.zeros(ns * nd)
+    basic = np.zeros(ns * nd, dtype=bool)
+    # node i < ns is row i, node ns + j column j; a tree edge is (node, cell)
+    adj = [[] for _ in range(ns + nd)]
+
+    def link(k: int) -> None:
+        i, j = divmod(k, nd)
+        basic[k] = True
+        adj[i].append((ns + j, k))
+        adj[ns + j].append((i, k))
+
+    rs, rd = list(supply), list(demand)
+    i = j = 0
+    while True:
+        f = min(rs[i], rd[j])
+        flow[i * nd + j] = f
+        link(i * nd + j)
+        rs[i] -= f
+        rd[j] -= f
+        if i == ns - 1 and j == nd - 1:
+            break
+        if j == nd - 1 or (i < ns - 1 and rs[i] <= rd[j]):
+            i += 1
+        else:
+            j += 1
+
+    stall = 0
+    for _ in range(_MAX_ITER):
+        pot = [0.0] * (ns + nd)
+        parent = [-1] * (ns + nd)
+        up_cell = [-1] * (ns + nd)  # the cell joining a node to its parent
+        depth = [0] * (ns + nd)
+        stack = [0]
+        while stack:
+            a = stack.pop()
+            for b, k in adj[a]:
+                if b != parent[a]:
+                    parent[b], up_cell[b], depth[b] = a, k, depth[a] + 1
+                    pot[b] = c[k] - pot[a]
+                    stack.append(b)
+        u = np.array(pot)
+        reduced = (cost - u[:ns, None] - u[None, ns:]).ravel()
+        reduced[basic] = 0.0
+        if stall >= _STALL_LIMIT:
+            below = np.flatnonzero(reduced < -TOL)
+            enter = int(below[0]) if below.size else -1
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -TOL:
+                enter = -1
+        if enter < 0:
+            return float(cost.ravel() @ flow)
+        i, j = divmod(enter, nd)
+        # The tree path from column j back to row i, as the cells along it.
+        a, b = i, ns + j
+        up_a, up_b = [], []
+        while depth[b] > depth[a]:
+            up_b.append(b)
+            b = parent[b]
+        while depth[a] > depth[b]:
+            up_a.append(a)
+            a = parent[a]
+        while a != b:
+            up_b.append(b)
+            b = parent[b]
+            up_a.append(a)
+            a = parent[a]
+        path = [up_cell[z] for z in up_b + up_a[::-1]]
+        minus, plus = path[0::2], path[1::2]
+        theta = flow[minus].min()
+        leave = min(k for k in minus if flow[k] <= theta + TOL)
+        theta = flow[leave]
+        flow[minus] = np.maximum(flow[minus] - theta, 0.0)
+        flow[plus] += theta
+        flow[enter] = theta
+        flow[leave] = 0.0
+        basic[leave] = False
+        li, lj = divmod(leave, nd)
+        adj[li].remove((ns + lj, leave))
+        adj[ns + lj].remove((li, leave))
+        link(enter)
+        stall = 0 if -reduced[enter] * theta > 1e-12 else stall + 1
+    raise LpError("transportation simplex iteration limit exceeded")
 
 
 def w_distance(h: PairHistogram, g: PairHistogram) -> float:
     """Transport distance between pair histograms; per-unit cost |dx| + |dy|,
-    totals balanced by padding the lighter side at (0, 0)."""
-    supply = list(h.items())
-    demand = list(g.items())
-    diff = sum(c for _, c in supply) - sum(c for _, c in demand)
+    totals balanced by padding the lighter side at (0, 0). Solved by the
+    transportation network simplex on the dense key-to-key cost matrix."""
+    sx, sy, supply = h.x, h.y, h.count.tolist()
+    dx, dy, demand = g.x, g.y, g.count.tolist()
+    diff = sum(supply) - sum(demand)
     if diff > 0:
-        demand.append(((0.0, 0.0), diff))
+        dx, dy, demand = np.append(dx, 0.0), np.append(dy, 0.0), demand + [diff]
     elif diff < 0:
-        supply.append(((0.0, 0.0), -diff))
+        sx, sy, supply = np.append(sx, 0.0), np.append(sy, 0.0), supply + [-diff]
     if not supply:
         return 0.0
-    return _transport_cost(supply, demand)
+    cost = np.abs(sx[:, None] - dx) + np.abs(sy[:, None] - dy)
+    return _transport_cost(supply, demand, cost)
 
 
 def min_w_to_monotone_pairhist(g: PairHistogram):

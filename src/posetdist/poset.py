@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .prob import text_lines
+
 # make_hypercube refuses dimensions whose edge list would not fit a desk-scale
 # memory budget (d=16 is ~0.5M edges).
 HYPERCUBE_MAX_DIM = 16
@@ -149,9 +151,7 @@ class Poset:
                 raise PosetError("a matching's bottom set must be its edge tails")
             bottom = tails
         elif self.kind == "bipartite":
-            in_bottom = np.zeros(n, dtype=bool)
-            in_bottom[bottom] = True
-            k = _first(~in_bottom[u] | in_bottom[v])
+            k = _first(~np.isin(u, bottom) | np.isin(v, bottom))
             if k is not None:
                 raise PosetError(f"bipartite edge ({u[k]},{v[k]}) must run bottom -> top")
         elif self.kind == "hypercube":
@@ -241,14 +241,13 @@ class TransitiveClosure:
         return bool(self._bits[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            bits = self._bits[u]
-            while bits:
-                low = bits & -bits
-                out.append((u, low.bit_length() - 1))
-                bits ^= low
-        return out
+        """Every pair (u, v) with reach(u, v), sorted: the row bitsets as one
+        little-endian byte matrix, unpacked to bits in a single call."""
+        width = (self.n + 7) // 8
+        raw = b"".join(bits.to_bytes(width, "little") for bits in self._bits)
+        matrix = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
+        u, v = np.nonzero(np.unpackbits(matrix, axis=1, bitorder="little"))
+        return list(zip(u.tolist(), v.tolist()))
 
     def successors(self, u: int) -> list[int]:
         out = []
@@ -307,8 +306,7 @@ def read_poset(path) -> Poset:
     line also its 1-based number. Structural faults (range, self-loop, cycle,
     kind) come from the Poset checks, prefixed with the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        numbered = [(k, ln.strip()) for k, ln in enumerate(fh, 1)]
+    numbered = [(k, ln.strip()) for k, ln in enumerate(text_lines(path, PosetError), 1)]
     lines = [(k, ln) for k, ln in numbered if ln and not ln.startswith("#")]
     if not lines:
         raise PosetError(f"{path}: empty poset file")

@@ -327,6 +327,25 @@ class ExactDistAccess(SampleAccess):
         return multinomial_histogram(self.dist, s, rng).counts.copy()
 
 
+def text_lines(path, error: type[ValueError] = ValueError):
+    """The lines of a UTF-8 text file, as iterating open(path, encoding="utf-8")
+    yields them. Bytes that are not UTF-8 raise `error` naming the file and the
+    1-based line and column of the first bad byte."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+            raise error(f"{path}:{line}: not UTF-8 text: byte 0x{data[exc.start]:02x} at column {col}") from None
+        raise
+
+
 def read_distribution(path) -> Distribution:
     """One decimal probability per line; the sum is validated.
 
@@ -334,15 +353,14 @@ def read_distribution(path) -> Distribution:
     also the 1-based line.
     """
     vals = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for k, ln in enumerate(fh, 1):
-            tok = ln.strip()
-            if not tok or tok.startswith("#"):
-                continue
-            try:
-                vals.append(float(tok))
-            except ValueError:
-                raise ValueError(f"{path}:{k}: not a number: {tok!r}") from None
+    for k, ln in enumerate(text_lines(path), 1):
+        tok = ln.strip()
+        if not tok or tok.startswith("#"):
+            continue
+        try:
+            vals.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{path}:{k}: not a number: {tok!r}") from None
     try:
         return Distribution(np.array(vals))
     except ValueError as exc:
@@ -361,23 +379,24 @@ def read_histogram_csv(path) -> SampleHistogram:
     Blank lines are skipped; errors name the file and the 1-based line.
     """
     counts: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "index,count":
-            raise ValueError(f"{path}:1: expected 'index,count' header")
-        for k, ln in enumerate(fh, 2):
-            line = ln.strip()
-            if not line:
-                continue
-            try:
-                i, c = (int(tok) for tok in line.split(","))
-            except ValueError:
-                raise ValueError(f"{path}:{k}: expected two integers 'index,count', got {line!r}") from None
-            if i < 0 or c < 0:
-                raise ValueError(f"{path}:{k}: negative index or count: {line!r}")
-            if i in counts:
-                raise ValueError(f"{path}:{k}: duplicate index {i}")
-            counts[i] = c
+    lines = text_lines(path)
+    if next(lines, "").strip() != "index,count":
+        raise ValueError(f"{path}:1: expected 'index,count' header")
+    for k, ln in enumerate(lines, 2):
+        line = ln.strip()
+        if not line:
+            continue
+        try:
+            i, c = (int(tok) for tok in line.split(","))
+        except ValueError:
+            raise ValueError(f"{path}:{k}: expected two integers 'index,count', got {line!r}") from None
+        if i < 0 or c < 0:
+            raise ValueError(f"{path}:{k}: negative index or count: {line!r}")
+        if c >= 1 << 63:
+            raise ValueError(f"{path}:{k}: count does not fit in 64 bits: {line!r}")
+        if i in counts:
+            raise ValueError(f"{path}:{k}: duplicate index {i}")
+        counts[i] = c
     n = max(counts, default=-1) + 1
     vec = np.zeros(n, dtype=np.int64)
     for i, c in counts.items():

@@ -401,3 +401,38 @@ def bench_shaped_pair_histograms(seed: int, pairs: int = 10) -> list[tuple[PairH
                 for (x, y), c in support.items()}
 
     return [(PairHistogram(keys(20)), PairHistogram(keys(22))) for _ in range(pairs)]
+
+
+def reference_transport_cost(supply, demand) -> float:
+    """Balanced transportation problem between weighted point lists
+    [((x, y), mass), ...] under l1 ground cost, as one dense equality LP on
+    the library's simplex: a row per supply and per demand point, a column
+    per pair."""
+    ns, nd = len(supply), len(demand)
+    nvar = ns * nd
+    c = np.empty(nvar)
+    for i, ((x, y), _) in enumerate(supply):
+        for j, ((a, b), _) in enumerate(demand):
+            c[i * nd + j] = abs(x - a) + abs(y - b)
+    A_eq = np.zeros((ns + nd, nvar))
+    b_eq = np.zeros(ns + nd)
+    for i, (_, s) in enumerate(supply):
+        A_eq[i, i * nd : (i + 1) * nd] = 1.0
+        b_eq[i] = s
+    for j, (_, d) in enumerate(demand):
+        A_eq[ns + j, j::nd] = 1.0
+        b_eq[ns + j] = d
+    obj, _ = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
+    return float(obj)
+
+
+def reference_closure_edges(tc) -> list[tuple[int, int]]:
+    """TransitiveClosure.edges() by walking each row bitset one bit at a time."""
+    out = []
+    for u in range(tc.n):
+        bits = tc._bits[u]
+        while bits:
+            low = bits & -bits
+            out.append((u, low.bit_length() - 1))
+            bits ^= low
+    return out

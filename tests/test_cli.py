@@ -242,6 +242,29 @@ def test_malformed_distribution_exits_2_with_file_and_line(workdir, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("which", ["poset", "dist"])
+def test_non_utf8_input_exits_2_with_file_and_line(workdir, capsys, which):
+    bad = workdir / f"bad.{which}"
+    good = (workdir / f"line3.{which}").read_bytes()
+    bad.write_bytes(good.replace(b"\n", b"\n\xff", 1))
+    files = {"poset": str(workdir / "line3.poset"), "dist": str(workdir / "line3.dist"), which: str(bad)}
+    rc = main(["oracle", "--poset", files["poset"], "--dist", files["dist"]])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text: byte 0xff at column 1\n"
+    manifest = workdir / "bad.suite"
+    manifest.write_text(f"verb=oracle poset={files['poset']} dist={files['dist']}\n")
+    assert run_suite(str(manifest), None, 0).splitlines()[1] == "0,0,2,0.0,fail"
+    assert f"{manifest}:1: row 0: {bad}:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_exits_2_with_file_and_line(workdir, capsys):
+    manifest = workdir / "bad.suite"
+    manifest.write_bytes(b"# rows\nverb=oracle poset=line3.poset dist=line3.dist\nverb=\xe2\x82\n")
+    rc = main(["suite", "--manifest", str(manifest)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {manifest}:3: not UTF-8 text: byte 0xe2 at column 6\n"
+
+
 def test_structural_poset_fault_exits_2_with_file(workdir, capsys):
     bad = workdir / "bad.poset"
     bad.write_text("3 1 general\n0 5\n")

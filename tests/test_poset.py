@@ -19,7 +19,7 @@ from posetdist import (
 )
 from posetdist.poset import KINDS, closure_poset
 
-from genutil import random_dag, reference_poset_check
+from genutil import random_bipartite, random_dag, reference_closure_edges, reference_poset_check
 
 
 def test_make_line():
@@ -73,6 +73,27 @@ def test_transitive_closure_examples():
     tc = transitive_closure(make_hypercube(2))
     added = set(tc.edges()) - set(make_hypercube(2).edges)
     assert added == {(0, 3)}
+
+
+@pytest.mark.parametrize("G", [
+    Poset(0, ()), Poset(1, ()), Poset(9, ((0, 8), (8, 3)), kind="general"),
+    make_line(1), make_line(17), make_matching(5), make_hypercube(1), make_hypercube(6),
+    make_bipartite(12, [(0, 7), (1, 7), (2, 11), (3, 8)], bottom=range(6)),
+], ids=lambda G: f"{G.kind}-{G.n}")
+def test_closure_edges_match_the_bit_walk(G):
+    tc = transitive_closure(G)
+    got = tc.edges()
+    assert got == reference_closure_edges(tc)
+    assert all(type(u) is int and type(v) is int for u, v in got)
+
+
+def test_closure_edges_match_the_bit_walk_on_random_posets():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        for G in (random_dag(rng, int(rng.integers(1, 40)), float(rng.uniform(0.05, 0.5))),
+                  random_bipartite(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))):
+            tc = transitive_closure(G)
+            assert tc.edges() == reference_closure_edges(tc)
 
 
 def test_closure_idempotent():

@@ -1,10 +1,17 @@
-"""w_distance: values pinned on benchmark-shaped and hand-made pair histograms."""
+"""w_distance: pinned values, and the network simplex against two LP routes
+(the library's dense simplex on the equality LP, and scipy's HiGHS)."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from posetdist import PairHistogram, w_distance
+from posetdist import oracles
+from posetdist.simplex import LpError
 
-from genutil import bench_shaped_pair_histograms
+from genutil import bench_shaped_pair_histograms, reference_transport_cost
 
 # w_distance on bench_shaped_pair_histograms(101), in order.
 BENCH_PINS = [
@@ -31,3 +38,86 @@ def test_w_distance_bench_shaped_pins():
 @pytest.mark.parametrize("h, g, want", HAND_PINS)
 def test_w_distance_hand_pins(h, g, want):
     assert w_distance(PairHistogram(h), PairHistogram(g)) == pytest.approx(want, rel=1e-12)
+
+
+def _padded(h: PairHistogram, g: PairHistogram):
+    """Supply and demand point lists with the lighter side padded at (0, 0)."""
+    supply, demand = h.items(), g.items()
+    diff = sum(c for _, c in supply) - sum(c for _, c in demand)
+    if diff > 0:
+        demand.append(((0.0, 0.0), diff))
+    elif diff < 0:
+        supply.append(((0.0, 0.0), -diff))
+    return supply, demand
+
+
+def _highs_cost(supply, demand) -> float:
+    cost = np.array([[abs(x - a) + abs(y - b) for (a, b), _ in demand] for (x, y), _ in supply])
+    ns, nd = cost.shape
+    rows = np.zeros((ns + nd, ns * nd))
+    for i in range(ns):
+        rows[i, i * nd : (i + 1) * nd] = 1.0
+    for j in range(nd):
+        rows[ns + j, j::nd] = 1.0
+    rhs = [c for _, c in supply] + [c for _, c in demand]
+    res = linprog(cost.ravel(), A_eq=rows, b_eq=rhs, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _check_against_references(h: PairHistogram, g: PairHistogram) -> None:
+    got = w_distance(h, g)
+    supply, demand = _padded(h, g)
+    if not supply:
+        assert got == 0.0
+        return
+    for ref in (reference_transport_cost(supply, demand), _highs_cost(supply, demand)):
+        assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+# Keys on a fine grid, or on a 1/4 grid where equal costs force ties and
+# degenerate pivots; counts integer or fractional.
+_fine = st.integers(0, 1000).map(lambda k: k / 1000)
+_coarse = st.integers(0, 4).map(lambda k: k / 4)
+_counts = st.one_of(st.integers(1, 5).map(float), st.floats(0.01, 5.0, allow_nan=False))
+
+
+@st.composite
+def pair_hists(draw, coords, max_keys=8):
+    keys = draw(st.lists(st.tuples(coords, coords).filter(any), max_size=max_keys, unique=True))
+    return PairHistogram({k: draw(_counts) for k in keys})
+
+
+_hists = st.one_of(pair_hists(_fine), pair_hists(_coarse))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_hists, _hists)
+@example(PairHistogram({(0.25, 0.5): 2.0}), PairHistogram({(0.5, 0.0): 2.0}))  # 1 x 1
+@example(PairHistogram({}), PairHistogram({(0.25, 0.5): 1.5, (1.0, 0.75): 3.0}))
+@example(PairHistogram({(0.25, 0.5): 1.5, (1.0, 0.75): 3.0}), PairHistogram({}))
+@example(PairHistogram({}), PairHistogram({}))
+def test_w_distance_matches_lp_routes(h, g):
+    _check_against_references(h, g)
+
+
+@settings(deadline=None, max_examples=50)
+@given(_hists)
+def test_w_distance_to_itself_is_zero(h):
+    assert w_distance(h, h) == 0.0
+
+
+def test_bland_from_the_first_pivot_matches_reference(monkeypatch):
+    monkeypatch.setattr(oracles, "_STALL_LIMIT", 0)
+    for h, g in bench_shaped_pair_histograms(7, pairs=3):
+        _check_against_references(h, g)
+        _check_against_references(h.scaled(0.0, 1.0), g.scaled(1.0, 0.0))
+    coarse = PairHistogram({(0.25, 0.5): 2, (0.5, 0.25): 1, (0.5, 0.5): 3, (0.0, 0.75): 1})
+    _check_against_references(coarse, PairHistogram({(0.25, 0.25): 4, (0.75, 0.5): 1, (0.5, 0.5): 2}))
+
+
+def test_iteration_limit_raises(monkeypatch):
+    monkeypatch.setattr(oracles, "_MAX_ITER", 1)
+    h, g = bench_shaped_pair_histograms(101, pairs=1)[0]
+    with pytest.raises(LpError, match="iteration limit"):
+        w_distance(h, g)
