@@ -29,13 +29,10 @@ import numpy as np
 
 from .poset import Poset, transitive_closure
 from .prob import Distribution, PairHistogram
-from .simplex import TOL, LpError, solve_lp
+from .simplex import _MAX_ITER, _STALL_LIMIT, TOL, LpError, solve_lp
 
 DEFAULT_LP_CAP = 128
 WEIGHT_TOL = 1e-12
-# transportation simplex: pivot limit, and pivots without progress before Bland's rule
-_MAX_ITER = 100_000
-_STALL_LIMIT = 50
 
 
 class SizeCapError(ValueError):
@@ -275,7 +272,8 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
     feasible flow around the cycle it closes; the lowest-index tied cell on
     the cycle's minus side leaves. After _STALL_LIMIT pivots without progress
     the lowest-index improving cell enters instead (Bland's rule), which
-    guarantees termination.
+    guarantees termination; the stall and pivot limits are the dense
+    simplex's, and LpError reports a run past _MAX_ITER pivots.
     """
     ns, nd = cost.shape
     c = cost.ravel().tolist()
