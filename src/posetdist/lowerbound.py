@@ -389,6 +389,8 @@ def indistinguishability_probe(
     Wilson 95% half-width. This lower-bounds the histogram TV distance; it
     cannot certify an upper bound. A trial whose events fail max_retries
     draws in a row raises ParameterError: the events are too rare at this n.
+    So does, before any draw, a regime where the far side's z = ceil(beta*n*gap/2)
+    zeros leave raw mass at most (n - z) * max(atoms_far) / n < 1 - nu.
     """
     s_values = [int(s) for s in s_values]
     if n < 1:
@@ -397,6 +399,11 @@ def indistinguishability_probe(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if any(s < 0 for s in s_values):
         raise ValueError(f"sample rates must be nonnegative, got {s_values}")
+    zeros = math.ceil(priors.beta * n * priors.gap / 2.0)
+    top_mass = (n - zeros) * float(priors.atoms_far.max()) / n
+    if top_mass < 1 - priors.nu:
+        raise ParameterError(f"the far side's events cannot hold at n={n}: {zeros} of {n} elements at zero weight "
+                             f"leave raw mass at most {top_mass:.6g} < 1 - nu = {1 - priors.nu:.6g}")
     rows = []
     stream = 1_000_000
     for s in s_values:

@@ -5,8 +5,8 @@ Four distances live here, all desk-scale exact:
 * distance to T-bigness (closed form),
 * l1 distance from a distribution to the nearest monotone *function*
   (an LP over per-vertex perturbations),
-* total variation distance to the nearest monotone *distribution* (an LP over
-  the monotone simplex),
+* total variation distance to the nearest monotone *distribution* (the same
+  LP plus one row holding the perturbation's mass at 0),
 * the transport distance W between pair histograms, with unit cost
   |dx| + |dy| and (0,0) padding to balance totals (the transportation network
   simplex on the dense key-to-key cost matrix; no LP).
@@ -75,6 +75,18 @@ def dist_to_bigness(p: Distribution, threshold: float) -> float:
     return float(np.maximum(0.0, threshold - p.probs).sum())
 
 
+def _monotone_rows(G: Poset, p: Distribution):
+    """Rows (A, b) of A z <= b over z = [x+, x-], one per edge (u, v) in edge
+    order: x(v) - x(u) >= p(u) - p(v), i.e. p + x is monotone on that edge."""
+    n = G.n
+    u, v = G.edge_array.T
+    k = np.arange(len(u))
+    A = np.zeros((len(u), 2 * n))
+    A[k, u] = A[k, n + v] = 1.0
+    A[k, v] = A[k, n + u] = -1.0
+    return A, p.probs[v] - p.probs[u]
+
+
 def func_dist_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CAP):
     """Minimal l1 perturbation x making p + x a monotone function on G.
 
@@ -86,57 +98,35 @@ def func_dist_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CA
     if p.n != G.n:
         raise ValueError("distribution length does not match poset")
     n = G.n
-    m = len(G.edges)
-    c = np.ones(2 * n)
-    if m == 0:
+    if not G.edges:
         return 0.0, LpSolution(0.0, np.zeros(n))
-    A = np.zeros((m, 2 * n))
-    b = np.zeros(m)
-    for k, (u, v) in enumerate(G.edges):
-        # x(v) - x(u) >= p(u) - p(v), written as <=
-        A[k, u] = 1.0
-        A[k, n + u] = -1.0
-        A[k, v] = -1.0
-        A[k, n + v] = 1.0
-        b[k] = p.probs[v] - p.probs[u]
-    obj, z = solve_lp(c, A_ub=A, b_ub=b)
+    A, b = _monotone_rows(G, p)
+    obj, z = solve_lp(np.ones(2 * n), A_ub=A, b_ub=b)
     x = z[:n] - z[n:]
     return float(obj), LpSolution(float(obj), x)
 
 
 def exact_dtv_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CAP) -> float:
-    """TV distance from p to the set of monotone distributions on G, by LP."""
+    """TV distance from p to the set of monotone distributions on G, by LP.
+
+    The function-distance LP plus one mass row: minimize sum(x+ + x-)/2 over
+    the edge rows of func_dist_to_monotone and sum(x+) - sum(x-) = 0, so that
+    q = p + x is monotone with mass 1. No q >= 0 rows are needed: clipping a
+    monotone q of mass 1 at 0 keeps it monotone and, as p >= 0, lowers
+    ||q - p||_1 by exactly the mass N it adds; rescaling by 1/(1 + N) keeps it
+    monotone and moves it by N in l1, so the result is a monotone
+    distribution no farther from p.
+    """
     if G.n > lp_cap:
         raise SizeCapError(f"n={G.n} exceeds LP cap {lp_cap}")
     if p.n != G.n:
         raise ValueError("distribution length does not match poset")
     n = G.n
-    m = len(G.edges)
-    # Variables [q_0..q_{n-1}, t_0..t_{n-1}]: minimize sum(t)/2 with t >= |q - p|,
-    # q in the monotone simplex.
-    c = np.concatenate([np.zeros(n), np.full(n, 0.5)])
-    A_rows = []
-    b_rows = []
-    for i in range(n):
-        row = np.zeros(2 * n)
-        row[i] = 1.0
-        row[n + i] = -1.0
-        A_rows.append(row)
-        b_rows.append(p.probs[i])  # q_i - t_i <= p_i
-        row = np.zeros(2 * n)
-        row[i] = -1.0
-        row[n + i] = -1.0
-        A_rows.append(row)
-        b_rows.append(-p.probs[i])  # -q_i - t_i <= -p_i
-    for u, v in G.edges:
-        row = np.zeros(2 * n)
-        row[u] = 1.0
-        row[v] = -1.0
-        A_rows.append(row)
-        b_rows.append(0.0)  # q_u <= q_v
-    A_eq = np.zeros((1, 2 * n))
-    A_eq[0, :n] = 1.0
-    obj, _ = solve_lp(c, A_ub=np.array(A_rows), b_ub=np.array(b_rows), A_eq=A_eq, b_eq=[1.0])
+    if not G.edges:
+        return 0.0
+    A, b = _monotone_rows(G, p)
+    mass = np.repeat([[1.0, -1.0]], n, axis=1)  # sum(x+) - sum(x-)
+    obj, _ = solve_lp(np.full(2 * n, 0.5), A_ub=A, b_ub=b, A_eq=mass, b_eq=[0.0])
     return float(obj)
 
 

@@ -103,6 +103,44 @@ def far_matching_dist(rng: np.random.Generator, n_pairs: int, eps: float) -> tup
     return p, dist
 
 
+def reference_dtv_lp(G: Poset, p: Distribution):
+    """TV distance to the monotone distributions as an LP on the defining
+    polytope: variables [q, t], minimize sum(t)/2 subject to |q - p| <= t,
+    q(u) <= q(v) on every edge, sum(q) = 1 (and q >= 0 by the variable
+    bounds). Returns (c, A_ub, b_ub, A_eq, b_eq), rows built one at a time."""
+    n = G.n
+    c = np.concatenate([np.zeros(n), np.full(n, 0.5)])
+    A_rows = []
+    b_rows = []
+    for i in range(n):
+        row = np.zeros(2 * n)
+        row[i] = 1.0
+        row[n + i] = -1.0
+        A_rows.append(row)
+        b_rows.append(p.probs[i])  # q_i - t_i <= p_i
+        row = np.zeros(2 * n)
+        row[i] = -1.0
+        row[n + i] = -1.0
+        A_rows.append(row)
+        b_rows.append(-p.probs[i])  # -q_i - t_i <= -p_i
+    for u, v in G.edges:
+        row = np.zeros(2 * n)
+        row[u] = 1.0
+        row[v] = -1.0
+        A_rows.append(row)
+        b_rows.append(0.0)  # q_u <= q_v
+    A_eq = np.zeros((1, 2 * n))
+    A_eq[0, :n] = 1.0
+    return c, np.array(A_rows), np.array(b_rows), A_eq, np.array([1.0])
+
+
+def reference_dtv_to_monotone(G: Poset, p: Distribution) -> float:
+    """reference_dtv_lp solved by the library's simplex."""
+    c, A_ub, b_ub, A_eq, b_eq = reference_dtv_lp(G, p)
+    obj, _ = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    return float(obj)
+
+
 # Dict-loop references for the pair-histogram pipeline of the matching tester:
 # one Python pass per key, the way the library computed it before its
 # histograms became sorted numpy arrays. Each returns plain sorted dicts.

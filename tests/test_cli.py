@@ -513,7 +513,7 @@ def test_lb_bad_inputs_are_status_2_in_a_suite(workdir, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-# one element never meets the far side's events: every retry fails
+# one element never meets the far side's events: refused before any draw
 STARVED_PROBE = ["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "1", "--s-values", "0",
                  "--trials", "3"]
 
@@ -521,7 +521,7 @@ STARVED_PROBE = ["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n
 def test_lb_probe_failed_conditioning_exits_3(capsys):
     assert main(STARVED_PROBE) == EXIT_INFEASIBLE
     err = capsys.readouterr().err
-    assert err.startswith("infeasible parameters: ") and "after 200 retries at s=0, n=1" in err
+    assert err.startswith("infeasible parameters: ") and "the far side's events cannot hold at n=1" in err
     assert "Traceback" not in err
 
 
@@ -530,4 +530,4 @@ def test_lb_probe_failed_conditioning_is_status_3_in_a_suite(workdir, capsys):
     manifest.write_text("verb=lb-probe nu=0.5 lambda=6 L=4 n=1 s_values=0 trials=3\n")
     out = run_suite(str(manifest), None, 0)
     assert out.split("\n")[1] == f"0,0,{EXIT_INFEASIBLE},0.0,fail"
-    assert "infeasible parameters: event conditioning failed after 200 retries" in capsys.readouterr().err
+    assert "infeasible parameters: the far side's events cannot hold at n=1" in capsys.readouterr().err

@@ -331,7 +331,7 @@ def _oracle_inputs(name: str):
 
 
 GOLDEN_ORACLE_CSV = {
-    "cube5": 'd_tv,matching_weight,lp_value\n0.29037334449855556,0.5590136694871812,0.5590136694871812\n',
+    "cube5": 'd_tv,matching_weight,lp_value\n0.2903733444985554,0.5590136694871812,0.5590136694871812\n',
     "dag40": 'd_tv,matching_weight,lp_value\n0.24666857189935612,0.4853439818113151,0.4853439818113151\n',
     "bipartite": 'd_tv,matching_weight,lp_value\n0.07949292189799255,0.15898584379598507,0.1589858437959851\n',
     "matching": 'd_tv,matching_weight,lp_value\n0.1831213082571746,0.3662426165143492,0.3662426165143492\n',

@@ -231,6 +231,31 @@ def test_normalized_views_are_built_on_first_read():
 
 
 def test_probe_reports_failed_conditioning_as_infeasible():
-    # one element never meets the far side's zero-count and raw-mass events together
+    # the up-front mass bound (100 >= 1 - nu) passes, but one element's raw
+    # mass is 0 or 100, never within nu of 1: every retry fails
     with pytest.raises(ParameterError, match="after 5 retries at s=0, n=1"):
-        indistinguishability_probe(build_priors(0.5, 6.0, 4), 1, [0], 3, Rng(0), max_retries=5)
+        indistinguishability_probe(_hand_priors([0.0, 100.0], [0.5, 0.5]), 1, [0], 3, Rng(0), max_retries=5)
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("setting", BENCH_PRIORS)
+def test_probe_refuses_impossible_regime_before_drawing(monkeypatch, setting):
+    priors = build_priors(*setting)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        raise _Drawn
+
+    monkeypatch.setattr("posetdist.lowerbound.generate_instance", counting)
+    # one element cannot be a zero and carry raw mass 1 - nu at once
+    with pytest.raises(ParameterError, match="the far side's events cannot hold at n=1"):
+        indistinguishability_probe(priors, 1, [0, 20], 3, Rng(0))
+    assert calls == []
+    for n in (2, 3, 50):
+        with pytest.raises(_Drawn):
+            indistinguishability_probe(priors, n, [0], 3, Rng(0))
+    assert len(calls) == 3

@@ -1,5 +1,10 @@
+import graphlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from posetdist import (
     Distribution,
@@ -11,6 +16,7 @@ from posetdist import (
     exact_dtv_to_monotone,
     func_dist_to_monotone,
     is_monotone,
+    make_bipartite,
     make_hypercube,
     make_line,
     make_matching,
@@ -32,6 +38,8 @@ from genutil import (
     random_bipartite,
     random_dag,
     random_distribution,
+    reference_dtv_lp,
+    reference_dtv_to_monotone,
 )
 
 
@@ -162,6 +170,64 @@ def test_exact_dtv_examples_and_sandwich():
         d = exact_dtv_to_monotone(G, p)
         W = max_violation_matching(G, p).weight
         assert W / 2 - 1e-9 <= d <= W + 1e-9
+
+
+@st.composite
+def dtv_instances(draw):
+    """(G, p, shape): a poset of any kind, edgeless and one-vertex ones
+    included, with a random, point-mass or already monotone p."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["line", "matching", "bipartite", "hypercube", "general"]))
+    if kind == "line":
+        G = make_line(draw(st.integers(1, 12)))
+    elif kind == "matching":
+        G = make_matching(draw(st.integers(1, 6)))
+    elif kind == "bipartite":
+        n_bottom, n_top = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+        if draw(st.booleans()):
+            G = random_bipartite(rng, n_bottom, n_top, edge_prob=draw(st.sampled_from([0.3, 0.7])))
+        else:
+            G = make_bipartite(n_bottom + n_top, [], bottom=range(n_bottom))
+    elif kind == "hypercube":
+        G = make_hypercube(draw(st.integers(1, 4)))
+    else:
+        G = random_dag(rng, draw(st.integers(1, 12)), edge_prob=draw(st.sampled_from([0.0, 0.2, 0.5])))
+    shape = draw(st.sampled_from(["random", "point", "monotone"]))
+    p = random_distribution(rng, G.n)
+    if shape == "point":
+        probs = np.zeros(G.n)
+        probs[draw(st.integers(0, G.n - 1))] = 1.0
+        p = Distribution(probs)
+    elif shape == "monotone":
+        # ascending values along a linear extension
+        preds = {v: set() for v in range(G.n)}
+        for u, v in G.edges:
+            preds[v].add(u)
+        order = list(graphlib.TopologicalSorter(preds).static_order())
+        probs = np.empty(G.n)
+        probs[order] = np.sort(p.probs)
+        p = Distribution(probs)
+    return G, p, shape
+
+
+def _highs_dtv(G, p) -> float:
+    c, A_ub, b_ub, A_eq, b_eq = reference_dtv_lp(G, p)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtv_instances())
+def test_exact_dtv_matches_the_polytope_lp(inst):
+    G, p, shape = inst
+    d = exact_dtv_to_monotone(G, p)
+    for ref in (reference_dtv_to_monotone(G, p), _highs_dtv(G, p)):
+        assert d == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    W = max_violation_matching(G, p).weight
+    assert W / 2 - 1e-9 <= d <= W + 1e-9
+    if shape == "monotone" or not G.edges:
+        assert d == pytest.approx(0.0, abs=1e-12)
 
 
 def test_closest_monotone_on_matching():
