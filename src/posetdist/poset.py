@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prob import text_lines
+from .prob import MAX_DOMAIN, _blocks, _content, _parse_or_locate, text_lines
 
-# make_hypercube refuses dimensions whose edge list would not fit a desk-scale
-# memory budget (d=16 is ~0.5M edges).
+# Desk-scale capacity limits. make_hypercube refuses dimensions whose edge
+# list would not fit the memory budget (d=16 is ~0.5M edges), and read_poset
+# refuses a header that declares more than MAX_DOMAIN vertices (2^22, shared
+# with read_histogram_csv's indexes and defined with the readers in prob.py).
 HYPERCUBE_MAX_DIM = 16
 
 MONOTONE_TOL = 1e-12
@@ -37,25 +39,30 @@ class CapacityError(PosetError):
     """Requested construction exceeds the desk-scale capacity budget."""
 
 
-def _check_acyclic(n: int, edges) -> list[int]:
-    """Return a topological order, raising PosetError on a cycle."""
-    adj = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u, v in edges:
-        adj[u].append(v)
-        indeg[v] += 1
-    stack = [v for v in range(n) if indeg[v] == 0]
+def _check_acyclic(edges: np.ndarray) -> list[int]:
+    """A topological order of the vertices that lie on an edge (any other
+    vertex fits anywhere), by Kahn's algorithm on the (m, 2) edge array
+    sorted by tail, where the out-neighbours of a vertex are one slice of the
+    heads. Only vertices on an edge are visited, so the cost follows the
+    edges, not the vertex count. PosetError on a cycle."""
+    verts, ends = np.unique(edges.ravel(), return_inverse=True)
+    u, v = ends.reshape(-1, 2).T  # labels 0..k-1 in vertex order, so u stays sorted
+    k = verts.size
+    first = np.searchsorted(u, np.arange(k + 1)).tolist()
+    heads = v.tolist()
+    indeg = np.bincount(v, minlength=k).tolist()
+    stack = [w for w in range(k) if not indeg[w]]
     order = []
     while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in adj[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    if len(order) != n:
+        w = stack.pop()
+        order.append(w)
+        for x in heads[first[w] : first[w + 1]]:
+            indeg[x] -= 1
+            if not indeg[x]:
+                stack.append(x)
+    if len(order) != k:
         raise PosetError("edge relation contains a cycle")
-    return order
+    return verts[order].tolist()
 
 
 def _int_array(values, ndim: int, message: str) -> np.ndarray:
@@ -139,7 +146,7 @@ class Poset:
         # hypercube edges run from lower to higher indices, matching edges are
         # vertex-disjoint, and bipartite edges run from bottom to top.
         if self.kind == "general":
-            _check_acyclic(n, self.edges)
+            _check_acyclic(a)
         elif self.kind == "line":
             if len(a) != max(n - 1, 0) or (u != np.arange(len(a))).any() or (v != u + 1).any():
                 raise PosetError("line kind requires exactly the edges (i, i+1)")
@@ -240,13 +247,18 @@ class TransitiveClosure:
     def reach(self, u: int, v: int) -> bool:
         return bool(self._bits[u] >> v & 1)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Every pair (u, v) with reach(u, v), sorted: the row bitsets as one
-        little-endian byte matrix, unpacked to bits in a single call."""
+    def edge_array(self) -> np.ndarray:
+        """Every pair (u, v) with reach(u, v) as a sorted (m, 2) int64 array:
+        the row bitsets as one little-endian byte matrix, unpacked to bits in
+        a single call."""
         width = (self.n + 7) // 8
         raw = b"".join(bits.to_bytes(width, "little") for bits in self._bits)
         matrix = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
-        u, v = np.nonzero(np.unpackbits(matrix, axis=1, bitorder="little"))
+        return np.argwhere(np.unpackbits(matrix, axis=1, bitorder="little")).astype(np.int64, copy=False)
+
+    def edges(self) -> list[tuple[int, int]]:
+        """edge_array() as a list of Python-int pairs."""
+        u, v = self.edge_array().T
         return list(zip(u.tolist(), v.tolist()))
 
     def successors(self, u: int) -> list[int]:
@@ -263,8 +275,9 @@ def transitive_closure(G: Poset) -> TransitiveClosure:
     """Compute reach(u, v) for all pairs by sweeping a topological order
     backwards. Only a general poset needs a sort for it: line and hypercube
     edges run upwards, and matching and bipartite heads have no out-edges, so
-    for those kinds descending index order is a valid sweep."""
-    order = _check_acyclic(G.n, G.edges) if G.kind == "general" else range(G.n)
+    for those kinds descending index order is a valid sweep. A general
+    poset's order leaves out the vertices on no edge, which reach nothing."""
+    order = _check_acyclic(G.edge_array) if G.kind == "general" else range(G.n)
     adj = G.adjacency()
     bits = [0] * G.n
     for u in reversed(order):
@@ -277,7 +290,7 @@ def transitive_closure(G: Poset) -> TransitiveClosure:
 
 def closure_poset(G: Poset) -> Poset:
     """The closure relation itself as a general-kind poset."""
-    return Poset(G.n, tuple(transitive_closure(G).edges()), kind="general")
+    return Poset(G.n, transitive_closure(G).edge_array(), kind="general")
 
 
 def is_monotone(G: Poset, probs, tol: float = MONOTONE_TOL) -> bool:
@@ -289,23 +302,63 @@ def is_monotone(G: Poset, probs, tol: float = MONOTONE_TOL) -> bool:
     return bool(np.all(p[u] <= p[v] + tol))
 
 
-def _ints(path, lineno: int, toks, count: int | None = None) -> list[int]:
-    """Parse the integer tokens of one file line; count, if given, is exact."""
+def _edge_block(lines: list[str]) -> np.ndarray:
+    """The integer pairs of edge lines that hold exactly two tokens each, as
+    a flat int64 array. A token beyond int64 names no vertex; its block stays
+    an object array of Python ints, so that Poset words the fault as it does
+    for a list of pairs."""
+    if set(map(len, map(str.split, lines))) != {2}:
+        raise ValueError
+    vals = list(map(int, " ".join(lines).split()))
+    try:
+        return np.array(vals, dtype=np.int64)
+    except OverflowError:
+        return np.array(vals, dtype=object)
+
+
+def _parse_poset(path):
+    """(n, edges, kind, bottom) of a poset file, read in blocks; a bare
+    ValueError on any fault."""
+    head, m, parts, bottom = None, 0, [], None  # m: edge lines still to come
+    with open(path, "r", encoding="utf-8") as fh:
+        for lines in _blocks(fh):
+            rows = _content(lines)
+            if head is None and rows:
+                head = rows.pop(0).split()
+                if len(head) != 3:
+                    raise ValueError
+                n, m, kind = int(head[0]), int(head[1]), head[2]
+                if kind not in KINDS or n > MAX_DOMAIN or m < 0:
+                    raise ValueError
+            if m and rows:
+                edge_rows, rows = rows[:m], rows[m:]
+                parts.append(_edge_block(edge_rows))
+                m -= len(edge_rows)
+            for row in rows:
+                if bottom is not None or not row.startswith("bottom:"):
+                    raise ValueError
+                bottom = tuple(map(int, row[len("bottom:") :].split()))
+    if head is None or m:
+        raise ValueError
+    edges = np.concatenate(parts or [np.empty(0, dtype=np.int64)]).reshape(-1, 2)
+    return n, edges.tolist() if edges.dtype == object else edges, kind, bottom or ()
+
+
+def _check_ints(path, lineno: int, toks, count: int | None = None) -> None:
+    """Raise the error naming a file line whose tokens are not all integers
+    or, when count is given, not exactly count of them."""
     if count is not None and len(toks) != count:
         raise PosetError(f"{path}:{lineno}: expected {count} integers, got {len(toks)}")
     try:
-        return [int(tok) for tok in toks]
+        for tok in toks:
+            int(tok)
     except ValueError:
         raise PosetError(f"{path}:{lineno}: non-integer token in {' '.join(toks)!r}") from None
 
 
-def read_poset(path) -> Poset:
-    """Parse the poset file format: "n m kind", m edge lines, optional bottom line.
-
-    Blank and '#' lines are skipped; errors name the file, and a malformed
-    line also its 1-based number. Structural faults (range, self-loop, cycle,
-    kind) come from the Poset checks, prefixed with the file.
-    """
+def _locate_poset(path) -> None:
+    """Raise the error naming the file and line of its first fault, in the
+    order of a whole-file, line-by-line read."""
     numbered = [(k, ln.strip()) for k, ln in enumerate(text_lines(path, PosetError), 1)]
     lines = [(k, ln) for k, ln in numbered if ln and not ln.startswith("#")]
     if not lines:
@@ -314,20 +367,36 @@ def read_poset(path) -> Poset:
     head = ln.split()
     if len(head) != 3:
         raise PosetError(f"{path}:{k}: header must be 'n m kind'")
-    n, m = _ints(path, k, head[:2])
-    kind = head[2]
+    _check_ints(path, k, head[:2])
+    n, m, kind = int(head[0]), int(head[1]), head[2]
     if kind not in KINDS:
         raise PosetError(f"{path}:{k}: unknown kind {kind!r}")
+    if n > MAX_DOMAIN:
+        raise PosetError(f"{path}:{k}: {n} vertices exceed the limit of {MAX_DOMAIN}")
     if m < 0 or len(lines) < 1 + m:
         raise PosetError(f"{path}: expected {m} edge lines")
-    edges = [tuple(_ints(path, k, ln.split(), 2)) for k, ln in lines[1 : 1 + m]]
-    bottom: tuple[int, ...] = ()
+    for k, ln in lines[1 : 1 + m]:
+        _check_ints(path, k, ln.split(), 2)
     rest = lines[1 + m :]
     if rest:
         k, ln = rest[0]
         if not ln.startswith("bottom:"):
             raise PosetError(f"{path}:{k}: trailing content is not a bottom line")
-        bottom = tuple(_ints(path, k, ln[len("bottom:") :].split()))
+        _check_ints(path, k, ln[len("bottom:") :].split())
+    if len(rest) > 1:
+        raise PosetError(f"{path}:{rest[1][0]}: trailing content after the bottom line")
+
+
+def read_poset(path) -> Poset:
+    """Parse the poset file format: "n m kind", m edge lines, optional bottom line.
+
+    Blank and '#' lines are skipped; errors name the file, and a malformed
+    line also its 1-based number. A header that declares more than
+    MAX_DOMAIN vertices and any line after the bottom line are malformed.
+    Structural faults (range, self-loop, cycle, kind) come from the Poset
+    checks, prefixed with the file.
+    """
+    n, edges, kind, bottom = _parse_or_locate(path, _parse_poset, _locate_poset)
     try:
         return Poset(n, edges, kind=kind, bottom=bottom)
     except PosetError as exc:

@@ -16,11 +16,23 @@ operations (a sort and a bincount), never a loop over keys.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 SUM_TOL = 1e-9
+
+# The readers parse a file in blocks of whole lines, about this many
+# characters each (fh.readlines(READ_BLOCK)), so what a read holds besides
+# its result is bounded by a block, not by the file.
+READ_BLOCK = 1 << 18
+
+# The largest domain a file may declare: read_poset refuses a vertex count
+# above it and read_histogram_csv an index at or above it, before anything
+# is allocated per element (an int64 vector of MAX_DOMAIN entries is 32 MB).
+MAX_DOMAIN = 1 << 22
 
 
 class Rng:
@@ -346,23 +358,67 @@ def text_lines(path, error: type[ValueError] = ValueError):
         raise
 
 
+def _blocks(fh):
+    """The lines of an open text file, as iterating it yields them, in lists
+    of about READ_BLOCK characters."""
+    while lines := fh.readlines(READ_BLOCK):
+        yield lines
+
+
+def _content(lines) -> list[str]:
+    """The stripped lines that are neither blank nor '#' comments."""
+    return [t for t in map(str.strip, lines) if t and t[0] != "#"]
+
+
+def _parse_or_locate(path, parse, locate):
+    """parse(path), the block-wise reader. It raises a bare ValueError on any
+    fault; locate(path) then re-reads the file line by line only to raise
+    the error that names the file and the first bad line. A file that parse
+    refuses and locate passes is a bug in the reader, not in the file."""
+    try:
+        return parse(path)
+    except ValueError:  # includes UnicodeDecodeError
+        pass
+    locate(path)
+    raise RuntimeError(f"{path}: block parse refused a file that the line scan accepts")
+
+
+def _parse_distribution(path) -> np.ndarray:
+    """Most blocks hold no blank or comment line, so float() first runs over
+    all the stripped lines of a block, and only a block where that fails is
+    filtered and parsed again. A float token is never blank and never starts
+    with '#', so the two give the same values wherever the first succeeds."""
+    parts = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lines in _blocks(fh):
+            toks = list(map(str.strip, lines))
+            try:
+                parts.append(np.fromiter(map(float, toks), float, len(toks)))
+            except ValueError:
+                toks = _content(toks)
+                parts.append(np.fromiter(map(float, toks), float, len(toks)))
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _locate_distribution(path) -> None:
+    for k, ln in enumerate(text_lines(path), 1):
+        tok = ln.strip()
+        if tok and not tok.startswith("#"):
+            try:
+                float(tok)
+            except ValueError:
+                raise ValueError(f"{path}:{k}: not a number: {tok!r}") from None
+
+
 def read_distribution(path) -> Distribution:
     """One decimal probability per line; the sum is validated.
 
     Blank and '#' lines are skipped; errors name the file, and a bad token
     also the 1-based line.
     """
-    vals = []
-    for k, ln in enumerate(text_lines(path), 1):
-        tok = ln.strip()
-        if not tok or tok.startswith("#"):
-            continue
-        try:
-            vals.append(float(tok))
-        except ValueError:
-            raise ValueError(f"{path}:{k}: not a number: {tok!r}") from None
+    probs = _parse_or_locate(path, _parse_distribution, _locate_distribution)
     try:
-        return Distribution(np.array(vals))
+        return Distribution(probs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -373,12 +429,33 @@ def write_distribution(p: Distribution, path) -> None:
             fh.write(repr(float(x)) + "\n")
 
 
-def read_histogram_csv(path) -> SampleHistogram:
-    """Histogram CSV "index,count" with a header row.
+def _parse_histogram(path) -> np.ndarray:
+    pairs = [np.empty(0, dtype=np.int64)]
+    with open(path, "r", encoding="utf-8") as fh:
+        blocks = _blocks(fh)
+        first = next(blocks, [""])
+        if first[0].strip() != "index,count":
+            raise ValueError
+        first[0] = ""
+        for lines in chain([first], blocks):
+            rows = list(filter(None, map(str.strip, lines)))
+            if set(map(operator.methodcaller("count", ","), rows)) - {1}:
+                raise ValueError
+            vals = list(map(int, chain.from_iterable(map(operator.methodcaller("split", ","), rows))))
+            if min(vals, default=0) < 0 or max(vals, default=0) >= 1 << 63 or max(vals[0::2], default=0) >= MAX_DOMAIN:
+                raise ValueError
+            pairs.append(np.array(vals, dtype=np.int64))
+    index, count = np.concatenate(pairs).reshape(-1, 2).T
+    ordered = np.sort(index)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError
+    vec = np.zeros(ordered[-1] + 1 if ordered.size else 0, dtype=np.int64)
+    vec[index] = count
+    return vec
 
-    Blank lines are skipped; errors name the file and the 1-based line.
-    """
-    counts: dict[int, int] = {}
+
+def _locate_histogram(path) -> None:
+    seen = set()
     lines = text_lines(path)
     if next(lines, "").strip() != "index,count":
         raise ValueError(f"{path}:1: expected 'index,count' header")
@@ -394,14 +471,19 @@ def read_histogram_csv(path) -> SampleHistogram:
             raise ValueError(f"{path}:{k}: negative index or count: {line!r}")
         if c >= 1 << 63:
             raise ValueError(f"{path}:{k}: count does not fit in 64 bits: {line!r}")
-        if i in counts:
+        if i >= MAX_DOMAIN:
+            raise ValueError(f"{path}:{k}: index {i} is not below the domain limit {MAX_DOMAIN}")
+        if i in seen:
             raise ValueError(f"{path}:{k}: duplicate index {i}")
-        counts[i] = c
-    n = max(counts, default=-1) + 1
-    vec = np.zeros(n, dtype=np.int64)
-    for i, c in counts.items():
-        vec[i] = c
-    return SampleHistogram(vec)
+        seen.add(i)
+
+
+def read_histogram_csv(path) -> SampleHistogram:
+    """Histogram CSV "index,count" with a header row; indexes below MAX_DOMAIN.
+
+    Blank lines are skipped; errors name the file and the 1-based line.
+    """
+    return SampleHistogram(_parse_or_locate(path, _parse_histogram, _locate_histogram))
 
 
 def write_histogram_csv(h: SampleHistogram, path) -> None:

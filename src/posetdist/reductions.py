@@ -107,7 +107,7 @@ def general_to_bipartite(G: Poset) -> Reduction:
     (index n+v); connect u-bottom to v-top whenever v is reachable from u.
     Mass halves onto the two copies; a lifted sample appends a fair sign."""
     n = G.n
-    closure = np.array(transitive_closure(G).edges(), dtype=np.int64).reshape(-1, 2)
+    closure = transitive_closure(G).edge_array()
     target = Poset(2 * n, closure + [0, n], kind="bipartite", bottom=range(n))
     v = np.arange(n)
     return Reduction(G, target, far_divisor=4.0, copies=np.column_stack((v, n + v)))

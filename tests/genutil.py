@@ -12,8 +12,17 @@ import itertools
 
 import numpy as np
 
-from posetdist import Distribution, PairHistogram, Poset, PosetError, make_bipartite, transitive_closure
+from posetdist import (
+    Distribution,
+    PairHistogram,
+    Poset,
+    PosetError,
+    SampleHistogram,
+    make_bipartite,
+    transitive_closure,
+)
 from posetdist.poset import KINDS
+from posetdist.prob import MAX_DOMAIN, text_lines
 from posetdist.simplex import solve_lp
 
 # (nu, lam, L) of the two prior pairs the benchmark draws from
@@ -474,3 +483,96 @@ def reference_closure_edges(tc) -> list[tuple[int, int]]:
             out.append((u, low.bit_length() - 1))
             bits ^= low
     return out
+
+
+# The file readers line by line, one int()/float() per token, as they were
+# before the block-wise parse. They refuse what the library's readers refuse
+# on purpose: a header declaring more than MAX_DOMAIN vertices, a line after
+# the bottom line, and a histogram index at or above MAX_DOMAIN.
+
+
+def reference_read_distribution(path) -> Distribution:
+    vals = []
+    for k, ln in enumerate(text_lines(path), 1):
+        tok = ln.strip()
+        if not tok or tok.startswith("#"):
+            continue
+        try:
+            vals.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{path}:{k}: not a number: {tok!r}") from None
+    try:
+        return Distribution(np.array(vals))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _reference_ints(path, lineno: int, toks, count: int | None = None) -> list[int]:
+    if count is not None and len(toks) != count:
+        raise PosetError(f"{path}:{lineno}: expected {count} integers, got {len(toks)}")
+    try:
+        return [int(tok) for tok in toks]
+    except ValueError:
+        raise PosetError(f"{path}:{lineno}: non-integer token in {' '.join(toks)!r}") from None
+
+
+def reference_read_poset(path) -> Poset:
+    numbered = [(k, ln.strip()) for k, ln in enumerate(text_lines(path, PosetError), 1)]
+    lines = [(k, ln) for k, ln in numbered if ln and not ln.startswith("#")]
+    if not lines:
+        raise PosetError(f"{path}: empty poset file")
+    k, ln = lines[0]
+    head = ln.split()
+    if len(head) != 3:
+        raise PosetError(f"{path}:{k}: header must be 'n m kind'")
+    n, m = _reference_ints(path, k, head[:2])
+    kind = head[2]
+    if kind not in KINDS:
+        raise PosetError(f"{path}:{k}: unknown kind {kind!r}")
+    if n > MAX_DOMAIN:
+        raise PosetError(f"{path}:{k}: {n} vertices exceed the limit of {MAX_DOMAIN}")
+    if m < 0 or len(lines) < 1 + m:
+        raise PosetError(f"{path}: expected {m} edge lines")
+    edges = [tuple(_reference_ints(path, k, ln.split(), 2)) for k, ln in lines[1 : 1 + m]]
+    bottom: tuple[int, ...] = ()
+    rest = lines[1 + m :]
+    if rest:
+        k, ln = rest[0]
+        if not ln.startswith("bottom:"):
+            raise PosetError(f"{path}:{k}: trailing content is not a bottom line")
+        bottom = tuple(_reference_ints(path, k, ln[len("bottom:") :].split()))
+    if len(rest) > 1:
+        raise PosetError(f"{path}:{rest[1][0]}: trailing content after the bottom line")
+    try:
+        return Poset(n, edges, kind=kind, bottom=bottom)
+    except PosetError as exc:
+        raise PosetError(f"{path}: {exc}") from None
+
+
+def reference_read_histogram_csv(path) -> SampleHistogram:
+    counts: dict[int, int] = {}
+    lines = text_lines(path)
+    if next(lines, "").strip() != "index,count":
+        raise ValueError(f"{path}:1: expected 'index,count' header")
+    for k, ln in enumerate(lines, 2):
+        line = ln.strip()
+        if not line:
+            continue
+        try:
+            i, c = (int(tok) for tok in line.split(","))
+        except ValueError:
+            raise ValueError(f"{path}:{k}: expected two integers 'index,count', got {line!r}") from None
+        if i < 0 or c < 0:
+            raise ValueError(f"{path}:{k}: negative index or count: {line!r}")
+        if c >= 1 << 63:
+            raise ValueError(f"{path}:{k}: count does not fit in 64 bits: {line!r}")
+        if i >= MAX_DOMAIN:
+            raise ValueError(f"{path}:{k}: index {i} is not below the domain limit {MAX_DOMAIN}")
+        if i in counts:
+            raise ValueError(f"{path}:{k}: duplicate index {i}")
+        counts[i] = c
+    n = max(counts, default=-1) + 1
+    vec = np.zeros(n, dtype=np.int64)
+    for i, c in counts.items():
+        vec[i] = c
+    return SampleHistogram(vec)
