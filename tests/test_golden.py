@@ -11,6 +11,7 @@ a detail shows up as a string mismatch.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -345,6 +346,24 @@ def test_oracle_csv_bytes(tmp_path, capsys, name):
     write_distribution(p, tmp_path / "g.dist")
     out = _cli_csv(capsys, ["oracle", "--poset", str(tmp_path / "g.poset"), "--dist", str(tmp_path / "g.dist")])
     assert out == GOLDEN_ORACLE_CSV[name]
+
+
+# `posetdist suite --manifest manifests/demo.suite --seed 42`: stdout and
+# stderr. Its oracle row reads the function-distance `lp_value`.
+GOLDEN_DEMO_SUITE = (
+    "row,seed,status,value,check\n"
+    "0,42,0,0.3,pass\n"
+    "1,43,0,0.018518048670606597,pass\n"
+    "2,40,0,1.0,pass\n",
+    "",
+)
+
+
+def test_demo_suite_bytes(capsys):
+    manifest = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "manifests", "demo.suite")
+    capsys.readouterr()
+    assert main(["suite", "--manifest", manifest, "--seed", "42"]) == 0
+    assert capsys.readouterr() == GOLDEN_DEMO_SUITE
 
 
 # Reductions: byte pins of `reduce --kind g2b/b2m` output and of lifted
