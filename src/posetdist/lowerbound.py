@@ -91,7 +91,7 @@ def solve_moment_gap(nu: float, lam: float, L: int, grid_size: int = DEFAULT_GRI
         scaled = (grid / lam) ** j  # row scaling keeps the tableau O(1)
         A_eq[1 + j, :g] = scaled
         A_eq[1 + j, g:] = -scaled
-    obj, x = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
+    obj, x, _ = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
 
     def extract(mass):
         keep = mass > PRUNE_MASS

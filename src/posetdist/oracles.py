@@ -3,13 +3,17 @@
 Four distances live here, all desk-scale exact:
 
 * distance to T-bigness (closed form),
-* l1 distance from a distribution to the nearest monotone *function*
-  (an LP over per-vertex perturbations),
-* total variation distance to the nearest monotone *distribution* (the same
-  LP plus one row holding the perturbation's mass at 0),
+* l1 distance from a distribution to the nearest monotone *function*,
+* total variation distance to the nearest monotone *distribution*,
 * the transport distance W between pair histograms, with unit cost
   |dx| + |dy| and (0,0) padding to balance totals (the transportation network
   simplex on the dense key-to-key cost matrix; no LP).
+
+Both monotone distances minimize ||x||_1 over perturbations x with p + x
+monotone on every edge (TV also holds sum(x) at 0). Each is solved as its
+LP dual, a flow on G's own edges with 2n rows |out - in + mu| <= c: no
+closure, no mass row, positive right-hand sides, so no phase 1. The row
+duals are x.
 
 LP duality makes the function distance equal the weight of a maximum-weight
 matching on the transitive closure with violation weights max(0, p(u)-p(v)),
@@ -31,7 +35,7 @@ from .poset import Poset, transitive_closure
 from .prob import Distribution, PairHistogram
 from .simplex import _MAX_ITER, _STALL_LIMIT, TOL, LpError, solve_lp
 
-DEFAULT_LP_CAP = 128
+DEFAULT_LP_CAP = 192
 WEIGHT_TOL = 1e-12
 
 
@@ -75,59 +79,53 @@ def dist_to_bigness(p: Distribution, threshold: float) -> float:
     return float(np.maximum(0.0, threshold - p.probs).sum())
 
 
-def _monotone_rows(G: Poset, p: Distribution):
-    """Rows (A, b) of A z <= b over z = [x+, x-], one per edge (u, v) in edge
-    order: x(v) - x(u) >= p(u) - p(v), i.e. p + x is monotone on that edge."""
-    n = G.n
+def _monotone_flow(G: Poset, p: Distribution, lp_cap: int, c: float, shift: bool):
+    """(value, x) of the LP dual to the monotone-perturbation LP: a flow on
+    G's own edges. Maximize sum_e y_e * (p(u) - p(v)) over y >= 0 on the
+    edges (u, v) subject to -c <= out_y(w) - in_y(w) + mu <= c at every
+    vertex w, with mu = 0 or, with `shift`, free (passed as mu+ - mu-). All
+    2n right-hand sides are c > 0, so phase 1 never runs. The perturbation x
+    is read off the row duals: upper row's dual minus lower row's."""
+    if G.n > lp_cap:
+        raise SizeCapError(f"n={G.n} exceeds LP cap {lp_cap}")
+    if p.n != G.n:
+        raise ValueError("distribution length does not match poset")
+    n, m = G.n, len(G.edge_array)
+    if not m:
+        return 0.0, np.zeros(n)
     u, v = G.edge_array.T
-    k = np.arange(len(u))
-    A = np.zeros((len(u), 2 * n))
-    A[k, u] = A[k, n + v] = 1.0
-    A[k, v] = A[k, n + u] = -1.0
-    return A, p.probs[v] - p.probs[u]
+    D = np.zeros((n, m + 2 * shift))
+    D[u, np.arange(m)] = 1.0
+    D[v, np.arange(m)] = -1.0
+    if shift:
+        D[:, m:] = [1.0, -1.0]
+    cost = np.zeros(D.shape[1])
+    cost[:m] = p.probs[v] - p.probs[u]
+    obj, _, duals = solve_lp(cost, A_ub=np.vstack([D, -D]), b_ub=np.full(2 * n, c))
+    return 0.0 - obj, duals[:n] - duals[n:]  # 0.0 - obj: never -0.0
 
 
 def func_dist_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CAP):
     """Minimal l1 perturbation x making p + x a monotone function on G.
 
-    Returns (d, LpSolution) with d = ||x||_1. Solved as an LP over the split
-    x = x+ - x-, one constraint per poset edge.
+    Returns (d, LpSolution) with d = ||x||_1, by the flow LP with c = 1.
     """
-    if G.n > lp_cap:
-        raise SizeCapError(f"n={G.n} exceeds LP cap {lp_cap}")
-    if p.n != G.n:
-        raise ValueError("distribution length does not match poset")
-    n = G.n
-    if not G.edges:
-        return 0.0, LpSolution(0.0, np.zeros(n))
-    A, b = _monotone_rows(G, p)
-    obj, z = solve_lp(np.ones(2 * n), A_ub=A, b_ub=b)
-    x = z[:n] - z[n:]
-    return float(obj), LpSolution(float(obj), x)
+    d, x = _monotone_flow(G, p, lp_cap, 1.0, False)
+    return d, LpSolution(d, x)
 
 
 def exact_dtv_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CAP) -> float:
     """TV distance from p to the set of monotone distributions on G, by LP.
 
-    The function-distance LP plus one mass row: minimize sum(x+ + x-)/2 over
-    the edge rows of func_dist_to_monotone and sum(x+) - sum(x-) = 0, so that
-    q = p + x is monotone with mass 1. No q >= 0 rows are needed: clipping a
+    The primal minimizes ||x||_1 / 2 over x with p + x monotone and
+    sum(x) = 0; its dual is the flow LP with c = 1/2 and the mass row's
+    multiplier as the free shift. No q >= 0 rows are needed: clipping a
     monotone q of mass 1 at 0 keeps it monotone and, as p >= 0, lowers
     ||q - p||_1 by exactly the mass N it adds; rescaling by 1/(1 + N) keeps it
     monotone and moves it by N in l1, so the result is a monotone
     distribution no farther from p.
     """
-    if G.n > lp_cap:
-        raise SizeCapError(f"n={G.n} exceeds LP cap {lp_cap}")
-    if p.n != G.n:
-        raise ValueError("distribution length does not match poset")
-    n = G.n
-    if not G.edges:
-        return 0.0
-    A, b = _monotone_rows(G, p)
-    mass = np.repeat([[1.0, -1.0]], n, axis=1)  # sum(x+) - sum(x-)
-    obj, _ = solve_lp(np.full(2 * n, 0.5), A_ub=A, b_ub=b, A_eq=mass, b_eq=[0.0])
-    return float(obj)
+    return _monotone_flow(G, p, lp_cap, 0.5, True)[0]
 
 
 def _violation_edges(G: Poset, probs: np.ndarray):

@@ -14,9 +14,11 @@ phase 1, through the removal of leftover artificials, into phase 2.
 When a phase finds no entering column, the basic point and the duals are
 recomputed from the original data by a linear solve. If the fresh reduced
 costs still admit an entering column, B^-1 is re-inverted and the phase goes
-on; otherwise the fresh point is what the phase reports, so the returned
-point satisfies the constraints to linear-solve precision and eta drift never
-reaches it. Pricing is most-negative-reduced-cost; when the objective stalls
+on; otherwise the fresh point and duals are what the phase reports, so the
+returned point satisfies the constraints to linear-solve precision and eta
+drift never reaches it. solve_lp returns the row duals with the point, each
+the derivative of the optimum in that row's right-hand side (so <= 0 on a
+<= row). Pricing is most-negative-reduced-cost; when the objective stalls
 on degenerate pivots the solver switches to Bland's anti-cycling rule, which
 guarantees termination. The feasibility contract is the 1e-9 tolerance.
 """
@@ -67,8 +69,8 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
     """Run the revised simplex to optimality from a feasible basis.
 
     Binv is the inverse of A[:, basis] and is updated in place, except when
-    the end-of-phase check re-inverts it. Returns (basis, Binv, x_basic) with
-    x_basic solved afresh from the original data.
+    the end-of-phase check re-inverts it. Returns (basis, Binv, x_basic,
+    duals) with x_basic and the row duals solved afresh from the original data.
     """
     m = A.shape[0]
     xB = np.maximum(Binv @ b, 0.0)
@@ -90,9 +92,10 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
             B = A[:, basis]
             xB = np.linalg.solve(B, b)
             np.maximum(xB, 0.0, out=xB)  # clip solve noise on degenerate rows
-            enter = _entering(c - np.linalg.solve(B.T, c[basis]) @ A, basis, bland)
+            duals = np.linalg.solve(B.T, c[basis])
+            enter = _entering(c - duals @ A, basis, bland)
             if enter < 0:
-                return basis, Binv, xB
+                return basis, Binv, xB, duals
             Binv = np.linalg.inv(B)
         d = Binv @ A[:, enter]
         pos = d > TOL
@@ -115,8 +118,9 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
     raise LpError("simplex iteration limit exceeded")
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[float, np.ndarray]:
-    """Return (objective, x) for the minimization LP; raises on infeasible/unbounded."""
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[float, np.ndarray, np.ndarray]:
+    """Return (objective, x, duals) for the minimization LP, duals over the
+    A_ub rows then the A_eq rows; raises on infeasible/unbounded."""
     c = np.asarray(c, dtype=float)
     nvar = c.size
     blocks = []
@@ -133,7 +137,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[float, np.n
         rhs_parts.append(np.asarray(b_eq, dtype=float).ravel())
     if not blocks:
         if np.all(c >= -TOL):
-            return 0.0, np.zeros(nvar)
+            return 0.0, np.zeros(nvar), np.zeros(0)
         raise LpUnboundedError("no constraints and a negative cost direction")
     A0 = np.vstack(blocks)
     b0 = np.concatenate(rhs_parts)
@@ -159,7 +163,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[float, np.n
     if art_rows.size:
         c1 = np.zeros(A.shape[1])
         c1[n_real:] = 1.0
-        basis, Binv, xB = _simplex(A, b, c1, basis, Binv)
+        basis, Binv, xB, _ = _simplex(A, b, c1, basis, Binv)
         art_level = float(xB[basis >= n_real].sum())
         if art_level > 1e-7:
             raise LpInfeasibleError(f"phase-1 residual {art_level:g}")
@@ -170,6 +174,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[float, np.n
     # An artificial never changes basis position, so the one at position i is
     # row i's own unit column, and dropping row i with position i leaves B^-1
     # of the smaller basis as B^-1 without row i and column i.
+    keep = np.arange(m)
     drop_rows = []
     for i in np.flatnonzero(basis >= n_real):
         row = Binv[i] @ A
@@ -188,12 +193,17 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[float, np.n
         Binv = Binv[np.ix_(keep, keep)]
         if basis.size == 0:
             if np.all(c >= -TOL):
-                return 0.0, np.zeros(nvar)
+                return 0.0, np.zeros(nvar), np.zeros(m)
             raise LpUnboundedError("all rows redundant with a negative cost direction")
 
     c2 = np.zeros(n_real)
     c2[:nvar] = c
-    basis, _, xB = _simplex(A, b, c2, basis, Binv)
+    basis, _, xB, kept_duals = _simplex(A, b, c2, basis, Binv)
     x = np.zeros(n_real)
     x[basis] = xB
-    return float(c @ x[:nvar]), x[:nvar]
+    # A dropped row is redundant and takes dual 0; a flipped row's dual
+    # changes sign with the row.
+    duals = np.zeros(m)
+    duals[keep] = kept_duals
+    duals[neg] *= -1.0
+    return float(c @ x[:nvar]), x[:nvar], duals

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 from posetdist import (
     Distribution,
@@ -143,11 +144,32 @@ def reference_dtv_lp(G: Poset, p: Distribution):
     return c, np.array(A_rows), np.array(b_rows), A_eq, np.array([1.0])
 
 
+def reference_func_dist_lp(G: Poset, p: Distribution) -> float:
+    """l1 distance from p to the monotone functions on G as the primal LP:
+    variables z = [x+, x-], minimize sum(z) subject to one row
+    x(v) - x(u) >= p(u) - p(v) per edge (u, v), i.e. p + x is monotone on
+    that edge. Solved by HiGHS."""
+    n = G.n
+    if not G.edges:
+        return 0.0
+    A = np.zeros((len(G.edges), 2 * n))
+    b = np.zeros(len(G.edges))
+    for k, (u, v) in enumerate(G.edges):
+        A[k, u] = A[k, n + v] = 1.0
+        A[k, v] = A[k, n + u] = -1.0
+        b[k] = p.probs[v] - p.probs[u]
+    return _highs(np.ones(2 * n), A, b)
+
+
 def reference_dtv_to_monotone(G: Poset, p: Distribution) -> float:
-    """reference_dtv_lp solved by the library's simplex."""
-    c, A_ub, b_ub, A_eq, b_eq = reference_dtv_lp(G, p)
-    obj, _ = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    return float(obj)
+    """reference_dtv_lp solved by HiGHS."""
+    return _highs(*reference_dtv_lp(G, p))
+
+
+def _highs(c, A_ub, b_ub, A_eq=None, b_eq=None) -> float:
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 # Dict-loop references for the pair-histogram pipeline of the matching tester:
@@ -417,7 +439,7 @@ def lp_min_w_to_monotone_pairhist(g, grid_step: float, max_grid_points: int = 50
         A_eq[ns, j::nd][:ns] = a + b
         A_eq[ns, ns * nd + ns + j] = a + b
     b_eq[ns] = 1.0
-    obj, flow = solve_lp(c_vec, A_eq=A_eq, b_eq=b_eq)
+    obj, flow, _ = solve_lp(c_vec, A_eq=A_eq, b_eq=b_eq)
     out = {}
     for j, pt in enumerate(grid):
         col = float(flow[j:ns * nd:nd].sum() + flow[ns * nd + ns + j])
@@ -469,7 +491,7 @@ def reference_transport_cost(supply, demand) -> float:
     for j, (_, d) in enumerate(demand):
         A_eq[ns + j, j::nd] = 1.0
         b_eq[ns + j] = d
-    obj, _ = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
+    obj, _, _ = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
     return float(obj)
 
 

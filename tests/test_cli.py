@@ -275,7 +275,7 @@ def test_structural_poset_fault_exits_2_with_file(workdir, capsys):
 
 
 def test_oracle_verb_on_128_vertices(tmp_path, capsys):
-    n = 128  # DEFAULT_LP_CAP, the largest poset the LP oracles accept
+    n = 128  # the 7-cube's size, inside DEFAULT_LP_CAP
     G = make_line(n)
     write_poset(G, tmp_path / "line.poset")
     v = np.random.default_rng(128).exponential(1.0, n)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from posetdist import (
     Distribution,
@@ -38,8 +37,8 @@ from genutil import (
     random_bipartite,
     random_dag,
     random_distribution,
-    reference_dtv_lp,
     reference_dtv_to_monotone,
+    reference_func_dist_lp,
 )
 
 
@@ -63,7 +62,7 @@ def bigness_distance_lp(p: Distribution, T: float) -> float:
         b.append(-T)  # q_i >= T
     A_eq = np.zeros((1, 2 * n))
     A_eq[0, :n] = 1.0
-    obj, _ = solve_lp(c, A_ub=np.array(A), b_ub=np.array(b), A_eq=A_eq, b_eq=[1.0])
+    obj, _, _ = solve_lp(c, A_ub=np.array(A), b_ub=np.array(b), A_eq=A_eq, b_eq=[1.0])
     return obj
 
 
@@ -173,11 +172,13 @@ def test_exact_dtv_examples_and_sandwich():
 
 
 @st.composite
-def dtv_instances(draw):
-    """(G, p, shape): a poset of any kind, edgeless and one-vertex ones
-    included, with a random, point-mass or already monotone p."""
+def monotone_instances(draw):
+    """(G, p, shape): a line, matching, bipartite poset, hypercube (d <= 5),
+    random DAG, or random DAG with isolated vertices added; edgeless and
+    one-vertex posets included. p is random, a point mass, constant, or
+    already monotone."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["line", "matching", "bipartite", "hypercube", "general"]))
+    kind = draw(st.sampled_from(["line", "matching", "bipartite", "hypercube", "general", "isolated"]))
     if kind == "line":
         G = make_line(draw(st.integers(1, 12)))
     elif kind == "matching":
@@ -189,15 +190,20 @@ def dtv_instances(draw):
         else:
             G = make_bipartite(n_bottom + n_top, [], bottom=range(n_bottom))
     elif kind == "hypercube":
-        G = make_hypercube(draw(st.integers(1, 4)))
-    else:
+        G = make_hypercube(draw(st.integers(1, 5)))
+    elif kind == "general":
         G = random_dag(rng, draw(st.integers(1, 12)), edge_prob=draw(st.sampled_from([0.0, 0.2, 0.5])))
-    shape = draw(st.sampled_from(["random", "point", "monotone"]))
+    else:
+        core = random_dag(rng, draw(st.integers(2, 10)), edge_prob=0.5)
+        G = Poset(core.n + draw(st.integers(1, 4)), core.edges, kind="general")
+    shape = draw(st.sampled_from(["random", "point", "constant", "monotone"]))
     p = random_distribution(rng, G.n)
     if shape == "point":
         probs = np.zeros(G.n)
         probs[draw(st.integers(0, G.n - 1))] = 1.0
         p = Distribution(probs)
+    elif shape == "constant":
+        p = Distribution.uniform(G.n)
     elif shape == "monotone":
         # ascending values along a linear extension
         preds = {v: set() for v in range(G.n)}
@@ -210,24 +216,32 @@ def dtv_instances(draw):
     return G, p, shape
 
 
-def _highs_dtv(G, p) -> float:
-    c, A_ub, b_ub, A_eq, b_eq = reference_dtv_lp(G, p)
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    assert res.status == 0, res.message
-    return float(res.fun)
-
-
 @settings(max_examples=200, deadline=None)
-@given(dtv_instances())
+@given(monotone_instances())
 def test_exact_dtv_matches_the_polytope_lp(inst):
     G, p, shape = inst
     d = exact_dtv_to_monotone(G, p)
-    for ref in (reference_dtv_to_monotone(G, p), _highs_dtv(G, p)):
-        assert d == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    assert d == pytest.approx(reference_dtv_to_monotone(G, p), rel=1e-9, abs=1e-12)
     W = max_violation_matching(G, p).weight
     assert W / 2 - 1e-9 <= d <= W + 1e-9
-    if shape == "monotone" or not G.edges:
+    if shape in ("monotone", "constant") or not G.edges:
         assert d == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monotone_instances())
+def test_func_dist_matches_the_primal_lp_and_its_x_is_optimal(inst):
+    G, p, shape = inst
+    d, sol = func_dist_to_monotone(G, p)
+    assert sol.objective == d
+    assert d == pytest.approx(reference_func_dist_lp(G, p), rel=1e-9, abs=1e-12)
+    assert d == pytest.approx(max_violation_matching(G, p).weight, rel=1e-9, abs=1e-12)
+    q = p.probs + sol.x
+    u, v = G.edge_array.T
+    assert np.all(q[u] <= q[v] + 1e-12)
+    assert float(np.abs(sol.x).sum()) == pytest.approx(d, rel=0, abs=1e-12)
+    if shape in ("monotone", "constant") or not G.edges:
+        assert d == 0.0 and not sol.x.any()
 
 
 def test_closest_monotone_on_matching():

@@ -6,20 +6,20 @@ from posetdist.simplex import LpInfeasibleError, LpUnboundedError, _simplex, sol
 
 
 def test_basic_inequality():
-    obj, x = solve_lp([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6])
+    obj, x, _ = solve_lp([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6])
     assert obj == pytest.approx(-2.8, abs=1e-9)
     np.testing.assert_allclose(x, [1.6, 1.2], atol=1e-9)
 
 
 def test_equality_and_negative_rhs():
-    obj, _ = solve_lp([1, 1], A_eq=[[1, 1]], b_eq=[2])
+    obj, _, _ = solve_lp([1, 1], A_eq=[[1, 1]], b_eq=[2])
     assert obj == pytest.approx(2.0, abs=1e-9)
-    obj, x = solve_lp([1], A_ub=[[-1]], b_ub=[-1])  # x >= 1
+    obj, x, _ = solve_lp([1], A_ub=[[-1]], b_ub=[-1])  # x >= 1
     assert obj == pytest.approx(1.0, abs=1e-9)
 
 
 def test_redundant_equalities():
-    obj, _ = solve_lp([1, 1], A_eq=[[1, 1], [2, 2]], b_eq=[2, 4])
+    obj, _, _ = solve_lp([1, 1], A_eq=[[1, 1], [2, 2]], b_eq=[2, 4])
     assert obj == pytest.approx(2.0, abs=1e-9)
 
 
@@ -35,8 +35,20 @@ def test_unbounded_raises():
         solve_lp([-1, 0], A_ub=[[0, 1]], b_ub=[1])
 
 
+def _assert_dual_optimal(c, A_ub, b_ub, A_eq, b_eq, obj, duals):
+    """duals solve the dual LP: y_ub <= 0, A^T y <= c, and b.y = obj."""
+    A = np.vstack([M for M in (A_ub, A_eq) if M is not None]).astype(float)
+    b = np.concatenate([np.ravel(v) for v in (b_ub, b_eq) if v is not None]).astype(float)
+    m_ub = 0 if A_ub is None else len(A_ub)
+    assert duals.shape == (len(b),)
+    assert np.all(duals[:m_ub] <= 1e-9)
+    assert np.all(A.T @ duals <= np.asarray(c, dtype=float) + 1e-9)
+    assert b @ duals == pytest.approx(obj, abs=1e-7)
+
+
 def test_random_lps_match_scipy():
-    """Dual route: feasible bounded random LPs, our simplex vs HiGHS."""
+    """Dual route: feasible bounded random LPs, our simplex vs HiGHS, primal
+    value and row duals (HiGHS's marginals; the optimum is nondegenerate)."""
     rng = np.random.default_rng(20240817)
     for trial in range(60):
         m, k, n = rng.integers(1, 5), rng.integers(0, 3), rng.integers(2, 8)
@@ -46,10 +58,13 @@ def test_random_lps_match_scipy():
         b_ub = A_ub @ x0 + rng.uniform(0, 1, m)
         b_eq = A_eq @ x0 if k else None
         c = rng.uniform(0, 1, n)  # nonnegative cost keeps the LP bounded
-        obj, x = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        obj, x, duals = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
         ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
         assert ref.status == 0
         assert obj == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
+        np.testing.assert_allclose(duals[:m], ref.ineqlin.marginals, rtol=0, atol=1e-7)
+        if k:
+            np.testing.assert_allclose(duals[m:], ref.eqlin.marginals, rtol=0, atol=1e-7)
         assert np.all(A_ub @ x <= b_ub + 1e-9)
         if k:
             np.testing.assert_allclose(A_eq @ x, b_eq, atol=1e-9)
@@ -66,7 +81,7 @@ def test_degenerate_transportation_like():
         A_eq[i, i * n : (i + 1) * n] = 1.0
         A_eq[n + i, i::n] = 1.0
     b_eq = np.full(2 * n, 1.0)
-    obj, _ = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
+    obj, _, _ = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
     assert obj == pytest.approx(0.0, abs=1e-9)
 
 
@@ -106,11 +121,12 @@ def test_desk_scale_lps_match_scipy(trial):
     c, A_ub, b_ub, A_eq, b_eq = _desk_lp(rng, m_ub, m_eq, n, skip_phase1)
     if not skip_phase1:
         assert (b_ub < 0).any() and (b_ub > 0).any()
-    obj, x = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    obj, x, duals = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert ref.status == 0
     assert obj == pytest.approx(ref.fun, abs=1e-7)
     assert obj == pytest.approx(float(c @ x), abs=1e-12)
+    _assert_dual_optimal(c, A_ub, b_ub, A_eq, b_eq, obj, duals)
     assert np.all(A_ub @ x <= b_ub + 1e-9)
     if A_eq is not None:
         np.testing.assert_allclose(A_eq @ x, b_eq, rtol=0, atol=1e-9)
@@ -129,10 +145,11 @@ def test_small_degenerate_lps_match_scipy():
         b_ub = A_ub @ x0 + rng.integers(0, 2, m_ub) if m_ub else None
         b_eq = A_eq @ x0
         c = rng.integers(0, 3, n)
-        obj, x = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        obj, x, duals = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
         ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
         assert ref.status == 0
         assert obj == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
+        _assert_dual_optimal(c, A_ub, b_ub, A_eq, b_eq, obj, duals)
         if m_ub:
             assert np.all(A_ub @ x <= b_ub + 1e-9)
         np.testing.assert_allclose(A_eq @ x, b_eq, rtol=0, atol=1e-9)
@@ -141,7 +158,7 @@ def test_small_degenerate_lps_match_scipy():
 
 def test_zero_level_artificial_pivots_out():
     # phase 1 stops with the equality row's artificial basic at zero
-    obj, x = solve_lp([0, 1, 0, 0], A_ub=[[0, 2, 1, 1]], b_ub=[0], A_eq=[[0, -1, -1, 0]], b_eq=[0])
+    obj, x, _ = solve_lp([0, 1, 0, 0], A_ub=[[0, 2, 1, 1]], b_ub=[0], A_eq=[[0, -1, -1, 0]], b_eq=[0])
     assert obj == 0.0
     np.testing.assert_allclose(x, 0.0, atol=1e-12)
 
@@ -152,7 +169,8 @@ def test_end_of_phase_check_recovers_from_a_stale_inverse():
     A = np.array([[1.0, 2.0, 1.0]])
     b = np.array([2.0])
     c = np.array([-1.0, -3.0, 0.0])
-    basis, Binv, xB = _simplex(A, b, c, np.array([0]), np.array([[2.0]]))
+    basis, Binv, xB, duals = _simplex(A, b, c, np.array([0]), np.array([[2.0]]))
     assert basis.tolist() == [1]
     np.testing.assert_allclose(xB, [1.0])
     np.testing.assert_allclose(Binv, [[0.5]])
+    np.testing.assert_allclose(duals, [-1.5])
