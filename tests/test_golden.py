@@ -40,6 +40,7 @@ from posetdist import (
 from posetdist.cli import main
 
 from genutil import BENCH_PRIORS, random_bipartite, random_dag
+from lb_pins import pin_tables_source
 
 EPS = 0.25
 
@@ -187,7 +188,7 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _lb_gen_digests(tmp_path, argv) -> dict:
+def lb_gen_digests(tmp_path, argv) -> dict:
     prefix = tmp_path / "inst"
     assert main(["lb", "gen", *argv, "--out-prefix", str(prefix)]) == 0
     return {p.name[len("inst."):]: _sha(p.read_bytes()) for p in sorted(tmp_path.glob("inst.*"))}
@@ -210,7 +211,7 @@ GOLDEN_LB_GEN = {
     },
 }
 
-_LB_GEN_ARGV = {
+LB_GEN_ARGV = {
     "eps": ["--n", "3000", "--L", "4", "--eps", "0.0025", "--seed", "31"],
     "explicit": ["--n", "2500", "--L", "5", "--nu", "0.5", "--lambda", "12", "--s", "0", "--seed", "37"],
 }
@@ -218,7 +219,7 @@ _LB_GEN_ARGV = {
 
 @pytest.mark.parametrize("run", ["eps", "explicit"])
 def test_lb_gen_artifact_bytes(tmp_path, run):
-    assert _lb_gen_digests(tmp_path, _LB_GEN_ARGV[run]) == GOLDEN_LB_GEN[run]
+    assert lb_gen_digests(tmp_path, LB_GEN_ARGV[run]) == GOLDEN_LB_GEN[run]
 
 
 GOLDEN_LB_PROBE_CSV = (
@@ -229,10 +230,12 @@ GOLDEN_LB_PROBE_CSV = (
 )
 
 
+LB_PROBE_ARGV = ["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "800",
+                 "--s-values", "0,300,5000", "--trials", "40", "--seed", "41"]
+
+
 def test_lb_probe_csv_bytes(capsys):
-    out = _cli_csv(capsys, ["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "800",
-                            "--s-values", "0,300,5000", "--trials", "40", "--seed", "41"])
-    assert out == GOLDEN_LB_PROBE_CSV
+    assert _cli_csv(capsys, LB_PROBE_ARGV) == GOLDEN_LB_PROBE_CSV
 
 
 def _instance_pin(priors, n: int, s: int, seed: int) -> str:
@@ -259,7 +262,7 @@ _INSTANCE_CASES = [(k, n, s, 1000 * k + n + s) for k in (0, 1) for n in (1, 10_0
 _INSTANCE_CASES += [(0, 1, 100_000, 22), (1, 1, 0, 7)]
 
 
-def _instance_pins() -> list[str]:
+def instance_pins() -> list[str]:
     priors = [build_priors(*setting) for setting in BENCH_PRIORS]
     return [_instance_pin(priors[k], n, s, seed) for k, n, s, seed in _INSTANCE_CASES]
 
@@ -279,7 +282,15 @@ GOLDEN_INSTANCES = [
 
 
 def test_generate_instance_pins():
-    assert _instance_pins() == GOLDEN_INSTANCES
+    assert instance_pins() == GOLDEN_INSTANCES
+
+
+def test_lb_pin_printer_spells_these_tables():
+    """tests/lb_pins.py prints the three tables above as this file spells them."""
+    with open(__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    for table in pin_tables_source(GOLDEN_LB_GEN, GOLDEN_LB_PROBE_CSV, GOLDEN_INSTANCES).split("\n\n\n"):
+        assert table in source
 
 
 # Poset files and the oracle CSV: byte pins produced by the tuple-backed
