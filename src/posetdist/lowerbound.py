@@ -31,6 +31,8 @@ MEAN_TOL = 1e-8
 MOMENT_REL_TOL = 1e-8
 PRUNE_MASS = 1e-10
 DEFAULT_GRID = 400
+# the largest rate Generator.poisson accepts (numpy's POISSON_LAM_MAX)
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 WILSON_Z = 1.959963984540054  # 95%
 
 FINGERPRINT_NAMES = ("zeros", "singletons", "doubletons", "total")
@@ -280,11 +282,45 @@ class LBInstance:
         return Distribution.normalized(self.raw_far) if self.raw_far.sum() > 0 else None
 
 
+def _poisson_counts(rates: np.ndarray, idx: np.ndarray, rng: Rng) -> np.ndarray:
+    """Independent Poisson(rates[idx[i]]) counts, i = 0..n-1, drawn per atom.
+
+    The members of an atom of rate r <= 1 draw their total T ~ Poisson(r * m)
+    and share it out by T uniform picks: given T the counts are multinomial,
+    so each is exactly Poisson(r) and independent of the others, and the
+    picks number about r * m <= m. An atom of rate above 1 draws its m counts
+    at once. The branch depends on r alone, never on a drawn value, so the
+    law is exact, and memory stays O(n) at any rate. Atoms are visited in
+    index order; a zero-rate atom draws nothing.
+    """
+    picks, direct = [np.empty(0, dtype=np.intp)], []
+    for k, r in enumerate(rates):
+        if r == 0:
+            continue
+        members = np.flatnonzero(idx == k)
+        if members.size == 0:
+            continue
+        if r <= 1.0:
+            total = rng.gen.poisson(r * members.size)
+            picks.append(members.take(rng.gen.integers(members.size, size=total)))
+        else:
+            direct.append((members, rng.gen.poisson(r, members.size)))
+    counts = np.bincount(np.concatenate(picks), minlength=idx.size).astype(np.int64, copy=False)
+    for members, drawn in direct:
+        counts[members] = drawn
+    return counts
+
+
 def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInstance:
     """Step 1 draws n i.i.d. prior weights per side; step 2 Poissonizes.
 
     The atom draws reproduce Generator.choice(k, size=n, p=mass/mass.sum())
-    draw for draw, so a seed gives the same instance as a choice-based draw.
+    draw for draw, so a seed gives the same atoms as a choice-based draw.
+    The counts are then drawn per atom (_poisson_counts), big side first:
+    they follow the law of independent Poisson(s * w_i / n) draws, but not
+    draw for draw what Generator.poisson over the n rates would give. At
+    s = 0 nothing is drawn after the atoms. A rate s * max(atoms) / n above
+    POISSON_LAM_MAX, the most the Poisson sampler takes, is a ValueError.
     The normalized views norm_big and norm_far are built only when read.
 
     Event flags: the big side needs raw mass within nu of 1 and more than
@@ -296,16 +332,18 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     if s < 0:
         raise ValueError(f"sample rate s must be nonnegative, got {s}")
     (atoms_big, cdf_big), (atoms_far, cdf_far) = priors.atom_tables
+    peak = max(float(atoms_big.max()), float(atoms_far.max())) / n
+    # s > limit / peak is tested first: an s beyond a float's range cannot
+    # be multiplied out, and s * peak then rounds as numpy's own check does
+    if peak > 0 and (s > POISSON_LAM_MAX / peak or s * peak > POISSON_LAM_MAX):
+        raise ValueError(f"sample rate s={s} at n={n} gives a Poisson rate s*max(atoms)/n above "
+                         f"{POISSON_LAM_MAX:.17g}, the most the sampler takes")
     idx_big = choice_indices(cdf_big, n, rng)
     idx_far = choice_indices(cdf_far, n, rng)
     raw_big = (atoms_big / n).take(idx_big)
     raw_far = (atoms_far / n).take(idx_far)
-    if s > 0:
-        hist_big = rng.gen.poisson((s * (atoms_big / n)).take(idx_big))
-        hist_far = rng.gen.poisson((s * (atoms_far / n)).take(idx_far))
-    else:
-        hist_big = np.zeros(n, dtype=np.int64)
-        hist_far = np.zeros(n, dtype=np.int64)
+    hist_big = _poisson_counts(s * (atoms_big / n), idx_big, rng)
+    hist_far = _poisson_counts(s * (atoms_far / n), idx_far, rng)
     # numpy scalars, not floats: the event flags keep their numpy bool type
     mass_big, mass_far = raw_big.sum(), raw_far.sum()
     zero_count = int(np.count_nonzero(raw_far == 0.0))
@@ -397,6 +435,8 @@ def indistinguishability_probe(
         raise ValueError(f"instance size n must be at least 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     if any(s < 0 for s in s_values):
         raise ValueError(f"sample rates must be nonnegative, got {s_values}")
     zeros = math.ceil(priors.beta * n * priors.gap / 2.0)

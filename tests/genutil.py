@@ -256,6 +256,14 @@ def reference_choice(p, size, gen: np.random.Generator):
     return gen.choice(len(p), size=size, p=p)
 
 
+def reference_instance_counts(priors, n: int, s: int, gen: np.random.Generator):
+    """[(atom indices, counts)] of generate_instance's big and far side, drawn
+    per element: Generator.choice for each side's atoms, then one
+    Generator.poisson over each side's n rates s * w_i / n."""
+    idx = [reference_choice(mass / mass.sum(), n, gen) for mass in (priors.mass_big, priors.mass_far)]
+    return [(i, gen.poisson((s * (atoms / n)).take(i))) for atoms, i in zip((priors.atoms_big, priors.atoms_far), idx)]
+
+
 def reference_lift_draw(reduction, src, gen: np.random.Generator) -> np.ndarray:
     """Source samples lifted one at a time, each to a copy picked by its own
     choice call; with a single copy nothing is drawn."""

@@ -472,6 +472,8 @@ LB_BAD_INPUTS = [
      "sample rates must be nonnegative"),
     (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0",
       "--trials", "0"], "trials must be at least 1"),
+    (["lb", "gen", "--n", "1", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "100000000000000000000"],
+     "s=100000000000000000000 at n=1 gives a Poisson rate"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from posetdist import (
     priors_from_gap_solution,
     solve_moment_gap,
 )
-from posetdist.lowerbound import chebyshev_grid, fingerprint_stats
+from posetdist.lowerbound import POISSON_LAM_MAX, chebyshev_grid, fingerprint_stats
 from posetdist.prob import choice_indices
 
-from genutil import BENCH_PRIORS, reference_choice
+from genutil import BENCH_PRIORS, reference_choice, reference_instance_counts
 
 
 def test_gap_closed_form_values():
@@ -259,3 +260,168 @@ def test_probe_refuses_impossible_regime_before_drawing(monkeypatch, setting):
         with pytest.raises(_Drawn):
             indistinguishability_probe(priors, n, [0], 3, Rng(0))
     assert len(calls) == 3
+
+
+# The law of the per-atom counts against the per-element route, at a size
+# where the benchmark's second prior pair takes both of _poisson_counts'
+# branches on both sides: at s/n = 1/2 its rates are about 0.29, 0.82 and
+# 2.10 on the big side and 0, 0.41, 1.47 and 2.35 on the far side.
+LAW_N, LAW_S, LAW_SEEDS = 4000, 2000, range(200)
+
+
+def _poisson_pmf(r: float, size: int) -> np.ndarray:
+    """Poisson(r) probabilities of 0..size-2, the rest of the mass last."""
+    pmf = np.array([math.exp(-r + j * math.log(r) - math.lgamma(j + 1)) for j in range(size - 1)])
+    return np.append(pmf, max(0.0, 1.0 - pmf.sum()))
+
+
+@pytest.fixture(scope="module")
+def law_draws():
+    """{route: [(atoms, [(idx, counts)] per seed)] per side} for the library
+    and the per-element reference, from the same seeds (hence the same atoms)."""
+    priors = build_priors(*BENCH_PRIORS[1])
+    lib = {"big": [], "far": []}
+    ref = {"big": [], "far": []}
+    for seed in LAW_SEEDS:
+        inst = generate_instance(priors, LAW_N, LAW_S, Rng(seed))
+        sides = reference_instance_counts(priors, LAW_N, LAW_S, Rng(seed).gen)
+        for name, atoms, raw, hist, (idx, counts) in (
+            ("big", priors.atoms_big, inst.raw_big, inst.hist_big, sides[0]),
+            ("far", priors.atoms_far, inst.raw_far, inst.hist_far, sides[1]),
+        ):
+            assert np.array_equal((atoms / LAW_N).take(idx), raw)  # the same atoms, draw for draw
+            lib[name].append((idx, hist))
+            ref[name].append((idx, counts))
+    return priors, {"library": lib, "reference": ref}
+
+
+def _atoms(priors, side):
+    return priors.atoms_big if side == "big" else priors.atoms_far
+
+
+@pytest.mark.parametrize("side", ["big", "far"])
+def test_law_regime_takes_both_branches(law_draws, side):
+    priors, _ = law_draws
+    rates = LAW_S * _atoms(priors, side) / LAW_N
+    assert np.any((rates > 0) & (rates <= 1)) and np.any(rates > 1)
+    assert (side == "far") == np.any(rates == 0)
+
+
+@pytest.mark.parametrize("side", ["big", "far"])
+def test_per_atom_count_frequencies_match_poisson(law_draws, side):
+    """Pooled over members and seeds, each atom's count frequencies are within
+    tol = sum_j sqrt(p_j / N) of Poisson(r) in TV, for both routes, and within
+    sqrt(2) * tol of each other. An empirical pmf of N draws is off from p by
+    about 0.4 * tol in TV (each cell by sqrt(2/pi) * sqrt(p_j / N) on average),
+    so tol leaves a margin of 2.5 times that; a zero-rate atom counts only 0."""
+    priors, routes = law_draws
+    for k, a in enumerate(_atoms(priors, side)):
+        r = LAW_S * a / LAW_N
+        pooled = {route: np.concatenate([c[i == k] for i, c in draws[side]]) for route, draws in routes.items()}
+        if r == 0:
+            assert all(not c.any() for c in pooled.values())
+            continue
+        size = max(int(c.max()) for c in pooled.values()) + 2
+        pmf = _poisson_pmf(r, size)
+        freq = {route: np.bincount(c, minlength=size) / c.size for route, c in pooled.items()}
+        tol = float(np.sqrt(pmf / pooled["library"].size).sum())
+        for route, f in freq.items():
+            assert 0.5 * np.abs(f - pmf).sum() <= tol, (route, k, r)
+        assert 0.5 * np.abs(freq["library"] - freq["reference"]).sum() <= math.sqrt(2) * tol, (k, r)
+
+
+@pytest.mark.parametrize("side", ["big", "far"])
+def test_per_atom_group_totals_are_poisson(law_draws, side):
+    """The total count over an atom's m members is Poisson(r * m): over the
+    200 seeds its standardized values have mean within 5 standard errors of 0
+    and variance within 5 standard errors of 1 (0.35 and 0.5). A total fixed
+    at about r * m (variance near 0) fails, as does a total that ignores the
+    rate."""
+    priors, routes = law_draws
+    seeds = len(LAW_SEEDS)
+    for draws in routes.values():
+        for k, a in enumerate(_atoms(priors, side)):
+            r = LAW_S * a / LAW_N
+            if r == 0:
+                continue
+            z = np.array([(c[i == k].sum() - r * np.count_nonzero(i == k)) / math.sqrt(r * np.count_nonzero(i == k))
+                          for i, c in draws[side]])
+            assert abs(z.mean()) <= 5 / math.sqrt(seeds), (k, r, z.mean())
+            assert abs(z.var(ddof=1) - 1) <= 5 * math.sqrt(2 / (seeds - 1)), (k, r, z.var(ddof=1))
+
+
+@pytest.mark.parametrize("side", ["big", "far"])
+def test_counts_of_distinct_elements_are_uncorrelated(law_draws, side):
+    """Pearson correlation between the counts of consecutive members of one
+    atom (disjoint pairs, pooled over seeds), and between element i and
+    element i + n/2 whatever their atoms, is within 4/sqrt(pairs) of 0."""
+    priors, routes = law_draws
+    for draws in routes.values():
+        pairs = []
+        for k, a in enumerate(_atoms(priors, side)):
+            if a == 0:
+                continue
+            firsts, seconds = [], []
+            for i, c in draws[side]:
+                members = c[i == k]
+                half = members.size // 2
+                firsts.append(members[:2 * half:2])
+                seconds.append(members[1:2 * half:2])
+            pairs.append((np.concatenate(firsts), np.concatenate(seconds)))
+        half = LAW_N // 2
+        pairs.append((np.concatenate([c[:half] for _, c in draws[side]]),
+                      np.concatenate([c[half:2 * half] for _, c in draws[side]])))
+        for x, y in pairs:
+            assert abs(np.corrcoef(x, y)[0, 1]) <= 4 / math.sqrt(x.size), (side, x.size)
+
+
+def _point_mass_priors(atom: float) -> MomentPriors:
+    """Unvalidated priors with one atom on each side."""
+    return MomentPriors(np.array([atom]), np.array([1.0]), np.array([atom]), np.array([1.0]),
+                        beta=1.5, nu=0.5, lam=6.0, L=2, gap=0.0)
+
+
+@pytest.mark.parametrize("n,s", [(1, 10**20), (1000, 10**400), (3, 3 * 10**19)], ids=["1e20", "1e400", "3e19"])
+def test_generate_instance_refuses_rates_beyond_the_sampler(n, s):
+    priors = build_priors(0.5, 6.0, 4)
+    rng = Rng(0)
+    state = rng.gen.bit_generator.state
+    with pytest.raises(ValueError, match=f"s={s} at n={n} gives a Poisson rate .* above 9.22337200648477") as exc:
+        generate_instance(priors, n, s, rng)
+    assert type(exc.value) is ValueError  # bad input, not an infeasible regime
+    assert rng.gen.bit_generator.state == state  # refused before any draw
+
+
+def test_generate_instance_takes_the_sampler_limit_itself():
+    limit = POISSON_LAM_MAX
+    top = int(limit)
+    assert float(top) == limit
+    inst = generate_instance(_point_mass_priors(1.0), 1, top, Rng(0))
+    assert inst.hist_big[0] > 0.9 * limit
+    above = int(np.nextafter(limit, np.inf))
+    with pytest.raises(ValueError, match=f"s={above} at n=1"):
+        generate_instance(_point_mass_priors(1.0), 1, above, Rng(0))
+
+
+def test_dense_regime_allocates_order_n():
+    """At n = 1000 and s = 10^12 every rate is far above 1: the counts come
+    from n Poisson draws, and the call's peak allocation stays within a few
+    dozen n-sized arrays, nowhere near anything that grows with s."""
+    priors = build_priors(*BENCH_PRIORS[1])
+    n = 1000
+    generate_instance(priors, n, 10**12, Rng(1))  # first-call caches out of the measurement
+    tracemalloc.start()
+    try:
+        inst = generate_instance(priors, n, 10**12, Rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 8 * n
+    assert inst.hist_big.sum() > 10**12 * (1 - priors.nu)
+
+
+@pytest.mark.parametrize("max_retries", [0, -1])
+def test_probe_rejects_max_retries_below_one(max_retries):
+    with pytest.raises(ValueError, match=f"max_retries must be at least 1, got {max_retries}") as exc:
+        indistinguishability_probe(build_priors(0.5, 6.0, 4), 50, [0], 3, Rng(0), max_retries=max_retries)
+    assert type(exc.value) is ValueError
