@@ -179,9 +179,14 @@ def test_verdict_reprs():
 
 
 # Lower-bound construction: byte pins of `lb gen`, `lb probe` and the raw
-# generate_instance output, produced by the construction's first
-# implementation (atoms drawn with Generator.choice, normalized views built
-# eagerly), on the benchmark's two prior settings.
+# generate_instance output, on the benchmark's two prior settings. Atoms are
+# drawn as Generator.choice draws them, counts per prior atom
+# (lowerbound._poisson_counts). The s = 0 pins, the "explicit" `lb gen` run
+# and the n = 1 instances hold the bytes of the construction's first
+# implementation (one Generator.poisson call over the n rates); the "eps"
+# histograms, the s = 300 probe row and the two instances at n = 10^4,
+# s = 10^5 were re-pinned when the counts moved to per-atom draws.
+# `PYTHONPATH=src python tests/lb_pins.py` prints all three tables.
 
 
 def _sha(data: bytes) -> str:
@@ -197,10 +202,10 @@ def lb_gen_digests(tmp_path, argv) -> dict:
 GOLDEN_LB_GEN = {
     "eps": {
         "big.dist": "e2b495fb0633f9b162eb541015d865ccad86c88c316c38b39f7396dfefb0a9f6",
-        "big.hist.csv": "974e8e95971e585ba288fcf4058f05d3e398e0c955608b2db84747e181fbbaf0",
+        "big.hist.csv": "350d4d974d1ec09dbc3891d6fa64b4fea656d0ec4d4995ffb2ef519d41bb09ca",
         "events.csv": "82b49d449eb746ab5878b6491098bf07586dbaac7e2414ab3220a01c96ac19c9",
         "far.dist": "fa0dde0571417af19e163d6645903de7c253801ebb41f056f6d40b181219f4bf",
-        "far.hist.csv": "1279425dd257cce96628b0bf8d9106f203f03a73ee689d9a798f9826cf620dde",
+        "far.hist.csv": "899b95049e89071fef04abcdbaa2481ec0670d2c7a52de447feff32c8ea502cd",
     },
     "explicit": {
         "big.dist": "297b6c41d40c5cd945e99f86119675b5fae7e2c8444d9b0b5b402d96124e0cab",
@@ -225,7 +230,7 @@ def test_lb_gen_artifact_bytes(tmp_path, run):
 GOLDEN_LB_PROBE_CSV = (
     's,kept_big,kept_far,best_stat,advantage,ci_half\n'
     '0,40,40,0,0.0,0.08762160119728664\n'
-    '300,40,40,0,0.375,0.2578915221489899\n'
+    '300,40,40,3,0.25000000000000006,0.2859664523819909\n'
     '5000,40,40,0,1.0,0.08762160119728664\n'
 )
 
@@ -271,11 +276,11 @@ GOLDEN_INSTANCES = [
     '2967f0daccc610a544fe987067f0622a 0 np.False_ False 1.0 False False',
     '37de3f778ce584d3a1d6df5bbce16541 0 np.True_ False 1.0 False False',
     '408c710d0d13b4effccfa65f18e3e3b4 450 np.False_ np.False_ 0.00025522207487864825 False False',
-    'da36ee80d8c7b521f4ebea333929baf0 449 np.True_ np.True_ 0.0002548442796916962 False False',
+    '5d28f2397fa86a87da9de0428b2c64c1 449 np.True_ np.True_ 0.0002548442796916962 False False',
     'b2b116338a0feb4ed442d056a00f0742 0 np.False_ False 1.0 False False',
     '49fe7345a691a5ea01a0a6507b4378ee 0 np.True_ False 1.0 False False',
     'fd17f0f1d8afc43c4c7213359248afd5 775 np.False_ np.False_ 0.00046802380851732376 False False',
-    'f6409b9e513b10b28203fd1266d52d43 785 np.True_ np.True_ 0.0004687385930170577 False False',
+    '5ac7595122eb8eb621fe1523148aeffa 785 np.True_ np.True_ 0.0004687385930170577 False False',
     '9fc9ef8cf2200cb09d4aff80eea11114 1 np.True_ np.False_ 1.0 False True',
     'c209a5ea828578ae08812a39b994ddad 1 np.False_ np.False_ 1.0 False True',
 ]
