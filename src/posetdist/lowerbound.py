@@ -293,19 +293,21 @@ def _poisson_counts(rates: np.ndarray, idx: np.ndarray, rng: Rng) -> np.ndarray:
     law is exact, and memory stays O(n) at any rate. Atoms are visited in
     index order; a zero-rate atom draws nothing.
     """
-    picks, direct = [np.empty(0, dtype=np.intp)], []
-    for k, r in enumerate(rates):
-        if r == 0:
-            continue
-        members = np.flatnonzero(idx == k)
+    picks, direct = [], []
+    for k in rates.nonzero()[0]:
+        members = (idx == k).nonzero()[0]
         if members.size == 0:
             continue
+        r = rates[k]
         if r <= 1.0:
             total = rng.gen.poisson(r * members.size)
             picks.append(members.take(rng.gen.integers(members.size, size=total)))
         else:
             direct.append((members, rng.gen.poisson(r, members.size)))
-    counts = np.bincount(np.concatenate(picks), minlength=idx.size).astype(np.int64, copy=False)
+    if picks:
+        counts = np.bincount(np.concatenate(picks), minlength=idx.size).astype(np.int64, copy=False)
+    else:
+        counts = np.zeros(idx.size, dtype=np.int64)
     for members, drawn in direct:
         counts[members] = drawn
     return counts
@@ -332,7 +334,7 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     if s < 0:
         raise ValueError(f"sample rate s must be nonnegative, got {s}")
     (atoms_big, cdf_big), (atoms_far, cdf_far) = priors.atom_tables
-    peak = max(float(atoms_big.max()), float(atoms_far.max())) / n
+    peak = max(float(atoms_big.max()), float(atoms_far.max())) / n if s > 0 else 0.0
     # s > limit / peak is tested first: an s beyond a float's range cannot
     # be multiplied out, and s * peak then rounds as numpy's own check does
     if peak > 0 and (s > POISSON_LAM_MAX / peak or s * peak > POISSON_LAM_MAX):
