@@ -321,8 +321,10 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     The counts are then drawn per atom (_poisson_counts), big side first:
     they follow the law of independent Poisson(s * w_i / n) draws, but not
     draw for draw what Generator.poisson over the n rates would give. At
-    s = 0 nothing is drawn after the atoms. A rate s * max(atoms) / n above
-    POISSON_LAM_MAX, the most the Poisson sampler takes, is a ValueError.
+    s = 0 nothing is drawn after the atoms. An s with s * max(atoms) above
+    POISSON_LAM_MAX is a ValueError: that product bounds every rate, which
+    the Poisson sampler takes up to that limit, and the mean count total,
+    which must stay within int64.
     The normalized views norm_big and norm_far are built only when read.
 
     Event flags: the big side needs raw mass within nu of 1 and more than
@@ -334,12 +336,12 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     if s < 0:
         raise ValueError(f"sample rate s must be nonnegative, got {s}")
     (atoms_big, cdf_big), (atoms_far, cdf_far) = priors.atom_tables
-    peak = max(float(atoms_big.max()), float(atoms_far.max())) / n if s > 0 else 0.0
-    # s > limit / peak is tested first: an s beyond a float's range cannot
-    # be multiplied out, and s * peak then rounds as numpy's own check does
-    if peak > 0 and (s > POISSON_LAM_MAX / peak or s * peak > POISSON_LAM_MAX):
-        raise ValueError(f"sample rate s={s} at n={n} gives a Poisson rate s*max(atoms)/n above "
-                         f"{POISSON_LAM_MAX:.17g}, the most the sampler takes")
+    # s > limit / top is tested first: an s beyond a float's range cannot be
+    # multiplied out
+    top = max(float(atoms_big.max()), float(atoms_far.max())) if s > 0 else 0.0
+    if top > 0 and (s > POISSON_LAM_MAX / top or s * top > POISSON_LAM_MAX):
+        raise ValueError(f"sample rate s={s} at n={n} is too large: s*max(atoms) must be at most "
+                         f"{POISSON_LAM_MAX:.17g}, numpy's Poisson limit, or a rate or a count total overflows")
     idx_big = choice_indices(cdf_big, n, rng)
     idx_far = choice_indices(cdf_far, n, rng)
     raw_big = (atoms_big / n).take(idx_big)

@@ -473,7 +473,7 @@ LB_BAD_INPUTS = [
     (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0",
       "--trials", "0"], "trials must be at least 1"),
     (["lb", "gen", "--n", "1", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "100000000000000000000"],
-     "s=100000000000000000000 at n=1 gives a Poisson rate"),
+     "s=100000000000000000000 at n=1 is too large"),
 ]
 
 

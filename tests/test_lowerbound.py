@@ -381,12 +381,12 @@ def _point_mass_priors(atom: float) -> MomentPriors:
                         beta=1.5, nu=0.5, lam=6.0, L=2, gap=0.0)
 
 
-@pytest.mark.parametrize("n,s", [(1, 10**20), (1000, 10**400), (3, 3 * 10**19)], ids=["1e20", "1e400", "3e19"])
-def test_generate_instance_refuses_rates_beyond_the_sampler(n, s):
+@pytest.mark.parametrize("n,s", [(1, 10**20), (1000, 10**400), (10**4, 10**19)], ids=["1e20", "1e400", "1e19"])
+def test_generate_instance_refuses_too_large_s(n, s):
     priors = build_priors(0.5, 6.0, 4)
     rng = Rng(0)
     state = rng.gen.bit_generator.state
-    with pytest.raises(ValueError, match=f"s={s} at n={n} gives a Poisson rate .* above 9.22337200648477") as exc:
+    with pytest.raises(ValueError, match=f"s={s} at n={n} is too large: .* at most 9.22337200648477") as exc:
         generate_instance(priors, n, s, rng)
     assert type(exc.value) is ValueError  # bad input, not an infeasible regime
     assert rng.gen.bit_generator.state == state  # refused before any draw
@@ -401,6 +401,17 @@ def test_generate_instance_takes_the_sampler_limit_itself():
     above = int(np.nextafter(limit, np.inf))
     with pytest.raises(ValueError, match=f"s={above} at n=1"):
         generate_instance(_point_mass_priors(1.0), 1, above, Rng(0))
+
+
+def test_count_totals_stay_within_int64():
+    """Two elements at rate s/2 each: at s = POISSON_LAM_MAX the total fits in
+    int64 and the event flag sees it; at twice that, where every rate is
+    still within the sampler's limit, the total would wrap, so s is refused."""
+    top = int(POISSON_LAM_MAX)
+    inst = generate_instance(_point_mass_priors(1.0), 2, top, Rng(0))
+    assert inst.hist_big.sum() > 0.9 * top and inst.event_big
+    with pytest.raises(ValueError, match=f"s={2 * top} at n=2 is too large"):
+        generate_instance(_point_mass_priors(1.0), 2, 2 * top, Rng(0))
 
 
 def test_dense_regime_allocates_order_n():
