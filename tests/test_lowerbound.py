@@ -154,11 +154,22 @@ def test_probe_endpoints():
     assert rows[0].kept_big == 60 and rows[0].kept_far == 60
 
 
-@pytest.mark.parametrize("n,s,message", [(0, 10, "n must be at least 1"), (-3, 10, "n must be at least 1"),
-                                         (50, -1, "s must be nonnegative")])
+_TOO_LARGE = "is too large: s\\*max\\(atoms\\) must be at most 9.2233720064847708e\\+18"
+
+
+@pytest.mark.parametrize("n,s,message", [
+    (0, 10, "n must be at least 1"), (-3, 10, "n must be at least 1"), (50, -1, "s must be nonnegative"),
+    pytest.param(1, 10**20, f"s={10**20} at n=1 {_TOO_LARGE}", id="1-1e20-too large"),
+    pytest.param(1000, 10**400, f"s={10**400} at n=1000 {_TOO_LARGE}", id="1000-1e400-too large"),
+    pytest.param(10**4, 10**19, f"s={10**19} at n=10000 {_TOO_LARGE}", id="10000-1e19-too large"),
+])
 def test_generate_instance_rejects_bad_sizes(n, s, message):
-    with pytest.raises(ValueError, match=message):
-        generate_instance(build_priors(0.5, 6.0, 4), n, s, Rng(0))
+    rng = Rng(0)
+    state = rng.gen.bit_generator.state
+    with pytest.raises(ValueError, match=message) as exc:
+        generate_instance(build_priors(0.5, 6.0, 4), n, s, rng)
+    assert type(exc.value) is ValueError  # not ParameterError, an infeasible regime
+    assert rng.gen.bit_generator.state == state  # refused before any draw
 
 
 @pytest.mark.parametrize(
@@ -170,8 +181,9 @@ def test_generate_instance_rejects_bad_sizes(n, s, message):
     ],
 )
 def test_probe_rejects_bad_inputs(n, s_values, trials, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as exc:
         indistinguishability_probe(build_priors(0.5, 6.0, 4), n, s_values, trials, Rng(0))
+    assert type(exc.value) is ValueError
 
 
 def _hand_priors(atoms_far, mass_far):
@@ -379,17 +391,6 @@ def _point_mass_priors(atom: float) -> MomentPriors:
     """Unvalidated priors with one atom on each side."""
     return MomentPriors(np.array([atom]), np.array([1.0]), np.array([atom]), np.array([1.0]),
                         beta=1.5, nu=0.5, lam=6.0, L=2, gap=0.0)
-
-
-@pytest.mark.parametrize("n,s", [(1, 10**20), (1000, 10**400), (10**4, 10**19)], ids=["1e20", "1e400", "1e19"])
-def test_generate_instance_refuses_too_large_s(n, s):
-    priors = build_priors(0.5, 6.0, 4)
-    rng = Rng(0)
-    state = rng.gen.bit_generator.state
-    with pytest.raises(ValueError, match=f"s={s} at n={n} is too large: .* at most 9.22337200648477") as exc:
-        generate_instance(priors, n, s, rng)
-    assert type(exc.value) is ValueError  # bad input, not an infeasible regime
-    assert rng.gen.bit_generator.state == state  # refused before any draw
 
 
 def test_generate_instance_takes_the_sampler_limit_itself():
