@@ -289,8 +289,9 @@ def _poisson_pmf(r: float, size: int) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def law_draws():
-    """{route: [(atoms, [(idx, counts)] per seed)] per side} for the library
-    and the per-element reference, from the same seeds (hence the same atoms)."""
+    """(priors, {route: {side: [(atom indices, counts) per seed]}}) for the
+    library and the per-element reference, from the same seeds and so the
+    same atoms."""
     priors = build_priors(*BENCH_PRIORS[1])
     lib = {"big": [], "far": []}
     ref = {"big": [], "far": []}
@@ -393,26 +394,20 @@ def _point_mass_priors(atom: float) -> MomentPriors:
                         beta=1.5, nu=0.5, lam=6.0, L=2, gap=0.0)
 
 
-def test_generate_instance_takes_the_sampler_limit_itself():
-    limit = POISSON_LAM_MAX
-    top = int(limit)
-    assert float(top) == limit
-    inst = generate_instance(_point_mass_priors(1.0), 1, top, Rng(0))
-    assert inst.hist_big[0] > 0.9 * limit
-    above = int(np.nextafter(limit, np.inf))
-    with pytest.raises(ValueError, match=f"s={above} at n=1"):
-        generate_instance(_point_mass_priors(1.0), 1, above, Rng(0))
-
-
-def test_count_totals_stay_within_int64():
-    """Two elements at rate s/2 each: at s = POISSON_LAM_MAX the total fits in
-    int64 and the event flag sees it; at twice that, where every rate is
-    still within the sampler's limit, the total would wrap, so s is refused."""
+def test_generate_instance_at_the_sampler_limit():
+    """s * max(atoms) = POISSON_LAM_MAX is drawn, one float step above it is
+    refused. At n = 2 that s puts the two counts' total near the limit,
+    inside int64, and the event flag sees it; twice that s, though each rate
+    is still one the sampler takes, would wrap the total, so it is refused."""
     top = int(POISSON_LAM_MAX)
-    inst = generate_instance(_point_mass_priors(1.0), 2, top, Rng(0))
+    assert float(top) == POISSON_LAM_MAX
+    priors = _point_mass_priors(1.0)
+    assert generate_instance(priors, 1, top, Rng(0)).hist_big[0] > 0.9 * top
+    inst = generate_instance(priors, 2, top, Rng(0))
     assert inst.hist_big.sum() > 0.9 * top and inst.event_big
-    with pytest.raises(ValueError, match=f"s={2 * top} at n=2 is too large"):
-        generate_instance(_point_mass_priors(1.0), 2, 2 * top, Rng(0))
+    for n, s in ((1, int(np.nextafter(POISSON_LAM_MAX, np.inf))), (2, 2 * top)):
+        with pytest.raises(ValueError, match=f"s={s} at n={n} is too large"):
+            generate_instance(priors, n, s, Rng(0))
 
 
 def test_dense_regime_allocates_order_n():
