@@ -178,6 +178,40 @@ def test_verdict_reprs():
     assert _verdicts() == GOLDEN_VERDICTS
 
 
+# The benchmark's largest shape: 10^5 pairs, a learn budget of 6.27e9 and
+# about 10^5 distinct learned keys.
+GOLDEN_VERDICTS_1E5 = [
+    "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.42347513278128207, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.31583510649846097, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.6579175510448119, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.00298426917917575, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.47532211294131715, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+]
+
+
+def test_verdict_reprs_on_1e5_pairs():
+    G = make_matching(100_000)
+    inputs = _matching_inputs(100_000, 31)
+    got = [repr(matching_monotonicity_test(G, ExactDistAccess(inputs[kind]), EPS, rng=Rng(31).derive(k)))
+           for k, kind in enumerate(("mono", "far", "tight"))]
+    assert got == GOLDEN_VERDICTS_1E5
+
+
+# Counts far beyond 2^32 on a 2-pair matching: the product of a bottom and a
+# top count does not fit in int64, and at the larger budget neither does a
+# count fit in a float's 53 bits.
+GOLDEN_VERDICTS_HUGE_COUNTS = [
+    "Verdict(decision='reject', stat=0.0999684085793715, threshold=0.002142857142857143, samples=5655427280286, details={'bottom_mass': 0.4999648995541311, 'learn_budget': 5655364560285, 'mass_budget': 62720001})",
+    "Verdict(decision='reject', stat=0.09996840959769868, threshold=0.002142857142857143, samples=5655364560347457537, details={'bottom_mass': 0.4999648995541311, 'learn_budget': 5655364560284737536, 'mass_budget': 62720001})",
+]
+
+
+def test_verdict_reprs_with_huge_counts():
+    p = Distribution(np.array([0.3, 0.2, 0.1, 0.4]))
+    got = [repr(matching_monotonicity_test(make_matching(2), ExactDistAccess(p), 0.01,
+                                           LearnerSpec(budget_multiplier=mult), Rng(12)))
+           for mult in (1e6, 1e12)]
+    assert got == GOLDEN_VERDICTS_HUGE_COUNTS
+
+
 # Lower-bound construction: byte pins of `lb gen`, `lb probe` and the raw
 # generate_instance output, on the benchmark's two prior settings. Atoms are
 # drawn as Generator.choice draws them, counts per prior atom
