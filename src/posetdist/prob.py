@@ -268,8 +268,16 @@ def poissonized_histogram(weights, s: float, rng: Rng) -> SampleHistogram:
     return SampleHistogram(rng.gen.poisson(s * w))
 
 
+def _snap(a, step: float) -> np.ndarray:
+    """Each entry of a moved to the nearest multiple of step."""
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("quantization step must be positive and finite")
+    return np.round(a / step) * step
+
+
 def pair_histogram(p1, p2, quantize: float | None = None) -> PairHistogram:
-    """Exact pair histogram of two equal-length nonnegative vectors.
+    """Exact pair histogram of two equal-length nonnegative vectors (-0.0
+    counts as nonnegative).
 
     quantize, when given, snaps each coordinate to the nearest multiple of the
     step before keying; used for learned histograms so float noise cannot
@@ -279,11 +287,10 @@ def pair_histogram(p1, p2, quantize: float | None = None) -> PairHistogram:
     b = np.asarray(p2, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("pair_histogram needs two equal-length vectors")
+    if (a < 0).any() or (b < 0).any():
+        raise ValueError("pair_histogram needs nonnegative entries")
     if quantize is not None:
-        if quantize <= 0:
-            raise ValueError("quantization step must be positive")
-        a = np.round(a / quantize) * quantize
-        b = np.round(b / quantize) * quantize
+        a, b = _snap(a, quantize), _snap(b, quantize)
     return PairHistogram.from_arrays(a, b, np.ones(a.size))
 
 

@@ -17,12 +17,26 @@ from typing import Callable
 
 import numpy as np
 
-from .oracles import SizeCapError, dist_to_bigness, min_w_to_monotone_pairhist
+# pair_histogram and min_w_to_monotone_pairhist are no longer called here but
+# stay bound: perfbench/spans.py wraps both names on this module.
+from .oracles import SizeCapError, _midpoint_cost, dist_to_bigness, min_w_to_monotone_pairhist  # noqa: F401
 from .poset import Poset
-from .prob import Distribution, PairHistogram, Rng, SampleAccess, pair_histogram
+from .prob import Distribution, PairHistogram, Rng, SampleAccess, _snap, pair_histogram  # noqa: F401
 from .reductions import LiftedAccess, bipartite_to_matching
 
 MASS_EST_CONST = 32.0  # ceil(32/eps^2) samples per additive-eps mass estimate
+# The most samples one draw may take: numpy's multinomial and binomial
+# counts are int64.
+MAX_SAMPLES = int(np.iinfo(np.int64).max)
+
+
+def _sample_count(name: str, num: float, den: float) -> int:
+    """ceil(num / den) as a sample count, or a ValueError naming it when it
+    exceeds MAX_SAMPLES (den may underflow to 0 at a tiny eps)."""
+    s = num / den if den > 0 else math.inf
+    if not s <= MAX_SAMPLES:
+        raise ValueError(f"{name} of {s:.6g} samples exceeds {MAX_SAMPLES}, the most one draw can take")
+    return int(math.ceil(s))
 
 
 @dataclass(frozen=True)
@@ -69,13 +83,13 @@ class LearnerSpec:
             raise ValueError(f"unknown learner kind {self.kind!r}")
         if self.kind == "external" and not (self.learn_distribution or self.learn_pair_histogram):
             raise ValueError("external learner needs at least one learn callable")
-        if self.budget_multiplier is not None and not self.budget_multiplier > 0:
-            raise ValueError("budget_multiplier must be positive")
+        if self.budget_multiplier is not None and not 0 < self.budget_multiplier < math.inf:
+            raise ValueError("budget_multiplier must be positive and finite")
 
     def budget(self, n: int, eps: float) -> int:
         ln_n = math.log(max(n, 2))
         mult = self.budget_multiplier if self.budget_multiplier is not None else 20.0 * ln_n
-        return int(math.ceil(mult * n / (eps * eps * ln_n)))
+        return _sample_count("learn budget", mult * n, eps * eps * ln_n)
 
     def distribution(self, counts: np.ndarray) -> np.ndarray:
         if self.kind == "external" and self.learn_distribution is not None:
@@ -86,11 +100,52 @@ class LearnerSpec:
         return counts / total
 
     def pair_hist(self, counts_bottom: np.ndarray, counts_top: np.ndarray, step: float) -> PairHistogram:
+        """Pair histogram of the normalized count vectors, keys snapped to
+        multiples of step.
+
+        The empirical plug-in gives exactly pair_histogram(counts_bottom / nb,
+        counts_top / nt, quantize=step), nb and nt being the side totals (at
+        least 1), without keying every element on two floats: equal (bottom,
+        top) count pairs are grouped by one integer sort, and each distinct
+        pair is normalized and snapped once, by the same float expression.
+        Its counts must be nonnegative integers below 2^64 (float arrays of
+        integer values are fine).
+        """
         if self.kind == "external" and self.learn_pair_histogram is not None:
             return self.learn_pair_histogram(counts_bottom, counts_top, step)
+        b, t, mult = _count_pairs(counts_bottom, counts_top)
         nb = max(int(counts_bottom.sum()), 1)
         nt = max(int(counts_top.sum()), 1)
-        return pair_histogram(counts_bottom / nb, counts_top / nt, quantize=step)
+        return PairHistogram.from_arrays(_snap(b / nb, step), _snap(t / nt, step), mult)
+
+
+def _as_counts(c) -> np.ndarray:
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or not np.all(~np.signbit(c) & (c < 2.0**64) & (np.floor(c) == c)):
+        raise ValueError("learned counts must be a vector of nonnegative integers below 2^64")
+    return c.astype(np.uint64)
+
+
+def _count_pairs(counts_bottom, counts_top):
+    """The distinct pairs (counts_bottom[i], counts_top[i]) in increasing
+    (bottom, top) order, as two float vectors, and how often each occurs."""
+    b, t = _as_counts(counts_bottom), _as_counts(counts_top)
+    if b.size != t.size:
+        raise ValueError("learned counts need two equal-length vectors")
+    vb = vt = None
+    span = int(t.max(initial=0)) + 1
+    if (int(b.max(initial=0)) + 1) * span >= 2**64:
+        # the key b * span + t would wrap: key on the ranks of the counts
+        (vb, b), (vt, t) = np.unique(b, return_inverse=True), np.unique(t, return_inverse=True)
+        b, t, span = b.astype(np.uint64), t.astype(np.uint64), vt.size
+    key = np.sort(b * np.uint64(span) + t)
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    b, t = np.divmod(key[starts], np.uint64(span))
+    if vb is not None:
+        b, t = vb[b], vt[t]
+    return b.astype(float), t.astype(float), np.diff(starts, append=key.size).astype(float)
 
 
 class MixedWithUniform(SampleAccess):
@@ -173,16 +228,16 @@ def matching_monotonicity_test(
     rng = rng or Rng(0)
     eps1 = eps / 14.0
     budget = learner.budget(n_pairs, eps1)
+    m = _sample_count("mass budget", MASS_EST_CONST, eps1 * eps1)
     mixed = MixedWithUniform(access)
     h = mixed.histogram(budget, rng)
     bottoms, tops = G.edge_array.T
     step = 1.0 / (4.0 * budget)
     learned = learner.pair_hist(h[bottoms].astype(float), h[tops].astype(float), step)
-    m = int(math.ceil(MASS_EST_CONST / (eps1 * eps1)))
     hw = mixed.histogram(m, rng)
     w_bottom = float(hw[bottoms].sum()) / m
     w_top = 1.0 - w_bottom
-    stat, _ = min_w_to_monotone_pairhist(learned.scaled(w_bottom, w_top))
+    stat = _midpoint_cost(learned.scaled(w_bottom, w_top))
     return _verdict(
         stat,
         3.0 * eps1,
@@ -234,8 +289,8 @@ def uniform_subset_test(
         raise ValueError("sample access does not match the poset")
     rng = rng or Rng(0)
     n = G.n
-    s1 = int(math.ceil(8.0 * n ** (2.0 / 3.0) / eps))
-    s2 = int(math.ceil(8.0 * n ** (2.0 / 3.0)))
+    s1 = _sample_count("stage 1 size", 8.0 * n ** (2.0 / 3.0), eps)
+    s2 = _sample_count("stage 2 size", 8.0 * n ** (2.0 / 3.0), 1.0)
     h1 = access.histogram(s1, rng)
     bottom = set(G.bottom)
     sampled_bottom = [v for v in np.nonzero(h1)[0].tolist() if v in bottom]
@@ -320,7 +375,7 @@ def all_matchings_test(
     pairs = _enumerate_matchable_pairs(G, pair_cap)
     n_pairs = len(pairs)
     groups = 2 * max(1, math.ceil(math.log2(max(n_pairs, 2)))) + 9
-    group_size = int(math.ceil(MASS_EST_CONST / (eps * eps)))
+    group_size = _sample_count("group size", MASS_EST_CONST, eps * eps)
     hist = np.zeros((groups, G.n))
     for k in range(groups):
         hist[k] = access.histogram(group_size, rng)

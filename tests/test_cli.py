@@ -515,6 +515,38 @@ def test_lb_bad_inputs_are_status_2_in_a_suite(workdir, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+# sample counts a tester would draw beyond int64 (numpy's limit), and a
+# multiplier no budget can be computed from
+M6 = ["--poset", "m6.poset", "--dist", "m6mono.dist"]
+TESTER_BAD_INPUTS = [
+    (["test", "--alg", "matching", *M6, "--eps", "1e-9"], "learn budget of 2.352e+22 samples exceeds 9223372036854775807"),
+    (["test", "--alg", "matching", *M6, "--eps", "1e-200"], "learn budget of inf samples"),
+    (["test", "--alg", "bigness", "--dist", "u40.dist", "--eps", "1e-12"], "learn budget of 7.2e+27 samples"),
+    (["test", "--alg", "all-matchings", *M6, "--eps", "1e-12"], "group size of 3.2e+25 samples"),
+    (["test", "--alg", "uniform-subset", *M6, "--eps", "1e-300"], "stage 1 size of 4.19"),
+    (["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "1e30"], "learn budget of 1.64085e+34 samples"),
+    (["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "inf"],
+     "budget_multiplier must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("argv,message", TESTER_BAD_INPUTS)
+def test_tester_bad_inputs_exit_2(workdir, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(workdir)
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", TESTER_BAD_INPUTS)
+def test_tester_bad_inputs_are_status_2_in_a_suite(workdir, capsys, argv, message):
+    manifest = workdir / "test.suite"
+    manifest.write_text("verb=test " + " ".join(f"{f[2:]}={v}" for f, v in zip(argv[1::2], argv[2::2])) + "\n")
+    out = run_suite(str(manifest), None, 0)
+    assert out.split("\n")[1] == f"0,0,{EXIT_VALIDATION},0.0,fail"
+    assert message in capsys.readouterr().err
+
+
 # one element never meets the far side's events: refused before any draw
 STARVED_PROBE = ["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "1", "--s-values", "0",
                  "--trials", "3"]

@@ -4,7 +4,8 @@ pair_histogram, PairHistogram.scaled (the tester's rescale by the estimated
 side masses) and the midpoint statistic of min_w_to_monotone_pairhist must
 agree with genutil's one-key-at-a-time loops exactly: the same keys, the same
 counts and the same bits of the cost, since the tester's verdicts are compared
-byte for byte.
+byte for byte. The learner's count-pair grouping must in turn agree exactly
+with pair_histogram.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetdist import PairHistogram, min_w_to_monotone_pairhist, pair_histogram
+from posetdist import LearnerSpec, PairHistogram, min_w_to_monotone_pairhist, pair_histogram
+from posetdist.oracles import _midpoint_cost
 
 from genutil import reference_midpoint, reference_pair_histogram, reference_rescale
 
@@ -65,7 +67,38 @@ def test_midpoint_equals_reference(h, w_bottom):
     cost, fixed = min_w_to_monotone_pairhist(g)
     ref_cost, ref_fixed = reference_midpoint(g.items())
     assert cost.hex() == ref_cost.hex()
+    assert _midpoint_cost(g).hex() == ref_cost.hex()
     assert _same(fixed, ref_fixed)
+
+
+# Small counts (zero pairs and repeated pairs are common), arbitrary ones, and
+# counts whose bottom * top product overflows int64 and uint64, up to the
+# largest sample count a tester draws (2^63 - 1, which rounds to 2^63 as a
+# float).
+COUNT_VALUE = st.one_of(
+    st.sampled_from([0, 1, 2, 3]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([2**32 + 1, 2**53 + 2, 2**62, 2**63 - 1]),
+)
+
+
+@given(
+    st.lists(st.tuples(COUNT_VALUE, COUNT_VALUE), max_size=60),
+    # None: the tester's step for this total; the rest are coarse enough to
+    # merge distinct counts into one key
+    st.sampled_from([None, 1e-3, 0.05, 1.0 / 3.0, 0.5, 2.0]),
+)
+@settings(max_examples=400, deadline=None)
+def test_learner_pair_hist_equals_pair_histogram(pairs, step):
+    cb = np.array([b for b, _ in pairs], dtype=float)
+    ct = np.array([t for _, t in pairs], dtype=float)
+    nb, nt = int(cb.sum()), int(ct.sum())
+    if step is None:
+        step = 1.0 / (4.0 * max(nb + nt, 1))
+    got = LearnerSpec().pair_hist(cb, ct, step)
+    want = pair_histogram(cb / max(nb, 1), ct / max(nt, 1), quantize=step)
+    for a in ("x", "y", "count"):
+        assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
 
 
 def test_collisions_after_rescale_merge_in_key_order():

@@ -137,6 +137,12 @@ def test_pair_histogram_validation():
             PairHistogram(bad)
     with pytest.raises(ValueError):
         pair_histogram([0.1, float("nan")], [0.2, 0.3])
+    with pytest.raises(ValueError, match="nonnegative entries"):
+        pair_histogram([-0.5], [0.2])
+    assert pair_histogram([-0.0], [0.2]).items() == [((-0.0, 0.2), 1.0)]
+    for step in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="quantization step must be positive and finite"):
+            pair_histogram([0.1], [0.2], quantize=step)
 
 
 def test_tv_distance():

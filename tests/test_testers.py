@@ -44,6 +44,16 @@ def test_learner_spec():
         LearnerSpec(kind="external")
     with pytest.raises(ValueError):
         LearnerSpec(kind="nope")
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="budget_multiplier must be positive and finite"):
+            LearnerSpec(budget_multiplier=bad)
+    # the budget is multiplier * 100 / (0.01 * ln 100), about 2171 * multiplier
+    with pytest.raises(ValueError, match="learn budget of 9.33.*e\\+18 samples exceeds 9223372036854775807"):
+        LearnerSpec(budget_multiplier=4.3e15).budget(100, 0.1)
+    assert 9e18 < LearnerSpec(budget_multiplier=4.2e15).budget(100, 0.1) <= 2**63 - 1
+    for counts in ([0.5], [-1.0], [float("nan")], [2.0**64], [[1.0]]):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            spec.pair_hist(np.array(counts), np.ones(np.shape(counts)), 0.1)
 
 
 def test_bigness_completeness_and_soundness():
