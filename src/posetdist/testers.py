@@ -138,14 +138,11 @@ def _count_pairs(counts_bottom, counts_top):
         # the key b * span + t would wrap: key on the ranks of the counts
         (vb, b), (vt, t) = np.unique(b, return_inverse=True), np.unique(t, return_inverse=True)
         b, t, span = b.astype(np.uint64), t.astype(np.uint64), vt.size
-    key = np.sort(b * np.uint64(span) + t)
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
-    b, t = np.divmod(key[starts], np.uint64(span))
+    key, mult = np.unique(b * np.uint64(span) + t, return_counts=True)
+    b, t = np.divmod(key, np.uint64(span))
     if vb is not None:
         b, t = vb[b], vt[t]
-    return b.astype(float), t.astype(float), np.diff(starts, append=key.size).astype(float)
+    return b.astype(float), t.astype(float), mult.astype(float)
 
 
 class MixedWithUniform(SampleAccess):
