@@ -176,7 +176,7 @@ def _run_reduce(a, base=""):
 
 
 def _run_lb_solve(a, base=""):
-    priors = build_priors(a.nu, a.lam, a.L, a.grid)
+    priors = build_priors(a.nu, a.lam, a.L)
     rows = []
     for side, atoms, mass in ((0, priors.atoms_big, priors.mass_big), (1, priors.atoms_far, priors.mass_far)):
         for x, m in zip(atoms, mass):
@@ -194,7 +194,7 @@ def _run_lb_gen(a, base=""):
         nu, lam, s = explicit
     else:
         raise ValueError("lb gen takes either --eps or all of --nu, --lambda and --s")
-    priors = build_priors(nu, lam, a.L, a.grid)
+    priors = build_priors(nu, lam, a.L)
     inst = generate_instance(priors, a.n, s, Rng(a.seed))
     prefix = os.path.join(base, a.out_prefix)
     if inst.norm_big is not None:
@@ -215,7 +215,7 @@ def _run_lb_gen(a, base=""):
 
 def _run_lb_probe(a, base=""):
     s_values = [int(tok) for tok in a.s_values.split(",") if tok != ""]
-    priors = build_priors(a.nu, a.lam, a.L, a.grid)
+    priors = build_priors(a.nu, a.lam, a.L)
     rows = indistinguishability_probe(priors, a.n, s_values, a.trials, Rng(a.seed))
     table = [[r.s, r.kept_big, r.kept_far, r.best_stat, r.advantage, r.ci_half] for r in rows]
     text = _csv(["s", "kept_big", "kept_far", "best_stat", "advantage", "ci_half"], table)
@@ -366,7 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--nu", required=True, type=float)
     ls.add_argument("--lambda", dest="lam", required=True, type=float)
     ls.add_argument("--L", required=True, type=int)
-    ls.add_argument("--grid", type=int, default=400)
     ls.add_argument("--out")
     ls.set_defaults(run=_run_lb_solve)
     lg = lbsub.add_parser("gen", help="generate one two-sided instance")
@@ -376,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--nu", type=float)
     lg.add_argument("--lambda", dest="lam", type=float)
     lg.add_argument("--s", type=int)
-    lg.add_argument("--grid", type=int, default=400)
     lg.add_argument("--seed", type=int, default=0)
     lg.add_argument("--out-prefix", dest="out_prefix", required=True)
     lg.set_defaults(run=_run_lb_gen)
@@ -387,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--n", required=True, type=int)
     lp.add_argument("--s-values", dest="s_values", required=True)
     lp.add_argument("--trials", type=int, default=200)
-    lp.add_argument("--grid", type=int, default=400)
     lp.add_argument("--seed", type=int, default=0)
     lp.add_argument("--out")
     lp.set_defaults(run=_run_lb_probe)

@@ -11,8 +11,9 @@ Conditioned on the "good" events (raw mass near 1, enough samples, enough
 zeros on the far side), the normalized V-side vector is 1/(beta*n)-big while
 the V'-side vector is far from big by half the construction's gap value, yet
 the two histogram laws are nearly indistinguishable. The gap optimum has a
-closed form via best polynomial approximation of 1/x; this module gets the
-same value from a discretized LP and uses the closed form as the oracle.
+closed form via best polynomial approximation of 1/x: moment_gap_value is
+its value, and solve_moment_gap builds its atoms, the alternation points of
+that approximation with divided-difference weights.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from functools import cached_property
 import numpy as np
 
 from .prob import Distribution, Rng, choice_cdf, choice_indices
-from .simplex import solve_lp
+# Not called here: perfbench/spans.py's tracer wraps lowerbound.solve_lp by name.
+from .simplex import solve_lp  # noqa: F401
 
 MASS_TOL = 1e-9
 MEAN_TOL = 1e-8
 MOMENT_REL_TOL = 1e-8
-PRUNE_MASS = 1e-10
-DEFAULT_GRID = 400
 # the largest rate Generator.poisson accepts (numpy's POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 WILSON_Z = 1.959963984540054  # 95%
@@ -58,52 +58,65 @@ def moment_gap_value(nu: float, lam: float, L: int) -> float:
     return base * ((rho - 1) / (rho + 1)) ** (L - 2)
 
 
-def chebyshev_grid(nu: float, lam: float, size: int) -> np.ndarray:
-    """Chebyshev-extrema points on [1+nu, lam], ascending."""
-    lo, hi = 1 + nu, lam
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    k = np.arange(size)
-    return np.sort(mid + half * np.cos(np.pi * k / (size - 1)))
+def solve_moment_gap(nu: float, lam: float, L: int):
+    """The gap program in closed form: maximize E[1/X] - E[1/X'] over
+    probability measures X, X' on [1+nu, lam] with E[X^j] = E[X'^j] for
+    j = 1..L-1. Returns (value, (atoms_x, mass_x), (atoms_x2, mass_x2)),
+    atoms ascending.
 
+    The optimal X - X' lives on the L+1 alternation points of the best
+    uniform approximation to 1/x by polynomials of degree L-1. With
+    [1+nu, lam] mapped to t in [-1, 1], c = (lam+1+nu)/(lam-1-nu) and
+    r = c - sqrt(c^2-1), point k is t_k = -cos(theta_k), where theta_k solves
+    L*theta - 2*arg(1 - r*e^{i*theta}) = k*pi on [0, pi]. The left side
+    increases with theta and stays within pi of L*theta, so one bisection
+    over all k at once finds every root. The weights are the divided-difference
+    weights w_k = 1/prod_{j != k}(x_k - x_j), which annihilate every
+    polynomial of degree below L; their signs alternate, the even points
+    making up X and the odd ones X', each side normalized to mass 1.
 
-def solve_moment_gap(nu: float, lam: float, L: int, grid_size: int = DEFAULT_GRID):
-    """Discretized version of the gap program: maximize E[1/X] - E[1/X'] over
-    two PMFs on a Chebyshev grid subject to E[X^j] = E[X'^j], j = 1..L-1.
-
-    Returns (value, (atoms_x, mass_x), (atoms_x2, mass_x2)) with atoms of mass
-    below 1e-10 pruned and each side renormalized.
+    The value is a difference of two sums whose rounding error is about
+    (L+1)*eps*S, eps the machine epsilon and S = E[1/X] + E[1/X'] =
+    sum_k |w_k|/x_k. An L for which that exceeds MOMENT_REL_TOL times
+    moment_gap_value(nu, lam, L) is beyond double precision and raises
+    ParameterError, so every accepted L reproduces the closed-form gap to
+    that relative tolerance. Both measures live on [1+nu, lam], so
+    S >= 2/lam: an L that fails the rule with 2/lam for S is refused before
+    any point is computed.
     """
-    if nu <= 0 or lam <= 1 + nu:
-        raise ValueError("need 0 < nu and lam > 1 + nu")
-    if L < 2:
-        raise ValueError("need L >= 2")
-    if grid_size < 2 * L + 2:
-        raise ValueError(f"grid_size must be at least {2 * L + 2}")
-    grid = chebyshev_grid(nu, lam, grid_size)
-    g = grid.size
-    c = np.concatenate([-1.0 / grid, 1.0 / grid])  # minimize the negated gap
-    n_eq = 2 + (L - 1)
-    A_eq = np.zeros((n_eq, 2 * g))
-    b_eq = np.zeros(n_eq)
-    A_eq[0, :g] = 1.0
-    b_eq[0] = 1.0
-    A_eq[1, g:] = 1.0
-    b_eq[1] = 1.0
-    for j in range(1, L):
-        scaled = (grid / lam) ** j  # row scaling keeps the tableau O(1)
-        A_eq[1 + j, :g] = scaled
-        A_eq[1 + j, g:] = -scaled
-    obj, x, _ = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
+    gap = moment_gap_value(nu, lam, L)
 
-    def extract(mass):
-        keep = mass > PRUNE_MASS
-        atoms = grid[keep]
-        m = mass[keep]
-        return atoms, m / m.sum()
+    def refuse_unresolved(S: float) -> None:
+        bound = (L + 1) * np.finfo(float).eps * S
+        if bound > MOMENT_REL_TOL * gap:
+            raise ParameterError(f"L={L} is beyond double precision at nu={nu:g}, lambda={lam:g}: a rounding "
+                                 f"error bound of at least {bound:.3g} is more than {MOMENT_REL_TOL:g} of "
+                                 f"the gap {gap:.3g}")
 
-    ax, mx = extract(x[:g])
-    ax2, mx2 = extract(x[g:])
-    return float(-obj), (ax, mx), (ax2, mx2)
+    refuse_unresolved(2.0 / lam)
+    lo, hi = 1 + nu, lam
+    c = (hi + lo) / (hi - lo)
+    r = c - math.sqrt(c * c - 1)
+    target = np.arange(L + 1) * math.pi
+    a = np.clip((target - math.pi) / L, 0.0, math.pi)
+    b = np.clip((target + math.pi) / L, 0.0, math.pi)
+    while (b - a).max() > np.spacing(math.pi):
+        mid = 0.5 * (a + b)
+        below = L * mid - 2 * np.arctan2(-r * np.sin(mid), 1 - r * np.cos(mid)) < target
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    t = -np.cos(0.5 * (a + b))
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
+    # |w_k| up to a common factor, from the differences 2(t_k - t_j) summed as
+    # logs: a product of L differences can leave the double range
+    diff = 2.0 * np.abs(t[:, None] - t)
+    np.fill_diagonal(diff, 1.0)
+    log_w = -np.log(diff).sum(axis=1)
+    w = np.exp(log_w - log_w.max())
+    big, far = ((x[k::2], w[k::2] / w[k::2].sum()) for k in (0, 1))
+    inv_big, inv_far = big[1] @ (1.0 / big[0]), far[1] @ (1.0 / far[0])
+    refuse_unresolved(inv_big + inv_far)
+    return float(inv_big - inv_far), big, far
 
 
 @dataclass(frozen=True)
@@ -211,9 +224,11 @@ def priors_from_gap_solution(nu, lam, L, atoms_x, mass_x, atoms_x2, mass_x2) -> 
     return priors
 
 
-def build_priors(nu: float, lam: float, L: int, grid_size: int = DEFAULT_GRID) -> MomentPriors:
-    """Solve the discretized gap program and apply the change of measure."""
-    _, (ax, mx), (ax2, mx2) = solve_moment_gap(nu, lam, L, grid_size)
+def build_priors(nu: float, lam: float, L: int) -> MomentPriors:
+    """The prior pair: the gap program's optimum in closed form
+    (solve_moment_gap, which refuses an L beyond double precision with
+    ParameterError), then the change of measure."""
+    _, (ax, mx), (ax2, mx2) = solve_moment_gap(nu, lam, L)
     return priors_from_gap_solution(nu, lam, L, ax, mx, ax2, mx2)
 
 

@@ -12,8 +12,8 @@ Four distances live here, all desk-scale exact:
 Both monotone distances minimize ||x||_1 over perturbations x with p + x
 monotone on every edge (TV also holds sum(x) at 0). Each is solved as its
 LP dual, a flow on G's own edges with 2n rows |out - in + mu| <= c: no
-closure, no mass row, positive right-hand sides, so no phase 1. The row
-duals are x.
+closure, no mass row, positive right-hand sides, so the slack basis is
+feasible. The row duals are x.
 
 LP duality makes the function distance equal the weight of a maximum-weight
 matching on the transitive closure with violation weights max(0, p(u)-p(v)),
@@ -84,8 +84,9 @@ def _monotone_flow(G: Poset, p: Distribution, lp_cap: int, c: float, shift: bool
     G's own edges. Maximize sum_e y_e * (p(u) - p(v)) over y >= 0 on the
     edges (u, v) subject to -c <= out_y(w) - in_y(w) + mu <= c at every
     vertex w, with mu = 0 or, with `shift`, free (passed as mu+ - mu-). All
-    2n right-hand sides are c > 0, so phase 1 never runs. The perturbation x
-    is read off the row duals: upper row's dual minus lower row's."""
+    2n right-hand sides are c > 0, so the slack basis is feasible. The
+    perturbation x is read off the row duals: upper row's dual minus lower
+    row's."""
     if G.n > lp_cap:
         raise SizeCapError(f"n={G.n} exceeds LP cap {lp_cap}")
     if p.n != G.n:

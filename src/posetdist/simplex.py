@@ -1,25 +1,24 @@
-"""Small dense LP solver: two-phase revised simplex, Bland's rule on stalls.
+"""Small dense LP solver: revised simplex from the slack basis, Bland's rule on stalls.
 
-Solves   min c.x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
+Solves   min c.x   s.t.  A_ub x <= b_ub,  x >= 0,   with b_ub >= 0.
 
 Every LP in this library is desk-scale (a few hundred rows at most), so the
-basis inverse is kept as a dense array. The start basis is the slack of every
-<= row with a nonnegative right-hand side plus one artificial for each other
-row; it is exactly the identity, and an LP that needs no artificial skips
-phase 1. Each pivot updates B^-1 with one rank-1 eta step, touching only the
-block where the entering column and the pivot row are nonzero, so a pivot
-costs at most O(m^2) rather than a refactorization. B^-1 carries over from
-phase 1, through the removal of leftover artificials, into phase 2.
+basis inverse is kept as a dense array. With every right-hand side
+nonnegative the slack basis is feasible, so the solver starts there, from
+B^-1 = I, and runs one simplex phase; a negative right-hand side is a bug in
+the caller and raises LpError. Each pivot updates B^-1 with one rank-1 eta
+step, touching only the block where the entering column and the pivot row
+are nonzero, so a pivot costs at most O(m^2) rather than a refactorization.
 
-When a phase finds no entering column, the basic point and the duals are
+When no entering column is left, the basic point and the duals are
 recomputed from the original data by a linear solve. If the fresh reduced
-costs still admit an entering column, B^-1 is re-inverted and the phase goes
-on; otherwise the fresh point and duals are what the phase reports, so the
+costs still admit an entering column, B^-1 is re-inverted and the simplex
+goes on; otherwise the fresh point and duals are what it reports, so the
 returned point satisfies the constraints to linear-solve precision and eta
 drift never reaches it. solve_lp returns the row duals with the point, each
-the derivative of the optimum in that row's right-hand side (so <= 0 on a
-<= row). Pricing is most-negative-reduced-cost; when the objective stalls
-on degenerate pivots the solver switches to Bland's anti-cycling rule, which
+the derivative of the optimum in that row's right-hand side (so <= 0).
+Pricing is most-negative-reduced-cost; when the objective stalls on
+degenerate pivots the solver switches to Bland's anti-cycling rule, which
 guarantees termination. The feasibility contract is the 1e-9 tolerance.
 """
 
@@ -33,10 +32,6 @@ _STALL_LIMIT = 50
 
 
 class LpError(RuntimeError):
-    pass
-
-
-class LpInfeasibleError(LpError):
     pass
 
 
@@ -69,7 +64,7 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
     """Run the revised simplex to optimality from a feasible basis.
 
     Binv is the inverse of A[:, basis] and is updated in place, except when
-    the end-of-phase check re-inverts it. Returns (basis, Binv, x_basic,
+    the final check re-inverts it. Returns (basis, Binv, x_basic,
     duals) with x_basic and the row duals solved afresh from the original data.
     """
     m = A.shape[0]
@@ -118,92 +113,22 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
     raise LpError("simplex iteration limit exceeded")
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[float, np.ndarray, np.ndarray]:
-    """Return (objective, x, duals) for the minimization LP, duals over the
-    A_ub rows then the A_eq rows; raises on infeasible/unbounded."""
+def solve_lp(c, A_ub, b_ub) -> tuple[float, np.ndarray, np.ndarray]:
+    """Return (objective, x, duals) for the minimization LP, one dual per
+    A_ub row; raises LpError on a negative b_ub and LpUnboundedError on an
+    unbounded objective."""
     c = np.asarray(c, dtype=float)
-    nvar = c.size
-    blocks = []
-    rhs_parts = []
-    n_ub = 0
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        blocks.append(A_ub)
-        rhs_parts.append(np.asarray(b_ub, dtype=float).ravel())
-        n_ub = A_ub.shape[0]
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        blocks.append(A_eq)
-        rhs_parts.append(np.asarray(b_eq, dtype=float).ravel())
-    if not blocks:
-        if np.all(c >= -TOL):
-            return 0.0, np.zeros(nvar), np.zeros(0)
-        raise LpUnboundedError("no constraints and a negative cost direction")
-    A0 = np.vstack(blocks)
-    b0 = np.concatenate(rhs_parts)
-    m = A0.shape[0]
-
-    # Slacks for the <= rows, then flip rows to nonnegative rhs. A <= row that
-    # kept its sign starts with its slack basic; every other row (equalities
-    # and flipped rows) gets an artificial. The start basis is the identity.
-    n_real = nvar + n_ub
-    b = b0.copy()
-    neg = b < 0
-    b[neg] *= -1.0
-    art_rows = np.flatnonzero(neg | (np.arange(m) >= n_ub))
-    A = np.zeros((m, n_real + art_rows.size))
-    A[:, :nvar] = A0
-    A[np.arange(n_ub), nvar + np.arange(n_ub)] = 1.0
-    A[neg] *= -1.0
-    A[art_rows, n_real + np.arange(art_rows.size)] = 1.0
-    basis = nvar + np.arange(m)
-    basis[art_rows] = n_real + np.arange(art_rows.size)
-    Binv = np.eye(m)
-
-    if art_rows.size:
-        c1 = np.zeros(A.shape[1])
-        c1[n_real:] = 1.0
-        basis, Binv, xB, _ = _simplex(A, b, c1, basis, Binv)
-        art_level = float(xB[basis >= n_real].sum())
-        if art_level > 1e-7:
-            raise LpInfeasibleError(f"phase-1 residual {art_level:g}")
-    A = np.ascontiguousarray(A[:, :n_real])
-
-    # Remove artificials from the basis: pivot onto any real column with a
-    # nonzero coefficient in that row of B^-1 A, else the row is redundant.
-    # An artificial never changes basis position, so the one at position i is
-    # row i's own unit column, and dropping row i with position i leaves B^-1
-    # of the smaller basis as B^-1 without row i and column i.
-    keep = np.arange(m)
-    drop_rows = []
-    for i in np.flatnonzero(basis >= n_real):
-        row = Binv[i] @ A
-        row[basis[basis < n_real]] = 0.0
-        j = int(np.argmax(np.abs(row)))
-        if abs(row[j]) > 1e-7:
-            _pivot(Binv, Binv @ A[:, j], i)
-            basis[i] = j
-        else:
-            drop_rows.append(i)
-    if drop_rows:
-        keep = np.setdiff1d(np.arange(m), drop_rows)
-        A = A[keep]
-        b = b[keep]
-        basis = basis[keep]
-        Binv = Binv[np.ix_(keep, keep)]
-        if basis.size == 0:
-            if np.all(c >= -TOL):
-                return 0.0, np.zeros(nvar), np.zeros(m)
-            raise LpUnboundedError("all rows redundant with a negative cost direction")
-
-    c2 = np.zeros(n_real)
-    c2[:nvar] = c
-    basis, _, xB, kept_duals = _simplex(A, b, c2, basis, Binv)
-    x = np.zeros(n_real)
+    A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
+    b = np.asarray(b_ub, dtype=float).ravel()
+    if (b < 0).any():
+        raise LpError("a right-hand side is negative: the slack basis is infeasible")
+    m, nvar = A_ub.shape[0], c.size
+    A = np.zeros((m, nvar + m))
+    A[:, :nvar] = A_ub
+    A[np.arange(m), nvar + np.arange(m)] = 1.0
+    cost = np.zeros(nvar + m)
+    cost[:nvar] = c
+    basis, _, xB, duals = _simplex(A, b, cost, nvar + np.arange(m), np.eye(m))
+    x = np.zeros(nvar + m)
     x[basis] = xB
-    # A dropped row is redundant and takes dual 0; a flipped row's dual
-    # changes sign with the row.
-    duals = np.zeros(m)
-    duals[keep] = kept_duals
-    duals[neg] *= -1.0
     return float(c @ x[:nvar]), x[:nvar], duals

@@ -24,10 +24,34 @@ from posetdist import (
 )
 from posetdist.poset import KINDS
 from posetdist.prob import MAX_DOMAIN, text_lines
-from posetdist.simplex import solve_lp
 
 # (nu, lam, L) of the two prior pairs the benchmark draws from
 BENCH_PRIORS = [(0.5, 6.0, 4), (0.5, 12.0, 5)]
+
+
+def chebyshev_grid(nu: float, lam: float, size: int) -> np.ndarray:
+    """Chebyshev-extrema points on [1+nu, lam], ascending."""
+    lo, hi = 1 + nu, lam
+    k = np.arange(size)
+    return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * k / (size - 1)))
+
+
+def grid_moment_gap(nu: float, lam: float, L: int, size: int = 400) -> float:
+    """The moment-gap program discretized, an independent route to its value:
+    maximize E[1/X] - E[1/X'] over two PMFs on a Chebyshev grid of `size`
+    points subject to E[X^j] = E[X'^j], j = 1..L-1, as one equality LP solved
+    by HiGHS. The optimum falls short of the continuous one by grid error."""
+    grid = chebyshev_grid(nu, lam, size)
+    g = grid.size
+    A_eq = np.zeros((L + 1, 2 * g))
+    A_eq[0, :g] = A_eq[1, g:] = 1.0
+    for j in range(1, L):
+        scaled = (grid / lam) ** j  # row scaling keeps the rows O(1)
+        A_eq[1 + j, :g] = scaled
+        A_eq[1 + j, g:] = -scaled
+    b_eq = np.zeros(L + 1)
+    b_eq[:2] = 1.0
+    return -float(highs_lp(np.concatenate([-1.0 / grid, 1.0 / grid]), A_eq=A_eq, b_eq=b_eq).fun)
 
 
 def random_dag(rng: np.random.Generator, n: int, edge_prob: float = 0.35) -> Poset:
@@ -166,10 +190,16 @@ def reference_dtv_to_monotone(G: Poset, p: Distribution) -> float:
     return _highs(*reference_dtv_lp(G, p))
 
 
-def _highs(c, A_ub, b_ub, A_eq=None, b_eq=None) -> float:
+def highs_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """min c.x subject to the rows and x >= 0, solved by HiGHS; the result
+    must be optimal."""
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0, res.message
-    return float(res.fun)
+    return res
+
+
+def _highs(c, A_ub, b_ub, A_eq=None, b_eq=None) -> float:
+    return float(highs_lp(c, A_ub, b_ub, A_eq, b_eq).fun)
 
 
 # Dict-loop references for the pair-histogram pipeline of the matching tester:
@@ -447,7 +477,8 @@ def lp_min_w_to_monotone_pairhist(g, grid_step: float, max_grid_points: int = 50
         A_eq[ns, j::nd][:ns] = a + b
         A_eq[ns, ns * nd + ns + j] = a + b
     b_eq[ns] = 1.0
-    obj, flow, _ = solve_lp(c_vec, A_eq=A_eq, b_eq=b_eq)
+    res = highs_lp(c_vec, A_eq=A_eq, b_eq=b_eq)
+    obj, flow = res.fun, res.x
     out = {}
     for j, pt in enumerate(grid):
         col = float(flow[j:ns * nd:nd].sum() + flow[ns * nd + ns + j])
@@ -482,9 +513,9 @@ def bench_shaped_pair_histograms(seed: int, pairs: int = 10) -> list[tuple[PairH
 
 def reference_transport_cost(supply, demand) -> float:
     """Balanced transportation problem between weighted point lists
-    [((x, y), mass), ...] under l1 ground cost, as one dense equality LP on
-    the library's simplex: a row per supply and per demand point, a column
-    per pair."""
+    [((x, y), mass), ...] under l1 ground cost, as one dense equality LP
+    solved by HiGHS: a row per supply and per demand point, a column per
+    pair."""
     ns, nd = len(supply), len(demand)
     nvar = ns * nd
     c = np.empty(nvar)
@@ -499,8 +530,7 @@ def reference_transport_cost(supply, demand) -> float:
     for j, (_, d) in enumerate(demand):
         A_eq[ns + j, j::nd] = 1.0
         b_eq[ns + j] = d
-    obj, _, _ = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
-    return float(obj)
+    return float(highs_lp(c, A_eq=A_eq, b_eq=b_eq).fun)
 
 
 def reference_closure_edges(tc) -> list[tuple[int, int]]:

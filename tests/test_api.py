@@ -39,3 +39,25 @@ def test_poset_constructor_fields():
 
 def test_reduction_constructor_fields():
     assert [f.name for f in dataclasses.fields(Reduction) if f.init] == ["source", "target", "far_divisor", "copies"]
+
+
+def test_tracer_wrap_sites_resolve():
+    """perfbench/spans.py wraps functions at the names their calling modules
+    import, each fetched by a bare getattr: a name dropped from one of those
+    modules makes the traced benchmark fail with AttributeError."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = posetdist.lowerbound.solve_moment_gap
+    tracer = spans.Tracer(posetdist)
+    tracer.install()
+    try:
+        assert len(tracer._saved) == 46
+        assert posetdist.lowerbound.solve_moment_gap is not before
+    finally:
+        tracer.uninstall()
+    assert posetdist.lowerbound.solve_moment_gap is before

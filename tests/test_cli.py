@@ -565,3 +565,39 @@ def test_lb_probe_failed_conditioning_is_status_3_in_a_suite(workdir, capsys):
     out = run_suite(str(manifest), None, 0)
     assert out.split("\n")[1] == f"0,0,{EXIT_INFEASIBLE},0.0,fail"
     assert "infeasible parameters: the far side's events cannot hold at n=1" in capsys.readouterr().err
+
+
+def test_lb_solve_beyond_double_precision_exits_3(workdir, capsys):
+    assert main(["lb", "solve", "--nu", "0.5", "--lambda", "6", "--L", "100"]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible parameters: L=100 is beyond double precision") and "Traceback" not in err
+    manifest = workdir / "solve.suite"
+    manifest.write_text("verb=lb-solve nu=0.5 lambda=6 L=100\n")
+    out = run_suite(str(manifest), None, 0)
+    assert out.split("\n")[1] == f"0,0,{EXIT_INFEASIBLE},0.0,fail"
+    assert "infeasible parameters: L=100 is beyond double precision" in capsys.readouterr().err
+
+
+# `--grid` (the size of the old moment-gap LP's grid) is gone from every lb verb
+GRID_RUNS = [
+    (["lb", "solve", "--nu", "0.5", "--lambda", "6", "--L", "4"], "verb=lb-solve nu=0.5 lambda=6 L=4"),
+    (["lb", "gen", "--n", "100", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "10", "--out-prefix", "inst"],
+     "verb=lb-gen n=100 L=4 nu=0.5 lambda=6 s=10 out_prefix=inst"),
+    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0", "--trials", "3"],
+     "verb=lb-probe nu=0.5 lambda=6 L=4 n=50 s_values=0 trials=3"),
+]
+
+
+@pytest.mark.parametrize("argv,row", GRID_RUNS, ids=lambda v: v[1] if isinstance(v, list) else None)
+def test_removed_grid_option_is_a_usage_error(workdir, monkeypatch, capsys, argv, row):
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--grid", "400"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 400" in capsys.readouterr().err
+    manifest = workdir / "grid.suite"
+    manifest.write_text(row + " grid=400\n")
+    out = run_suite(str(manifest), None, 0)
+    assert out.split("\n")[1] == f"0,0,{EXIT_VALIDATION},0.0,fail"
+    assert "unrecognized arguments: --grid=400" in capsys.readouterr().err
+    assert not list(workdir.glob("inst*"))

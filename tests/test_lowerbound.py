@@ -18,10 +18,10 @@ from posetdist import (
     priors_from_gap_solution,
     solve_moment_gap,
 )
-from posetdist.lowerbound import POISSON_LAM_MAX, chebyshev_grid, fingerprint_stats
+from posetdist.lowerbound import MOMENT_REL_TOL, POISSON_LAM_MAX, fingerprint_stats
 from posetdist.prob import choice_indices
 
-from genutil import BENCH_PRIORS, reference_choice, reference_instance_counts
+from genutil import BENCH_PRIORS, chebyshev_grid, grid_moment_gap, reference_choice, reference_instance_counts
 
 
 def test_gap_closed_form_values():
@@ -37,13 +37,17 @@ def test_gap_decreasing_in_L():
 
 
 def test_solve_gap_matches_closed_form():
-    for lam, L in ((4.0, 3), (6.0, 4), (9.0, 5)):
-        v, _, _ = solve_moment_gap(0.5, lam, L, 400)
-        assert v == pytest.approx(moment_gap_value(0.5, lam, L), abs=1e-3)
+    """The alternation points give the closed-form value; the Chebyshev-grid
+    LP (HiGHS, tests/genutil.py) reaches it within grid error from below."""
+    for lam, L in ((4.0, 3), (6.0, 4), (9.0, 5), (12.0, 5)):
+        v, _, _ = solve_moment_gap(0.5, lam, L)
+        closed = moment_gap_value(0.5, lam, L)
+        assert v == pytest.approx(closed, rel=MOMENT_REL_TOL)
+        assert closed - 1e-3 <= grid_moment_gap(0.5, lam, L) <= closed + 1e-12
 
 
 def test_solve_gap_moments_match():
-    v, (ax, mx), (ax2, mx2) = solve_moment_gap(0.5, 6.0, 4, 400)
+    v, (ax, mx), (ax2, mx2) = solve_moment_gap(0.5, 6.0, 4)
     assert v >= 0.0
     assert mx.sum() == pytest.approx(1.0, abs=1e-9)
     assert mx2.sum() == pytest.approx(1.0, abs=1e-9)
@@ -68,6 +72,28 @@ def test_priors_degenerate_equal_measures():
     assert priors.gap == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(priors.atoms_big, priors.atoms_far)
     np.testing.assert_allclose(priors.mass_big, priors.mass_far)
+
+
+@pytest.mark.parametrize("lam", [6.0, 12.0])
+def test_build_priors_sweep_until_refused(lam):
+    """Every L that double precision resolves validates and reproduces the
+    closed-form gap to MOMENT_REL_TOL; the first L past it, and any larger
+    one, is refused with ParameterError, never an LpError or PriorsError."""
+    L = 2
+    while True:
+        try:
+            priors = build_priors(0.5, lam, L)
+        except ParameterError as exc:
+            assert "beyond double precision" in str(exc)
+            break
+        priors.validate()
+        closed = moment_gap_value(0.5, lam, L)
+        assert abs(priors.gap - closed) <= MOMENT_REL_TOL * closed, L
+        L += 1
+    assert L == {6.0: 15, 12.0: 21}[lam]
+    for far in (L + 1, 40, 10**9):
+        with pytest.raises(ParameterError, match="beyond double precision"):
+            build_priors(0.5, lam, far)
 
 
 def test_build_priors_invariants():

@@ -27,12 +27,12 @@ from posetdist import (
 )
 from posetdist.oracles import DEFAULT_LP_CAP
 from posetdist.poset import transitive_closure
-from posetdist.simplex import solve_lp
 
 from genutil import (
     GridInfeasibleError,
     brute_force_min_perm_l1,
     brute_force_violation_matching,
+    highs_lp,
     lp_min_w_to_monotone_pairhist,
     random_bipartite,
     random_dag,
@@ -43,7 +43,7 @@ from genutil import (
 
 
 def bigness_distance_lp(p: Distribution, T: float) -> float:
-    """Independent oracle: TV distance to the T-big polytope by LP."""
+    """Independent oracle: TV distance to the T-big polytope by LP (HiGHS)."""
     n = p.n
     c = np.concatenate([np.zeros(n), np.full(n, 0.5)])
     A, b = [], []
@@ -62,8 +62,7 @@ def bigness_distance_lp(p: Distribution, T: float) -> float:
         b.append(-T)  # q_i >= T
     A_eq = np.zeros((1, 2 * n))
     A_eq[0, :n] = 1.0
-    obj, _, _ = solve_lp(c, A_ub=np.array(A), b_ub=np.array(b), A_eq=A_eq, b_eq=[1.0])
-    return obj
+    return highs_lp(c, np.array(A), np.array(b), A_eq, [1.0]).fun
 
 
 def test_dist_to_bigness_examples():

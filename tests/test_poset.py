@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetdist.poset as poset_module
@@ -281,11 +281,13 @@ def _newly_rejected(n, edges, kind, bottom) -> bool:
 def _reference(n, edges, kind, bottom):
     """The loop-based checks given the top set and dimension that read_poset
     derived for them: a bipartite or bottom-carrying matching file's top set
-    is the complement of its bottom set, a hypercube's dimension is log2(n)."""
+    is the complement of its bottom set, a hypercube's dimension is log2(n).
+    Poset stores either kind's bottom set sorted (a matching's as its sorted
+    edge tails), so the reference sorts the one it is given."""
     top, dim = (), 0
     if kind == "bipartite" or kind == "matching" and bottom:
         top = tuple(i for i in range(n) if i not in set(bottom))
-    if kind == "bipartite":
+    if kind in ("bipartite", "matching"):
         bottom = tuple(sorted(set(bottom)))
     if kind == "hypercube":
         dim = n.bit_length() - 1
@@ -293,6 +295,7 @@ def _reference(n, edges, kind, bottom):
 
 
 @given(poset_inputs())
+@example((6, [(0, 3), (2, 5)], "matching", (2, 0)))  # a matching's bottom given unsorted
 @settings(max_examples=600, deadline=None)
 def test_array_checks_match_loop_reference(case):
     n, edges, kind, bottom = case
