@@ -215,11 +215,11 @@ def test_verdict_reprs_with_huge_counts():
 # Lower-bound construction: byte pins of `lb gen`, `lb probe` and the raw
 # generate_instance output, on the benchmark's two prior settings. Atoms are
 # drawn as Generator.choice draws them, counts per prior atom
-# (lowerbound._poisson_counts). The s = 0 pins, the "explicit" `lb gen` run
-# and the n = 1 instances hold the bytes of the construction's first
-# implementation (one Generator.poisson call over the n rates); the "eps"
-# histograms, the s = 300 probe row and the two instances at n = 10^4,
-# s = 10^5 were re-pinned when the counts moved to per-atom draws.
+# (lowerbound._poisson_counts). The priors are the gap program's closed-form
+# optimum (alternation points and divided-difference weights); every table
+# was re-pinned when they replaced the optimum of a 400-point grid LP, whose
+# atoms and masses differ, so every draw that reads them moved (the zero
+# histograms of the s = 0 "explicit" run did not).
 # `PYTHONPATH=src python tests/lb_pins.py` prints all three tables.
 
 
@@ -235,17 +235,17 @@ def lb_gen_digests(tmp_path, argv) -> dict:
 
 GOLDEN_LB_GEN = {
     "eps": {
-        "big.dist": "e2b495fb0633f9b162eb541015d865ccad86c88c316c38b39f7396dfefb0a9f6",
-        "big.hist.csv": "350d4d974d1ec09dbc3891d6fa64b4fea656d0ec4d4995ffb2ef519d41bb09ca",
-        "events.csv": "82b49d449eb746ab5878b6491098bf07586dbaac7e2414ab3220a01c96ac19c9",
-        "far.dist": "fa0dde0571417af19e163d6645903de7c253801ebb41f056f6d40b181219f4bf",
-        "far.hist.csv": "899b95049e89071fef04abcdbaa2481ec0670d2c7a52de447feff32c8ea502cd",
+        "big.dist": "204d3c638d3152e9f3924ae005eb9b7af0df4b106e1fb7e5b75c7f24c9c6b2a9",
+        "big.hist.csv": "a94b310e3cb49c19052c97091d9adac13063427329082a75c3d0be05f1cbcfa9",
+        "events.csv": "57dfe28e5b8c80db15ccc20babdc2e90d3919ab779fb129d06ded3c07783aaf4",
+        "far.dist": "3b992b806c35d847884db8bccd769282d7faa6538a3960bdcb565f1206ea6a93",
+        "far.hist.csv": "ef6442220556531819d66db057261928945df44030aceee8498918e14444487e",
     },
     "explicit": {
-        "big.dist": "297b6c41d40c5cd945e99f86119675b5fae7e2c8444d9b0b5b402d96124e0cab",
+        "big.dist": "1fdc2fed76b1ba054aea5c07f7aac823807b34bb817d317e7bf8ba35b45b9eac",
         "big.hist.csv": "771db7d80d4708f221002aafa957c42f227077ac4166c42b6e28496a0d6ddfe3",
-        "events.csv": "fc9f7b4f9b8c427eb5c70c0d37d7e1aa1ff9d4dd688e734a080d8730bedce82a",
-        "far.dist": "47ff65b70d3880c2f77be8a6f106b71054b02cd8095d227b489f392ca594fc67",
+        "events.csv": "575e947204d9a6aa8facfb728d123cf7a5acddaa49a38c46254e34c5928684eb",
+        "far.dist": "df52787c03547d47e2822e46bfb1951b915867d11befc456d5ae4370590b45ed",
         "far.hist.csv": "771db7d80d4708f221002aafa957c42f227077ac4166c42b6e28496a0d6ddfe3",
     },
 }
@@ -264,7 +264,7 @@ def test_lb_gen_artifact_bytes(tmp_path, run):
 GOLDEN_LB_PROBE_CSV = (
     's,kept_big,kept_far,best_stat,advantage,ci_half\n'
     '0,40,40,0,0.0,0.08762160119728664\n'
-    '300,40,40,3,0.25000000000000006,0.2859664523819909\n'
+    '300,40,40,3,0.17500000000000002,0.2495444411375449\n'
     '5000,40,40,0,1.0,0.08762160119728664\n'
 )
 
@@ -307,16 +307,16 @@ def instance_pins() -> list[str]:
 
 
 GOLDEN_INSTANCES = [
-    '2967f0daccc610a544fe987067f0622a 0 np.False_ False 1.0 False False',
-    '37de3f778ce584d3a1d6df5bbce16541 0 np.True_ False 1.0 False False',
-    '408c710d0d13b4effccfa65f18e3e3b4 450 np.False_ np.False_ 0.00025522207487864825 False False',
-    '5d28f2397fa86a87da9de0428b2c64c1 449 np.True_ np.True_ 0.0002548442796916962 False False',
-    'b2b116338a0feb4ed442d056a00f0742 0 np.False_ False 1.0 False False',
-    '49fe7345a691a5ea01a0a6507b4378ee 0 np.True_ False 1.0 False False',
-    'fd17f0f1d8afc43c4c7213359248afd5 775 np.False_ np.False_ 0.00046802380851732376 False False',
-    '5ac7595122eb8eb621fe1523148aeffa 785 np.True_ np.True_ 0.0004687385930170577 False False',
-    '9fc9ef8cf2200cb09d4aff80eea11114 1 np.True_ np.False_ 1.0 False True',
-    'c209a5ea828578ae08812a39b994ddad 1 np.False_ np.False_ 1.0 False True',
+    'e0b8aa54c9b37ffd5b793df29e26630a 0 np.False_ False 1.0 False False',
+    'b6228a098eb0a72448d90763fb0fb37e 0 np.True_ False 1.0 False False',
+    'fae7006a01f1770b0cc5d54ca1d21e9e 449 np.False_ np.False_ 0.00025541560908641026 False False',
+    'e68580eaacff6bad12ea9e7bd3d45d20 449 np.True_ np.True_ 0.0002552648372686662 False False',
+    '16fd98042bf5c6bd406013a65547b0ec 0 np.False_ False 1.0 False False',
+    'bdf77cd06db5e0fe66777d3a6b64c52d 0 np.True_ False 1.0 False False',
+    'bd3e0a0f97762ebcca8f39722ed84e02 779 np.False_ np.False_ 0.0004659856844326315 False False',
+    'e440ca13348829648033a2502993f46a 790 np.True_ np.True_ 0.0004671229343125852 False False',
+    'a1cd9461f64c95bcfe47a25665b3e841 1 np.True_ np.False_ 1.0 False True',
+    'd8ff4a38b025af76c71564359642c003 1 np.False_ np.False_ 1.0 False True',
 ]
 
 
@@ -403,7 +403,7 @@ def test_oracle_csv_bytes(tmp_path, capsys, name):
 GOLDEN_DEMO_SUITE = (
     "row,seed,status,value,check\n"
     "0,42,0,0.3,pass\n"
-    "1,43,0,0.018518048670606597,pass\n"
+    "1,43,0,0.018518518518518462,pass\n"
     "2,40,0,1.0,pass\n",
     "",
 )
