@@ -182,12 +182,12 @@ def reference_func_dist_lp(G: Poset, p: Distribution) -> float:
         A[k, u] = A[k, n + v] = 1.0
         A[k, v] = A[k, n + u] = -1.0
         b[k] = p.probs[v] - p.probs[u]
-    return _highs(np.ones(2 * n), A, b)
+    return float(highs_lp(np.ones(2 * n), A, b).fun)
 
 
 def reference_dtv_to_monotone(G: Poset, p: Distribution) -> float:
     """reference_dtv_lp solved by HiGHS."""
-    return _highs(*reference_dtv_lp(G, p))
+    return float(highs_lp(*reference_dtv_lp(G, p)).fun)
 
 
 def highs_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -196,10 +196,6 @@ def highs_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return res
-
-
-def _highs(c, A_ub, b_ub, A_eq=None, b_eq=None) -> float:
-    return float(highs_lp(c, A_ub, b_ub, A_eq, b_eq).fun)
 
 
 # Dict-loop references for the pair-histogram pipeline of the matching tester:

@@ -588,7 +588,7 @@ GRID_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("argv,row", GRID_RUNS, ids=lambda v: v[1] if isinstance(v, list) else None)
+@pytest.mark.parametrize("argv,row", GRID_RUNS, ids=["solve", "gen", "probe"])
 def test_removed_grid_option_is_a_usage_error(workdir, monkeypatch, capsys, argv, row):
     monkeypatch.chdir(workdir)
     with pytest.raises(SystemExit) as exc:

@@ -215,12 +215,9 @@ def test_verdict_reprs_with_huge_counts():
 # Lower-bound construction: byte pins of `lb gen`, `lb probe` and the raw
 # generate_instance output, on the benchmark's two prior settings. Atoms are
 # drawn as Generator.choice draws them, counts per prior atom
-# (lowerbound._poisson_counts). The priors are the gap program's closed-form
-# optimum (alternation points and divided-difference weights); every table
-# was re-pinned when they replaced the optimum of a 400-point grid LP, whose
-# atoms and masses differ, so every draw that reads them moved (the zero
-# histograms of the s = 0 "explicit" run did not).
-# `PYTHONPATH=src python tests/lb_pins.py` prints all three tables.
+# (lowerbound._poisson_counts), from the priors of the gap program's
+# closed-form optimum. A change that moves the atoms moves every table;
+# `PYTHONPATH=src python tests/lb_pins.py` prints all three.
 
 
 def _sha(data: bytes) -> str:

