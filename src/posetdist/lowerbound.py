@@ -31,6 +31,7 @@ from .simplex import solve_lp  # noqa: F401
 MASS_TOL = 1e-9
 MEAN_TOL = 1e-8
 MOMENT_REL_TOL = 1e-8
+LOG_W_BLOCK = 64  # rows of the atom-difference matrix that solve_moment_gap holds at once
 # the largest rate Generator.poisson accepts (numpy's POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 WILSON_Z = 1.959963984540054  # 95%
@@ -108,10 +109,13 @@ def solve_moment_gap(nu: float, lam: float, L: int):
     t = -np.cos(0.5 * (a + b))
     x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
     # |w_k| up to a common factor, from the differences 2(t_k - t_j) summed as
-    # logs: a product of L differences can leave the double range
-    diff = 2.0 * np.abs(t[:, None] - t)
-    np.fill_diagonal(diff, 1.0)
-    log_w = -np.log(diff).sum(axis=1)
+    # logs (a product of L differences can leave the double range), a block
+    # of rows at a time so that memory stays O(L)
+    log_w = np.empty(L + 1)
+    for k in range(0, L + 1, LOG_W_BLOCK):
+        diff = 2.0 * np.abs(t[k : k + LOG_W_BLOCK, None] - t)
+        np.fill_diagonal(diff[:, k:], 1.0)
+        log_w[k : k + LOG_W_BLOCK] = -np.log(diff).sum(axis=1)
     w = np.exp(log_w - log_w.max())
     big, far = ((x[k::2], w[k::2] / w[k::2].sum()) for k in (0, 1))
     inv_big, inv_far = big[1] @ (1.0 / big[0]), far[1] @ (1.0 / far[0])
@@ -158,12 +162,14 @@ class MomentPriors:
         nz = self.atoms_far[self.atoms_far != 0.0]
         if np.any((nz < lo) | (nz > hi)):
             problems.append("far-side nonzero atom outside the interval")
+        # Moments of the atoms / S, so no power overflows, under the rule |a - b| <=
+        # MOMENT_REL_TOL * max(1, |a|) divided by S^j; a non-finite moment fails it.
+        S = max(1.0, float(self.atoms_big.max(initial=0.0)), float(self.atoms_far.max(initial=0.0)))
         for j in range(1, self.L + 1):
-            mj_big = float(self.atoms_big**j @ self.mass_big)
-            mj_far = float(self.atoms_far**j @ self.mass_far)
-            rel = abs(mj_big - mj_far) / max(1.0, abs(mj_big))
-            if rel > MOMENT_REL_TOL:
-                problems.append(f"moment {j} mismatch: {mj_big!r} vs {mj_far!r}")
+            mj_big = float((self.atoms_big / S) ** j @ self.mass_big)
+            mj_far = float((self.atoms_far / S) ** j @ self.mass_far)
+            if not abs(mj_big - mj_far) <= MOMENT_REL_TOL * max(abs(mj_big), S**-j):
+                problems.append(f"moment {j} of the atoms / {S!r} mismatch: {mj_big!r} vs {mj_far!r}")
         if self.gap > 0 and not (
             1 + self.nu - 1e-9 <= self.beta <= min(self.lam, 1.0 / self.gap) + 1e-9
         ):

@@ -130,17 +130,13 @@ def exact_dtv_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CA
 
 
 def _violation_edges(G: Poset, probs: np.ndarray):
-    """TC edges with positive violation weight, sorted for determinism."""
-    if G.kind == "matching":
-        tc_edges = list(G.edges)  # no 2-paths exist
-    else:
-        tc_edges = transitive_closure(G).edges()
-    out = []
-    for u, v in sorted(tc_edges):
-        w = float(probs[u] - probs[v])
-        if w > WEIGHT_TOL:
-            out.append((u, v, w))
-    return out
+    """(tails, heads, weights) of the TC edges with positive violation
+    weight, sorted by (tail, head) as both edge arrays already are."""
+    # a matching has no 2-paths: its closure is its edges
+    u, v = (G.edge_array if G.kind == "matching" else transitive_closure(G).edge_array()).T
+    w = probs[u] - probs[v]
+    keep = w > WEIGHT_TOL
+    return u[keep], v[keep], w[keep]
 
 
 def _assignment_max_weight(weights: np.ndarray):
@@ -180,11 +176,7 @@ def _assignment_max_weight(weights: np.ndarray):
             j1 = way[j0]
             match_row[j0] = match_row[j1]
             j0 = j1
-    col_of_row = np.zeros(n, dtype=int)
-    for j in range(1, n + 1):
-        if match_row[j] > 0:
-            col_of_row[match_row[j] - 1] = j - 1
-    return col_of_row
+    return np.argsort(match_row[1:])  # every column is matched: invert the permutation
 
 
 def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
@@ -199,36 +191,32 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     p(start) - p(end), the weight of the closure edge start -> end, so
     collapsing each chain to that edge gives a matching of the assignment's
     weight, and every matching is itself an assignment: the result is exact.
-    Edge weights are read from the candidate list, the edges come out sorted,
-    and zero-weight edges never appear in the output.
+    Each output edge (u, v) weighs p(u) - p(v) as the candidate scan computes
+    it, the edges come out sorted, and zero-weight edges never appear in the
+    output.
     """
     if p.n != G.n:
         raise ValueError("distribution length does not match poset")
-    cand = _violation_edges(G, p.probs)
-    if not cand:
+    u, v, w = _violation_edges(G, p.probs)
+    if not w.size:
         return WeightedMatching((), 0.0)
     if G.kind == "matching":
-        edges = tuple(((u, v), w) for u, v, w in cand)
-        return WeightedMatching(edges, float(sum(w for _, _, w in cand)))
-    weight = {(u, v): w for u, v, w in cand}
-    tails = sorted({u for u, _, _ in cand})
-    heads = sorted({v for _, v, _ in cand})
-    row = {u: i for i, u in enumerate(tails)}
-    col = {v: j for j, v in enumerate(heads)}
-    size = max(len(tails), len(heads))
-    W = np.zeros((size, size))
-    for u, v, w in cand:
-        W[row[u], col[v]] = w
+        weights = w.tolist()
+        return WeightedMatching(tuple(zip(zip(u.tolist(), v.tolist()), weights)), float(sum(weights)))
+    tails, row = np.unique(u, return_inverse=True)
+    heads, col = np.unique(v, return_inverse=True)
+    W = np.zeros((max(tails.size, heads.size),) * 2)
+    W[row, col] = w
     link = {}
-    for i, j in enumerate(_assignment_max_weight(W)[: len(tails)]):
+    for i, j in enumerate(_assignment_max_weight(W)[: tails.size]):
         if W[i, j] > 0:
-            link[tails[i]] = heads[j]
+            link[tails[i].item()] = heads[j].item()
     chosen = []
     for start in link.keys() - set(link.values()):
         end = start
         while end in link:
             end = link[end]
-        chosen.append(((start, end), weight[start, end]))
+        chosen.append(((start, end), float(p.probs[start] - p.probs[end])))
     chosen.sort()
     return WeightedMatching(tuple(chosen), float(sum(w for _, w in chosen)))
 
@@ -241,11 +229,10 @@ def closest_monotone_on_matching(G: Poset, p: Distribution) -> Distribution:
     if p.n != G.n:
         raise ValueError("distribution length does not match poset")
     q = p.probs.copy()
-    for u, v in G.edges:
-        if q[u] > q[v]:
-            mid = 0.5 * (q[u] + q[v])
-            q[u] = mid
-            q[v] = mid
+    u, v = G.edge_array.T
+    bad = q[u] > q[v]
+    u, v = u[bad], v[bad]
+    q[u] = q[v] = 0.5 * (q[u] + q[v])  # matching edges are disjoint, so no fix sees another's
     return Distribution(q)
 
 

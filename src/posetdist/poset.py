@@ -14,7 +14,7 @@ equivalent.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,12 @@ class CapacityError(PosetError):
     """Requested construction exceeds the desk-scale capacity budget."""
 
 
+def _csr(edges: np.ndarray, k: int) -> tuple[list[int], list[int]]:
+    """(first, heads) of an (m, 2) edge array sorted by tail on vertices
+    0..k-1: the out-neighbours of w are heads[first[w] : first[w + 1]]."""
+    return np.searchsorted(edges[:, 0], np.arange(k + 1)).tolist(), edges[:, 1].tolist()
+
+
 def _check_acyclic(edges: np.ndarray) -> list[int]:
     """A topological order of the vertices that lie on an edge (any other
     vertex fits anywhere), by Kahn's algorithm on the (m, 2) edge array
@@ -46,11 +52,9 @@ def _check_acyclic(edges: np.ndarray) -> list[int]:
     heads. Only vertices on an edge are visited, so the cost follows the
     edges, not the vertex count. PosetError on a cycle."""
     verts, ends = np.unique(edges.ravel(), return_inverse=True)
-    u, v = ends.reshape(-1, 2).T  # labels 0..k-1 in vertex order, so u stays sorted
     k = verts.size
-    first = np.searchsorted(u, np.arange(k + 1)).tolist()
-    heads = v.tolist()
-    indeg = np.bincount(v, minlength=k).tolist()
+    first, heads = _csr(ends.reshape(-1, 2), k)  # labels 0..k-1 in vertex order, so tails stay sorted
+    indeg = np.bincount(ends[1::2], minlength=k).tolist()
     stack = [w for w in range(k) if not indeg[w]]
     order = []
     while stack:
@@ -84,26 +88,26 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Poset:
     """Immutable DAG with an optional structural kind tag.
 
     edges may be given as any (m, 2) integer sequence or array. They are
-    stored sorted, as a tuple of Python-int pairs, so equal posets compare
-    equal and downstream iteration order is deterministic; edge_array holds
-    the same pairs as a read-only (m, 2) int64 array.
+    stored sorted, only as edge_array, a read-only (m, 2) int64 array, so
+    downstream iteration order is deterministic; equality and hash come from
+    n, kind, bottom and its bytes. edges is derived from it on each read.
     bottom is data only for a bipartite poset. A matching's bottom must be
     its edge tails (they are filled in when it is omitted), and the other
     kinds take none. top and dim are derived.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: InitVar[object]
     kind: str = "general"
     bottom: tuple[int, ...] = ()
-    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_array: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, edges):
         try:
             n = operator.index(self.n)
         except TypeError:
@@ -112,7 +116,7 @@ class Poset:
             raise PosetError("vertex count must be nonnegative")
         if self.kind not in KINDS:
             raise PosetError(f"unknown kind {self.kind!r}")
-        a = _int_array(self.edges, 2, "edges must be (u, v) pairs of integers")
+        a = _int_array(edges, 2, "edges must be (u, v) pairs of integers")
         a = a[np.lexsort((a[:, 1], a[:, 0]))]
         u, v = a[:, 0], a[:, 1]
         out = (a < 0).any(axis=1) | (a >= n).any(axis=1)
@@ -132,7 +136,6 @@ class Poset:
         a.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_array", a)
-        object.__setattr__(self, "edges", tuple(zip(u.tolist(), v.tolist())))
         bottom = np.sort(_int_array(self.bottom, 1, "bottom must be a set of integer vertices"))
         repeat = np.zeros(len(bottom), dtype=bool)
         repeat[1:] = bottom[1:] == bottom[:-1]
@@ -189,20 +192,32 @@ class Poset:
         return self.n.bit_length() - 1 if self.kind == "hypercube" else 0
 
     def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-        return adj
+        first, heads = _csr(self.edge_array, self.n)
+        return [heads[first[w] : first[w + 1]] for w in range(self.n)]
 
     def max_degree(self) -> int:
         return int(np.bincount(self.edge_array.ravel()).max(initial=0))
+
+    def _key(self):
+        return self.n, self.kind, self.bottom, self.edge_array.tobytes()
+
+    def __eq__(self, other):
+        return type(other) is Poset and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+# The edges as a sorted tuple of Python-int pairs, built on each read. Attached
+# after decoration: in the class body it would be taken for the InitVar's default.
+Poset.edges = property(lambda G: tuple(zip(*G.edge_array.T.tolist())))
 
 
 def make_line(n: int) -> Poset:
     """Chain poset 0 < 1 < ... < n-1."""
     if n < 1:
         raise PosetError("line poset needs n >= 1")
-    return Poset(n, tuple((i, i + 1) for i in range(n - 1)), kind="line")
+    return Poset(n, np.arange(n - 1)[:, None] + [0, 1], kind="line")
 
 
 def make_matching(n_pairs: int) -> Poset:
@@ -224,13 +239,10 @@ def make_hypercube(d: int) -> Poset:
         raise PosetError("hypercube needs d >= 1")
     if d > HYPERCUBE_MAX_DIM:
         raise CapacityError(f"hypercube dimension {d} exceeds capacity cap {HYPERCUBE_MAX_DIM}")
-    n = 1 << d
-    edges = []
-    for u in range(n):
-        for j in range(d):
-            if not u >> j & 1:
-                edges.append((u, u | 1 << j))
-    return Poset(n, edges, kind="hypercube")
+    u = np.arange(1 << d)[:, None]
+    v = u | 1 << np.arange(d)
+    up = v != u  # bit j of u is 0
+    return Poset(1 << d, np.column_stack((np.broadcast_to(u, v.shape)[up], v[up])), kind="hypercube")
 
 
 @dataclass
@@ -255,11 +267,6 @@ class TransitiveClosure:
         raw = b"".join(bits.to_bytes(width, "little") for bits in self._bits)
         matrix = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
         return np.argwhere(np.unpackbits(matrix, axis=1, bitorder="little")).astype(np.int64, copy=False)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """edge_array() as a list of Python-int pairs."""
-        u, v = self.edge_array().T
-        return list(zip(u.tolist(), v.tolist()))
 
     def successors(self, u: int) -> list[int]:
         out = []
@@ -405,8 +412,7 @@ def read_poset(path) -> Poset:
 
 def write_poset(G: Poset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{G.n} {len(G.edges)} {G.kind}\n")
-        for u, v in G.edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{G.n} {len(G.edge_array)} {G.kind}\n")
+        fh.write("%d %d\n" * len(G.edge_array) % tuple(G.edge_array.ravel().tolist()))
         if G.bottom:
             fh.write("bottom: " + " ".join(str(i) for i in G.bottom) + "\n")

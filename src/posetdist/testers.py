@@ -216,7 +216,7 @@ def matching_monotonicity_test(
         raise ValueError("matching_monotonicity_test needs a matching poset")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    n_pairs = len(G.edges)
+    n_pairs = len(G.edge_array)
     if n_pairs == 0 or 2 * n_pairs != G.n:
         raise ValueError("every vertex must be matched")
     if access.n != G.n:
@@ -322,7 +322,7 @@ def _enumerate_matchable_pairs(G: Poset, cap: int):
     """All (top set, bottom set) endpoint pairs of matchings in G, as sorted
     tuples, empty pair included. Enumerates matchings edge-by-edge, so the
     count of distinct pairs (not the vertex count) is the binding limit."""
-    edges = list(G.edges)
+    edges = G.edge_array.tolist()
     pairs = {((), ())}
     used: set[int] = set()
     chosen: list[tuple[int, int]] = []

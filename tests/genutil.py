@@ -86,7 +86,7 @@ def brute_force_violation_matching(G: Poset, p: Distribution) -> float:
     if G.kind == "matching":
         tc_edges = list(G.edges)
     else:
-        tc_edges = transitive_closure(G).edges()
+        tc_edges = map(tuple, transitive_closure(G).edge_array().tolist())
     cand = [(u, v, float(p.probs[u] - p.probs[v])) for u, v in sorted(tc_edges)]
     cand = [(u, v, w) for u, v, w in cand if w > 1e-12]
 
@@ -529,8 +529,32 @@ def reference_transport_cost(supply, demand) -> float:
     return float(highs_lp(c, A_eq=A_eq, b_eq=b_eq).fun)
 
 
+def reference_hypercube_edges(d: int) -> list[tuple[int, int]]:
+    """The d-cube's edges by the double loop make_hypercube once ran: every
+    vertex u and every bit j that is 0 in u give the edge (u, u | 1 << j)."""
+    edges = []
+    for u in range(1 << d):
+        for j in range(d):
+            if not u >> j & 1:
+                edges.append((u, u | 1 << j))
+    return edges
+
+
+def reference_midpoint_fix(G: Poset, probs: np.ndarray) -> np.ndarray:
+    """closest_monotone_on_matching's result by a loop over the edges: each
+    violating edge's endpoints move to their average, one edge at a time."""
+    q = probs.copy()
+    for u, v in G.edges:
+        if q[u] > q[v]:
+            mid = 0.5 * (q[u] + q[v])
+            q[u] = mid
+            q[v] = mid
+    return q
+
+
 def reference_closure_edges(tc) -> list[tuple[int, int]]:
-    """TransitiveClosure.edges() by walking each row bitset one bit at a time."""
+    """The pairs of TransitiveClosure.edge_array() by walking each row bitset
+    one bit at a time."""
     out = []
     for u in range(tc.n):
         bits = tc._bits[u]

@@ -169,7 +169,7 @@ def _monotone_bipartite(rng, G):
     depth = np.array([sum(tc.reach(w, u) for w in range(G.n)) for u in range(G.n)], float)
     v = 1.0 + depth + rng.uniform(0, 0.05, G.n)
     # raise every top above every bottom it covers
-    for u, w in transitive_closure(G).edges():
+    for u, w in transitive_closure(G).edge_array().tolist():
         if v[w] < v[u]:
             v[w] = v[u]
     return Distribution(v / v.sum())

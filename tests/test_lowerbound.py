@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from posetdist import (
     Distribution,
     MomentPriors,
     ParameterError,
+    PriorsError,
     Rng,
     assign_parameters,
     build_priors,
@@ -94,6 +97,42 @@ def test_build_priors_sweep_until_refused(lam):
     for far in (L + 1, 40, 10**9):
         with pytest.raises(ParameterError, match="beyond double precision"):
             build_priors(0.5, lam, far)
+
+
+def test_validate_compares_moments_past_the_double_range():
+    """At lambda = 10^4 the atoms reach about 3600, so their 100th power
+    overflows; the moments are compared on the atoms scaled by their maximum,
+    without an overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_priors(0.5, 1e4, 100).validate()
+
+
+def test_validate_reports_a_perturbed_far_atom_past_the_double_range():
+    """Moment 100 of these atoms overflows unscaled, where inf - inf let any
+    mismatch pass."""
+    priors = build_priors(0.5, 1e4, 100)
+    atoms = priors.atoms_far.copy()
+    atoms[np.argmax(atoms)] *= 1 + 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PriorsError) as exc:
+            dataclasses.replace(priors, atoms_far=atoms).validate()
+    assert "mean" not in str(exc.value)
+    assert "moment 100 of the atoms" in str(exc.value)
+
+
+def test_moment_gap_memory_is_linear_in_L():
+    """The log-weights are summed a block of rows at a time: at L = 3200 the
+    dense (L+1) x (L+1) difference matrix and its logs took 156.5 MiB."""
+    solve_moment_gap(0.5, 1e6, 4)
+    tracemalloc.start()
+    try:
+        solve_moment_gap(0.5, 1e6, 3200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 156.5 / 4 * 2**20, peak
 
 
 def test_build_priors_invariants():

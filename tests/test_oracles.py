@@ -38,6 +38,7 @@ from genutil import (
     random_dag,
     random_distribution,
     reference_dtv_to_monotone,
+    reference_midpoint_fix,
     reference_func_dist_lp,
 )
 
@@ -252,6 +253,19 @@ def test_closest_monotone_on_matching():
     np.testing.assert_array_equal(closest_monotone_on_matching(G, mono).probs, mono.probs)
     with pytest.raises(ValueError):
         closest_monotone_on_matching(make_line(2), p)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_midpoint_fix_matches_the_edge_loop(data):
+    """The masked midpoint fix equals fixing one edge at a time, on matchings
+    whose edges run either way between vertex labels."""
+    n_pairs = data.draw(st.integers(1, 8))
+    order = data.draw(st.permutations(range(2 * n_pairs)))
+    G = Poset(2 * n_pairs, [order[2 * i : 2 * i + 2] for i in range(n_pairs)], kind="matching")
+    weights = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n_pairs, max_size=2 * n_pairs)))
+    p = Distribution((weights + 1e-3) / (weights + 1e-3).sum())
+    np.testing.assert_array_equal(closest_monotone_on_matching(G, p).probs, reference_midpoint_fix(G, p.probs))
 
 
 def test_midpoint_fix_attains_exact_distance():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,13 @@ from posetdist import (
 )
 from posetdist.poset import KINDS, closure_poset
 
-from genutil import random_bipartite, random_dag, reference_closure_edges, reference_poset_check
+from genutil import (
+    random_bipartite,
+    random_dag,
+    reference_closure_edges,
+    reference_hypercube_edges,
+    reference_poset_check,
+)
 
 
 def test_make_line():
@@ -40,7 +48,7 @@ def test_make_matching():
     endpoints = [w for e in G.edges for w in e]
     assert len(set(endpoints)) == 6
     # closure adds nothing: there are no 2-paths
-    assert sorted(transitive_closure(G).edges()) == sorted(G.edges)
+    assert np.array_equal(transitive_closure(G).edge_array(), G.edge_array)
 
 
 def test_make_hypercube():
@@ -50,6 +58,25 @@ def test_make_hypercube():
         assert len(make_hypercube(d).edges) == d * 2 ** (d - 1)
     with pytest.raises(CapacityError):
         make_hypercube(64)
+
+
+def test_make_hypercube_matches_the_double_loop():
+    for d in range(1, 13):
+        assert make_hypercube(d).edges == tuple(reference_hypercube_edges(d)), d
+
+
+def test_matching_construction_keeps_no_edge_tuple():
+    """A 10^5-pair matching holds its edges once, as the (m, 2) int64 array
+    (1.6 MB); a tuple of Python-int pairs beside it held 12 MB more."""
+    make_matching(10)
+    tracemalloc.start()
+    try:
+        G = make_matching(10**5)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.edge_array.nbytes == 1_600_000
+    assert held < 8 * 2**20, held
 
 
 def test_acyclicity_and_validation():
@@ -69,9 +96,9 @@ def test_acyclicity_and_validation():
 
 def test_transitive_closure_examples():
     tc = transitive_closure(make_line(3))
-    assert sorted(tc.edges()) == [(0, 1), (0, 2), (1, 2)]
+    assert tc.edge_array().tolist() == [[0, 1], [0, 2], [1, 2]]
     tc = transitive_closure(make_hypercube(2))
-    added = set(tc.edges()) - set(make_hypercube(2).edges)
+    added = set(map(tuple, tc.edge_array().tolist())) - set(make_hypercube(2).edges)
     assert added == {(0, 3)}
 
 
@@ -82,9 +109,9 @@ def test_transitive_closure_examples():
 ], ids=lambda G: f"{G.kind}-{G.n}")
 def test_closure_edges_match_the_bit_walk(G):
     tc = transitive_closure(G)
-    got = tc.edges()
-    assert got == reference_closure_edges(tc)
-    assert all(type(u) is int and type(v) is int for u, v in got)
+    got = tc.edge_array()
+    assert got.dtype == np.int64 and got.shape == (got.size // 2, 2)
+    assert list(map(tuple, got.tolist())) == reference_closure_edges(tc)
 
 
 def test_closure_edges_match_the_bit_walk_on_random_posets():
@@ -93,7 +120,7 @@ def test_closure_edges_match_the_bit_walk_on_random_posets():
         for G in (random_dag(rng, int(rng.integers(1, 40)), float(rng.uniform(0.05, 0.5))),
                   random_bipartite(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))):
             tc = transitive_closure(G)
-            assert tc.edges() == reference_closure_edges(tc)
+            assert list(map(tuple, tc.edge_array().tolist())) == reference_closure_edges(tc)
 
 
 def test_closure_idempotent():
@@ -232,6 +259,15 @@ def test_closure_of_every_kind_matches_bfs():
             assert tc.successors(src) == _bfs_reach(G, src), (G.kind, src)
 
 
+def test_adjacency_matches_an_edge_loop():
+    for G in _one_poset_per_kind():
+        want = [[] for _ in range(G.n)]
+        for u, v in G.edges:
+            want[u].append(v)
+        assert G.adjacency() == want, G.kind
+    assert Poset(3, ()).adjacency() == [[], [], []]
+
+
 def test_closure_sorts_only_general_posets(monkeypatch):
     posets = _one_poset_per_kind()
     calls = []
@@ -346,6 +382,10 @@ def test_edge_array_is_the_sorted_edges_read_only():
         G.edge_array[0, 0] = 3
     assert G == Poset(4, np.array([[0, 2], [2, 3], [0, 1]])) and hash(G) == hash(Poset(4, G.edges))
     assert Poset(0, ()).edge_array.shape == (0, 2)
+    M = Poset(4, G.edges[:2], kind="bipartite", bottom=(0,))
+    assert M != Poset(4, G.edges[:2]) and M != Poset(4, G.edges[:2], kind="bipartite", bottom=(0, 3))
+    assert M != Poset(5, G.edges[:2], kind="bipartite", bottom=(0,)) and G != Poset(4, G.edges[:2])
+    assert len({G, Poset(4, list(G.edges)), M}) == 2
 
 
 def test_only_general_posets_run_the_topological_sort(monkeypatch):
