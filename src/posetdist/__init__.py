@@ -21,12 +21,8 @@ from .prob import (
     Rng,
     SampleAccess,
     SampleHistogram,
-    mass_of_set,
-    multinomial_histogram,
     pair_histogram,
-    poissonized_histogram,
     read_distribution,
-    sample,
     tv_distance,
     write_distribution,
 )

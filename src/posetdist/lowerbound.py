@@ -37,6 +37,7 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max)
 WILSON_Z = 1.959963984540054  # 95%
 
 FINGERPRINT_NAMES = ("zeros", "singletons", "doubletons", "total")
+MAX_RETRIES = 200  # draws indistinguishability_probe makes for one trial's events
 
 
 class ParameterError(ValueError):
@@ -50,8 +51,8 @@ class PriorsError(RuntimeError):
 def moment_gap_value(nu: float, lam: float, L: int) -> float:
     """Closed form for the largest achievable E[1/X] - E[1/X'] over measure
     pairs on [1+nu, lam] with L-1 matched moments."""
-    if nu <= 0 or lam <= 1 + nu:
-        raise ValueError("need 0 < nu and lam > 1 + nu")
+    if not (0 < nu < math.inf and 1 + nu < lam < math.inf):
+        raise ValueError(f"need finite nu > 0 and lambda > 1 + nu, got nu={nu}, lambda={lam}")
     if L < 2:
         raise ValueError("need L >= 2")
     rho = math.sqrt(lam / (1 + nu))
@@ -441,7 +442,6 @@ def indistinguishability_probe(
     s_values,
     trials: int,
     rng: Rng,
-    max_retries: int = 200,
 ) -> list[ProbeRow]:
     """Empirical one-sided probe of histogram indistinguishability.
 
@@ -450,7 +450,7 @@ def indistinguishability_probe(
     the raw-mass clause is enforced), then reports the best advantage any
     single fingerprint statistic achieves as a threshold classifier, with a
     Wilson 95% half-width. This lower-bounds the histogram TV distance; it
-    cannot certify an upper bound. A trial whose events fail max_retries
+    cannot certify an upper bound. A trial whose events fail MAX_RETRIES
     draws in a row raises ParameterError: the events are too rare at this n.
     So does, before any draw, a regime where the far side's z = ceil(beta*n*gap/2)
     zeros leave raw mass at most (n - z) * max(atoms_far) / n < 1 - nu.
@@ -460,8 +460,6 @@ def indistinguishability_probe(
         raise ValueError(f"instance size n must be at least 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if max_retries < 1:
-        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     if any(s < 0 for s in s_values):
         raise ValueError(f"sample rates must be nonnegative, got {s_values}")
     zeros = math.ceil(priors.beta * n * priors.gap / 2.0)
@@ -477,7 +475,7 @@ def indistinguishability_probe(
         kept_big = kept_far = 0
         for t in range(trials):
             got_big = got_far = False
-            for attempt in range(max_retries):
+            for attempt in range(MAX_RETRIES):
                 sub = rng.derive(stream)
                 stream += 1
                 inst = generate_instance(priors, n, s, sub)
@@ -497,7 +495,7 @@ def indistinguishability_probe(
                     break
             if not (got_big and got_far):
                 raise ParameterError(
-                    f"event conditioning failed after {max_retries} retries at s={s}, n={n}: "
+                    f"event conditioning failed after {MAX_RETRIES} retries at s={s}, n={n}: "
                     "the events are too rare at this size"
                 )
             kept_big += 1

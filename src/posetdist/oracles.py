@@ -33,7 +33,7 @@ import numpy as np
 
 from .poset import Poset, transitive_closure
 from .prob import Distribution, PairHistogram
-from .simplex import _MAX_ITER, _STALL_LIMIT, TOL, LpError, solve_lp
+from .simplex import _MAX_ITER, _STALL_LIMIT, TOL, LpError, _entering, solve_lp
 
 DEFAULT_LP_CAP = 192
 WEIGHT_TOL = 1e-12
@@ -72,23 +72,22 @@ def dist_to_bigness(p: Distribution, threshold: float) -> float:
     The closed form assumes T <= 1/n (otherwise the polytope shrinks and the
     deficit sum is no longer the distance), so larger thresholds are rejected.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if threshold > 1.0 / p.n + 1e-15:
-        raise ValueError(f"threshold {threshold} exceeds 1/n")
+    if not 0 < threshold <= 1.0 / p.n + 1e-15:
+        raise ValueError(f"threshold must lie in (0, 1/n], got T={threshold}")
     return float(np.maximum(0.0, threshold - p.probs).sum())
 
 
-def _monotone_flow(G: Poset, p: Distribution, lp_cap: int, c: float, shift: bool):
+def _monotone_flow(G: Poset, p: Distribution, c: float, shift: bool):
     """(value, x) of the LP dual to the monotone-perturbation LP: a flow on
     G's own edges. Maximize sum_e y_e * (p(u) - p(v)) over y >= 0 on the
     edges (u, v) subject to -c <= out_y(w) - in_y(w) + mu <= c at every
     vertex w, with mu = 0 or, with `shift`, free (passed as mu+ - mu-). All
     2n right-hand sides are c > 0, so the slack basis is feasible. The
     perturbation x is read off the row duals: upper row's dual minus lower
-    row's."""
-    if G.n > lp_cap:
-        raise SizeCapError(f"n={G.n} exceeds LP cap {lp_cap}")
+    row's. The 2n x m constraint matrix is dense, so n is capped at
+    DEFAULT_LP_CAP."""
+    if G.n > DEFAULT_LP_CAP:
+        raise SizeCapError(f"n={G.n} exceeds LP cap {DEFAULT_LP_CAP}")
     if p.n != G.n:
         raise ValueError("distribution length does not match poset")
     n, m = G.n, len(G.edge_array)
@@ -106,16 +105,16 @@ def _monotone_flow(G: Poset, p: Distribution, lp_cap: int, c: float, shift: bool
     return 0.0 - obj, duals[:n] - duals[n:]  # 0.0 - obj: never -0.0
 
 
-def func_dist_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CAP):
+def func_dist_to_monotone(G: Poset, p: Distribution):
     """Minimal l1 perturbation x making p + x a monotone function on G.
 
     Returns (d, LpSolution) with d = ||x||_1, by the flow LP with c = 1.
     """
-    d, x = _monotone_flow(G, p, lp_cap, 1.0, False)
+    d, x = _monotone_flow(G, p, 1.0, False)
     return d, LpSolution(d, x)
 
 
-def exact_dtv_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CAP) -> float:
+def exact_dtv_to_monotone(G: Poset, p: Distribution) -> float:
     """TV distance from p to the set of monotone distributions on G, by LP.
 
     The primal minimizes ||x||_1 / 2 over x with p + x monotone and
@@ -126,7 +125,7 @@ def exact_dtv_to_monotone(G: Poset, p: Distribution, lp_cap: int = DEFAULT_LP_CA
     monotone and moves it by N in l1, so the result is a monotone
     distribution no farther from p.
     """
-    return _monotone_flow(G, p, lp_cap, 0.5, True)[0]
+    return _monotone_flow(G, p, 0.5, True)[0]
 
 
 def _violation_edges(G: Poset, probs: np.ndarray):
@@ -244,12 +243,12 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
     edges are the ns + nd - 1 basic cells; the northwest corner rule gives the
     first one, zero-flow cells included. Each pivot walks the tree once for
     the potentials u_i + v_j = cost_ij and the parent and depth pointers,
-    lets the cell of most negative reduced cost enter, and sends the largest
-    feasible flow around the cycle it closes; the lowest-index tied cell on
-    the cycle's minus side leaves. After _STALL_LIMIT pivots without progress
-    the lowest-index improving cell enters instead (Bland's rule), which
-    guarantees termination; the stall and pivot limits are the dense
-    simplex's, and LpError reports a run past _MAX_ITER pivots.
+    lets a cell enter by the dense simplex's rule (simplex._entering: the
+    most negative reduced cost, or after _STALL_LIMIT pivots without
+    progress the lowest-index improving cell, Bland's rule, which guarantees
+    termination), and sends the largest feasible flow around the cycle it
+    closes; the lowest-index tied cell on the cycle's minus side leaves.
+    LpError reports a run past _MAX_ITER pivots.
     """
     ns, nd = cost.shape
     c = cost.ravel().tolist()
@@ -295,14 +294,7 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
                     stack.append(b)
         u = np.array(pot)
         reduced = (cost - u[:ns, None] - u[None, ns:]).ravel()
-        reduced[basic] = 0.0
-        if stall >= _STALL_LIMIT:
-            below = np.flatnonzero(reduced < -TOL)
-            enter = int(below[0]) if below.size else -1
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -TOL:
-                enter = -1
+        enter = _entering(reduced, basic, stall >= _STALL_LIMIT)
         if enter < 0:
             return float(cost.ravel() @ flow)
         i, j = divmod(enter, nd)

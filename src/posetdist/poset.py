@@ -4,8 +4,9 @@ A poset is a directed acyclic edge relation on vertices 0..n-1 where an edge
 (u, v) means u precedes v. Canonical families (line, matching, hypercube,
 bipartite) carry a kind tag. A Poset stores only what its edges cannot give,
 the bottom set of a bipartite poset: a matching's bottom and top sets are its
-edge tails and heads, a bipartite top set is the complement of the bottom
-set, and a hypercube's dimension is log2(n). A distribution p is monotone on
+edge tails and heads (its bottom array is a view of the edge array), a
+bipartite top set is the complement of the bottom set, and a hypercube's
+dimension is log2(n). A distribution p is monotone on
 G when p(u) <= p(v) along every edge; since monotonicity composes along
 paths, checking the edges of G and checking its transitive closure are
 equivalent.
@@ -94,20 +95,23 @@ class Poset:
 
     edges may be given as any (m, 2) integer sequence or array. They are
     stored sorted, only as edge_array, a read-only (m, 2) int64 array, so
-    downstream iteration order is deterministic; equality and hash come from
-    n, kind, bottom and its bytes. edges is derived from it on each read.
-    bottom is data only for a bipartite poset. A matching's bottom must be
-    its edge tails (they are filled in when it is omitted), and the other
-    kinds take none. top and dim are derived.
+    downstream iteration order is deterministic. bottom is stored the same
+    way, as the sorted read-only int64 bottom_array; equality and hash come
+    from n, kind and the bytes of both arrays. edges and bottom, as tuples of
+    Python ints, are derived from the arrays on each read. bottom is data
+    only for a bipartite poset. A matching's bottom must be its edge tails
+    (they are filled in when it is omitted), and the other kinds take none.
+    top and dim are derived.
     """
 
     n: int
     edges: InitVar[object]
     kind: str = "general"
-    bottom: tuple[int, ...] = ()
+    bottom: InitVar[object] = ()
     edge_array: np.ndarray = field(init=False)
+    bottom_array: np.ndarray = field(init=False)
 
-    def __post_init__(self, edges):
+    def __post_init__(self, edges, bottom):
         try:
             n = operator.index(self.n)
         except TypeError:
@@ -136,13 +140,14 @@ class Poset:
         a.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_array", a)
-        bottom = np.sort(_int_array(self.bottom, 1, "bottom must be a set of integer vertices"))
+        bottom = np.sort(_int_array(bottom, 1, "bottom must be a set of integer vertices"))
         repeat = np.zeros(len(bottom), dtype=bool)
         repeat[1:] = bottom[1:] == bottom[:-1]
         bottom = bottom[~repeat]
         k = _first((bottom < 0) | (bottom >= n))
         if k is not None:
             raise PosetError(f"bottom vertex {bottom[k]} out of range for n={n}")
+        bottom = bottom.astype(np.int64, copy=False)
         if bottom.size and self.kind not in ("bipartite", "matching"):
             raise PosetError(f"a {self.kind} poset takes no bottom set")
         # Each kind's check but general's implies acyclicity: line and
@@ -156,10 +161,9 @@ class Poset:
         elif self.kind == "matching":
             if np.bincount(a.ravel()).max(initial=0) > 1:
                 raise PosetError("matching kind requires vertex-disjoint edges")
-            tails = np.sort(u)
-            if bottom.size and not np.array_equal(bottom, tails):
+            if bottom.size and not np.array_equal(bottom, u):  # u: the tails, sorted
                 raise PosetError("a matching's bottom set must be its edge tails")
-            bottom = tails
+            bottom = u
         elif self.kind == "bipartite":
             k = _first(~np.isin(u, bottom) | np.isin(v, bottom))
             if k is not None:
@@ -174,7 +178,8 @@ class Poset:
                 raise PosetError(f"hypercube edge ({u[k]},{v[k]}) is not a single 0->1 bit flip")
             if len(a) != d << (d - 1):
                 raise PosetError(f"hypercube kind requires all {d << (d - 1)} edges, got {len(a)}")
-        object.__setattr__(self, "bottom", tuple(bottom.tolist()))
+        bottom.flags.writeable = False
+        object.__setattr__(self, "bottom_array", bottom)
 
     @property
     def top(self) -> tuple[int, ...]:
@@ -183,7 +188,7 @@ class Poset:
         if self.kind == "matching":
             return tuple(np.sort(self.edge_array[:, 1]).tolist())
         if self.kind == "bipartite":
-            return tuple(sorted(set(range(self.n)).difference(self.bottom)))
+            return tuple(np.setdiff1d(np.arange(self.n), self.bottom_array, assume_unique=True).tolist())
         return ()
 
     @property
@@ -199,7 +204,7 @@ class Poset:
         return int(np.bincount(self.edge_array.ravel()).max(initial=0))
 
     def _key(self):
-        return self.n, self.kind, self.bottom, self.edge_array.tobytes()
+        return self.n, self.kind, self.bottom_array.tobytes(), self.edge_array.tobytes()
 
     def __eq__(self, other):
         return type(other) is Poset and self._key() == other._key()
@@ -208,9 +213,11 @@ class Poset:
         return hash(self._key())
 
 
-# The edges as a sorted tuple of Python-int pairs, built on each read. Attached
-# after decoration: in the class body it would be taken for the InitVar's default.
+# The edges as a sorted tuple of Python-int pairs and the bottom set as a
+# sorted tuple of Python ints, built on each read. Attached after decoration:
+# in the class body each would be taken for its InitVar's default.
 Poset.edges = property(lambda G: tuple(zip(*G.edge_array.T.tolist())))
+Poset.bottom = property(lambda G: tuple(G.bottom_array.tolist()))
 
 
 def make_line(n: int) -> Poset:
@@ -268,15 +275,6 @@ class TransitiveClosure:
         matrix = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
         return np.argwhere(np.unpackbits(matrix, axis=1, bitorder="little")).astype(np.int64, copy=False)
 
-    def successors(self, u: int) -> list[int]:
-        out = []
-        bits = self._bits[u]
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
-
 
 def transitive_closure(G: Poset) -> TransitiveClosure:
     """Compute reach(u, v) for all pairs by sweeping a topological order
@@ -295,18 +293,13 @@ def transitive_closure(G: Poset) -> TransitiveClosure:
     return TransitiveClosure(G.n, bits)
 
 
-def closure_poset(G: Poset) -> Poset:
-    """The closure relation itself as a general-kind poset."""
-    return Poset(G.n, transitive_closure(G).edge_array(), kind="general")
-
-
-def is_monotone(G: Poset, probs, tol: float = MONOTONE_TOL) -> bool:
-    """True iff p(u) <= p(v) + tol along every edge of G."""
+def is_monotone(G: Poset, probs) -> bool:
+    """True iff p(u) <= p(v) + MONOTONE_TOL along every edge of G."""
     p = np.asarray(probs, dtype=float)
     if p.shape != (G.n,):
         raise ValueError(f"distribution length {p.shape} does not match n={G.n}")
     u, v = G.edge_array.T
-    return bool(np.all(p[u] <= p[v] + tol))
+    return bool(np.all(p[u] <= p[v] + MONOTONE_TOL))
 
 
 def _edge_block(lines: list[str]) -> np.ndarray:
@@ -414,5 +407,5 @@ def write_poset(G: Poset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{G.n} {len(G.edge_array)} {G.kind}\n")
         fh.write("%d %d\n" * len(G.edge_array) % tuple(G.edge_array.ravel().tolist()))
-        if G.bottom:
-            fh.write("bottom: " + " ".join(str(i) for i in G.bottom) + "\n")
+        if G.bottom_array.size:
+            fh.write("bottom: " + " ".join(map(str, G.bottom_array.tolist())) + "\n")

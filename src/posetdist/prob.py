@@ -1,12 +1,13 @@
-"""Distributions, seeded sampling, Poissonized histograms, pair histograms.
+"""Distributions, seeded sampling, pair histograms.
 
 All randomness flows through Rng, a thin wrapper over numpy's PCG64 keyed by
 (seed, stream): the same key always replays the same draw sequence, and
 concurrent work derives disjoint streams instead of sharing state.
 
-Sampling is exposed both per-draw (sample) and as exact histogram laws
-(SampleAccess.histogram draws the multinomial of the counts directly, which is
-the same distribution as histogramming s i.i.d. draws but costs O(n)).
+Sampling is exposed both per-draw (SampleAccess.draw) and as exact histogram
+laws (ExactDistAccess.histogram draws the multinomial of the counts directly,
+which is the same distribution as histogramming s i.i.d. draws but costs
+O(n)).
 
 A PairHistogram is three numpy arrays x, y, count sorted by (x, y) with unique
 keys and no (0, 0) key; building, rescaling and merging one are array
@@ -237,37 +238,6 @@ def cdf_count(cdf: np.ndarray, u) -> np.ndarray:
     return idx.astype(np.intp)
 
 
-def sample(p: Distribution, s: int, rng: Rng) -> np.ndarray:
-    """s i.i.d. element indices drawn from p."""
-    if s < 0:
-        raise ValueError("sample count must be nonnegative")
-    if s == 0:
-        return np.empty(0, dtype=np.int64)
-    return choice_indices(choice_cdf(p.probs), s, rng).astype(np.int64)
-
-
-def multinomial_histogram(p: Distribution, s: int, rng: Rng) -> SampleHistogram:
-    """Histogram of s i.i.d. draws from p, drawn directly as a multinomial."""
-    if s < 0:
-        raise ValueError("sample count must be nonnegative")
-    return SampleHistogram(rng.gen.multinomial(int(s), p.probs))
-
-
-def poissonized_histogram(weights, s: float, rng: Rng) -> SampleHistogram:
-    """Independent Poisson(s * w_i) count per element.
-
-    weights need not sum to 1; the total count is then Poisson(s * sum(w)).
-    """
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    if s < 0:
-        raise ValueError("rate must be nonnegative")
-    if s == 0:
-        return SampleHistogram(np.zeros(w.size, dtype=np.int64))
-    return SampleHistogram(rng.gen.poisson(s * w))
-
-
 def _snap(a, step: float) -> np.ndarray:
     """Each entry of a moved to the nearest multiple of step."""
     if not (step > 0 and math.isfinite(step)):
@@ -301,22 +271,6 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
-def mass_of_set(p: Distribution, S, s: int, rng: Rng) -> float:
-    """Empirical mass of vertex set S from s i.i.d. draws.
-
-    Additive error eps/8 with probability >= 1 - delta once
-    s >= 2 * log(1/delta) / eps^2 (Hoeffding).
-    """
-    if s < 1:
-        raise ValueError("need at least one sample")
-    indicator = np.zeros(p.n, dtype=bool)
-    idx = list(S)
-    if idx:
-        indicator[np.asarray(idx, dtype=int)] = True
-    hist = multinomial_histogram(p, s, rng)
-    return float(hist.counts[indicator].sum()) / s
-
-
 class SampleAccess:
     """Sample-only access to an unknown distribution: draw() yields i.i.d.
     element indices and histogram() yields the exact law of their counts.
@@ -340,10 +294,18 @@ class ExactDistAccess(SampleAccess):
         self.n = dist.n
 
     def draw(self, s: int, rng: Rng) -> np.ndarray:
-        return sample(self.dist, s, rng)
+        """s i.i.d. element indices, one uniform each (as Generator.choice)."""
+        if s < 0:
+            raise ValueError("sample count must be nonnegative")
+        if s == 0:
+            return np.empty(0, dtype=np.int64)
+        return choice_indices(choice_cdf(self.dist.probs), s, rng).astype(np.int64)
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
-        return multinomial_histogram(self.dist, s, rng).counts.copy()
+        """The counts of s i.i.d. draws, drawn at once as a multinomial."""
+        if s < 0:
+            raise ValueError("sample count must be nonnegative")
+        return rng.gen.multinomial(int(s), self.dist.probs).astype(np.int64, copy=False)
 
 
 def text_lines(path, error: type[ValueError] = ValueError):

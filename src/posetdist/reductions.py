@@ -151,8 +151,8 @@ def bigness_to_matching(p: Distribution, threshold: float):
     poset, the scale, and the threshold.
     """
     n = p.n
-    if threshold <= 0 or threshold > 1.0 / n + 1e-15:
-        raise ValueError("threshold must lie in (0, 1/n]")
+    if not 0 < threshold <= 1.0 / n + 1e-15:
+        raise ValueError(f"threshold must lie in (0, 1/n], got T={threshold}")
     scale = 1.0 + n * threshold
     target = make_matching(n)
     q = np.empty(2 * n)
@@ -171,10 +171,6 @@ class HypercubeEmbedding:
     level: int
     pairs: tuple[tuple[int, int], ...]
     filler: tuple[int, ...]
-
-    @property
-    def filler_count(self) -> int:
-        return len(self.filler)
 
 
 def hypercube_embedding(d: int, ell: int) -> HypercubeEmbedding:
@@ -220,8 +216,9 @@ def matching_to_hypercube(d: int, ell: int, p: Distribution, p_max: float) -> Di
         raise ValueError(
             f"matching distribution must cover {2 * n_pairs} vertices for d={d}, ell={ell}"
         )
-    if float(p.probs.max()) > p_max + 1e-12:
-        raise ValueError("per-element mass exceeds p_max")
+    top = float(p.probs.max())
+    if not top <= p_max + 1e-12 < math.inf:
+        raise ValueError(f"p_max must be finite and at least the largest per-element mass {top!r}, got p_max={p_max}")
     scale = hypercube_scale(d, ell, p_max)
     q = np.zeros(1 << d)
     for k, (lo, hi) in enumerate(emb.pairs):

@@ -25,6 +25,7 @@ from .prob import Distribution, PairHistogram, Rng, SampleAccess, _snap, pair_hi
 from .reductions import LiftedAccess, bipartite_to_matching
 
 MASS_EST_CONST = 32.0  # ceil(32/eps^2) samples per additive-eps mass estimate
+PAIR_CAP = 4096  # the most matchable subset pairs all_matchings_test enumerates
 # The most samples one draw may take: numpy's multinomial and binomial
 # counts are int64.
 MAX_SAMPLES = int(np.iinfo(np.int64).max)
@@ -66,23 +67,19 @@ def _verdict(stat: float, threshold: float, samples: int, **details) -> Verdict:
 class LearnerSpec:
     """Which learner backs the testers and how many samples it gets.
 
-    kind "empirical_plugin" learns by raw frequencies. kind "external" must
-    supply callables with the same output contracts: learn_distribution maps a
-    count vector to a probability vector (a distribution up to permutation),
-    learn_pair_histogram maps bottom/top count vectors plus a quantization
-    step to a pair histogram of the normalized side-restricted vectors.
+    The default empirical plug-in learns by raw frequencies. A supplied
+    callable replaces it for its step and must keep the same output
+    contract: learn_distribution maps a count vector to a probability vector
+    (a distribution up to permutation), learn_pair_histogram maps bottom/top
+    count vectors plus a quantization step to a pair histogram of the
+    normalized side-restricted vectors.
     """
 
-    kind: str = "empirical_plugin"
     budget_multiplier: float | None = None
     learn_distribution: Callable[[np.ndarray], np.ndarray] | None = None
     learn_pair_histogram: Callable[[np.ndarray, np.ndarray, float], PairHistogram] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("empirical_plugin", "external"):
-            raise ValueError(f"unknown learner kind {self.kind!r}")
-        if self.kind == "external" and not (self.learn_distribution or self.learn_pair_histogram):
-            raise ValueError("external learner needs at least one learn callable")
         if self.budget_multiplier is not None and not 0 < self.budget_multiplier < math.inf:
             raise ValueError("budget_multiplier must be positive and finite")
 
@@ -92,7 +89,7 @@ class LearnerSpec:
         return _sample_count("learn budget", mult * n, eps * eps * ln_n)
 
     def distribution(self, counts: np.ndarray) -> np.ndarray:
-        if self.kind == "external" and self.learn_distribution is not None:
+        if self.learn_distribution is not None:
             return np.asarray(self.learn_distribution(counts), dtype=float)
         total = counts.sum()
         if total == 0:
@@ -111,7 +108,7 @@ class LearnerSpec:
         Its counts must be nonnegative integers below 2^64 (float arrays of
         integer values are fine).
         """
-        if self.kind == "external" and self.learn_pair_histogram is not None:
+        if self.learn_pair_histogram is not None:
             return self.learn_pair_histogram(counts_bottom, counts_top, step)
         b, t, mult = _count_pairs(counts_bottom, counts_top)
         nb = max(int(counts_bottom.sum()), 1)
@@ -181,8 +178,8 @@ def bigness_test(
     eps/3 vs 2*eps/3 for any learner with l1 error below eps/3."""
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    if threshold <= 0 or threshold > 1.0 / n + 1e-15:
-        raise ValueError("threshold must lie in (0, 1/n]")
+    if not 0 < threshold <= 1.0 / n + 1e-15:
+        raise ValueError(f"threshold must lie in (0, 1/n], got T={threshold}")
     if access.n != n:
         raise ValueError("sample access does not match n")
     learner = learner or LearnerSpec()
@@ -289,19 +286,16 @@ def uniform_subset_test(
     s1 = _sample_count("stage 1 size", 8.0 * n ** (2.0 / 3.0), eps)
     s2 = _sample_count("stage 2 size", 8.0 * n ** (2.0 / 3.0), 1.0)
     h1 = access.histogram(s1, rng)
-    bottom = set(G.bottom)
-    sampled_bottom = [v for v in np.nonzero(h1)[0].tolist() if v in bottom]
-    neighbors: set[int] = set()
-    adj = G.adjacency()
-    for b in sampled_bottom:
-        neighbors.update(adj[b])
-    t_size = len(neighbors)
+    # every edge runs bottom -> top, so the heads of the edges whose tail was
+    # sampled are the neighborhood T of the sampled bottom vertices
+    u, v = G.edge_array.T
+    neighbors = np.unique(v[h1[u] > 0])
+    t_size = neighbors.size
     cutoff = eps * s1 / 2.0
     if t_size <= cutoff:
         return _verdict(t_size, cutoff, s1, branch=1, stage1=s1)
     h2 = access.histogram(s2, rng)
-    idx = np.fromiter(neighbors, dtype=int)
-    hits = float(h2[idx].sum())
+    hits = float(h2[neighbors].sum())
     eps_prime = eps * s1 / (2.0 * t_size)
     required = s2 * (1.0 - eps_prime / 2.0) * t_size / support_size
     # accept iff hits >= required, phrased as shortfall <= 0
@@ -354,7 +348,6 @@ def all_matchings_test(
     eps: float,
     access: SampleAccess,
     rng: Rng | None = None,
-    pair_cap: int = 4096,
 ) -> Verdict:
     """Compare top vs bottom mass over every perfectly-matchable subset pair.
 
@@ -369,7 +362,7 @@ def all_matchings_test(
     if access.n != G.n:
         raise ValueError("sample access does not match the poset")
     rng = rng or Rng(0)
-    pairs = _enumerate_matchable_pairs(G, pair_cap)
+    pairs = _enumerate_matchable_pairs(G, PAIR_CAP)
     n_pairs = len(pairs)
     groups = 2 * max(1, math.ceil(math.log2(max(n_pairs, 2)))) + 9
     group_size = _sample_count("group size", MASS_EST_CONST, eps * eps)

@@ -247,7 +247,7 @@ def test_criterion_07_hypercube_embedding_structure():
             emb = hypercube_embedding(d, ell)
             assert len(emb.pairs) == math.comb(d - 1, ell - 1)
             expected = sum(math.comb(d, i) for i in range(ell, d + 1)) - math.comb(d - 1, ell - 1)
-            assert emb.filler_count == expected
+            assert len(emb.filler) == expected
             for i, (a, ta) in enumerate(emb.pairs):
                 assert tc.reach(a, ta)
                 for b, tb in emb.pairs[i + 1 :]:

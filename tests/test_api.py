@@ -17,11 +17,11 @@ PUBLIC_NAMES = [
     "bipartite_to_matching", "build_priors", "closest_monotone_on_matching", "dist_to_bigness",
     "exact_dtv_to_monotone", "func_dist_to_monotone", "general_to_bipartite", "generate_instance",
     "hypercube_embedding", "hypercube_scale", "indistinguishability_probe", "is_monotone",
-    "make_bipartite", "make_hypercube", "make_line", "make_matching", "mass_of_set",
+    "make_bipartite", "make_hypercube", "make_line", "make_matching",
     "matching_monotonicity_test", "matching_to_hypercube", "max_violation_matching",
-    "min_perm_l1", "min_w_to_monotone_pairhist", "moment_gap_value", "multinomial_histogram",
-    "pair_histogram", "poissonized_histogram", "priors_from_gap_solution", "read_distribution",
-    "read_poset", "sample", "solve_moment_gap", "transitive_closure", "tv_distance",
+    "min_perm_l1", "min_w_to_monotone_pairhist", "moment_gap_value",
+    "pair_histogram", "priors_from_gap_solution", "read_distribution",
+    "read_poset", "solve_moment_gap", "transitive_closure", "tv_distance",
     "uniform_subset_test", "w_distance", "write_distribution", "write_poset",
 ]
 
@@ -32,6 +32,33 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(getattr(posetdist, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_readme_documents_every_public_name():
+    """Each exported name appears, in backquotes, in README's library API
+    section, so the exports and the documented API cannot drift apart."""
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`(\w+)", section))
+    assert [name for name in PUBLIC_NAMES if name not in documented] == []
+
+
+def test_removed_parameters_stay_gone():
+    """Parameters that no caller set are constants now, so no caller can
+    lift the LP cap or the pair cap, or change a tolerance or retry count."""
+    gone = {
+        posetdist.func_dist_to_monotone: "lp_cap",
+        posetdist.exact_dtv_to_monotone: "lp_cap",
+        posetdist.all_matchings_test: "pair_cap",
+        posetdist.indistinguishability_probe: "max_retries",
+        posetdist.is_monotone: "tol",
+        posetdist.LearnerSpec: "kind",
+    }
+    for fn, name in gone.items():
+        assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
 
 
 def test_poset_constructor_fields():

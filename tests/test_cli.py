@@ -547,6 +547,34 @@ def test_tester_bad_inputs_are_status_2_in_a_suite(workdir, capsys, argv, messag
     assert message in capsys.readouterr().err
 
 
+# a NaN or infinite parameter fails its range check where it enters, naming
+# the parameter, instead of running on (a nan statistic in every trial) or
+# surfacing as an internal error
+NON_FINITE_INPUTS = [
+    (["test", "--alg", "bigness", "--dist", "u40.dist", "--eps", "0.2", "--T", "nan"], "got T=nan"),
+    (["test", "--alg", "bigness", "--dist", "u40.dist", "--eps", "0.2", "--T", "inf"], "got T=inf"),
+    (["reduce", "--from", "u40.dist", "--kind", "big2m", "--T", "nan", "--out-poset", "o.poset",
+      "--out-dist", "o.dist"], "got T=nan"),
+    (["reduce", "--from", "u6.dist", "--kind", "m2hyp", "--d", "4", "--ell", "2", "--pmax", "nan",
+      "--out-poset", "o.poset", "--out-dist", "o.dist"], "got p_max=nan"),
+    (["reduce", "--from", "u6.dist", "--kind", "m2hyp", "--d", "4", "--ell", "2", "--pmax", "inf",
+      "--out-poset", "o.poset", "--out-dist", "o.dist"], "got p_max=inf"),
+    (["lb", "solve", "--nu", "nan", "--lambda", "6", "--L", "4"], "got nu=nan"),
+    (["lb", "solve", "--nu", "0.5", "--lambda", "inf", "--L", "4"], "lambda=inf"),
+    (["lb", "probe", "--nu", "0.5", "--lambda", "nan", "--L", "4", "--n", "50", "--s-values", "0"], "lambda=nan"),
+]
+
+
+@pytest.mark.parametrize("argv,message", NON_FINITE_INPUTS)
+def test_non_finite_parameters_exit_2(workdir, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(workdir)
+    write_distribution(Distribution.uniform(6), workdir / "u6.dist")
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(workdir.glob("o.*"))
+
+
 # one element never meets the far side's events: refused before any draw
 STARVED_PROBE = ["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "1", "--s-values", "0",
                  "--trials", "3"]

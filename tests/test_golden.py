@@ -149,7 +149,7 @@ def _verdicts():
     out = []
     for k, kind in enumerate(("mono", "far", "tight", "far")):
         out.append(matching_monotonicity_test(G, ExactDistAccess(inputs[kind]), EPS, rng=Rng(7).derive(k)))
-    learner = LearnerSpec(kind="external", learn_pair_histogram=_fractional_learner, budget_multiplier=2.0)
+    learner = LearnerSpec(learn_pair_histogram=_fractional_learner, budget_multiplier=2.0)
     for kind in ("far", "tight"):
         out.append(matching_monotonicity_test(G, ExactDistAccess(inputs[kind]), EPS, learner, Rng(8)))
     small = make_matching(5)

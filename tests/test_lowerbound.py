@@ -311,8 +311,8 @@ def test_normalized_views_are_built_on_first_read():
 def test_probe_reports_failed_conditioning_as_infeasible():
     # the up-front mass bound (100 >= 1 - nu) passes, but one element's raw
     # mass is 0 or 100, never within nu of 1: every retry fails
-    with pytest.raises(ParameterError, match="after 5 retries at s=0, n=1"):
-        indistinguishability_probe(_hand_priors([0.0, 100.0], [0.5, 0.5]), 1, [0], 3, Rng(0), max_retries=5)
+    with pytest.raises(ParameterError, match="after 200 retries at s=0, n=1"):
+        indistinguishability_probe(_hand_priors([0.0, 100.0], [0.5, 0.5]), 1, [0], 3, Rng(0))
 
 
 class _Drawn(Exception):
@@ -490,10 +490,3 @@ def test_dense_regime_allocates_order_n():
         tracemalloc.stop()
     assert peak < 32 * 8 * n
     assert inst.hist_big.sum() > 10**12 * (1 - priors.nu)
-
-
-@pytest.mark.parametrize("max_retries", [0, -1])
-def test_probe_rejects_max_retries_below_one(max_retries):
-    with pytest.raises(ValueError, match=f"max_retries must be at least 1, got {max_retries}") as exc:
-        indistinguishability_probe(build_priors(0.5, 6.0, 4), 50, [0], 3, Rng(0), max_retries=max_retries)
-    assert type(exc.value) is ValueError

@@ -74,6 +74,9 @@ def test_dist_to_bigness_examples():
     assert dist_to_bigness(p, 0.25) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         dist_to_bigness(Distribution.uniform(4), 0.3)
+    for bad in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1/n\], got T="):
+            dist_to_bigness(Distribution.uniform(4), bad)
 
 
 def test_dist_to_bigness_matches_lp():

@@ -19,7 +19,7 @@ from posetdist import (
     transitive_closure,
     write_poset,
 )
-from posetdist.poset import KINDS, closure_poset
+from posetdist.poset import KINDS
 
 from genutil import (
     random_bipartite,
@@ -67,7 +67,9 @@ def test_make_hypercube_matches_the_double_loop():
 
 def test_matching_construction_keeps_no_edge_tuple():
     """A 10^5-pair matching holds its edges once, as the (m, 2) int64 array
-    (1.6 MB); a tuple of Python-int pairs beside it held 12 MB more."""
+    (1.6 MB), and its bottom set as a view of the edge tails: a tuple of
+    Python-int pairs beside them held 12 MB more, a tuple of Python-int
+    bottoms 3.8 MB more."""
     make_matching(10)
     tracemalloc.start()
     try:
@@ -76,7 +78,22 @@ def test_matching_construction_keeps_no_edge_tuple():
     finally:
         tracemalloc.stop()
     assert G.edge_array.nbytes == 1_600_000
-    assert held < 8 * 2**20, held
+    assert np.shares_memory(G.bottom_array, G.edge_array)
+    assert held < 2.5 * 2**20, held
+    assert G.bottom == tuple(range(10**5)) and G.top == tuple(range(10**5, 2 * 10**5))
+
+
+def test_bottom_array_is_the_sorted_bottom_read_only():
+    for G in _one_poset_per_kind():
+        b = G.bottom_array
+        assert b.dtype == np.int64 and b.ndim == 1 and not b.flags.writeable
+        assert G.bottom == tuple(b.tolist()) and list(G.bottom) == sorted(set(G.bottom))
+        if G.kind == "matching":
+            assert G.bottom == tuple(sorted(u for u, _ in G.edges))
+        elif G.kind == "bipartite":
+            assert set(G.top) == set(range(G.n)) - set(G.bottom)
+        else:
+            assert G.bottom == G.top == ()
 
 
 def test_acyclicity_and_validation():
@@ -123,12 +140,17 @@ def test_closure_edges_match_the_bit_walk_on_random_posets():
             assert list(map(tuple, tc.edge_array().tolist())) == reference_closure_edges(tc)
 
 
+def _closure_poset(G: Poset) -> Poset:
+    """The closure relation itself as a general-kind poset."""
+    return Poset(G.n, transitive_closure(G).edge_array())
+
+
 def test_closure_idempotent():
     rng = np.random.default_rng(5)
     for _ in range(20):
         G = random_dag(rng, int(rng.integers(2, 9)))
-        C = closure_poset(G)
-        assert closure_poset(C).edges == C.edges
+        C = _closure_poset(G)
+        assert _closure_poset(C).edges == C.edges
 
 
 def test_monotone_iff_on_closure():
@@ -137,7 +159,7 @@ def test_monotone_iff_on_closure():
         G = random_dag(rng, 6)
         p = rng.exponential(1, 6)
         p /= p.sum()
-        assert is_monotone(G, p) == is_monotone(closure_poset(G), p)
+        assert is_monotone(G, p) == is_monotone(_closure_poset(G), p)
 
 
 def test_is_monotone_examples():
@@ -254,9 +276,9 @@ def _one_poset_per_kind() -> list[Poset]:
 
 def test_closure_of_every_kind_matches_bfs():
     for G in _one_poset_per_kind():
-        tc = transitive_closure(G)
+        pairs = transitive_closure(G).edge_array()
         for src in range(G.n):
-            assert tc.successors(src) == _bfs_reach(G, src), (G.kind, src)
+            assert pairs[pairs[:, 0] == src, 1].tolist() == _bfs_reach(G, src), (G.kind, src)
 
 
 def test_adjacency_matches_an_edge_loop():

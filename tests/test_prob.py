@@ -9,15 +9,12 @@ from posetdist import (
     PairHistogram,
     Rng,
     SampleHistogram,
-    mass_of_set,
-    multinomial_histogram,
     pair_histogram,
-    poissonized_histogram,
     read_distribution,
-    sample,
     tv_distance,
     write_distribution,
 )
+from posetdist.lowerbound import _poisson_counts
 from posetdist.prob import choice_cdf, choice_indices, read_histogram_csv, write_histogram_csv
 
 from genutil import reference_choice
@@ -41,39 +38,53 @@ def test_distribution_rejects_non_finite(probs):
         Distribution(np.array(probs))
 
 
+def _draw(p: Distribution, s: int, rng: Rng) -> np.ndarray:
+    return ExactDistAccess(p).draw(s, rng)
+
+
+def _poissonized(rates, rng: Rng) -> np.ndarray:
+    """Independent Poisson(rates[i]) counts, one atom per element."""
+    return _poisson_counts(np.asarray(rates, dtype=float), np.arange(len(rates)), rng)
+
+
 def test_rng_reproducible():
-    a = sample(Distribution.uniform(10), 1000, Rng(42, 3))
-    b = sample(Distribution.uniform(10), 1000, Rng(42, 3))
-    c = sample(Distribution.uniform(10), 1000, Rng(42, 4))
+    a = _draw(Distribution.uniform(10), 1000, Rng(42, 3))
+    b = _draw(Distribution.uniform(10), 1000, Rng(42, 3))
+    c = _draw(Distribution.uniform(10), 1000, Rng(42, 4))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    h1 = poissonized_histogram(np.full(50, 0.02), 100, Rng(7, 0))
-    h2 = poissonized_histogram(np.full(50, 0.02), 100, Rng(7, 0))
-    np.testing.assert_array_equal(h1.counts, h2.counts)
+    h1 = _poissonized(np.full(50, 2.0), Rng(7, 0))
+    h2 = _poissonized(np.full(50, 2.0), Rng(7, 0))
+    np.testing.assert_array_equal(h1, h2)
 
 
 def test_sample_point_mass_and_empty():
-    assert sample(Distribution.point_mass(5, 2), 5, Rng(0)).tolist() == [2] * 5
-    assert sample(Distribution.uniform(3), 0, Rng(0)).size == 0
+    assert _draw(Distribution.point_mass(5, 2), 5, Rng(0)).tolist() == [2] * 5
+    assert _draw(Distribution.uniform(3), 0, Rng(0)).size == 0
+    with pytest.raises(ValueError, match="sample count must be nonnegative"):
+        _draw(Distribution.uniform(3), -1, Rng(0))
 
 
 def test_sample_empirical_frequency():
     # Chernoff window at a fixed seed
     s = 100_000
-    idx = sample(Distribution.uniform(4), s, Rng(123))
+    idx = _draw(Distribution.uniform(4), s, Rng(123))
     freq = np.bincount(idx, minlength=4) / s
     np.testing.assert_allclose(freq, 0.25, atol=0.01)
 
 
 def test_multinomial_histogram_matches_draw_law():
-    h = multinomial_histogram(Distribution.uniform(6), 50_000, Rng(5))
-    assert h.total == 50_000
-    np.testing.assert_allclose(h.counts / 50_000, 1 / 6, atol=0.01)
+    acc = ExactDistAccess(Distribution.uniform(6))
+    h = acc.histogram(50_000, Rng(5))
+    assert h.dtype == np.int64 and h.sum() == 50_000
+    np.testing.assert_allclose(h / 50_000, 1 / 6, atol=0.01)
+    assert acc.histogram(0, Rng(5)).tolist() == [0] * 6
+    with pytest.raises(ValueError, match="sample count must be nonnegative"):
+        acc.histogram(-1, Rng(5))
 
 
 def test_poissonized_histogram_zero_rate():
-    h = poissonized_histogram(np.ones(4), 0.0, Rng(0))
-    assert h.total == 0
+    assert _poissonized(np.zeros(4), Rng(0)).sum() == 0
 
 
 def test_poissonized_histogram_moments():
@@ -86,13 +97,9 @@ def test_poissonized_histogram_moments():
     assert abs(draws[:, 1].mean() - 10.0) < 0.1
     # Poissonized total for a vector summing to c is Poisson(s*c): var/mean in [0.95, 1.05]
     w = np.array([0.3, 0.5, 0.4])
-    totals = np.array(
-        [poissonized_histogram(w, 25.0, Rng(9, stream)).total for stream in range(10_000)]
-    )
+    totals = np.array([_poissonized(25.0 * w, Rng(9, stream)).sum() for stream in range(10_000)])
     ratio = totals.var() / totals.mean()
     assert 0.95 <= ratio <= 1.05
-    with pytest.raises(ValueError):
-        poissonized_histogram(w, -1.0, Rng(0))
 
 
 def test_pair_histogram_examples():
@@ -163,10 +170,11 @@ def test_tv_triangle_and_symmetry():
 
 
 def test_mass_of_set():
-    p = Distribution.uniform(10)
-    assert mass_of_set(p, range(10), 100, Rng(0)) == 1.0
-    assert mass_of_set(p, [], 100, Rng(0)) == 0.0
-    est = mass_of_set(p, [0, 1, 2], 100_000, Rng(77))
+    """The empirical mass of a vertex set, read off one sample histogram."""
+    acc = ExactDistAccess(Distribution.uniform(10))
+    assert acc.histogram(100, Rng(0)).sum() / 100 == 1.0
+    assert acc.histogram(100, Rng(0))[[]].sum() / 100 == 0.0
+    est = acc.histogram(100_000, Rng(77))[[0, 1, 2]].sum() / 100_000
     assert 0.29 <= est <= 0.31
 
 
@@ -279,6 +287,6 @@ def test_sample_reproduces_choice(n):
     ref = Rng(n)
     expected = reference_choice(p.probs, 5000, ref.gen)
     rng = Rng(n)
-    got = sample(p, 5000, rng)
+    got = _draw(p, 5000, rng)
     assert got.dtype == np.int64 and np.array_equal(got, expected)
     assert rng.gen.bit_generator.state == ref.gen.bit_generator.state

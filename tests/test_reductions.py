@@ -151,14 +151,14 @@ def test_hypercube_embedding_structure():
     emb = hypercube_embedding(4, 2)
     assert len(emb.pairs) == 3
     assert emb.pairs == ((1, 9), (2, 10), (4, 12))  # prefixes 001,010,100 + last bit
-    assert emb.filler_count == 8
+    assert len(emb.filler) == 8
     assert hypercube_scale(4, 2, 0.1) == pytest.approx(1.8)
     for d in range(1, 9):
         for ell in range(1, d + 1):
             emb = hypercube_embedding(d, ell)
             assert len(emb.pairs) == math.comb(d - 1, ell - 1)
             expected_filler = sum(math.comb(d, i) for i in range(ell, d + 1)) - math.comb(d - 1, ell - 1)
-            assert emb.filler_count == expected_filler
+            assert len(emb.filler) == expected_filler
 
 
 def test_hypercube_pairs_incomparable():

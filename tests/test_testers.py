@@ -40,10 +40,6 @@ def test_learner_spec():
     assert spec.budget(100, 0.1) == int(np.ceil(20 * 100 / 0.01))
     spec2 = LearnerSpec(budget_multiplier=2.0)
     assert spec2.budget(100, 0.1) < spec.budget(100, 0.1)
-    with pytest.raises(ValueError):
-        LearnerSpec(kind="external")
-    with pytest.raises(ValueError):
-        LearnerSpec(kind="nope")
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="budget_multiplier must be positive and finite"):
             LearnerSpec(budget_multiplier=bad)
@@ -71,7 +67,7 @@ def test_bigness_completeness_and_soundness():
 def test_bigness_boundary_inclusive():
     # external learner pinning the learned distribution at distance exactly eps/3
     q = np.array([0.0, 1 / 4, 1 / 4, 1 / 4, 1 / 4])
-    learner = LearnerSpec(kind="external", learn_distribution=lambda counts: q)
+    learner = LearnerSpec(learn_distribution=lambda counts: q)
     acc = ExactDistAccess(Distribution.uniform(5))
     v = bigness_test(acc, 5, 0.1875, 0.5625, learner, Rng(0))
     assert v.stat == v.threshold == 0.1875  # 3/16 exactly representable
@@ -242,6 +238,6 @@ def test_external_pair_learner_plugs_in():
         top = mixed[n_pairs:] / mixed[n_pairs:].sum()
         return pair_histogram(bot, top)
 
-    spec = LearnerSpec(kind="external", learn_pair_histogram=oracle_learner, budget_multiplier=1.0)
+    spec = LearnerSpec(learn_pair_histogram=oracle_learner, budget_multiplier=1.0)
     v = matching_monotonicity_test(G, ExactDistAccess(p), 0.3, spec, Rng(3))
     assert v.accepted
