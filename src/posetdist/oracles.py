@@ -7,7 +7,8 @@ Four distances live here, all desk-scale exact:
 * total variation distance to the nearest monotone *distribution*,
 * the transport distance W between pair histograms, with unit cost
   |dx| + |dy| and (0,0) padding to balance totals (the transportation network
-  simplex on the dense key-to-key cost matrix; no LP).
+  simplex on the dense key-to-key cost matrix, from the least-cost basis,
+  re-walking at each pivot only the subtree whose potentials move; no LP).
 
 Both monotone distances minimize ||x||_1 over perturbations x with p + x
 monotone on every edge (TV also holds sum(x) at 0). Each is solved as its
@@ -235,24 +236,60 @@ def closest_monotone_on_matching(G: Poset, p: Distribution) -> Distribution:
     return Distribution(q)
 
 
+def _least_cost_start(supply: list[float], demand: list[float], cost: np.ndarray):
+    """(flow, cells) of the least-cost starting basis. The cells are visited
+    in (cost, index) order, and each one whose row and column are both open
+    gets the smaller of their residuals. Each allocation closes one line: the
+    row when its residual is no larger and it is not the last open row, or
+    when the column is the last open one; otherwise the column. The last open
+    cell closes both, so the ns + nd - 1 cells, zero-flow ones included, form
+    a spanning tree on the row and column nodes."""
+    ns, nd = cost.shape
+    flow = np.zeros(ns * nd)
+    cells = []
+    rs, rd = list(supply), list(demand)
+    row_open, col_open = [True] * ns, [True] * nd
+    rows_left, cols_left = ns, nd
+    for k in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(k, nd)
+        if not (row_open[i] and col_open[j]):
+            continue
+        f = min(rs[i], rd[j])
+        flow[k] = f
+        cells.append(k)
+        if rows_left == cols_left == 1:
+            break
+        rs[i] -= f
+        rd[j] -= f
+        if cols_left == 1 or (rows_left > 1 and rs[i] <= rd[j]):
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
+    return flow, cells
+
+
 def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) -> float:
     """Minimum of sum(cost * flow) over flows with row sums `supply` and
     column sums `demand` (equal totals), by the transportation simplex.
 
     The basis is a spanning tree on the ns + nd row and column nodes whose
-    edges are the ns + nd - 1 basic cells; the northwest corner rule gives the
-    first one, zero-flow cells included. Each pivot walks the tree once for
-    the potentials u_i + v_j = cost_ij and the parent and depth pointers,
-    lets a cell enter by the dense simplex's rule (simplex._entering: the
-    most negative reduced cost, or after _STALL_LIMIT pivots without
-    progress the lowest-index improving cell, Bland's rule, which guarantees
-    termination), and sends the largest feasible flow around the cycle it
-    closes; the lowest-index tied cell on the cycle's minus side leaves.
-    LpError reports a run past _MAX_ITER pivots.
+    edges are the ns + nd - 1 basic cells; _least_cost_start gives the first
+    one. The tree hangs from row 0 with parent, depth and potential pointers
+    (u_i + v_j = cost_ij on every basic cell). A cell enters by the dense
+    simplex's rule (simplex._entering: the most negative reduced cost, or
+    after _STALL_LIMIT pivots without progress the lowest-index improving
+    cell, Bland's rule, which guarantees termination), the largest feasible
+    flow goes around the cycle it closes, and the lowest-index tied cell on
+    the cycle's minus side leaves. Only the subtree that the leaving cell cuts
+    off is walked again, re-hung from the entering cell; every potential is
+    still summed along its own tree path from row 0, so the values match a
+    walk of the whole tree. LpError reports a run past _MAX_ITER pivots.
     """
     ns, nd = cost.shape
     c = cost.ravel().tolist()
-    flow = np.zeros(ns * nd)
+    flow, cells = _least_cost_start(supply, demand, cost)
     basic = np.zeros(ns * nd, dtype=bool)
     # node i < ns is row i, node ns + j column j; a tree edge is (node, cell)
     adj = [[] for _ in range(ns + nd)]
@@ -263,28 +300,16 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
         adj[i].append((ns + j, k))
         adj[ns + j].append((i, k))
 
-    rs, rd = list(supply), list(demand)
-    i = j = 0
-    while True:
-        f = min(rs[i], rd[j])
-        flow[i * nd + j] = f
-        link(i * nd + j)
-        rs[i] -= f
-        rd[j] -= f
-        if i == ns - 1 and j == nd - 1:
-            break
-        if j == nd - 1 or (i < ns - 1 and rs[i] <= rd[j]):
-            i += 1
-        else:
-            j += 1
+    for k in cells:
+        link(k)
+    pot = [0.0] * (ns + nd)
+    parent = [-1] * (ns + nd)
+    up_cell = [-1] * (ns + nd)  # the cell joining a node to its parent
+    depth = [0] * (ns + nd)
 
-    stall = 0
-    for _ in range(_MAX_ITER):
-        pot = [0.0] * (ns + nd)
-        parent = [-1] * (ns + nd)
-        up_cell = [-1] * (ns + nd)  # the cell joining a node to its parent
-        depth = [0] * (ns + nd)
-        stack = [0]
+    def hang(top: int) -> None:
+        """Set the pointers of every node below `top` from top's own."""
+        stack = [top]
         while stack:
             a = stack.pop()
             for b, k in adj[a]:
@@ -292,6 +317,10 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
                     parent[b], up_cell[b], depth[b] = a, k, depth[a] + 1
                     pot[b] = c[k] - pot[a]
                     stack.append(b)
+
+    hang(0)
+    stall = 0
+    for _ in range(_MAX_ITER):
         u = np.array(pot)
         reduced = (cost - u[:ns, None] - u[None, ns:]).ravel()
         enter = _entering(reduced, basic, stall >= _STALL_LIMIT)
@@ -326,6 +355,12 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
         adj[li].remove((ns + lj, leave))
         adj[ns + lj].remove((li, leave))
         link(enter)
+        # The leaving cell lies on j's side of the cycle when it joins a node
+        # of up_b to its parent; the part cut off then holds j, else i.
+        top, anchor = (ns + j, i) if path.index(leave) < len(up_b) else (i, ns + j)
+        parent[top], up_cell[top], depth[top] = anchor, enter, depth[anchor] + 1
+        pot[top] = c[enter] - pot[anchor]
+        hang(top)
         stall = 0 if -reduced[enter] * theta > 1e-12 else stall + 1
     raise LpError("transportation simplex iteration limit exceeded")
 
@@ -333,7 +368,8 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
 def w_distance(h: PairHistogram, g: PairHistogram) -> float:
     """Transport distance between pair histograms; per-unit cost |dx| + |dy|,
     totals balanced by padding the lighter side at (0, 0). Solved by the
-    transportation network simplex on the dense key-to-key cost matrix."""
+    transportation network simplex on the dense key-to-key cost matrix,
+    started from the least-cost basis."""
     sx, sy, supply = h.x, h.y, h.count.tolist()
     dx, dy, demand = g.x, g.y, g.count.tolist()
     diff = sum(supply) - sum(demand)

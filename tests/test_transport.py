@@ -1,13 +1,14 @@
 """w_distance: pinned values, and the network simplex against an LP route,
 scipy's HiGHS on the dense equality transport LP."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetdist import PairHistogram, w_distance
 from posetdist import oracles
-from posetdist.simplex import LpError
+from posetdist.simplex import LpError, _entering
 
 from genutil import bench_shaped_pair_histograms, reference_transport_cost
 
@@ -66,12 +67,14 @@ _counts = st.one_of(st.integers(1, 5).map(float), st.floats(0.01, 5.0, allow_nan
 
 
 @st.composite
-def pair_hists(draw, coords, max_keys=8):
-    keys = draw(st.lists(st.tuples(coords, coords).filter(any), max_size=max_keys, unique=True))
+def pair_hists(draw, coords, min_keys=0, max_keys=8):
+    keys = draw(st.lists(st.tuples(coords, coords).filter(any), min_size=min_keys, max_size=max_keys, unique=True))
     return PairHistogram({k: draw(_counts) for k in keys})
 
 
 _hists = st.one_of(pair_hists(_fine), pair_hists(_coarse))
+# the benchmark's size, 20-24 keys a side; the 1/4 grid has 24 keys
+_bench_sized = st.one_of(pair_hists(_fine, 20, 24), pair_hists(_coarse, 20, 24))
 
 
 @settings(deadline=None, max_examples=150)
@@ -84,23 +87,107 @@ def test_w_distance_matches_lp_routes(h, g):
     _check_against_references(h, g)
 
 
+@settings(deadline=None, max_examples=25)
+@given(_bench_sized, _bench_sized)
+def test_w_distance_matches_lp_routes_at_bench_size(h, g):
+    _check_against_references(h, g)
+
+
 @settings(deadline=None, max_examples=50)
 @given(_hists)
 def test_w_distance_to_itself_is_zero(h):
     assert w_distance(h, h) == 0.0
 
 
+def _counting_pivots(monkeypatch) -> list[int]:
+    """Wrap oracles._entering; the returned list gets each entering cell."""
+    entered = []
+
+    def counting(reduced, basic, bland):
+        enter = _entering(reduced, basic, bland)
+        if enter >= 0:
+            entered.append(enter)
+        return enter
+
+    monkeypatch.setattr(oracles, "_entering", counting)
+    return entered
+
+
+# 1/4-grid pairs whose least-cost start is not optimal, so ties and
+# degenerate pivots reach Bland's rule; the last pair is padded at (0, 0).
+TIED_PAIRS = [
+    ({(0.25, 1.0): 1, (1.0, 0.5): 2, (1.0, 1.0): 3},
+     {(0.25, 0.0): 1, (0.25, 0.25): 1, (0.5, 0.75): 3, (0.75, 1.0): 1}),
+    ({(0.25, 0.5): 2, (0.25, 0.75): 3, (0.25, 1.0): 2, (0.5, 0.5): 3},
+     {(0.0, 0.5): 2, (0.5, 0.75): 2, (0.75, 0.75): 3, (1.0, 0.0): 1, (1.0, 0.5): 2}),
+    ({(0.5, 0.5): 3, (0.5, 1.0): 2, (1.0, 0.25): 3, (1.0, 0.75): 3, (1.0, 1.0): 2},
+     {(0.25, 0.0): 3, (0.25, 0.75): 1, (0.5, 0.5): 2, (0.75, 0.5): 3, (0.75, 1.0): 1}),
+]
+
+
 def test_bland_from_the_first_pivot_matches_reference(monkeypatch):
     monkeypatch.setattr(oracles, "_STALL_LIMIT", 0)
-    for h, g in bench_shaped_pair_histograms(7, pairs=3):
+    entered = _counting_pivots(monkeypatch)
+    cases = bench_shaped_pair_histograms(7, pairs=3) + [(PairHistogram(h), PairHistogram(g)) for h, g in TIED_PAIRS]
+    for h, g in cases:
+        entered.clear()
         _check_against_references(h, g)
-        _check_against_references(h.scaled(0.0, 1.0), g.scaled(1.0, 0.0))
-    coarse = PairHistogram({(0.25, 0.5): 2, (0.5, 0.25): 1, (0.5, 0.5): 3, (0.0, 0.75): 1})
-    _check_against_references(coarse, PairHistogram({(0.25, 0.25): 4, (0.75, 0.5): 1, (0.5, 0.5): 2}))
+        assert entered, "the case never pivots, so it does not exercise Bland's rule"
 
 
 def test_iteration_limit_raises(monkeypatch):
     monkeypatch.setattr(oracles, "_MAX_ITER", 1)
+    entered = _counting_pivots(monkeypatch)
     h, g = bench_shaped_pair_histograms(101, pairs=1)[0]
     with pytest.raises(LpError, match="iteration limit"):
         w_distance(h, g)
+    assert entered
+
+
+def test_pivot_budget_on_bench_pairs(monkeypatch):
+    # 480 pivots from the northwest-corner start, 255 from the least-cost one
+    entered = _counting_pivots(monkeypatch)
+    for h, g in bench_shaped_pair_histograms(101):
+        w_distance(h, g)
+    assert len(entered) <= 255
+
+
+_RNG = np.random.default_rng(5)
+_SHORT = [0.1, 0.2]
+_LONG = [0.2, 1.1, 1.3]
+# (supply, demand, cost); the last entry pads fractional counts the way
+# w_distance does, and the two totals then differ by rounding (2.6 against
+# 2.5999999999999996)
+START_CASES = {
+    "1xk": ([3.5], [1.0, 0.5, 2.0], _RNG.random((1, 3))),
+    "kx1": ([1.0, 0.25, 2.25], [3.5], _RNG.random((3, 1))),
+    "row and column close together": ([1.0, 2.0, 3.0], [1.0, 4.0, 1.0], [[0, 5, 5], [5, 1, 5], [5, 5, 2]]),
+    "all-equal costs": ([2.0, 1.0, 3.0], [1.5, 1.5, 1.5, 1.5], np.ones((3, 4))),
+    "fractional padding": (_LONG, _SHORT + [sum(_LONG) - sum(_SHORT)], _RNG.random((3, 3))),
+}
+
+
+@pytest.mark.parametrize("name", START_CASES)
+def test_least_cost_start_is_a_feasible_spanning_tree(name):
+    supply, demand, cost = START_CASES[name]
+    cost = np.asarray(cost, dtype=float)
+    ns, nd = cost.shape
+    flow, cells = oracles._least_cost_start(supply, demand, cost)
+    assert len(cells) == len(set(cells)) == ns + nd - 1
+    # ns + nd - 1 edges with no cycle make a spanning tree: union-find
+    root = list(range(ns + nd))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for k in cells:
+        a, b = find(k // nd), find(ns + k % nd)
+        assert a != b, f"cell {k} closes a cycle"
+        root[a] = b
+    assert (flow >= 0).all()
+    assert not flow[np.setdiff1d(np.arange(ns * nd), cells)].any()
+    flow = flow.reshape(ns, nd)
+    assert flow.sum(axis=1) == pytest.approx(supply, rel=1e-12)
+    assert flow.sum(axis=0) == pytest.approx(demand, rel=1e-12)
