@@ -1,5 +1,6 @@
-"""w_distance: pinned values, and the network simplex against an LP route,
-scipy's HiGHS on the dense equality transport LP."""
+"""w_distance: pinned values, the network simplex against an LP route,
+scipy's HiGHS on the dense equality transport LP, its pivot counts, and its
+least-cost starting basis."""
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_iteration_limit_raises(monkeypatch):
 
 
 def test_pivot_budget_on_bench_pairs(monkeypatch):
-    # 480 pivots from the northwest-corner start, 255 from the least-cost one
+    # the least-cost start takes 255 pivots here; a northwest-corner start took 480
     entered = _counting_pivots(monkeypatch)
     for h, g in bench_shaped_pair_histograms(101):
         w_distance(h, g)
