@@ -6,9 +6,13 @@ Four distances live here, all desk-scale exact:
 * l1 distance from a distribution to the nearest monotone *function*,
 * total variation distance to the nearest monotone *distribution*,
 * the transport distance W between pair histograms, with unit cost
-  |dx| + |dy| and (0,0) padding to balance totals (the transportation network
-  simplex on the dense key-to-key cost matrix, from the least-cost basis,
-  re-walking at each pivot only the subtree whose potentials move; no LP).
+  |dx| + |dy| and (0,0) padding to balance totals.
+
+One transportation simplex, _transport_cost, solves every transportation and
+assignment problem here: W, the violation matching below and min_perm_l1. It
+runs on the dense cost matrix from the least-cost basis and re-walks at each
+pivot only the subtree whose potentials move; no LP. An assignment is its
+special case with unit supplies and demands.
 
 Both monotone distances minimize ||x||_1 over perturbations x with p + x
 monotone on every edge (TV also holds sum(x) at 0). Each is solved as its
@@ -21,13 +25,14 @@ matching on the transitive closure with violation weights max(0, p(u)-p(v)),
 and the TV distance is sandwiched between half that weight and the weight
 itself; both facts are exercised heavily by the test suite. That matching is
 found by one assignment on the closure's double cover (tails as rows, heads as
-columns): the chosen links form vertex-disjoint chains whose weights
-telescope, so each chain collapses to the closure edge between its endpoints
-without losing weight.
+columns), solved by the transportation simplex: the chosen links form
+vertex-disjoint chains whose weights telescope, so each chain collapses to the
+closure edge between its endpoints without losing weight.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,61 +144,27 @@ def _violation_edges(G: Poset, probs: np.ndarray):
     return u[keep], v[keep], w[keep]
 
 
-def _assignment_max_weight(weights: np.ndarray):
-    """Max-weight assignment on a square matrix via shortest augmenting paths
-    with potentials. Returns the column matched to each row."""
-    n = weights.shape[0]
-    cost = -weights
-    INF = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match_row = np.zeros(n + 1, dtype=int)  # row assigned to each column (1-based)
-    for i in range(1, n + 1):
-        match_row[0] = i
-        j0 = 0
-        minv = np.full(n + 1, INF)
-        way = np.zeros(n + 1, dtype=int)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match_row[j0]
-            cur = cost[i0 - 1, :] - u[i0] - v[1:]
-            upd = ~used[1:] & (cur < minv[1:])
-            minv[1:][upd] = cur[upd]
-            way[1:][upd] = j0
-            free = ~used[1:]
-            if not free.any():
-                break
-            j1 = int(np.argmin(np.where(free, minv[1:], INF))) + 1
-            delta = minv[j1]
-            u[match_row[used]] += delta
-            v[used] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match_row[j0] = match_row[j1]
-            j0 = j1
-    return np.argsort(match_row[1:])  # every column is matched: invert the permutation
-
-
 def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     """Maximum-weight matching on TC(G) under weights max(0, p(u) - p(v)).
 
     Matching posets have no 2-paths, so every violating edge is taken. Every
     other kind runs one max-weight assignment on the double cover of the
-    closure: rows are the tails of the violating edges, columns their heads,
-    and each cell holds that edge's violation weight. The chosen links leave
-    and enter each vertex at most once and follow the acyclic order, so they
-    form vertex-disjoint chains. A chain's weights telescope to
-    p(start) - p(end), the weight of the closure edge start -> end, so
-    collapsing each chain to that edge gives a matching of the assignment's
-    weight, and every matching is itself an assignment: the result is exact.
+    closure, as _transport_cost with unit supplies and demands on the
+    negated weights: rows are the tails of the violating edges, columns
+    their heads, and each cell holds that edge's violation weight. The
+    chosen links leave and enter each vertex at most once and follow the
+    acyclic order, so they form vertex-disjoint chains. A chain's weights
+    telescope to p(start) - p(end), the weight of the closure edge
+    start -> end, so collapsing each chain to that edge gives a matching of
+    the assignment's weight, and every matching is itself an assignment:
+    the result is exact.
     Each output edge (u, v) weighs p(u) - p(v) as the candidate scan computes
     it, the edges come out sorted, and zero-weight edges never appear in the
-    output.
+    output. Off the matching kind, the total weight is math.fsum of p(start)
+    and -p(end) over the chosen edges: the correctly rounded exact weight, the
+    same whichever way the solver pairs starts with ends in a tie. On a
+    matching poset the edge set is unique and the weights are summed left to
+    right.
     """
     if p.n != G.n:
         raise ValueError("distribution length does not match poset")
@@ -205,10 +176,12 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
         return WeightedMatching(tuple(zip(zip(u.tolist(), v.tolist()), weights)), float(sum(weights)))
     tails, row = np.unique(u, return_inverse=True)
     heads, col = np.unique(v, return_inverse=True)
-    W = np.zeros((max(tails.size, heads.size),) * 2)
+    n = max(tails.size, heads.size)
+    W = np.zeros((n, n))
     W[row, col] = w
+    _, flow = _transport_cost([1.0] * n, [1.0] * n, -W)
     link = {}
-    for i, j in enumerate(_assignment_max_weight(W)[: tails.size]):
+    for i, j in zip(*flow[: tails.size].nonzero()):
         if W[i, j] > 0:
             link[tails[i].item()] = heads[j].item()
     chosen = []
@@ -218,7 +191,8 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
             end = link[end]
         chosen.append(((start, end), float(p.probs[start] - p.probs[end])))
     chosen.sort()
-    return WeightedMatching(tuple(chosen), float(sum(w for _, w in chosen)))
+    weight = math.fsum(x for (a, b), _ in chosen for x in (p.probs[a], -p.probs[b]))
+    return WeightedMatching(tuple(chosen), weight)
 
 
 def closest_monotone_on_matching(G: Poset, p: Distribution) -> Distribution:
@@ -270,9 +244,14 @@ def _least_cost_start(supply: list[float], demand: list[float], cost: np.ndarray
     return flow, cells
 
 
-def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) -> float:
-    """Minimum of sum(cost * flow) over flows with row sums `supply` and
-    column sums `demand` (equal totals), by the transportation simplex.
+def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) -> tuple[float, np.ndarray]:
+    """(value, flow): the minimum of sum(cost * flow) over ns x nd flows with
+    row sums `supply` and column sums `demand` (equal totals), and a flow
+    attaining it, by the transportation simplex. With no rows or no columns
+    the value is 0.0 and the flow empty. Unit supplies and demands make it
+    an assignment: every allocation and pivot moves exactly 0 or 1, so each
+    row of the flow holds a single 1.0 and flow.nonzero() lists the chosen
+    column of every row in row order.
 
     The basis is a spanning tree on the ns + nd row and column nodes whose
     edges are the ns + nd - 1 basic cells; _least_cost_start gives the first
@@ -288,6 +267,8 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
     walk of the whole tree. LpError reports a run past _MAX_ITER pivots.
     """
     ns, nd = cost.shape
+    if not (ns and nd):
+        return 0.0, np.zeros((ns, nd))
     c = cost.ravel().tolist()
     flow, cells = _least_cost_start(supply, demand, cost)
     basic = np.zeros(ns * nd, dtype=bool)
@@ -325,7 +306,7 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
         reduced = (cost - u[:ns, None] - u[None, ns:]).ravel()
         enter = _entering(reduced, basic, stall >= _STALL_LIMIT)
         if enter < 0:
-            return float(cost.ravel() @ flow)
+            return float(cost.ravel() @ flow), flow.reshape(ns, nd)
         i, j = divmod(enter, nd)
         # The tree path from column j back to row i, as the cells along it.
         a, b = i, ns + j
@@ -377,10 +358,8 @@ def w_distance(h: PairHistogram, g: PairHistogram) -> float:
         dx, dy, demand = np.append(dx, 0.0), np.append(dy, 0.0), demand + [diff]
     elif diff < 0:
         sx, sy, supply = np.append(sx, 0.0), np.append(sy, 0.0), supply + [-diff]
-    if not supply:
-        return 0.0
     cost = np.abs(sx[:, None] - dx) + np.abs(sy[:, None] - dy)
-    return _transport_cost(supply, demand, cost)
+    return _transport_cost(supply, demand, cost)[0]
 
 
 def _midpoint_cost(g: PairHistogram) -> float:
@@ -413,16 +392,17 @@ def min_w_to_monotone_pairhist(g: PairHistogram):
 def min_perm_l1(p1, p2, q1, q2) -> float:
     """min over label permutations pi of |p1 - q1 o pi|_1 + |p2 - q2 o pi|_1.
 
-    An assignment problem: label i goes to label j at cost
-    |p1_i - q1_j| + |p2_i - q2_j|.
+    An assignment problem, solved by _transport_cost with unit supplies and
+    demands: label i goes to label j at cost |p1_i - q1_j| + |p2_i - q2_j|.
+    The four inputs must be 1-D vectors of finite numbers of one length;
+    anything else raises ValueError.
     """
-    a1 = np.asarray(p1, dtype=float)
-    a2 = np.asarray(p2, dtype=float)
-    b1 = np.asarray(q1, dtype=float)
-    b2 = np.asarray(q2, dtype=float)
+    a1, a2, b1, b2 = (np.asarray(x, dtype=float) for x in (p1, p2, q1, q2))
+    if not all(x.ndim == 1 and np.isfinite(x).all() for x in (a1, a2, b1, b2)):
+        raise ValueError("min_perm_l1 needs four 1-D vectors of finite numbers")
     n = a1.size
     if not (a2.size == b1.size == b2.size == n):
         raise ValueError("all four vectors must share a length")
     cost = np.abs(a1[:, None] - b1[None, :]) + np.abs(a2[:, None] - b2[None, :])
-    pi = _assignment_max_weight(-cost)
+    pi = _transport_cost([1.0] * n, [1.0] * n, cost)[1].nonzero()[1]
     return float(np.abs(a1 - b1[pi]).sum() + np.abs(a2 - b2[pi]).sum())

@@ -22,8 +22,10 @@ from posetdist import (
     make_bipartite,
     transitive_closure,
 )
+from posetdist import oracles
 from posetdist.poset import KINDS
 from posetdist.prob import MAX_DOMAIN, text_lines
+from posetdist.simplex import _entering
 
 # (nu, lam, L) of the two prior pairs the benchmark draws from
 BENCH_PRIORS = [(0.5, 6.0, 4), (0.5, 12.0, 5)]
@@ -505,6 +507,21 @@ def bench_shaped_pair_histograms(seed: int, pairs: int = 10) -> list[tuple[PairH
                 for (x, y), c in support.items()}
 
     return [(PairHistogram(keys(20)), PairHistogram(keys(22))) for _ in range(pairs)]
+
+
+def counting_pivots(monkeypatch) -> list[int]:
+    """Wrap oracles._entering, the pricing step of the transportation
+    simplex; the returned list gets each entering cell."""
+    entered = []
+
+    def counting(reduced, basic, bland):
+        enter = _entering(reduced, basic, bland)
+        if enter >= 0:
+            entered.append(enter)
+        return enter
+
+    monkeypatch.setattr(oracles, "_entering", counting)
+    return entered
 
 
 def reference_transport_cost(supply, demand) -> float:

@@ -25,6 +25,7 @@ from posetdist import (
     pair_histogram,
     w_distance,
 )
+from posetdist import oracles
 from posetdist.oracles import DEFAULT_LP_CAP
 from posetdist.poset import transitive_closure
 
@@ -32,6 +33,7 @@ from genutil import (
     GridInfeasibleError,
     brute_force_min_perm_l1,
     brute_force_violation_matching,
+    counting_pivots,
     highs_lp,
     lp_min_w_to_monotone_pairhist,
     random_bipartite,
@@ -112,7 +114,7 @@ def test_matching_examples_and_tiebreak():
     assert m.weight == pytest.approx(0.5)
 
 
-def test_matching_equals_bruteforce_and_lp():
+def test_matching_equals_bruteforce_and_lp(monkeypatch):
     rng = np.random.default_rng(33)
     for _ in range(60):
         n = int(rng.integers(2, 9))
@@ -122,6 +124,19 @@ def test_matching_equals_bruteforce_and_lp():
         assert W == pytest.approx(brute_force_violation_matching(G, p), abs=1e-10)
         d, _ = func_dist_to_monotone(G, p)
         assert d == pytest.approx(W, abs=1e-7)  # LP duality + integrality
+    # 1/4-grid probabilities tie many violation weights, so the assignment
+    # pivots degenerately; once more with Bland's rule from the first pivot
+    tied = []
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        tied.append((random_dag(rng, n), Distribution.normalized(rng.integers(1, 5, n) / 4)))
+    entered = counting_pivots(monkeypatch)
+    for stall_limit in (oracles._STALL_LIMIT, 0):
+        monkeypatch.setattr(oracles, "_STALL_LIMIT", stall_limit)
+        entered.clear()
+        for G, p in tied:
+            assert max_violation_matching(G, p).weight == pytest.approx(brute_force_violation_matching(G, p), abs=1e-12)
+        assert entered
 
 
 def test_bipartite_matching_path_agrees_with_dp():
@@ -360,7 +375,8 @@ def test_midpoint_upper_bounds_lp():
         assert mid_val >= lp_val - 1e-9
 
 
-def test_min_perm_l1():
+def test_min_perm_l1(monkeypatch):
+    assert min_perm_l1([], [], [], []) == 0.0
     assert min_perm_l1([0.5, 0.5], [0.1, 0.9], [0.5, 0.5], [0.1, 0.9]) == 0.0
     assert min_perm_l1([0.4, 0.6], [0.1, 0.9], [0.6, 0.4], [0.9, 0.1]) == 0.0
     rng = np.random.default_rng(7)
@@ -372,6 +388,25 @@ def test_min_perm_l1():
         n = int(rng.integers(1, 8))
         p1, p2, q1, q2 = (random_distribution(rng, n).probs for _ in range(4))
         assert min_perm_l1(p1, p2, q1, q2) == pytest.approx(brute_force_min_perm_l1(p1, p2, q1, q2), abs=1e-12)
+    # 1/4-grid vectors: tied costs and degenerate pivots; once more with
+    # Bland's rule from the first pivot
+    tied = [rng.integers(0, 5, (4, int(rng.integers(2, 8)))) / 4 for _ in range(40)]
+    entered = counting_pivots(monkeypatch)
+    for stall_limit in (oracles._STALL_LIMIT, 0):
+        monkeypatch.setattr(oracles, "_STALL_LIMIT", stall_limit)
+        entered.clear()
+        for vecs in tied:
+            assert min_perm_l1(*vecs) == pytest.approx(brute_force_min_perm_l1(*vecs), abs=1e-12)
+        assert entered
+    with pytest.raises(ValueError, match="share a length"):
+        min_perm_l1([0.5], [0.5], [0.5, 0.5], [0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="1-D vectors of finite numbers"):
+            min_perm_l1([0.5, bad], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="1-D vectors of finite numbers"):
+        min_perm_l1([[0.5, 0.5]], [[0.5, 0.5]], [[0.5, 0.5]], [[0.5, 0.5]])
+    with pytest.raises(ValueError, match="1-D vectors of finite numbers"):
+        min_perm_l1(0.5, 0.5, 0.5, 0.5)
 
 
 def test_w_dominates_min_perm_l1():

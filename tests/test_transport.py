@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from posetdist import PairHistogram, w_distance
 from posetdist import oracles
-from posetdist.simplex import LpError, _entering
+from posetdist.simplex import LpError
 
-from genutil import bench_shaped_pair_histograms, reference_transport_cost
+from genutil import bench_shaped_pair_histograms, counting_pivots, reference_transport_cost
 
 # w_distance on bench_shaped_pair_histograms(101), in order.
 BENCH_PINS = [
@@ -100,20 +100,6 @@ def test_w_distance_to_itself_is_zero(h):
     assert w_distance(h, h) == 0.0
 
 
-def _counting_pivots(monkeypatch) -> list[int]:
-    """Wrap oracles._entering; the returned list gets each entering cell."""
-    entered = []
-
-    def counting(reduced, basic, bland):
-        enter = _entering(reduced, basic, bland)
-        if enter >= 0:
-            entered.append(enter)
-        return enter
-
-    monkeypatch.setattr(oracles, "_entering", counting)
-    return entered
-
-
 # 1/4-grid pairs whose least-cost start is not optimal, so ties and
 # degenerate pivots reach Bland's rule; the last pair is padded at (0, 0).
 TIED_PAIRS = [
@@ -128,7 +114,7 @@ TIED_PAIRS = [
 
 def test_bland_from_the_first_pivot_matches_reference(monkeypatch):
     monkeypatch.setattr(oracles, "_STALL_LIMIT", 0)
-    entered = _counting_pivots(monkeypatch)
+    entered = counting_pivots(monkeypatch)
     cases = bench_shaped_pair_histograms(7, pairs=3) + [(PairHistogram(h), PairHistogram(g)) for h, g in TIED_PAIRS]
     for h, g in cases:
         entered.clear()
@@ -138,7 +124,7 @@ def test_bland_from_the_first_pivot_matches_reference(monkeypatch):
 
 def test_iteration_limit_raises(monkeypatch):
     monkeypatch.setattr(oracles, "_MAX_ITER", 1)
-    entered = _counting_pivots(monkeypatch)
+    entered = counting_pivots(monkeypatch)
     h, g = bench_shaped_pair_histograms(101, pairs=1)[0]
     with pytest.raises(LpError, match="iteration limit"):
         w_distance(h, g)
@@ -147,7 +133,7 @@ def test_iteration_limit_raises(monkeypatch):
 
 def test_pivot_budget_on_bench_pairs(monkeypatch):
     # the least-cost start takes 255 pivots here; a northwest-corner start took 480
-    entered = _counting_pivots(monkeypatch)
+    entered = counting_pivots(monkeypatch)
     for h, g in bench_shaped_pair_histograms(101):
         w_distance(h, g)
     assert len(entered) <= 255
@@ -165,6 +151,7 @@ START_CASES = {
     "row and column close together": ([1.0, 2.0, 3.0], [1.0, 4.0, 1.0], [[0, 5, 5], [5, 1, 5], [5, 5, 2]]),
     "all-equal costs": ([2.0, 1.0, 3.0], [1.5, 1.5, 1.5, 1.5], np.ones((3, 4))),
     "fractional padding": (_LONG, _SHORT + [sum(_LONG) - sum(_SHORT)], _RNG.random((3, 3))),
+    "unit assignment with tied costs": ([1.0] * 4, [1.0] * 4, _RNG.integers(0, 3, (4, 4))),
 }
 
 
