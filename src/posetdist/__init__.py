@@ -20,7 +20,6 @@ from .prob import (
     PairHistogram,
     Rng,
     SampleAccess,
-    SampleHistogram,
     pair_histogram,
     read_distribution,
     tv_distance,

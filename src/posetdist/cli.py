@@ -31,7 +31,6 @@ from .poset import make_hypercube, read_poset, write_poset
 from .prob import (
     ExactDistAccess,
     Rng,
-    SampleHistogram,
     read_distribution,
     text_lines,
     write_distribution,
@@ -129,7 +128,7 @@ def _run_test(a, base=""):
         elif a.alg == "matching":
             v = matching_monotonicity_test(G, access, a.eps, learner, rng)
         elif a.alg == "bipartite":
-            delta = a.delta if a.delta is not None else G.max_degree()
+            delta = a.delta if a.delta is not None else max(G.max_degree(), 1)
             v = bipartite_bounded_degree_test(G, access, delta, a.eps, learner, rng)
         elif a.alg == "uniform-subset":
             size = a.support_size if a.support_size is not None else int(np.count_nonzero(p.probs))
@@ -153,7 +152,7 @@ def _run_reduce(a, base=""):
         if a.kind == "g2b":
             red = general_to_bipartite(G)
         else:
-            red = bipartite_to_matching(G, a.delta if a.delta is not None else G.max_degree())
+            red = bipartite_to_matching(G, a.delta if a.delta is not None else max(G.max_degree(), 1))
         write_poset(red.target, out_poset)
         q = red.map_distribution(read_distribution(os.path.join(base, a.dist)))
         write_distribution(q, out_dist)
@@ -201,8 +200,8 @@ def _run_lb_gen(a, base=""):
         write_distribution(inst.norm_big, prefix + ".big.dist")
     if inst.norm_far is not None:
         write_distribution(inst.norm_far, prefix + ".far.dist")
-    write_histogram_csv(SampleHistogram(inst.hist_big), prefix + ".big.hist.csv")
-    write_histogram_csv(SampleHistogram(inst.hist_far), prefix + ".far.hist.csv")
+    write_histogram_csv(inst.hist_big, prefix + ".big.hist.csv")
+    write_histogram_csv(inst.hist_far, prefix + ".far.hist.csv")
     header = ["n", "s", "zero_count", "event_big", "event_far", "p_max"]
     row = [a.n, s, inst.zero_count, inst.event_big, inst.event_far, inst.p_max]
     _emit(_csv(header, [row]), prefix + ".events.csv")

@@ -36,7 +36,6 @@ LOG_W_BLOCK = 64  # rows of the atom-difference matrix that solve_moment_gap hol
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 WILSON_Z = 1.959963984540054  # 95%
 
-FINGERPRINT_NAMES = ("zeros", "singletons", "doubletons", "total")
 MAX_RETRIES = 200  # draws indistinguishability_probe makes for one trial's events
 
 
@@ -255,10 +254,11 @@ def assign_parameters(n: int, eps: float, L: int) -> ParameterAssignment:
     """The standard parameter tuple: nu = 1/2, lam from (eps, L), s = floor(L*n / (2*e*lam)).
 
     Feasibility guard: rho = sqrt(lam/(1+nu)) must be at least 1.5, which also
-    guarantees gap >= 2*eps. Violations raise ParameterError with rho reported.
+    guarantees gap >= 2*eps. Violations raise ParameterError with rho reported;
+    an n below 1 is a ValueError, as in generate_instance.
     """
     if n < 1:
-        raise ParameterError("n must be positive")
+        raise ValueError(f"instance size n must be at least 1, got {n}")
     if not 0 < eps < 1.0 / 27:
         raise ParameterError("eps must lie in (0, 1/27) for the lam formula")
     nu = 0.5
@@ -472,7 +472,6 @@ def indistinguishability_probe(
     for s in s_values:
         stats_big = np.zeros((trials, 4))
         stats_far = np.zeros((trials, 4))
-        kept_big = kept_far = 0
         for t in range(trials):
             got_big = got_far = False
             for attempt in range(MAX_RETRIES):
@@ -498,8 +497,6 @@ def indistinguishability_probe(
                     f"event conditioning failed after {MAX_RETRIES} retries at s={s}, n={n}: "
                     "the events are too rare at this size"
                 )
-            kept_big += 1
-            kept_far += 1
         best_adv, best_stat, best_thr = -1.0, 0, 0.0
         for k in range(4):
             adv, thr = _ks_advantage(stats_big[:, k], stats_far[:, k])
@@ -511,8 +508,8 @@ def indistinguishability_probe(
         rows.append(
             ProbeRow(
                 s=s,
-                kept_big=kept_big,
-                kept_far=kept_far,
+                kept_big=trials,
+                kept_far=trials,
                 best_stat=best_stat,
                 advantage=best_adv,
                 ci_half=ci,

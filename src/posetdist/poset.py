@@ -19,13 +19,14 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .prob import MAX_DOMAIN, _blocks, _content, _parse_or_locate, text_lines
+from .prob import _blocks, _content, _parse_or_locate, text_lines
 
 # Desk-scale capacity limits. make_hypercube refuses dimensions whose edge
 # list would not fit the memory budget (d=16 is ~0.5M edges), and read_poset
-# refuses a header that declares more than MAX_DOMAIN vertices (2^22, shared
-# with read_histogram_csv's indexes and defined with the readers in prob.py).
+# refuses a header that declares more than MAX_DOMAIN vertices before
+# anything is allocated per vertex.
 HYPERCUBE_MAX_DIM = 16
+MAX_DOMAIN = 1 << 22
 
 MONOTONE_TOL = 1e-12
 

@@ -17,9 +17,7 @@ operations (a sort and a bincount), never a loop over keys.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -29,11 +27,6 @@ SUM_TOL = 1e-9
 # characters each (fh.readlines(READ_BLOCK)), so what a read holds besides
 # its result is bounded by a block, not by the file.
 READ_BLOCK = 1 << 18
-
-# The largest domain a file may declare: read_poset refuses a vertex count
-# above it and read_histogram_csv an index at or above it, before anything
-# is allocated per element (an int64 vector of MAX_DOMAIN entries is 32 MB).
-MAX_DOMAIN = 1 << 22
 
 
 class Rng:
@@ -93,25 +86,6 @@ class Distribution:
         if total <= 0:
             raise ValueError("cannot normalize a vector with no mass")
         return cls(v / total)
-
-
-@dataclass(frozen=True)
-class SampleHistogram:
-    """Per-element count vector of a sample multiset."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if np.any(c < 0):
-            raise ValueError("histogram counts must be nonnegative")
-        c = c.astype(np.int64)
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 class PairHistogram:
@@ -398,65 +372,9 @@ def write_distribution(p: Distribution, path) -> None:
             fh.write(repr(float(x)) + "\n")
 
 
-def _parse_histogram(path) -> np.ndarray:
-    pairs = [np.empty(0, dtype=np.int64)]
-    with open(path, "r", encoding="utf-8") as fh:
-        blocks = _blocks(fh)
-        first = next(blocks, [""])
-        if first[0].strip() != "index,count":
-            raise ValueError
-        first[0] = ""
-        for lines in chain([first], blocks):
-            rows = list(filter(None, map(str.strip, lines)))
-            if set(map(operator.methodcaller("count", ","), rows)) - {1}:
-                raise ValueError
-            vals = list(map(int, chain.from_iterable(map(operator.methodcaller("split", ","), rows))))
-            if min(vals, default=0) < 0 or max(vals, default=0) >= 1 << 63 or max(vals[0::2], default=0) >= MAX_DOMAIN:
-                raise ValueError
-            pairs.append(np.array(vals, dtype=np.int64))
-    index, count = np.concatenate(pairs).reshape(-1, 2).T
-    ordered = np.sort(index)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError
-    vec = np.zeros(ordered[-1] + 1 if ordered.size else 0, dtype=np.int64)
-    vec[index] = count
-    return vec
-
-
-def _locate_histogram(path) -> None:
-    seen = set()
-    lines = text_lines(path)
-    if next(lines, "").strip() != "index,count":
-        raise ValueError(f"{path}:1: expected 'index,count' header")
-    for k, ln in enumerate(lines, 2):
-        line = ln.strip()
-        if not line:
-            continue
-        try:
-            i, c = (int(tok) for tok in line.split(","))
-        except ValueError:
-            raise ValueError(f"{path}:{k}: expected two integers 'index,count', got {line!r}") from None
-        if i < 0 or c < 0:
-            raise ValueError(f"{path}:{k}: negative index or count: {line!r}")
-        if c >= 1 << 63:
-            raise ValueError(f"{path}:{k}: count does not fit in 64 bits: {line!r}")
-        if i >= MAX_DOMAIN:
-            raise ValueError(f"{path}:{k}: index {i} is not below the domain limit {MAX_DOMAIN}")
-        if i in seen:
-            raise ValueError(f"{path}:{k}: duplicate index {i}")
-        seen.add(i)
-
-
-def read_histogram_csv(path) -> SampleHistogram:
-    """Histogram CSV "index,count" with a header row; indexes below MAX_DOMAIN.
-
-    Blank lines are skipped; errors name the file and the 1-based line.
-    """
-    return SampleHistogram(_parse_or_locate(path, _parse_histogram, _locate_histogram))
-
-
-def write_histogram_csv(h: SampleHistogram, path) -> None:
+def write_histogram_csv(counts: np.ndarray, path) -> None:
+    """Histogram CSV: an "index,count" header, then one row per element."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,count\n")
-        for i, c in enumerate(h.counts):
+        for i, c in enumerate(counts):
             fh.write(f"{i},{int(c)}\n")

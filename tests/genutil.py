@@ -18,13 +18,12 @@ from posetdist import (
     PairHistogram,
     Poset,
     PosetError,
-    SampleHistogram,
     make_bipartite,
     transitive_closure,
 )
 from posetdist import oracles
-from posetdist.poset import KINDS
-from posetdist.prob import MAX_DOMAIN, text_lines
+from posetdist.poset import KINDS, MAX_DOMAIN
+from posetdist.prob import text_lines
 from posetdist.simplex import _entering
 
 # (nu, lam, L) of the two prior pairs the benchmark draws from
@@ -584,8 +583,8 @@ def reference_closure_edges(tc) -> list[tuple[int, int]]:
 
 # The file readers line by line, one int()/float() per token, as they were
 # before the block-wise parse. They refuse what the library's readers refuse
-# on purpose: a header declaring more than MAX_DOMAIN vertices, a line after
-# the bottom line, and a histogram index at or above MAX_DOMAIN.
+# on purpose: a header declaring more than MAX_DOMAIN vertices and a line
+# after the bottom line.
 
 
 def reference_read_distribution(path) -> Distribution:
@@ -644,32 +643,3 @@ def reference_read_poset(path) -> Poset:
         return Poset(n, edges, kind=kind, bottom=bottom)
     except PosetError as exc:
         raise PosetError(f"{path}: {exc}") from None
-
-
-def reference_read_histogram_csv(path) -> SampleHistogram:
-    counts: dict[int, int] = {}
-    lines = text_lines(path)
-    if next(lines, "").strip() != "index,count":
-        raise ValueError(f"{path}:1: expected 'index,count' header")
-    for k, ln in enumerate(lines, 2):
-        line = ln.strip()
-        if not line:
-            continue
-        try:
-            i, c = (int(tok) for tok in line.split(","))
-        except ValueError:
-            raise ValueError(f"{path}:{k}: expected two integers 'index,count', got {line!r}") from None
-        if i < 0 or c < 0:
-            raise ValueError(f"{path}:{k}: negative index or count: {line!r}")
-        if c >= 1 << 63:
-            raise ValueError(f"{path}:{k}: count does not fit in 64 bits: {line!r}")
-        if i >= MAX_DOMAIN:
-            raise ValueError(f"{path}:{k}: index {i} is not below the domain limit {MAX_DOMAIN}")
-        if i in counts:
-            raise ValueError(f"{path}:{k}: duplicate index {i}")
-        counts[i] = c
-    n = max(counts, default=-1) + 1
-    vec = np.zeros(n, dtype=np.int64)
-    for i, c in counts.items():
-        vec[i] = c
-    return SampleHistogram(vec)

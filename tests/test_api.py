@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "CapacityError", "Distribution", "ExactDistAccess", "HypercubeEmbedding", "LBInstance",
     "LearnerSpec", "LiftedAccess", "LpSolution", "MixedWithUniform", "MomentPriors",
     "PairHistogram", "ParameterAssignment", "ParameterError", "Poset", "PosetError",
-    "PriorsError", "ProbeRow", "Reduction", "Rng", "SampleAccess", "SampleHistogram",
+    "PriorsError", "ProbeRow", "Reduction", "Rng", "SampleAccess",
     "SizeCapError", "TransitiveClosure", "Verdict", "WeightedMatching", "all_matchings_test",
     "assign_parameters", "bigness_test", "bigness_to_matching", "bipartite_bounded_degree_test",
     "bipartite_to_matching", "build_priors", "closest_monotone_on_matching", "dist_to_bigness",

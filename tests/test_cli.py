@@ -474,7 +474,26 @@ LB_BAD_INPUTS = [
       "--trials", "0"], "trials must be at least 1"),
     (["lb", "gen", "--n", "1", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "100000000000000000000"],
      "s=100000000000000000000 at n=1 is too large"),
+    (["lb", "gen", "--n", "0", "--L", "4", "--eps", "0.01"], "n must be at least 1"),
 ]
+
+
+def test_edgeless_bipartite_defaults_delta_to_one(workdir, capsys):
+    """--delta defaults to the max degree, but at least 1: an edgeless
+    bipartite poset runs without the flag, and an explicit 0 is still refused."""
+    (workdir / "e.poset").write_text("4 0 bipartite\nbottom: 0 1\n")
+    write_distribution(Distribution.uniform(4), workdir / "e.dist")
+    src = ["--dist", str(workdir / "e.dist")]
+    verbs = [
+        ["test", "--alg", "bipartite", "--poset", str(workdir / "e.poset"), *src, "--eps", "0.2"],
+        ["reduce", "--from", str(workdir / "e.poset"), "--kind", "b2m", *src,
+         "--out-poset", str(workdir / "x.poset"), "--out-dist", str(workdir / "x.dist")],
+    ]
+    for argv in verbs:
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv + ["--delta", "0"]) == EXIT_VALIDATION
+        assert "delta must be at least 1" in capsys.readouterr().err
 
 
 def test_matching_bottom_naming_the_heads_exits_2(workdir, capsys):

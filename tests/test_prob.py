@@ -8,14 +8,14 @@ from posetdist import (
     ExactDistAccess,
     PairHistogram,
     Rng,
-    SampleHistogram,
     pair_histogram,
     read_distribution,
     tv_distance,
     write_distribution,
 )
-from posetdist.lowerbound import _poisson_counts
-from posetdist.prob import choice_cdf, choice_indices, read_histogram_csv, write_histogram_csv
+from posetdist import cli
+from posetdist.lowerbound import _poisson_counts, build_priors, generate_instance
+from posetdist.prob import choice_cdf, choice_indices
 
 from genutil import reference_choice
 
@@ -199,31 +199,23 @@ def test_read_distribution_names_file_and_line(tmp_path):
         read_distribution(path)
 
 
-def test_histogram_csv_roundtrip(tmp_path):
-    h = SampleHistogram(np.array([3, 0, 2]))
-    path = tmp_path / "h.csv"
-    write_histogram_csv(h, path)
-    assert read_histogram_csv(path).counts.tolist() == [3, 0, 2]
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("index,count\n0,3\n1\n", ":3: expected two integers 'index,count', got '1'"),
-        ("index,count\n0,3,4\n", ":2: expected two integers 'index,count', got '0,3,4'"),
-        ("index,count\n0,3\n\n1,x\n", ":4: expected two integers 'index,count', got '1,x'"),
-        ("index,count\n0,1\n-1,5\n", ":3: negative index or count: '-1,5'"),
-        ("index,count\n0,1\n1,-5\n", ":3: negative index or count: '1,-5'"),
-        ("index,count\n0,1\n1,2\n0,4\n", ":4: duplicate index 0"),
-        ("idx,count\n0,1\n", ":1: expected 'index,count' header"),
-    ],
-)
-def test_read_histogram_csv_names_file_and_line(tmp_path, text, message):
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError) as exc:
-        read_histogram_csv(path)
-    assert str(exc.value) == f"{path}{message}"
+def test_lb_gen_histogram_csv(tmp_path):
+    """Each histogram file lb gen writes, read with numpy: an 'index,count'
+    header, then row i holding element i's count from generate_instance."""
+    n, s, seed = 300, 40, 5
+    prefix = tmp_path / "inst"
+    argv = ["lb", "gen", "--n", str(n), "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", str(s),
+            "--seed", str(seed), "--out-prefix", str(prefix)]
+    assert cli.main(argv) == 0
+    inst = generate_instance(build_priors(0.5, 6.0, 4), n, s, Rng(seed))
+    for side, want in (("big", inst.hist_big), ("far", inst.hist_far)):
+        path = f"{prefix}.{side}.hist.csv"
+        with open(path, encoding="utf-8") as fh:
+            assert fh.readline() == "index,count\n"
+        table = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)
+        assert table.shape == (n, 2) and want.sum() > 0
+        np.testing.assert_array_equal(table[:, 0], np.arange(n))
+        np.testing.assert_array_equal(table[:, 1], want)
 
 
 def test_exact_access_consistency():

@@ -8,14 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from genutil import reference_read_distribution, reference_read_histogram_csv, reference_read_poset
+from genutil import reference_read_distribution, reference_read_poset
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from posetdist import Distribution, Poset, PosetError, SampleHistogram, make_matching, read_distribution, read_poset
+from posetdist import Distribution, PosetError, make_matching, read_distribution, read_poset
 from posetdist import cli, prob
-from posetdist.poset import KINDS
-from posetdist.prob import MAX_DOMAIN, read_histogram_csv
+from posetdist.poset import KINDS, MAX_DOMAIN
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +34,7 @@ def _key(out):
         return type(out), str(out)
     if isinstance(out, Distribution):
         return out.probs.tobytes()
-    if isinstance(out, Poset):
-        return out.n, out.kind, out.edge_array.shape, out.edge_array.tobytes(), out.bottom
-    return out.counts.shape, out.counts.tobytes()
+    return out.n, out.kind, out.edge_array.shape, out.edge_array.tobytes(), out.bottom
 
 
 def _same(reader, reference, path, block: int):
@@ -101,11 +98,6 @@ _dist_line = st.one_of(
     st.sampled_from(["0.5", "0.25", "1", "0", "-0.5", "abc", "", "# c", "1e400", "nan", "1_0", "+3",
                      "0.5 0.5", "0.5\x0c", "\x850.25", "0.25 0.25", "\x0b1", "1\x0b0"]),
 )
-_hist_line = st.one_of(
-    st.tuples(_small, _small).map(",".join),
-    st.sampled_from(["index,count", "", "1", "1,2,3", "a,b", "3,-1", "2," + "9" * 25, "0,9223372036854775808",
-                     "1_0,2", "+3,1", " 1 , 2 ", "1,2\x0c", "\x851,1", "1 ,1", "# c", "4194304,1"]),
-)
 
 
 def _int_form(v: int) -> st.SearchStrategy:
@@ -114,14 +106,14 @@ def _int_form(v: int) -> st.SearchStrategy:
     return st.sampled_from(forms + (["١"] if v == 1 else []))
 
 
-def _shift_token(draw, lines: list[str], sep: str, first: int = 0) -> None:
+def _shift_token(draw, lines: list[str], first: int = 0) -> None:
     """Now and then move the last token of one line (all of it, if it has no
-    sep) to the start of the next: the file's token count stays, two lines'
+    space) to the start of the next: the file's token count stays, two lines'
     counts break."""
     if len(lines) - first >= 2 and draw(st.integers(0, 3)) == 0:
         k = draw(st.integers(first, len(lines) - 2))
-        head, _, tok = lines[k].rpartition(sep)
-        lines[k], lines[k + 1] = head, tok + sep + lines[k + 1]
+        head, _, tok = lines[k].rpartition(" ")
+        lines[k], lines[k + 1] = head, tok + " " + lines[k + 1]
 
 
 @st.composite
@@ -137,7 +129,7 @@ def _near_poset(draw) -> bytes:
         return draw(_space).join(draw(_int_form(v)) for v in vals)
 
     lines = [f"{line([n, m])} {kind}"] + [line(p) for p in pairs]
-    _shift_token(draw, lines, " ", first=1)
+    _shift_token(draw, lines, first=1)
     if draw(st.booleans()):
         lines.append("bottom: " + line(sorted({u for u, _ in pairs})))
     lines += draw(st.lists(st.sampled_from(["0 1", "bottom: 0", "garbage here", "5 5 5"]), max_size=1))
@@ -153,16 +145,6 @@ def _near_distribution(draw) -> bytes:
     return draw(_file(lines))
 
 
-@st.composite
-def _near_histogram(draw) -> bytes:
-    counts = draw(st.dictionaries(st.integers(0, 9), st.integers(0, 5), max_size=6))
-    lines = [f"{draw(_int_form(i))},{draw(_int_form(c))}" for i, c in counts.items()]
-    _shift_token(draw, lines, ",")
-    lines += draw(st.lists(_hist_line, max_size=1))
-    body = b"".join(ln.encode() + draw(_sep) for ln in lines + draw(st.lists(st.just(""), max_size=2)))
-    return b"index,count" + draw(_sep) + body
-
-
 _fuzz = settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -176,13 +158,6 @@ def test_read_poset_fuzz(fuzz_dir, data, block):
 @given(st.one_of(st.binary(max_size=64), _lines(_dist_line), _near_distribution()), _block)
 def test_read_distribution_fuzz(fuzz_dir, data, block):
     _check(read_distribution, reference_read_distribution, fuzz_dir, data, block)
-
-
-@_fuzz
-@given(st.one_of(st.binary(max_size=64), _lines(_hist_line).map(lambda b: b"index,count\n" + b),
-                 _near_histogram()), _block)
-def test_read_histogram_csv_fuzz(fuzz_dir, data, block):
-    _check(read_histogram_csv, reference_read_histogram_csv, fuzz_dir, data, block)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -202,8 +177,6 @@ def test_content_after_the_bottom_line_is_refused(tmp_path, text, line):
 @pytest.mark.parametrize("reader, reference, text, message", [
     (read_poset, reference_read_poset, "4 2 general\n0 1 2\n3\n", "2: expected 2 integers, got 3"),
     (read_poset, reference_read_poset, "4 2 general\n0\n1 2 3\n", "2: expected 2 integers, got 1"),
-    (read_histogram_csv, reference_read_histogram_csv, "index,count\n0,1,2\n3\n",
-     "2: expected two integers 'index,count', got '0,1,2'"),
     (read_distribution, reference_read_distribution, "0.5 0.5\n", "1: not a number: '0.5 0.5'"),
 ])
 def test_token_counts_are_per_line(tmp_path, reader, reference, text, message):
@@ -237,17 +210,11 @@ def _peak_mb(fn, *args):
 
 def test_declared_sizes_cost_what_the_file_holds(tmp_path):
     """An 18-byte file that declares 10^6 vertices allocates nothing per
-    vertex (the cycle check visits only vertices on an edge), and a histogram
-    index past the limit is refused before any vector."""
+    vertex (the cycle check visits only vertices on an edge)."""
     path = tmp_path / "wide.poset"
     path.write_text("1000000 0 general\n")
     G, peak = _peak_mb(read_poset, path)
     assert G.n == 10**6 and G.edges == () and peak < 1, peak
-    path = tmp_path / "far.csv"
-    path.write_text("index,count\n1000000000,1\n")
-    exc, peak = _peak_mb(read_histogram_csv, path)
-    assert str(exc) == f"{path}:2: index 1000000000 is not below the domain limit {MAX_DOMAIN}"
-    assert peak < 1, peak
 
 
 def _lines_past_one_block(make_line) -> tuple[list[str], int]:
@@ -265,8 +232,6 @@ def _lines_past_one_block(make_line) -> tuple[list[str], int]:
 @pytest.mark.parametrize("reader, reference, make_line, bad, message", [
     (read_distribution, reference_read_distribution,
      lambda k: "1" if k == 0 else "0.000000000000", "0.5x", "not a number: '0.5x'"),
-    (read_histogram_csv, reference_read_histogram_csv,
-     lambda k: "index,count" if k == 0 else f"{k},{k % 7}", "7;3", "expected two integers 'index,count', got '7;3'"),
     (read_poset, reference_read_poset,
      lambda k: "400000 50000 general" if k == 0 else f"{k} {k + 200_000}", "12 x", "non-integer token in '12 x'"),
 ])
@@ -293,10 +258,10 @@ def test_many_blocks_give_the_same_poset(tmp_path):
     assert _same(read_poset, reference_read_poset, path, 1000) == G
 
 
-@pytest.mark.parametrize("reader", [read_poset, read_distribution, read_histogram_csv])
+@pytest.mark.parametrize("reader", [read_poset, read_distribution])
 def test_non_utf8_byte_names_file_line_and_column(tmp_path, reader):
     path = tmp_path / "bad"
-    path.write_bytes(b"index,count\r\n0,1\r\n1,\xff2\n")
+    path.write_bytes(b"# p\r\n0.5\r\n0.\xff5\n")
     with pytest.raises(ValueError) as exc:
         reader(path)
     assert str(exc.value) == f"{path}:3: not UTF-8 text: byte 0xff at column 3"
