@@ -12,6 +12,7 @@ traceback is printed), 2 validation or usage error, 3 infeasible parameters.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import shlex
 import sys
@@ -31,8 +32,9 @@ from .poset import make_hypercube, read_poset, write_poset
 from .prob import (
     ExactDistAccess,
     Rng,
+    _blocks,
+    _content,
     read_distribution,
-    text_lines,
     write_distribution,
     write_histogram_csv,
 )
@@ -280,8 +282,7 @@ def run_suite(manifest: str, out: str | None, master_seed: int) -> str:
     one line per row with a pass/fail check column. A failed row gets its
     status and one stderr line naming manifest:line; the suite goes on."""
     base = os.path.dirname(os.path.abspath(manifest))
-    rows = [(k, ln.strip()) for k, ln in enumerate(text_lines(manifest), 1)]
-    rows = [(k, ln) for k, ln in rows if ln and not ln.startswith("#")]
+    rows = _content(itertools.chain.from_iterable(_blocks(manifest)), 1)
     parser = _build_parser()
     results = []
     for idx, (lineno, line) in enumerate(rows):
@@ -322,6 +323,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(self, message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2^64), the seeds that Rng takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="posetdist", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -337,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--poset")
     t.add_argument("--dist", required=True)
     t.add_argument("--eps", required=True, type=float)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--trials", type=int, default=1)
     t.add_argument("--T", type=float)
     t.add_argument("--delta", type=int)
@@ -374,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--nu", type=float)
     lg.add_argument("--lambda", dest="lam", type=float)
     lg.add_argument("--s", type=int)
-    lg.add_argument("--seed", type=int, default=0)
+    lg.add_argument("--seed", type=_seed, default=0)
     lg.add_argument("--out-prefix", dest="out_prefix", required=True)
     lg.set_defaults(run=_run_lb_gen)
     lp = lbsub.add_parser("probe", help="advantage-vs-s indistinguishability probe")
@@ -384,14 +396,14 @@ def _build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--n", required=True, type=int)
     lp.add_argument("--s-values", dest="s_values", required=True)
     lp.add_argument("--trials", type=int, default=200)
-    lp.add_argument("--seed", type=int, default=0)
+    lp.add_argument("--seed", type=_seed, default=0)
     lp.add_argument("--out")
     lp.set_defaults(run=_run_lb_probe)
 
     s = sub.add_parser("suite", help="run a manifest of configs, aggregate pass/fail")
     s.add_argument("--manifest", required=True)
     s.add_argument("--out")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     return ap
 
 

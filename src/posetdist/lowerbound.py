@@ -255,11 +255,14 @@ def assign_parameters(n: int, eps: float, L: int) -> ParameterAssignment:
 
     Feasibility guard: rho = sqrt(lam/(1+nu)) must be at least 1.5, which also
     guarantees gap >= 2*eps. Violations raise ParameterError with rho reported;
-    an n below 1 is a ValueError, as in generate_instance.
+    an n below 1 or an eps that is not a finite number above 0 is a
+    ValueError, as in generate_instance.
     """
     if n < 1:
         raise ValueError(f"instance size n must be at least 1, got {n}")
-    if not 0 < eps < 1.0 / 27:
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be a finite number above 0, got {eps!r}")
+    if eps >= 1.0 / 27:
         raise ParameterError("eps must lie in (0, 1/27) for the lam formula")
     nu = 0.5
     t = 4.0 * (L - 2) / math.log(1.0 / (27.0 * eps))

@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .prob import _blocks, _content, _parse_or_locate, text_lines
+from .prob import _blocks, _content
 
 # Desk-scale capacity limits. make_hypercube refuses dimensions whose edge
 # list would not fit the memory budget (d=16 is ~0.5M edges), and read_poset
@@ -317,75 +317,29 @@ def _edge_block(lines: list[str]) -> np.ndarray:
         return np.array(vals, dtype=object)
 
 
-def _parse_poset(path):
-    """(n, edges, kind, bottom) of a poset file, read in blocks; a bare
-    ValueError on any fault."""
-    head, m, parts, bottom = None, 0, [], None  # m: edge lines still to come
-    with open(path, "r", encoding="utf-8") as fh:
-        for lines in _blocks(fh):
-            rows = _content(lines)
-            if head is None and rows:
-                head = rows.pop(0).split()
-                if len(head) != 3:
-                    raise ValueError
-                n, m, kind = int(head[0]), int(head[1]), head[2]
-                if kind not in KINDS or n > MAX_DOMAIN or m < 0:
-                    raise ValueError
-            if m and rows:
-                edge_rows, rows = rows[:m], rows[m:]
-                parts.append(_edge_block(edge_rows))
-                m -= len(edge_rows)
-            for row in rows:
-                if bottom is not None or not row.startswith("bottom:"):
-                    raise ValueError
-                bottom = tuple(map(int, row[len("bottom:") :].split()))
-    if head is None or m:
-        raise ValueError
-    edges = np.concatenate(parts or [np.empty(0, dtype=np.int64)]).reshape(-1, 2)
-    return n, edges.tolist() if edges.dtype == object else edges, kind, bottom or ()
-
-
-def _check_ints(path, lineno: int, toks, count: int | None = None) -> None:
-    """Raise the error naming a file line whose tokens are not all integers
-    or, when count is given, not exactly count of them."""
+def _ints(toks, count: int | None = None) -> tuple[int, ...]:
+    """The integers of a line's tokens; a ValueError that words the fault if
+    a token is not an integer or, when count is given, the line does not
+    hold exactly count tokens."""
     if count is not None and len(toks) != count:
-        raise PosetError(f"{path}:{lineno}: expected {count} integers, got {len(toks)}")
+        raise ValueError(f"expected {count} integers, got {len(toks)}")
     try:
-        for tok in toks:
-            int(tok)
+        return tuple(map(int, toks))
     except ValueError:
-        raise PosetError(f"{path}:{lineno}: non-integer token in {' '.join(toks)!r}") from None
+        raise ValueError(f"non-integer token in {' '.join(toks)!r}") from None
 
 
-def _locate_poset(path) -> None:
-    """Raise the error naming the file and line of its first fault, in the
-    order of a whole-file, line-by-line read."""
-    numbered = [(k, ln.strip()) for k, ln in enumerate(text_lines(path, PosetError), 1)]
-    lines = [(k, ln) for k, ln in numbered if ln and not ln.startswith("#")]
-    if not lines:
-        raise PosetError(f"{path}: empty poset file")
-    k, ln = lines[0]
-    head = ln.split()
+def _header(row: str) -> tuple[int, int, str]:
+    """(n, m, kind) of a header line; a ValueError that words its fault."""
+    head = row.split()
     if len(head) != 3:
-        raise PosetError(f"{path}:{k}: header must be 'n m kind'")
-    _check_ints(path, k, head[:2])
-    n, m, kind = int(head[0]), int(head[1]), head[2]
+        raise ValueError("header must be 'n m kind'")
+    (n, m), kind = _ints(head[:2]), head[2]
     if kind not in KINDS:
-        raise PosetError(f"{path}:{k}: unknown kind {kind!r}")
+        raise ValueError(f"unknown kind {kind!r}")
     if n > MAX_DOMAIN:
-        raise PosetError(f"{path}:{k}: {n} vertices exceed the limit of {MAX_DOMAIN}")
-    if m < 0 or len(lines) < 1 + m:
-        raise PosetError(f"{path}: expected {m} edge lines")
-    for k, ln in lines[1 : 1 + m]:
-        _check_ints(path, k, ln.split(), 2)
-    rest = lines[1 + m :]
-    if rest:
-        k, ln = rest[0]
-        if not ln.startswith("bottom:"):
-            raise PosetError(f"{path}:{k}: trailing content is not a bottom line")
-        _check_ints(path, k, ln[len("bottom:") :].split())
-    if len(rest) > 1:
-        raise PosetError(f"{path}:{rest[1][0]}: trailing content after the bottom line")
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_DOMAIN}")
+    return n, m, kind
 
 
 def read_poset(path) -> Poset:
@@ -396,10 +350,53 @@ def read_poset(path) -> Poset:
     MAX_DOMAIN vertices and any line after the bottom line are malformed.
     Structural faults (range, self-loop, cycle, kind) come from the Poset
     checks, prefixed with the file.
+
+    One pass converts each block's edge lines to integers at once. Faults
+    rank as in a whole-file read: a non-UTF-8 byte anywhere, the header, too
+    few edge lines, then the first bad line; past a fault the rest of the
+    file is only decoded and its lines counted.
     """
-    n, edges, kind, bottom = _parse_or_locate(path, _parse_poset, _locate_poset)
+    kind = fault = bottom = None
+    n = m = declared = 0  # m: edge lines still to come
+    parts, start = [], 1  # start: the number of the block's first line
+    for lines in _blocks(path, PosetError):
+        rows = _content(lines)
+        if fault is not None:
+            m -= len(rows)
+            continue
+        i = 0  # the row of `rows` being parsed, which a fault names
+        try:
+            if kind is None and rows:
+                n, declared, kind = _header(rows[0])
+                m, i = max(declared, 0), 1
+            edges = rows[i : i + m]
+            if edges:
+                m -= len(edges)
+                try:
+                    parts.append(_edge_block(edges))
+                except ValueError:
+                    for i, row in enumerate(edges, i):
+                        _ints(row.split(), 2)
+                    raise
+                i += len(edges)
+            for i in range(i, len(rows)):
+                if bottom is not None:
+                    raise ValueError("trailing content after the bottom line")
+                if not rows[i].startswith("bottom:"):
+                    raise ValueError("trailing content is not a bottom line")
+                bottom = _ints(rows[i][len("bottom:") :].split())
+        except ValueError as exc:
+            fault = PosetError(f"{path}:{_content(lines, start)[i][0]}: {exc}")
+        start += len(lines)
+    if m > 0 or declared < 0:
+        raise PosetError(f"{path}: expected {declared} edge lines")
+    if fault is not None:
+        raise fault
+    if kind is None:
+        raise PosetError(f"{path}: empty poset file")
+    edges = np.concatenate(parts or [np.empty(0, dtype=np.int64)]).reshape(-1, 2)
     try:
-        return Poset(n, edges, kind=kind, bottom=bottom)
+        return Poset(n, edges.tolist() if edges.dtype == object else edges, kind=kind, bottom=bottom or ())
     except PosetError as exc:
         raise PosetError(f"{path}: {exc}") from None
 

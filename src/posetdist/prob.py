@@ -16,6 +16,7 @@ operations (a sort and a bincount), never a loop over keys.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -23,9 +24,10 @@ import numpy as np
 
 SUM_TOL = 1e-9
 
-# The readers parse a file in blocks of whole lines, about this many
-# characters each (fh.readlines(READ_BLOCK)), so what a read holds besides
-# its result is bounded by a block, not by the file.
+# The readers parse a file in one pass, in blocks of whole lines of about
+# this many characters each (fh.readlines(READ_BLOCK)), so what a read holds
+# besides its result is bounded by a block, not by the file. Line numbers
+# are counted only for a block that holds a fault.
 READ_BLOCK = 1 << 18
 
 
@@ -34,6 +36,8 @@ class Rng:
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         self.stream = int(stream)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self.gen = np.random.Generator(np.random.PCG64(ss))
@@ -62,8 +66,10 @@ class Distribution:
             raise ValueError("distribution has non-finite entries")
         if np.any(p < 0):
             raise ValueError("distribution has negative entries")
-        if abs(float(p.sum()) - 1.0) > SUM_TOL:
-            raise ValueError(f"distribution sums to {p.sum()!r}, not 1")
+        with np.errstate(over="ignore"):  # finite entries may sum to inf
+            total = p.sum()
+        if abs(float(total) - 1.0) > SUM_TOL:
+            raise ValueError(f"distribution sums to {total!r}, not 1")
 
     @property
     def n(self) -> int:
@@ -282,86 +288,66 @@ class ExactDistAccess(SampleAccess):
         return rng.gen.multinomial(int(s), self.dist.probs).astype(np.int64, copy=False)
 
 
-def text_lines(path, error: type[ValueError] = ValueError):
+def _blocks(path, error: type[ValueError] = ValueError):
     """The lines of a UTF-8 text file, as iterating open(path, encoding="utf-8")
-    yields them. Bytes that are not UTF-8 raise `error` naming the file and the
-    1-based line and column of the first bad byte."""
+    yields them, in lists of about READ_BLOCK characters. The first byte that
+    is not UTF-8 raises `error` naming the file, line and column once every
+    line before its own has been yielded, whatever the block size; only then
+    is the file opened a second time."""
+    done = 0  # lines yielded
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield from fh
+            while lines := fh.readlines(READ_BLOCK):
+                yield lines
+                done += len(lines)
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
             data = fh.read()
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            before = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-            line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
-            raise error(f"{path}:{line}: not UTF-8 text: byte 0x{data[exc.start]:02x} at column {col}") from None
+            lines = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).readlines()
+            part = lines.pop() if lines and not lines[-1].endswith("\n") else ""
+            yield lines[done:]
+            raise error(f"{path}:{len(lines) + 1}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                        f"at column {len(part) + 1}") from None
         raise
 
 
-def _blocks(fh):
-    """The lines of an open text file, as iterating it yields them, in lists
-    of about READ_BLOCK characters."""
-    while lines := fh.readlines(READ_BLOCK):
-        yield lines
-
-
-def _content(lines) -> list[str]:
-    """The stripped lines that are neither blank nor '#' comments."""
-    return [t for t in map(str.strip, lines) if t and t[0] != "#"]
-
-
-def _parse_or_locate(path, parse, locate):
-    """parse(path), the block-wise reader. It raises a bare ValueError on any
-    fault; locate(path) then re-reads the file line by line only to raise
-    the error that names the file and the first bad line. A file that parse
-    refuses and locate passes is a bug in the reader, not in the file."""
-    try:
-        return parse(path)
-    except ValueError:  # includes UnicodeDecodeError
-        pass
-    locate(path)
-    raise RuntimeError(f"{path}: block parse refused a file that the line scan accepts")
-
-
-def _parse_distribution(path) -> np.ndarray:
-    """Most blocks hold no blank or comment line, so float() first runs over
-    all the stripped lines of a block, and only a block where that fails is
-    filtered and parsed again. A float token is never blank and never starts
-    with '#', so the two give the same values wherever the first succeeds."""
-    parts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lines in _blocks(fh):
-            toks = list(map(str.strip, lines))
-            try:
-                parts.append(np.fromiter(map(float, toks), float, len(toks)))
-            except ValueError:
-                toks = _content(toks)
-                parts.append(np.fromiter(map(float, toks), float, len(toks)))
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _locate_distribution(path) -> None:
-    for k, ln in enumerate(text_lines(path), 1):
-        tok = ln.strip()
-        if tok and not tok.startswith("#"):
-            try:
-                float(tok)
-            except ValueError:
-                raise ValueError(f"{path}:{k}: not a number: {tok!r}") from None
+def _content(lines, start: int | None = None) -> list:
+    """The stripped lines that are neither blank nor '#' comments; given the
+    number `start` of the first line, each as (line number, stripped line)."""
+    toks = map(str.strip, lines)
+    if start is None:
+        return [t for t in toks if t and t[0] != "#"]
+    return [(k, t) for k, t in enumerate(toks, start) if t and t[0] != "#"]
 
 
 def read_distribution(path) -> Distribution:
     """One decimal probability per line; the sum is validated.
 
     Blank and '#' lines are skipped; errors name the file, and a bad token
-    also the 1-based line.
+    or byte also the 1-based line. One pass raises the first fault in file
+    order. float() runs over a block's stripped lines at once; only a block
+    where that fails is read line by line (a float token is never blank and
+    never starts with '#').
     """
-    probs = _parse_or_locate(path, _parse_distribution, _locate_distribution)
+    parts, start = [], 1  # start: the number of the block's first line
+    for lines in _blocks(path):
+        toks = list(map(str.strip, lines))
+        try:
+            parts.append(np.fromiter(map(float, toks), float, len(toks)))
+        except ValueError:
+            vals = []
+            for k, tok in _content(toks, start):
+                try:
+                    vals.append(float(tok))
+                except ValueError:
+                    raise ValueError(f"{path}:{k}: not a number: {tok!r}") from None
+            parts.append(np.array(vals, dtype=float))
+        start += len(lines)
     try:
-        return Distribution(probs)
+        return Distribution(np.concatenate(parts) if parts else np.empty(0))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -277,8 +277,8 @@ def uniform_subset_test(
         raise ValueError("uniform_subset_test needs a bipartite poset")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    if support_size < 1:
-        raise ValueError("support size must be positive")
+    if not 1 <= support_size <= G.n:
+        raise ValueError(f"support size must lie in [1, n={G.n}], got {support_size}")
     if access.n != G.n:
         raise ValueError("sample access does not match the poset")
     rng = rng or Rng(0)

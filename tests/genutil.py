@@ -23,7 +23,7 @@ from posetdist import (
 )
 from posetdist import oracles
 from posetdist.poset import KINDS, MAX_DOMAIN
-from posetdist.prob import text_lines
+from posetdist.prob import _blocks
 from posetdist.simplex import _entering
 
 # (nu, lam, L) of the two prior pairs the benchmark draws from
@@ -579,6 +579,12 @@ def reference_closure_edges(tc) -> list[tuple[int, int]]:
             out.append((u, low.bit_length() - 1))
             bits ^= low
     return out
+
+
+def text_lines(path, error: type[ValueError] = ValueError):
+    """The lines of a UTF-8 text file one at a time, read by the readers' own
+    _blocks, so that a non-UTF-8 byte fails here as it does in them."""
+    return itertools.chain.from_iterable(_blocks(path, error))
 
 
 # The file readers line by line, one int()/float() per token, as they were

@@ -57,6 +57,14 @@ def test_unknown_verb_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_a_usage_error(workdir, capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "--alg", "bigness", "--dist", str(workdir / "u40.dist"), "--eps", "0.2", "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: must lie in [0, 2^64), got {seed}" in capsys.readouterr().err
+
+
 def test_validation_error_exits_2(workdir, capsys):
     rc = main(["oracle", "--poset", str(workdir / "line3.poset"), "--dist", str(workdir / "missing.dist")])
     assert rc == EXIT_VALIDATION
@@ -359,12 +367,14 @@ def test_argv_and_manifest_row_give_identical_bytes(workdir, monkeypatch, argv):
           "--out-dist", "x.dist"], EXIT_VALIDATION),
         (["reduce", "--from", "u40.dist", "--kind", "m2hyp", "--d", "4", "--out-poset", "x.poset",
           "--out-dist", "x.dist"], EXIT_VALIDATION),
-        (["lb", "gen", "--n", "100", "--L", "4", "--eps", "0", "--out-prefix", "x"], EXIT_INFEASIBLE),
+        (["lb", "gen", "--n", "100", "--L", "4", "--eps", "0", "--out-prefix", "x"], EXIT_VALIDATION),
         (["lb", "gen", "--n", "100", "--L", "4", "--eps", "0.001", "--s", "3", "--out-prefix", "x"],
          EXIT_VALIDATION),
         (["lb", "gen", "--n", "100", "--L", "4", "--nu", "0.5", "--lambda", "6", "--out-prefix", "x"],
          EXIT_VALIDATION),
         (["lb", "gen", "--n", "100", "--L", "4", "--out-prefix", "x"], EXIT_VALIDATION),
+        (["test", "--alg", "uniform-subset", "--poset", "b.poset", "--dist", "b.dist", "--eps", "0.2",
+          "--support-size", "100"], EXIT_VALIDATION),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(workdir, monkeypatch, capsys, argv, code):

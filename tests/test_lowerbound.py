@@ -163,6 +163,10 @@ def test_assign_parameters_guards():
         assign_parameters(1000, 0.2, 4)  # eps above the formula's 1/27 cap
     with pytest.raises(ParameterError):
         assign_parameters(1000, 0.002, 2)  # L=2 makes t <= 1
+    for eps in (0.0, -0.01, math.nan, math.inf):  # not a valid eps at all, not an infeasible one
+        with pytest.raises(ValueError, match="eps must be a finite number above 0") as exc:
+            assign_parameters(1000, eps, 4)
+        assert type(exc.value) is ValueError
 
 
 def test_generate_instance_point_mass_prior():

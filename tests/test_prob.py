@@ -25,6 +25,8 @@ def test_distribution_validation():
         Distribution(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         Distribution(np.array([-0.1, 1.1]))
+    with pytest.raises(ValueError, match="sums to np.float64\\(inf\\)"):  # finite entries, no overflow warning
+        Distribution(np.array([1e308, 1e308]))
     d = Distribution(np.array([0.25, 0.75]))
     assert d.n == 2
 
@@ -56,6 +58,12 @@ def test_rng_reproducible():
     h1 = _poissonized(np.full(50, 2.0), Rng(7, 0))
     h2 = _poissonized(np.full(50, 2.0), Rng(7, 0))
     np.testing.assert_array_equal(h1, h2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_rng_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        Rng(seed)
 
 
 def test_sample_point_mass_and_empty():

@@ -178,6 +178,8 @@ def test_content_after_the_bottom_line_is_refused(tmp_path, text, line):
     (read_poset, reference_read_poset, "4 2 general\n0 1 2\n3\n", "2: expected 2 integers, got 3"),
     (read_poset, reference_read_poset, "4 2 general\n0\n1 2 3\n", "2: expected 2 integers, got 1"),
     (read_distribution, reference_read_distribution, "0.5 0.5\n", "1: not a number: '0.5 0.5'"),
+    # a bad edge line in a file that is also short of edge lines: the count comes first
+    (read_poset, reference_read_poset, "4 3 general\n0 1 2\n3 0 1\n", " expected 3 edge lines"),
 ])
 def test_token_counts_are_per_line(tmp_path, reader, reference, text, message):
     """Lines whose token counts are off but add up over the file."""
@@ -217,11 +219,11 @@ def test_declared_sizes_cost_what_the_file_holds(tmp_path):
     assert G.n == 10**6 and G.edges == () and peak < 1, peak
 
 
-def _lines_past_one_block(make_line) -> tuple[list[str], int]:
-    """Lines that fill the default block two and a half times, and the index
-    of the first line that starts past one and a half blocks."""
+def _lines_past_one_block(make_line, blocks: float = 2.5) -> tuple[list[str], int]:
+    """Lines that fill the default block `blocks` times, and the index of the
+    first line that starts past one and a half blocks."""
     lines, size, mid = [], 0, None
-    while size < 2.5 * prob.READ_BLOCK:
+    while size < blocks * prob.READ_BLOCK:
         if mid is None and size > 1.5 * prob.READ_BLOCK:
             mid = len(lines)
         lines.append(make_line(len(lines)))
@@ -229,14 +231,21 @@ def _lines_past_one_block(make_line) -> tuple[list[str], int]:
     return lines, mid
 
 
-@pytest.mark.parametrize("reader, reference, make_line, bad, message", [
+@pytest.mark.parametrize("reader, reference, make_line, bad, message, byte_after", [
     (read_distribution, reference_read_distribution,
-     lambda k: "1" if k == 0 else "0.000000000000", "0.5x", "not a number: '0.5x'"),
+     lambda k: "1" if k == 0 else "0.000000000000", "0.5x", "not a number: '0.5x'", 0),
     (read_poset, reference_read_poset,
-     lambda k: "400000 50000 general" if k == 0 else f"{k} {k + 200_000}", "12 x", "non-integer token in '12 x'"),
+     lambda k: "400000 50000 general" if k == 0 else f"{k} {k + 200_000}", "12 x", "non-integer token in '12 x'", 0),
+    # a non-UTF-8 byte two blocks after the bad line: a distribution names the
+    # first fault in file order, a poset the byte wherever it is
+    (read_distribution, reference_read_distribution,
+     lambda k: "1" if k == 0 else "0.000000000000", "0.5x", "not a number: '0.5x'", 2),
+    (read_poset, reference_read_poset,
+     lambda k: "400000 50000 general" if k == 0 else f"{k} {k + 200_000}", "12 x",
+     "not UTF-8 text: byte 0xff at column 1", 2),
 ])
-def test_file_of_several_blocks(tmp_path, reader, reference, make_line, bad, message):
-    lines, mid = _lines_past_one_block(make_line)
+def test_file_of_several_blocks(tmp_path, reader, reference, make_line, bad, message, byte_after):
+    lines, mid = _lines_past_one_block(make_line, 2.5 + byte_after)
     if reader is read_poset:
         lines[0] = f"400000 {len(lines) - 1} general"
     path = tmp_path / "big"
@@ -245,9 +254,16 @@ def test_file_of_several_blocks(tmp_path, reader, reference, make_line, bad, mes
     assert not isinstance(out, Exception), out
     # A bad line in the second block is named by its own number.
     lines[mid] = bad
-    path.write_text("\n".join(lines) + "\n")
+    named = mid
+    if byte_after:
+        far = mid + 1
+        while sum(map(len, lines[mid:far])) + far - mid < byte_after * prob.READ_BLOCK:
+            far += 1
+        lines[far] = "\udcff" + lines[far]  # the byte 0xff once written with surrogateescape
+        named = far if message.startswith("not UTF-8") else mid
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     exc = _same(reader, reference, path, prob.READ_BLOCK)
-    assert str(exc) == f"{path}:{mid + 1}: {message}"
+    assert str(exc) == f"{path}:{named + 1}: {message}"
 
 
 def test_many_blocks_give_the_same_poset(tmp_path):
@@ -265,3 +281,29 @@ def test_non_utf8_byte_names_file_line_and_column(tmp_path, reader):
     with pytest.raises(ValueError) as exc:
         reader(path)
     assert str(exc.value) == f"{path}:3: not UTF-8 text: byte 0xff at column 3"
+
+
+def test_a_read_opens_the_file_once(tmp_path, monkeypatch):
+    """One pass: a valid or malformed file is opened once; only a non-UTF-8
+    byte opens it again, in binary, to find its line and column."""
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    path = tmp_path / "f"
+    for reader, data, opens in [
+        (read_poset, b"3 2 line\n0 1\n1 2\n", 1),
+        (read_poset, b"3 2 line\n0 x\n1 2\n", 1),
+        (read_poset, b"3 2 line\n0 1\n1 2\n\xff", 2),
+        (read_distribution, b"0.5\n0.5\n", 1),
+        (read_distribution, b"0.5\nx\n", 1),
+        (read_distribution, b"0.5\n\xff0.5\n", 2),
+    ]:
+        path.write_bytes(data)
+        opened.clear()
+        _outcome(reader, path)
+        assert opened.count(path) == opens, (reader.__name__, data)
