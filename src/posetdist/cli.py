@@ -214,8 +214,20 @@ def _run_lb_gen(a, base=""):
     }, None
 
 
+def _s_values(text: str) -> list[int]:
+    """An --s-values list: integers separated by commas, at least one."""
+    s_values = []
+    for tok in text.split(","):
+        try:
+            s_values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--s-values must be a comma-separated list of integers, got {tok!r} "
+                             f"in {text!r}") from None
+    return s_values
+
+
 def _run_lb_probe(a, base=""):
-    s_values = [int(tok) for tok in a.s_values.split(",") if tok != ""]
+    s_values = _s_values(a.s_values)
     priors = build_priors(a.nu, a.lam, a.L)
     rows = indistinguishability_probe(priors, a.n, s_values, a.trials, Rng(a.seed))
     table = [[r.s, r.kept_big, r.kept_far, r.best_stat, r.advantage, r.ci_half] for r in rows]

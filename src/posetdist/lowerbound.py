@@ -267,11 +267,11 @@ def assign_parameters(n: int, eps: float, L: int) -> ParameterAssignment:
     nu = 0.5
     t = 4.0 * (L - 2) / math.log(1.0 / (27.0 * eps))
     if t <= 1.0:
-        raise ParameterError(f"infeasible parameters: lam ratio t={t:.4g} <= 1 (rho degenerate)")
+        raise ParameterError(f"lam ratio t={t:.4g} <= 1 (rho degenerate)")
     lam = (1 + nu) * (t - 1.0) ** 2
     rho = math.sqrt(lam / (1 + nu))
     if rho < 1.5:
-        raise ParameterError(f"infeasible parameters: rho={rho:.4g} < 1.5")
+        raise ParameterError(f"rho={rho:.4g} < 1.5")
     s = int(math.floor(L * n / (2.0 * math.e * lam)))
     gap = moment_gap_value(nu, lam, L)
     if gap < 2 * eps:
@@ -307,8 +307,9 @@ class LBInstance:
         return Distribution.normalized(self.raw_far) if self.raw_far.sum() > 0 else None
 
 
-def _poisson_counts(rates: np.ndarray, idx: np.ndarray, rng: Rng) -> np.ndarray:
-    """Independent Poisson(rates[idx[i]]) counts, i = 0..n-1, drawn per atom.
+def _poisson_counts(rates: np.ndarray, idx: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.int64, np.ndarray]:
+    """Independent Poisson(rates[idx[i]]) counts, i = 0..n-1, drawn per atom;
+    returns the counts, their total and each atom's member count.
 
     The members of an atom of rate r <= 1 draw their total T ~ Poisson(r * m)
     and share it out by T uniform picks: given T the counts are multinomial,
@@ -316,37 +317,54 @@ def _poisson_counts(rates: np.ndarray, idx: np.ndarray, rng: Rng) -> np.ndarray:
     picks number about r * m <= m. An atom of rate above 1 draws its m counts
     at once. The branch depends on r alone, never on a drawn value, so the
     law is exact, and memory stays O(n) at any rate. Atoms are visited in
-    index order; a zero-rate atom draws nothing.
+    index order. An atom's members are listed once, from idx in whatever
+    integer dtype it comes, and dropped once its counts are drawn; a
+    zero-rate atom draws nothing, and its members are only counted. The
+    total is the sum of the drawn totals, an int64 like the counts' sum.
     """
+    sizes = np.empty(rates.size, dtype=np.intp)
+    total = np.int64(0)
     picks, direct = [], []
-    for k in rates.nonzero()[0]:
-        members = (idx == k).nonzero()[0]
-        if members.size == 0:
+    for k, r in enumerate(rates):
+        if r == 0:
+            sizes[k] = np.count_nonzero(idx == k)
             continue
-        r = rates[k]
+        members = (idx == k).nonzero()[0]
+        sizes[k] = m = members.size
+        if m == 0:
+            continue
         if r <= 1.0:
-            total = rng.gen.poisson(r * members.size)
-            picks.append(members.take(rng.gen.integers(members.size, size=total)))
+            drawn = rng.gen.poisson(r * m)
+            picks.append(members.take(rng.gen.integers(m, size=drawn)))
         else:
-            direct.append((members, rng.gen.poisson(r, members.size)))
+            each = rng.gen.poisson(r, m)
+            direct.append((members, each))
+            drawn = each.sum()
+        total += drawn
     if picks:
         counts = np.bincount(np.concatenate(picks), minlength=idx.size).astype(np.int64, copy=False)
     else:
         counts = np.zeros(idx.size, dtype=np.int64)
     for members, drawn in direct:
         counts[members] = drawn
-    return counts
+    return counts, total, sizes
 
 
 def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInstance:
     """Step 1 draws n i.i.d. prior weights per side; step 2 Poissonizes.
 
     The atom draws reproduce Generator.choice(k, size=n, p=mass/mass.sum())
-    draw for draw, so a seed gives the same atoms as a choice-based draw.
-    The counts are then drawn per atom (_poisson_counts), big side first:
-    they follow the law of independent Poisson(s * w_i / n) draws, but not
-    draw for draw what Generator.poisson over the n rates would give. At
-    s = 0 nothing is drawn after the atoms. An s with s * max(atoms) above
+    draw for draw, so a seed gives the same atoms as a choice-based draw;
+    the atom index stays in cdf_count's narrow dtype and is widened only for
+    the take that builds the raw vector. The counts are then drawn per atom
+    (_poisson_counts), big side first: they follow the law of independent
+    Poisson(s * w_i / n) draws, but not draw for draw what Generator.poisson
+    over the n rates would give. At s = 0 nothing is drawn after the atoms.
+    Each n-length output is built once and never re-scanned except for the
+    raw masses (their pairwise sums fix the bits of p_max): the count totals
+    are the sums of the drawn totals, zero_count the member count of the
+    zero-valued atoms, and the peak the largest atom value with members.
+    An s with s * max(atoms) above
     POISSON_LAM_MAX is a ValueError: that product bounds every rate, which
     the Poisson sampler takes up to that limit, and the mean count total,
     which must stay within int64.
@@ -369,23 +387,29 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
                          f"{POISSON_LAM_MAX:.17g}, numpy's Poisson limit, or a rate or a count total overflows")
     idx_big = choice_indices(cdf_big, n, rng)
     idx_far = choice_indices(cdf_far, n, rng)
-    raw_big = (atoms_big / n).take(idx_big)
-    raw_far = (atoms_far / n).take(idx_far)
-    hist_big = _poisson_counts(s * (atoms_big / n), idx_big, rng)
-    hist_far = _poisson_counts(s * (atoms_far / n), idx_far, rng)
-    # numpy scalars, not floats: the event flags keep their numpy bool type
+    values_big, values_far = atoms_big / n, atoms_far / n
+    # take would widen a narrow index itself, and more slowly
+    raw_big = values_big.take(idx_big.astype(np.intp, copy=False))
+    raw_far = values_far.take(idx_far.astype(np.intp, copy=False))
+    hist_big, total_big, sizes_big = _poisson_counts(s * values_big, idx_big, rng)
+    hist_far, total_far, sizes_far = _poisson_counts(s * values_far, idx_far, rng)
+    # numpy scalars, not floats: the event flags keep their numpy bool type.
+    # The pairwise sums fix the bits of the masses and so of p_max.
     mass_big, mass_far = raw_big.sum(), raw_far.sum()
-    zero_count = int(np.count_nonzero(raw_far == 0.0))
+    zero_count = int(sizes_far[values_far == 0.0].sum())
     count_floor = s * (1 - priors.nu) / 2.0
-    event_big = abs(mass_big - 1.0) <= priors.nu and hist_big.sum() > count_floor
+    event_big = abs(mass_big - 1.0) <= priors.nu and total_big > count_floor
     event_far = (
         abs(mass_far - 1.0) <= priors.nu
         and zero_count >= priors.beta * n * priors.gap / 2.0
-        and hist_far.sum() > count_floor
+        and total_far > count_floor
     )
+    # the largest raw weight is the largest atom value with members, and
     # division by a positive total is monotone, so this is the largest
     # probability of the normalized views
-    peaks = [raw.max() / mass for raw, mass in ((raw_big, mass_big), (raw_far, mass_far)) if mass > 0]
+    peaks = [values[sizes > 0].max() / mass
+             for values, sizes, mass in ((values_big, sizes_big, mass_big), (values_far, sizes_far, mass_far))
+             if mass > 0]
     return LBInstance(
         n=n,
         s=s,

@@ -202,20 +202,25 @@ def choice_cdf(p) -> np.ndarray:
 
 def choice_indices(cdf: np.ndarray, size: int | None, rng: Rng) -> np.ndarray:
     """Generator.choice(cdf.size, size, p=p) for cdf = choice_cdf(p): the same
-    indices, and the same generator state after. Each draw takes one uniform."""
+    indices, in cdf_count's dtype, and the same generator state after. Each
+    draw takes one uniform."""
     return cdf_count(cdf, rng.gen.random(size))
 
 
 def cdf_count(cdf: np.ndarray, u) -> np.ndarray:
     """The index that Generator.choice draws from cdf with uniform u: the
     number of cdf entries at or below u. The last entry is 1.0, above every
-    uniform, so it is never counted."""
+    uniform, so it is never counted. Up to _COUNT_MAX entries the index comes
+    as uint8, the dtype it is counted in; a caller that needs intp widens it
+    once, where it needs it."""
     if cdf.size > _COUNT_MAX:
         return np.searchsorted(cdf, u, side="right")
-    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(cdf.size))
-    for c in cdf[:-1]:
-        idx += u >= c
-    return idx.astype(np.intp)
+    # each comparison's booleans are added as their bytes, so nothing is
+    # cast; the first comparison starts the count (u >= 1.0 is all False)
+    idx = np.asarray(u >= cdf[0]).view(np.uint8)
+    for c in cdf[1:-1]:
+        idx += np.asarray(u >= c).view(np.uint8)
+    return idx
 
 
 def _snap(a, step: float) -> np.ndarray:
@@ -263,7 +268,7 @@ class SampleAccess:
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
         counts = np.bincount(self.draw(s, rng), minlength=self.n)
-        return counts.astype(np.int64)
+        return counts.astype(np.int64, copy=False)
 
 
 class ExactDistAccess(SampleAccess):
@@ -279,7 +284,7 @@ class ExactDistAccess(SampleAccess):
             raise ValueError("sample count must be nonnegative")
         if s == 0:
             return np.empty(0, dtype=np.int64)
-        return choice_indices(choice_cdf(self.dist.probs), s, rng).astype(np.int64)
+        return choice_indices(choice_cdf(self.dist.probs), s, rng).astype(np.int64, copy=False)
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
         """The counts of s i.i.d. draws, drawn at once as a multinomial."""

@@ -15,6 +15,7 @@ from scipy.optimize import linprog
 
 from posetdist import (
     Distribution,
+    LBInstance,
     PairHistogram,
     Poset,
     PosetError,
@@ -289,6 +290,57 @@ def reference_instance_counts(priors, n: int, s: int, gen: np.random.Generator):
     Generator.poisson over each side's n rates s * w_i / n."""
     idx = [reference_choice(mass / mass.sum(), n, gen) for mass in (priors.mass_big, priors.mass_far)]
     return [(i, gen.poisson((s * (atoms / n)).take(i))) for atoms, i in zip((priors.atoms_big, priors.atoms_far), idx)]
+
+
+def reference_poisson_counts(rates: np.ndarray, idx: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Independent Poisson(rates[idx[i]]) counts along the library's per-atom
+    route as first written: every nonzero-rate atom's members found by
+    comparing the whole index with the atom, atoms in index order; rate r <= 1
+    draws the members' total and shares it out by uniform picks, a higher
+    rate draws each member's count."""
+    picks, direct = [], []
+    for k in rates.nonzero()[0]:
+        members = (idx == k).nonzero()[0]
+        if members.size == 0:
+            continue
+        r = rates[k]
+        if r <= 1.0:
+            total = gen.poisson(r * members.size)
+            picks.append(members.take(gen.integers(members.size, size=total)))
+        else:
+            direct.append((members, gen.poisson(r, members.size)))
+    if picks:
+        counts = np.bincount(np.concatenate(picks), minlength=idx.size).astype(np.int64, copy=False)
+    else:
+        counts = np.zeros(idx.size, dtype=np.int64)
+    for members, drawn in direct:
+        counts[members] = drawn
+    return counts
+
+
+def reference_instance(priors, n: int, s: int, gen: np.random.Generator) -> LBInstance:
+    """generate_instance along the route that reads every statistic off the
+    n-length outputs: atoms by Generator.choice, counts by
+    reference_poisson_counts (big side first), then the masses, count totals,
+    zeros and peak each from a scan of the raw vectors and histograms."""
+    idx_big, idx_far = (reference_choice(mass / mass.sum(), n, gen) for mass in (priors.mass_big, priors.mass_far))
+    raw_big = (priors.atoms_big / n).take(idx_big)
+    raw_far = (priors.atoms_far / n).take(idx_far)
+    hist_big = reference_poisson_counts(s * (priors.atoms_big / n), idx_big, gen)
+    hist_far = reference_poisson_counts(s * (priors.atoms_far / n), idx_far, gen)
+    mass_big, mass_far = raw_big.sum(), raw_far.sum()
+    zero_count = int(np.count_nonzero(raw_far == 0.0))
+    count_floor = s * (1 - priors.nu) / 2.0
+    event_big = abs(mass_big - 1.0) <= priors.nu and hist_big.sum() > count_floor
+    event_far = (
+        abs(mass_far - 1.0) <= priors.nu
+        and zero_count >= priors.beta * n * priors.gap / 2.0
+        and hist_far.sum() > count_floor
+    )
+    peaks = [raw.max() / mass for raw, mass in ((raw_big, mass_big), (raw_far, mass_far)) if mass > 0]
+    return LBInstance(n=n, s=s, raw_big=raw_big, raw_far=raw_far, zero_count=zero_count, hist_big=hist_big,
+                      hist_far=hist_far, event_big=event_big, event_far=event_far,
+                      p_max=float(max(peaks, default=0.0)))
 
 
 def reference_lift_draw(reduction, src, gen: np.random.Generator) -> np.ndarray:

@@ -485,6 +485,13 @@ LB_BAD_INPUTS = [
     (["lb", "gen", "--n", "1", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "100000000000000000000"],
      "s=100000000000000000000 at n=1 is too large"),
     (["lb", "gen", "--n", "0", "--L", "4", "--eps", "0.01"], "n must be at least 1"),
+    # --s-values takes a non-empty list of integer tokens and names the first bad one
+    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", ","],
+     "--s-values must be a comma-separated list of integers, got '' in ','"),
+    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0,,300"],
+     "--s-values must be a comma-separated list of integers, got '' in '0,,300'"),
+    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "1e3"],
+     "--s-values must be a comma-separated list of integers, got '1e3' in '1e3'"),
 ]
 
 
@@ -622,6 +629,13 @@ def test_lb_probe_failed_conditioning_is_status_3_in_a_suite(workdir, capsys):
     out = run_suite(str(manifest), None, 0)
     assert out.split("\n")[1] == f"0,0,{EXIT_INFEASIBLE},0.0,fail"
     assert "infeasible parameters: the far side's events cannot hold at n=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("L,message", [(1, "lam ratio t=-1.37 <= 1"), (3, "rho=0.3704 < 1.5")])
+def test_infeasible_eps_regime_names_the_prefix_once(capsys, L, message):
+    assert main(["lb", "gen", "--n", "100", "--L", str(L), "--eps", "0.002", "--out-prefix", "inst"]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible parameters: " + message) and err.count("infeasible parameters") == 1
 
 
 def test_lb_solve_beyond_double_precision_exits_3(workdir, capsys):

@@ -24,7 +24,14 @@ from posetdist import (
 from posetdist.lowerbound import MOMENT_REL_TOL, POISSON_LAM_MAX, fingerprint_stats
 from posetdist.prob import choice_indices
 
-from genutil import BENCH_PRIORS, chebyshev_grid, grid_moment_gap, reference_choice, reference_instance_counts
+from genutil import (
+    BENCH_PRIORS,
+    chebyshev_grid,
+    grid_moment_gap,
+    reference_choice,
+    reference_instance,
+    reference_instance_counts,
+)
 
 
 def test_gap_closed_form_values():
@@ -312,6 +319,58 @@ def test_normalized_views_are_built_on_first_read():
     assert inst.p_max == inst.norm_far.probs.max()
 
 
+def _cross_check_priors() -> dict:
+    """The benchmark's pairs (a zero atom first on the far side), a zero-mass
+    atom ahead of a zero atom, a massless big side, and 70 atoms a side, past
+    cdf_count's narrow index."""
+    wide = np.arange(1.0, 71.0)
+    return {
+        "bench0": build_priors(*BENCH_PRIORS[0]),
+        "bench1": build_priors(*BENCH_PRIORS[1]),
+        "zero-mass atom": _hand_priors([1.0, 0.0, 2.0, 3.0], [0.0, 0.5, 1.0, 0.5]),
+        "massless side": MomentPriors(np.array([0.0]), np.array([1.0]), np.array([0.0, 2.0]), np.array([0.5, 0.5]),
+                                      beta=1.5, nu=0.5, lam=6.0, L=2, gap=0.0),
+        "70 atoms": MomentPriors(wide / 35.5, np.full(70, 1 / 70), np.append(0.0, wide[:-1] / 35), np.full(70, 1 / 70),
+                                 beta=1.5, nu=0.5, lam=6.0, L=2, gap=0.1),
+    }
+
+
+# At n = 2000 the bench pairs' rates s*a/n are all at most 1 for s = 300,
+# on both sides of 1 for s = 3000, and all above 1 for s = 10^6.
+@pytest.mark.parametrize("name", list(_cross_check_priors()))
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("s", [0, 300, 3000, 10**6])
+def test_generate_instance_matches_the_per_atom_reference(name, n, s):
+    """Draw for draw against the route that scans its outputs: the arrays
+    with their dtypes, zero_count, the event flags' values and types (a
+    numpy bool stays one), the bits of p_max and the generator state."""
+    priors = _cross_check_priors()[name]
+    for seed in range(3):
+        rng, ref_rng = Rng(seed), Rng(seed)
+        got, want = generate_instance(priors, n, s, rng), reference_instance(priors, n, s, ref_rng.gen)
+        for field in ("raw_big", "raw_far", "hist_big", "hist_far"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        for field in ("zero_count", "event_big", "event_far"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert type(a) is type(b) and a == b, (field, a, b)
+        assert type(got.p_max) is float and got.p_max.hex() == want.p_max.hex()
+        assert rng.gen.bit_generator.state == ref_rng.gen.bit_generator.state
+
+
+def test_cross_check_grid_takes_every_branch():
+    """The grid above reaches both count branches and the corner cases it
+    names: rates at most 1 and above 1, a zero atom with members, a
+    zero-mass atom, a massless side and an index wider than one byte."""
+    priors = _cross_check_priors()
+    rates = [s * a / 2000 for s in (300, 3000, 10**6) for a in priors["bench1"].atoms_big]
+    assert any(0 < r <= 1 for r in rates) and any(r > 1 for r in rates)
+    assert generate_instance(priors["bench1"], 2000, 0, Rng(0)).zero_count > 0
+    assert 0.0 in priors["zero-mass atom"].mass_far
+    assert generate_instance(priors["massless side"], 7, 300, Rng(0)).norm_big is None
+    assert choice_indices(priors["70 atoms"].atom_tables[0][1], 5, Rng(0)).dtype == np.intp
+
+
 def test_probe_reports_failed_conditioning_as_infeasible():
     # the up-front mass bound (100 >= 1 - nu) passes, but one element's raw
     # mass is 0 or 100, never within nu of 1: every retry fails
@@ -494,3 +553,24 @@ def test_dense_regime_allocates_order_n():
         tracemalloc.stop()
     assert peak < 32 * 8 * n
     assert inst.hist_big.sum() > 10**12 * (1 - priors.nu)
+
+
+def test_sparse_regime_allocates_under_five_outputs():
+    """At n = 10^5 and s = 10^4 every rate is below 1. The raw vectors and
+    histograms take 4 * 8n bytes, and the call's peak stays under 5 * 8n:
+    the atom index is one byte an element, an atom's members go once its
+    picks are drawn, and no statistic is read off a scan of an output. The
+    route that widened the index and rescanned the outputs peaked at
+    6.22 * 8n."""
+    priors = build_priors(*BENCH_PRIORS[1])
+    n, s = 10**5, 10**4
+    assert s * priors.atoms_big.max() / n < 1 and s * priors.atoms_far.max() / n < 1
+    generate_instance(priors, n, s, Rng(1))  # first-call caches out of the measurement
+    tracemalloc.start()
+    try:
+        inst = generate_instance(priors, n, s, Rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * n, peak / (8 * n)
+    assert inst.hist_big.sum() > 0

@@ -46,7 +46,7 @@ def _draw(p: Distribution, s: int, rng: Rng) -> np.ndarray:
 
 def _poissonized(rates, rng: Rng) -> np.ndarray:
     """Independent Poisson(rates[i]) counts, one atom per element."""
-    return _poisson_counts(np.asarray(rates, dtype=float), np.arange(len(rates)), rng)
+    return _poisson_counts(np.asarray(rates, dtype=float), np.arange(len(rates)), rng)[0]
 
 
 def test_rng_reproducible():
