@@ -293,11 +293,10 @@ def reference_instance_counts(priors, n: int, s: int, gen: np.random.Generator):
 
 
 def reference_poisson_counts(rates: np.ndarray, idx: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Independent Poisson(rates[idx[i]]) counts along the library's per-atom
-    route as first written: every nonzero-rate atom's members found by
-    comparing the whole index with the atom, atoms in index order; rate r <= 1
-    draws the members' total and shares it out by uniform picks, a higher
-    rate draws each member's count."""
+    """Independent Poisson(rates[idx[i]]) counts drawn per atom, atoms in
+    index order, each nonzero-rate atom's members found by comparing the
+    whole index with it: rate r <= 1 draws the members' total and shares it
+    out by uniform picks, a higher rate draws each member's count."""
     picks, direct = [], []
     for k in rates.nonzero()[0]:
         members = (idx == k).nonzero()[0]

@@ -559,9 +559,9 @@ def test_sparse_regime_allocates_under_five_outputs():
     """At n = 10^5 and s = 10^4 every rate is below 1. The raw vectors and
     histograms take 4 * 8n bytes, and the call's peak stays under 5 * 8n:
     the atom index is one byte an element, an atom's members go once its
-    picks are drawn, and no statistic is read off a scan of an output. The
-    route that widened the index and rescanned the outputs peaked at
-    6.22 * 8n."""
+    picks are drawn, and no statistic is read off a scan of an output.
+    reference_instance's route, which widens the index and rescans the
+    outputs, peaks at 6.22 * 8n."""
     priors = build_priors(*BENCH_PRIORS[1])
     n, s = 10**5, 10**4
     assert s * priors.atoms_big.max() / n < 1 and s * priors.atoms_far.max() / n < 1
