@@ -111,6 +111,11 @@ def _run_oracle(a, base=""):
     return {"d_tv": d_tv, "matching_weight": W, "lp_value": lp}, text
 
 
+def _delta(a, G) -> int:
+    """--delta, or else G's largest degree (at least 1)."""
+    return a.delta if a.delta is not None else max(G.max_degree(), 1)
+
+
 def _run_test(a, base=""):
     p = read_distribution(os.path.join(base, a.dist))
     learner = LearnerSpec(budget_multiplier=a.multiplier)
@@ -130,8 +135,7 @@ def _run_test(a, base=""):
         elif a.alg == "matching":
             v = matching_monotonicity_test(G, access, a.eps, learner, rng)
         elif a.alg == "bipartite":
-            delta = a.delta if a.delta is not None else max(G.max_degree(), 1)
-            v = bipartite_bounded_degree_test(G, access, delta, a.eps, learner, rng)
+            v = bipartite_bounded_degree_test(G, access, _delta(a, G), a.eps, learner, rng)
         elif a.alg == "uniform-subset":
             size = a.support_size if a.support_size is not None else int(np.count_nonzero(p.probs))
             v = uniform_subset_test(G, size, a.eps, access, rng)
@@ -151,10 +155,7 @@ def _run_reduce(a, base=""):
         if a.dist is None:
             raise ValueError(f"{a.kind} needs a source distribution (--dist) to emit one")
         G = read_poset(source)
-        if a.kind == "g2b":
-            red = general_to_bipartite(G)
-        else:
-            red = bipartite_to_matching(G, a.delta if a.delta is not None else max(G.max_degree(), 1))
+        red = general_to_bipartite(G) if a.kind == "g2b" else bipartite_to_matching(G, _delta(a, G))
         write_poset(red.target, out_poset)
         q = red.map_distribution(read_distribution(os.path.join(base, a.dist)))
         write_distribution(q, out_dist)
@@ -232,8 +233,7 @@ def _run_lb_probe(a, base=""):
     rows = indistinguishability_probe(priors, a.n, s_values, a.trials, Rng(a.seed))
     table = [[r.s, r.kept_big, r.kept_far, r.best_stat, r.advantage, r.ci_half] for r in rows]
     text = _csv(["s", "kept_big", "kept_far", "best_stat", "advantage", "ci_half"], table)
-    last = rows[-1] if rows else None
-    return {"advantage_at_max_s": last.advantage if last else 0.0}, text
+    return {"advantage_at_max_s": rows[-1].advantage}, text
 
 
 def run_config(a: argparse.Namespace, base: str = ""):

@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .poset import MAX_DOMAIN
 from .prob import Distribution, Rng, choice_cdf, choice_indices
 # Not called here: perfbench/spans.py's tracer wraps lowerbound.solve_lp by name.
 from .simplex import solve_lp  # noqa: F401
@@ -83,7 +84,7 @@ def solve_moment_gap(nu: float, lam: float, L: int):
     ParameterError, so every accepted L reproduces the closed-form gap to
     that relative tolerance. Both measures live on [1+nu, lam], so
     S >= 2/lam: an L that fails the rule with 2/lam for S is refused before
-    any point is computed.
+    any point is computed. So is a lam at which c rounds to 1.
     """
     gap = moment_gap_value(nu, lam, L)
 
@@ -97,6 +98,9 @@ def solve_moment_gap(nu: float, lam: float, L: int):
     refuse_unresolved(2.0 / lam)
     lo, hi = 1 + nu, lam
     c = (hi + lo) / (hi - lo)
+    if c == 1.0:  # then r = 1 and alternation points coincide
+        raise ParameterError(f"lambda={lam:g} is beyond double precision at nu={nu:g}: "
+                             f"(lambda+1+nu)/(lambda-1-nu) rounds to 1")
     r = c - math.sqrt(c * c - 1)
     target = np.arange(L + 1) * math.pi
     a = np.clip((target - math.pi) / L, 0.0, math.pi)
@@ -107,7 +111,8 @@ def solve_moment_gap(nu: float, lam: float, L: int):
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
     t = -np.cos(0.5 * (a + b))
-    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
+    # t is exactly -1 and 1 at the ends; the map may round those points out of [lo, hi]
+    x = np.clip(0.5 * (hi + lo) + 0.5 * (hi - lo) * t, lo, hi)
     # |w_k| up to a common factor, from the differences 2(t_k - t_j) summed as
     # logs (a product of L differences can leave the double range), a block
     # of rows at a time so that memory stays O(L)
@@ -350,6 +355,14 @@ def _poisson_counts(rates: np.ndarray, idx: np.ndarray, rng: Rng) -> tuple[np.nd
     return counts, total, sizes
 
 
+def _check_size(n: int) -> None:
+    """An instance has 1..MAX_DOMAIN elements, the vertex cap of read_poset."""
+    if n < 1:
+        raise ValueError(f"instance size n must be at least 1, got {n}")
+    if n > MAX_DOMAIN:
+        raise ValueError(f"instance size n={n} exceeds the limit of {MAX_DOMAIN}")
+
+
 def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInstance:
     """Step 1 draws n i.i.d. prior weights per side; step 2 Poissonizes.
 
@@ -374,8 +387,7 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     s(1-nu)/2 total samples; the far side additionally needs at least
     beta*n*gap/2 zero-weight elements.
     """
-    if n < 1:
-        raise ValueError(f"instance size n must be at least 1, got {n}")
+    _check_size(n)
     if s < 0:
         raise ValueError(f"sample rate s must be nonnegative, got {s}")
     (atoms_big, cdf_big), (atoms_far, cdf_far) = priors.atom_tables
@@ -483,8 +495,7 @@ def indistinguishability_probe(
     zeros leave raw mass at most (n - z) * max(atoms_far) / n < 1 - nu.
     """
     s_values = [int(s) for s in s_values]
-    if n < 1:
-        raise ValueError(f"instance size n must be at least 1, got {n}")
+    _check_size(n)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if any(s < 0 for s in s_values):

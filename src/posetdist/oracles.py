@@ -72,14 +72,19 @@ class LpSolution:
     x: np.ndarray
 
 
+def _check_threshold(threshold: float, n: int) -> None:
+    """A bigness threshold T on n elements must lie in (0, 1/n]."""
+    if not 0 < threshold <= 1.0 / n + 1e-15:
+        raise ValueError(f"threshold must lie in (0, 1/n], got T={threshold}")
+
+
 def dist_to_bigness(p: Distribution, threshold: float) -> float:
     """TV distance from p to the T-big polytope: sum of deficits below T.
 
     The closed form assumes T <= 1/n (otherwise the polytope shrinks and the
     deficit sum is no longer the distance), so larger thresholds are rejected.
     """
-    if not 0 < threshold <= 1.0 / p.n + 1e-15:
-        raise ValueError(f"threshold must lie in (0, 1/n], got T={threshold}")
+    _check_threshold(threshold, p.n)
     return float(np.maximum(0.0, threshold - p.probs).sum())
 
 

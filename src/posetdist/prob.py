@@ -4,10 +4,10 @@ All randomness flows through Rng, a thin wrapper over numpy's PCG64 keyed by
 (seed, stream): the same key always replays the same draw sequence, and
 concurrent work derives disjoint streams instead of sharing state.
 
-Sampling is exposed both per-draw (SampleAccess.draw) and as exact histogram
-laws (ExactDistAccess.histogram draws the multinomial of the counts directly,
-which is the same distribution as histogramming s i.i.d. draws but costs
-O(n)).
+Sample access is the law of the counts: for i.i.d. samples the count
+vector is a sufficient statistic, so SampleAccess.histogram is the one
+sampling method (ExactDistAccess draws the counts as one multinomial, in
+O(n) whatever s is).
 
 A PairHistogram is three numpy arrays x, y, count sorted by (x, y) with unique
 keys and no (0, 0) key; building, rescaling and merging one are array
@@ -257,18 +257,13 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
 
 
 class SampleAccess:
-    """Sample-only access to an unknown distribution: draw() yields i.i.d.
-    element indices and histogram() yields the exact law of their counts.
-    Subclasses must keep both views consistent."""
+    """Sample-only access to an unknown distribution over 0..n-1: a subclass
+    implements histogram(s, rng), the int64 counts of s i.i.d. draws."""
 
     n: int
 
-    def draw(self, s: int, rng: Rng) -> np.ndarray:
-        raise NotImplementedError
-
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
-        counts = np.bincount(self.draw(s, rng), minlength=self.n)
-        return counts.astype(np.int64, copy=False)
+        raise NotImplementedError
 
 
 class ExactDistAccess(SampleAccess):
@@ -277,14 +272,6 @@ class ExactDistAccess(SampleAccess):
     def __init__(self, dist: Distribution):
         self.dist = dist
         self.n = dist.n
-
-    def draw(self, s: int, rng: Rng) -> np.ndarray:
-        """s i.i.d. element indices, one uniform each (as Generator.choice)."""
-        if s < 0:
-            raise ValueError("sample count must be nonnegative")
-        if s == 0:
-            return np.empty(0, dtype=np.int64)
-        return choice_indices(choice_cdf(self.dist.probs), s, rng).astype(np.int64, copy=False)
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
         """The counts of s i.i.d. draws, drawn at once as a multinomial."""

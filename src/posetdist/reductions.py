@@ -3,10 +3,10 @@
 Each reduction maps a source poset/distribution to a target pair while
 controlling the distance to monotonicity: monotone sources stay monotone and
 an eps-far source lands at least eps/far_divisor from monotone. The two that
-operate sample-by-sample (general->bipartite, bipartite->matching) are
-uniform splits: every source vertex has k copies in the target, each taking
-1/k of its mass, and a lifted sample is one of them drawn uniformly, so the
-distribution map and the per-sample lifter agree exactly.
+lift samples (general->bipartite, bipartite->matching) are uniform splits:
+every source vertex has k copies in the target, each taking 1/k of its mass,
+and LiftedAccess splits each source count evenly over its copies (the law of
+lifting every sample to a uniform copy), so the map and the counts agree.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracles import _check_threshold
 from .poset import HYPERCUBE_MAX_DIM, CapacityError, Poset, make_matching, transitive_closure
-from .prob import Distribution, Rng, SampleAccess, cdf_count, choice_cdf
+from .prob import Distribution, Rng, SampleAccess
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,17 +57,6 @@ class Reduction:
         share = np.repeat(p.probs * (1.0 / k), k)
         return Distribution(np.bincount(self.copies.ravel(), weights=share, minlength=self.target.n))
 
-    def lift(self, i: int, rng: Rng) -> int:
-        row = self.copies[i]
-        if row.size == 1:
-            return int(row[0])
-        return int(row[int(cdf_count(_uniform_cdf(row.size), rng.gen.random()))])
-
-
-def _uniform_cdf(k: int) -> np.ndarray:
-    """The cdf Generator.choice draws from for k equal probabilities 1/k."""
-    return choice_cdf(np.full(k, 1.0 / k))
-
 
 class LiftedAccess(SampleAccess):
     """Sample access to the reduction target, one lifted sample per source sample."""
@@ -77,16 +67,6 @@ class LiftedAccess(SampleAccess):
         self.base = base
         self.reduction = reduction
         self.n = reduction.target.n
-
-    def draw(self, s: int, rng: Rng) -> np.ndarray:
-        """The s source samples, each lifted as Reduction.lift would lift it
-        in turn: with k > 1 copies, s uniforms drawn after the source samples;
-        with one copy, none."""
-        src = self.base.draw(s, rng)
-        copies = self.reduction.copies
-        k = copies.shape[1]
-        c = cdf_count(_uniform_cdf(k), rng.gen.random(src.size)) if k > 1 else 0
-        return copies[src, c]
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
         """Each nonzero source count splits evenly over its copies as a
@@ -151,8 +131,7 @@ def bigness_to_matching(p: Distribution, threshold: float):
     poset, the scale, and the threshold.
     """
     n = p.n
-    if not 0 < threshold <= 1.0 / n + 1e-15:
-        raise ValueError(f"threshold must lie in (0, 1/n], got T={threshold}")
+    _check_threshold(threshold, n)
     scale = 1.0 + n * threshold
     target = make_matching(n)
     q = np.empty(2 * n)

@@ -17,9 +17,10 @@ from typing import Callable
 
 import numpy as np
 
+from .oracles import SizeCapError, _check_threshold, _midpoint_cost, dist_to_bigness
 # pair_histogram and min_w_to_monotone_pairhist are no longer called here but
 # stay bound: perfbench/spans.py wraps both names on this module.
-from .oracles import SizeCapError, _midpoint_cost, dist_to_bigness, min_w_to_monotone_pairhist  # noqa: F401
+from .oracles import min_w_to_monotone_pairhist  # noqa: F401
 from .poset import Poset
 from .prob import Distribution, PairHistogram, Rng, SampleAccess, _snap, pair_histogram  # noqa: F401
 from .reductions import LiftedAccess, bipartite_to_matching
@@ -150,19 +151,9 @@ class MixedWithUniform(SampleAccess):
         self.base = base
         self.n = base.n
 
-    def draw(self, s: int, rng: Rng) -> np.ndarray:
-        coins = rng.gen.random(s) < 0.5
-        k = int(coins.sum())
-        out = np.empty(s, dtype=np.int64)
-        out[coins] = self.base.draw(k, rng)
-        out[~coins] = rng.gen.integers(0, self.n, size=s - k)
-        return out
-
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
         k = int(rng.gen.binomial(s, 0.5))
-        h = self.base.histogram(k, rng).astype(np.int64)
-        h += rng.gen.multinomial(s - k, np.full(self.n, 1.0 / self.n))
-        return h
+        return self.base.histogram(k, rng) + rng.gen.multinomial(s - k, np.full(self.n, 1.0 / self.n))
 
 
 def bigness_test(
@@ -178,8 +169,7 @@ def bigness_test(
     eps/3 vs 2*eps/3 for any learner with l1 error below eps/3."""
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    if not 0 < threshold <= 1.0 / n + 1e-15:
-        raise ValueError(f"threshold must lie in (0, 1/n], got T={threshold}")
+    _check_threshold(threshold, n)
     if access.n != n:
         raise ValueError("sample access does not match n")
     learner = learner or LearnerSpec()
@@ -366,10 +356,7 @@ def all_matchings_test(
     n_pairs = len(pairs)
     groups = 2 * max(1, math.ceil(math.log2(max(n_pairs, 2)))) + 9
     group_size = _sample_count("group size", MASS_EST_CONST, eps * eps)
-    hist = np.zeros((groups, G.n))
-    for k in range(groups):
-        hist[k] = access.histogram(group_size, rng)
-    hist /= group_size
+    hist = np.array([access.histogram(group_size, rng) for _ in range(groups)]) / group_size
     stat = 0.0
     worst = ((), ())
     for tops, bottoms in pairs:

@@ -342,17 +342,6 @@ def reference_instance(priors, n: int, s: int, gen: np.random.Generator) -> LBIn
                       p_max=float(max(peaks, default=0.0)))
 
 
-def reference_lift_draw(reduction, src, gen: np.random.Generator) -> np.ndarray:
-    """Source samples lifted one at a time, each to a copy picked by its own
-    choice call; with a single copy nothing is drawn."""
-    k = reduction.copies.shape[1]
-    out = []
-    for i in src:
-        c = 0 if k == 1 else reference_choice(np.full(k, 1.0 / k), None, gen)
-        out.append(reduction.copies[int(i), c])
-    return np.array(out, dtype=np.int64)
-
-
 def reference_lift_histogram(reduction, src_counts, gen: np.random.Generator) -> np.ndarray:
     """Lift of a source histogram with one multinomial call per nonzero row;
     with a single copy nothing is drawn."""

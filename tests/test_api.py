@@ -61,6 +61,46 @@ def test_removed_parameters_stay_gone():
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
 
 
+def test_removed_sampling_methods_stay_gone():
+    """Sample access is the law of the counts: histogram is the one sampling
+    method, and no per-draw route runs beside it."""
+    gone = {
+        posetdist.SampleAccess: "draw",
+        posetdist.ExactDistAccess: "draw",
+        posetdist.MixedWithUniform: "draw",
+        posetdist.LiftedAccess: "draw",
+        posetdist.Reduction: "lift",
+    }
+    for cls, name in gone.items():
+        assert not hasattr(cls, name), (cls.__name__, name)
+
+
+def test_src_imports_are_used():
+    """Every name a module of the package imports is referenced in it, save
+    __init__.py's re-exports and lines marked noqa: F401."""
+    import ast
+    import pathlib
+
+    unused = []
+    for path in sorted(pathlib.Path(posetdist.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
+
+
 def test_poset_constructor_fields():
     # edges is an init-only argument (stored as edge_array), so the signature,
     # not dataclasses.fields, is the constructor contract

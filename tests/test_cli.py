@@ -25,6 +25,7 @@ from posetdist.cli import (
     main,
     run_suite,
 )
+from posetdist.poset import MAX_DOMAIN
 
 
 @pytest.fixture()
@@ -492,6 +493,11 @@ LB_BAD_INPUTS = [
      "--s-values must be a comma-separated list of integers, got '' in '0,,300'"),
     (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "1e3"],
      "--s-values must be a comma-separated list of integers, got '1e3' in '1e3'"),
+    # one past the vertex cap, at s = 0: refused before a single draw
+    (["lb", "gen", "--n", str(MAX_DOMAIN + 1), "--L", "4", "--nu", "0.5", "--lambda", "10", "--s", "0"],
+     f"instance size n={MAX_DOMAIN + 1} exceeds the limit of {MAX_DOMAIN}"),
+    (["lb", "probe", "--nu", "0.5", "--lambda", "10", "--L", "4", "--n", str(MAX_DOMAIN + 1), "--s-values", "0"],
+     f"instance size n={MAX_DOMAIN + 1} exceeds the limit of {MAX_DOMAIN}"),
 ]
 
 
@@ -647,6 +653,33 @@ def test_lb_solve_beyond_double_precision_exits_3(workdir, capsys):
     out = run_suite(str(manifest), None, 0)
     assert out.split("\n")[1] == f"0,0,{EXIT_INFEASIBLE},0.0,fail"
     assert "infeasible parameters: L=100 is beyond double precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["1e17", "1e308"])
+@pytest.mark.parametrize("verb,extra", [("solve", []), ("gen", ["--n", "100", "--s", "10"]),
+                                        ("probe", ["--n", "50", "--s-values", "0"])])
+def test_lb_lambda_beyond_double_precision_exits_3(workdir, capsys, lam, verb, extra):
+    """A lambda at which (lambda+1+nu)/(lambda-1-nu) rounds to 1 is refused
+    as infeasible, by main and in a suite row, with no traceback."""
+    argv = ["lb", verb, "--nu", "0.5", "--lambda", lam, "--L", "4", *extra]
+    if verb == "gen":
+        argv += ["--out-prefix", str(workdir / "inst")]
+    want = f"infeasible parameters: lambda={float(lam):g} is beyond double precision"
+    assert main(argv) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith(want) and "Traceback" not in err
+    row = f"verb=lb-{verb} " + " ".join(f"{f[2:].replace('-', '_')}={v}" for f, v in zip(argv[2::2], argv[3::2]))
+    manifest = workdir / "lam.suite"
+    manifest.write_text(row + "\n")
+    assert run_suite(str(manifest), None, 0).split("\n")[1] == f"0,0,{EXIT_INFEASIBLE},0.0,fail"
+    assert want in capsys.readouterr().err
+
+
+def test_lb_solve_at_an_inexact_one_plus_nu(capsys):
+    """At nu = 0.1, lambda = 2e4 the lowest atom once rounded below 1+nu and
+    the run ended in a PriorsError traceback."""
+    assert main(["lb", "solve", "--nu", "0.1", "--lambda", "20000", "--L", "4"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("side,atom,mass,beta,objective\n")
 
 
 # `--grid` (the size of the old moment-gap LP's grid) is gone from every lb verb

@@ -414,8 +414,8 @@ def test_demo_suite_bytes(capsys):
 
 
 # Reductions: byte pins of `reduce --kind g2b/b2m` output and of lifted
-# samples, produced by the lift-table implementation (per-row branch
-# tuples), from exactly the inputs built here.
+# sample counts (LiftedAccess.histogram), produced by the lift-table
+# implementation (per-row branch tuples), from exactly the inputs built here.
 
 
 def _lift_reductions():
@@ -428,15 +428,15 @@ def _lift_reductions():
     }
 
 
-def _lift_pin(name: str, method: str, s: int) -> str:
-    """sha256 (first 32 hex digits) over the dtype, shape and bytes of one
-    draw or histogram of s lifted samples and the generator state after it."""
+def _lift_pin(name: str, s: int) -> str:
+    """sha256 (first 32 hex digits) over the dtype, shape and bytes of the
+    histogram of s lifted samples and the generator state after it."""
     red = _lift_reductions()[name]
     v = np.random.default_rng(809).exponential(1.0, red.source.n)
     v[1] = 0.0  # a source row with no mass
     access = LiftedAccess(ExactDistAccess(Distribution(v / v.sum())), red)
     rng = Rng(810, s)
-    out = getattr(access, method)(s, rng)
+    out = access.histogram(s, rng)
     h = hashlib.sha256(f"{out.dtype.str}{out.shape}".encode())
     h.update(out.tobytes())
     h.update(repr(rng.gen.bit_generator.state).encode())
@@ -444,26 +444,14 @@ def _lift_pin(name: str, method: str, s: int) -> str:
 
 
 GOLDEN_LIFTS = {
-    "b2m1/draw/0": "e2a90e6a5d5fdfdc2a8e7ac0b06aac8c",
-    "b2m1/draw/1": "fe326eb99cccc6adbcb000010cb02991",
-    "b2m1/draw/100000": "d2a4b1b0a6d770a4c7efd91a7e518ab9",
-    "b2m1/draw/500": "a9d585758daa78563663793055233d37",
     "b2m1/histogram/0": "694b9a19bc70f607e8c3614e07aadbda",
     "b2m1/histogram/1": "cf707916fc4f4e00c621a57b8399df71",
     "b2m1/histogram/100000": "c20f353942c7218248283711207b03ac",
     "b2m1/histogram/500": "669c42c7cc4468fb90e3c0fa27964e3e",
-    "b2m3/draw/0": "e2a90e6a5d5fdfdc2a8e7ac0b06aac8c",
-    "b2m3/draw/1": "002016910c75dd52a9458fc5b411211d",
-    "b2m3/draw/100000": "1c9e55336041d9497fa1d5fa92e062f5",
-    "b2m3/draw/500": "21258757fe4acc588da95050633b3211",
     "b2m3/histogram/0": "1b75e1e7061b79e87487965cb964954c",
     "b2m3/histogram/1": "f201a91488e52b8202ead5aac03a42d0",
     "b2m3/histogram/100000": "ce4ecf2161f9bc5408f52d850c336e66",
     "b2m3/histogram/500": "9cc8e7def3b6b494182cc3ca19dc7f0b",
-    "g2b/draw/0": "e2a90e6a5d5fdfdc2a8e7ac0b06aac8c",
-    "g2b/draw/1": "4cae22b28f5a4a5867ea888ec3d7aa4e",
-    "g2b/draw/100000": "c578ac524823abd63d039ae4197d30e2",
-    "g2b/draw/500": "7558cd88d4cd6aa9c5009ac004b48fef",
     "g2b/histogram/0": "1f66d52d29642c09445798fd64e9963c",
     "g2b/histogram/1": "3be113471333257b95b5105616336983",
     "g2b/histogram/100000": "4ac801f7c171d42aa6f31574f559eeb8",
@@ -473,27 +461,8 @@ GOLDEN_LIFTS = {
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_LIFTS))
 def test_lifted_sample_pins(key):
-    name, method, s = key.split("/")
-    assert _lift_pin(name, method, int(s)) == GOLDEN_LIFTS[key]
-
-
-GOLDEN_LIFT_SEQUENCE = [
-    "0 7 6 5 4 3 2 1 0",
-    "79a24c3fced2b0e2",
-    "2 23 16 10 3 26 18 13 8",
-    "3277c632845324b9",
-    "9 16 14 3 1 17 6 13 11",
-    "3277c632845324b9",
-]
-
-
-def test_lift_sequence_pin():
-    out = []
-    for name, red in sorted(_lift_reductions().items()):
-        rng = Rng(811)
-        out.append(" ".join(str(red.lift(i % red.source.n, rng)) for i in range(0, 60, 7)))
-        out.append(_sha(repr(rng.gen.bit_generator.state).encode())[:16])
-    assert out == GOLDEN_LIFT_SEQUENCE
+    name, _, s = key.split("/")
+    assert _lift_pin(name, int(s)) == GOLDEN_LIFTS[key]
 
 
 def _reduce_digests(tmp_path, kind: str, source, extra=()) -> tuple[str, str]:

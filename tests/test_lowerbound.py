@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -22,6 +23,7 @@ from posetdist import (
     solve_moment_gap,
 )
 from posetdist.lowerbound import MOMENT_REL_TOL, POISSON_LAM_MAX, fingerprint_stats
+from posetdist.poset import MAX_DOMAIN
 from posetdist.prob import choice_indices
 
 from genutil import (
@@ -104,6 +106,31 @@ def test_build_priors_sweep_until_refused(lam):
     for far in (L + 1, 40, 10**9):
         with pytest.raises(ParameterError, match="beyond double precision"):
             build_priors(0.5, lam, far)
+
+
+def test_lambda_beyond_double_precision_is_refused():
+    """Above about 2^54, (lambda+1+nu)/(lambda-1-nu) rounds to 1, and the
+    alternation points would coincide: such a lambda is refused before any
+    log of their differences is taken. lambda = 10^16 still builds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (1e17, 1e308):
+            for L in range(2, 9):
+                with pytest.raises(ParameterError, match=re.escape(f"lambda={lam:g} is beyond double precision at nu=0.5")):
+                    build_priors(0.5, lam, L)
+        build_priors(0.5, 1e16, 4).validate()
+
+
+@pytest.mark.parametrize("nu,lam", [(0.1, 2e4), (0.1, 1e6), (0.1, 1e12), (0.9, 1e5), (0.9, 1e9)])
+def test_end_points_stay_in_the_interval(nu, lam):
+    """1+nu is not exact in binary, and at these lambdas the map from [-1, 1]
+    rounded the lowest alternation point below 1+nu, so validate refused
+    the priors with PriorsError. Every point now lies in [1+nu, lambda]."""
+    for L in (2, 3, 4, 8):
+        _, (ax, _), (ax2, _) = solve_moment_gap(nu, lam, L)
+        points = np.concatenate((ax, ax2))
+        assert points.min() >= 1 + nu and points.max() <= lam
+        build_priors(nu, lam, L).validate()
 
 
 def test_validate_compares_moments_past_the_double_range():
@@ -238,6 +265,7 @@ _TOO_LARGE = "is too large: s\\*max\\(atoms\\) must be at most 9.223372006484770
     pytest.param(1, 10**20, f"s={10**20} at n=1 {_TOO_LARGE}", id="1-1e20-too large"),
     pytest.param(1000, 10**400, f"s={10**400} at n=1000 {_TOO_LARGE}", id="1000-1e400-too large"),
     pytest.param(10**4, 10**19, f"s={10**19} at n=10000 {_TOO_LARGE}", id="10000-1e19-too large"),
+    pytest.param(MAX_DOMAIN + 1, 0, f"n={MAX_DOMAIN + 1} exceeds the limit of {MAX_DOMAIN}", id="cap-0-too large"),
 ])
 def test_generate_instance_rejects_bad_sizes(n, s, message):
     rng = Rng(0)
@@ -254,12 +282,16 @@ def test_generate_instance_rejects_bad_sizes(n, s, message):
         (0, [0, 20], 5, "n must be at least 1"),
         (50, [0, 20], 0, "trials must be at least 1"),
         (50, [20, -5], 5, "sample rates must be nonnegative"),
+        (MAX_DOMAIN + 1, [0], 5, f"n={MAX_DOMAIN + 1} exceeds the limit of {MAX_DOMAIN}"),
     ],
 )
 def test_probe_rejects_bad_inputs(n, s_values, trials, message):
+    rng = Rng(0)
+    state = rng.gen.bit_generator.state
     with pytest.raises(ValueError, match=message) as exc:
-        indistinguishability_probe(build_priors(0.5, 6.0, 4), n, s_values, trials, Rng(0))
+        indistinguishability_probe(build_priors(0.5, 6.0, 4), n, s_values, trials, rng)
     assert type(exc.value) is ValueError
+    assert rng.gen.bit_generator.state == state  # refused before any draw
 
 
 def _hand_priors(atoms_far, mass_far):

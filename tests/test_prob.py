@@ -40,19 +40,16 @@ def test_distribution_rejects_non_finite(probs):
         Distribution(np.array(probs))
 
 
-def _draw(p: Distribution, s: int, rng: Rng) -> np.ndarray:
-    return ExactDistAccess(p).draw(s, rng)
-
-
 def _poissonized(rates, rng: Rng) -> np.ndarray:
     """Independent Poisson(rates[i]) counts, one atom per element."""
     return _poisson_counts(np.asarray(rates, dtype=float), np.arange(len(rates)), rng)[0]
 
 
 def test_rng_reproducible():
-    a = _draw(Distribution.uniform(10), 1000, Rng(42, 3))
-    b = _draw(Distribution.uniform(10), 1000, Rng(42, 3))
-    c = _draw(Distribution.uniform(10), 1000, Rng(42, 4))
+    acc = ExactDistAccess(Distribution.uniform(10))
+    a = acc.histogram(1000, Rng(42, 3))
+    b = acc.histogram(1000, Rng(42, 3))
+    c = acc.histogram(1000, Rng(42, 4))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     h1 = _poissonized(np.full(50, 2.0), Rng(7, 0))
@@ -64,21 +61,6 @@ def test_rng_reproducible():
 def test_rng_refuses_a_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
         Rng(seed)
-
-
-def test_sample_point_mass_and_empty():
-    assert _draw(Distribution.point_mass(5, 2), 5, Rng(0)).tolist() == [2] * 5
-    assert _draw(Distribution.uniform(3), 0, Rng(0)).size == 0
-    with pytest.raises(ValueError, match="sample count must be nonnegative"):
-        _draw(Distribution.uniform(3), -1, Rng(0))
-
-
-def test_sample_empirical_frequency():
-    # Chernoff window at a fixed seed
-    s = 100_000
-    idx = _draw(Distribution.uniform(4), s, Rng(123))
-    freq = np.bincount(idx, minlength=4) / s
-    np.testing.assert_allclose(freq, 0.25, atol=0.01)
 
 
 def test_multinomial_histogram_matches_draw_law():
@@ -231,8 +213,6 @@ def test_exact_access_consistency():
     acc = ExactDistAccess(p)
     h = acc.histogram(200_000, Rng(4))
     np.testing.assert_allclose(h / 200_000, p.probs, atol=0.01)
-    d = acc.draw(1000, Rng(4))
-    assert d.min() >= 0 and d.max() <= 2
 
 
 def _assert_draws_like_choice(p, size, seed):
@@ -279,14 +259,3 @@ def test_choice_cdf_rejects_what_choice_rejects(p):
         reference_choice(p, None, np.random.default_rng(0))
     with pytest.raises(ValueError, match="probabilities must be"):
         choice_cdf(p)
-
-
-@pytest.mark.parametrize("n", [10, 300])
-def test_sample_reproduces_choice(n):
-    p = Distribution(np.linspace(1.0, 3.0, n) / np.linspace(1.0, 3.0, n).sum())
-    ref = Rng(n)
-    expected = reference_choice(p.probs, 5000, ref.gen)
-    rng = Rng(n)
-    got = _draw(p, 5000, rng)
-    assert got.dtype == np.int64 and np.array_equal(got, expected)
-    assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
