@@ -136,6 +136,32 @@ def test_bipartite_csv_bytes(tmp_path, capsys, kind):
     assert out == GOLDEN_BIPARTITE_CSV[kind]
 
 
+# `test --alg all-matchings` on a 4+4 random bipartite poset whose largest
+# matchable bottom-over-top mass gap sits near the threshold, so that the
+# trials split between accept and reject.
+GOLDEN_ALL_MATCHINGS_CSV = (
+    "trial,decision,stat,threshold\n"
+    "0,accept,0.12109375,0.125\n"
+    "1,accept,0.1171875,0.125\n"
+    "2,reject,0.126953125,0.125\n"
+    "3,accept,0.123046875,0.125\n"
+    "4,accept,0.115234375,0.125\n"
+    "5,accept,0.1171875,0.125\n"
+)
+
+
+def test_all_matchings_csv_bytes(tmp_path, capsys):
+    rng = np.random.default_rng(2026)
+    G = random_bipartite(rng, 4, 4, edge_prob=0.5)
+    v = rng.exponential(1.0, G.n)
+    write_poset(G, tmp_path / "g.poset")
+    write_distribution(Distribution(v / v.sum()), tmp_path / "g.dist")
+    out = _cli_csv(capsys, ["test", "--alg", "all-matchings", "--poset", str(tmp_path / "g.poset"),
+                            "--dist", str(tmp_path / "g.dist"), "--eps", str(EPS),
+                            "--trials", "6", "--seed", "7"])
+    assert out == GOLDEN_ALL_MATCHINGS_CSV
+
+
 def _fractional_learner(cb, ct, step):
     """External learner with fractional counts: the plug-in histogram with
     each count scaled by 0.37."""
@@ -413,9 +439,10 @@ def test_demo_suite_bytes(capsys):
     assert capsys.readouterr() == GOLDEN_DEMO_SUITE
 
 
-# Reductions: byte pins of `reduce --kind g2b/b2m` output and of lifted
-# sample counts (LiftedAccess.histogram), produced by the lift-table
-# implementation (per-row branch tuples), from exactly the inputs built here.
+# Reductions: byte pins of `reduce` output and of lifted sample counts
+# (LiftedAccess.histogram). The g2b/b2m and lift pins were produced by the
+# lift-table implementation (per-row branch tuples), the big2m/m2hyp pins by
+# the loop-built hypercube embedding, from exactly the inputs built here.
 
 
 def _lift_reductions():
@@ -466,12 +493,19 @@ def test_lifted_sample_pins(key):
 
 
 def _reduce_digests(tmp_path, kind: str, source, extra=()) -> tuple[str, str]:
-    write_poset(source, tmp_path / "src.poset")
-    v = np.random.default_rng(812).exponential(1.0, source.n)
+    """Digests of the reduced poset and distribution files. source is a
+    poset (g2b, b2m) or the size of a source distribution (big2m, m2hyp,
+    which read it as --from)."""
+    n = source if isinstance(source, int) else source.n
+    v = np.random.default_rng(812).exponential(1.0, n)
     write_distribution(Distribution(v / v.sum()), tmp_path / "src.dist")
+    if isinstance(source, int):
+        inputs = ["--from", str(tmp_path / "src.dist")]
+    else:
+        write_poset(source, tmp_path / "src.poset")
+        inputs = ["--from", str(tmp_path / "src.poset"), "--dist", str(tmp_path / "src.dist")]
     out_p, out_d = tmp_path / "out.poset", tmp_path / "out.dist"
-    assert main(["reduce", "--from", str(tmp_path / "src.poset"), "--kind", kind,
-                 "--dist", str(tmp_path / "src.dist"), *extra,
+    assert main(["reduce", *inputs, "--kind", kind, *extra,
                  "--out-poset", str(out_p), "--out-dist", str(out_d)]) == 0
     return _sha(out_p.read_bytes()), _sha(out_d.read_bytes())
 
@@ -485,9 +519,25 @@ GOLDEN_REDUCE = {
         "e070673d4d7c3d0a06843b402ef14b5f215581eedf96c734f4863020c5dda868",
         "b142b2dab341ac1d0bb429d3a11263e69958d39537aea35e496c4a4024373d39",
     ),
+    "big2m": (
+        "f0f996dd53c5915a3f3359dc7c8211b02a1dd05aa029ef8095c4b4daf0ac99c3",
+        "299fa47e22388cdb877dd8b1c56af15bb4add708ae4e72ab8cf755f5495150da",
+    ),
+    "big2m-T": (
+        "f0f996dd53c5915a3f3359dc7c8211b02a1dd05aa029ef8095c4b4daf0ac99c3",
+        "86fc6fb8c06befda16743db67453ed89fbe7642d1ae7655a2b89f1773df8b6d8",
+    ),
     "g2b": (
         "35939a796d940bf351b420aeeff808a25ed96d33524c1ac685daaac1f1fdcbb0",
         "cfb93eb09e4b5427f7cf17dd9826e5a336df855994e962811b95b0d9692820c1",
+    ),
+    "m2hyp": (
+        "450acef88b04786d067228a8b637111a2a87a3cbbdf13cfab6585119b6bd6381",
+        "e779c61bb9f0c6361b479030aa7179b13a09dffeca39611e4c3a1fbcdf94bbfb",
+    ),
+    "m2hyp-ell1": (
+        "8509689bf89567ebd864d23f847106791e2d24f5bdd9f03a57ef077f6e5ed07e",
+        "4166e28d805ed23f3bd8c56334810e2c624badbf16338fa279df609434906a3e",
     ),
 }
 
@@ -499,6 +549,10 @@ def test_reduce_output_bytes(tmp_path, capsys, case):
         "g2b": ("g2b", random_dag(rng, 12), ()),
         "b2m": ("b2m", random_bipartite(rng, 7, 6, edge_prob=0.4), ()),
         "b2m-delta": ("b2m", random_bipartite(rng, 5, 5, edge_prob=0.3), ("--delta", "5")),
+        "big2m": ("big2m", 12, ()),
+        "big2m-T": ("big2m", 12, ("--T", "0.05")),
+        "m2hyp": ("m2hyp", 20, ("--d", "6", "--ell", "3", "--pmax", "0.5")),
+        "m2hyp-ell1": ("m2hyp", 2, ("--d", "4", "--ell", "1", "--pmax", "0.9")),
     }
     kind, source, extra = sources[case]
     assert _reduce_digests(tmp_path, kind, source, extra) == GOLDEN_REDUCE[case]
