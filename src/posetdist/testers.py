@@ -304,32 +304,16 @@ def uniform_subset_test(
 
 def _enumerate_matchable_pairs(G: Poset, cap: int):
     """All (top set, bottom set) endpoint pairs of matchings in G, as sorted
-    tuples, empty pair included. Enumerates matchings edge-by-edge, so the
-    count of distinct pairs (not the vertex count) is the binding limit."""
-    edges = G.edge_array.tolist()
+    tuples, empty pair included, from one pass over the edges: as edges run
+    bottom -> top, edge (u, v) extends each pair found so far whose bottoms
+    lack u and tops lack v. The work is at most the edge count times cap."""
     pairs = {((), ())}
-    used: set[int] = set()
-    chosen: list[tuple[int, int]] = []
-
-    def walk(start: int):
-        for k in range(start, len(edges)):
-            u, v = edges[k]
-            if u in used or v in used:
-                continue
-            used.update((u, v))
-            chosen.append((u, v))
-            key = (
-                tuple(sorted(t for _, t in chosen)),
-                tuple(sorted(b for b, _ in chosen)),
-            )
-            pairs.add(key)
-            if len(pairs) > cap:
-                raise SizeCapError(f"more than {cap} matchable subset pairs")
-            walk(k + 1)
-            used.difference_update((u, v))
-            chosen.pop()
-
-    walk(0)
+    for u, v in G.edge_array.tolist():
+        for tops, bottoms in list(pairs):
+            if u not in bottoms and v not in tops:
+                pairs.add((tuple(sorted(tops + (v,))), tuple(sorted(bottoms + (u,)))))
+                if len(pairs) > cap:
+                    raise SizeCapError(f"more than {cap} matchable subset pairs")
     return sorted(pairs)
 
 
@@ -339,7 +323,8 @@ def all_matchings_test(
     access: SampleAccess,
     rng: Rng | None = None,
 ) -> Verdict:
-    """Compare top vs bottom mass over every perfectly-matchable subset pair.
+    """Compare top vs bottom mass over every perfectly-matchable subset pair,
+    found in one pass over the edges (work at most edge count times PAIR_CAP).
 
     One shared sample pool, split into groups for a median-of-means estimate
     per pair (failure probability O(1/M) each); reject as soon as some pair's

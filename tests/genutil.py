@@ -19,6 +19,7 @@ from posetdist import (
     PairHistogram,
     Poset,
     PosetError,
+    SizeCapError,
     make_bipartite,
     transitive_closure,
 )
@@ -273,6 +274,33 @@ def pair_admits_perfect_matching(G: Poset, tops, bottoms) -> bool:
         return False
 
     return all(augment(b, set()) for b in bottoms)
+
+
+def reference_matchable_pairs(G: Poset, cap: int):
+    """The (top set, bottom set) endpoint pairs of G's matchings, as sorted
+    tuples, empty pair included, by walking every matching edge by edge;
+    SizeCapError as soon as more than cap distinct pairs are seen."""
+    edges = G.edge_array.tolist()
+    pairs = {((), ())}
+    used: set[int] = set()
+    chosen: list[tuple[int, int]] = []
+
+    def walk(start: int):
+        for k in range(start, len(edges)):
+            u, v = edges[k]
+            if u in used or v in used:
+                continue
+            used.update((u, v))
+            chosen.append((u, v))
+            pairs.add((tuple(sorted(t for _, t in chosen)), tuple(sorted(b for b, _ in chosen))))
+            if len(pairs) > cap:
+                raise SizeCapError(f"more than {cap} matchable subset pairs")
+            walk(k + 1)
+            used.difference_update((u, v))
+            chosen.pop()
+
+    walk(0)
+    return sorted(pairs)
 
 
 # Generator-call references for the library's sampling routines: the numpy

@@ -19,9 +19,15 @@ from posetdist import (
     matching_monotonicity_test,
     uniform_subset_test,
 )
-from posetdist.testers import MixedWithUniform, _enumerate_matchable_pairs
+from posetdist.testers import PAIR_CAP, MixedWithUniform, _enumerate_matchable_pairs
 
-from genutil import far_matching_dist, monotone_matching_dist, pair_admits_perfect_matching
+from genutil import (
+    far_matching_dist,
+    monotone_matching_dist,
+    pair_admits_perfect_matching,
+    random_bipartite,
+    reference_matchable_pairs,
+)
 
 
 def rates(fn, trials=30, seed=101):
@@ -220,6 +226,39 @@ def test_matchable_pair_enumeration():
     assert not pair_admits_perfect_matching(shared_top, (2,), (0, 1))
     with pytest.raises(SizeCapError):
         _enumerate_matchable_pairs(K22, 3)
+
+
+def _complete_bipartite(k: int):
+    return make_bipartite(2 * k, [(b, k + t) for b in range(k) for t in range(k)], bottom=range(k))
+
+
+def _matchable_pair_grid():
+    rng = np.random.default_rng(2424)
+    for density in (0.15, 0.3, 0.5, 0.8):
+        for _ in range(12):
+            nb, nt = (int(x) for x in rng.integers(1, 9, size=2))
+            yield f"random {nb}+{nt} p={density}", random_bipartite(rng, nb, nt, edge_prob=density)
+    for k in range(1, 13):
+        yield f"matching {k}", make_matching(k)
+    for k in range(1, 7):
+        yield f"K{k},{k}", _complete_bipartite(k)
+
+
+def _pairs_or_refusal(enumerate_pairs, G, cap):
+    try:
+        return enumerate_pairs(G, cap)
+    except SizeCapError as exc:
+        return f"SizeCapError: {exc}"
+
+
+@pytest.mark.parametrize("cap", [3, 50, PAIR_CAP])
+def test_matchable_pairs_match_the_per_matching_walk(cap):
+    outcomes = set()
+    for name, G in _matchable_pair_grid():
+        want = _pairs_or_refusal(reference_matchable_pairs, G, cap)
+        assert _pairs_or_refusal(_enumerate_matchable_pairs, G, cap) == want, name
+        outcomes.add(isinstance(want, str))
+    assert outcomes == {False, True}  # both lists and refusals at every cap
 
 
 def test_external_pair_learner_plugs_in():
