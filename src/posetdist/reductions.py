@@ -163,16 +163,10 @@ def hypercube_embedding(d: int, ell: int) -> HypercubeEmbedding:
     if d > HYPERCUBE_MAX_DIM:
         raise CapacityError(f"hypercube dimension {d} exceeds capacity cap {HYPERCUBE_MAX_DIM}")
     last = 1 << (d - 1)
-    pairs = []
-    for prefix in range(last):
-        if prefix.bit_count() == ell - 1:
-            pairs.append((prefix, prefix | last))
-    pairs.sort()
+    pairs = tuple((prefix, prefix | last) for prefix in range(last) if prefix.bit_count() == ell - 1)
     matched_tops = {t for _, t in pairs}
-    filler = tuple(
-        v for v in range(1 << d) if v.bit_count() >= ell and v not in matched_tops
-    )
-    return HypercubeEmbedding(d, ell, tuple(pairs), filler)
+    filler = tuple(v for v in range(1 << d) if v.bit_count() >= ell and v not in matched_tops)
+    return HypercubeEmbedding(d, ell, pairs, filler)
 
 
 def hypercube_scale(d: int, ell: int, p_max: float) -> float:
@@ -200,9 +194,8 @@ def matching_to_hypercube(d: int, ell: int, p: Distribution, p_max: float) -> Di
         raise ValueError(f"p_max must be finite and at least the largest per-element mass {top!r}, got p_max={p_max}")
     scale = hypercube_scale(d, ell, p_max)
     q = np.zeros(1 << d)
-    for k, (lo, hi) in enumerate(emb.pairs):
-        q[lo] = p.probs[k]
-        q[hi] = p.probs[n_pairs + k]
-    for v in emb.filler:
-        q[v] = p_max
+    q[list(emb.filler)] = p_max
+    lo, hi = np.array(emb.pairs).T
+    q[lo] = p.probs[:n_pairs]
+    q[hi] = p.probs[n_pairs:]
     return Distribution(q / scale)
