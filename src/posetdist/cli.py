@@ -116,6 +116,11 @@ def _delta(a, G) -> int:
     return a.delta if a.delta is not None else max(G.max_degree(), 1)
 
 
+def _threshold(a, p) -> float:
+    """--T, or else 1/n for p over n elements."""
+    return a.T if a.T is not None else 1.0 / p.n
+
+
 def _run_test(a, base=""):
     p = read_distribution(os.path.join(base, a.dist))
     learner = LearnerSpec(budget_multiplier=a.multiplier)
@@ -128,10 +133,9 @@ def _run_test(a, base=""):
     rows = []
     accepts = 0
     for t in range(a.trials):
-        rng = Rng(a.seed).derive(t)
+        rng = Rng(a.seed, t)
         if a.alg == "bigness":
-            T = a.T if a.T is not None else 1.0 / p.n
-            v = bigness_test(access, p.n, T, a.eps, learner, rng)
+            v = bigness_test(access, p.n, _threshold(a, p), a.eps, learner, rng)
         elif a.alg == "matching":
             v = matching_monotonicity_test(G, access, a.eps, learner, rng)
         elif a.alg == "bipartite":
@@ -162,7 +166,7 @@ def _run_reduce(a, base=""):
         summary = {"target_n": red.target.n, "far_divisor": red.far_divisor}
     elif a.kind == "big2m":
         p = read_distribution(source)
-        q, meta = bigness_to_matching(p, a.T if a.T is not None else 1.0 / p.n)
+        q, meta = bigness_to_matching(p, _threshold(a, p))
         write_poset(meta["poset"], out_poset)
         write_distribution(q, out_dist)
         summary = {"target_n": meta["poset"].n, "far_divisor": meta["far_divisor"]}
