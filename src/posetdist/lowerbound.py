@@ -32,6 +32,7 @@ from .simplex import solve_lp  # noqa: F401
 MASS_TOL = 1e-9
 MEAN_TOL = 1e-8
 MOMENT_REL_TOL = 1e-8
+PLACEMENT_ULPS = 2.0  # spacings of lam a point may be off: one for the map from t, one for the clip
 LOG_W_BLOCK = 64  # rows of the atom-difference matrix that solve_moment_gap holds at once
 # the largest rate Generator.poisson accepts (numpy's POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
@@ -149,7 +150,10 @@ class MomentPriors:
     gap: float
 
     def validate(self) -> None:
-        """Enforce all invariants, raising PriorsError with residuals."""
+        """Enforce all invariants, raising PriorsError with residuals, or
+        ParameterError when the only breaches are moment misses that placing
+        the atoms to PLACEMENT_ULPS spacings of lam (over beta) can explain:
+        rounding, not a bug, at a lambda beyond double precision for this L."""
         problems = []
         for name, atoms, mass in (
             ("big", self.atoms_big, self.mass_big),
@@ -170,17 +174,26 @@ class MomentPriors:
         # Moments of the atoms / S, so no power overflows, under the rule |a - b| <=
         # MOMENT_REL_TOL * max(1, |a|) divided by S^j; a non-finite moment fails it.
         S = max(1.0, float(self.atoms_big.max(initial=0.0)), float(self.atoms_far.max(initial=0.0)))
+        sides = ((self.atoms_big / S, self.mass_big), (self.atoms_far / S, self.mass_far))
+        e = PLACEMENT_ULPS * np.spacing(self.lam) / self.beta / S  # an atom's placement error / S
+        rounded = []  # moment misses that the atoms' placement error can explain
         for j in range(1, self.L + 1):
-            mj_big = float((self.atoms_big / S) ** j @ self.mass_big)
-            mj_far = float((self.atoms_far / S) ** j @ self.mass_far)
-            if not abs(mj_big - mj_far) <= MOMENT_REL_TOL * max(abs(mj_big), S**-j):
-                problems.append(f"moment {j} of the atoms / {S!r} mismatch: {mj_big!r} vs {mj_far!r}")
+            mj_big, mj_far = (float(a**j @ m) for a, m in sides)
+            miss, tol = abs(mj_big - mj_far), MOMENT_REL_TOL * max(abs(mj_big), S**-j)
+            if not miss <= tol:
+                shift = sum(float(m @ (a * ((a + e) ** (j - 1) - a ** (j - 1)))) for a, m in sides)
+                (rounded if miss <= tol + shift else problems).append(
+                    f"moment {j} of the atoms / {S!r} mismatch: {mj_big!r} vs {mj_far!r}")
         if self.gap > 0 and not (
             1 + self.nu - 1e-9 <= self.beta <= min(self.lam, 1.0 / self.gap) + 1e-9
         ):
             problems.append(f"beta {self.beta!r} outside [1+nu, min(lam, 1/gap)]")
         if problems:
-            raise PriorsError("; ".join(problems))
+            raise PriorsError("; ".join(problems + rounded))
+        if rounded:
+            raise ParameterError(f"L={self.L} is beyond double precision at nu={self.nu:g}, lambda={self.lam:g}: "
+                                 f"placing the atoms to within {PLACEMENT_ULPS:g} spacings of lambda can cause "
+                                 + "; ".join(rounded))
 
     def zero_mass(self) -> float:
         return float(self.mass_far[self.atoms_far == 0.0].sum())
@@ -238,7 +251,8 @@ def priors_from_gap_solution(nu, lam, L, atoms_x, mass_x, atoms_x2, mass_x2) -> 
 def build_priors(nu: float, lam: float, L: int) -> MomentPriors:
     """The prior pair: the gap program's optimum in closed form
     (solve_moment_gap, which refuses an L beyond double precision with
-    ParameterError), then the change of measure."""
+    ParameterError), then the change of measure, whose validate refuses a
+    moment missed only through the rounding of the atoms' places likewise."""
     _, (ax, mx), (ax2, mx2) = solve_moment_gap(nu, lam, L)
     return priors_from_gap_solution(nu, lam, L, ax, mx, ax2, mx2)
 

@@ -675,6 +675,21 @@ def test_lb_lambda_beyond_double_precision_exits_3(workdir, capsys, lam, verb, e
     assert want in capsys.readouterr().err
 
 
+def test_lb_solve_where_atom_placement_rounding_breaks_a_moment(workdir, capsys):
+    """At lambda = 6257783137866831 and L = 2 the map from t places the
+    interior atom (about 6.6e7) only to about one spacing of lambda, and
+    moment 2 missed MOMENT_REL_TOL: the run ended in a PriorsError
+    traceback. It is refused as infeasible, by main and in a suite row."""
+    want = "infeasible parameters: L=2 is beyond double precision at nu=0.5, lambda=6.25778e+15: "
+    assert main(["lb", "solve", "--nu", "0.5", "--lambda", "6257783137866831", "--L", "2"]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith(want) and "moment 2 of the atoms" in err and "Traceback" not in err
+    manifest = workdir / "lam.suite"
+    manifest.write_text("verb=lb-solve nu=0.5 lambda=6257783137866831 L=2\n")
+    assert run_suite(str(manifest), None, 0).split("\n")[1] == f"0,0,{EXIT_INFEASIBLE},0.0,fail"
+    assert want in capsys.readouterr().err
+
+
 def test_lb_solve_at_an_inexact_one_plus_nu(capsys):
     """At nu = 0.1, lambda = 2e4 the lowest atom once rounded below 1+nu and
     the run ended in a PriorsError traceback."""

@@ -121,6 +121,29 @@ def test_lambda_beyond_double_precision_is_refused():
         build_priors(0.5, 1e16, 4).validate()
 
 
+def test_atom_placement_rounding_is_refused_and_a_larger_miss_is_a_bug():
+    """At lambda = 6257783137866831, L = 2 the map from t places the interior
+    atom (about 6.6e7) only to about one spacing of lambda, and moment 2
+    missed MOMENT_REL_TOL: a PriorsError. It is refused with ParameterError;
+    the other L at that lambda, and lambda = 1e16, still build. Moving an X'
+    atom by ten spacings of lambda is more than placement rounding can do,
+    and stays a PriorsError."""
+    lam = 6257783137866831.0
+    with pytest.raises(ParameterError, match=re.escape("L=2 is beyond double precision at nu=0.5, lambda=6.25778e+15")):
+        build_priors(0.5, lam, 2)
+    for L in (3, 4, 5, 6, 8):
+        build_priors(0.5, lam, L).validate()
+    for L in (2, 3, 4, 5, 6, 8):
+        build_priors(0.5, 1e16, L).validate()
+    _, (ax, mx), (ax2, mx2) = solve_moment_gap(0.5, lam, 3)
+    for spacings, error in ((2, ParameterError), (10, PriorsError)):
+        moved = ax2.copy()
+        moved[0] += spacings * np.spacing(lam)
+        with pytest.raises((ParameterError, PriorsError)) as exc:
+            priors_from_gap_solution(0.5, lam, 3, ax, mx, moved, mx2)
+        assert type(exc.value) is error and "moment 2 of the atoms" in str(exc.value)
+
+
 @pytest.mark.parametrize("nu,lam", [(0.1, 2e4), (0.1, 1e6), (0.1, 1e12), (0.9, 1e5), (0.9, 1e9)])
 def test_end_points_stay_in_the_interval(nu, lam):
     """1+nu is not exact in binary, and at these lambdas the map from [-1, 1]
