@@ -136,6 +136,40 @@ def test_bipartite_csv_bytes(tmp_path, capsys, kind):
     assert out == GOLDEN_BIPARTITE_CSV[kind]
 
 
+# `test --alg uniform-subset` on a 1000+1000 degree-3 bipartite poset. On the
+# narrow input (uniform on 100 bottoms and every top) the sampled bottoms
+# reach few tops, so stage 1 accepts (branch 1); on the wide input (uniform
+# on everything) they reach nearly every top and stage 2 decides (branch 2).
+GOLDEN_UNIFORM_SUBSET_CSV = {
+    "branch1": (
+        "trial,decision,stat,threshold\n"
+        "0,accept,268.0,635.0\n"
+        "1,accept,268.0,635.0\n"
+        "2,accept,268.0,635.0\n"
+    ),
+    "branch2": (
+        "trial,decision,stat,threshold\n"
+        "0,accept,-215.2475,0.0\n"
+        "1,accept,-233.88250000000005,0.0\n"
+        "2,accept,-203.6125,0.0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["branch1", "branch2"])
+def test_uniform_subset_csv_bytes(tmp_path, capsys, kind):
+    G, _, _ = _bipartite_inputs(1000, 2027)
+    v = np.ones(G.n)
+    if kind == "branch1":
+        v[100:1000] = 0.0
+    write_poset(G, tmp_path / "u.poset")
+    write_distribution(Distribution(v / v.sum()), tmp_path / "u.dist")
+    out = _cli_csv(capsys, ["test", "--alg", "uniform-subset", "--poset", str(tmp_path / "u.poset"),
+                            "--dist", str(tmp_path / "u.dist"), "--eps", str(EPS),
+                            "--trials", "3", "--seed", "17"])
+    assert out == GOLDEN_UNIFORM_SUBSET_CSV[kind]
+
+
 # `test --alg all-matchings` on a 4+4 random bipartite poset whose largest
 # matchable bottom-over-top mass gap sits near the threshold, so that the
 # trials split between accept and reject.
