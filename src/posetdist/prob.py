@@ -6,8 +6,11 @@ concurrent work derives disjoint streams instead of sharing state.
 
 Sample access is the law of the counts: for i.i.d. samples the count
 vector is a sufficient statistic, so SampleAccess.histogram is the one
-sampling method (ExactDistAccess draws the counts as one multinomial, in
-O(n) whatever s is).
+sampling method a subclass implements (ExactDistAccess draws the counts as
+one multinomial, in O(n) whatever s is). The count that lands in a set is
+Binomial(s, q(set)); SampleAccess.count_in draws it, by default as the sum of
+a histogram over the set, and a subclass that knows q(set) draws the one
+binomial instead.
 
 A PairHistogram is three numpy arrays x, y, count sorted by (x, y) with unique
 keys and no (0, 0) key; building, rescaling and merging one are array
@@ -256,14 +259,34 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
+def _check_sample_count(s: int) -> None:
+    if s < 0:
+        raise ValueError("sample count must be nonnegative")
+
+
 class SampleAccess:
     """Sample-only access to an unknown distribution over 0..n-1: a subclass
-    implements histogram(s, rng), the int64 counts of s i.i.d. draws."""
+    implements histogram(s, rng), the int64 counts of s i.i.d. draws, and
+    may override count_in with a draw of the same law."""
 
     n: int
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
         raise NotImplementedError
+
+    def count_in(self, mask, s: int, rng: Rng) -> int:
+        """How many of s i.i.d. draws land in mask, a boolean vector of
+        length n: the sum of histogram(s, rng) over mask."""
+        mask = self._mask(mask, s)
+        return int(self.histogram(s, rng)[mask].sum())
+
+    def _mask(self, mask, s: int) -> np.ndarray:
+        """mask as an array, after count_in's checks on it and on s."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (self.n,):
+            raise ValueError(f"count_in needs a boolean mask of length n={self.n}")
+        _check_sample_count(s)
+        return mask
 
 
 class ExactDistAccess(SampleAccess):
@@ -275,9 +298,14 @@ class ExactDistAccess(SampleAccess):
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
         """The counts of s i.i.d. draws, drawn at once as a multinomial."""
-        if s < 0:
-            raise ValueError("sample count must be nonnegative")
+        _check_sample_count(s)
         return rng.gen.multinomial(int(s), self.dist.probs).astype(np.int64, copy=False)
+
+    def count_in(self, mask, s: int, rng: Rng) -> int:
+        """The count in mask as one Binomial(s, p(mask)) draw, p(mask)
+        clipped at 1 (a distribution's total may exceed 1 by SUM_TOL)."""
+        mask = self._mask(mask, s)
+        return int(rng.gen.binomial(int(s), min(1.0, float(self.dist.probs[mask].sum()))))
 
 
 def _blocks(path, error: type[ValueError] = ValueError):

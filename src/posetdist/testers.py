@@ -22,7 +22,15 @@ from .oracles import SizeCapError, _check_threshold, _midpoint_cost, dist_to_big
 # stay bound: perfbench/spans.py wraps both names on this module.
 from .oracles import min_w_to_monotone_pairhist  # noqa: F401
 from .poset import Poset
-from .prob import Distribution, PairHistogram, Rng, SampleAccess, _snap, pair_histogram  # noqa: F401
+from .prob import (  # noqa: F401
+    Distribution,
+    PairHistogram,
+    Rng,
+    SampleAccess,
+    _check_sample_count,
+    _snap,
+    pair_histogram,
+)
 from .reductions import LiftedAccess, bipartite_to_matching
 
 MASS_EST_CONST = 32.0  # ceil(32/eps^2) samples per additive-eps mass estimate
@@ -145,15 +153,25 @@ def _count_pairs(counts_bottom, counts_top):
 
 class MixedWithUniform(SampleAccess):
     """Each sample comes from the base distribution or uniform on the domain
-    with probability 1/2 each, i.e. access to p/2 + u/2."""
+    with probability 1/2 each, i.e. access to p/2 + u/2. Both methods first
+    split the s draws into k ~ Binomial(s, 1/2) base draws and s - k uniform
+    ones."""
 
     def __init__(self, base: SampleAccess):
         self.base = base
         self.n = base.n
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
+        _check_sample_count(s)
         k = int(rng.gen.binomial(s, 0.5))
         return self.base.histogram(k, rng) + rng.gen.multinomial(s - k, np.full(self.n, 1.0 / self.n))
+
+    def count_in(self, mask, s: int, rng: Rng) -> int:
+        """The base's count_in of k draws plus Binomial(s - k, |mask| / n)."""
+        mask = self._mask(mask, s)
+        k = int(rng.gen.binomial(s, 0.5))
+        from_base = self.base.count_in(mask, k, rng)
+        return from_base + int(rng.gen.binomial(s - k, np.count_nonzero(mask) / self.n))
 
 
 def bigness_test(
@@ -198,6 +216,8 @@ def matching_monotonicity_test(
     histogram of the normalized per-side frequency vectors, rescales its keys
     by the estimated side masses, and accepts iff the rescaled histogram is
     within 3*(eps/14) of some monotone distribution's pair histogram in W.
+    The learn step draws one histogram; the bottom side's mass estimate is
+    one count_in over the bottom vertices.
     """
     if G.kind != "matching":
         raise ValueError("matching_monotonicity_test needs a matching poset")
@@ -218,8 +238,9 @@ def matching_monotonicity_test(
     bottoms, tops = G.edge_array.T
     step = 1.0 / (4.0 * budget)
     learned = learner.pair_hist(h[bottoms].astype(float), h[tops].astype(float), step)
-    hw = mixed.histogram(m, rng)
-    w_bottom = float(hw[bottoms].sum()) / m
+    in_bottom = np.zeros(G.n, dtype=bool)
+    in_bottom[bottoms] = True
+    w_bottom = mixed.count_in(in_bottom, m, rng) / m
     w_top = 1.0 - w_bottom
     stat = _midpoint_cost(learned.scaled(w_bottom, w_top))
     return _verdict(
@@ -260,15 +281,16 @@ def uniform_subset_test(
 
     Stage 1 collects sampled bottom vertices B and their neighborhood T;
     accepting outright when T is small. Stage 2 checks that T receives the
-    probability mass it would carry if it were fully inside the support. A
-    promise violation is not detected.
+    probability mass it would carry if it were fully inside the support
+    (the draws that land in T, one count_in). A promise violation is not
+    detected.
     """
     if G.kind not in ("bipartite", "matching"):
         raise ValueError("uniform_subset_test needs a bipartite poset")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     if not 1 <= support_size <= G.n:
-        raise ValueError(f"support size must lie in [1, n={G.n}], got {support_size}")
+        raise ValueError(f"support_size must lie in [1, n={G.n}], got {support_size}")
     if access.n != G.n:
         raise ValueError("sample access does not match the poset")
     rng = rng or Rng(0)
@@ -279,13 +301,13 @@ def uniform_subset_test(
     # every edge runs bottom -> top, so the heads of the edges whose tail was
     # sampled are the neighborhood T of the sampled bottom vertices
     u, v = G.edge_array.T
-    neighbors = np.unique(v[h1[u] > 0])
-    t_size = neighbors.size
+    in_t = np.zeros(n, dtype=bool)
+    in_t[v[h1[u] > 0]] = True
+    t_size = int(np.count_nonzero(in_t))
     cutoff = eps * s1 / 2.0
     if t_size <= cutoff:
         return _verdict(t_size, cutoff, s1, branch=1, stage1=s1)
-    h2 = access.histogram(s2, rng)
-    hits = float(h2[neighbors].sum())
+    hits = float(access.count_in(in_t, s2, rng))
     eps_prime = eps * s1 / (2.0 * t_size)
     required = s2 * (1.0 - eps_prime / 2.0) * t_size / support_size
     # accept iff hits >= required, phrased as shortfall <= 0

@@ -1,5 +1,7 @@
+import argparse
 import math
 import os
+import re
 import shlex
 
 import numpy as np
@@ -555,6 +557,88 @@ def test_lb_bad_inputs_are_status_2_in_a_suite(workdir, capsys, argv, message):
     out = run_suite(str(manifest), None, 0)
     assert out.split("\n")[1] == f"0,0,{EXIT_VALIDATION},0.0,fail"
     assert message in capsys.readouterr().err
+
+
+# One value just outside the domain of every numeric flag of every verb:
+# (valid argv without the flag, flag, value, the flag's or its library
+# parameter's name, which the error must give).
+OUT_OF_DOMAIN = [
+    ("test --alg bigness --dist u40.dist", "--eps", "0", "eps"),
+    ("test --alg bigness --dist u40.dist --eps 0.2", "--seed", "-1", "--seed"),
+    ("test --alg bigness --dist u40.dist --eps 0.2", "--trials", "0", "--trials"),
+    ("test --alg bigness --dist u40.dist --eps 0.2", "--T", "0", "T"),
+    ("test --alg bipartite --poset b.poset --dist b.dist --eps 0.2", "--delta", "0", "delta"),
+    ("test --alg uniform-subset --poset b.poset --dist b.dist --eps 0.2", "--support-size", "0", "support_size"),
+    ("test --alg matching --poset m6.poset --dist m6mono.dist --eps 0.2", "--multiplier", "0",
+     "budget_multiplier"),
+    ("reduce --from u6.dist --kind big2m --out-poset out.poset --out-dist out.dist", "--T", "0", "T"),
+    ("reduce --from b.poset --dist b.dist --kind b2m --out-poset out.poset --out-dist out.dist", "--delta", "0",
+     "delta"),
+    ("reduce --from u6.dist --kind m2hyp --ell 2 --pmax 0.5 --out-poset out.poset --out-dist out.dist", "--d", "0",
+     "d"),
+    ("reduce --from u6.dist --kind m2hyp --d 4 --pmax 0.5 --out-poset out.poset --out-dist out.dist", "--ell", "0",
+     "ell"),
+    # the largest mass of u6.dist is 1/6
+    ("reduce --from u6.dist --kind m2hyp --d 4 --ell 2 --out-poset out.poset --out-dist out.dist", "--pmax", "0.16",
+     "p_max"),
+    ("suite --manifest one.suite", "--seed", "-1", "--seed"),
+    ("lb solve --lambda 6 --L 4", "--nu", "0", "nu"),
+    ("lb solve --nu 0.5 --L 4", "--lambda", "1.5", "lambda"),
+    ("lb solve --nu 0.5 --lambda 6", "--L", "1", "L"),
+    ("lb gen --L 4 --nu 0.5 --lambda 6 --s 0 --out-prefix out", "--n", "0", "n"),
+    ("lb gen --n 10 --nu 0.5 --lambda 6 --s 0 --out-prefix out", "--L", "1", "L"),
+    ("lb gen --n 10 --L 4 --out-prefix out", "--eps", "0", "eps"),
+    ("lb gen --n 10 --L 4 --lambda 6 --s 0 --out-prefix out", "--nu", "0", "nu"),
+    ("lb gen --n 10 --L 4 --nu 0.5 --s 0 --out-prefix out", "--lambda", "1.5", "lambda"),
+    ("lb gen --n 10 --L 4 --nu 0.5 --lambda 6 --out-prefix out", "--s", "-1", "s"),
+    ("lb gen --n 10 --L 4 --nu 0.5 --lambda 6 --s 0 --out-prefix out", "--seed", "-1", "--seed"),
+    ("lb probe --lambda 6 --L 4 --n 50 --s-values 0", "--nu", "0", "nu"),
+    ("lb probe --nu 0.5 --L 4 --n 50 --s-values 0", "--lambda", "1.5", "lambda"),
+    ("lb probe --nu 0.5 --lambda 6 --n 50 --s-values 0", "--L", "1", "L"),
+    ("lb probe --nu 0.5 --lambda 6 --L 4 --s-values 0", "--n", "0", "n"),
+    ("lb probe --nu 0.5 --lambda 6 --L 4 --n 50 --s-values 0", "--trials", "0", "trials"),
+    ("lb probe --nu 0.5 --lambda 6 --L 4 --n 50 --s-values 0", "--seed", "-1", "--seed"),
+]
+
+
+def _verb(argv: str) -> str:
+    words = argv.split()
+    return " ".join(words[:2] if words[0] == "lb" else words[:1])
+
+
+def _numeric_flags(parser, verb=()):
+    """(verb, flag) for every option of every verb that converts its value."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _numeric_flags(sub, verb + (name,))
+        elif action.option_strings and action.type is not None:
+            yield " ".join(verb), action.option_strings[0]
+
+
+def test_every_numeric_flag_has_an_out_of_domain_row():
+    rows = [(_verb(argv), flag) for argv, flag, _, _ in OUT_OF_DOMAIN]
+    assert len(rows) == len(set(rows))
+    assert sorted(_numeric_flags(_build_parser())) == sorted(rows)
+
+
+@pytest.mark.parametrize("argv,flag,value,name", OUT_OF_DOMAIN,
+                         ids=[f"{_verb(argv)} {flag}" for argv, flag, _, _ in OUT_OF_DOMAIN])
+def test_out_of_domain_value_exits_2_naming_the_flag(workdir, monkeypatch, capsys, argv, flag, value, name):
+    monkeypatch.chdir(workdir)
+    write_poset(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]), workdir / "b.poset")
+    write_distribution(Distribution.uniform(4), workdir / "b.dist")
+    write_distribution(Distribution.uniform(6), workdir / "u6.dist")
+    (workdir / "one.suite").write_text("verb=oracle poset=line3.poset dist=line3.dist\n")
+    try:
+        code = main(shlex.split(argv) + [flag, value])
+    except SystemExit as exc:  # argparse's own exit on a value its type refuses
+        code = exc.code
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert re.search(rf"(?<![\w-]){re.escape(name)}\b", err), err
+    assert "Traceback" not in err
+    assert not list(workdir.glob("out*"))
 
 
 # sample counts a tester would draw beyond int64 (numpy's limit), and a

@@ -6,8 +6,13 @@ from hypothesis import strategies as st
 from posetdist import (
     Distribution,
     ExactDistAccess,
+    LiftedAccess,
+    MixedWithUniform,
     PairHistogram,
     Rng,
+    SampleAccess,
+    general_to_bipartite,
+    make_line,
     pair_histogram,
     read_distribution,
     tv_distance,
@@ -16,6 +21,8 @@ from posetdist import (
 from posetdist import cli
 from posetdist.lowerbound import _poisson_counts, build_priors, generate_instance
 from posetdist.prob import choice_cdf, choice_indices
+
+from scipy import stats
 
 from genutil import reference_choice
 
@@ -213,6 +220,99 @@ def test_exact_access_consistency():
     acc = ExactDistAccess(p)
     h = acc.histogram(200_000, Rng(4))
     np.testing.assert_allclose(h / 200_000, p.probs, atol=0.01)
+
+
+class _HistogramOnly(SampleAccess):
+    """A user subclass that implements histogram alone: uniform draws,
+    counted one by one."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def histogram(self, s, rng):
+        return np.bincount(rng.gen.integers(self.n, size=s), minlength=self.n).astype(np.int64)
+
+
+def test_count_in_defaults_to_the_histogram_sum():
+    acc = _HistogramOnly(7)
+    mask = np.array([True, False, True, True, False, False, True])
+    for seed in range(20):
+        ref, rng = Rng(seed), Rng(seed)
+        want = int(acc.histogram(300, ref)[mask].sum())
+        got = acc.count_in(mask, 300, rng)
+        assert type(got) is int and got == want
+        assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+def _binomial_chi2_pvalue(counts, s, q):
+    """Chi-square p-value of counts against Binomial(s, q), the tail cells
+    merged until every expected count is at least 5."""
+    expected = stats.binom.pmf(np.arange(s + 1), s, q) * counts.size
+    observed = np.bincount(counts, minlength=s + 1).astype(float)
+    e_cells, o_cells, e_run, o_run = [], [], 0.0, 0.0
+    for e, o in zip(expected, observed):
+        e_run, o_run = e_run + e, o_run + o
+        if e_run >= 5:
+            e_cells.append(e_run)
+            o_cells.append(o_run)
+            e_run = o_run = 0.0
+    e_cells[-1] += e_run
+    o_cells[-1] += o_run
+    return stats.chisquare(o_cells, e_cells).pvalue
+
+
+# a total 5e-10 above 1 (within SUM_TOL), so a full mask's mass rounds
+# above 1 and count_in must clip it
+_LAW_P = np.array([0.3, 0.05, 0.2, 0.1, 0.05, 0.02, 0.1, 0.03, 0.1, 0.05 + 5e-10])
+_LAW_MASKS = {
+    "empty": np.zeros(10, dtype=bool),
+    "full": np.ones(10, dtype=bool),
+    "one": np.arange(10) == 2,
+    "half": np.arange(10) % 2 == 0,
+}
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["exact", "mixed"])
+@pytest.mark.parametrize("name", list(_LAW_MASKS))
+def test_count_in_draws_the_binomial_side_count(mixed, name):
+    """3000 seeded counts of s = 40 draws in the mask, against
+    Binomial(s, q(mask)); q is p/2 + u/2 for the mixed access."""
+    mask = _LAW_MASKS[name]
+    acc = ExactDistAccess(Distribution(_LAW_P))
+    q = min(1.0, float(_LAW_P[mask].sum()))
+    if mixed:
+        acc = MixedWithUniform(acc)
+        q = q / 2 + mask.sum() / 20
+    rng = Rng(77)
+    counts = np.array([acc.count_in(mask, 40, rng) for _ in range(3000)])
+    if name == "empty":
+        assert not counts.any()
+    elif name == "full":
+        assert (counts == 40).all()
+    else:
+        assert _binomial_chi2_pvalue(counts, 40, q) > 1e-3
+    assert acc.count_in(mask, 0, rng) == 0
+
+
+def test_sample_counts_and_masks_are_checked():
+    p = Distribution.uniform(4)
+    accesses = [
+        _HistogramOnly(4),
+        ExactDistAccess(p),
+        MixedWithUniform(ExactDistAccess(p)),
+        LiftedAccess(ExactDistAccess(Distribution.uniform(2)), general_to_bipartite(make_line(2))),
+    ]
+    mask = np.array([True, False, False, True])
+    for acc in accesses:
+        with pytest.raises(ValueError, match="sample count must be nonnegative"):
+            acc.count_in(mask, -1, Rng(0))
+        for bad in (np.array([0, 3]), np.ones(4, dtype=int), mask[:3], np.ones((4, 1), dtype=bool), [1, 0, 0, 1]):
+            with pytest.raises(ValueError, match="count_in needs a boolean mask of length n=4"):
+                acc.count_in(bad, 5, Rng(0))
+        assert acc.count_in(list(mask), 5, Rng(0)) <= 5
+    for acc in accesses[1:]:
+        with pytest.raises(ValueError, match="sample count must be nonnegative"):
+            acc.histogram(-1, Rng(0))
 
 
 def _assert_draws_like_choice(p, size, seed):

@@ -6,6 +6,7 @@ from posetdist import (
     ExactDistAccess,
     LearnerSpec,
     Rng,
+    SampleAccess,
     SizeCapError,
     Verdict,
     all_matchings_test,
@@ -110,6 +111,37 @@ def test_mixed_access_histogram_law():
     mixed = MixedWithUniform(base)
     h = mixed.histogram(80_000, Rng(5))
     np.testing.assert_allclose(h / 80_000, [1 / 8, 1 / 8, 1 / 8, 5 / 8], atol=0.01)
+
+
+class _CallLog(SampleAccess):
+    """Passes every call on to base and logs (method, s)."""
+
+    def __init__(self, base):
+        self.base, self.n, self.calls = base, base.n, []
+
+    def histogram(self, s, rng):
+        self.calls.append(("histogram", s))
+        return self.base.histogram(s, rng)
+
+    def count_in(self, mask, s, rng):
+        self.calls.append(("count_in", s))
+        return self.base.count_in(mask, s, rng)
+
+
+def test_testers_draw_one_histogram_and_one_side_count():
+    """The matching tester learns from one histogram and estimates the bottom
+    mass by one count_in (each of about half its budget, as the rest comes
+    from uniform); the uniform-subset tester's stage 2 is one count_in."""
+    G = make_matching(10)
+    log = _CallLog(ExactDistAccess(monotone_matching_dist(np.random.default_rng(6), 10)))
+    v = matching_monotonicity_test(G, log, 0.3, rng=Rng(3))
+    assert [name for name, _ in log.calls] == ["histogram", "count_in"]
+    assert log.calls[0][1] <= v.details["learn_budget"] and log.calls[1][1] <= v.details["mass_budget"]
+    G = _star_family(100, 3)
+    log = _CallLog(ExactDistAccess(Distribution.uniform(G.n)))
+    v = uniform_subset_test(G, G.n, 0.5, log, Rng(3))
+    assert v.details["branch"] == 2
+    assert log.calls == [("histogram", v.details["stage1"]), ("count_in", v.details["stage2"])]
 
 
 def test_matching_tester_completeness_soundness():
