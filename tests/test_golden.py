@@ -3,9 +3,11 @@ reductions' and the lower-bound construction's output.
 
 The tester strings below were produced by the dict-loop implementation of
 the pair histogram, the tester's rescale and the midpoint statistic (before
-they moved onto numpy arrays), from exactly the inputs built here. Any change
-to those steps that moves a bit of a statistic, a threshold, a sample count or
-a detail shows up as a string mismatch.
+they moved onto numpy arrays), from exactly the inputs built here; the
+matching testers' bottom-mass counts and the uniform-subset tester's stage-2
+counts were drawn by SampleAccess.count_in. Any change to those steps that
+moves a bit of a statistic, a threshold, a sample count or a detail shows up
+as a string mismatch.
 """
 
 from __future__ import annotations
@@ -86,15 +88,15 @@ GOLDEN_MATCHING_CSV = {
     ),
     "far": (
         "trial,decision,stat,threshold\n"
-        "0,reject,0.3130050989535916,0.05357142857142857\n"
-        "1,reject,0.31033448007097936,0.05357142857142857\n"
-        "2,reject,0.3094775469548293,0.05357142857142857\n"
+        "0,reject,0.312028546179416,0.05357142857142857\n"
+        "1,reject,0.31551618873267706,0.05357142857142857\n"
+        "2,reject,0.31326418011402746,0.05357142857142857\n"
     ),
     "tight": (
         "trial,decision,stat,threshold\n"
-        "0,accept,0.000765048937637589,0.05357142857142857\n"
-        "1,accept,0.0007072642778024944,0.05357142857142857\n"
-        "2,accept,0.0003068046783136887,0.05357142857142857\n"
+        "0,accept,0.003816544519815749,0.05357142857142857\n"
+        "1,accept,0.0005128942589713609,0.05357142857142857\n"
+        "2,accept,0.0006374195683743506,0.05357142857142857\n"
     ),
 }
 
@@ -107,9 +109,9 @@ GOLDEN_BIPARTITE_CSV = {
     ),
     "far": (
         "trial,decision,stat,threshold\n"
-        "0,reject,0.2477716661090511,0.008928571428571428\n"
-        "1,reject,0.2478568931434668,0.008928571428571428\n"
-        "2,reject,0.2460748568069308,0.008928571428571428\n"
+        "0,reject,0.24703664390497282,0.008928571428571428\n"
+        "1,reject,0.24837637523079437,0.008928571428571428\n"
+        "2,reject,0.24727097817965796,0.008928571428571428\n"
     ),
 }
 
@@ -149,9 +151,9 @@ GOLDEN_UNIFORM_SUBSET_CSV = {
     ),
     "branch2": (
         "trial,decision,stat,threshold\n"
-        "0,accept,-215.2475,0.0\n"
-        "1,accept,-233.88250000000005,0.0\n"
-        "2,accept,-203.6125,0.0\n"
+        "0,accept,-240.2475,0.0\n"
+        "1,accept,-184.88250000000005,0.0\n"
+        "2,accept,-210.6125,0.0\n"
     ),
 }
 
@@ -222,15 +224,15 @@ def _verdicts():
 
 
 GOLDEN_VERDICTS = [
-    "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.4215120624196586, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.31170968991195774, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6558548324414816, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='accept', stat=0.002593431699056738, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.4749932737436848, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.424650982033422, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.3135631472261729, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6567815610893546, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.0006147271132980308, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.47205365061333493, 'learn_budget': 62720000, 'mass_budget': 100353})",
     "Verdict(decision='reject', stat=0.31216803483690586, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6560840233974071, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.11588786502398903, threshold=0.05357142857142857, samples=1008318, details={'bottom_mass': 0.6566021942542823, 'learn_budget': 907965, 'mass_budget': 100353})",
-    "Verdict(decision='accept', stat=0.0023299848132601587, threshold=0.05357142857142857, samples=1008318, details={'bottom_mass': 0.47198389684414016, 'learn_budget': 907965, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.22597202875690156, threshold=0.1928571428571429, samples=31942, details={'bottom_mass': 0.5996900826446281, 'learn_budget': 24198, 'mass_budget': 7744})",
-    "Verdict(decision='accept', stat=0.0, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.39765818827222943, 'learn_budget': 415457281, 'mass_budget': 3612673})",
-    "Verdict(decision='reject', stat=0.24451890549022592, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.6167131650165958, 'learn_budget': 415457281, 'mass_budget': 3612673})",
+    "Verdict(decision='reject', stat=0.11711194402511516, threshold=0.05357142857142857, samples=1008318, details={'bottom_mass': 0.6582563550666148, 'learn_budget': 907965, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.002422930000713151, threshold=0.05357142857142857, samples=1008318, details={'bottom_mass': 0.47249210287684473, 'learn_budget': 907965, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.21880166783471616, threshold=0.1928571428571429, samples=31942, details={'bottom_mass': 0.593620867768595, 'learn_budget': 24198, 'mass_budget': 7744})",
+    "Verdict(decision='accept', stat=0.0, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.3975654591489459, 'learn_budget': 415457281, 'mass_budget': 3612673})",
+    "Verdict(decision='reject', stat=0.24441659565027735, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.6166600187728034, 'learn_budget': 415457281, 'mass_budget': 3612673})",
 ]
 
 
@@ -241,9 +243,9 @@ def test_verdict_reprs():
 # The benchmark's largest shape: 10^5 pairs, a learn budget of 6.27e9 and
 # about 10^5 distinct learned keys.
 GOLDEN_VERDICTS_1E5 = [
-    "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.42347513278128207, 'learn_budget': 6272000001, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.31583510649846097, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.6579175510448119, 'learn_budget': 6272000001, 'mass_budget': 100353})",
-    "Verdict(decision='accept', stat=0.00298426917917575, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.47532211294131715, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.42530866042868676, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.3205185738735148, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.660259284724921, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.00025159981851873876, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.4706884697019521, 'learn_budget': 6272000001, 'mass_budget': 100353})",
 ]
 
 
@@ -259,8 +261,8 @@ def test_verdict_reprs_on_1e5_pairs():
 # top count does not fit in int64, and at the larger budget neither does a
 # count fit in a float's 53 bits.
 GOLDEN_VERDICTS_HUGE_COUNTS = [
-    "Verdict(decision='reject', stat=0.0999684085793715, threshold=0.002142857142857143, samples=5655427280286, details={'bottom_mass': 0.4999648995541311, 'learn_budget': 5655364560285, 'mass_budget': 62720001})",
-    "Verdict(decision='reject', stat=0.09996840959769868, threshold=0.002142857142857143, samples=5655364560347457537, details={'bottom_mass': 0.4999648995541311, 'learn_budget': 5655364560284737536, 'mass_budget': 62720001})",
+    "Verdict(decision='reject', stat=0.09999847076843246, threshold=0.002142857142857143, samples=5655427280286, details={'bottom_mass': 0.4999983019770679, 'learn_budget': 5655364560285, 'mass_budget': 62720001})",
+    "Verdict(decision='reject', stat=0.09999847177835028, threshold=0.002142857142857143, samples=5655364560347457537, details={'bottom_mass': 0.4999983019770679, 'learn_budget': 5655364560284737536, 'mass_budget': 62720001})",
 ]
 
 
