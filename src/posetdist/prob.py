@@ -259,11 +259,6 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
-def _check_sample_count(s: int) -> None:
-    if s < 0:
-        raise ValueError("sample count must be nonnegative")
-
-
 class SampleAccess:
     """Sample-only access to an unknown distribution over 0..n-1: a subclass
     implements histogram(s, rng), the int64 counts of s i.i.d. draws, and
@@ -285,8 +280,13 @@ class SampleAccess:
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.shape != (self.n,):
             raise ValueError(f"count_in needs a boolean mask of length n={self.n}")
-        _check_sample_count(s)
+        self._check_count(s)
         return mask
+
+    @staticmethod
+    def _check_count(s: int) -> None:
+        if s < 0:
+            raise ValueError("sample count must be nonnegative")
 
 
 class ExactDistAccess(SampleAccess):
@@ -298,7 +298,7 @@ class ExactDistAccess(SampleAccess):
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
         """The counts of s i.i.d. draws, drawn at once as a multinomial."""
-        _check_sample_count(s)
+        self._check_count(s)
         return rng.gen.multinomial(int(s), self.dist.probs).astype(np.int64, copy=False)
 
     def count_in(self, mask, s: int, rng: Rng) -> int:

@@ -22,15 +22,7 @@ from .oracles import SizeCapError, _check_threshold, _midpoint_cost, dist_to_big
 # stay bound: perfbench/spans.py wraps both names on this module.
 from .oracles import min_w_to_monotone_pairhist  # noqa: F401
 from .poset import Poset
-from .prob import (  # noqa: F401
-    Distribution,
-    PairHistogram,
-    Rng,
-    SampleAccess,
-    _check_sample_count,
-    _snap,
-    pair_histogram,
-)
+from .prob import Distribution, PairHistogram, Rng, SampleAccess, _snap, pair_histogram  # noqa: F401
 from .reductions import LiftedAccess, bipartite_to_matching
 
 MASS_EST_CONST = 32.0  # ceil(32/eps^2) samples per additive-eps mass estimate
@@ -162,7 +154,7 @@ class MixedWithUniform(SampleAccess):
         self.n = base.n
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
-        _check_sample_count(s)
+        self._check_count(s)
         k = int(rng.gen.binomial(s, 0.5))
         return self.base.histogram(k, rng) + rng.gen.multinomial(s - k, np.full(self.n, 1.0 / self.n))
 
