@@ -7,6 +7,8 @@ Every run embeds its resolved seed, so identical (config, seed) produce
 byte-identical CSV (LF line endings, repr-formatted floats, "." decimals).
 Exit codes, and suite row statuses: 0 ok, 1 internal error (a bug; the
 traceback is printed), 2 validation or usage error, 3 infeasible parameters.
+A suite exits with the first of 1, 2, 3 that a row has, else 4 if a check
+failed, else 0.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
+EXIT_CHECK_FAILED = 4
 
 # Suite-only row keys: they check a row's summary and are not verb flags.
 _EXPECT_KEYS = ("expect_field", "expect_min", "expect_max")
@@ -272,8 +275,9 @@ def _row_argv(line: str) -> tuple[list[str], dict]:
     return (verb.split("-", 1) if verb.startswith("lb-") else [verb]) + argv, expect
 
 
-def _run_row(parser, line: str, seed: int, base: str) -> tuple[float, bool]:
-    """Run one manifest row: returns (checked value, check passed)."""
+def _run_row(parser, line: str, seed: int, base: str) -> tuple[float, str | None]:
+    """Run one manifest row: returns (checked value, the check it missed or
+    None)."""
     argv, expect = _row_argv(line)
     field = expect.get("expect_field")
     if field is None and expect:
@@ -286,38 +290,45 @@ def _run_row(parser, line: str, seed: int, base: str) -> tuple[float, bool]:
     summary, text = run_config(a, base)
     _save(a, text, base)
     if field is None:
-        return 0.0, True
+        return 0.0, None
     if field not in summary:
         raise ValueError(f"expect_field {field!r} is not in the summary ({', '.join(summary)})")
     value = float(summary[field])
-    return value, lo <= value <= hi
+    return value, None if lo <= value <= hi else f"{field}={value!r} not in [{lo!r}, {hi!r}]"
 
 
 def run_suite(manifest: str, out: str | None, master_seed: int) -> str:
     """Run every manifest row (derived seed = master xor row index), aggregate
-    one line per row with a pass/fail check column. A failed row gets its
-    status and one stderr line naming manifest:line; the suite goes on."""
+    one line per row with a pass/fail check column. A failed row or a missed
+    check gets one stderr line naming manifest:line; the suite goes on."""
     base = os.path.dirname(os.path.abspath(manifest))
     rows = _content(itertools.chain.from_iterable(_blocks(manifest)), 1)
     parser = _build_parser()
     results = []
     for idx, (lineno, line) in enumerate(rows):
         seed = master_seed ^ idx
-        value, passed, status = 0.0, False, EXIT_OK
+        value, status = 0.0, EXIT_OK
         try:
-            value, passed = _run_row(parser, line, seed, base)
+            value, message = _run_row(parser, line, seed, base)
         except ParameterError as exc:
             status, message = EXIT_INFEASIBLE, f"infeasible parameters: {exc}"
         except (ValueError, OSError) as exc:
             status, message = EXIT_VALIDATION, str(exc)
         except Exception as exc:  # a bug, not bad input: keep the traceback
             status, message = EXIT_INTERNAL, f"internal error: {exc!r}\n{traceback.format_exc().rstrip()}"
-        if status != EXIT_OK:
+        if message is not None:
             print(f"{manifest}:{lineno}: row {idx}: {message}", file=sys.stderr)
-        results.append([idx, seed, status, value, "pass" if passed else "fail"])
+        results.append([idx, seed, status, value, "fail" if message is not None else "pass"])
     text = _csv(["row", "seed", "status", "value", "check"], results)
     _emit(text, out)
     return text
+
+
+def _suite_exit(text: str) -> int:
+    """A suite's exit code from its CSV: the least status of a failed row,
+    a missed check counting as 4, or 0 when no row failed."""
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    return min((int(r[2]) or EXIT_CHECK_FAILED for r in rows if r[4] == "fail"), default=EXIT_OK)
 
 
 class UsageError(ValueError):
@@ -430,8 +441,7 @@ def main(argv=None) -> int:
         argparse.ArgumentParser.error(exc.parser, exc.message)  # usage line, exit 2
     try:
         if args.verb == "suite":
-            run_suite(args.manifest, args.out, args.seed)
-            return EXIT_OK
+            return _suite_exit(run_suite(args.manifest, args.out, args.seed))
         _, text = run_config(args)
         if not _save(args, text) and text is not None:
             sys.stdout.write(text)

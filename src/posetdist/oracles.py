@@ -367,12 +367,12 @@ def w_distance(h: PairHistogram, g: PairHistogram) -> float:
     return _transport_cost(supply, demand, cost)[0]
 
 
-def _midpoint_cost(g: PairHistogram) -> float:
-    """Transport cost of the midpoint fix of g: the sum of count * (x - y)
-    over the violating keys (x > y)."""
-    x, y, c = g.x, g.y, g.count
+def _midpoint_cost(x, y, c) -> float:
+    """Transport cost of the midpoint fix of the pair histogram with keys
+    (x[i], y[i]) -> c[i]: the sum of c * (x - y) over the violating keys
+    (x > y)."""
     bad = x > y
-    # summed one term at a time in key order, so the value does not
+    # summed one term at a time in array order, so the value does not
     # depend on numpy's pairwise summation
     return float(np.cumsum(c[bad] * (x[bad] - y[bad]))[-1]) if bad.any() else 0.0
 
@@ -383,15 +383,15 @@ def min_w_to_monotone_pairhist(g: PairHistogram):
     Reconstructs a labeling consistent with g, applies the matching midpoint
     fix to each violating key (x > y), and reports that scheme's transport
     cost: an upper bound on the true minimum, exact enough for tester
-    thresholds. The value is _midpoint_cost(g), which the matching tester
-    calls alone, since it never reads g*.
+    thresholds. The value is _midpoint_cost(g.x, g.y, g.count), which the
+    matching tester calls alone on its learned keys, since it never reads g*.
 
     Returns (value, g*).
     """
     x, y, c = g.x, g.y, g.count
     bad = x > y
     mid = 0.5 * (x + y)
-    return _midpoint_cost(g), PairHistogram.from_arrays(np.where(bad, mid, x), np.where(bad, mid, y), c)
+    return _midpoint_cost(x, y, c), PairHistogram.from_arrays(np.where(bad, mid, x), np.where(bad, mid, y), c)
 
 
 def min_perm_l1(p1, p2, q1, q2) -> float:

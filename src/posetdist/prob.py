@@ -13,7 +13,7 @@ a histogram over the set, and a subclass that knows q(set) draws the one
 binomial instead.
 
 A PairHistogram is three numpy arrays x, y, count sorted by (x, y) with unique
-keys and no (0, 0) key; building, rescaling and merging one are array
+keys and no (0, 0) key; building one, equal keys merged, takes array
 operations (a sort and a bincount), never a loop over keys.
 """
 
@@ -100,7 +100,7 @@ class Distribution:
 class PairHistogram:
     """Finite map (x, y) -> count: how many domain elements carry mass x in the
     first vector and y in the second. (0, 0) keys are excluded; counts may be
-    fractional for learned or rescaled histograms.
+    fractional.
 
     Stored as three read-only float arrays x, y, count, sorted by (x, y) with
     unique keys. The constructor takes a mapping and rejects (0, 0), duplicate
@@ -139,11 +139,7 @@ class PairHistogram:
             raise ValueError(f"count at {(float(x[k]), float(y[k]))} must be positive and finite")
         keep = (x != 0.0) | (y != 0.0)
         x, y, count = x[keep], y[keep], count[keep]
-        # lexsort is stable, so equal keys keep their input order; keys that
-        # arrive sorted (a rescaled histogram, a midpoint fix that moved
-        # nothing) skip the sort.
-        in_order = np.all((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] >= y[:-1])))
-        order = np.arange(x.size) if in_order else np.lexsort((y, x))
+        order = np.lexsort((y, x))  # stable: equal keys keep their input order
         xs, ys = x[order], y[order]
         first = np.ones(xs.size, dtype=bool)
         first[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
@@ -167,10 +163,6 @@ class PairHistogram:
     def items(self):
         """Support in deterministic (x, y) order."""
         return list(zip(zip(self.x.tolist(), self.y.tolist()), self.count.tolist()))
-
-    def scaled(self, a: float, b: float) -> "PairHistogram":
-        """The histogram with every key (x, y) moved to (a * x, b * y)."""
-        return PairHistogram.from_arrays(a * self.x, b * self.y, self.count)
 
     def __eq__(self, other):
         return (

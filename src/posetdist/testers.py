@@ -3,17 +3,15 @@
 Every tester takes sample access plus a seeded Rng, returns an accept/reject
 Verdict whose diagnostics (statistic, threshold, sample counts) reproduce the
 decision, and targets the usual 2/3 success contract at desk scale. Learning
-steps are pluggable through LearnerSpec; the default empirical plug-in uses
-raw frequencies with a sample-budget multiplier (20 * log n unless overridden)
-to compensate for its weaker guarantee. All "accept iff statistic <=
-threshold" comparisons are inclusive.
+is the empirical plug-in: raw frequencies, with a sample budget (LearnerSpec;
+multiplier 20 * log n unless overridden) that compensates for its weaker
+guarantee. All "accept iff statistic <= threshold" comparisons are inclusive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from .oracles import SizeCapError, _check_threshold, _midpoint_cost, dist_to_big
 # stay bound: perfbench/spans.py wraps both names on this module.
 from .oracles import min_w_to_monotone_pairhist  # noqa: F401
 from .poset import Poset
-from .prob import Distribution, PairHistogram, Rng, SampleAccess, _snap, pair_histogram  # noqa: F401
+from .prob import Distribution, Rng, SampleAccess, _snap, pair_histogram  # noqa: F401
 from .reductions import LiftedAccess, bipartite_to_matching
 
 MASS_EST_CONST = 32.0  # ceil(32/eps^2) samples per additive-eps mass estimate
@@ -66,19 +64,9 @@ def _verdict(stat: float, threshold: float, samples: int, **details) -> Verdict:
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Which learner backs the testers and how many samples it gets.
-
-    The default empirical plug-in learns by raw frequencies. A supplied
-    callable replaces it for its step and must keep the same output
-    contract: learn_distribution maps a count vector to a probability vector
-    (a distribution up to permutation), learn_pair_histogram maps bottom/top
-    count vectors plus a quantization step to a pair histogram of the
-    normalized side-restricted vectors.
-    """
+    """How many samples the empirical plug-in learner gets."""
 
     budget_multiplier: float | None = None
-    learn_distribution: Callable[[np.ndarray], np.ndarray] | None = None
-    learn_pair_histogram: Callable[[np.ndarray, np.ndarray, float], PairHistogram] | None = None
 
     def __post_init__(self):
         if self.budget_multiplier is not None and not 0 < self.budget_multiplier < math.inf:
@@ -89,47 +77,20 @@ class LearnerSpec:
         mult = self.budget_multiplier if self.budget_multiplier is not None else 20.0 * ln_n
         return _sample_count("learn budget", mult * n, eps * eps * ln_n)
 
-    def distribution(self, counts: np.ndarray) -> np.ndarray:
-        if self.learn_distribution is not None:
-            return np.asarray(self.learn_distribution(counts), dtype=float)
-        total = counts.sum()
-        if total == 0:
-            return np.full(counts.size, 1.0 / counts.size)
-        return counts / total
 
-    def pair_hist(self, counts_bottom: np.ndarray, counts_top: np.ndarray, step: float) -> PairHistogram:
-        """Pair histogram of the normalized count vectors, keys snapped to
-        multiples of step.
+def _learned_keys(counts_bottom, counts_top, step: float, w_bottom: float):
+    """The learned pair histogram with its keys rescaled by the side masses,
+    as arrays x, y, count: each distinct pair (b, t) of counts_bottom[i],
+    counts_top[i] in increasing (b, t) order, keyed (w_bottom * snap(b / nb),
+    (1 - w_bottom) * snap(t / nt)) with snap to the nearest multiple of step
+    and nb, nt the side totals (at least 1), and how often it occurs.
 
-        The empirical plug-in gives exactly pair_histogram(counts_bottom / nb,
-        counts_top / nt, quantize=step), nb and nt being the side totals (at
-        least 1), without keying every element on two floats: equal (bottom,
-        top) count pairs are grouped by one integer sort, and each distinct
-        pair is normalized and snapped once, by the same float expression.
-        Its counts must be nonnegative integers below 2^64 (float arrays of
-        integer values are fine).
-        """
-        if self.learn_pair_histogram is not None:
-            return self.learn_pair_histogram(counts_bottom, counts_top, step)
-        b, t, mult = _count_pairs(counts_bottom, counts_top)
-        nb = max(int(counts_bottom.sum()), 1)
-        nt = max(int(counts_top.sum()), 1)
-        return PairHistogram.from_arrays(_snap(b / nb, step), _snap(t / nt, step), mult)
-
-
-def _as_counts(c) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or not np.all(~np.signbit(c) & (c < 2.0**64) & (np.floor(c) == c)):
-        raise ValueError("learned counts must be a vector of nonnegative integers below 2^64")
-    return c.astype(np.uint64)
-
-
-def _count_pairs(counts_bottom, counts_top):
-    """The distinct pairs (counts_bottom[i], counts_top[i]) in increasing
-    (bottom, top) order, as two float vectors, and how often each occurs."""
-    b, t = _as_counts(counts_bottom), _as_counts(counts_top)
-    if b.size != t.size:
-        raise ValueError("learned counts need two equal-length vectors")
+    The counts are float vectors of nonnegative integers below 2^64. Equal
+    count pairs are grouped by one integer sort, so each distinct pair is
+    normalized and snapped once, by pair_histogram's float expression; keys
+    that collide after the snap or the rescale are not merged.
+    """
+    b, t = counts_bottom.astype(np.uint64), counts_top.astype(np.uint64)
     vb = vt = None
     span = int(t.max(initial=0)) + 1
     if (int(b.max(initial=0)) + 1) * span >= 2**64:
@@ -140,7 +101,11 @@ def _count_pairs(counts_bottom, counts_top):
     b, t = np.divmod(key, np.uint64(span))
     if vb is not None:
         b, t = vb[b], vt[t]
-    return b.astype(float), t.astype(float), mult.astype(float)
+    nb = max(int(counts_bottom.sum()), 1)
+    nt = max(int(counts_top.sum()), 1)
+    x = _snap(b.astype(float) / nb, step)
+    y = _snap(t.astype(float) / nt, step)
+    return w_bottom * x, (1.0 - w_bottom) * y, mult.astype(float)
 
 
 class MixedWithUniform(SampleAccess):
@@ -187,9 +152,9 @@ def bigness_test(
     eps1 = eps / 3.0
     budget = learner.budget(n, eps1)
     counts = access.histogram(budget, rng)
-    q = np.maximum(np.asarray(learner.distribution(counts), dtype=float), 0.0)
-    total = q.sum()
-    learned = Distribution(q / total) if total > 0 else Distribution.uniform(n)
+    total = counts.sum()
+    q = counts / total if total > 0 else np.full(n, 1.0 / n)
+    learned = Distribution(q / q.sum())
     stat = dist_to_bigness(learned, threshold)
     return _verdict(stat, eps1, budget, bigness_threshold=threshold)
 
@@ -229,12 +194,10 @@ def matching_monotonicity_test(
     h = mixed.histogram(budget, rng)
     bottoms, tops = G.edge_array.T
     step = 1.0 / (4.0 * budget)
-    learned = learner.pair_hist(h[bottoms].astype(float), h[tops].astype(float), step)
     in_bottom = np.zeros(G.n, dtype=bool)
     in_bottom[bottoms] = True
     w_bottom = mixed.count_in(in_bottom, m, rng) / m
-    w_top = 1.0 - w_bottom
-    stat = _midpoint_cost(learned.scaled(w_bottom, w_top))
+    stat = _midpoint_cost(*_learned_keys(h[bottoms].astype(float), h[tops].astype(float), step, w_bottom))
     return _verdict(
         stat,
         3.0 * eps1,

@@ -61,6 +61,15 @@ def test_removed_parameters_stay_gone():
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
 
 
+def test_removed_learner_hooks_stay_gone():
+    """The testers learn by the empirical plug-in alone and score its counts
+    directly: no learner callable, no learned or rescaled PairHistogram."""
+    for name in ("learn_distribution", "learn_pair_histogram", "distribution", "pair_hist"):
+        assert not hasattr(posetdist.LearnerSpec, name), name
+        assert name not in inspect.signature(posetdist.LearnerSpec).parameters, name
+    assert not hasattr(posetdist.PairHistogram, "scaled")
+
+
 def test_removed_sampling_methods_stay_gone():
     """Sample access is the law of the counts: histogram is the one sampling
     method, and no per-draw route runs beside it."""

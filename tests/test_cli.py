@@ -19,6 +19,7 @@ from posetdist import (
     write_poset,
 )
 from posetdist.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_INFEASIBLE,
     EXIT_INTERNAL,
     EXIT_OK,
@@ -219,6 +220,40 @@ def test_suite_single_row(workdir):
     manifest.write_text("verb=oracle poset=line3.poset dist=line3.dist\n")
     out = run_suite(str(manifest), None, 7)
     assert "pass" in out
+
+
+# A passing row, and one row for each way a suite row can fail, by the exit
+# code it gives the suite (the g2b reduction is patched to raise a bug).
+SUITE_PASS_ROW = "verb=oracle poset=line3.poset dist=line3.dist expect_field=lp_value expect_min=0.2999"
+SUITE_FAIL_ROWS = {
+    EXIT_CHECK_FAILED: "verb=oracle poset=line3.poset dist=line3.dist expect_field=lp_value expect_min=0.5",
+    EXIT_INFEASIBLE: "verb=lb-probe nu=0.5 lambda=6 L=4 n=1 s_values=0 trials=3",
+    EXIT_VALIDATION: "verb=oracle poset=line3.poset dist=missing.dist",
+    EXIT_INTERNAL: "verb=reduce from=line3.poset kind=g2b dist=line3.dist out_poset=a out_dist=b",
+}
+
+
+@pytest.mark.parametrize("code", [EXIT_OK, EXIT_CHECK_FAILED, EXIT_INFEASIBLE, EXIT_VALIDATION, EXIT_INTERNAL])
+def test_suite_exits_with_its_gravest_failure(workdir, monkeypatch, capsys, code):
+    """The manifest for each code holds the failing rows of that code and of
+    every milder one, mildest first, so the exit code is the gravest row's:
+    1 before 2 before 3, and 4 only for missed checks."""
+    import posetdist.cli as cli
+
+    def broken(*args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "general_to_bipartite", broken)
+    rows = [SUITE_PASS_ROW] + [row for c, row in SUITE_FAIL_ROWS.items() if code and c >= code]
+    manifest = workdir / f"exit{code}.suite"
+    manifest.write_text("".join(row + "\n" for row in rows))
+    assert main(["suite", "--manifest", str(manifest)]) == code
+    out, err = capsys.readouterr()
+    assert out.count(",pass\n") == 1 and out.count(",fail\n") == len(rows) - 1
+    lines = [ln for ln in err.splitlines() if ln.startswith(f"{manifest}:")]
+    assert len(lines) == len(rows) - 1
+    if code:
+        assert lines[0] == f"{manifest}:2: row 1: lp_value=0.3 not in [0.5, inf]"
 
 
 def test_oracle_verb_on_six_cube(tmp_path, capsys):

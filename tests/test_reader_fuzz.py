@@ -256,8 +256,11 @@ def test_file_of_several_blocks(tmp_path, reader, reference, make_line, bad, mes
     lines[mid] = bad
     named = mid
     if byte_after:
-        far = mid + 1
-        while sum(map(len, lines[mid:far])) + far - mid < byte_after * prob.READ_BLOCK:
+        # the first far whose lines[mid:far], newlines included, reach
+        # byte_after blocks, found with a running total
+        far, size = mid + 1, len(lines[mid]) + 1
+        while size < byte_after * prob.READ_BLOCK:
+            size += len(lines[far]) + 1
             far += 1
         lines[far] = "\udcff" + lines[far]  # the byte 0xff once written with surrogateescape
         named = far if message.startswith("not UTF-8") else mid

@@ -5,6 +5,7 @@ from posetdist import (
     Distribution,
     ExactDistAccess,
     LearnerSpec,
+    PairHistogram,
     Rng,
     SampleAccess,
     SizeCapError,
@@ -54,9 +55,6 @@ def test_learner_spec():
     with pytest.raises(ValueError, match="learn budget of 9.33.*e\\+18 samples exceeds 9223372036854775807"):
         LearnerSpec(budget_multiplier=4.3e15).budget(100, 0.1)
     assert 9e18 < LearnerSpec(budget_multiplier=4.2e15).budget(100, 0.1) <= 2**63 - 1
-    for counts in ([0.5], [-1.0], [float("nan")], [2.0**64], [[1.0]]):
-        with pytest.raises(ValueError, match="nonnegative integers"):
-            spec.pair_hist(np.array(counts), np.ones(np.shape(counts)), 0.1)
 
 
 def test_bigness_completeness_and_soundness():
@@ -71,24 +69,29 @@ def test_bigness_completeness_and_soundness():
     assert rates(lambda r: bigness_test(far, n, 1.0 / n, 0.2, rng=r)) <= 0.1
 
 
+class _FixedCounts(SampleAccess):
+    """Returns the same counts whatever the number of draws."""
+
+    def __init__(self, counts):
+        self.counts, self.n = np.asarray(counts, dtype=np.int64), len(counts)
+
+    def histogram(self, s, rng):
+        return self.counts.copy()
+
+
 def test_bigness_boundary_inclusive():
-    # external learner pinning the learned distribution at distance exactly eps/3
-    q = np.array([0.0, 1 / 4, 1 / 4, 1 / 4, 1 / 4])
-    learner = LearnerSpec(learn_distribution=lambda counts: q)
-    acc = ExactDistAccess(Distribution.uniform(5))
-    v = bigness_test(acc, 5, 0.1875, 0.5625, learner, Rng(0))
+    # counts whose learned distribution lies at distance exactly eps/3
+    v = bigness_test(_FixedCounts([0, 1, 1, 1, 1]), 5, 0.1875, 0.5625, rng=Rng(0))
     assert v.stat == v.threshold == 0.1875  # 3/16 exactly representable
     assert v.accepted
 
 
 def test_bigness_stat_is_label_free():
     rng = np.random.default_rng(7)
-    counts = rng.integers(0, 50, size=12).astype(float)
-    spec = LearnerSpec()
-    base = dist_to_bigness(Distribution(spec.distribution(counts)), 0.05)
+    counts = rng.integers(0, 50, size=12)
+    base = bigness_test(_FixedCounts(counts), 12, 0.05, 0.9, rng=Rng(0)).stat
     for _ in range(10):
-        perm = rng.permutation(12)
-        permuted = dist_to_bigness(Distribution(spec.distribution(counts[perm])), 0.05)
+        permuted = bigness_test(_FixedCounts(counts[rng.permutation(12)]), 12, 0.05, 0.9, rng=Rng(0)).stat
         assert permuted == pytest.approx(base, abs=1e-15)
 
 
@@ -128,15 +131,25 @@ class _CallLog(SampleAccess):
         return self.base.count_in(mask, s, rng)
 
 
-def test_testers_draw_one_histogram_and_one_side_count():
+def test_testers_draw_one_histogram_and_one_side_count(monkeypatch):
     """The matching tester learns from one histogram and estimates the bottom
     mass by one count_in (each of about half its budget, as the rest comes
-    from uniform); the uniform-subset tester's stage 2 is one count_in."""
+    from uniform), and scores its learned keys without building a
+    PairHistogram; the uniform-subset tester's stage 2 is one count_in."""
+
+    def no_pair_histogram(*args, **kwargs):
+        raise AssertionError("a tester built a PairHistogram")
+
+    monkeypatch.setattr(PairHistogram, "from_arrays", no_pair_histogram)
+    monkeypatch.setattr(PairHistogram, "__init__", no_pair_histogram)
     G = make_matching(10)
     log = _CallLog(ExactDistAccess(monotone_matching_dist(np.random.default_rng(6), 10)))
     v = matching_monotonicity_test(G, log, 0.3, rng=Rng(3))
     assert [name for name, _ in log.calls] == ["histogram", "count_in"]
     assert log.calls[0][1] <= v.details["learn_budget"] and log.calls[1][1] <= v.details["mass_budget"]
+    M = make_bipartite(4, [(0, 2), (1, 3), (0, 3)], bottom=[0, 1])
+    v = bipartite_bounded_degree_test(M, ExactDistAccess(Distribution.uniform(4)), 2, 0.3, rng=Rng(3))
+    assert v.decision in ("accept", "reject")
     G = _star_family(100, 3)
     log = _CallLog(ExactDistAccess(Distribution.uniform(G.n)))
     v = uniform_subset_test(G, G.n, 0.5, log, Rng(3))
@@ -291,22 +304,3 @@ def test_matchable_pairs_match_the_per_matching_walk(cap):
         assert _pairs_or_refusal(_enumerate_matchable_pairs, G, cap) == want, name
         outcomes.add(isinstance(want, str))
     assert outcomes == {False, True}  # both lists and refusals at every cap
-
-
-def test_external_pair_learner_plugs_in():
-    # an oracle learner that reports the true mixed side vectors exactly
-    n_pairs = 8
-    G = make_matching(n_pairs)
-    p = monotone_matching_dist(np.random.default_rng(8), n_pairs)
-    mixed = 0.5 * p.probs + 0.25 / n_pairs
-
-    def oracle_learner(cb, ct, step):
-        from posetdist import pair_histogram
-
-        bot = mixed[:n_pairs] / mixed[:n_pairs].sum()
-        top = mixed[n_pairs:] / mixed[n_pairs:].sum()
-        return pair_histogram(bot, top)
-
-    spec = LearnerSpec(learn_pair_histogram=oracle_learner, budget_multiplier=1.0)
-    v = matching_monotonicity_test(G, ExactDistAccess(p), 0.3, spec, Rng(3))
-    assert v.accepted
