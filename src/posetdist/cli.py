@@ -64,6 +64,13 @@ EXIT_CHECK_FAILED = 4
 # Suite-only row keys: they check a row's summary and are not verb flags.
 _EXPECT_KEYS = ("expect_field", "expect_min", "expect_max")
 
+# The optional flags (dests) each `test --alg` and `reduce --kind` reads; "!" marks a needed one.
+_READS = {
+    "alg": {"bigness": "T multiplier", "matching": "poset! multiplier", "bipartite": "poset! delta multiplier",
+            "uniform-subset": "poset! support_size", "all-matchings": "poset!"},
+    "kind": {"g2b": "dist!", "b2m": "dist! delta", "big2m": "T", "m2hyp": "d! ell! pmax!"},
+}
+
 
 def _fmt(v) -> str:
     if isinstance(v, bool):
@@ -76,10 +83,7 @@ def _fmt(v) -> str:
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(_fmt, line)) + "\n" for line in [header, *rows])
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -109,9 +113,20 @@ def _run_oracle(a, base=""):
     d_tv = exact_dtv_to_monotone(G, p)
     W = max_violation_matching(G, p).weight
     lp, _ = func_dist_to_monotone(G, p)
-    header = ["d_tv", "matching_weight", "lp_value"]
-    text = _csv(header, [[d_tv, W, lp]])
-    return {"d_tv": d_tv, "matching_weight": W, "lp_value": lp}, text
+    summary = {"d_tv": d_tv, "matching_weight": W, "lp_value": lp}
+    return summary, _csv(list(summary), [list(summary.values())])
+
+
+def _check_flags(a, selector: str) -> None:
+    """Name a flag that the chosen --alg or --kind needs and lacks, or is given and does not read."""
+    choice = getattr(a, selector)
+    reads = _READS[selector][choice].split()
+    for flag in dict.fromkeys(f.rstrip("!") for text in _READS[selector].values() for f in text.split()):
+        given, name = getattr(a, flag) is not None, "--" + flag.replace("_", "-")
+        if not given and flag + "!" in reads:
+            raise ValueError(f"--{selector} {choice} needs {name}")
+        if given and flag not in reads and flag + "!" not in reads:
+            raise ValueError(f"--{selector} {choice} does not read {name}")
 
 
 def _delta(a, G) -> int:
@@ -125,24 +140,22 @@ def _threshold(a, p) -> float:
 
 
 def _run_test(a, base=""):
-    p = read_distribution(os.path.join(base, a.dist))
-    learner = LearnerSpec(budget_multiplier=a.multiplier)
-    G = read_poset(os.path.join(base, a.poset)) if a.poset is not None else None
-    if a.alg != "bigness" and G is None:
-        raise ValueError(f"algorithm {a.alg!r} needs --poset")
+    _check_flags(a, "alg")
     if a.trials < 1:
         raise ValueError("--trials must be at least 1")
+    p = read_distribution(os.path.join(base, a.dist))
+    G = read_poset(os.path.join(base, a.poset)) if a.poset is not None else None
     access = ExactDistAccess(p)
     rows = []
     accepts = 0
     for t in range(a.trials):
         rng = Rng(a.seed, t)
         if a.alg == "bigness":
-            v = bigness_test(access, p.n, _threshold(a, p), a.eps, learner, rng)
+            v = bigness_test(access, _threshold(a, p), a.eps, LearnerSpec(a.multiplier), rng)
         elif a.alg == "matching":
-            v = matching_monotonicity_test(G, access, a.eps, learner, rng)
+            v = matching_monotonicity_test(G, access, a.eps, LearnerSpec(a.multiplier), rng)
         elif a.alg == "bipartite":
-            v = bipartite_bounded_degree_test(G, access, _delta(a, G), a.eps, learner, rng)
+            v = bipartite_bounded_degree_test(G, access, _delta(a, G), a.eps, LearnerSpec(a.multiplier), rng)
         elif a.alg == "uniform-subset":
             size = a.support_size if a.support_size is not None else int(np.count_nonzero(p.probs))
             v = uniform_subset_test(G, size, a.eps, access, rng)
@@ -155,12 +168,11 @@ def _run_test(a, base=""):
 
 
 def _run_reduce(a, base=""):
+    _check_flags(a, "kind")
     source = os.path.join(base, getattr(a, "from"))
     out_poset = os.path.join(base, a.out_poset)
     out_dist = os.path.join(base, a.out_dist)
     if a.kind in ("g2b", "b2m"):
-        if a.dist is None:
-            raise ValueError(f"{a.kind} needs a source distribution (--dist) to emit one")
         G = read_poset(source)
         red = general_to_bipartite(G) if a.kind == "g2b" else bipartite_to_matching(G, _delta(a, G))
         write_poset(red.target, out_poset)
@@ -174,8 +186,6 @@ def _run_reduce(a, base=""):
         write_distribution(q, out_dist)
         summary = {"target_n": meta["poset"].n, "far_divisor": meta["far_divisor"]}
     else:
-        if None in (a.d, a.ell, a.pmax):
-            raise ValueError("m2hyp needs --d, --ell and --pmax")
         p = read_distribution(source)
         q = matching_to_hypercube(a.d, a.ell, p, a.pmax)
         write_poset(make_hypercube(a.d), out_poset)
@@ -238,8 +248,8 @@ def _run_lb_probe(a, base=""):
     s_values = _s_values(a.s_values)
     priors = build_priors(a.nu, a.lam, a.L)
     rows = indistinguishability_probe(priors, a.n, s_values, a.trials, Rng(a.seed))
-    table = [[r.s, r.kept_big, r.kept_far, r.best_stat, r.advantage, r.ci_half] for r in rows]
-    text = _csv(["s", "kept_big", "kept_far", "best_stat", "advantage", "ci_half"], table)
+    table = [[r.s, r.best_stat, r.advantage, r.ci_half] for r in rows]
+    text = _csv(["s", "best_stat", "advantage", "ci_half"], table)
     return {"advantage_at_max_s": rows[-1].advantage}, text
 
 
@@ -282,8 +292,16 @@ def _run_row(parser, line: str, seed: int, base: str) -> tuple[float, str | None
     field = expect.get("expect_field")
     if field is None and expect:
         raise ValueError("expect_min/expect_max need expect_field")
-    lo = float(expect.get("expect_min", "-inf"))
-    hi = float(expect.get("expect_max", "inf"))
+    bounds = []
+    for key, default in (("expect_min", "-inf"), ("expect_max", "inf")):
+        text = expect.get(key, default)
+        try:
+            bounds.append(float(text))
+        except ValueError:
+            raise ValueError(f"{key} must be a number, got {text!r}") from None
+        if np.isnan(bounds[-1]):
+            raise ValueError(f"{key} must not be nan (inf and -inf are allowed)")
+    lo, hi = bounds
     a = parser.parse_args(argv)
     if hasattr(a, "seed"):
         a.seed = seed

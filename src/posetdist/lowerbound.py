@@ -8,12 +8,13 @@ approximately a distribution, and a histogram of roughly s samples is drawn
 as independent Poisson(s * w_i / n) counts.
 
 Conditioned on the "good" events (raw mass near 1, enough samples, enough
-zeros on the far side), the normalized V-side vector is 1/(beta*n)-big while
-the V'-side vector is far from big by half the construction's gap value, yet
-the two histogram laws are nearly indistinguishable. The gap optimum has a
-closed form via best polynomial approximation of 1/x: moment_gap_value is
-its value, and solve_moment_gap builds its atoms, the alternation points of
-that approximation with divided-difference weights.
+zeros on the far side; at s = 0 no sample is drawn and the count clause holds
+vacuously), the normalized V-side vector is 1/(beta*n)-big while the V'-side
+vector is far from big by half the construction's gap value, yet the two
+histogram laws are nearly indistinguishable. The gap optimum has a closed form
+via best polynomial approximation of 1/x: moment_gap_value is its value, and
+solve_moment_gap builds its atoms, the alternation points of that
+approximation with divided-difference weights.
 """
 
 from __future__ import annotations
@@ -269,16 +270,23 @@ class ParameterAssignment:
     eps: float
 
 
+def _check_size(n: int) -> None:
+    """An instance has 1..MAX_DOMAIN elements, the vertex cap of read_poset."""
+    if n < 1:
+        raise ValueError(f"instance size n must be at least 1, got {n}")
+    if n > MAX_DOMAIN:
+        raise ValueError(f"instance size n={n} exceeds the limit of {MAX_DOMAIN}")
+
+
 def assign_parameters(n: int, eps: float, L: int) -> ParameterAssignment:
     """The standard parameter tuple: nu = 1/2, lam from (eps, L), s = floor(L*n / (2*e*lam)).
 
     Feasibility guard: rho = sqrt(lam/(1+nu)) must be at least 1.5, which also
     guarantees gap >= 2*eps. Violations raise ParameterError with rho reported;
-    an n below 1 or an eps that is not a finite number above 0 is a
-    ValueError, as in generate_instance.
+    an n outside 1..MAX_DOMAIN or an eps that is not a finite number above 0
+    is a ValueError, as in generate_instance.
     """
-    if n < 1:
-        raise ValueError(f"instance size n must be at least 1, got {n}")
+    _check_size(n)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be a finite number above 0, got {eps!r}")
     if eps >= 1.0 / 27:
@@ -369,14 +377,6 @@ def _poisson_counts(rates: np.ndarray, idx: np.ndarray, rng: Rng) -> tuple[np.nd
     return counts, total, sizes
 
 
-def _check_size(n: int) -> None:
-    """An instance has 1..MAX_DOMAIN elements, the vertex cap of read_poset."""
-    if n < 1:
-        raise ValueError(f"instance size n must be at least 1, got {n}")
-    if n > MAX_DOMAIN:
-        raise ValueError(f"instance size n={n} exceeds the limit of {MAX_DOMAIN}")
-
-
 def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInstance:
     """Step 1 draws n i.i.d. prior weights per side; step 2 Poissonizes.
 
@@ -397,9 +397,10 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     which must stay within int64.
     The normalized views norm_big and norm_far are built only when read.
 
-    Event flags: the big side needs raw mass within nu of 1 and more than
-    s(1-nu)/2 total samples; the far side additionally needs at least
-    beta*n*gap/2 zero-weight elements.
+    Event flags, Python bools: the big side needs raw mass within nu of 1
+    and more than s(1-nu)/2 total samples; the far side additionally needs
+    at least beta*n*gap/2 zero-weight elements. At s = 0 no sample is drawn,
+    so the count clause holds vacuously and only the other clauses decide.
     """
     _check_size(n)
     if s < 0:
@@ -419,17 +420,13 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     raw_far = values_far.take(idx_far.astype(np.intp, copy=False))
     hist_big, total_big, sizes_big = _poisson_counts(s * values_big, idx_big, rng)
     hist_far, total_far, sizes_far = _poisson_counts(s * values_far, idx_far, rng)
-    # numpy scalars, not floats: the event flags keep their numpy bool type.
-    # The pairwise sums fix the bits of the masses and so of p_max.
+    # the pairwise sums fix the bits of the masses and so of p_max
     mass_big, mass_far = raw_big.sum(), raw_far.sum()
     zero_count = int(sizes_far[values_far == 0.0].sum())
-    count_floor = s * (1 - priors.nu) / 2.0
-    event_big = abs(mass_big - 1.0) <= priors.nu and total_big > count_floor
-    event_far = (
-        abs(mass_far - 1.0) <= priors.nu
-        and zero_count >= priors.beta * n * priors.gap / 2.0
-        and total_far > count_floor
-    )
+    count_floor = s * (1 - priors.nu) / 2.0  # vacuous at s = 0, where nothing is drawn
+    event_big = bool(abs(mass_big - 1.0) <= priors.nu and (s == 0 or total_big > count_floor))
+    event_far = bool(abs(mass_far - 1.0) <= priors.nu and (s == 0 or total_far > count_floor)
+                     and zero_count >= priors.beta * n * priors.gap / 2.0)
     # the largest raw weight is the largest atom value with members, and
     # division by a positive total is monotone, so this is the largest
     # probability of the normalized views
@@ -499,10 +496,9 @@ def indistinguishability_probe(
     """Empirical one-sided probe of histogram indistinguishability.
 
     For every s, draws `trials` event-conditioned instances per side
-    (rejection sampling; at s = 0 the sample-count clause is vacuous and only
-    the raw-mass clause is enforced), then reports the best advantage any
-    single fingerprint statistic achieves as a threshold classifier, with a
-    Wilson 95% half-width. This lower-bounds the histogram TV distance; it
+    (rejection sampling on generate_instance's event flags), then reports
+    the best advantage any single fingerprint statistic achieves as a
+    threshold classifier, with a Wilson 95% half-width. This lower-bounds the histogram TV distance; it
     cannot certify an upper bound. A trial whose events fail MAX_RETRIES
     draws in a row raises ParameterError: the events are too rare at this n.
     So does, before any draw, a regime where the far side's z = ceil(beta*n*gap/2)
@@ -530,16 +526,10 @@ def indistinguishability_probe(
                 sub = rng.derive(stream)
                 stream += 1
                 inst = generate_instance(priors, n, s, sub)
-                ok_big = inst.event_big or (s == 0 and abs(inst.raw_big.sum() - 1) <= priors.nu)
-                ok_far = inst.event_far or (
-                    s == 0
-                    and abs(inst.raw_far.sum() - 1) <= priors.nu
-                    and inst.zero_count >= priors.beta * n * priors.gap / 2.0
-                )
-                if not got_big and ok_big:
+                if not got_big and inst.event_big:
                     stats_big[t] = fingerprint_stats(inst.hist_big)
                     got_big = True
-                if not got_far and ok_far:
+                if not got_far and inst.event_far:
                     stats_far[t] = fingerprint_stats(inst.hist_far)
                     got_far = True
                 if got_big and got_far:

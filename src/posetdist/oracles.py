@@ -142,8 +142,8 @@ def exact_dtv_to_monotone(G: Poset, p: Distribution) -> float:
 def _violation_edges(G: Poset, probs: np.ndarray):
     """(tails, heads, weights) of the TC edges with positive violation
     weight, sorted by (tail, head) as both edge arrays already are."""
-    # a matching has no 2-paths: its closure is its edges
-    u, v = (G.edge_array if G.kind == "matching" else transitive_closure(G).edge_array()).T
+    # no matching or bipartite edge starts at a head: no 2-paths, the closure is the edges
+    u, v = (G.edge_array if G.kind in ("matching", "bipartite") else transitive_closure(G).edge_array()).T
     w = probs[u] - probs[v]
     keep = w > WEIGHT_TOL
     return u[keep], v[keep], w[keep]

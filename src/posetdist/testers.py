@@ -1,11 +1,11 @@
 """Sample-based testers for bigness and monotonicity.
 
-Every tester takes sample access plus a seeded Rng, returns an accept/reject
-Verdict whose diagnostics (statistic, threshold, sample counts) reproduce the
-decision, and targets the usual 2/3 success contract at desk scale. Learning
-is the empirical plug-in: raw frequencies, with a sample budget (LearnerSpec;
-multiplier 20 * log n unless overridden) that compensates for its weaker
-guarantee. All "accept iff statistic <= threshold" comparisons are inclusive.
+Every tester takes sample access plus a seeded Rng and returns a Verdict,
+which derives its decision: accept iff statistic <= threshold, inclusive.
+bigness_test reads n from its access. The testers target the usual 2/3
+success contract at desk scale. Learning is the empirical plug-in: raw
+frequencies, with a sample budget (LearnerSpec; multiplier 20 * log n unless
+overridden) that compensates for its weaker guarantee.
 """
 
 from __future__ import annotations
@@ -41,16 +41,14 @@ def _sample_count(name: str, num: float, den: float) -> int:
 
 @dataclass(frozen=True)
 class Verdict:
-    decision: str
+    decision: str = field(init=False)  # derived, never passed: "accept" iff stat <= threshold
     stat: float
     threshold: float
     samples: int
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        want = "accept" if self.stat <= self.threshold else "reject"
-        if self.decision != want:
-            raise ValueError("verdict decision does not match its diagnostics")
+        object.__setattr__(self, "decision", "accept" if self.stat <= self.threshold else "reject")
 
     @property
     def accepted(self) -> bool:
@@ -58,8 +56,7 @@ class Verdict:
 
 
 def _verdict(stat: float, threshold: float, samples: int, **details) -> Verdict:
-    decision = "accept" if stat <= threshold else "reject"
-    return Verdict(decision, float(stat), float(threshold), int(samples), dict(details))
+    return Verdict(float(stat), float(threshold), int(samples), dict(details))
 
 
 @dataclass(frozen=True)
@@ -108,6 +105,17 @@ def _learned_keys(counts_bottom, counts_top, step: float, w_bottom: float):
     return w_bottom * x, (1.0 - w_bottom) * y, mult.astype(float)
 
 
+def _check_inputs(name: str, G: Poset, kinds: tuple[str, ...], access: SampleAccess, eps: float) -> None:
+    """A poset tester's entry checks: G of one of its kinds, eps in (0, 1] and
+    sample access over G's vertices."""
+    if G.kind not in kinds:
+        raise ValueError(f"{name} needs a {kinds[0]} poset")
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    if access.n != G.n:
+        raise ValueError("sample access does not match the poset")
+
+
 class MixedWithUniform(SampleAccess):
     """Each sample comes from the base distribution or uniform on the domain
     with probability 1/2 each, i.e. access to p/2 + u/2. Both methods first
@@ -133,7 +141,6 @@ class MixedWithUniform(SampleAccess):
 
 def bigness_test(
     access: SampleAccess,
-    n: int,
     threshold: float,
     eps: float,
     learner: LearnerSpec | None = None,
@@ -144,9 +151,8 @@ def bigness_test(
     eps/3 vs 2*eps/3 for any learner with l1 error below eps/3."""
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
+    n = access.n
     _check_threshold(threshold, n)
-    if access.n != n:
-        raise ValueError("sample access does not match n")
     learner = learner or LearnerSpec()
     rng = rng or Rng(0)
     eps1 = eps / 3.0
@@ -176,15 +182,10 @@ def matching_monotonicity_test(
     The learn step draws one histogram; the bottom side's mass estimate is
     one count_in over the bottom vertices.
     """
-    if G.kind != "matching":
-        raise ValueError("matching_monotonicity_test needs a matching poset")
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    _check_inputs("matching_monotonicity_test", G, ("matching",), access, eps)
     n_pairs = len(G.edge_array)
     if n_pairs == 0 or 2 * n_pairs != G.n:
         raise ValueError("every vertex must be matched")
-    if access.n != G.n:
-        raise ValueError("sample access does not match the poset")
     learner = learner or LearnerSpec()
     rng = rng or Rng(0)
     eps1 = eps / 14.0
@@ -240,14 +241,9 @@ def uniform_subset_test(
     (the draws that land in T, one count_in). A promise violation is not
     detected.
     """
-    if G.kind not in ("bipartite", "matching"):
-        raise ValueError("uniform_subset_test needs a bipartite poset")
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    _check_inputs("uniform_subset_test", G, ("bipartite", "matching"), access, eps)
     if not 1 <= support_size <= G.n:
         raise ValueError(f"support_size must lie in [1, n={G.n}], got {support_size}")
-    if access.n != G.n:
-        raise ValueError("sample access does not match the poset")
     rng = rng or Rng(0)
     n = G.n
     s1 = _sample_count("stage 1 size", 8.0 * n ** (2.0 / 3.0), eps)
@@ -307,12 +303,7 @@ def all_matchings_test(
     per pair (failure probability O(1/M) each); reject as soon as some pair's
     bottom mass beats its top mass by more than eps/2.
     """
-    if G.kind not in ("bipartite", "matching"):
-        raise ValueError("all_matchings_test needs a bipartite poset")
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    if access.n != G.n:
-        raise ValueError("sample access does not match the poset")
+    _check_inputs("all_matchings_test", G, ("bipartite", "matching"), access, eps)
     rng = rng or Rng(0)
     pairs = _enumerate_matchable_pairs(G, PAIR_CAP)
     n_pairs = len(pairs)

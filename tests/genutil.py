@@ -349,7 +349,8 @@ def reference_instance(priors, n: int, s: int, gen: np.random.Generator) -> LBIn
     """generate_instance along the route that reads every statistic off the
     n-length outputs: atoms by Generator.choice, counts by
     reference_poisson_counts (big side first), then the masses, count totals,
-    zeros and peak each from a scan of the raw vectors and histograms."""
+    zeros and peak each from a scan of the raw vectors and histograms. The
+    event flags are Python bools."""
     idx_big, idx_far = (reference_choice(mass / mass.sum(), n, gen) for mass in (priors.mass_big, priors.mass_far))
     raw_big = (priors.atoms_big / n).take(idx_big)
     raw_far = (priors.atoms_far / n).take(idx_far)
@@ -357,12 +358,13 @@ def reference_instance(priors, n: int, s: int, gen: np.random.Generator) -> LBIn
     hist_far = reference_poisson_counts(s * (priors.atoms_far / n), idx_far, gen)
     mass_big, mass_far = raw_big.sum(), raw_far.sum()
     zero_count = int(np.count_nonzero(raw_far == 0.0))
+    # the count clause holds vacuously at s = 0, where nothing is drawn
     count_floor = s * (1 - priors.nu) / 2.0
-    event_big = abs(mass_big - 1.0) <= priors.nu and hist_big.sum() > count_floor
-    event_far = (
+    event_big = bool(abs(mass_big - 1.0) <= priors.nu and (s == 0 or hist_big.sum() > count_floor))
+    event_far = bool(
         abs(mass_far - 1.0) <= priors.nu
         and zero_count >= priors.beta * n * priors.gap / 2.0
-        and hist_far.sum() > count_floor
+        and (s == 0 or hist_far.sum() > count_floor)
     )
     peaks = [raw.max() / mass for raw, mass in ((raw_big, mass_big), (raw_far, mass_far)) if mass > 0]
     return LBInstance(n=n, s=s, raw_big=raw_big, raw_far=raw_far, zero_count=zero_count, hist_big=hist_big,

@@ -360,9 +360,9 @@ def test_criterion_08_tester_operating_characteristics():
     for n in (50, 200):
         T, big, far = _bigness_instances(rng, n, EPS)
         run_case(f"bigness n={n} big", lambda p: (
-            lambda r: bigness_test(ExactDistAccess(p), p.n, T, EPS, rng=r)), big, True)
+            lambda r: bigness_test(ExactDistAccess(p), T, EPS, rng=r)), big, True)
         run_case(f"bigness n={n} far", lambda p: (
-            lambda r: bigness_test(ExactDistAccess(p), p.n, T, EPS, rng=r)), far, False)
+            lambda r: bigness_test(ExactDistAccess(p), T, EPS, rng=r)), far, False)
 
     for n_pairs in (50, 200):
         G = make_matching(n_pairs)

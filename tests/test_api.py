@@ -48,7 +48,8 @@ def test_readme_documents_every_public_name():
 
 def test_removed_parameters_stay_gone():
     """Parameters that no caller set are constants now, so no caller can
-    lift the LP cap or the pair cap, or change a tolerance or retry count."""
+    lift the LP cap or the pair cap, or change a tolerance or retry count;
+    values derived from other arguments are not parameters either."""
     gone = {
         posetdist.func_dist_to_monotone: "lp_cap",
         posetdist.exact_dtv_to_monotone: "lp_cap",
@@ -56,6 +57,8 @@ def test_removed_parameters_stay_gone():
         posetdist.indistinguishability_probe: "max_retries",
         posetdist.is_monotone: "tol",
         posetdist.LearnerSpec: "kind",
+        posetdist.Verdict: "decision",  # derived from stat <= threshold
+        posetdist.bigness_test: "n",  # read from the sample access
     }
     for fn, name in gone.items():
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)

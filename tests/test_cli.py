@@ -436,6 +436,11 @@ def test_explicit_values_are_never_replaced_by_defaults(workdir, monkeypatch, ca
          "unrecognized arguments: --expect-feild=lp_value"),
         ("verb=oracle poset=line3.poset dist=line3.dist expect_field=lp_vlaue",
          "expect_field 'lp_vlaue' is not in the summary (d_tv, matching_weight, lp_value)"),
+        ("verb=oracle poset=line3.poset dist=line3.dist expect_field=lp_value expect_min=abc",
+         "expect_min must be a number, got 'abc'"),
+        ("verb=oracle poset=line3.poset dist=line3.dist expect_field=lp_value expect_max=nan",
+         "expect_max must not be nan"),
+        ("verb=test alg=matching poset=m6.poset dist=m6mono.dist eps=0.3 T=5", "--alg matching does not read --T"),
         ("verb=oracle poset=line3.poset", "the following arguments are required: --dist"),
         ("verb=test alg=bigness dist=u40.dist eps=0.2 T=0", "threshold must lie in (0, 1/n]"),
         ("verb=test alg=bigness dist=u40.dist eps=zero", "argument --eps: invalid float value: 'zero'"),
@@ -458,6 +463,81 @@ def test_bad_manifest_row_fails_only_that_row(workdir, capsys, row, message):
     err = capsys.readouterr().err
     assert err.startswith(f"{manifest}:2: row 0: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_infinite_check_bounds_are_allowed(workdir):
+    manifest = workdir / "inf.suite"
+    manifest.write_text("verb=oracle poset=line3.poset dist=line3.dist expect_field=lp_value "
+                        "expect_min=-inf expect_max=inf\n")
+    assert run_suite(str(manifest), None, 0).split("\n")[1] == "0,0,0,0.3,pass"
+
+
+# The optional flags each --alg and --kind reads, stated here apart from the
+# CLI's own table; the flags of its verb that it does not read are refused.
+ALG_READS = {"bigness": {"T", "multiplier"}, "matching": {"poset", "multiplier"},
+             "bipartite": {"poset", "delta", "multiplier"}, "uniform-subset": {"poset", "support_size"},
+             "all-matchings": {"poset"}}
+KIND_READS = {"g2b": {"dist"}, "b2m": {"dist", "delta"}, "big2m": {"T"}, "m2hyp": {"d", "ell", "pmax"}}
+FLAG_VALUES = {"poset": "b.poset", "dist": "b.dist", "T": "0.1", "multiplier": "2", "delta": "2",
+               "support_size": "2", "d": "4", "ell": "2", "pmax": "0.5"}
+NEEDED = {"matching": ["poset"], "bipartite": ["poset"], "uniform-subset": ["poset"], "all-matchings": ["poset"],
+          "g2b": ["dist"], "b2m": ["dist"], "m2hyp": ["d", "ell", "pmax"]}
+
+
+def _choice_argv(choice: str, flags) -> list[str]:
+    """A test or reduce command line for one --alg or --kind choice, given
+    the flags it needs and then `flags`, each with a valid value."""
+    values = dict(FLAG_VALUES, poset="m6.poset", dist="m6mono.dist") if choice == "matching" else FLAG_VALUES
+    if choice in ALG_READS:
+        argv = ["test", "--alg", choice, "--dist", values["dist"], "--eps", "0.2"]
+    else:
+        source = "b.poset" if choice in ("g2b", "b2m") else "u6.dist"
+        argv = ["reduce", "--from", source, "--kind", choice, "--out-poset", "out.poset", "--out-dist", "out.dist"]
+    for flag in NEEDED.get(choice, []) + list(flags):
+        argv += ["--" + flag.replace("_", "-"), values[flag]]
+    return argv
+
+
+UNREAD = [(choice, flag) for table in (ALG_READS, KIND_READS) for choice, reads in table.items()
+          for flag in sorted(set().union(*table.values()) - reads)]
+
+
+def test_the_read_tables_cover_every_optional_flag():
+    """Every flag of test and reduce that has no default is in some choice's
+    reads, so none of them can be silently dropped."""
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for verb, table in (("test", ALG_READS), ("reduce", KIND_READS)):
+        optional = {a.dest for a in subparsers.choices[verb]._actions
+                    if a.option_strings and not a.required and a.default is None and a.dest not in ("help", "out")}
+        assert optional == set().union(*table.values()), verb
+
+
+@pytest.mark.parametrize("choice,flag", UNREAD, ids=[f"{c}-{f}" for c, f in UNREAD])
+def test_a_flag_the_choice_does_not_read_exits_2(workdir, monkeypatch, capsys, choice, flag):
+    monkeypatch.chdir(workdir)
+    write_poset(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]), workdir / "b.poset")
+    write_distribution(Distribution.uniform(4), workdir / "b.dist")
+    write_distribution(Distribution.uniform(6), workdir / "u6.dist")
+    assert main(_choice_argv(choice, [])) == EXIT_OK  # the same run without the flag is valid
+    capsys.readouterr()
+    for path in workdir.glob("out*"):
+        path.unlink()
+    assert main(_choice_argv(choice, [flag])) == EXIT_VALIDATION
+    selector = "alg" if choice in ALG_READS else "kind"
+    err = capsys.readouterr().err
+    assert err == f"error: --{selector} {choice} does not read --{flag.replace('_', '-')}\n"
+    assert not list(workdir.glob("out*"))
+
+
+@pytest.mark.parametrize("choice,flag", [(c, f) for c, flags in NEEDED.items() for f in flags])
+def test_a_flag_the_choice_needs_is_required(workdir, monkeypatch, capsys, choice, flag):
+    monkeypatch.chdir(workdir)
+    argv = _choice_argv(choice, [])
+    k = argv.index("--" + flag)
+    assert main(argv[:k] + argv[k + 2:]) == EXIT_VALIDATION
+    selector = "alg" if choice in ALG_READS else "kind"
+    assert capsys.readouterr().err == f"error: --{selector} {choice} needs --{flag}\n"
+    assert not list(workdir.glob("out*"))
 
 
 @pytest.mark.parametrize("bug", [KeyError, RuntimeError])

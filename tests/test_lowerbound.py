@@ -264,6 +264,52 @@ def test_generate_instance_event_statistics():
     assert hits_far / trials >= 0.90
 
 
+def test_events_at_s0_are_the_mass_and_zero_count_clauses():
+    """At s = 0 nothing is drawn and the count clause holds vacuously: each
+    flag is a bool that holds exactly when its raw mass lies within nu of 1
+    and, on the far side, at least beta*n*gap/2 elements weigh zero."""
+    seen = set()
+    for setting in BENCH_PRIORS:
+        priors = build_priors(*setting)
+        for n in (1, 7, 20, 50):
+            for seed in range(40):
+                inst = generate_instance(priors, n, 0, Rng(seed))
+                assert inst.hist_big.sum() == inst.hist_far.sum() == 0
+                big = bool(abs(inst.raw_big.sum() - 1.0) <= priors.nu)
+                zeros = np.count_nonzero(inst.raw_far == 0.0) >= priors.beta * n * priors.gap / 2.0
+                far = bool(abs(inst.raw_far.sum() - 1.0) <= priors.nu and zeros)
+                assert inst.event_big is big and inst.event_far is far, (setting, n, seed)
+                seen.update({("big", big), ("far", far)})
+    assert seen == {(side, flag) for side in ("big", "far") for flag in (False, True)}
+
+
+def test_probe_keeps_the_first_attempt_whose_flags_hold(monkeypatch):
+    """A call log of generate_instance and fingerprint_stats: at s = 0 each
+    trial reads the big histogram of its first attempt with event_big and
+    the far histogram of its first attempt with event_far, and draws no
+    attempt once both have been read."""
+    import posetdist.lowerbound as lb
+
+    drawn, read = [], []
+    generate, stats = lb.generate_instance, lb.fingerprint_stats
+    monkeypatch.setattr(lb, "generate_instance", lambda *args: drawn.append(generate(*args)) or drawn[-1])
+    monkeypatch.setattr(lb, "fingerprint_stats", lambda hist: read.append(hist) or stats(hist))
+    trials = 30
+    indistinguishability_probe(build_priors(0.5, 6.0, 4), 7, [0], trials, Rng(3))
+    want, k = [], 0
+    for _ in range(trials):
+        first = {}
+        while len(first) < 2:
+            inst = drawn[k]
+            k += 1
+            for side in ("big", "far"):
+                if side not in first and getattr(inst, f"event_{side}"):
+                    first[side] = getattr(inst, f"hist_{side}")
+                    want.append(first[side])
+    assert k == len(drawn) > trials  # some attempt failed its events and was retried
+    assert len(read) == len(want) == 2 * trials and all(a is b for a, b in zip(read, want))
+
+
 def test_fingerprint_stats():
     assert fingerprint_stats(np.array([0, 1, 1, 2, 5])) == (1, 2, 1, 9)
 
@@ -397,8 +443,8 @@ def _cross_check_priors() -> dict:
 @pytest.mark.parametrize("s", [0, 300, 3000, 10**6])
 def test_generate_instance_matches_the_per_atom_reference(name, n, s):
     """Draw for draw against the route that scans its outputs: the arrays
-    with their dtypes, zero_count, the event flags' values and types (a
-    numpy bool stays one), the bits of p_max and the generator state."""
+    with their dtypes, zero_count, the event flags' values and types (both
+    Python bools), the bits of p_max and the generator state."""
     priors = _cross_check_priors()[name]
     for seed in range(3):
         rng, ref_rng = Rng(seed), Rng(seed)

@@ -164,6 +164,31 @@ def test_matching_on_large_posets_equals_lp():
         assert list(m.edges) == sorted(m.edges)
 
 
+def test_bipartite_matching_needs_no_closure(monkeypatch):
+    """A bipartite poset's closure is its edges, so max_violation_matching
+    never builds one, and it returns what the closure route returns: the
+    same edges as a general poset, whose matching reads the closure."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(2, 24))
+        bottom = np.flatnonzero(rng.random(n) < 0.5)
+        top = np.setdiff1d(np.arange(n), bottom)
+        edges = [(b, t) for b in bottom for t in top if rng.random() < 0.3]
+        G = make_bipartite(n, edges, bottom=bottom)
+        assert np.array_equal(transitive_closure(G).edge_array(), G.edge_array)
+        p = random_distribution(rng, n)
+        cases.append((G, p, max_violation_matching(Poset(n, edges, kind="general"), p)))
+
+    def no_closure(G):
+        raise AssertionError("a closure was built")
+
+    monkeypatch.setattr(oracles, "transitive_closure", no_closure)
+    assert sum(bool(want.edges) for _, _, want in cases) >= 20
+    for G, p, want in cases:
+        assert max_violation_matching(G, p) == want
+
+
 def test_matching_structural_tie_is_deterministic():
     # a chain 0 < 1 < 2 < 3 among 30 vertices, decreasing in p:
     # {(0,3),(1,2)} and {(0,2),(1,3)} weigh the same

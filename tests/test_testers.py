@@ -37,10 +37,14 @@ def rates(fn, trials=30, seed=101):
 
 
 def test_verdict_consistency():
-    v = Verdict("accept", 0.1, 0.2, 10)
-    assert v.accepted
-    with pytest.raises(ValueError):
-        Verdict("reject", 0.1, 0.2, 10)
+    """The decision is derived from stat and threshold, inclusively."""
+    assert Verdict(0.1, 0.2, 10).decision == "accept"
+    tie = Verdict(0.2, 0.2, 10)
+    assert tie.decision == "accept" and tie.accepted
+    over = Verdict(0.2000000000000001, 0.2, 10, {"branch": 1})
+    assert over.decision == "reject" and not over.accepted
+    with pytest.raises(TypeError):
+        Verdict("reject", 0.1, 0.2, 10)  # decision is not a parameter
 
 
 def test_learner_spec():
@@ -60,13 +64,13 @@ def test_learner_spec():
 def test_bigness_completeness_and_soundness():
     n = 100
     uni = ExactDistAccess(Distribution.uniform(n))
-    assert rates(lambda r: bigness_test(uni, n, 1.0 / n, 0.2, rng=r)) >= 0.9
+    assert rates(lambda r: bigness_test(uni, 1.0 / n, 0.2, rng=r)) >= 0.9
     k = 20  # k/n = eps zero-mass elements
     v = np.zeros(n)
     v[k:] = 1.0 / (n - k)
     far = ExactDistAccess(Distribution(v))
     assert dist_to_bigness(Distribution(v), 1.0 / n) >= 0.2
-    assert rates(lambda r: bigness_test(far, n, 1.0 / n, 0.2, rng=r)) <= 0.1
+    assert rates(lambda r: bigness_test(far, 1.0 / n, 0.2, rng=r)) <= 0.1
 
 
 class _FixedCounts(SampleAccess):
@@ -81,7 +85,7 @@ class _FixedCounts(SampleAccess):
 
 def test_bigness_boundary_inclusive():
     # counts whose learned distribution lies at distance exactly eps/3
-    v = bigness_test(_FixedCounts([0, 1, 1, 1, 1]), 5, 0.1875, 0.5625, rng=Rng(0))
+    v = bigness_test(_FixedCounts([0, 1, 1, 1, 1]), 0.1875, 0.5625, rng=Rng(0))
     assert v.stat == v.threshold == 0.1875  # 3/16 exactly representable
     assert v.accepted
 
@@ -89,18 +93,18 @@ def test_bigness_boundary_inclusive():
 def test_bigness_stat_is_label_free():
     rng = np.random.default_rng(7)
     counts = rng.integers(0, 50, size=12)
-    base = bigness_test(_FixedCounts(counts), 12, 0.05, 0.9, rng=Rng(0)).stat
+    base = bigness_test(_FixedCounts(counts), 0.05, 0.9, rng=Rng(0)).stat
     for _ in range(10):
-        permuted = bigness_test(_FixedCounts(counts[rng.permutation(12)]), 12, 0.05, 0.9, rng=Rng(0)).stat
+        permuted = bigness_test(_FixedCounts(counts[rng.permutation(12)]), 0.05, 0.9, rng=Rng(0)).stat
         assert permuted == pytest.approx(base, abs=1e-15)
 
 
 def test_bigness_validation():
     acc = ExactDistAccess(Distribution.uniform(4))
     with pytest.raises(ValueError):
-        bigness_test(acc, 4, 0.5, 0.2, rng=Rng(0))  # T > 1/n
+        bigness_test(acc, 0.5, 0.2, rng=Rng(0))  # T > 1/n
     with pytest.raises(ValueError):
-        bigness_test(acc, 4, 0.25, 1.5, rng=Rng(0))
+        bigness_test(acc, 0.25, 1.5, rng=Rng(0))
 
 
 def test_mixing_preserves_monotone():
