@@ -282,14 +282,14 @@ GOLDEN_LB_GEN = {
     "eps": {
         "big.dist": "204d3c638d3152e9f3924ae005eb9b7af0df4b106e1fb7e5b75c7f24c9c6b2a9",
         "big.hist.csv": "a94b310e3cb49c19052c97091d9adac13063427329082a75c3d0be05f1cbcfa9",
-        "events.csv": "57dfe28e5b8c80db15ccc20babdc2e90d3919ab779fb129d06ded3c07783aaf4",
+        "events.csv": "548501d0bf360d59356a40adce363c2ce0b29e490afdbeb6f686667665b3446c",
         "far.dist": "3b992b806c35d847884db8bccd769282d7faa6538a3960bdcb565f1206ea6a93",
         "far.hist.csv": "ef6442220556531819d66db057261928945df44030aceee8498918e14444487e",
     },
     "explicit": {
         "big.dist": "1fdc2fed76b1ba054aea5c07f7aac823807b34bb817d317e7bf8ba35b45b9eac",
         "big.hist.csv": "771db7d80d4708f221002aafa957c42f227077ac4166c42b6e28496a0d6ddfe3",
-        "events.csv": "575e947204d9a6aa8facfb728d123cf7a5acddaa49a38c46254e34c5928684eb",
+        "events.csv": "415604e47ca1fe04cfdeaab756ce822cedd008dcaac6b0c46c1c5d118757c823",
         "far.dist": "df52787c03547d47e2822e46bfb1951b915867d11befc456d5ae4370590b45ed",
         "far.hist.csv": "771db7d80d4708f221002aafa957c42f227077ac4166c42b6e28496a0d6ddfe3",
     },
@@ -352,16 +352,16 @@ def instance_pins() -> list[str]:
 
 
 GOLDEN_INSTANCES = [
-    'e0b8aa54c9b37ffd5b793df29e26630a 0 np.False_ False 1.0 False False',
-    'b6228a098eb0a72448d90763fb0fb37e 0 np.True_ False 1.0 False False',
-    'fae7006a01f1770b0cc5d54ca1d21e9e 449 np.False_ np.False_ 0.00025541560908641026 False False',
-    'e68580eaacff6bad12ea9e7bd3d45d20 449 np.True_ np.True_ 0.0002552648372686662 False False',
-    '16fd98042bf5c6bd406013a65547b0ec 0 np.False_ False 1.0 False False',
-    'bdf77cd06db5e0fe66777d3a6b64c52d 0 np.True_ False 1.0 False False',
-    'bd3e0a0f97762ebcca8f39722ed84e02 779 np.False_ np.False_ 0.0004659856844326315 False False',
-    'e440ca13348829648033a2502993f46a 790 np.True_ np.True_ 0.0004671229343125852 False False',
-    'a1cd9461f64c95bcfe47a25665b3e841 1 np.True_ np.False_ 1.0 False True',
-    'd8ff4a38b025af76c71564359642c003 1 np.False_ np.False_ 1.0 False True',
+    'e0b8aa54c9b37ffd5b793df29e26630a 0 True False 1.0 False False',
+    'b6228a098eb0a72448d90763fb0fb37e 0 True False 1.0 False False',
+    'fae7006a01f1770b0cc5d54ca1d21e9e 449 True True 0.00025541560908641026 False False',
+    'e68580eaacff6bad12ea9e7bd3d45d20 449 True True 0.0002552648372686662 False False',
+    '16fd98042bf5c6bd406013a65547b0ec 0 False False 1.0 False False',
+    'bdf77cd06db5e0fe66777d3a6b64c52d 0 True False 1.0 False False',
+    'bd3e0a0f97762ebcca8f39722ed84e02 779 True True 0.0004659856844326315 False False',
+    'e440ca13348829648033a2502993f46a 790 True True 0.0004671229343125852 False False',
+    'a1cd9461f64c95bcfe47a25665b3e841 1 True False 1.0 False True',
+    'd8ff4a38b025af76c71564359642c003 1 False False 1.0 False True',
 ]
 
 
