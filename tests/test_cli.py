@@ -149,7 +149,7 @@ def test_lb_probe_verb(workdir, capsys):
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     lines = out.strip().split("\n")
-    assert lines[0] == "s,kept_big,kept_far,best_stat,advantage,ci_half"
+    assert lines[0] == "s,best_stat,advantage,ci_half"
     assert len(lines) == 3
 
 

@@ -307,10 +307,10 @@ def test_lb_gen_artifact_bytes(tmp_path, run):
 
 
 GOLDEN_LB_PROBE_CSV = (
-    's,kept_big,kept_far,best_stat,advantage,ci_half\n'
-    '0,40,40,0,0.0,0.08762160119728664\n'
-    '300,40,40,3,0.17500000000000002,0.2495444411375449\n'
-    '5000,40,40,0,1.0,0.08762160119728664\n'
+    's,best_stat,advantage,ci_half\n'
+    '0,0,0.0,0.08762160119728664\n'
+    '300,3,0.17500000000000002,0.2495444411375449\n'
+    '5000,0,1.0,0.08762160119728664\n'
 )
 
 
