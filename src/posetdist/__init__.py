@@ -3,7 +3,7 @@
 from .poset import (
     Poset,
     PosetError,
-    CapacityError,
+    SizeCapError,
     TransitiveClosure,
     is_monotone,
     make_bipartite,
@@ -27,7 +27,6 @@ from .prob import (
 )
 from .oracles import (
     LpSolution,
-    SizeCapError,
     WeightedMatching,
     closest_monotone_on_matching,
     dist_to_bigness,

@@ -44,6 +44,7 @@ from .reductions import (
     bigness_to_matching,
     bipartite_to_matching,
     general_to_bipartite,
+    hypercube_scale,
     matching_to_hypercube,
 )
 from .testers import (
@@ -190,7 +191,7 @@ def _run_reduce(a, base=""):
         q = matching_to_hypercube(a.d, a.ell, p, a.pmax)
         write_poset(make_hypercube(a.d), out_poset)
         write_distribution(q, out_dist)
-        summary = {"target_n": q.n, "far_divisor": 0.0}
+        summary = {"target_n": q.n, "far_divisor": hypercube_scale(a.d, a.ell, a.pmax)}
     return summary, None
 
 
@@ -328,18 +329,25 @@ def run_suite(manifest: str, out: str | None, master_seed: int) -> str:
         value, status = 0.0, EXIT_OK
         try:
             value, message = _run_row(parser, line, seed, base)
-        except ParameterError as exc:
-            status, message = EXIT_INFEASIBLE, f"infeasible parameters: {exc}"
-        except (ValueError, OSError) as exc:
-            status, message = EXIT_VALIDATION, str(exc)
-        except Exception as exc:  # a bug, not bad input: keep the traceback
-            status, message = EXIT_INTERNAL, f"internal error: {exc!r}\n{traceback.format_exc().rstrip()}"
+        except Exception as exc:
+            status, message = _fault(exc)
         if message is not None:
             print(f"{manifest}:{lineno}: row {idx}: {message}", file=sys.stderr)
         results.append([idx, seed, status, value, "fail" if message is not None else "pass"])
     text = _csv(["row", "seed", "status", "value", "check"], results)
     _emit(text, out)
     return text
+
+
+def _fault(exc: Exception) -> tuple[int, str]:
+    """The exit status of a run, or a suite row, that raised exc, and its
+    message: infeasible parameters, bad input (a ValueError or OSError), or
+    else a bug, whose message keeps the traceback."""
+    if isinstance(exc, ParameterError):
+        return EXIT_INFEASIBLE, f"infeasible parameters: {exc}"
+    if isinstance(exc, (ValueError, OSError)):
+        return EXIT_VALIDATION, str(exc)
+    return EXIT_INTERNAL, f"internal error: {exc!r}\n{traceback.format_exc().rstrip()}"
 
 
 def _suite_exit(text: str) -> int:
@@ -464,12 +472,12 @@ def main(argv=None) -> int:
         if not _save(args, text) and text is not None:
             sys.stdout.write(text)
         return EXIT_OK
-    except ParameterError as exc:
-        print(f"infeasible parameters: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except Exception as exc:
+        status, message = _fault(exc)
+        if status == EXIT_INTERNAL:
+            raise  # a bug: the interpreter prints the traceback and exits 1
+        print(message if status == EXIT_INFEASIBLE else f"error: {message}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

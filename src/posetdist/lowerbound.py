@@ -161,7 +161,7 @@ class MomentPriors:
             ("far", self.atoms_far, self.mass_far),
         ):
             if abs(mass.sum() - 1.0) > MASS_TOL:
-                problems.append(f"{name} mass sums to {mass.sum()!r}")
+                problems.append(f"{name} mass sums to {float(mass.sum())!r}")
             mean = float(atoms @ mass)
             if abs(mean - 1.0) > MEAN_TOL:
                 problems.append(f"{name} mean is {mean!r}")
@@ -458,22 +458,20 @@ def fingerprint_stats(hist: np.ndarray) -> tuple[int, int, int, int]:
     )
 
 
-def _ks_advantage(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+def _ks_advantage(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Best threshold-classifier advantage between two samples of one statistic
-    and the chosen threshold's value."""
+    and, at the chosen threshold, the share of each sample at or below it."""
     thresholds = np.unique(np.concatenate([a, b]))
     fa = np.searchsorted(np.sort(a), thresholds, side="right") / a.size
     fb = np.searchsorted(np.sort(b), thresholds, side="right") / b.size
     gaps = np.abs(fa - fb)
     k = int(np.argmax(gaps))
-    return float(gaps[k]), float(thresholds[k])
+    return float(gaps[k]), float(fa[k]), float(fb[k])
 
 
 def _wilson_halfwidth(p_hat: float, m: int) -> float:
     z = WILSON_Z
-    denom = 1 + z * z / m
-    half = z * math.sqrt(p_hat * (1 - p_hat) / m + z * z / (4 * m * m)) / denom
-    return half
+    return z * math.sqrt(p_hat * (1 - p_hat) / m + z * z / (4 * m * m)) / (1 + z * z / m)
 
 
 @dataclass(frozen=True)
@@ -539,22 +537,12 @@ def indistinguishability_probe(
                     f"event conditioning failed after {MAX_RETRIES} retries at s={s}, n={n}: "
                     "the events are too rare at this size"
                 )
-        best_adv, best_stat, best_thr = -1.0, 0, 0.0
+        best_adv, best_stat, pa, pb = -1.0, 0, 0.0, 0.0
         for k in range(4):
-            adv, thr = _ks_advantage(stats_big[:, k], stats_far[:, k])
+            adv, fa, fb = _ks_advantage(stats_big[:, k], stats_far[:, k])
             if adv > best_adv:
-                best_adv, best_stat, best_thr = adv, k, thr
-        pa = float(np.mean(stats_big[:, best_stat] <= best_thr))
-        pb = float(np.mean(stats_far[:, best_stat] <= best_thr))
+                best_adv, best_stat, pa, pb = adv, k, fa, fb
         ci = _wilson_halfwidth(pa, trials) + _wilson_halfwidth(pb, trials)
-        rows.append(
-            ProbeRow(
-                s=s,
-                kept_big=trials,
-                kept_far=trials,
-                best_stat=best_stat,
-                advantage=best_adv,
-                ci_half=ci,
-            )
-        )
+        rows.append(ProbeRow(s=s, kept_big=trials, kept_far=trials, best_stat=best_stat, advantage=best_adv,
+                             ci_half=ci))
     return rows

@@ -37,16 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import Poset, transitive_closure
+from .poset import Poset, SizeCapError, _check_over, transitive_closure
 from .prob import Distribution, PairHistogram
 from .simplex import _MAX_ITER, _STALL_LIMIT, TOL, LpError, _entering, solve_lp
 
 DEFAULT_LP_CAP = 192
 WEIGHT_TOL = 1e-12
-
-
-class SizeCapError(ValueError):
-    """Instance exceeds the configured exact-computation cap."""
 
 
 @dataclass(frozen=True)
@@ -99,8 +95,7 @@ def _monotone_flow(G: Poset, p: Distribution, c: float, shift: bool):
     DEFAULT_LP_CAP."""
     if G.n > DEFAULT_LP_CAP:
         raise SizeCapError(f"n={G.n} exceeds LP cap {DEFAULT_LP_CAP}")
-    if p.n != G.n:
-        raise ValueError("distribution length does not match poset")
+    _check_over(G, "distribution", (p.n,))
     n, m = G.n, len(G.edge_array)
     if not m:
         return 0.0, np.zeros(n)
@@ -171,8 +166,7 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     matching poset the edge set is unique and the weights are summed left to
     right.
     """
-    if p.n != G.n:
-        raise ValueError("distribution length does not match poset")
+    _check_over(G, "distribution", (p.n,))
     u, v, w = _violation_edges(G, p.probs)
     if not w.size:
         return WeightedMatching((), 0.0)
@@ -205,8 +199,7 @@ def closest_monotone_on_matching(G: Poset, p: Distribution) -> Distribution:
     move to their average. Attains the exact TV distance to monotonicity."""
     if G.kind != "matching":
         raise ValueError("closest_monotone_on_matching needs a matching poset")
-    if p.n != G.n:
-        raise ValueError("distribution length does not match poset")
+    _check_over(G, "distribution", (p.n,))
     q = p.probs.copy()
     u, v = G.edge_array.T
     bad = q[u] > q[v]

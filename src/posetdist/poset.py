@@ -21,10 +21,10 @@ import numpy as np
 
 from .prob import _blocks, _content
 
-# Desk-scale capacity limits. make_hypercube refuses dimensions whose edge
-# list would not fit the memory budget (d=16 is ~0.5M edges), and read_poset
-# refuses a header that declares more than MAX_DOMAIN vertices before
-# anything is allocated per vertex.
+# Desk-scale capacity limits. make_hypercube and hypercube_embedding refuse
+# dimensions whose edge list would not fit the memory budget (d=16 is ~0.5M
+# edges), and read_poset refuses a header that declares more than MAX_DOMAIN
+# vertices before anything is allocated per vertex.
 HYPERCUBE_MAX_DIM = 16
 MAX_DOMAIN = 1 << 22
 
@@ -37,8 +37,26 @@ class PosetError(ValueError):
     """Invalid poset structure or a mismatch with the declared kind."""
 
 
-class CapacityError(PosetError):
-    """Requested construction exceeds the desk-scale capacity budget."""
+class SizeCapError(ValueError):
+    """A request over a desk-scale size cap (hypercube, LP or matchable pairs)."""
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise PosetError(f"unknown kind {kind!r}")
+
+
+def _check_dim(d: int) -> None:
+    if d < 1:
+        raise PosetError("hypercube needs d >= 1")
+    if d > HYPERCUBE_MAX_DIM:
+        raise SizeCapError(f"hypercube dimension {d} exceeds capacity cap {HYPERCUBE_MAX_DIM}")
+
+
+def _check_over(G: Poset, what: str, shape: tuple) -> None:
+    """Refuse `what`, a vector or a sample access, unless its shape is (G.n,)."""
+    if shape != (G.n,):
+        raise ValueError(f"{what} does not match the poset: shape {shape}, poset n={G.n}")
 
 
 def _csr(edges: np.ndarray, k: int) -> tuple[list[int], list[int]]:
@@ -119,8 +137,7 @@ class Poset:
             raise PosetError(f"vertex count must be an integer, got {self.n!r}") from None
         if n < 0:
             raise PosetError("vertex count must be nonnegative")
-        if self.kind not in KINDS:
-            raise PosetError(f"unknown kind {self.kind!r}")
+        _check_kind(self.kind)
         a = _int_array(edges, 2, "edges must be (u, v) pairs of integers")
         a = a[np.lexsort((a[:, 1], a[:, 0]))]
         u, v = a[:, 0], a[:, 1]
@@ -243,10 +260,7 @@ def make_bipartite(n: int, edges, bottom) -> Poset:
 
 def make_hypercube(d: int) -> Poset:
     """Boolean hypercube on 2^d bitmask-indexed vertices, edges flip one bit 0->1."""
-    if d < 1:
-        raise PosetError("hypercube needs d >= 1")
-    if d > HYPERCUBE_MAX_DIM:
-        raise CapacityError(f"hypercube dimension {d} exceeds capacity cap {HYPERCUBE_MAX_DIM}")
+    _check_dim(d)
     u = np.arange(1 << d)[:, None]
     v = u | 1 << np.arange(d)
     up = v != u  # bit j of u is 0
@@ -297,8 +311,7 @@ def transitive_closure(G: Poset) -> TransitiveClosure:
 def is_monotone(G: Poset, probs) -> bool:
     """True iff p(u) <= p(v) + MONOTONE_TOL along every edge of G."""
     p = np.asarray(probs, dtype=float)
-    if p.shape != (G.n,):
-        raise ValueError(f"distribution length {p.shape} does not match n={G.n}")
+    _check_over(G, "distribution", p.shape)
     u, v = G.edge_array.T
     return bool(np.all(p[u] <= p[v] + MONOTONE_TOL))
 
@@ -335,8 +348,7 @@ def _header(row: str) -> tuple[int, int, str]:
     if len(head) != 3:
         raise ValueError("header must be 'n m kind'")
     (n, m), kind = _ints(head[:2]), head[2]
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_kind(kind)
     if n > MAX_DOMAIN:
         raise ValueError(f"{n} vertices exceed the limit of {MAX_DOMAIN}")
     return n, m, kind

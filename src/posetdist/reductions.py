@@ -7,6 +7,8 @@ lift samples (general->bipartite, bipartite->matching) are uniform splits:
 every source vertex has k copies in the target, each taking 1/k of its mass,
 and LiftedAccess splits each source count evenly over its copies (the law of
 lifting every sample to a uniform copy), so the map and the counts agree.
+matching->hypercube divides by hypercube_scale, its far_divisor. The entry
+checks on a source length and a hypercube dimension are poset.py's.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import _check_threshold
-from .poset import HYPERCUBE_MAX_DIM, CapacityError, Poset, make_matching, transitive_closure
+from .poset import Poset, _check_dim, _check_over, make_matching, transitive_closure
 from .prob import Distribution, Rng, SampleAccess
 
 
@@ -51,8 +53,7 @@ class Reduction:
         object.__setattr__(self, "copies", c)
 
     def map_distribution(self, p: Distribution) -> Distribution:
-        if p.n != self.source.n:
-            raise ValueError("distribution length does not match source poset")
+        _check_over(self.source, "distribution", (p.n,))
         k = self.copies.shape[1]
         share = np.repeat(p.probs * (1.0 / k), k)
         return Distribution(np.bincount(self.copies.ravel(), weights=share, minlength=self.target.n))
@@ -62,8 +63,7 @@ class LiftedAccess(SampleAccess):
     """Sample access to the reduction target, one lifted sample per source sample."""
 
     def __init__(self, base: SampleAccess, reduction: Reduction):
-        if base.n != reduction.source.n:
-            raise ValueError("base access does not match the reduction source")
+        _check_over(reduction.source, "base access", (base.n,))
         self.base = base
         self.reduction = reduction
         self.n = reduction.target.n
@@ -156,12 +156,9 @@ def hypercube_embedding(d: int, ell: int) -> HypercubeEmbedding:
     """Pair every vertex having ell-1 ones among coordinates 0..d-2 with its
     last-coordinate sibling. Distinct pairs are mutually incomparable because
     their first d-1 coordinates are distinct sets of equal size."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_dim(d)
     if not 1 <= ell <= d:
         raise ValueError("level must satisfy 1 <= ell <= d")
-    if d > HYPERCUBE_MAX_DIM:
-        raise CapacityError(f"hypercube dimension {d} exceeds capacity cap {HYPERCUBE_MAX_DIM}")
     last = 1 << (d - 1)
     pairs = tuple((prefix, prefix | last) for prefix in range(last) if prefix.bit_count() == ell - 1)
     matched_tops = {t for _, t in pairs}
@@ -186,9 +183,7 @@ def matching_to_hypercube(d: int, ell: int, p: Distribution, p_max: float) -> Di
     emb = hypercube_embedding(d, ell)
     n_pairs = len(emb.pairs)
     if p.n != 2 * n_pairs:
-        raise ValueError(
-            f"matching distribution must cover {2 * n_pairs} vertices for d={d}, ell={ell}"
-        )
+        raise ValueError(f"matching distribution must cover {2 * n_pairs} vertices for d={d}, ell={ell}")
     top = float(p.probs.max())
     if not top <= p_max + 1e-12 < math.inf:
         raise ValueError(f"p_max must be finite and at least the largest per-element mass {top!r}, got p_max={p_max}")

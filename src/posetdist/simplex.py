@@ -5,10 +5,10 @@ Solves   min c.x   s.t.  A_ub x <= b_ub,  x >= 0,   with b_ub >= 0.
 Every LP in this library is desk-scale (a few hundred rows at most), so the
 basis inverse is kept as a dense array. With every right-hand side
 nonnegative the slack basis is feasible, so the solver starts there, from
-B^-1 = I, and runs one simplex phase; a negative right-hand side is a bug in
-the caller and raises LpError. Each pivot updates B^-1 with one rank-1 eta
-step, touching only the block where the entering column and the pivot row
-are nonzero, so a pivot costs at most O(m^2) rather than a refactorization.
+B^-1 = I, and runs one simplex phase. Each pivot updates B^-1 with one
+rank-1 eta step, touching only the block where the entering column and the
+pivot row are nonzero, so a pivot costs at most O(m^2) rather than a
+refactorization.
 
 When no entering column is left, the basic point and the duals are
 recomputed from the original data by a linear solve. If the fresh reduced
@@ -20,6 +20,9 @@ the derivative of the optimum in that row's right-hand side (so <= 0).
 Pricing is most-negative-reduced-cost; when the objective stalls on
 degenerate pivots the solver switches to Bland's anti-cycling rule, which
 guarantees termination. The feasibility contract is the 1e-9 tolerance.
+LpError, the one error, is a fault of the code, never of user input: a
+negative right-hand side, an unbounded objective, the iteration limit, or a
+singular basis at a fresh solve (numpy's LinAlgError, a ValueError).
 """
 
 from __future__ import annotations
@@ -32,10 +35,6 @@ _STALL_LIMIT = 50
 
 
 class LpError(RuntimeError):
-    pass
-
-
-class LpUnboundedError(LpError):
     pass
 
 
@@ -85,17 +84,19 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
         enter = _entering(c - (c[basis] @ Binv) @ A, basis, bland)
         if enter < 0:
             B = A[:, basis]
-            xB = np.linalg.solve(B, b)
-            np.maximum(xB, 0.0, out=xB)  # clip solve noise on degenerate rows
-            duals = np.linalg.solve(B.T, c[basis])
-            enter = _entering(c - duals @ A, basis, bland)
-            if enter < 0:
-                return basis, Binv, xB, duals
-            Binv = np.linalg.inv(B)
+            try:  # a LinAlgError is a ValueError, which would read as bad input
+                xB = np.maximum(np.linalg.solve(B, b), 0.0)  # clip solve noise on degenerate rows
+                duals = np.linalg.solve(B.T, c[basis])
+                enter = _entering(c - duals @ A, basis, bland)
+                if enter < 0:
+                    return basis, Binv, xB, duals
+                Binv = np.linalg.inv(B)
+            except np.linalg.LinAlgError as exc:
+                raise LpError(f"singular basis: {exc}") from exc
         d = Binv @ A[:, enter]
         pos = d > TOL
         if not pos.any():
-            raise LpUnboundedError("objective unbounded below")
+            raise LpError("objective unbounded below")
         ratios = np.full(m, np.inf)
         ratios[pos] = xB[pos] / d[pos]
         best = ratios.min()
@@ -115,8 +116,7 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
 
 def solve_lp(c, A_ub, b_ub) -> tuple[float, np.ndarray, np.ndarray]:
     """Return (objective, x, duals) for the minimization LP, one dual per
-    A_ub row; raises LpError on a negative b_ub and LpUnboundedError on an
-    unbounded objective."""
+    A_ub row; raises LpError on a negative b_ub or an unbounded objective."""
     c = np.asarray(c, dtype=float)
     A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
     b = np.asarray(b_ub, dtype=float).ravel()

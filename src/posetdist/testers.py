@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import SizeCapError, _check_threshold, _midpoint_cost, dist_to_bigness
+from .oracles import _check_threshold, _midpoint_cost, dist_to_bigness
 # pair_histogram and min_w_to_monotone_pairhist are no longer called here but
 # stay bound: perfbench/spans.py wraps both names on this module.
 from .oracles import min_w_to_monotone_pairhist  # noqa: F401
-from .poset import Poset
+from .poset import Poset, SizeCapError, _check_over
 from .prob import Distribution, Rng, SampleAccess, _snap, pair_histogram  # noqa: F401
 from .reductions import LiftedAccess, bipartite_to_matching
 
@@ -105,15 +105,18 @@ def _learned_keys(counts_bottom, counts_top, step: float, w_bottom: float):
     return w_bottom * x, (1.0 - w_bottom) * y, mult.astype(float)
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+
+
 def _check_inputs(name: str, G: Poset, kinds: tuple[str, ...], access: SampleAccess, eps: float) -> None:
     """A poset tester's entry checks: G of one of its kinds, eps in (0, 1] and
     sample access over G's vertices."""
     if G.kind not in kinds:
         raise ValueError(f"{name} needs a {kinds[0]} poset")
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    if access.n != G.n:
-        raise ValueError("sample access does not match the poset")
+    _check_eps(eps)
+    _check_over(G, "sample access", (access.n,))
 
 
 class MixedWithUniform(SampleAccess):
@@ -149,8 +152,7 @@ def bigness_test(
     """Learn the distribution, accept iff the learned distance to T-bigness is
     at most eps/3. The triangle inequality separates the two promise cases at
     eps/3 vs 2*eps/3 for any learner with l1 error below eps/3."""
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    _check_eps(eps)
     n = access.n
     _check_threshold(threshold, n)
     learner = learner or LearnerSpec()

@@ -8,7 +8,7 @@ import posetdist
 from posetdist import Poset, Reduction
 
 PUBLIC_NAMES = [
-    "CapacityError", "Distribution", "ExactDistAccess", "HypercubeEmbedding", "LBInstance",
+    "Distribution", "ExactDistAccess", "HypercubeEmbedding", "LBInstance",
     "LearnerSpec", "LiftedAccess", "LpSolution", "MixedWithUniform", "MomentPriors",
     "PairHistogram", "ParameterAssignment", "ParameterError", "Poset", "PosetError",
     "PriorsError", "ProbeRow", "Reduction", "Rng", "SampleAccess",
@@ -111,6 +111,38 @@ def test_src_imports_are_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def _raise_templates(path):
+    """(line, template) of every raise in a module whose message is a string
+    literal or an f-string, each f-string field read as {}."""
+    import ast
+
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+            continue
+        arg = node.exc.args[0]
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            yield node.lineno, arg.value
+        elif isinstance(arg, ast.JoinedStr):
+            yield node.lineno, "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
+
+
+def test_each_refusal_message_is_built_once():
+    """No two raise sites in the package build the same message template:
+    a rule stated twice can be changed in one place and not the other. A
+    template with no literal word, such as a reader's f"{path}: {exc}"
+    rewrap, states no rule and is exempt."""
+    import collections
+    import pathlib
+    import re
+
+    sites = collections.defaultdict(list)
+    for path in sorted(pathlib.Path(posetdist.__file__).parent.glob("*.py")):
+        for lineno, template in _raise_templates(path):
+            if re.search(r"[A-Za-z]{2,}", template.replace("{}", "")):
+                sites[template].append(f"{path.name}:{lineno}")
+    assert {t: where for t, where in sites.items() if len(where) > 1} == {}
 
 
 def test_poset_constructor_fields():

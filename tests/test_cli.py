@@ -9,6 +9,7 @@ import pytest
 
 from posetdist import (
     Distribution,
+    hypercube_scale,
     make_bipartite,
     make_hypercube,
     make_line,
@@ -29,6 +30,7 @@ from posetdist.cli import (
     run_suite,
 )
 from posetdist.poset import MAX_DOMAIN
+from posetdist.simplex import LpError
 
 
 @pytest.fixture()
@@ -556,6 +558,34 @@ def test_internal_error_is_not_a_validation_error(workdir, monkeypatch, capsys, 
     assert err.startswith(f"{manifest}:1: row 0: internal error: {bug.__name__}('a bug')") and "Traceback" in err
     with pytest.raises(bug):  # the command line shows the traceback and exits 1
         main(["oracle", "--poset", str(workdir / "line3.poset"), "--dist", str(workdir / "line3.dist")])
+
+
+def test_a_singular_basis_is_an_internal_error(workdir, monkeypatch, capsys):
+    """numpy's LinAlgError is a ValueError; the simplex re-raises it as an
+    LpError, so a solver fault exits 1 with its traceback, never 2."""
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    manifest = workdir / "one.suite"
+    manifest.write_text("verb=oracle poset=line3.poset dist=line3.dist\n")
+    out = run_suite(str(manifest), None, 0)
+    assert out.split("\n")[1] == f"0,0,{EXIT_INTERNAL},0.0,fail"
+    err = capsys.readouterr().err
+    assert err.startswith(f"{manifest}:1: row 0: internal error: LpError('singular basis: Singular matrix')")
+    assert "Traceback" in err
+    with pytest.raises(LpError, match="singular basis: Singular matrix"):
+        main(["oracle", "--poset", str(workdir / "line3.poset"), "--dist", str(workdir / "line3.dist")])
+
+
+def test_m2hyp_reports_the_hypercube_scale_as_its_divisor(workdir):
+    write_distribution(Distribution.uniform(4), workdir / "m2.dist")
+    manifest = workdir / "m2hyp.suite"
+    manifest.write_text("verb=reduce from=m2.dist kind=m2hyp d=3 ell=2 pmax=0.5 out_poset=h.poset out_dist=h.dist "
+                        "expect_field=far_divisor expect_min=2 expect_max=2\n")
+    assert hypercube_scale(3, 2, 0.5) == 2.0
+    assert run_suite(str(manifest), None, 0).split("\n")[1] == "0,0,0,2.0,pass"
 
 
 def test_readme_examples_parse():

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import posetdist.poset as poset_module
 from posetdist import (
-    CapacityError,
     Poset,
     PosetError,
+    SizeCapError,
     is_monotone,
     make_bipartite,
     make_hypercube,
@@ -56,7 +56,7 @@ def test_make_hypercube():
     assert set(make_hypercube(2).edges) == {(0, 1), (0, 2), (1, 3), (2, 3)}
     for d in (3, 4, 5):
         assert len(make_hypercube(d).edges) == d * 2 ** (d - 1)
-    with pytest.raises(CapacityError):
+    with pytest.raises(SizeCapError):
         make_hypercube(64)
 
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetdist import (
-    CapacityError,
     Distribution,
     ExactDistAccess,
     LiftedAccess,
     Reduction,
     Rng,
+    SizeCapError,
     bigness_to_matching,
     bipartite_to_matching,
     dist_to_bigness,
@@ -197,9 +197,9 @@ def test_hypercube_embedding_dimension_cap():
     from posetdist.poset import HYPERCUBE_MAX_DIM
 
     for d in (HYPERCUBE_MAX_DIM + 1, 40, 1000):
-        with pytest.raises(CapacityError, match=f"hypercube dimension {d} exceeds capacity cap"):
+        with pytest.raises(SizeCapError, match=f"hypercube dimension {d} exceeds capacity cap"):
             hypercube_embedding(d, 2)
-    with pytest.raises(CapacityError):
+    with pytest.raises(SizeCapError):
         matching_to_hypercube(40, 2, Distribution.uniform(2), 0.5)
     assert len(hypercube_embedding(HYPERCUBE_MAX_DIM, 1).pairs) == 1
 
