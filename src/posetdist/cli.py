@@ -398,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.set_defaults(run=_run_oracle)
 
     t = sub.add_parser("test", help="run a tester for several seeded trials")
-    t.add_argument("--alg", required=True, choices=["bigness", "matching", "bipartite", "uniform-subset", "all-matchings"])
+    t.add_argument("--alg", required=True, choices=list(_READS["alg"]))
     t.add_argument("--poset")
     t.add_argument("--dist", required=True)
     t.add_argument("--eps", required=True, type=float)
@@ -413,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reduce", help="apply a structural reduction")
     r.add_argument("--from", dest="from", required=True)
-    r.add_argument("--kind", required=True, choices=["g2b", "b2m", "big2m", "m2hyp"])
+    r.add_argument("--kind", required=True, choices=list(_READS["kind"]))
     r.add_argument("--out-poset", dest="out_poset", required=True)
     r.add_argument("--out-dist", dest="out_dist", required=True)
     r.add_argument("--dist")

@@ -8,12 +8,6 @@ Four distances live here, all desk-scale exact:
 * the transport distance W between pair histograms, with unit cost
   |dx| + |dy| and (0,0) padding to balance totals.
 
-One transportation simplex, _transport_cost, solves every transportation and
-assignment problem here: W, the violation matching below and min_perm_l1. It
-runs on the dense cost matrix from the least-cost basis and re-walks at each
-pivot only the subtree whose potentials move; no LP. An assignment is its
-special case with unit supplies and demands.
-
 Both monotone distances minimize ||x||_1 over perturbations x with p + x
 monotone on every edge (TV also holds sum(x) at 0). Each is solved as its
 LP dual, a flow on G's own edges with 2n rows |out - in + mu| <= c: no
@@ -25,7 +19,7 @@ matching on the transitive closure with violation weights max(0, p(u)-p(v)),
 and the TV distance is sandwiched between half that weight and the weight
 itself; both facts are exercised heavily by the test suite. That matching is
 found by one assignment on the closure's double cover (tails as rows, heads as
-columns), solved by the transportation simplex: the chosen links form
+columns), solved by simplex._transport_cost: the chosen links form
 vertex-disjoint chains whose weights telescope, so each chain collapses to the
 closure edge between its endpoints without losing weight.
 """
@@ -39,7 +33,7 @@ import numpy as np
 
 from .poset import Poset, SizeCapError, _check_over, transitive_closure
 from .prob import Distribution, PairHistogram
-from .simplex import _MAX_ITER, _STALL_LIMIT, TOL, LpError, _entering, solve_lp
+from .simplex import _transport_cost, solve_lp
 
 DEFAULT_LP_CAP = 192
 WEIGHT_TOL = 1e-12
@@ -208,147 +202,10 @@ def closest_monotone_on_matching(G: Poset, p: Distribution) -> Distribution:
     return Distribution(q)
 
 
-def _least_cost_start(supply: list[float], demand: list[float], cost: np.ndarray):
-    """(flow, cells) of the least-cost starting basis. The cells are visited
-    in (cost, index) order, and each one whose row and column are both open
-    gets the smaller of their residuals. Each allocation closes one line: the
-    row when its residual is no larger and it is not the last open row, or
-    when the column is the last open one; otherwise the column. The last open
-    cell closes both, so the ns + nd - 1 cells, zero-flow ones included, form
-    a spanning tree on the row and column nodes."""
-    ns, nd = cost.shape
-    flow = np.zeros(ns * nd)
-    cells = []
-    rs, rd = list(supply), list(demand)
-    row_open, col_open = [True] * ns, [True] * nd
-    rows_left, cols_left = ns, nd
-    for k in np.argsort(cost, axis=None, kind="stable").tolist():
-        i, j = divmod(k, nd)
-        if not (row_open[i] and col_open[j]):
-            continue
-        f = min(rs[i], rd[j])
-        flow[k] = f
-        cells.append(k)
-        if rows_left == cols_left == 1:
-            break
-        rs[i] -= f
-        rd[j] -= f
-        if cols_left == 1 or (rows_left > 1 and rs[i] <= rd[j]):
-            row_open[i] = False
-            rows_left -= 1
-        else:
-            col_open[j] = False
-            cols_left -= 1
-    return flow, cells
-
-
-def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) -> tuple[float, np.ndarray]:
-    """(value, flow): the minimum of sum(cost * flow) over ns x nd flows with
-    row sums `supply` and column sums `demand` (equal totals), and a flow
-    attaining it, by the transportation simplex. With no rows or no columns
-    the value is 0.0 and the flow empty. Unit supplies and demands make it
-    an assignment: every allocation and pivot moves exactly 0 or 1, so each
-    row of the flow holds a single 1.0 and flow.nonzero() lists the chosen
-    column of every row in row order.
-
-    The basis is a spanning tree on the ns + nd row and column nodes whose
-    edges are the ns + nd - 1 basic cells; _least_cost_start gives the first
-    one. The tree hangs from row 0 with parent, depth and potential pointers
-    (u_i + v_j = cost_ij on every basic cell). A cell enters by the dense
-    simplex's rule (simplex._entering: the most negative reduced cost, or
-    after _STALL_LIMIT pivots without progress the lowest-index improving
-    cell, Bland's rule, which guarantees termination), the largest feasible
-    flow goes around the cycle it closes, and the lowest-index tied cell on
-    the cycle's minus side leaves. Only the subtree that the leaving cell cuts
-    off is walked again, re-hung from the entering cell; every potential is
-    still summed along its own tree path from row 0, so the values match a
-    walk of the whole tree. LpError reports a run past _MAX_ITER pivots.
-    """
-    ns, nd = cost.shape
-    if not (ns and nd):
-        return 0.0, np.zeros((ns, nd))
-    c = cost.ravel().tolist()
-    flow, cells = _least_cost_start(supply, demand, cost)
-    basic = np.zeros(ns * nd, dtype=bool)
-    # node i < ns is row i, node ns + j column j; a tree edge is (node, cell)
-    adj = [[] for _ in range(ns + nd)]
-
-    def link(k: int) -> None:
-        i, j = divmod(k, nd)
-        basic[k] = True
-        adj[i].append((ns + j, k))
-        adj[ns + j].append((i, k))
-
-    for k in cells:
-        link(k)
-    pot = [0.0] * (ns + nd)
-    parent = [-1] * (ns + nd)
-    up_cell = [-1] * (ns + nd)  # the cell joining a node to its parent
-    depth = [0] * (ns + nd)
-
-    def hang(top: int) -> None:
-        """Set the pointers of every node below `top` from top's own."""
-        stack = [top]
-        while stack:
-            a = stack.pop()
-            for b, k in adj[a]:
-                if b != parent[a]:
-                    parent[b], up_cell[b], depth[b] = a, k, depth[a] + 1
-                    pot[b] = c[k] - pot[a]
-                    stack.append(b)
-
-    hang(0)
-    stall = 0
-    for _ in range(_MAX_ITER):
-        u = np.array(pot)
-        reduced = (cost - u[:ns, None] - u[None, ns:]).ravel()
-        enter = _entering(reduced, basic, stall >= _STALL_LIMIT)
-        if enter < 0:
-            return float(cost.ravel() @ flow), flow.reshape(ns, nd)
-        i, j = divmod(enter, nd)
-        # The tree path from column j back to row i, as the cells along it.
-        a, b = i, ns + j
-        up_a, up_b = [], []
-        while depth[b] > depth[a]:
-            up_b.append(b)
-            b = parent[b]
-        while depth[a] > depth[b]:
-            up_a.append(a)
-            a = parent[a]
-        while a != b:
-            up_b.append(b)
-            b = parent[b]
-            up_a.append(a)
-            a = parent[a]
-        path = [up_cell[z] for z in up_b + up_a[::-1]]
-        minus, plus = path[0::2], path[1::2]
-        theta = flow[minus].min()
-        leave = min(k for k in minus if flow[k] <= theta + TOL)
-        theta = flow[leave]
-        flow[minus] = np.maximum(flow[minus] - theta, 0.0)
-        flow[plus] += theta
-        flow[enter] = theta
-        flow[leave] = 0.0
-        basic[leave] = False
-        li, lj = divmod(leave, nd)
-        adj[li].remove((ns + lj, leave))
-        adj[ns + lj].remove((li, leave))
-        link(enter)
-        # The leaving cell lies on j's side of the cycle when it joins a node
-        # of up_b to its parent; the part cut off then holds j, else i.
-        top, anchor = (ns + j, i) if path.index(leave) < len(up_b) else (i, ns + j)
-        parent[top], up_cell[top], depth[top] = anchor, enter, depth[anchor] + 1
-        pot[top] = c[enter] - pot[anchor]
-        hang(top)
-        stall = 0 if -reduced[enter] * theta > 1e-12 else stall + 1
-    raise LpError("transportation simplex iteration limit exceeded")
-
-
 def w_distance(h: PairHistogram, g: PairHistogram) -> float:
     """Transport distance between pair histograms; per-unit cost |dx| + |dy|,
-    totals balanced by padding the lighter side at (0, 0). Solved by the
-    transportation network simplex on the dense key-to-key cost matrix,
-    started from the least-cost basis."""
+    totals balanced by padding the lighter side at (0, 0). Solved by
+    _transport_cost on the dense key-to-key cost matrix."""
     sx, sy, supply = h.x, h.y, h.count.tolist()
     dx, dy, demand = g.x, g.y, g.count.tolist()
     diff = sum(supply) - sum(demand)

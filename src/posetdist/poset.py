@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .prob import _blocks, _content
+from .prob import _blocks, _check_finite, _content
 
 # Desk-scale capacity limits. make_hypercube and hypercube_embedding refuse
 # dimensions whose edge list would not fit the memory budget (d=16 is ~0.5M
@@ -309,9 +309,11 @@ def transitive_closure(G: Poset) -> TransitiveClosure:
 
 
 def is_monotone(G: Poset, probs) -> bool:
-    """True iff p(u) <= p(v) + MONOTONE_TOL along every edge of G."""
+    """True iff p(u) <= p(v) + MONOTONE_TOL along every edge of G; a vector
+    with a nan or infinite entry is refused."""
     p = np.asarray(probs, dtype=float)
     _check_over(G, "distribution", p.shape)
+    _check_finite(p)
     u, v = G.edge_array.T
     return bool(np.all(p[u] <= p[v] + MONOTONE_TOL))
 

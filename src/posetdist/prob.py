@@ -53,6 +53,12 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
+def _check_finite(v: np.ndarray) -> None:
+    """Refuse a probability vector with a nan or infinite entry."""
+    if not np.all(np.isfinite(v)):
+        raise ValueError("distribution has non-finite entries")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector over 0..n-1: entries >= 0, total within 1e-9 of 1."""
@@ -65,8 +71,7 @@ class Distribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("distribution must be a nonempty vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("distribution has non-finite entries")
+        _check_finite(p)
         if np.any(p < 0):
             raise ValueError("distribution has negative entries")
         with np.errstate(over="ignore"):  # finite entries may sum to inf
@@ -91,9 +96,13 @@ class Distribution:
     @classmethod
     def normalized(cls, vec) -> "Distribution":
         v = np.asarray(vec, dtype=float)
-        total = float(v.sum())
+        _check_finite(v)
+        with np.errstate(over="ignore"):
+            total = float(v.sum())
         if total <= 0:
             raise ValueError("cannot normalize a vector with no mass")
+        if total == math.inf:
+            raise ValueError("cannot normalize a vector whose total overflows")
         return cls(v / total)
 
 

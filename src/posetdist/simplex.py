@@ -1,28 +1,33 @@
-"""Small dense LP solver: revised simplex from the slack basis, Bland's rule on stalls.
+"""The library's two simplex methods, under one pivot rule.
 
-Solves   min c.x   s.t.  A_ub x <= b_ub,  x >= 0,   with b_ub >= 0.
+solve_lp is a dense revised simplex for  min c.x  s.t.  A_ub x <= b_ub,
+x >= 0, with b_ub >= 0. Every LP in this library is desk-scale (a few
+hundred rows at most), so the basis inverse is kept as a dense array. With
+every right-hand side nonnegative the slack basis is feasible, so the
+solver starts there, from B^-1 = I, and runs one simplex phase. Each pivot
+updates B^-1 with one rank-1 eta step, touching only the block where the
+entering column and the pivot row are nonzero, so a pivot costs at most
+O(m^2) rather than a refactorization. When no entering column is left, the
+basic point and the duals are recomputed from the original data by a
+linear solve. If the fresh reduced costs still admit an entering column,
+B^-1 is re-inverted and the simplex goes on; otherwise the fresh point and
+duals are what it reports, so the returned point satisfies the constraints
+to linear-solve precision and eta drift never reaches it. The row duals
+come with the point, each the derivative of the optimum in that row's
+right-hand side (so <= 0). The feasibility contract is the 1e-9 tolerance.
 
-Every LP in this library is desk-scale (a few hundred rows at most), so the
-basis inverse is kept as a dense array. With every right-hand side
-nonnegative the slack basis is feasible, so the solver starts there, from
-B^-1 = I, and runs one simplex phase. Each pivot updates B^-1 with one
-rank-1 eta step, touching only the block where the entering column and the
-pivot row are nonzero, so a pivot costs at most O(m^2) rather than a
-refactorization.
+_transport_cost, a transportation simplex, solves every transportation and
+assignment problem of the library: W, the violation matching and
+min_perm_l1. It runs on the dense cost matrix from the least-cost basis and
+re-walks at each pivot only the subtree whose potentials move.
 
-When no entering column is left, the basic point and the duals are
-recomputed from the original data by a linear solve. If the fresh reduced
-costs still admit an entering column, B^-1 is re-inverted and the simplex
-goes on; otherwise the fresh point and duals are what it reports, so the
-returned point satisfies the constraints to linear-solve precision and eta
-drift never reaches it. solve_lp returns the row duals with the point, each
-the derivative of the optimum in that row's right-hand side (so <= 0).
-Pricing is most-negative-reduced-cost; when the objective stalls on
-degenerate pivots the solver switches to Bland's anti-cycling rule, which
-guarantees termination. The feasibility contract is the 1e-9 tolerance.
-LpError, the one error, is a fault of the code, never of user input: a
-negative right-hand side, an unbounded objective, the iteration limit, or a
-singular basis at a fresh solve (numpy's LinAlgError, a ValueError).
+Both price by _entering, the most negative reduced cost. A pivot that lowers
+the objective by at most 1e-12 is a stall; from _STALL_LIMIT stalls in a row
+until a pivot makes progress, pricing takes the lowest-index improving
+column (Bland's rule, which guarantees termination). A run past _MAX_ITER
+pivots, an unbounded objective, a negative right-hand side or a singular
+basis at a fresh solve (numpy's LinAlgError, a ValueError) raises LpError,
+a fault of the code, never of user input.
 """
 
 from __future__ import annotations
@@ -68,26 +73,18 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
     """
     m = A.shape[0]
     xB = np.maximum(Binv @ b, 0.0)
-    bland = False
     stall = 0
-    prev_obj = np.inf
     for _ in range(_MAX_ITER):
-        obj = float(c[basis] @ xB)
-        if obj < prev_obj - 1e-12:
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        prev_obj = obj
-        enter = _entering(c - (c[basis] @ Binv) @ A, basis, bland)
+        bland = stall >= _STALL_LIMIT
+        reduced = c - (c[basis] @ Binv) @ A
+        enter = _entering(reduced, basis, bland)
         if enter < 0:
             B = A[:, basis]
             try:  # a LinAlgError is a ValueError, which would read as bad input
                 xB = np.maximum(np.linalg.solve(B, b), 0.0)  # clip solve noise on degenerate rows
                 duals = np.linalg.solve(B.T, c[basis])
-                enter = _entering(c - duals @ A, basis, bland)
+                reduced = c - duals @ A
+                enter = _entering(reduced, basis, bland)
                 if enter < 0:
                     return basis, Binv, xB, duals
                 Binv = np.linalg.inv(B)
@@ -111,6 +108,7 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
         np.maximum(xB, 0.0, out=xB)
         _pivot(Binv, d, leave)
         basis[leave] = enter
+        stall = 0 if -reduced[enter] * theta > 1e-12 else stall + 1
     raise LpError("simplex iteration limit exceeded")
 
 
@@ -132,3 +130,136 @@ def solve_lp(c, A_ub, b_ub) -> tuple[float, np.ndarray, np.ndarray]:
     x = np.zeros(nvar + m)
     x[basis] = xB
     return float(c @ x[:nvar]), x[:nvar], duals
+
+
+def _least_cost_start(supply: list[float], demand: list[float], cost: np.ndarray):
+    """(flow, cells) of the least-cost starting basis. The cells are visited
+    in (cost, index) order, and each one whose row and column are both open
+    gets the smaller of their residuals. Each allocation closes one line: the
+    row when its residual is no larger and it is not the last open row, or
+    when the column is the last open one; otherwise the column. The last open
+    cell closes both, so the ns + nd - 1 cells, zero-flow ones included, form
+    a spanning tree on the row and column nodes."""
+    ns, nd = cost.shape
+    flow = np.zeros(ns * nd)
+    cells = []
+    rs, rd = list(supply), list(demand)
+    row_open, col_open = [True] * ns, [True] * nd
+    rows_left, cols_left = ns, nd
+    for k in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(k, nd)
+        if not (row_open[i] and col_open[j]):
+            continue
+        f = min(rs[i], rd[j])
+        flow[k] = f
+        cells.append(k)
+        if rows_left == cols_left == 1:
+            break
+        rs[i] -= f
+        rd[j] -= f
+        if cols_left == 1 or (rows_left > 1 and rs[i] <= rd[j]):
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
+    return flow, cells
+
+
+def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) -> tuple[float, np.ndarray]:
+    """(value, flow): the minimum of sum(cost * flow) over ns x nd flows with
+    row sums `supply` and column sums `demand` (equal totals), and a flow
+    attaining it, by the transportation simplex. With no rows or no columns
+    the value is 0.0 and the flow empty. Unit supplies and demands make it
+    an assignment: every allocation and pivot moves exactly 0 or 1, so each
+    row of the flow holds a single 1.0 and flow.nonzero() lists the chosen
+    column of every row in row order.
+
+    The basis is a spanning tree on the ns + nd row and column nodes whose
+    edges are the ns + nd - 1 basic cells; _least_cost_start gives the first
+    one. The tree hangs from row 0 with parent, depth and potential pointers
+    (u_i + v_j = cost_ij on every basic cell). A cell enters by the pivot
+    rule above, the largest feasible flow goes around the cycle it closes,
+    and the lowest-index tied cell on the cycle's minus side leaves. Only the
+    subtree that the leaving cell cuts off is walked again, re-hung from the
+    entering cell; every potential is still summed along its own tree path
+    from row 0, so the values match a walk of the whole tree.
+    """
+    ns, nd = cost.shape
+    if not (ns and nd):
+        return 0.0, np.zeros((ns, nd))
+    c = cost.ravel().tolist()
+    flow, cells = _least_cost_start(supply, demand, cost)
+    basic = np.zeros(ns * nd, dtype=bool)
+    # node i < ns is row i, node ns + j column j; a tree edge is (node, cell)
+    adj = [[] for _ in range(ns + nd)]
+
+    def link(k: int) -> None:
+        i, j = divmod(k, nd)
+        basic[k] = True
+        adj[i].append((ns + j, k))
+        adj[ns + j].append((i, k))
+
+    for k in cells:
+        link(k)
+    pot = [0.0] * (ns + nd)
+    parent = [-1] * (ns + nd)
+    up_cell = [-1] * (ns + nd)  # the cell joining a node to its parent
+    depth = [0] * (ns + nd)
+
+    def hang(top: int) -> None:
+        """Set the pointers of every node below `top` from top's own."""
+        stack = [top]
+        while stack:
+            a = stack.pop()
+            for b, k in adj[a]:
+                if b != parent[a]:
+                    parent[b], up_cell[b], depth[b] = a, k, depth[a] + 1
+                    pot[b] = c[k] - pot[a]
+                    stack.append(b)
+
+    hang(0)
+    stall = 0
+    for _ in range(_MAX_ITER):
+        u = np.array(pot)
+        reduced = (cost - u[:ns, None] - u[None, ns:]).ravel()
+        enter = _entering(reduced, basic, stall >= _STALL_LIMIT)
+        if enter < 0:
+            return float(cost.ravel() @ flow), flow.reshape(ns, nd)
+        i, j = divmod(enter, nd)
+        # The tree path from column j back to row i, as the cells along it.
+        a, b = i, ns + j
+        up_a, up_b = [], []
+        while depth[b] > depth[a]:
+            up_b.append(b)
+            b = parent[b]
+        while depth[a] > depth[b]:
+            up_a.append(a)
+            a = parent[a]
+        while a != b:
+            up_b.append(b)
+            b = parent[b]
+            up_a.append(a)
+            a = parent[a]
+        path = [up_cell[z] for z in up_b + up_a[::-1]]
+        minus, plus = path[0::2], path[1::2]
+        theta = flow[minus].min()
+        leave = min(k for k in minus if flow[k] <= theta + TOL)
+        theta = flow[leave]
+        flow[minus] = np.maximum(flow[minus] - theta, 0.0)
+        flow[plus] += theta
+        flow[enter] = theta
+        flow[leave] = 0.0
+        basic[leave] = False
+        li, lj = divmod(leave, nd)
+        adj[li].remove((ns + lj, leave))
+        adj[ns + lj].remove((li, leave))
+        link(enter)
+        # The leaving cell lies on j's side of the cycle when it joins a node
+        # of up_b to its parent; the part cut off then holds j, else i.
+        top, anchor = (ns + j, i) if path.index(leave) < len(up_b) else (i, ns + j)
+        parent[top], up_cell[top], depth[top] = anchor, enter, depth[anchor] + 1
+        pot[top] = c[enter] - pot[anchor]
+        hang(top)
+        stall = 0 if -reduced[enter] * theta > 1e-12 else stall + 1
+    raise LpError("transportation simplex iteration limit exceeded")

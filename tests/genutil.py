@@ -23,7 +23,7 @@ from posetdist import (
     make_bipartite,
     transitive_closure,
 )
-from posetdist import oracles
+from posetdist import simplex
 from posetdist.poset import KINDS, MAX_DOMAIN
 from posetdist.prob import _blocks
 from posetdist.simplex import _entering
@@ -579,8 +579,8 @@ def bench_shaped_pair_histograms(seed: int, pairs: int = 10) -> list[tuple[PairH
 
 
 def counting_pivots(monkeypatch) -> list[int]:
-    """Wrap oracles._entering, the pricing step of the transportation
-    simplex; the returned list gets each entering cell."""
+    """Wrap simplex._entering, the pricing step of both simplex methods;
+    the returned list gets each entering column or cell."""
     entered = []
 
     def counting(reduced, basic, bland):
@@ -589,7 +589,7 @@ def counting_pivots(monkeypatch) -> list[int]:
             entered.append(enter)
         return enter
 
-    monkeypatch.setattr(oracles, "_entering", counting)
+    monkeypatch.setattr(simplex, "_entering", counting)
     return entered
 
 

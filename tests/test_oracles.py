@@ -25,7 +25,7 @@ from posetdist import (
     pair_histogram,
     w_distance,
 )
-from posetdist import oracles
+from posetdist import oracles, simplex
 from posetdist.oracles import DEFAULT_LP_CAP
 from posetdist.poset import transitive_closure
 
@@ -131,8 +131,8 @@ def test_matching_equals_bruteforce_and_lp(monkeypatch):
         n = int(rng.integers(3, 9))
         tied.append((random_dag(rng, n), Distribution.normalized(rng.integers(1, 5, n) / 4)))
     entered = counting_pivots(monkeypatch)
-    for stall_limit in (oracles._STALL_LIMIT, 0):
-        monkeypatch.setattr(oracles, "_STALL_LIMIT", stall_limit)
+    for stall_limit in (simplex._STALL_LIMIT, 0):
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", stall_limit)
         entered.clear()
         for G, p in tied:
             assert max_violation_matching(G, p).weight == pytest.approx(brute_force_violation_matching(G, p), abs=1e-12)
@@ -417,8 +417,8 @@ def test_min_perm_l1(monkeypatch):
     # Bland's rule from the first pivot
     tied = [rng.integers(0, 5, (4, int(rng.integers(2, 8)))) / 4 for _ in range(40)]
     entered = counting_pivots(monkeypatch)
-    for stall_limit in (oracles._STALL_LIMIT, 0):
-        monkeypatch.setattr(oracles, "_STALL_LIMIT", stall_limit)
+    for stall_limit in (simplex._STALL_LIMIT, 0):
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", stall_limit)
         entered.clear()
         for vecs in tied:
             assert min_perm_l1(*vecs) == pytest.approx(brute_force_min_perm_l1(*vecs), abs=1e-12)

@@ -81,6 +81,16 @@ REFUSALS = [
     ("hypercube_embedding cap", lambda: hypercube_embedding(HYPERCUBE_MAX_DIM + 1, 1), SizeCapError, CAP),
     ("normalize no mass", lambda: Distribution.normalized(np.zeros(3)), ValueError,
      "cannot normalize a vector with no mass"),
+    ("normalize inf entry", lambda: Distribution.normalized([1, np.inf]), ValueError,
+     "distribution has non-finite entries"),
+    ("normalize all inf", lambda: Distribution.normalized([np.inf, np.inf]), ValueError,
+     "distribution has non-finite entries"),
+    ("normalize -inf entry", lambda: Distribution.normalized([-np.inf, 1]), ValueError,
+     "distribution has non-finite entries"),
+    ("normalize overflow", lambda: Distribution.normalized([1e308, 1e308]), ValueError,
+     "cannot normalize a vector whose total overflows"),
+    ("is_monotone nan", lambda: is_monotone(make_line(2), [0.5, np.nan]), ValueError,
+     "distribution has non-finite entries"),
     ("from_arrays length", lambda: PairHistogram.from_arrays([1.0], [1.0, 2.0], [1.0]), ValueError,
      "from_arrays needs three equal-length vectors"),
     ("pair_histogram length", lambda: pair_histogram([0.5, 0.5], [1.0]), ValueError,

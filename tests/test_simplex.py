@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from posetdist import PairHistogram, simplex
 from posetdist.simplex import LpError, _simplex, solve_lp
+
+from test_transport import TIED_PAIRS, _check_against_references
 
 
 def test_basic_inequality():
@@ -63,6 +66,32 @@ def test_degenerate_transportation_like():
         A_ub[n + i, i::n] = 1.0
     obj, _, _ = solve_lp(c, A_ub=A_ub, b_ub=np.full(2 * n, 1.0))
     assert obj == pytest.approx(-2.0 * n, abs=1e-9)
+
+
+def _tied_transports():
+    for h, g in TIED_PAIRS:
+        _check_against_references(PairHistogram(h), PairHistogram(g))
+
+
+@pytest.mark.parametrize("solve", [test_degenerate_transportation_like, _tied_transports], ids=["dense", "transport"])
+def test_both_methods_read_the_solver_constants(monkeypatch, solve):
+    """One _STALL_LIMIT and one _MAX_ITER govern both simplex methods: at a
+    stall limit of 0 each prices by Bland's rule from its first pivot and
+    still meets its reference, and at one pivot each stops at the limit."""
+    bland_flags = []
+    entering = simplex._entering
+
+    def recording(reduced, basis, bland):
+        bland_flags.append(bland)
+        return entering(reduced, basis, bland)
+
+    monkeypatch.setattr(simplex, "_entering", recording)
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+    solve()
+    assert bland_flags and all(bland_flags)
+    monkeypatch.setattr(simplex, "_MAX_ITER", 1)
+    with pytest.raises(LpError, match="iteration limit"):
+        solve()
 
 
 def _desk_lp(rng, m_ub, n):

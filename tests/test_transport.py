@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetdist import PairHistogram, w_distance
-from posetdist import oracles
+from posetdist import simplex
 from posetdist.simplex import LpError
 
 from genutil import bench_shaped_pair_histograms, counting_pivots, reference_transport_cost
@@ -113,7 +113,7 @@ TIED_PAIRS = [
 
 
 def test_bland_from_the_first_pivot_matches_reference(monkeypatch):
-    monkeypatch.setattr(oracles, "_STALL_LIMIT", 0)
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
     entered = counting_pivots(monkeypatch)
     cases = bench_shaped_pair_histograms(7, pairs=3) + [(PairHistogram(h), PairHistogram(g)) for h, g in TIED_PAIRS]
     for h, g in cases:
@@ -123,7 +123,7 @@ def test_bland_from_the_first_pivot_matches_reference(monkeypatch):
 
 
 def test_iteration_limit_raises(monkeypatch):
-    monkeypatch.setattr(oracles, "_MAX_ITER", 1)
+    monkeypatch.setattr(simplex, "_MAX_ITER", 1)
     entered = counting_pivots(monkeypatch)
     h, g = bench_shaped_pair_histograms(101, pairs=1)[0]
     with pytest.raises(LpError, match="iteration limit"):
@@ -160,7 +160,7 @@ def test_least_cost_start_is_a_feasible_spanning_tree(name):
     supply, demand, cost = START_CASES[name]
     cost = np.asarray(cost, dtype=float)
     ns, nd = cost.shape
-    flow, cells = oracles._least_cost_start(supply, demand, cost)
+    flow, cells = simplex._least_cost_start(supply, demand, cost)
     assert len(cells) == len(set(cells)) == ns + nd - 1
     # ns + nd - 1 edges with no cycle make a spanning tree: union-find
     root = list(range(ns + nd))
