@@ -234,7 +234,8 @@ def min_w_to_monotone_pairhist(g: PairHistogram):
     fix to each violating key (x > y), and reports that scheme's transport
     cost: an upper bound on the true minimum, exact enough for tester
     thresholds. The value is _midpoint_cost(g.x, g.y, g.count), which the
-    matching tester calls alone on its learned keys, since it never reads g*.
+    matching tester calls alone with one unit key per vertex pair, since it
+    never reads g*.
 
     Returns (value, g*).
     """

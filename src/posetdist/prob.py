@@ -227,20 +227,12 @@ def cdf_count(cdf: np.ndarray, u) -> np.ndarray:
     return idx
 
 
-def _snap(a, step: float) -> np.ndarray:
-    """Each entry of a moved to the nearest multiple of step."""
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError("quantization step must be positive and finite")
-    return np.round(a / step) * step
-
-
 def pair_histogram(p1, p2, quantize: float | None = None) -> PairHistogram:
     """Exact pair histogram of two equal-length nonnegative vectors (-0.0
     counts as nonnegative).
 
-    quantize, when given, snaps each coordinate to the nearest multiple of the
-    step before keying; used for learned histograms so float noise cannot
-    split keys.
+    quantize, when given, moves each coordinate to the nearest multiple of
+    that step before keying.
     """
     a = np.asarray(p1, dtype=float)
     b = np.asarray(p2, dtype=float)
@@ -249,7 +241,9 @@ def pair_histogram(p1, p2, quantize: float | None = None) -> PairHistogram:
     if (a < 0).any() or (b < 0).any():
         raise ValueError("pair_histogram needs nonnegative entries")
     if quantize is not None:
-        a, b = _snap(a, quantize), _snap(b, quantize)
+        if not (quantize > 0 and math.isfinite(quantize)):
+            raise ValueError("quantization step must be positive and finite")
+        a, b = np.round(a / quantize) * quantize, np.round(b / quantize) * quantize
     return PairHistogram.from_arrays(a, b, np.ones(a.size))
 
 

@@ -5,7 +5,9 @@ which derives its decision: accept iff statistic <= threshold, inclusive.
 bigness_test reads n from its access. The testers target the usual 2/3
 success contract at desk scale. Learning is the empirical plug-in: raw
 frequencies, with a sample budget (LearnerSpec; multiplier 20 * log n unless
-overridden) that compensates for its weaker guarantee.
+overridden) that compensates for its weaker guarantee. The matching tester
+scores the learned counts one vertex pair at a time, so it builds no pair
+histogram.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .oracles import _check_threshold, _midpoint_cost, dist_to_bigness
 # stay bound: perfbench/spans.py wraps both names on this module.
 from .oracles import min_w_to_monotone_pairhist  # noqa: F401
 from .poset import Poset, SizeCapError, _check_over
-from .prob import Distribution, Rng, SampleAccess, _snap, pair_histogram  # noqa: F401
+from .prob import Distribution, Rng, SampleAccess, pair_histogram  # noqa: F401
 from .reductions import LiftedAccess, bipartite_to_matching
 
 MASS_EST_CONST = 32.0  # ceil(32/eps^2) samples per additive-eps mass estimate
@@ -73,36 +75,6 @@ class LearnerSpec:
         ln_n = math.log(max(n, 2))
         mult = self.budget_multiplier if self.budget_multiplier is not None else 20.0 * ln_n
         return _sample_count("learn budget", mult * n, eps * eps * ln_n)
-
-
-def _learned_keys(counts_bottom, counts_top, step: float, w_bottom: float):
-    """The learned pair histogram with its keys rescaled by the side masses,
-    as arrays x, y, count: each distinct pair (b, t) of counts_bottom[i],
-    counts_top[i] in increasing (b, t) order, keyed (w_bottom * snap(b / nb),
-    (1 - w_bottom) * snap(t / nt)) with snap to the nearest multiple of step
-    and nb, nt the side totals (at least 1), and how often it occurs.
-
-    The counts are float vectors of nonnegative integers below 2^64. Equal
-    count pairs are grouped by one integer sort, so each distinct pair is
-    normalized and snapped once, by pair_histogram's float expression; keys
-    that collide after the snap or the rescale are not merged.
-    """
-    b, t = counts_bottom.astype(np.uint64), counts_top.astype(np.uint64)
-    vb = vt = None
-    span = int(t.max(initial=0)) + 1
-    if (int(b.max(initial=0)) + 1) * span >= 2**64:
-        # the key b * span + t would wrap: key on the ranks of the counts
-        (vb, b), (vt, t) = np.unique(b, return_inverse=True), np.unique(t, return_inverse=True)
-        b, t, span = b.astype(np.uint64), t.astype(np.uint64), vt.size
-    key, mult = np.unique(b * np.uint64(span) + t, return_counts=True)
-    b, t = np.divmod(key, np.uint64(span))
-    if vb is not None:
-        b, t = vb[b], vt[t]
-    nb = max(int(counts_bottom.sum()), 1)
-    nt = max(int(counts_top.sum()), 1)
-    x = _snap(b.astype(float) / nb, step)
-    y = _snap(t.astype(float) / nt, step)
-    return w_bottom * x, (1.0 - w_bottom) * y, mult.astype(float)
 
 
 def _check_eps(eps: float) -> None:
@@ -177,10 +149,12 @@ def matching_monotonicity_test(
     """Monotonicity tester for matching posets.
 
     Mixes the unknown distribution half-and-half with uniform (which preserves
-    monotonicity and shrinks the far distance by at most 4), learns the pair
-    histogram of the normalized per-side frequency vectors, rescales its keys
-    by the estimated side masses, and accepts iff the rescaled histogram is
-    within 3*(eps/14) of some monotone distribution's pair histogram in W.
+    monotonicity and shrinks the far distance by at most 4), learns the
+    normalized per-side frequencies of each vertex pair, scales them by the
+    estimated side masses to x_i (bottom) and y_i (top), and accepts iff
+    sum_i (x_i - y_i)^+ is at most 3*(eps/14). That sum, taken in pair order,
+    is the midpoint-fix cost min_w_to_monotone_pairhist reports for the
+    learned pair histogram, with every pair its own key.
     The learn step draws one histogram; the bottom side's mass estimate is
     one count_in over the bottom vertices.
     """
@@ -196,11 +170,13 @@ def matching_monotonicity_test(
     mixed = MixedWithUniform(access)
     h = mixed.histogram(budget, rng)
     bottoms, tops = G.edge_array.T
-    step = 1.0 / (4.0 * budget)
     in_bottom = np.zeros(G.n, dtype=bool)
     in_bottom[bottoms] = True
     w_bottom = mixed.count_in(in_bottom, m, rng) / m
-    stat = _midpoint_cost(*_learned_keys(h[bottoms].astype(float), h[tops].astype(float), step, w_bottom))
+    cb, ct = h[bottoms], h[tops]
+    x = w_bottom * (cb / max(int(cb.sum()), 1))
+    y = (1.0 - w_bottom) * (ct / max(int(ct.sum()), 1))
+    stat = _midpoint_cost(x, y, np.ones(x.size))
     return _verdict(
         stat,
         3.0 * eps1,
@@ -222,6 +198,7 @@ def bipartite_bounded_degree_test(
     """Reduce a degree-<=delta bipartite poset to a matching (delta vertex
     copies, zero-mass dummies), lift each sample to a uniform copy, and run
     the matching tester at eps/(2*delta)."""
+    _check_eps(eps)
     red = bipartite_to_matching(G, delta)
     lifted = LiftedAccess(access, red)
     return matching_monotonicity_test(red.target, lifted, eps / (2.0 * delta), learner, rng)

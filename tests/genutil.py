@@ -250,6 +250,22 @@ def reference_midpoint(items) -> tuple[float, dict]:
     return float(cost), dict(sorted(out.items()))
 
 
+def reference_pair_cost(counts_bottom, counts_top, w_bottom: float) -> float:
+    """The matching tester's statistic one vertex pair at a time: with nb, nt
+    the side totals of the integer counts (at least 1), pair i has
+    x = w_bottom * (b_i / nb) and y = (1 - w_bottom) * (t_i / nt) in floats,
+    and adds x - y to the cost when x > y."""
+    nb = float(max(sum(int(b) for b in counts_bottom), 1))
+    nt = float(max(sum(int(t) for t in counts_top), 1))
+    cost = 0.0
+    for b, t in zip(counts_bottom, counts_top):
+        x = w_bottom * (float(b) / nb)
+        y = (1.0 - w_bottom) * (float(t) / nt)
+        if x > y:
+            cost += x - y
+    return cost
+
+
 def pair_admits_perfect_matching(G: Poset, tops, bottoms) -> bool:
     """Hall-style check via augmenting paths on the induced subgraph."""
     tops = list(tops)

@@ -809,6 +809,18 @@ def test_tester_bad_inputs_exit_2(workdir, monkeypatch, capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+def test_bipartite_eps_above_one_exits_2(workdir, monkeypatch, capsys):
+    """The bipartite tester refuses an eps outside (0, 1] itself, not only
+    the eps/(2*delta) it hands the matching tester."""
+    monkeypatch.chdir(workdir)
+    write_poset(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]), workdir / "b.poset")
+    write_distribution(Distribution.uniform(4), workdir / "b.dist")
+    argv = ["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--delta", "2", "--eps", "1.5"]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "eps must lie in (0, 1]" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,message", TESTER_BAD_INPUTS)
 def test_tester_bad_inputs_are_status_2_in_a_suite(workdir, capsys, argv, message):
     manifest = workdir / "test.suite"

@@ -20,6 +20,7 @@ from posetdist import (
     WeightedMatching,
     assign_parameters,
     bigness_test,
+    bipartite_bounded_degree_test,
     build_priors,
     closest_monotone_on_matching,
     func_dist_to_monotone,
@@ -27,6 +28,7 @@ from posetdist import (
     hypercube_embedding,
     is_monotone,
     make_hypercube,
+    make_bipartite,
     make_line,
     make_matching,
     matching_monotonicity_test,
@@ -67,6 +69,9 @@ REFUSALS = [
     ("tester eps", lambda: matching_monotonicity_test(make_matching(2), ExactDistAccess(U4), 0.0), ValueError,
      "eps must lie in (0, 1]"),
     ("bigness eps", lambda: bigness_test(ExactDistAccess(U4), 0.25, 1.5), ValueError, "eps must lie in (0, 1]"),
+    ("bipartite eps", lambda: bipartite_bounded_degree_test(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]),
+                                                            ExactDistAccess(U4), 2, 4.0), ValueError,
+     "eps must lie in (0, 1]"),
     ("unmatched vertex", lambda: matching_monotonicity_test(Poset(3, [(0, 1)], kind="matching"),
                                                             ExactDistAccess(U3), 0.2), ValueError,
      "every vertex must be matched"),
