@@ -1,11 +1,11 @@
 """Byte-level pins of the testers', the oracle's, the poset writer's, the
 reductions' and the lower-bound construction's output.
 
-The tester strings below were produced by the dict-loop implementation of
-the pair histogram, the tester's rescale and the midpoint statistic (before
-they moved onto numpy arrays), from exactly the inputs built here; the
-matching testers' bottom-mass counts and the uniform-subset tester's stage-2
-counts were drawn by SampleAccess.count_in. Any change to those steps that
+The matching testers' strings below were produced by scoring the learned
+counts one vertex pair at a time (each pair a unit key of the midpoint
+statistic), from exactly the inputs built here; their bottom-mass counts and
+the uniform-subset tester's stage-2 counts were drawn by
+SampleAccess.count_in. Any change to those steps that
 moves a bit of a statistic, a threshold, a sample count or a detail shows up
 as a string mismatch.
 """
@@ -86,15 +86,15 @@ GOLDEN_MATCHING_CSV = {
     ),
     "far": (
         "trial,decision,stat,threshold\n"
-        "0,reject,0.312028546179416,0.05357142857142857\n"
-        "1,reject,0.31551618873267706,0.05357142857142857\n"
-        "2,reject,0.31326418011402746,0.05357142857142857\n"
+        "0,reject,0.3120285392564241,0.05357142857142857\n"
+        "1,reject,0.3155162277161624,0.05357142857142857\n"
+        "2,reject,0.31326417745358903,0.05357142857142857\n"
     ),
     "tight": (
         "trial,decision,stat,threshold\n"
-        "0,accept,0.003816544519815749,0.05357142857142857\n"
-        "1,accept,0.0005128942589713609,0.05357142857142857\n"
-        "2,accept,0.0006374195683743506,0.05357142857142857\n"
+        "0,accept,0.003816550752061749,0.05357142857142857\n"
+        "1,accept,0.0005128918116649083,0.05357142857142857\n"
+        "2,accept,0.0006374195807376681,0.05357142857142857\n"
     ),
 }
 
@@ -107,9 +107,9 @@ GOLDEN_BIPARTITE_CSV = {
     ),
     "far": (
         "trial,decision,stat,threshold\n"
-        "0,reject,0.24703664390497282,0.008928571428571428\n"
-        "1,reject,0.24837637523079437,0.008928571428571428\n"
-        "2,reject,0.24727097817965796,0.008928571428571428\n"
+        "0,reject,0.24703664540232512,0.008928571428571428\n"
+        "1,reject,0.24837637502723736,0.008928571428571428\n"
+        "2,reject,0.24727097861961936,0.008928571428571428\n"
     ),
 }
 
@@ -213,12 +213,12 @@ def _verdicts():
 
 GOLDEN_VERDICTS = [
     "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.424650982033422, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.3135631472261729, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6567815610893546, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='accept', stat=0.0006147271132980308, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.47205365061333493, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.31216803483690586, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6560840233974071, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.21880166783471616, threshold=0.1928571428571429, samples=31942, details={'bottom_mass': 0.593620867768595, 'learn_budget': 24198, 'mass_budget': 7744})",
+    "Verdict(decision='reject', stat=0.3135631221787092, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6567815610893546, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.0006147186090069383, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.47205365061333493, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.31216804679481397, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6560840233974071, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.21879769898895934, threshold=0.1928571428571429, samples=31942, details={'bottom_mass': 0.593620867768595, 'learn_budget': 24198, 'mass_budget': 7744})",
     "Verdict(decision='accept', stat=0.0, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.3975654591489459, 'learn_budget': 415457281, 'mass_budget': 3612673})",
-    "Verdict(decision='reject', stat=0.24441659565027735, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.6166600187728034, 'learn_budget': 415457281, 'mass_budget': 3612673})",
+    "Verdict(decision='reject', stat=0.24441659432960441, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.6166600187728034, 'learn_budget': 415457281, 'mass_budget': 3612673})",
 ]
 
 
@@ -226,12 +226,11 @@ def test_verdict_reprs():
     assert _verdicts() == GOLDEN_VERDICTS
 
 
-# The benchmark's largest shape: 10^5 pairs, a learn budget of 6.27e9 and
-# about 10^5 distinct learned keys.
+# The benchmark's largest shape: 10^5 pairs and a learn budget of 6.27e9.
 GOLDEN_VERDICTS_1E5 = [
     "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.42530866042868676, 'learn_budget': 6272000001, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.3205185738735148, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.660259284724921, 'learn_budget': 6272000001, 'mass_budget': 100353})",
-    "Verdict(decision='accept', stat=0.00025159981851873876, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.4706884697019521, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.3205185694498359, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.660259284724921, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.0002515990443445776, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.4706884697019521, 'learn_budget': 6272000001, 'mass_budget': 100353})",
 ]
 
 
@@ -243,12 +242,11 @@ def test_verdict_reprs_on_1e5_pairs():
     assert got == GOLDEN_VERDICTS_1E5
 
 
-# Counts far beyond 2^32 on a 2-pair matching: the product of a bottom and a
-# top count does not fit in int64, and at the larger budget neither does a
-# count fit in a float's 53 bits.
+# Counts far beyond 2^32 on a 2-pair matching: at the larger budget a count
+# does not fit in a float's 53 bits.
 GOLDEN_VERDICTS_HUGE_COUNTS = [
-    "Verdict(decision='reject', stat=0.09999847076843246, threshold=0.002142857142857143, samples=5655427280286, details={'bottom_mass': 0.4999983019770679, 'learn_budget': 5655364560285, 'mass_budget': 62720001})",
-    "Verdict(decision='reject', stat=0.09999847177835028, threshold=0.002142857142857143, samples=5655364560347457537, details={'bottom_mass': 0.4999983019770679, 'learn_budget': 5655364560284737536, 'mass_budget': 62720001})",
+    "Verdict(decision='reject', stat=0.09999847076843374, threshold=0.002142857142857143, samples=5655427280286, details={'bottom_mass': 0.4999983019770679, 'learn_budget': 5655364560285, 'mass_budget': 62720001})",
+    "Verdict(decision='reject', stat=0.0999984717783502, threshold=0.002142857142857143, samples=5655364560347457537, details={'bottom_mass': 0.4999983019770679, 'learn_budget': 5655364560284737536, 'mass_budget': 62720001})",
 ]
 
 
