@@ -43,6 +43,8 @@ def workdir(tmp_path):
     hi = np.full(6, 1.6 / 6)
     write_distribution(Distribution(np.concatenate([lo, hi]) / 2), tmp_path / "m6mono.dist")
     write_distribution(Distribution.uniform(40), tmp_path / "u40.dist")
+    write_poset(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]), tmp_path / "b.poset")
+    write_distribution(Distribution.uniform(4), tmp_path / "b.dist")
     return tmp_path
 
 
@@ -421,8 +423,6 @@ def test_explicit_values_are_never_replaced_by_defaults(workdir, monkeypatch, ca
     """An explicit zero (or an incomplete parameter set) fails loudly instead
     of falling back to the default."""
     monkeypatch.chdir(workdir)
-    write_poset(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]), workdir / "b.poset")
-    write_distribution(Distribution.uniform(4), workdir / "b.dist")
     assert main(argv) == code
     assert capsys.readouterr().err.strip()
 
@@ -517,8 +517,6 @@ def test_the_read_tables_cover_every_optional_flag():
 @pytest.mark.parametrize("choice,flag", UNREAD, ids=[f"{c}-{f}" for c, f in UNREAD])
 def test_a_flag_the_choice_does_not_read_exits_2(workdir, monkeypatch, capsys, choice, flag):
     monkeypatch.chdir(workdir)
-    write_poset(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]), workdir / "b.poset")
-    write_distribution(Distribution.uniform(4), workdir / "b.dist")
     write_distribution(Distribution.uniform(6), workdir / "u6.dist")
     assert main(_choice_argv(choice, [])) == EXIT_OK  # the same run without the flag is valid
     capsys.readouterr()
@@ -771,8 +769,6 @@ def test_every_numeric_flag_has_an_out_of_domain_row():
                          ids=[f"{_verb(argv)} {flag}" for argv, flag, _, _ in OUT_OF_DOMAIN])
 def test_out_of_domain_value_exits_2_naming_the_flag(workdir, monkeypatch, capsys, argv, flag, value, name):
     monkeypatch.chdir(workdir)
-    write_poset(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]), workdir / "b.poset")
-    write_distribution(Distribution.uniform(4), workdir / "b.dist")
     write_distribution(Distribution.uniform(6), workdir / "u6.dist")
     (workdir / "one.suite").write_text("verb=oracle poset=line3.poset dist=line3.dist\n")
     try:
@@ -786,8 +782,9 @@ def test_out_of_domain_value_exits_2_naming_the_flag(workdir, monkeypatch, capsy
     assert not list(workdir.glob("out*"))
 
 
-# sample counts a tester would draw beyond int64 (numpy's limit), and a
-# multiplier no budget can be computed from
+# sample counts a tester would draw beyond int64 (numpy's limit), a
+# multiplier no budget can be computed from, and an eps outside (0, 1] that
+# the bipartite tester's eps/(2*delta) would bring inside
 M6 = ["--poset", "m6.poset", "--dist", "m6mono.dist"]
 TESTER_BAD_INPUTS = [
     (["test", "--alg", "matching", *M6, "--eps", "1e-9"], "learn budget of 2.352e+22 samples exceeds 9223372036854775807"),
@@ -798,6 +795,8 @@ TESTER_BAD_INPUTS = [
     (["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "1e30"], "learn budget of 1.64085e+34 samples"),
     (["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "inf"],
      "budget_multiplier must be positive and finite"),
+    (["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--delta", "2", "--eps", "1.5"],
+     "eps must lie in (0, 1]"),
 ]
 
 
@@ -807,18 +806,6 @@ def test_tester_bad_inputs_exit_2(workdir, monkeypatch, capsys, argv, message):
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
-
-
-def test_bipartite_eps_above_one_exits_2(workdir, monkeypatch, capsys):
-    """The bipartite tester refuses an eps outside (0, 1] itself, not only
-    the eps/(2*delta) it hands the matching tester."""
-    monkeypatch.chdir(workdir)
-    write_poset(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]), workdir / "b.poset")
-    write_distribution(Distribution.uniform(4), workdir / "b.dist")
-    argv = ["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--delta", "2", "--eps", "1.5"]
-    assert main(argv) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert "eps must lie in (0, 1]" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,message", TESTER_BAD_INPUTS)
