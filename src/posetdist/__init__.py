@@ -40,6 +40,7 @@ from .oracles import (
 from .reductions import (
     HypercubeEmbedding,
     LiftedAccess,
+    ReducedInstance,
     Reduction,
     bigness_to_matching,
     bipartite_to_matching,

@@ -30,7 +30,7 @@ from .lowerbound import (
     indistinguishability_probe,
 )
 from .oracles import exact_dtv_to_monotone, func_dist_to_monotone, max_violation_matching
-from .poset import make_hypercube, read_poset, write_poset
+from .poset import read_poset, write_poset
 from .prob import (
     ExactDistAccess,
     Rng,
@@ -44,7 +44,6 @@ from .reductions import (
     bigness_to_matching,
     bipartite_to_matching,
     general_to_bipartite,
-    hypercube_scale,
     matching_to_hypercube,
 )
 from .testers import (
@@ -147,21 +146,22 @@ def _run_test(a, base=""):
     p = read_distribution(os.path.join(base, a.dist))
     G = read_poset(os.path.join(base, a.poset)) if a.poset is not None else None
     access = ExactDistAccess(p)
+    learner = LearnerSpec(a.multiplier)
     rows = []
     accepts = 0
     for t in range(a.trials):
         rng = Rng(a.seed, t)
         if a.alg == "bigness":
-            v = bigness_test(access, _threshold(a, p), a.eps, LearnerSpec(a.multiplier), rng)
+            v = bigness_test(access, _threshold(a, p), a.eps, learner=learner, rng=rng)
         elif a.alg == "matching":
-            v = matching_monotonicity_test(G, access, a.eps, LearnerSpec(a.multiplier), rng)
+            v = matching_monotonicity_test(G, access, a.eps, learner=learner, rng=rng)
         elif a.alg == "bipartite":
-            v = bipartite_bounded_degree_test(G, access, _delta(a, G), a.eps, LearnerSpec(a.multiplier), rng)
+            v = bipartite_bounded_degree_test(G, access, _delta(a, G), a.eps, learner=learner, rng=rng)
         elif a.alg == "uniform-subset":
             size = a.support_size if a.support_size is not None else int(np.count_nonzero(p.probs))
-            v = uniform_subset_test(G, size, a.eps, access, rng)
+            v = uniform_subset_test(G, access, size, a.eps, rng=rng)
         else:
-            v = all_matchings_test(G, a.eps, access, rng)
+            v = all_matchings_test(G, access, a.eps, rng=rng)
         accepts += v.accepted
         rows.append([t, v.decision, v.stat, v.threshold])
     text = _csv(["trial", "decision", "stat", "threshold"], rows)
@@ -169,30 +169,22 @@ def _run_test(a, base=""):
 
 
 def _run_reduce(a, base=""):
+    """Read and reduce the source, then write the target poset and the
+    reduced distribution; a refused input leaves no output file."""
     _check_flags(a, "kind")
     source = os.path.join(base, getattr(a, "from"))
-    out_poset = os.path.join(base, a.out_poset)
-    out_dist = os.path.join(base, a.out_dist)
     if a.kind in ("g2b", "b2m"):
         G = read_poset(source)
         red = general_to_bipartite(G) if a.kind == "g2b" else bipartite_to_matching(G, _delta(a, G))
-        write_poset(red.target, out_poset)
-        q = red.map_distribution(read_distribution(os.path.join(base, a.dist)))
-        write_distribution(q, out_dist)
-        summary = {"target_n": red.target.n, "far_divisor": red.far_divisor}
+        inst = red.apply(read_distribution(os.path.join(base, a.dist)))
     elif a.kind == "big2m":
         p = read_distribution(source)
-        q, meta = bigness_to_matching(p, _threshold(a, p))
-        write_poset(meta["poset"], out_poset)
-        write_distribution(q, out_dist)
-        summary = {"target_n": meta["poset"].n, "far_divisor": meta["far_divisor"]}
+        inst = bigness_to_matching(p, _threshold(a, p))
     else:
-        p = read_distribution(source)
-        q = matching_to_hypercube(a.d, a.ell, p, a.pmax)
-        write_poset(make_hypercube(a.d), out_poset)
-        write_distribution(q, out_dist)
-        summary = {"target_n": q.n, "far_divisor": hypercube_scale(a.d, a.ell, a.pmax)}
-    return summary, None
+        inst = matching_to_hypercube(a.d, a.ell, read_distribution(source), a.pmax)
+    write_poset(inst.target, os.path.join(base, a.out_poset))
+    write_distribution(inst.dist, os.path.join(base, a.out_dist))
+    return {"target_n": inst.target.n, "far_divisor": inst.far_divisor}, None
 
 
 def _run_lb_solve(a, base=""):

@@ -227,23 +227,15 @@ def cdf_count(cdf: np.ndarray, u) -> np.ndarray:
     return idx
 
 
-def pair_histogram(p1, p2, quantize: float | None = None) -> PairHistogram:
+def pair_histogram(p1, p2) -> PairHistogram:
     """Exact pair histogram of two equal-length nonnegative vectors (-0.0
-    counts as nonnegative).
-
-    quantize, when given, moves each coordinate to the nearest multiple of
-    that step before keying.
-    """
+    counts as nonnegative)."""
     a = np.asarray(p1, dtype=float)
     b = np.asarray(p2, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("pair_histogram needs two equal-length vectors")
     if (a < 0).any() or (b < 0).any():
         raise ValueError("pair_histogram needs nonnegative entries")
-    if quantize is not None:
-        if not (quantize > 0 and math.isfinite(quantize)):
-            raise ValueError("quantization step must be positive and finite")
-        a, b = np.round(a / quantize) * quantize, np.round(b / quantize) * quantize
     return PairHistogram.from_arrays(a, b, np.ones(a.size))
 
 

@@ -7,8 +7,10 @@ lift samples (general->bipartite, bipartite->matching) are uniform splits:
 every source vertex has k copies in the target, each taking 1/k of its mass,
 and LiftedAccess splits each source count evenly over its copies (the law of
 lifting every sample to a uniform copy), so the map and the counts agree.
-matching->hypercube divides by hypercube_scale, its far_divisor. The entry
-checks on a source length and a hypercube dimension are poset.py's.
+Reduction.apply, bigness_to_matching and matching_to_hypercube each return
+a ReducedInstance, whose target poset and far_divisor the reduction states
+once; matching->hypercube divides by hypercube_scale, its far_divisor. The
+entry checks on a source length and a hypercube dimension are poset.py's.
 """
 
 from __future__ import annotations
@@ -19,8 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import _check_threshold
-from .poset import Poset, _check_dim, _check_over, make_matching, transitive_closure
+from .poset import Poset, _check_dim, _check_over, make_hypercube, make_matching, transitive_closure
 from .prob import Distribution, Rng, SampleAccess
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedInstance:
+    """A reduced distribution over its target poset: a source eps-far from
+    monotone lands at least eps / far_divisor from monotone."""
+
+    target: Poset
+    dist: Distribution
+    far_divisor: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,11 +64,12 @@ class Reduction:
         c.flags.writeable = False
         object.__setattr__(self, "copies", c)
 
-    def map_distribution(self, p: Distribution) -> Distribution:
+    def apply(self, p: Distribution) -> ReducedInstance:
         _check_over(self.source, "distribution", (p.n,))
         k = self.copies.shape[1]
         share = np.repeat(p.probs * (1.0 / k), k)
-        return Distribution(np.bincount(self.copies.ravel(), weights=share, minlength=self.target.n))
+        q = Distribution(np.bincount(self.copies.ravel(), weights=share, minlength=self.target.n))
+        return ReducedInstance(self.target, q, self.far_divisor)
 
 
 class LiftedAccess(SampleAccess):
@@ -123,22 +136,17 @@ def bipartite_to_matching(G: Poset, delta: int) -> Reduction:
     return Reduction(G, target, far_divisor=2.0 * delta, copies=np.arange(n * delta).reshape(n, delta))
 
 
-def bigness_to_matching(p: Distribution, threshold: float):
-    """Distribution over a matching whose monotonicity encodes T-bigness of p:
-    bottoms carry the threshold, tops carry p, everything scaled by 1 + nT.
-
-    Returns (distribution, metadata) with metadata recording the matching
-    poset, the scale, and the threshold.
-    """
+def bigness_to_matching(p: Distribution, threshold: float) -> ReducedInstance:
+    """Distribution over make_matching(n) whose monotonicity encodes
+    T-bigness of p: bottoms carry the threshold, tops carry p, everything
+    scaled by 1 + nT; the far_divisor is 2(1 + nT)."""
     n = p.n
     _check_threshold(threshold, n)
     scale = 1.0 + n * threshold
-    target = make_matching(n)
     q = np.empty(2 * n)
     q[:n] = threshold / scale
     q[n:] = p.probs / scale
-    meta = {"poset": target, "scale": scale, "threshold": threshold, "far_divisor": 2.0 * scale}
-    return Distribution(q), meta
+    return ReducedInstance(make_matching(n), Distribution(q), 2.0 * scale)
 
 
 @dataclass(frozen=True)
@@ -173,12 +181,13 @@ def hypercube_scale(d: int, ell: int, p_max: float) -> float:
     return 1.0 + p_max * filler
 
 
-def matching_to_hypercube(d: int, ell: int, p: Distribution, p_max: float) -> Distribution:
+def matching_to_hypercube(d: int, ell: int, p: Distribution, p_max: float) -> ReducedInstance:
     """Embed a matching distribution into levels ell-1/ell of the d-cube.
 
     Pair k of the source matching (bottom k, top n_pairs+k) lands on the k-th
     embedded sibling pair in bottom-vertex order; every other vertex at level
-    >= ell gets filler mass p_max; everything is divided by the total.
+    >= ell gets filler mass p_max; everything is divided by the total,
+    hypercube_scale, which is also the far_divisor.
     """
     emb = hypercube_embedding(d, ell)
     n_pairs = len(emb.pairs)
@@ -193,4 +202,4 @@ def matching_to_hypercube(d: int, ell: int, p: Distribution, p_max: float) -> Di
     lo, hi = np.array(emb.pairs).T
     q[lo] = p.probs[:n_pairs]
     q[hi] = p.probs[n_pairs:]
-    return Distribution(q / scale)
+    return ReducedInstance(make_hypercube(d), Distribution(q / scale), scale)

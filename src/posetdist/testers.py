@@ -1,13 +1,13 @@
 """Sample-based testers for bigness and monotonicity.
 
-Every tester takes sample access plus a seeded Rng and returns a Verdict,
-which derives its decision: accept iff statistic <= threshold, inclusive.
-bigness_test reads n from its access. The testers target the usual 2/3
-success contract at desk scale. Learning is the empirical plug-in: raw
-frequencies, with a sample budget (LearnerSpec; multiplier 20 * log n unless
-overridden) that compensates for its weaker guarantee. The matching tester
-scores the learned counts one vertex pair at a time, so it builds no pair
-histogram.
+Every tester takes (G, access, its own parameter if it has one, eps) and a
+required keyword rng, and returns a Verdict, which derives its decision:
+accept iff statistic <= threshold, inclusive. bigness_test has no poset and
+reads n from its access. The testers target the usual 2/3 success contract
+at desk scale. Learning is the empirical plug-in: raw frequencies, with a
+sample budget (LearnerSpec; multiplier 20 * log n unless overridden) that
+compensates for its weaker guarantee. The matching tester scores the learned
+counts one vertex pair at a time, so it builds no pair histogram.
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ def bigness_test(
     access: SampleAccess,
     threshold: float,
     eps: float,
-    learner: LearnerSpec | None = None,
-    rng: Rng | None = None,
+    *,
+    learner: LearnerSpec = LearnerSpec(),
+    rng: Rng,
 ) -> Verdict:
     """Learn the distribution, accept iff the learned distance to T-bigness is
     at most eps/3. The triangle inequality separates the two promise cases at
@@ -127,8 +128,6 @@ def bigness_test(
     _check_eps(eps)
     n = access.n
     _check_threshold(threshold, n)
-    learner = learner or LearnerSpec()
-    rng = rng or Rng(0)
     eps1 = eps / 3.0
     budget = learner.budget(n, eps1)
     counts = access.histogram(budget, rng)
@@ -143,8 +142,9 @@ def matching_monotonicity_test(
     G: Poset,
     access: SampleAccess,
     eps: float,
-    learner: LearnerSpec | None = None,
-    rng: Rng | None = None,
+    *,
+    learner: LearnerSpec = LearnerSpec(),
+    rng: Rng,
 ) -> Verdict:
     """Monotonicity tester for matching posets.
 
@@ -162,8 +162,6 @@ def matching_monotonicity_test(
     n_pairs = len(G.edge_array)
     if n_pairs == 0 or 2 * n_pairs != G.n:
         raise ValueError("every vertex must be matched")
-    learner = learner or LearnerSpec()
-    rng = rng or Rng(0)
     eps1 = eps / 14.0
     budget = learner.budget(n_pairs, eps1)
     m = _sample_count("mass budget", MASS_EST_CONST, eps1 * eps1)
@@ -192,8 +190,9 @@ def bipartite_bounded_degree_test(
     access: SampleAccess,
     delta: int,
     eps: float,
-    learner: LearnerSpec | None = None,
-    rng: Rng | None = None,
+    *,
+    learner: LearnerSpec = LearnerSpec(),
+    rng: Rng,
 ) -> Verdict:
     """Reduce a degree-<=delta bipartite poset to a matching (delta vertex
     copies, zero-mass dummies), lift each sample to a uniform copy, and run
@@ -201,15 +200,16 @@ def bipartite_bounded_degree_test(
     _check_eps(eps)
     red = bipartite_to_matching(G, delta)
     lifted = LiftedAccess(access, red)
-    return matching_monotonicity_test(red.target, lifted, eps / (2.0 * delta), learner, rng)
+    return matching_monotonicity_test(red.target, lifted, eps / (2.0 * delta), learner=learner, rng=rng)
 
 
 def uniform_subset_test(
     G: Poset,
+    access: SampleAccess,
     support_size: int,
     eps: float,
-    access: SampleAccess,
-    rng: Rng | None = None,
+    *,
+    rng: Rng,
 ) -> Verdict:
     """Monotonicity tester for distributions promised uniform on a known-size
     subset of a bipartite poset.
@@ -223,7 +223,6 @@ def uniform_subset_test(
     _check_inputs("uniform_subset_test", G, ("bipartite", "matching"), access, eps)
     if not 1 <= support_size <= G.n:
         raise ValueError(f"support_size must lie in [1, n={G.n}], got {support_size}")
-    rng = rng or Rng(0)
     n = G.n
     s1 = _sample_count("stage 1 size", 8.0 * n ** (2.0 / 3.0), eps)
     s2 = _sample_count("stage 2 size", 8.0 * n ** (2.0 / 3.0), 1.0)
@@ -271,9 +270,10 @@ def _enumerate_matchable_pairs(G: Poset, cap: int):
 
 def all_matchings_test(
     G: Poset,
-    eps: float,
     access: SampleAccess,
-    rng: Rng | None = None,
+    eps: float,
+    *,
+    rng: Rng,
 ) -> Verdict:
     """Compare top vs bottom mass over every perfectly-matchable subset pair,
     found in one pass over the edges (work at most edge count times PAIR_CAP).
@@ -283,7 +283,6 @@ def all_matchings_test(
     bottom mass beats its top mass by more than eps/2.
     """
     _check_inputs("all_matchings_test", G, ("bipartite", "matching"), access, eps)
-    rng = rng or Rng(0)
     pairs = _enumerate_matchable_pairs(G, PAIR_CAP)
     n_pairs = len(pairs)
     groups = 2 * max(1, math.ceil(math.log2(max(n_pairs, 2)))) + 9

@@ -206,13 +206,10 @@ def highs_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
 # histograms became sorted numpy arrays. Each returns plain sorted dicts.
 
 
-def reference_pair_histogram(p1, p2, quantize: float | None = None) -> dict:
+def reference_pair_histogram(p1, p2) -> dict:
     """Pair histogram by counting the elements one at a time."""
     a = np.asarray(p1, dtype=float)
     b = np.asarray(p2, dtype=float)
-    if quantize is not None:
-        a = np.round(a / quantize) * quantize
-        b = np.round(b / quantize) * quantize
     support: dict[tuple[float, float], float] = {}
     for x, y in zip(a.tolist(), b.tolist()):
         if x == 0.0 and y == 0.0:

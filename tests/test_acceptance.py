@@ -184,13 +184,13 @@ def test_criterion_06_reduction_distance_contracts():
         p = random_distribution(rng, G.n)
         red = general_to_bipartite(G)
         src = exact_dtv_to_monotone(G, p)
-        tgt = exact_dtv_to_monotone(red.target, red.map_distribution(p))
+        tgt = exact_dtv_to_monotone(red.target, red.apply(p).dist)
         assert tgt >= src / 4.0 - 1e-9
         checked["g2b"] += 1
     G = random_dag(rng, 6)
     pm = _monotone_bipartite(rng, G)
     red = general_to_bipartite(G)
-    assert is_monotone(red.target, red.map_distribution(pm).probs)
+    assert is_monotone(red.target, red.apply(pm).dist.probs)
 
     for _ in range(200):
         G = random_bipartite(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
@@ -198,25 +198,25 @@ def test_criterion_06_reduction_distance_contracts():
         p = random_distribution(rng, G.n)
         red = bipartite_to_matching(G, delta)
         src = exact_dtv_to_monotone(G, p)
-        tgt = exact_dtv_to_monotone(red.target, red.map_distribution(p))
+        tgt = exact_dtv_to_monotone(red.target, red.apply(p).dist)
         assert tgt >= src / (2.0 * delta) - 1e-9
         checked["b2m"] += 1
     G = make_bipartite(5, [(0, 2), (0, 3), (1, 4)], bottom=[0, 1])
     pm = Distribution(np.array([0.05, 0.05, 0.3, 0.3, 0.3]))
     red = bipartite_to_matching(G, 2)
-    assert is_monotone(G, pm.probs) and is_monotone(red.target, red.map_distribution(pm).probs)
+    assert is_monotone(G, pm.probs) and is_monotone(red.target, red.apply(pm).dist.probs)
 
     for _ in range(200):
         n = int(rng.integers(2, 7))
         p = random_distribution(rng, n)
         T = float(rng.uniform(0.3, 1.0)) / n
-        q, meta = bigness_to_matching(p, T)
+        inst = bigness_to_matching(p, T)
         src = dist_to_bigness(p, T)
-        tgt = exact_dtv_to_monotone(meta["poset"], q)
+        tgt = exact_dtv_to_monotone(inst.target, inst.dist)
         assert tgt >= src / (2.0 * (1.0 + n * T)) - 1e-9
         checked["big2m"] += 1
-    q, meta = bigness_to_matching(Distribution.uniform(5), 0.2)  # big source
-    assert is_monotone(meta["poset"], q.probs)
+    inst = bigness_to_matching(Distribution.uniform(5), 0.2)  # big source
+    assert is_monotone(inst.target, inst.dist.probs)
 
     d, ell = 4, 2
     n_pairs = math.comb(d - 1, ell - 1)
@@ -225,14 +225,14 @@ def test_criterion_06_reduction_distance_contracts():
     for _ in range(200):
         p = random_distribution(rng, 2 * n_pairs)
         p_max = float(p.probs.max()) * float(rng.uniform(1.0, 1.5))
-        q = matching_to_hypercube(d, ell, p, p_max)
+        q = matching_to_hypercube(d, ell, p, p_max).dist
         scale = hypercube_scale(d, ell, p_max)
         src = exact_dtv_to_monotone(M, p)
         tgt = exact_dtv_to_monotone(H, q)
         assert tgt >= src / scale - 1e-9
         checked["m2hyp"] += 1
     pm = monotone_matching_dist(rng, n_pairs)
-    assert is_monotone(H, matching_to_hypercube(d, ell, pm, float(pm.probs.max())).probs)
+    assert is_monotone(H, matching_to_hypercube(d, ell, pm, float(pm.probs.max())).dist.probs)
 
     ok = all(v >= 200 for v in checked.values())
     report(6, "reduction distance contracts (4 x 200 sweeps)", ok, str(checked))
@@ -393,20 +393,20 @@ def test_criterion_08_tester_operating_characteristics():
     )
     uni = Distribution.uniform(n)
     run_case("uniform-subset n=200 mono", lambda p: (
-        lambda r: uniform_subset_test(stars, n, EPS, ExactDistAccess(p), r)), [uni], True)
+        lambda r: uniform_subset_test(stars, ExactDistAccess(p), n, EPS, rng=r)), [uni], True)
     bottoms_only = np.zeros(n)
     bottoms_only[:nb] = 1.0 / nb
     qfar = Distribution(bottoms_only)
     assert max_violation_matching(stars, qfar).weight / 2 >= EPS
     run_case("uniform-subset n=200 far", lambda p: (
-        lambda r: uniform_subset_test(stars, nb, EPS, ExactDistAccess(p), r)), [qfar], False)
+        lambda r: uniform_subset_test(stars, ExactDistAccess(p), nb, EPS, rng=r)), [qfar], False)
 
     for n in (50, 200):
         G, mono, far = _sparse_edges_instances(rng, n, EPS)
         run_case(f"all-matchings n={n} mono", lambda p, G=G: (
-            lambda r: all_matchings_test(G, EPS, ExactDistAccess(p), r)), mono, True)
+            lambda r: all_matchings_test(G, ExactDistAccess(p), EPS, rng=r)), mono, True)
         run_case(f"all-matchings n={n} far", lambda p, G=G: (
-            lambda r: all_matchings_test(G, EPS, ExactDistAccess(p), r)), far, False)
+            lambda r: all_matchings_test(G, ExactDistAccess(p), EPS, rng=r)), far, False)
 
     ok = slow < 10.0
     report(8, "tester operating characteristics", ok,

@@ -4,14 +4,16 @@ import dataclasses
 import inspect
 import types
 
+import pytest
+
 import posetdist
-from posetdist import Poset, Reduction
+from posetdist import ExactDistAccess, Poset, ReducedInstance, Reduction, make_matching
 
 PUBLIC_NAMES = [
     "Distribution", "ExactDistAccess", "HypercubeEmbedding", "LBInstance",
     "LearnerSpec", "LiftedAccess", "LpSolution", "MixedWithUniform", "MomentPriors",
     "PairHistogram", "ParameterAssignment", "ParameterError", "Poset", "PosetError",
-    "PriorsError", "ProbeRow", "Reduction", "Rng", "SampleAccess",
+    "PriorsError", "ProbeRow", "ReducedInstance", "Reduction", "Rng", "SampleAccess",
     "SizeCapError", "TransitiveClosure", "Verdict", "WeightedMatching", "all_matchings_test",
     "assign_parameters", "bigness_test", "bigness_to_matching", "bipartite_bounded_degree_test",
     "bipartite_to_matching", "build_priors", "closest_monotone_on_matching", "dist_to_bigness",
@@ -34,16 +36,36 @@ def test_public_names():
     assert names == PUBLIC_NAMES
 
 
+def _readme_section(title: str) -> str:
+    import pathlib
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_documents_every_public_name():
     """Each exported name appears, in backquotes, in README's library API
     section, so the exports and the documented API cannot drift apart."""
-    import pathlib
     import re
 
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
-    documented = set(re.findall(r"`(\w+)", section))
+    documented = set(re.findall(r"`(\w+)", _readme_section("Library API")))
     assert [name for name in PUBLIC_NAMES if name not in documented] == []
+
+
+def test_readme_quick_tour_runs(capsys):
+    """README's library quick tour runs as printed, so a signature change
+    breaks this test rather than a reader; a print line's trailing comment
+    gives its number, or the first word it prints."""
+    block = _readme_section("Library quick tour").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick tour", "exec"), {})
+    claims = [line.partition("#")[2].split() for line in block.splitlines() if line.startswith("print(")]
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(claims)
+    for claim, out in zip(claims, printed):
+        if claim and claim[0][0].isdigit():
+            assert float(out) == pytest.approx(float(claim[0])), out
+        elif claim:
+            assert out.split()[0] == claim[0], out
 
 
 def test_removed_parameters_stay_gone():
@@ -170,6 +192,47 @@ def test_poset_constructor_fields():
 
 def test_reduction_constructor_fields():
     assert [f.name for f in dataclasses.fields(Reduction) if f.init] == ["source", "target", "far_divisor", "copies"]
+
+
+def test_reduced_instance_fields():
+    assert [f.name for f in dataclasses.fields(ReducedInstance) if f.init] == ["target", "dist", "far_divisor"]
+
+
+# Each tester's parameters in order: (G, access, its own parameter, eps),
+# then keyword-only ones; rng is required.
+TESTER_PARAMETERS = {
+    posetdist.bigness_test: ["access", "threshold", "eps", "*learner", "*rng"],
+    posetdist.matching_monotonicity_test: ["G", "access", "eps", "*learner", "*rng"],
+    posetdist.bipartite_bounded_degree_test: ["G", "access", "delta", "eps", "*learner", "*rng"],
+    posetdist.uniform_subset_test: ["G", "access", "support_size", "eps", "*rng"],
+    posetdist.all_matchings_test: ["G", "access", "eps", "*rng"],
+}
+
+
+def test_tester_signatures():
+    """One argument order for every tester, with rng a keyword that has no
+    default: a trial loop that forgets it fails instead of reusing one seed."""
+    for fn, expected in TESTER_PARAMETERS.items():
+        params = inspect.signature(fn).parameters.values()
+        got = [("*" if p.kind is p.KEYWORD_ONLY else "") + p.name for p in params]
+        assert got == expected, fn.__name__
+        assert inspect.signature(fn).parameters["rng"].default is inspect.Parameter.empty, fn.__name__
+
+
+def test_testers_refuse_a_call_without_rng():
+    G = make_matching(2)
+    access = ExactDistAccess(posetdist.Distribution.uniform(4))
+    calls = {
+        posetdist.bigness_test: (access, 0.25, 0.5),
+        posetdist.matching_monotonicity_test: (G, access, 0.5),
+        posetdist.bipartite_bounded_degree_test: (G, access, 1, 0.5),
+        posetdist.uniform_subset_test: (G, access, 4, 0.5),
+        posetdist.all_matchings_test: (G, access, 0.5),
+    }
+    assert set(calls) == set(TESTER_PARAMETERS)
+    for fn, args in calls.items():
+        with pytest.raises(TypeError, match="rng"):
+            fn(*args)
 
 
 def test_tracer_wrap_sites_resolve():

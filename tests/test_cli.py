@@ -190,6 +190,21 @@ def test_reduce_verbs(workdir):
     assert read_distribution(out_d).n == 16
 
 
+@pytest.mark.parametrize("kind,source", [("g2b", "line3.poset"), ("b2m", "b.poset")])
+@pytest.mark.parametrize("dist,message", [("u40.dist", "distribution does not match the poset"),
+                                          ("missing.dist", "missing.dist")], ids=["mismatched", "missing"])
+def test_a_refused_reduce_writes_no_file(workdir, capsys, kind, source, dist, message):
+    """reduce reads and maps every input before it writes: a --dist that
+    does not match the source poset, or does not exist, exits 2 and leaves
+    neither output file."""
+    out_p, out_d = workdir / "o.poset", workdir / "o.dist"
+    rc = main(["reduce", "--from", str(workdir / source), "--kind", kind, "--dist", str(workdir / dist),
+               "--out-poset", str(out_p), "--out-dist", str(out_d)])
+    assert rc == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out_p.exists() and not out_d.exists()
+
+
 def test_suite_runs_and_is_deterministic(workdir):
     manifest = workdir / "demo.suite"
     manifest.write_text(

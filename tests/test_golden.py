@@ -253,7 +253,7 @@ GOLDEN_VERDICTS_HUGE_COUNTS = [
 def test_verdict_reprs_with_huge_counts():
     p = Distribution(np.array([0.3, 0.2, 0.1, 0.4]))
     got = [repr(matching_monotonicity_test(make_matching(2), ExactDistAccess(p), 0.01,
-                                           LearnerSpec(budget_multiplier=mult), Rng(12)))
+                                           learner=LearnerSpec(budget_multiplier=mult), rng=Rng(12)))
            for mult in (1e6, 1e12)]
     assert got == GOLDEN_VERDICTS_HUGE_COUNTS
 

@@ -125,11 +125,6 @@ def test_pair_histogram_permutation_invariant(perm):
     assert pair_histogram(a, b) == pair_histogram(a[pi], b[pi])
 
 
-def test_pair_histogram_quantize():
-    g = pair_histogram([0.1001, 0.0999], [0.2, 0.2], quantize=0.05)
-    assert g.items() == [((0.1, 0.2), 2.0)]
-
-
 def test_pair_histogram_validation():
     with pytest.raises(ValueError):
         PairHistogram({(0.0, 0.0): 1.0})
@@ -144,9 +139,6 @@ def test_pair_histogram_validation():
     with pytest.raises(ValueError, match="nonnegative entries"):
         pair_histogram([-0.5], [0.2])
     assert pair_histogram([-0.0], [0.2]).items() == [((-0.0, 0.2), 1.0)]
-    for step in (0.0, -0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="quantization step must be positive and finite"):
-            pair_histogram([0.1], [0.2], quantize=step)
 
 
 def test_tv_distance():

@@ -57,6 +57,15 @@ def test_general_to_bipartite_structure():
     assert redm.far_divisor == 4.0
 
 
+def test_apply_returns_the_reductions_target_and_divisor():
+    star = make_bipartite(3, [(0, 1), (0, 2)], bottom=[0])
+    p = Distribution(np.array([0.5, 0.3, 0.2]))
+    for red in (general_to_bipartite(star), bipartite_to_matching(star, 2)):
+        inst = red.apply(p)
+        assert inst.target is red.target and inst.far_divisor == red.far_divisor
+        assert inst.dist.n == red.target.n
+
+
 def test_lifters_match_mapped_distribution_exactly():
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -64,13 +73,13 @@ def test_lifters_match_mapped_distribution_exactly():
         p = random_distribution(rng, G.n)
         for red in (general_to_bipartite(G),):
             np.testing.assert_allclose(
-                induced_lift_distribution(red, p), red.map_distribution(p).probs, atol=1e-12
+                induced_lift_distribution(red, p), red.apply(p).dist.probs, atol=1e-12
             )
     star = make_bipartite(3, [(0, 1), (0, 2)], bottom=[0])
     red = bipartite_to_matching(star, 2)
     p = Distribution(np.array([0.5, 0.3, 0.2]))
     np.testing.assert_allclose(
-        induced_lift_distribution(red, p), red.map_distribution(p).probs, atol=1e-12
+        induced_lift_distribution(red, p), red.apply(p).dist.probs, atol=1e-12
     )
 
 
@@ -81,7 +90,7 @@ def test_lifted_access_empirically_matches():
     acc = LiftedAccess(ExactDistAccess(p), red)
     s = 400_000
     h = acc.histogram(s, Rng(31))
-    np.testing.assert_allclose(h / s, red.map_distribution(p).probs, atol=6e-3)
+    np.testing.assert_allclose(h / s, red.apply(p).dist.probs, atol=6e-3)
 
 
 def test_bipartite_to_matching_structure():
@@ -94,7 +103,7 @@ def test_bipartite_to_matching_structure():
     red = bipartite_to_matching(star, 2)
     assert red.target.n == 8
     assert len(red.target.edges) == 4
-    zero_mass = red.map_distribution(Distribution(np.array([0.5, 0.3, 0.2]))).probs
+    zero_mass = red.apply(Distribution(np.array([0.5, 0.3, 0.2]))).dist.probs
     assert np.count_nonzero(zero_mass == 0.0) == 2  # the dummies
     with pytest.raises(ValueError):
         bipartite_to_matching(star, 1)  # degree 2 exceeds delta
@@ -115,18 +124,19 @@ def test_monotone_sources_stay_monotone():
         p = Distribution(v / v.sum())
         assert is_monotone(G, p.probs)
         red = general_to_bipartite(G)
-        assert is_monotone(red.target, red.map_distribution(p).probs)
+        assert is_monotone(red.target, red.apply(p).dist.probs)
 
 
 def test_bigness_to_matching_examples():
-    q, meta = bigness_to_matching(Distribution(np.array([0.5, 0.5])), 0.25)
-    np.testing.assert_allclose(q.probs, [1 / 6, 1 / 6, 1 / 3, 1 / 3])
-    assert meta["scale"] == pytest.approx(1.5)
-    assert is_monotone(meta["poset"], q.probs)
+    inst = bigness_to_matching(Distribution(np.array([0.5, 0.5])), 0.25)
+    np.testing.assert_allclose(inst.dist.probs, [1 / 6, 1 / 6, 1 / 3, 1 / 3])
+    assert inst.far_divisor == pytest.approx(2 * 1.5)  # twice the scale 1 + nT
+    assert inst.target == make_matching(2)
+    assert is_monotone(inst.target, inst.dist.probs)
     n = 5
-    q, meta = bigness_to_matching(Distribution.uniform(n), 1.0 / n)
-    np.testing.assert_allclose(q.probs, 1.0 / (2 * n))
-    assert is_monotone(meta["poset"], q.probs)
+    inst = bigness_to_matching(Distribution.uniform(n), 1.0 / n)
+    np.testing.assert_allclose(inst.dist.probs, 1.0 / (2 * n))
+    assert is_monotone(inst.target, inst.dist.probs)
     with pytest.raises(ValueError):
         bigness_to_matching(Distribution.uniform(4), 0.3)
 
@@ -137,10 +147,10 @@ def test_bigness_to_matching_distance_contract():
         n = int(rng.integers(2, 7))
         p = random_distribution(rng, n)
         T = float(rng.uniform(0.3, 1.0)) / n
-        q, meta = bigness_to_matching(p, T)
+        inst = bigness_to_matching(p, T)
         src = dist_to_bigness(p, T)
-        tgt = exact_dtv_to_monotone(meta["poset"], q)
-        assert tgt >= src / meta["far_divisor"] - 1e-9
+        tgt = exact_dtv_to_monotone(inst.target, inst.dist)
+        assert tgt >= src / inst.far_divisor - 1e-9
 
 
 def test_hypercube_embedding_structure():
@@ -176,18 +186,20 @@ def test_matching_to_hypercube_monotone_and_distance():
     for _ in range(30):
         p = random_distribution(rng, 2 * n_pairs)
         p_max = float(p.probs.max()) * 1.1
-        q = matching_to_hypercube(d, ell, p, p_max)
+        inst = matching_to_hypercube(d, ell, p, p_max)
+        q = inst.dist
         assert q.probs.sum() == pytest.approx(1.0)
         src = exact_dtv_to_monotone(make_matching(n_pairs), p)
         tgt = exact_dtv_to_monotone(H, q)
         scale = hypercube_scale(d, ell, p_max)
+        assert inst.target == H and inst.far_divisor == scale
         assert tgt >= src / scale - 1e-9
     # monotone source embeds monotone
     lo = rng.uniform(0.05, 0.1, n_pairs)
     hi = lo + rng.uniform(0, 0.05, n_pairs)
     v = np.concatenate([lo, hi])
     p = Distribution(v / v.sum())
-    q = matching_to_hypercube(d, ell, p, float(p.probs.max()))
+    q = matching_to_hypercube(d, ell, p, float(p.probs.max())).dist
     assert is_monotone(H, q.probs)
     with pytest.raises(ValueError):
         matching_to_hypercube(d, ell, p, float(p.probs.max()) / 2)  # mass above p_max
@@ -261,7 +273,7 @@ def test_bipartite_to_matching_equals_reference(case, seed):
     red = bipartite_to_matching(G, delta)
     target, q = reference_bipartite_to_matching(G, delta, p.probs)
     assert red.target == target and repr(red.target) == repr(target)
-    assert red.map_distribution(p).probs.tobytes() == q.tobytes()
+    assert red.apply(p).dist.probs.tobytes() == q.tobytes()
     assert red.copies.shape == (G.n, delta)
 
 

@@ -16,6 +16,7 @@ from posetdist import (
     Poset,
     PosetError,
     PriorsError,
+    Rng,
     SizeCapError,
     WeightedMatching,
     assign_parameters,
@@ -58,7 +59,7 @@ REFUSALS = [
      "distribution does not match the poset: shape (4,), poset n=3"),
     ("midpoint fix length", lambda: closest_monotone_on_matching(make_matching(2), U3), ValueError,
      "distribution does not match the poset: shape (3,), poset n=4"),
-    ("map_distribution length", lambda: general_to_bipartite(LINE3).map_distribution(U4), ValueError,
+    ("Reduction.apply length", lambda: general_to_bipartite(LINE3).apply(U4), ValueError,
      "distribution does not match the poset: shape (4,), poset n=3"),
     ("LiftedAccess length", lambda: LiftedAccess(ExactDistAccess(U4), general_to_bipartite(LINE3)), ValueError,
      "base access does not match the poset: shape (4,), poset n=3"),
@@ -66,14 +67,15 @@ REFUSALS = [
      "distribution does not match the poset: shape (1, 3), poset n=3"),
     ("m2hyp source size", lambda: matching_to_hypercube(4, 2, U4, 0.5), ValueError,
      "matching distribution must cover 6 vertices for d=4, ell=2"),
-    ("tester eps", lambda: matching_monotonicity_test(make_matching(2), ExactDistAccess(U4), 0.0), ValueError,
+    ("tester eps", lambda: matching_monotonicity_test(make_matching(2), ExactDistAccess(U4), 0.0, rng=Rng(0)),
+     ValueError, "eps must lie in (0, 1]"),
+    ("bigness eps", lambda: bigness_test(ExactDistAccess(U4), 0.25, 1.5, rng=Rng(0)), ValueError,
      "eps must lie in (0, 1]"),
-    ("bigness eps", lambda: bigness_test(ExactDistAccess(U4), 0.25, 1.5), ValueError, "eps must lie in (0, 1]"),
     ("bipartite eps", lambda: bipartite_bounded_degree_test(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]),
-                                                            ExactDistAccess(U4), 2, 4.0), ValueError,
+                                                            ExactDistAccess(U4), 2, 4.0, rng=Rng(0)), ValueError,
      "eps must lie in (0, 1]"),
     ("unmatched vertex", lambda: matching_monotonicity_test(Poset(3, [(0, 1)], kind="matching"),
-                                                            ExactDistAccess(U3), 0.2), ValueError,
+                                                            ExactDistAccess(U3), 0.2, rng=Rng(0)), ValueError,
      "every vertex must be matched"),
     ("negative n", lambda: Poset(-1, []), PosetError, "vertex count must be nonnegative"),
     ("unknown kind", lambda: Poset(2, [], kind="x"), PosetError, "unknown kind 'x'"),

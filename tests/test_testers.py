@@ -156,7 +156,7 @@ def test_testers_draw_one_histogram_and_one_side_count(monkeypatch):
     assert v.decision in ("accept", "reject")
     G = _star_family(100, 3)
     log = _CallLog(ExactDistAccess(Distribution.uniform(G.n)))
-    v = uniform_subset_test(G, G.n, 0.5, log, Rng(3))
+    v = uniform_subset_test(G, log, G.n, 0.5, rng=Rng(3))
     assert v.details["branch"] == 2
     assert log.calls == [("histogram", v.details["stage1"]), ("count_in", v.details["stage2"])]
 
@@ -222,41 +222,41 @@ def test_uniform_subset_tester():
     G = _star_family()
     n = G.n
     uni = ExactDistAccess(Distribution.uniform(n))
-    assert rates(lambda r: uniform_subset_test(G, n, 0.2, uni, r), 20) >= 0.9
+    assert rates(lambda r: uniform_subset_test(G, uni, n, 0.2, rng=r), 20) >= 0.9
     bottoms_only = np.zeros(n)
     bottoms_only[:50] = 1 / 50
     far = ExactDistAccess(Distribution(bottoms_only))
-    assert rates(lambda r: uniform_subset_test(G, 50, 0.2, far, r), 20) <= 0.1
+    assert rates(lambda r: uniform_subset_test(G, far, 50, 0.2, rng=r), 20) <= 0.1
 
 
 def test_uniform_subset_empty_bottom_branch():
     G = make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1])
     tops_only = Distribution(np.array([0.0, 0.0, 0.5, 0.5]))
-    v = uniform_subset_test(G, 2, 0.5, ExactDistAccess(tops_only), Rng(1))
+    v = uniform_subset_test(G, ExactDistAccess(tops_only), 2, 0.5, rng=Rng(1))
     assert v.accepted and v.details["branch"] == 1 and v.stat == 0.0
 
 
 def test_uniform_subset_rejects_mismatched_access():
     G = make_matching(3)
     with pytest.raises(ValueError, match="sample access does not match the poset"):
-        uniform_subset_test(G, 6, 0.2, ExactDistAccess(Distribution.uniform(10)), Rng(0))
+        uniform_subset_test(G, ExactDistAccess(Distribution.uniform(10)), 6, 0.2, rng=Rng(0))
 
 
 def test_all_matchings_rejects_mismatched_access():
     G = make_matching(3)
     with pytest.raises(ValueError, match="sample access does not match the poset"):
-        all_matchings_test(G, 0.2, ExactDistAccess(Distribution.uniform(10)), Rng(0))
+        all_matchings_test(G, ExactDistAccess(Distribution.uniform(10)), 0.2, rng=Rng(0))
 
 
 def test_all_matchings_tester():
     K22 = make_bipartite(4, [(0, 2), (0, 3), (1, 2), (1, 3)], bottom=[0, 1])
     pm = Distribution(np.array([0.15, 0.15, 0.35, 0.35]))
-    assert rates(lambda r: all_matchings_test(K22, 0.2, ExactDistAccess(pm), r), 20) >= 0.9
+    assert rates(lambda r: all_matchings_test(K22, ExactDistAccess(pm), 0.2, rng=r), 20) >= 0.9
     single = make_bipartite(2, [(0, 1)], bottom=[0])
     heavy = Distribution(np.array([0.9, 0.1]))
-    assert rates(lambda r: all_matchings_test(single, 0.2, ExactDistAccess(heavy), r), 20) <= 0.1
+    assert rates(lambda r: all_matchings_test(single, ExactDistAccess(heavy), 0.2, rng=r), 20) <= 0.1
     empty = make_bipartite(3, [], bottom=[0])
-    v = all_matchings_test(empty, 0.2, ExactDistAccess(Distribution.uniform(3)), Rng(0))
+    v = all_matchings_test(empty, ExactDistAccess(Distribution.uniform(3)), 0.2, rng=Rng(0))
     assert v.accepted and v.details["pair_count"] == 1
 
 
