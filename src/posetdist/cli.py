@@ -29,7 +29,9 @@ from .lowerbound import (
     generate_instance,
     indistinguishability_probe,
 )
-from .oracles import exact_dtv_to_monotone, func_dist_to_monotone, max_violation_matching
+from .oracles import exact_dtv_to_monotone, max_violation_matching
+# Not called here: perfbench/spans.py's tracer wraps cli.func_dist_to_monotone by name.
+from .oracles import func_dist_to_monotone  # noqa: F401
 from .poset import read_poset, write_poset
 from .prob import (
     ExactDistAccess,
@@ -110,10 +112,9 @@ def _save(a: argparse.Namespace, text: str, base: str = "") -> bool:
 def _run_oracle(a, base=""):
     G = read_poset(os.path.join(base, a.poset))
     p = read_distribution(os.path.join(base, a.dist))
-    d_tv = exact_dtv_to_monotone(G, p)
-    W = max_violation_matching(G, p).weight
-    lp, _ = func_dist_to_monotone(G, p)
-    summary = {"d_tv": d_tv, "matching_weight": W, "lp_value": lp}
+    d_tv = exact_dtv_to_monotone(G, p)  # first: its LP's size cap also guards the matching
+    W = max_violation_matching(G, p).weight  # lp_value too: the flow LP's optimum, by LP duality
+    summary = {"d_tv": d_tv, "matching_weight": W, "lp_value": W}
     return summary, _csv(list(summary), [list(summary.values())])
 
 
@@ -170,7 +171,7 @@ def _run_test(a, base=""):
 
 def _run_reduce(a, base=""):
     """Read and reduce the source, then write the target poset and the
-    reduced distribution; a refused input leaves no output file."""
+    reduced distribution; a refused input or a failed write leaves no file."""
     _check_flags(a, "kind")
     source = os.path.join(base, getattr(a, "from"))
     if a.kind in ("g2b", "b2m"):
@@ -182,8 +183,13 @@ def _run_reduce(a, base=""):
         inst = bigness_to_matching(p, _threshold(a, p))
     else:
         inst = matching_to_hypercube(a.d, a.ell, read_distribution(source), a.pmax)
-    write_poset(inst.target, os.path.join(base, a.out_poset))
-    write_distribution(inst.dist, os.path.join(base, a.out_dist))
+    out_poset = os.path.join(base, a.out_poset)
+    write_poset(inst.target, out_poset)
+    try:
+        write_distribution(inst.dist, os.path.join(base, a.out_dist))
+    except BaseException:
+        os.remove(out_poset)
+        raise
     return {"target_n": inst.target.n, "far_divisor": inst.far_divisor}, None
 
 

@@ -91,8 +91,6 @@ def _monotone_flow(G: Poset, p: Distribution, c: float, shift: bool):
         raise SizeCapError(f"n={G.n} exceeds LP cap {DEFAULT_LP_CAP}")
     _check_over(G, "distribution", (p.n,))
     n, m = G.n, len(G.edge_array)
-    if not m:
-        return 0.0, np.zeros(n)
     u, v = G.edge_array.T
     D = np.zeros((n, m + 2 * shift))
     D[u, np.arange(m)] = 1.0
@@ -162,8 +160,6 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     """
     _check_over(G, "distribution", (p.n,))
     u, v, w = _violation_edges(G, p.probs)
-    if not w.size:
-        return WeightedMatching((), 0.0)
     if G.kind == "matching":
         weights = w.tolist()
         return WeightedMatching(tuple(zip(zip(u.tolist(), v.tolist()), weights)), float(sum(weights)))
@@ -173,10 +169,7 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     W = np.zeros((n, n))
     W[row, col] = w
     _, flow = _transport_cost([1.0] * n, [1.0] * n, -W)
-    link = {}
-    for i, j in zip(*flow[: tails.size].nonzero()):
-        if W[i, j] > 0:
-            link[tails[i].item()] = heads[j].item()
+    link = {tails[i].item(): heads[j].item() for i, j in zip(*flow[: tails.size].nonzero()) if W[i, j] > 0}
     chosen = []
     for start in link.keys() - set(link.values()):
         end = start

@@ -90,8 +90,7 @@ class LiftedAccess(SampleAccess):
         k = copies.shape[1]
         rows = np.flatnonzero(src_counts)
         out = np.zeros(self.n, dtype=np.int64)
-        if rows.size:
-            np.add.at(out, copies[rows], rng.gen.multinomial(src_counts[rows], np.full(k, 1.0 / k)))
+        np.add.at(out, copies[rows], rng.gen.multinomial(src_counts[rows], np.full(k, 1.0 / k)))
         return out
 
 

@@ -132,7 +132,9 @@ def bigness_test(
     budget = learner.budget(n, eps1)
     counts = access.histogram(budget, rng)
     total = counts.sum()
-    q = counts / total if total > 0 else np.full(n, 1.0 / n)
+    if not total > 0:
+        raise ValueError(f"sample access drew a total of {total} from a budget of {budget} samples")
+    q = counts / total
     learned = Distribution(q / q.sum())
     stat = dist_to_bigness(learned, threshold)
     return _verdict(stat, eps1, budget, bigness_threshold=threshold)
@@ -291,8 +293,6 @@ def all_matchings_test(
     stat = 0.0
     worst = ((), ())
     for tops, bottoms in pairs:
-        if not tops:
-            continue
         w_top = hist[:, list(tops)].sum(axis=1)
         w_bottom = hist[:, list(bottoms)].sum(axis=1)
         gap = float(np.median(w_bottom - w_top))

@@ -59,18 +59,36 @@ def test_oracle_verb(workdir, capsys):
     assert d_tv == pytest.approx(1 / 6, abs=1e-9)
 
 
+def test_oracle_solves_one_lp_and_reads_lp_value_off_the_matching(workdir, capsys, monkeypatch):
+    """oracle solves d_tv by LP and the function distance once, as the
+    violation matching: lp_value is the matching's weight, byte for byte."""
+    from posetdist import oracles
+
+    calls = []
+    solve_lp = oracles.solve_lp
+    monkeypatch.setattr(oracles, "solve_lp", lambda *args, **kw: calls.append(1) or solve_lp(*args, **kw))
+    assert main(["oracle", "--poset", str(workdir / "line3.poset"), "--dist", str(workdir / "line3.dist")]) == 0
+    assert len(calls) == 1
+    _, w, lp = capsys.readouterr().out.splitlines()[1].split(",")
+    assert lp == w
+
+
 def test_unknown_verb_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_seed_outside_64_bits_is_a_usage_error(workdir, capsys, seed):
+@pytest.mark.parametrize("seed,message", [
+    ("-1", "must lie in [0, 2^64), got -1"),
+    (str(2**64), f"must lie in [0, 2^64), got {2**64}"),
+    ("abc", "invalid int value: 'abc'"),
+], ids=["-1", str(2**64), "abc"])
+def test_seed_outside_64_bits_is_a_usage_error(workdir, capsys, seed, message):
     with pytest.raises(SystemExit) as exc:
         main(["test", "--alg", "bigness", "--dist", str(workdir / "u40.dist"), "--eps", "0.2", "--seed", seed])
     assert exc.value.code == 2
-    assert f"argument --seed: must lie in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert f"argument --seed: {message}" in capsys.readouterr().err
 
 
 def test_validation_error_exits_2(workdir, capsys):
@@ -203,6 +221,17 @@ def test_a_refused_reduce_writes_no_file(workdir, capsys, kind, source, dist, me
     assert rc == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not out_p.exists() and not out_d.exists()
+
+
+def test_a_failed_distribution_write_leaves_no_poset(workdir, capsys):
+    """reduce writes its two files as one step: when the --out-dist write
+    fails, the --out-poset file already written is removed."""
+    out_p = workdir / "o.poset"
+    rc = main(["reduce", "--from", str(workdir / "line3.poset"), "--kind", "g2b", "--dist",
+               str(workdir / "line3.dist"), "--out-poset", str(out_p), "--out-dist", str(workdir / "nodir" / "o.dist")])
+    assert rc == EXIT_VALIDATION
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out_p.exists()
 
 
 def test_suite_runs_and_is_deterministic(workdir):

@@ -287,6 +287,34 @@ def test_func_dist_matches_the_primal_lp_and_its_x_is_optimal(inst):
         assert d == 0.0 and not sol.x.any()
 
 
+def _ascending(G: Poset, rng) -> Distribution:
+    """A random p made monotone: its sorted values along a linear extension of G."""
+    preds = {v: {u for u, w in G.edges if w == v} for v in range(G.n)}
+    probs = np.empty(G.n)
+    probs[list(graphlib.TopologicalSorter(preds).static_order())] = np.sort(random_distribution(rng, G.n).probs)
+    return Distribution(probs)
+
+
+@pytest.mark.parametrize("G", [
+    make_line(7),
+    make_matching(4),
+    make_bipartite(7, [(0, 4), (0, 5), (1, 5), (2, 6), (3, 6)], bottom=range(4)),
+    make_hypercube(4),
+    Poset(6, [(0, 2), (1, 2), (2, 3), (1, 4), (4, 5)]),
+    Poset(5, []),
+], ids=["line", "matching", "bipartite", "hypercube", "general", "edgeless"])
+def test_monotone_input_gives_the_empty_answers(G):
+    """The general paths answer a p with no violating edge, and an edgeless
+    poset, with an empty matching, distances of 0.0 and an all-zero x."""
+    p = _ascending(G, np.random.default_rng(G.n)) if G.edges else Distribution(np.array([0.4, 0.3, 0.2, 0.1, 0.0]))
+    assert is_monotone(G, p.probs)
+    m = max_violation_matching(G, p)
+    assert m.edges == () and repr(m.weight) == "0.0"
+    d, sol = func_dist_to_monotone(G, p)
+    assert repr(d) == "0.0" and repr(exact_dtv_to_monotone(G, p)) == "0.0"
+    assert not sol.x.any() and not np.signbit(sol.x).any()
+
+
 def test_closest_monotone_on_matching():
     G = make_matching(1)
     p = Distribution(np.array([0.75, 0.25]))

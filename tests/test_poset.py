@@ -223,6 +223,7 @@ def test_read_poset_malformed_without_line(tmp_path):
         ("3 1 general\n0 5\n", "edge (0,5) out of range for n=3"),
         ("3 1 general\n# comment\n1 1\n", "self-loop at 1"),
         ("3 1 bipartite\n0 1\nbottom: 0 1\n", "must run bottom -> top"),
+        ("3 1 general\n0 99999999999999999999\n", "edges must be (u, v) pairs of integers"),  # beyond int64
     ],
 )
 def test_read_poset_structural_fault_names_file(tmp_path, text, message):

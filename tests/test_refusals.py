@@ -46,6 +46,13 @@ PRIORS = build_priors(0.5, 6.0, 4)
 CAP = f"hypercube dimension {HYPERCUBE_MAX_DIM + 1} exceeds capacity cap {HYPERCUBE_MAX_DIM}"
 
 
+class _DrawsNothing(ExactDistAccess):
+    """Sample access whose histogram is all zeros, whatever s is."""
+
+    def histogram(self, s, rng):
+        return np.zeros(self.n, dtype=np.int64)
+
+
 def _validate(**changes):
     """MomentPriors.validate on the bench priors with some fields replaced."""
     return lambda: dataclasses.replace(PRIORS, **changes).validate()
@@ -71,6 +78,8 @@ REFUSALS = [
      ValueError, "eps must lie in (0, 1]"),
     ("bigness eps", lambda: bigness_test(ExactDistAccess(U4), 0.25, 1.5, rng=Rng(0)), ValueError,
      "eps must lie in (0, 1]"),
+    ("bigness drew nothing", lambda: bigness_test(_DrawsNothing(Distribution.uniform(10)), 0.1, 0.2, rng=Rng(0)),
+     ValueError, "sample access drew a total of 0 from a budget of 45000 samples"),
     ("bipartite eps", lambda: bipartite_bounded_degree_test(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]),
                                                             ExactDistAccess(U4), 2, 4.0, rng=Rng(0)), ValueError,
      "eps must lie in (0, 1]"),
