@@ -426,7 +426,7 @@ def _oracle_inputs(name: str):
 
 GOLDEN_ORACLE_CSV = {
     "cube5": 'd_tv,matching_weight,lp_value\n0.2903733444985554,0.5590136694871812,0.5590136694871812\n',
-    "dag40": 'd_tv,matching_weight,lp_value\n0.24666857189935615,0.4853439818113151,0.48534398181131505\n',
+    "dag40": 'd_tv,matching_weight,lp_value\n0.24666857189935615,0.4853439818113151,0.4853439818113151\n',
     "bipartite": 'd_tv,matching_weight,lp_value\n0.07949292189799254,0.15898584379598507,0.15898584379598507\n',
     "matching": 'd_tv,matching_weight,lp_value\n0.1831213082571746,0.3662426165143492,0.3662426165143492\n',
 }
