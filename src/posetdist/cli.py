@@ -183,12 +183,11 @@ def _run_reduce(a, base=""):
         inst = bigness_to_matching(p, _threshold(a, p))
     else:
         inst = matching_to_hypercube(a.d, a.ell, read_distribution(source), a.pmax)
-    out_poset = os.path.join(base, a.out_poset)
-    write_poset(inst.target, out_poset)
+    write_poset(inst.target, os.path.join(base, a.out_poset))
     try:
         write_distribution(inst.dist, os.path.join(base, a.out_dist))
     except BaseException:
-        os.remove(out_poset)
+        os.remove(os.path.join(base, a.out_poset))
         raise
     return {"target_n": inst.target.n, "far_divisor": inst.far_divisor}, None
 

@@ -169,7 +169,10 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     W = np.zeros((n, n))
     W[row, col] = w
     _, flow = _transport_cost([1.0] * n, [1.0] * n, -W)
-    link = {tails[i].item(): heads[j].item() for i, j in zip(*flow[: tails.size].nonzero()) if W[i, j] > 0}
+    link = {}
+    for i, j in zip(*flow[: tails.size].nonzero()):
+        if W[i, j] > 0:
+            link[tails[i].item()] = heads[j].item()
     chosen = []
     for start in link.keys() - set(link.values()):
         end = start

@@ -82,15 +82,14 @@ class LiftedAccess(SampleAccess):
         self.n = reduction.target.n
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
-        """Each nonzero source count splits evenly over its copies as a
-        multinomial; one call splits every row, which draws exactly what one
-        call per row draws. A multinomial over one copy draws nothing."""
+        """Each source count splits evenly over its copies as a multinomial,
+        all rows in one call, which draws exactly what one call per row draws;
+        a zero count, or a split over one copy, draws nothing."""
         src_counts = self.base.histogram(s, rng)
         copies = self.reduction.copies
         k = copies.shape[1]
-        rows = np.flatnonzero(src_counts)
         out = np.zeros(self.n, dtype=np.int64)
-        np.add.at(out, copies[rows], rng.gen.multinomial(src_counts[rows], np.full(k, 1.0 / k)))
+        np.add.at(out, copies, rng.gen.multinomial(src_counts, np.full(k, 1.0 / k)))
         return out
 
 

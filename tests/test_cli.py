@@ -62,7 +62,7 @@ def test_oracle_verb(workdir, capsys):
 def test_oracle_solves_one_lp_and_reads_lp_value_off_the_matching(workdir, capsys, monkeypatch):
     """oracle solves d_tv by LP and the function distance once, as the
     violation matching: lp_value is the matching's weight, byte for byte."""
-    from posetdist import oracles
+    import posetdist.oracles as oracles
 
     calls = []
     solve_lp = oracles.solve_lp
