@@ -96,6 +96,21 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_all(*writes) -> None:
+    """Each (write, data, path) as write(data, path), all as one step: when
+    one raises, the files already written are removed and the error
+    re-raised, so a failed write leaves none of them."""
+    done = []
+    try:
+        for write, data, path in writes:
+            write(data, path)
+            done.append(path)
+    except BaseException:
+        for path in done:
+            os.remove(path)
+        raise
+
+
 def _save(a: argparse.Namespace, text: str, base: str = "") -> bool:
     """Write a run's CSV to its --out file, if it has one, with the fully
     resolved config (seed included) in FILE.config; True iff it wrote."""
@@ -183,12 +198,8 @@ def _run_reduce(a, base=""):
         inst = bigness_to_matching(p, _threshold(a, p))
     else:
         inst = matching_to_hypercube(a.d, a.ell, read_distribution(source), a.pmax)
-    write_poset(inst.target, os.path.join(base, a.out_poset))
-    try:
-        write_distribution(inst.dist, os.path.join(base, a.out_dist))
-    except BaseException:
-        os.remove(os.path.join(base, a.out_poset))
-        raise
+    _write_all((write_poset, inst.target, os.path.join(base, a.out_poset)),
+               (write_distribution, inst.dist, os.path.join(base, a.out_dist)))
     return {"target_n": inst.target.n, "far_divisor": inst.far_divisor}, None
 
 
@@ -214,15 +225,16 @@ def _run_lb_gen(a, base=""):
     priors = build_priors(nu, lam, a.L)
     inst = generate_instance(priors, a.n, s, Rng(a.seed))
     prefix = os.path.join(base, a.out_prefix)
-    if inst.norm_big is not None:
-        write_distribution(inst.norm_big, prefix + ".big.dist")
-    if inst.norm_far is not None:
-        write_distribution(inst.norm_far, prefix + ".far.dist")
-    write_histogram_csv(inst.hist_big, prefix + ".big.hist.csv")
-    write_histogram_csv(inst.hist_far, prefix + ".far.hist.csv")
     header = ["n", "s", "zero_count", "event_big", "event_far", "p_max"]
     row = [a.n, s, inst.zero_count, inst.event_big, inst.event_far, inst.p_max]
-    _emit(_csv(header, [row]), prefix + ".events.csv")
+    writes = [
+        (write_distribution, inst.norm_big, prefix + ".big.dist"),
+        (write_distribution, inst.norm_far, prefix + ".far.dist"),
+        (write_histogram_csv, inst.hist_big, prefix + ".big.hist.csv"),
+        (write_histogram_csv, inst.hist_far, prefix + ".far.hist.csv"),
+        (_emit, _csv(header, [row]), prefix + ".events.csv"),
+    ]
+    _write_all(*(w for w in writes if w[1] is not None))
     return {
         "event_big": int(inst.event_big),
         "event_far": int(inst.event_far),

@@ -284,9 +284,17 @@ class ExactDistAccess(SampleAccess):
         self.n = dist.n
 
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
-        """The counts of s i.i.d. draws, drawn at once as a multinomial."""
+        """The counts of s i.i.d. draws, drawn at once as a multinomial.
+        numpy refuses an entry above 1, or a total of all but the last entry
+        above 1 + 1e-12, which a total within SUM_TOL of 1 may have; only then
+        are the draws taken from probs / probs.sum(). A refused call draws
+        nothing, so the generator state is the same either way."""
         self._check_count(s)
-        return rng.gen.multinomial(int(s), self.dist.probs).astype(np.int64, copy=False)
+        try:
+            counts = rng.gen.multinomial(int(s), self.dist.probs)
+        except ValueError:
+            counts = rng.gen.multinomial(int(s), self.dist.probs / self.dist.probs.sum())
+        return counts.astype(np.int64, copy=False)
 
     def count_in(self, mask, s: int, rng: Rng) -> int:
         """The count in mask as one Binomial(s, p(mask)) draw, p(mask)

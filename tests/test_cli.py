@@ -130,6 +130,15 @@ def test_bigness_test_verb(workdir, capsys):
     assert out.count("accept") == 3
 
 
+def test_bigness_draws_a_distribution_numpy_would_refuse(workdir, capsys):
+    """A total within 1e-9 of 1 is accepted, though numpy's multinomial
+    refuses its first two entries' sum above 1 + 1e-12."""
+    (workdir / "bad3.dist").write_text("0.3\n0.7000000005\n0\n")
+    rc = main(["test", "--alg", "bigness", "--dist", str(workdir / "bad3.dist"), "--eps", "0.5", "--T", "0.1"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == "trial,decision,stat,threshold\n0,accept,0.1,0.16666666666666666\n"
+
+
 def test_lb_solve_verb(workdir, capsys):
     rc = main(["lb", "solve", "--nu", "0.5", "--lambda", "6", "--L", "4"])
     out = capsys.readouterr().out
@@ -161,6 +170,18 @@ def test_lb_gen_writes_files(workdir):
     assert p.n == 500
     events = (workdir / "inst.events.csv").read_text().strip().split("\n")
     assert events[0] == "n,s,zero_count,event_big,event_far,p_max"
+
+
+@pytest.mark.parametrize("suffix", [".big.dist", ".far.dist", ".big.hist.csv", ".far.hist.csv", ".events.csv"])
+def test_a_failed_lb_gen_write_leaves_no_file(workdir, capsys, suffix):
+    """lb gen writes its five files as one step: with a directory in the way
+    of any one of them, it exits 2 and leaves none of the others."""
+    (workdir / ("inst" + suffix)).mkdir()
+    rc = main(["lb", "gen", "--n", "500", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "61", "--seed", "9",
+               "--out-prefix", str(workdir / "inst")])
+    assert rc == EXIT_VALIDATION
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(f.name for f in workdir.glob("inst*")) == ["inst" + suffix]
 
 
 def test_lb_probe_verb(workdir, capsys):

@@ -286,6 +286,23 @@ def test_count_in_draws_the_binomial_side_count(mixed, name):
     assert acc.count_in(mask, 0, rng) == 0
 
 
+@pytest.mark.parametrize("probs,numpy_takes", [
+    ([1 + 5e-10, 0.0], False),  # an entry above 1
+    ([0.3, 0.7000000005, 0.0], False),  # all but the last entry sum above 1 + 1e-12
+    ([0.5, 0.5000000005], True),  # the same total, all but the last entry at 0.5
+], ids=["entry above 1", "head above 1", "taken"])
+def test_exact_access_draws_any_total_the_distribution_accepts(probs, numpy_takes):
+    """Distribution accepts a total within SUM_TOL of 1, which numpy's
+    multinomial may refuse; only then does the histogram draw from the
+    normalized vector. A vector numpy takes keeps its own draws."""
+    p = Distribution(np.array(probs))
+    ref, rng = Rng(4), Rng(4)
+    law = p.probs if numpy_takes else p.probs / p.probs.sum()
+    expected = ref.gen.multinomial(1000, law)
+    np.testing.assert_array_equal(ExactDistAccess(p).histogram(1000, rng), expected)
+    assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
 def test_sample_counts_and_masks_are_checked():
     p = Distribution.uniform(4)
     accesses = [
