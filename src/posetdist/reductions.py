@@ -7,6 +7,9 @@ lift samples (general->bipartite, bipartite->matching) are uniform splits:
 every source vertex has k copies in the target, each taking 1/k of its mass,
 and LiftedAccess splits each source count evenly over its copies (the law of
 lifting every sample to a uniform copy), so the map and the counts agree.
+Over an ExactDistAccess, _lifted (the testers' route to a lift) returns the
+ExactDistAccess of Reduction.apply's distribution instead, which draws the
+same law in one multinomial.
 Reduction.apply, bigness_to_matching and matching_to_hypercube each return
 a ReducedInstance, whose target poset and far_divisor the reduction states
 once; matching->hypercube divides by hypercube_scale, its far_divisor. The
@@ -22,7 +25,7 @@ import numpy as np
 
 from .oracles import _check_threshold
 from .poset import Poset, _check_dim, _check_over, make_hypercube, make_matching, transitive_closure
-from .prob import Distribution, Rng, SampleAccess
+from .prob import Distribution, ExactDistAccess, Rng, SampleAccess
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +94,18 @@ class LiftedAccess(SampleAccess):
         out = np.zeros(self.n, dtype=np.int64)
         np.add.at(out, copies, rng.gen.multinomial(src_counts, np.full(k, 1.0 / k)))
         return out
+
+
+def _lifted(access: SampleAccess, red: Reduction) -> SampleAccess:
+    """Sample access to red's target, one lifted sample per source sample.
+    Over an access of exactly type ExactDistAccess that law is red.apply's
+    distribution, so it is returned as an ExactDistAccess of its own, equal
+    in law to LiftedAccess's draws; any other access, a subclass included,
+    gets the LiftedAccess wrapper. Both refuse a wrong-length access alike."""
+    if type(access) is not ExactDistAccess:
+        return LiftedAccess(access, red)
+    _check_over(red.source, "base access", (access.n,))
+    return ExactDistAccess(red.apply(access.dist).dist)
 
 
 def general_to_bipartite(G: Poset) -> Reduction:

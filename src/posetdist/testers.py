@@ -8,6 +8,13 @@ at desk scale. Learning is the empirical plug-in: raw frequencies, with a
 sample budget (LearnerSpec; multiplier 20 * log n unless overridden) that
 compensates for its weaker guarantee. The matching tester scores the learned
 counts one vertex pair at a time, so it builds no pair histogram.
+
+The matching tester draws from p/2 + u/2, and the bipartite tester from that
+mixture of the lifted law. Over an access of exactly type ExactDistAccess
+both laws are known, so a trial draws from the composed ExactDistAccess
+(_mixed here, reductions._lifted): one multinomial per learn step and one
+binomial per mass estimate. Any other access, an ExactDistAccess subclass
+included, draws through the MixedWithUniform and LiftedAccess wrappers.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from .oracles import _check_threshold, _midpoint_cost, dist_to_bigness
 # stay bound: perfbench/spans.py wraps both names on this module.
 from .oracles import min_w_to_monotone_pairhist  # noqa: F401
 from .poset import Poset, SizeCapError, _check_over
-from .prob import Distribution, Rng, SampleAccess, pair_histogram  # noqa: F401
-from .reductions import LiftedAccess, bipartite_to_matching
+from .prob import Distribution, ExactDistAccess, Rng, SampleAccess, pair_histogram  # noqa: F401
+from .reductions import _lifted, bipartite_to_matching
 
 MASS_EST_CONST = 32.0  # ceil(32/eps^2) samples per additive-eps mass estimate
 PAIR_CAP = 4096  # the most matchable subset pairs all_matchings_test enumerates
@@ -114,6 +121,17 @@ class MixedWithUniform(SampleAccess):
         return from_base + int(rng.gen.binomial(s - k, np.count_nonzero(mask) / self.n))
 
 
+def _mixed(access: SampleAccess) -> SampleAccess:
+    """Access to p/2 + u/2. Over an access of exactly type ExactDistAccess
+    that law is known, so it is returned as an ExactDistAccess of its own:
+    one multinomial per histogram and one binomial per count_in, equal in law
+    to MixedWithUniform's draws. Any other access, a subclass included, gets
+    the MixedWithUniform wrapper."""
+    if type(access) is ExactDistAccess:
+        return ExactDistAccess(Distribution(0.5 * access.dist.probs + 0.5 / access.n))
+    return MixedWithUniform(access)
+
+
 def bigness_test(
     access: SampleAccess,
     threshold: float,
@@ -167,7 +185,7 @@ def matching_monotonicity_test(
     eps1 = eps / 14.0
     budget = learner.budget(n_pairs, eps1)
     m = _sample_count("mass budget", MASS_EST_CONST, eps1 * eps1)
-    mixed = MixedWithUniform(access)
+    mixed = _mixed(access)
     h = mixed.histogram(budget, rng)
     bottoms, tops = G.edge_array.T
     in_bottom = np.zeros(G.n, dtype=bool)
@@ -201,8 +219,7 @@ def bipartite_bounded_degree_test(
     the matching tester at eps/(2*delta)."""
     _check_eps(eps)
     red = bipartite_to_matching(G, delta)
-    lifted = LiftedAccess(access, red)
-    return matching_monotonicity_test(red.target, lifted, eps / (2.0 * delta), learner=learner, rng=rng)
+    return matching_monotonicity_test(red.target, _lifted(access, red), eps / (2.0 * delta), learner=learner, rng=rng)
 
 
 def uniform_subset_test(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import stats
 from scipy.optimize import linprog
 
 from posetdist import (
@@ -55,6 +56,28 @@ def grid_moment_gap(nu: float, lam: float, L: int, size: int = 400) -> float:
     b_eq = np.zeros(L + 1)
     b_eq[:2] = 1.0
     return -float(highs_lp(np.concatenate([-1.0 / grid, 1.0 / grid]), A_eq=A_eq, b_eq=b_eq).fun)
+
+
+def two_sample_chi2_pvalue(a, b, min_count: int = 10) -> float:
+    """p-value of the chi-square test that two count vectors over the same
+    ordered categories come from one law: the 2 x k table of a and b, with
+    adjacent categories merged from the left until each holds at least
+    min_count counts on the two sides together (a short last run joins the
+    cell before it). The counts may be pooled histograms (one law of cells)
+    or the tallies of a statistic's values (one law of that statistic)."""
+    cells, run = [], np.zeros(2)
+    for pair in zip(np.asarray(a, dtype=float), np.asarray(b, dtype=float)):
+        run = run + pair
+        if run.sum() >= min_count:
+            cells.append(run)
+            run = np.zeros(2)
+    if len(cells) < 2:
+        return 1.0
+    cells[-1] = cells[-1] + run
+    table = np.array(cells).T
+    if not table.sum(axis=1).all():  # one side drew nothing, the other did
+        return 0.0
+    return float(stats.chi2_contingency(table, correction=False).pvalue)
 
 
 def random_dag(rng: np.random.Generator, n: int, edge_prob: float = 0.35) -> Poset:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from posetdist import (
     SizeCapError,
     Verdict,
     all_matchings_test,
+    bipartite_to_matching,
     bigness_test,
     bipartite_bounded_degree_test,
     dist_to_bigness,
+    general_to_bipartite,
     is_monotone,
     make_bipartite,
     make_line,
@@ -21,14 +25,17 @@ from posetdist import (
     matching_monotonicity_test,
     uniform_subset_test,
 )
-from posetdist.testers import PAIR_CAP, MixedWithUniform, _enumerate_matchable_pairs
+from posetdist.reductions import LiftedAccess, _lifted
+from posetdist.testers import PAIR_CAP, MixedWithUniform, _enumerate_matchable_pairs, _mixed
 
 from genutil import (
     far_matching_dist,
     monotone_matching_dist,
     pair_admits_perfect_matching,
     random_bipartite,
+    random_dag,
     reference_matchable_pairs,
+    two_sample_chi2_pvalue,
 )
 
 
@@ -159,6 +166,136 @@ def test_testers_draw_one_histogram_and_one_side_count(monkeypatch):
     v = uniform_subset_test(G, log, G.n, 0.5, rng=Rng(3))
     assert v.details["branch"] == 2
     assert log.calls == [("histogram", v.details["stage1"]), ("count_in", v.details["stage2"])]
+
+
+class _OwnHistogram(ExactDistAccess):
+    """An ExactDistAccess subclass that draws its histogram itself."""
+
+    def histogram(self, s, rng):
+        return super().histogram(s, rng)
+
+
+class _CountingGen:
+    """Generator stand-in that passes every call on and counts the methods
+    fetched through it."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, {}
+
+    def __getattr__(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+        return getattr(self.gen, name)
+
+
+_P10 = Distribution(np.array([0.02, 0.1, 0.0, 0.08, 0.05, 0.15, 0.2, 0.1, 0.1, 0.2]))
+_B10 = make_bipartite(10, [(0, 5), (0, 6), (1, 6), (2, 7), (3, 8), (4, 9), (4, 5)], bottom=range(5))
+
+
+def _one_trial_each(access, counting=False):
+    """One matching trial on make_matching(5) and one bipartite trial on _B10
+    (delta 2), each with its own Rng: (verdict, the Rng after it) pairs."""
+    out = []
+    for seed, run in ((21, lambda a, r: matching_monotonicity_test(make_matching(5), a, 0.5, rng=r)),
+                      (22, lambda a, r: bipartite_bounded_degree_test(_B10, a, 2, 0.5, rng=r))):
+        rng = Rng(seed)
+        if counting:
+            rng.gen = _CountingGen(rng.gen)
+        out.append((run(access(), rng), rng))
+    return out
+
+
+def test_a_trial_over_an_exact_distribution_draws_one_multinomial_and_one_binomial():
+    """Over an ExactDistAccess both testers draw from the composed law: one
+    multinomial for the learn step and one binomial for the mass estimate."""
+    for _, rng in _one_trial_each(lambda: ExactDistAccess(_P10), counting=True):
+        assert rng.gen.calls == {"multinomial": 1, "binomial": 1}
+
+
+# What both trials of _one_trial_each gave through the MixedWithUniform and
+# LiftedAccess wrappers before the composed route existed, with the Rng's next
+# uniform after each: an access that is not exactly an ExactDistAccess keeps
+# these draws.
+WRAPPER_ROUTE = [
+    ("Verdict(decision='accept', stat=0.0, threshold=0.10714285714285714, samples=103489, details="
+     "{'bottom_mass': 0.3745466140539679, 'learn_budget': 78400, 'mass_budget': 25089})", 0.7886682121005397),
+    ("Verdict(decision='accept', stat=1.1522187100040243e-05, threshold=0.026785714285714284, samples=3662849, "
+     "details={'bottom_mass': 0.32981821533647726, 'learn_budget': 3261440, 'mass_budget': 401409})",
+     0.15122130280570667),
+]
+
+
+@pytest.mark.parametrize("access", [lambda: _CallLog(ExactDistAccess(_P10)), lambda: _OwnHistogram(_P10)],
+                         ids=["user access", "subclass"])
+def test_any_other_access_keeps_the_wrapper_draws(access):
+    got = [(repr(v), rng.gen.random()) for v, rng in _one_trial_each(access)]
+    assert got == WRAPPER_ROUTE
+    for _, rng in _one_trial_each(access, counting=True):
+        assert rng.gen.calls["multinomial"] >= 2 and rng.gen.calls["binomial"] >= 3
+
+
+@pytest.mark.parametrize("access", [ExactDistAccess, _OwnHistogram], ids=["exact", "subclass"])
+def test_both_routes_refuse_a_wrong_length_access_alike(access):
+    wrong = access(Distribution.uniform(9))
+    with pytest.raises(ValueError, match=re.escape("sample access does not match the poset: shape (9,), poset n=10")):
+        matching_monotonicity_test(make_matching(5), wrong, 0.5, rng=Rng(0))
+    with pytest.raises(ValueError, match=re.escape("base access does not match the poset: shape (9,), poset n=10")):
+        bipartite_bounded_degree_test(_B10, wrong, 2, 0.5, rng=Rng(0))
+
+
+def _with_zero_cell(n: int, seed: int) -> Distribution:
+    """A random distribution on n cells whose cell 0 has no mass."""
+    v = np.random.default_rng(seed).exponential(1.0, n)
+    v[0] = 0.0
+    return Distribution(v / v.sum())
+
+
+def _b2m_case(n: int) -> tuple:
+    """A degree-<=2 bipartite poset on n vertices reduced to a matching at
+    delta 2, so that free copies pair with dummies."""
+    nb = n // 2
+    edges = [(i, nb + i) for i in range(nb)] + [(i, nb + (i + 1) % (n - nb)) for i in range(0, nb, 3)]
+    return bipartite_to_matching(make_bipartite(n, sorted(set(edges)), bottom=range(nb)), 2)
+
+
+def _route_cases():
+    """(id, wrapper route, composed route) over a distribution with a
+    zero-mass cell, for n in {2, 7, 200}: the uniform mixture, both lifts,
+    and the mixture of each lift."""
+    cases = []
+    for n in (2, 7, 200):
+        p = ExactDistAccess(_with_zero_cell(n, n))
+        g2b = general_to_bipartite(random_dag(np.random.default_rng(n), n, 0.05))
+        b2m = _b2m_case(n)
+        cases.append((f"mix-{n}", MixedWithUniform(p), _mixed(p)))
+        for name, red in (("g2b", g2b), ("b2m", b2m)):
+            cases.append((f"{name}-{n}", LiftedAccess(p, red), _lifted(p, red)))
+            cases.append((f"mix-{name}-{n}", MixedWithUniform(LiftedAccess(p, red)), _mixed(_lifted(p, red))))
+    return cases
+
+
+ROUTE_CASES = _route_cases()
+
+
+@pytest.mark.parametrize("wrapper,composed", [c[1:] for c in ROUTE_CASES], ids=[c[0] for c in ROUTE_CASES])
+def test_the_composed_access_draws_the_wrapper_law(wrapper, composed):
+    """Two-sample chi-square tests, seeded, that the composed ExactDistAccess
+    and the wrapper route draw one law: the pooled cell counts of 150
+    histograms of 400 draws, the tally of one cell's count in each of them,
+    and the tally of 150 count_in draws of 200 samples in a mask. A cell the
+    composed law gives no mass gets no draw from either route."""
+    assert type(composed) is ExactDistAccess and composed.n == wrapper.n
+    mask = np.random.default_rng(composed.n).random(composed.n) < 0.5
+    mask[0] = True
+    cell = int(np.argmax(composed.dist.probs))
+    draws = []
+    for acc, seed in ((wrapper, 1), (composed, 2)):
+        rng = Rng(seed)
+        hists = np.array([acc.histogram(400, rng) for _ in range(150)])
+        counts = np.array([acc.count_in(mask, 200, rng) for _ in range(150)])
+        assert not hists[:, composed.dist.probs == 0].any()
+        draws.append((hists.sum(axis=0), np.bincount(hists[:, cell]), np.bincount(counts)))
+    for a, b in zip(*draws):
+        assert two_sample_chi2_pvalue(a, b) > 1e-3
 
 
 def test_matching_tester_completeness_soundness():
