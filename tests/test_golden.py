@@ -86,15 +86,15 @@ GOLDEN_MATCHING_CSV = {
     ),
     "far": (
         "trial,decision,stat,threshold\n"
-        "0,reject,0.3120285392564241,0.05357142857142857\n"
-        "1,reject,0.3155162277161624,0.05357142857142857\n"
-        "2,reject,0.31326417745358903,0.05357142857142857\n"
+        "0,reject,0.3070461271710859,0.05357142857142857\n"
+        "1,reject,0.3116698055862791,0.05357142857142857\n"
+        "2,reject,0.3168315845066911,0.05357142857142857\n"
     ),
     "tight": (
         "trial,decision,stat,threshold\n"
-        "0,accept,0.003816550752061749,0.05357142857142857\n"
-        "1,accept,0.0005128918116649083,0.05357142857142857\n"
-        "2,accept,0.0006374195807376681,0.05357142857142857\n"
+        "0,accept,0.0005533419910781323,0.05357142857142857\n"
+        "1,accept,0.0008706342063216711,0.05357142857142857\n"
+        "2,accept,0.0009305737112873658,0.05357142857142857\n"
     ),
 }
 
@@ -107,9 +107,9 @@ GOLDEN_BIPARTITE_CSV = {
     ),
     "far": (
         "trial,decision,stat,threshold\n"
-        "0,reject,0.24703664540232512,0.008928571428571428\n"
-        "1,reject,0.24837637502723736,0.008928571428571428\n"
-        "2,reject,0.24727097861961936,0.008928571428571428\n"
+        "0,reject,0.24759341308542088,0.008928571428571428\n"
+        "1,reject,0.24737795485122344,0.008928571428571428\n"
+        "2,reject,0.24813231651941262,0.008928571428571428\n"
     ),
 }
 
@@ -212,13 +212,13 @@ def _verdicts():
 
 
 GOLDEN_VERDICTS = [
-    "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.424650982033422, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.3135631221787092, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6567815610893546, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='accept', stat=0.0006147186090069383, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.47205365061333493, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.31216804679481397, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6560840233974071, 'learn_budget': 62720000, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.21879769898895934, threshold=0.1928571428571429, samples=31942, details={'bottom_mass': 0.593620867768595, 'learn_budget': 24198, 'mass_budget': 7744})",
-    "Verdict(decision='accept', stat=0.0, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.3975654591489459, 'learn_budget': 415457281, 'mass_budget': 3612673})",
-    "Verdict(decision='reject', stat=0.24441659432960441, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.6166600187728034, 'learn_budget': 415457281, 'mass_budget': 3612673})",
+    "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.4226779468476279, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.30565105178719126, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6528255258935957, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.0002034944122816005, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.470568891811904, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.313244247805247, threshold=0.05357142857142857, samples=62820353, details={'bottom_mass': 0.6566221239026238, 'learn_budget': 62720000, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.21820827992093417, threshold=0.1928571428571429, samples=31942, details={'bottom_mass': 0.5928460743801653, 'learn_budget': 24198, 'mass_budget': 7744})",
+    "Verdict(decision='accept', stat=0.0, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.39733294433235444, 'learn_budget': 415457281, 'mass_budget': 3612673})",
+    "Verdict(decision='reject', stat=0.2453184834357139, threshold=0.008928571428571428, samples=419069954, details={'bottom_mass': 0.6171308612764012, 'learn_budget': 415457281, 'mass_budget': 3612673})",
 ]
 
 
@@ -228,9 +228,9 @@ def test_verdict_reprs():
 
 # The benchmark's largest shape: 10^5 pairs and a learn budget of 6.27e9.
 GOLDEN_VERDICTS_1E5 = [
-    "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.42530866042868676, 'learn_budget': 6272000001, 'mass_budget': 100353})",
-    "Verdict(decision='reject', stat=0.3205185694498359, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.660259284724921, 'learn_budget': 6272000001, 'mass_budget': 100353})",
-    "Verdict(decision='accept', stat=0.0002515990443445776, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.4706884697019521, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.0, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.42453140414337387, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='reject', stat=0.3129453030801282, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.6564726515400636, 'learn_budget': 6272000001, 'mass_budget': 100353})",
+    "Verdict(decision='accept', stat=0.0007029781610591474, threshold=0.05357142857142857, samples=6272100354, details={'bottom_mass': 0.47209350991001764, 'learn_budget': 6272000001, 'mass_budget': 100353})",
 ]
 
 
@@ -245,8 +245,8 @@ def test_verdict_reprs_on_1e5_pairs():
 # Counts far beyond 2^32 on a 2-pair matching: at the larger budget a count
 # does not fit in a float's 53 bits.
 GOLDEN_VERDICTS_HUGE_COUNTS = [
-    "Verdict(decision='reject', stat=0.09999847076843374, threshold=0.002142857142857143, samples=5655427280286, details={'bottom_mass': 0.4999983019770679, 'learn_budget': 5655364560285, 'mass_budget': 62720001})",
-    "Verdict(decision='reject', stat=0.0999984717783502, threshold=0.002142857142857143, samples=5655364560347457537, details={'bottom_mass': 0.4999983019770679, 'learn_budget': 5655364560284737536, 'mass_budget': 62720001})",
+    "Verdict(decision='reject', stat=0.10008021509720003, threshold=0.002142857142857143, samples=5655427280286, details={'bottom_mass': 0.5000888632001138, 'learn_budget': 5655364560285, 'mass_budget': 62720001})",
+    "Verdict(decision='reject', stat=0.10007997711831992, threshold=0.002142857142857143, samples=5655364560347457537, details={'bottom_mass': 0.5000888632001138, 'learn_budget': 5655364560284737536, 'mass_budget': 62720001})",
 ]
 
 
