@@ -211,10 +211,9 @@ def test_a_trial_over_an_exact_distribution_draws_one_multinomial_and_one_binomi
         assert rng.gen.calls == {"multinomial": 1, "binomial": 1}
 
 
-# What both trials of _one_trial_each gave through the MixedWithUniform and
-# LiftedAccess wrappers before the composed route existed, with the Rng's next
-# uniform after each: an access that is not exactly an ExactDistAccess keeps
-# these draws.
+# Both trials of _one_trial_each as the MixedWithUniform and LiftedAccess
+# wrappers draw them, with the Rng's next uniform after each: an access that
+# is not exactly an ExactDistAccess must keep these draws.
 WRAPPER_ROUTE = [
     ("Verdict(decision='accept', stat=0.0, threshold=0.10714285714285714, samples=103489, details="
      "{'bottom_mass': 0.3745466140539679, 'learn_budget': 78400, 'mass_budget': 25089})", 0.7886682121005397),
