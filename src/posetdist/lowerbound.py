@@ -11,7 +11,13 @@ Conditioned on the "good" events (raw mass near 1, enough samples, enough
 zeros on the far side; at s = 0 no sample is drawn and the count clause holds
 vacuously), the normalized V-side vector is 1/(beta*n)-big while the V'-side
 vector is far from big by half the construction's gap value, yet the two
-histogram laws are nearly indistinguishable. The gap optimum has a closed form
+histogram laws are nearly indistinguishable. indistinguishability_probe checks
+that empirically: it draws each side's fingerprint (zeros, ones, twos and
+total of the counts) with its event inputs straight from their law, per atom
+and with no n-length array. An atom of rate r = s*w/n draws nothing at r = 0,
+sorts its members into counts 0, 1, 2 and "3 or more" at 0 < r <= 1 (the last
+drawn exactly from Poisson(r) conditioned on at least 3), and draws each
+member's Poisson(r) count at r > 1. The gap optimum has a closed form
 via best polynomial approximation of 1/x: moment_gap_value is its value, and
 solve_moment_gap builds its atoms, the alternation points of that
 approximation with divided-difference weights.
@@ -204,7 +210,7 @@ class MomentPriors:
         """(atoms, cdf) of the big and the far prior, cdf being what
         Generator.choice(k, p=mass/mass.sum()) draws the atom indices from.
         Built on the first draw and kept, so every instance drawn from these
-        priors (each retry of a probe, say) reuses it."""
+        priors reuses it."""
         return tuple(
             (atoms, choice_cdf(mass / mass.sum()))
             for atoms, mass in ((self.atoms_big, self.mass_big), (self.atoms_far, self.mass_far))
@@ -334,6 +340,31 @@ class LBInstance:
         return Distribution.normalized(self.raw_far) if self.raw_far.sum() > 0 else None
 
 
+def _check_rate(priors: MomentPriors, n: int, s: int) -> None:
+    """Refuse, with a ValueError, an s with s * max(atoms) above
+    POISSON_LAM_MAX: that product bounds every rate, which the Poisson
+    sampler takes up to that limit, and the mean count total, which must
+    stay within int64."""
+    # s > limit / top is tested first: an s beyond a float's range cannot be
+    # multiplied out
+    top = max(float(priors.atoms_big.max()), float(priors.atoms_far.max())) if s > 0 else 0.0
+    if top > 0 and (s > POISSON_LAM_MAX / top or s * top > POISSON_LAM_MAX):
+        raise ValueError(f"sample rate s={s} at n={n} is too large: s*max(atoms) must be at most "
+                         f"{POISSON_LAM_MAX:.17g}, numpy's Poisson limit, or a rate or a count total overflows")
+
+
+def _event(priors: MomentPriors, n: int, s: int, mass, total, zero_count=None) -> bool:
+    """The good event of one side, a Python bool: raw mass within nu of 1
+    and more than s(1-nu)/2 total samples and, on the far side (the one
+    given its zero_count), at least beta*n*gap/2 zero-weight elements. At
+    s = 0 no sample is drawn, so the count clause holds vacuously and only
+    the other clauses decide."""
+    held = abs(mass - 1.0) <= priors.nu and (s == 0 or total > s * (1 - priors.nu) / 2.0)
+    if zero_count is not None:
+        held = held and zero_count >= priors.beta * n * priors.gap / 2.0
+    return bool(held)
+
+
 def _poisson_counts(rates: np.ndarray, idx: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.int64, np.ndarray]:
     """Independent Poisson(rates[idx[i]]) counts, i = 0..n-1, drawn per atom;
     returns the counts, their total and each atom's member count.
@@ -391,27 +422,15 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     raw masses (their pairwise sums fix the bits of p_max): the count totals
     are the sums of the drawn totals, zero_count the member count of the
     zero-valued atoms, and the peak the largest atom value with members.
-    An s with s * max(atoms) above
-    POISSON_LAM_MAX is a ValueError: that product bounds every rate, which
-    the Poisson sampler takes up to that limit, and the mean count total,
-    which must stay within int64.
+    An s that _check_rate refuses is a ValueError, raised before any draw.
     The normalized views norm_big and norm_far are built only when read.
-
-    Event flags, Python bools: the big side needs raw mass within nu of 1
-    and more than s(1-nu)/2 total samples; the far side additionally needs
-    at least beta*n*gap/2 zero-weight elements. At s = 0 no sample is drawn,
-    so the count clause holds vacuously and only the other clauses decide.
+    The event flags are _event's, Python bools.
     """
     _check_size(n)
     if s < 0:
         raise ValueError(f"sample rate s must be nonnegative, got {s}")
     (atoms_big, cdf_big), (atoms_far, cdf_far) = priors.atom_tables
-    # s > limit / top is tested first: an s beyond a float's range cannot be
-    # multiplied out
-    top = max(float(atoms_big.max()), float(atoms_far.max())) if s > 0 else 0.0
-    if top > 0 and (s > POISSON_LAM_MAX / top or s * top > POISSON_LAM_MAX):
-        raise ValueError(f"sample rate s={s} at n={n} is too large: s*max(atoms) must be at most "
-                         f"{POISSON_LAM_MAX:.17g}, numpy's Poisson limit, or a rate or a count total overflows")
+    _check_rate(priors, n, s)
     idx_big = choice_indices(cdf_big, n, rng)
     idx_far = choice_indices(cdf_far, n, rng)
     values_big, values_far = atoms_big / n, atoms_far / n
@@ -423,10 +442,8 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     # the pairwise sums fix the bits of the masses and so of p_max
     mass_big, mass_far = raw_big.sum(), raw_far.sum()
     zero_count = int(sizes_far[values_far == 0.0].sum())
-    count_floor = s * (1 - priors.nu) / 2.0  # vacuous at s = 0, where nothing is drawn
-    event_big = bool(abs(mass_big - 1.0) <= priors.nu and (s == 0 or total_big > count_floor))
-    event_far = bool(abs(mass_far - 1.0) <= priors.nu and (s == 0 or total_far > count_floor)
-                     and zero_count >= priors.beta * n * priors.gap / 2.0)
+    event_big = _event(priors, n, s, mass_big, total_big)
+    event_far = _event(priors, n, s, mass_far, total_far, zero_count)
     # the largest raw weight is the largest atom value with members, and
     # division by a positive total is monotone, so this is the largest
     # probability of the normalized views
@@ -444,17 +461,6 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
         event_big=event_big,
         event_far=event_far,
         p_max=float(max(peaks, default=0.0)),
-    )
-
-
-def fingerprint_stats(hist: np.ndarray) -> tuple[int, int, int, int]:
-    """(zero count, singleton count, doubleton count, total samples): the
-    label-free summary a symmetric-property tester would look at."""
-    return (
-        int(np.count_nonzero(hist == 0)),
-        int(np.count_nonzero(hist == 1)),
-        int(np.count_nonzero(hist == 2)),
-        int(hist.sum()),
     )
 
 
@@ -484,6 +490,91 @@ class ProbeRow:
     ci_half: float
 
 
+@dataclass(frozen=True)
+class _SideLaw:
+    """One side's fingerprint law at one (n, s), as _draw_side reads it.
+
+    Each atom has four cells, its members with a count of 0, 1, 2 and 3 or
+    more; at rate 0 all of them count 0, and above rate 1 all sit in the
+    last cell, whose counts are drawn one by one. The cell sizes are
+    Multinomial(n, prob), prob ascending so that numpy's sequential
+    binomials take each cell's share of a remainder at least as large as
+    the cell. A tally row is what one member of a cell adds to (zeros, ones,
+    twos, count total, zero-weight members); at rate in (0, 1] a count of 3
+    or more adds 3 to the total there and the rest after its draw, and above
+    rate 1 a member adds its whole count after its draw."""
+
+    n: int
+    prob: np.ndarray
+    tally: np.ndarray
+    values: np.ndarray  # a member's raw weight, atom / n
+    tail: np.ndarray  # the last cells of the atoms of rate in (0, 1]
+    tail_cdf: np.ndarray  # their rows of _tail_law's cdf
+    high: np.ndarray  # the last cells of the atoms of rate above 1
+    high_rates: np.ndarray
+
+
+def _tail_law(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For rates 0 < r <= 1: q3 = P(Poisson(r) >= 3) from its series
+    e^-r * r^3/3! * sum_j r^j * 3!/(j+3)!, with no cancellation at small r,
+    and the cdf rows of a count given that it is at least 3, over 3, 4, ...,
+    whose pmf is proportional to the series' terms r^(k-3) * 3!/k!. The rows
+    stop where the mass left is below 2^-53 and end at 1.0, above every
+    uniform."""
+    terms = [np.ones_like(r)]
+    # at r <= 1 a term is at most a fifth of the one before from the second
+    # on, so the terms from one below 2^-54 on sum to less than 2^-53
+    while (nxt := terms[-1] * r / (len(terms) + 3)).max(initial=0.0) >= 2.0**-54:
+        terms.append(nxt)
+    # the mass from each term on, summed smallest first; the cdf is one less
+    # the mass after each entry, so every entry is within an ulp of exact
+    rest = np.cumsum(np.stack(terms[::-1], axis=1), axis=1)[:, ::-1]
+    cdf = 1.0 - np.append(rest[:, 1:], np.zeros((r.size, 1)), axis=1) / rest[:, :1]
+    return np.exp(-r) * r**3 / 6 * rest[:, 0], cdf
+
+
+def _side_law(atoms: np.ndarray, mass: np.ndarray, n: int, s: int) -> _SideLaw:
+    """The _SideLaw of the prior (atoms, mass) at (n, s). The branch of an
+    atom depends on its rate alone, as in _poisson_counts; at 0 < r <= 1 its
+    cells take P(Poisson(r) = 0, 1, 2) and _tail_law's q3."""
+    values = atoms / n
+    rates = s * values
+    low, high = np.flatnonzero((rates > 0) & (rates <= 1.0)), np.flatnonzero(rates > 1.0)
+    r = rates[low]
+    q3, cdf = _tail_law(r)
+    e = np.exp(-r)
+    share = np.zeros((atoms.size, 4))
+    share[rates == 0, 0] = 1.0
+    share[low] = np.stack([e, r * e, r * r / 2 * e, q3], axis=1)
+    share[high, 3] = 1.0
+    prob = (mass[:, None] / mass.sum() * share).ravel()
+    tally = np.tile(np.array([[1, 0, 0, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 2, 0], [0, 0, 0, 3, 0]]), (atoms.size, 1))
+    tally[4 * high + 3, 3] = 0
+    tally[:, 4] = (values == 0).repeat(4)
+    order = np.argsort(prob, kind="stable")
+    at = np.argsort(order)  # where each cell lands
+    return _SideLaw(n=n, prob=prob[order], tally=tally[order], values=values.repeat(4)[order],
+                    tail=at[4 * low + 3], tail_cdf=cdf, high=at[4 * high + 3], high_rates=rates[high])
+
+
+def _draw_side(law: _SideLaw, gen: np.random.Generator) -> tuple[np.ndarray, np.float64, np.int64]:
+    """One side's fingerprint (zeros, ones, twos, count total), raw mass and
+    zero count, drawn from their law: one multinomial over law's cells, then
+    an inverse-CDF draw over 3, 4, ... for each member with a count of 3 or
+    more, and a Poisson draw for each member of an atom of rate above 1."""
+    cells = gen.multinomial(law.n, law.prob)
+    tally = cells @ law.tally
+    if law.tail.size:
+        big = cells[law.tail]
+        u = gen.random(big.sum())
+        tally[3] += np.count_nonzero(u[:, None] >= law.tail_cdf.repeat(big, axis=0))
+    if law.high.size:
+        drawn = gen.poisson(law.high_rates.repeat(cells[law.high]))
+        tally[3] += drawn.sum()
+        tally[:3] += np.bincount(drawn[drawn < 3], minlength=3)
+    return tally[:4], cells @ law.values, tally[4]
+
+
 def indistinguishability_probe(
     priors: MomentPriors,
     n: int,
@@ -493,14 +584,26 @@ def indistinguishability_probe(
 ) -> list[ProbeRow]:
     """Empirical one-sided probe of histogram indistinguishability.
 
-    For every s, draws `trials` event-conditioned instances per side
-    (rejection sampling on generate_instance's event flags), then reports
-    the best advantage any single fingerprint statistic achieves as a
-    threshold classifier, with a Wilson 95% half-width. This lower-bounds the histogram TV distance; it
-    cannot certify an upper bound. A trial whose events fail MAX_RETRIES
-    draws in a row raises ParameterError: the events are too rare at this n.
-    So does, before any draw, a regime where the far side's z = ceil(beta*n*gap/2)
-    zeros leave raw mass at most (n - z) * max(atoms_far) / n < 1 - nu.
+    For every s, draws `trials` event-conditioned fingerprints per side,
+    then reports the best advantage any single fingerprint statistic
+    achieves as a threshold classifier, with a Wilson 95% half-width. This
+    lower-bounds the histogram TV distance; it cannot certify an upper bound.
+
+    A side's fingerprint (zeros, ones, twos and total of its counts), raw
+    mass and zero count are drawn straight from their law (_draw_side), with
+    no n-length array: the members of each atom of rate r = s*atom/n count
+    0 at r = 0; at 0 < r <= 1 they fall into counts 0, 1, 2 and 3 or more
+    by one multinomial, with exact inverse-CDF draws of Poisson(r)
+    conditioned on at least 3; at r > 1 each draws its Poisson(r) count.
+    That is the law of generate_instance's fingerprint and event inputs, not
+    its draws. Each attempt derives one stream from rng, and the sides still
+    needing a trial's fingerprint draw from it, big side first; a side keeps
+    its first draw whose event (_event, as in generate_instance) holds. A
+    trial whose events fail MAX_RETRIES attempts in a row raises
+    ParameterError: the events are too rare at this n. So does, before any
+    draw, a regime where the far side's z = ceil(beta*n*gap/2) zeros leave
+    raw mass at most (n - z) * max(atoms_far) / n < 1 - nu; an s that
+    generate_instance would refuse is refused before any draw too.
     """
     s_values = [int(s) for s in s_values]
     _check_size(n)
@@ -513,33 +616,34 @@ def indistinguishability_probe(
     if top_mass < 1 - priors.nu:
         raise ParameterError(f"the far side's events cannot hold at n={n}: {zeros} of {n} elements at zero weight "
                              f"leave raw mass at most {top_mass:.6g} < 1 - nu = {1 - priors.nu:.6g}")
+    for s in s_values:
+        _check_rate(priors, n, s)
     rows = []
     stream = 1_000_000
     for s in s_values:
-        stats_big = np.zeros((trials, 4))
-        stats_far = np.zeros((trials, 4))
+        laws = (_side_law(priors.atoms_big, priors.mass_big, n, s), _side_law(priors.atoms_far, priors.mass_far, n, s))
+        stats = np.zeros((2, trials, 4))
         for t in range(trials):
-            got_big = got_far = False
-            for attempt in range(MAX_RETRIES):
-                sub = rng.derive(stream)
+            need = [True, True]
+            for _ in range(MAX_RETRIES):
+                gen = rng.derive(stream).gen
                 stream += 1
-                inst = generate_instance(priors, n, s, sub)
-                if not got_big and inst.event_big:
-                    stats_big[t] = fingerprint_stats(inst.hist_big)
-                    got_big = True
-                if not got_far and inst.event_far:
-                    stats_far[t] = fingerprint_stats(inst.hist_far)
-                    got_far = True
-                if got_big and got_far:
+                for side in (0, 1):
+                    if need[side]:
+                        fingerprint, mass, zero_count = _draw_side(laws[side], gen)
+                        if _event(priors, n, s, mass, fingerprint[3], zero_count if side else None):
+                            stats[side, t] = fingerprint
+                            need[side] = False
+                if not any(need):
                     break
-            if not (got_big and got_far):
+            else:
                 raise ParameterError(
                     f"event conditioning failed after {MAX_RETRIES} retries at s={s}, n={n}: "
                     "the events are too rare at this size"
                 )
         best_adv, best_stat, pa, pb = -1.0, 0, 0.0, 0.0
         for k in range(4):
-            adv, fa, fb = _ks_advantage(stats_big[:, k], stats_far[:, k])
+            adv, fa, fb = _ks_advantage(stats[0, :, k], stats[1, :, k])
             if adv > best_adv:
                 best_adv, best_stat, pa, pb = adv, k, fa, fb
         ci = _wilson_halfwidth(pa, trials) + _wilson_halfwidth(pb, trials)

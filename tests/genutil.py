@@ -20,7 +20,9 @@ from posetdist import (
     PairHistogram,
     Poset,
     PosetError,
+    Rng,
     SizeCapError,
+    generate_instance,
     make_bipartite,
     transitive_closure,
 )
@@ -406,6 +408,30 @@ def reference_instance(priors, n: int, s: int, gen: np.random.Generator) -> LBIn
     return LBInstance(n=n, s=s, raw_big=raw_big, raw_far=raw_far, zero_count=zero_count, hist_big=hist_big,
                       hist_far=hist_far, event_big=event_big, event_far=event_far,
                       p_max=float(max(peaks, default=0.0)))
+
+
+def fingerprint_stats(hist: np.ndarray) -> tuple[int, int, int, int]:
+    """(zero count, singleton count, doubleton count, total samples): the
+    label-free summary a symmetric-property tester would look at."""
+    return (
+        int(np.count_nonzero(hist == 0)),
+        int(np.count_nonzero(hist == 1)),
+        int(np.count_nonzero(hist == 2)),
+        int(hist.sum()),
+    )
+
+
+def reference_fingerprints(priors, n: int, s: int, seeds) -> dict:
+    """{side: (fingerprints, events)} over one generate_instance per seed:
+    each side's fingerprint_stats of its histogram as rows of an int array,
+    and its event flags. The probe's fingerprint law is this route's."""
+    rows = {"big": ([], []), "far": ([], [])}
+    for seed in seeds:
+        inst = generate_instance(priors, n, s, Rng(seed))
+        for side, (tallies, events) in rows.items():
+            tallies.append(fingerprint_stats(getattr(inst, f"hist_{side}")))
+            events.append(getattr(inst, f"event_{side}"))
+    return {side: (np.array(st, dtype=np.int64), np.array(ev)) for side, (st, ev) in rows.items()}
 
 
 def reference_lift_histogram(reduction, src_counts, gen: np.random.Generator) -> np.ndarray:

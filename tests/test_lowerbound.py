@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,17 +23,20 @@ from posetdist import (
     priors_from_gap_solution,
     solve_moment_gap,
 )
-from posetdist.lowerbound import MOMENT_REL_TOL, POISSON_LAM_MAX, fingerprint_stats
+from posetdist.lowerbound import MOMENT_REL_TOL, POISSON_LAM_MAX
 from posetdist.poset import MAX_DOMAIN
 from posetdist.prob import choice_indices
 
 from genutil import (
     BENCH_PRIORS,
     chebyshev_grid,
+    fingerprint_stats,
     grid_moment_gap,
     reference_choice,
+    reference_fingerprints,
     reference_instance,
     reference_instance_counts,
+    two_sample_chi2_pvalue,
 )
 
 
@@ -284,30 +288,45 @@ def test_events_at_s0_are_the_mass_and_zero_count_clauses():
 
 
 def test_probe_keeps_the_first_attempt_whose_flags_hold(monkeypatch):
-    """A call log of generate_instance and fingerprint_stats: at s = 0 each
-    trial reads the big histogram of its first attempt with event_big and
-    the far histogram of its first attempt with event_far, and draws no
-    attempt once both have been read."""
+    """A call log of the per-attempt side draw and of the statistics the
+    probe compares: at s = 0 each attempt draws from the next derived
+    stream, the sides still open in turn, big side first; each trial keeps
+    the fingerprint of each side's first draw whose event holds, and no
+    attempt is drawn once both sides are kept."""
     import posetdist.lowerbound as lb
 
-    drawn, read = [], []
-    generate, stats = lb.generate_instance, lb.fingerprint_stats
-    monkeypatch.setattr(lb, "generate_instance", lambda *args: drawn.append(generate(*args)) or drawn[-1])
-    monkeypatch.setattr(lb, "fingerprint_stats", lambda hist: read.append(hist) or stats(hist))
-    trials = 30
-    indistinguishability_probe(build_priors(0.5, 6.0, 4), 7, [0], trials, Rng(3))
-    want, k = [], 0
+    priors, n, trials = build_priors(0.5, 6.0, 4), 7, 30
+    drawn, compared = [], []
+    draw, advantage = lb._draw_side, lb._ks_advantage
+
+    def logged_draw(law, gen):
+        state = gen.bit_generator.state
+        drawn.append((law, gen, state, draw(law, gen)))
+        return drawn[-1][3]
+
+    monkeypatch.setattr(lb, "_draw_side", logged_draw)
+    monkeypatch.setattr(lb, "_ks_advantage", lambda a, b: compared.append((a.copy(), b.copy())) or advantage(a, b))
+    indistinguishability_probe(priors, n, [0], trials, Rng(3))
+    big_law = drawn[0][0]
+    assert sorted(set(big_law.values)) == sorted(priors.atoms_big / n)
+    kept, k, attempts = {"big": [], "far": []}, 0, 0
     for _ in range(trials):
-        first = {}
-        while len(first) < 2:
-            inst = drawn[k]
-            k += 1
-            for side in ("big", "far"):
-                if side not in first and getattr(inst, f"event_{side}"):
-                    first[side] = getattr(inst, f"hist_{side}")
-                    want.append(first[side])
-    assert k == len(drawn) > trials  # some attempt failed its events and was retried
-    assert len(read) == len(want) == 2 * trials and all(a is b for a, b in zip(read, want))
+        open_sides = ["big", "far"]
+        while open_sides:
+            gen = drawn[k][1]
+            assert drawn[k][2] == Rng(3).derive(1_000_000 + attempts).gen.bit_generator.state
+            attempts += 1
+            for side in list(open_sides):
+                law, call_gen, _, (fingerprint, mass, zero_count) = drawn[k]
+                k += 1
+                assert call_gen is gen and (law is big_law) == (side == "big")
+                if lb._event(priors, n, 0, mass, fingerprint[3], zero_count if side == "far" else None):
+                    kept[side].append(fingerprint)
+                    open_sides.remove(side)
+    assert k == len(drawn) and attempts > trials  # some attempt failed its events and was retried
+    assert len(compared) == 4
+    for j, (a, b) in enumerate(compared):
+        assert np.array_equal(a, np.array(kept["big"])[:, j]) and np.array_equal(b, np.array(kept["far"])[:, j])
 
 
 def test_fingerprint_stats():
@@ -352,15 +371,26 @@ def test_generate_instance_rejects_bad_sizes(n, s, message):
         (50, [0, 20], 0, "trials must be at least 1"),
         (50, [20, -5], 5, "sample rates must be nonnegative"),
         (MAX_DOMAIN + 1, [0], 5, f"n={MAX_DOMAIN + 1} exceeds the limit of {MAX_DOMAIN}"),
+        # every s is checked against the Poisson limit before the first row is drawn
+        (10_000, [0, 300, 1226, 10**19], 200, f"s={10**19} at n=10000 {_TOO_LARGE}"),
     ],
 )
 def test_probe_rejects_bad_inputs(n, s_values, trials, message):
-    rng = Rng(0)
+    """Refused before any draw: the probe's generator keeps its state and
+    derives no stream, the source of every attempt's draws."""
+    derived = []
+
+    class LoggedRng(Rng):
+        def derive(self, stream):
+            derived.append(stream)
+            return super().derive(stream)
+
+    rng = LoggedRng(0)
     state = rng.gen.bit_generator.state
     with pytest.raises(ValueError, match=message) as exc:
         indistinguishability_probe(build_priors(0.5, 6.0, 4), n, s_values, trials, rng)
     assert type(exc.value) is ValueError
-    assert rng.gen.bit_generator.state == state  # refused before any draw
+    assert rng.gen.bit_generator.state == state and derived == []
 
 
 def _hand_priors(atoms_far, mass_far):
@@ -492,7 +522,7 @@ def test_probe_refuses_impossible_regime_before_drawing(monkeypatch, setting):
         calls.append(args)
         raise _Drawn
 
-    monkeypatch.setattr("posetdist.lowerbound.generate_instance", counting)
+    monkeypatch.setattr("posetdist.lowerbound._draw_side", counting)
     # one element cannot be a zero and carry raw mass 1 - nu at once
     with pytest.raises(ParameterError, match="the far side's events cannot hold at n=1"):
         indistinguishability_probe(priors, 1, [0, 20], 3, Rng(0))
@@ -501,6 +531,105 @@ def test_probe_refuses_impossible_regime_before_drawing(monkeypatch, setting):
         with pytest.raises(_Drawn):
             indistinguishability_probe(priors, n, [0], 3, Rng(0))
     assert len(calls) == 3
+
+
+# The probe's fingerprint law against generate_instance's. At s = n the
+# hand pair's rates are 0.05 (well below 1), 0.99 and 1.01 (either side of
+# the branch at 1) and 5 (well above); the far side has a zero-weight atom
+# and the big side a zero-mass one, and nu and gap put the events' rates
+# inside (0, 1) at n = 2000. The benchmark's first pair at n = 2000 has every
+# rate below 1 at s = 300 and every nonzero rate above 1 at s = 20000.
+FP_PRIORS = MomentPriors(np.array([0.05, 0.99, 1.01, 5.0, 2.0]), np.array([0.3, 0.3, 0.3, 0.1, 0.0]),
+                         np.array([0.0, 0.05, 0.99, 1.01, 5.0]), np.array([0.2, 0.2, 0.25, 0.25, 0.1]),
+                         beta=1.5, nu=0.1, lam=6.0, L=2, gap=0.4 / 1.5)
+FP_GRID = [("hand", 1, 1), ("hand", 7, 7), ("hand", 2000, 2000), ("bench", 2000, 300), ("bench", 2000, 20000)]
+FP_DRAWS = 400
+
+
+def _tallies(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of each value of a and of b, over the values of both."""
+    values = np.union1d(a, b)
+    return tuple(np.bincount(np.searchsorted(values, x), minlength=values.size) for x in (a, b))
+
+
+@pytest.mark.parametrize("name,n,s", FP_GRID)
+def test_probe_fingerprint_law_matches_generate_instance(name, n, s):
+    """Each side's four statistics and its event, over FP_DRAWS draws of the
+    probe's per-atom law and as many generate_instance calls, pass the
+    two-sample chi-square test at p > 1e-4."""
+    import posetdist.lowerbound as lb
+
+    priors = FP_PRIORS if name == "hand" else build_priors(*BENCH_PRIORS[0])
+    ref = reference_fingerprints(priors, n, s, range(FP_DRAWS))
+    for side, atoms, mass in (("big", priors.atoms_big, priors.mass_big), ("far", priors.atoms_far, priors.mass_far)):
+        law = lb._side_law(atoms, mass, n, s)
+        drawn = [lb._draw_side(law, Rng(seed, 1).gen) for seed in range(FP_DRAWS)]
+        fingerprints = np.array([fingerprint for fingerprint, _, _ in drawn])
+        events = np.array([lb._event(priors, n, s, raw_mass, fingerprint[3], zeros if side == "far" else None)
+                           for fingerprint, raw_mass, zeros in drawn])
+        ref_fingerprints, ref_events = ref[side]
+        for k in range(4):
+            p = two_sample_chi2_pvalue(*_tallies(ref_fingerprints[:, k], fingerprints[:, k]))
+            assert p > 1e-4, (side, k, p)
+        p = two_sample_chi2_pvalue(*_tallies(ref_events, events))
+        assert p > 1e-4, (side, "event", p, ref_events.mean(), events.mean())
+
+
+def test_fingerprint_grid_takes_every_branch():
+    """FP_GRID reaches the cases it names: rates well below 1, just below
+    and just above it and well above it, zero-weight and zero-mass atoms,
+    and at n = 2000 events that hold on some draws and fail on others."""
+    rates = 2000 * (FP_PRIORS.atoms_big / 2000)
+    assert np.allclose(rates[:4], [0.05, 0.99, 1.01, 5.0]) and 0.0 in FP_PRIORS.mass_big
+    assert FP_PRIORS.atoms_far[0] == 0.0 and FP_PRIORS.mass_far[0] > 0
+    bench = build_priors(*BENCH_PRIORS[0])
+    assert np.all(300 * bench.atoms_far / 2000 <= 1) and np.all(20000 * bench.atoms_far[1:] / 2000 > 1)
+    ref = reference_fingerprints(FP_PRIORS, 2000, 2000, range(100))
+    for _, events in ref.values():
+        assert 0 < events.mean() < 1
+
+
+@pytest.mark.parametrize("s", [600, 2000, 2020, 8000])
+def test_one_atom_fingerprint_is_poisson(s):
+    """With one atom of weight 1 every member has rate r = s/n: a side's
+    zeros, ones and twos are Binomial(n, P(Poisson(r) = j)) and its total is
+    Poisson(s). Over 400 draws at n = 2000 each standardized statistic has
+    mean within 5 standard errors of 0 and variance within 5 of 1. Counts of
+    3 or more all drawn as 3 would miss n * E[X - 3; X >= 3], a standard
+    deviation of the total at r = 1."""
+    import posetdist.lowerbound as lb
+
+    n, draws = 2000, 400
+    law = lb._side_law(np.array([1.0]), np.array([1.0]), n, s)
+    r = s * (1.0 / n)
+    fingerprints = np.array([lb._draw_side(law, Rng(seed).gen)[0] for seed in range(draws)])
+    p = np.array([math.exp(-r) * r**j / math.factorial(j) for j in range(3)])
+    mean = np.append(n * p, s)
+    sd = np.sqrt(np.append(n * p * (1 - p), s))
+    z = (fingerprints - mean) / sd
+    assert np.all(np.abs(z.mean(axis=0)) <= 5 / math.sqrt(draws)), z.mean(axis=0)
+    assert np.all(np.abs(z.var(axis=0, ddof=1) - 1) <= 5 * math.sqrt(2 / (draws - 1))), z.var(axis=0, ddof=1)
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.3, 1.0])
+def test_tail_law_is_the_truncated_poisson(r):
+    """q3 = P(Poisson(r) >= 3) against lgamma-summed terms to 1e-12
+    relative. The cdf of a count given that it is at least 3 against the
+    truncated pmf r^(k-3) * 3!/k! summed in exact rationals, to a few units
+    of 2^-53; the mass beyond the table, which its last entry of 1.0 takes,
+    is below 2^-53."""
+    import posetdist.lowerbound as lb
+
+    q3, cdf = lb._tail_law(np.array([r]))
+    k = range(3, 60)
+    assert q3[0] == pytest.approx(math.fsum(math.exp(-r + j * math.log(r) - math.lgamma(j + 1)) for j in k), rel=1e-12)
+    terms = [Fraction(r) ** (j - 3) * 6 / math.factorial(j) for j in k]
+    total = sum(terms)
+    width = cdf.shape[1]
+    exact = [float(sum(terms[: j + 1]) / total) for j in range(width - 1)]
+    np.testing.assert_allclose(cdf[0, :-1], exact, rtol=0, atol=4 * 2.0**-53)
+    assert cdf[0, -1] == 1.0 and sum(terms[width:]) / total < Fraction(1, 2**53)
+    assert np.all(np.diff(cdf[0]) >= 0)
 
 
 # The law of the per-atom counts against the per-element route, at a size
