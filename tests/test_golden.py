@@ -307,7 +307,7 @@ def test_lb_gen_artifact_bytes(tmp_path, run):
 GOLDEN_LB_PROBE_CSV = (
     's,best_stat,advantage,ci_half\n'
     '0,0,0.0,0.08762160119728664\n'
-    '300,3,0.17500000000000002,0.2495444411375449\n'
+    '300,0,0.22500000000000003,0.28461170684513515\n'
     '5000,0,1.0,0.08762160119728664\n'
 )
 
