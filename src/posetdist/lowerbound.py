@@ -12,12 +12,11 @@ zeros on the far side; at s = 0 no sample is drawn and the count clause holds
 vacuously), the normalized V-side vector is 1/(beta*n)-big while the V'-side
 vector is far from big by half the construction's gap value, yet the two
 histogram laws are nearly indistinguishable. indistinguishability_probe checks
-that empirically: it draws each side's fingerprint (zeros, ones, twos and
-total of the counts) with its event inputs straight from their law, per atom
-and with no n-length array. An atom of rate r = s*w/n draws nothing at r = 0,
-sorts its members into counts 0, 1, 2 and "3 or more" at 0 < r <= 1 (the last
-drawn exactly from Poisson(r) conditioned on at least 3), and draws each
-member's Poisson(r) count at r > 1. The gap optimum has a closed form
+that empirically, drawing each side's fingerprint (zeros, ones, twos and total
+of the counts) and event inputs from their law per atom, not per element: an
+atom of rate r = s*w/n draws nothing at r = 0, sorts its members into counts
+0, 1, 2 and "3 or more" at 0 < r <= 1, and draws each member's count at r > 1.
+The gap optimum has a closed form
 via best polynomial approximation of 1/x: moment_gap_value is its value, and
 solve_moment_gap builds its atoms, the alternation points of that
 approximation with divided-difference weights.
@@ -495,14 +494,12 @@ class _SideLaw:
     """One side's fingerprint law at one (n, s), as _draw_side reads it.
 
     Each atom has four cells, its members with a count of 0, 1, 2 and 3 or
-    more; at rate 0 all of them count 0, and above rate 1 all sit in the
-    last cell, whose counts are drawn one by one. The cell sizes are
+    more; at rate 0 all members count 0, and above rate 1 all sit in the
+    last cell and draw their counts one by one. The cell sizes are
     Multinomial(n, prob), prob ascending so that numpy's sequential
     binomials take each cell's share of a remainder at least as large as
-    the cell. A tally row is what one member of a cell adds to (zeros, ones,
-    twos, count total, zero-weight members); at rate in (0, 1] a count of 3
-    or more adds 3 to the total there and the rest after its draw, and above
-    rate 1 a member adds its whole count after its draw."""
+    the cell. A tally row is what a member of the cell adds to (zeros, ones,
+    twos, count total, zero-weight members) before its own draw, if any."""
 
     n: int
     prob: np.ndarray
@@ -590,20 +587,22 @@ def indistinguishability_probe(
     lower-bounds the histogram TV distance; it cannot certify an upper bound.
 
     A side's fingerprint (zeros, ones, twos and total of its counts), raw
-    mass and zero count are drawn straight from their law (_draw_side), with
-    no n-length array: the members of each atom of rate r = s*atom/n count
-    0 at r = 0; at 0 < r <= 1 they fall into counts 0, 1, 2 and 3 or more
-    by one multinomial, with exact inverse-CDF draws of Poisson(r)
-    conditioned on at least 3; at r > 1 each draws its Poisson(r) count.
-    That is the law of generate_instance's fingerprint and event inputs, not
-    its draws. Each attempt derives one stream from rng, and the sides still
-    needing a trial's fingerprint draw from it, big side first; a side keeps
-    its first draw whose event (_event, as in generate_instance) holds. A
-    trial whose events fail MAX_RETRIES attempts in a row raises
-    ParameterError: the events are too rare at this n. So does, before any
-    draw, a regime where the far side's z = ceil(beta*n*gap/2) zeros leave
-    raw mass at most (n - z) * max(atoms_far) / n < 1 - nu; an s that
-    generate_instance would refuse is refused before any draw too.
+    mass and zero count are drawn from their law per atom (_draw_side), with
+    a per-member array only for the counts drawn one by one: the members of
+    an atom of rate r = s*atom/n count 0 at r = 0; at 0 < r <= 1 one
+    multinomial sorts them into counts 0, 1, 2 and 3 or more, each count of
+    3 or more an exact inverse-CDF draw of Poisson(r) conditioned on at
+    least 3; at r > 1 each draws its Poisson(r) count. That is the law of
+    generate_instance's fingerprints and event inputs, not its draws.
+
+    Each attempt derives one stream from rng, and the sides still needing a
+    trial's fingerprint draw from it, big side first; a side keeps its first
+    draw whose event (_event, as in generate_instance) holds. A trial whose
+    events fail MAX_RETRIES attempts in a row raises ParameterError: the
+    events are too rare at this n. So does, before any draw, a regime where
+    the far side's z = ceil(beta*n*gap/2) zeros leave raw mass at most
+    (n - z) * max(atoms_far) / n < 1 - nu; masses or an s that
+    generate_instance would refuse are refused before any draw too.
     """
     s_values = [int(s) for s in s_values]
     _check_size(n)
@@ -616,6 +615,7 @@ def indistinguishability_probe(
     if top_mass < 1 - priors.nu:
         raise ParameterError(f"the far side's events cannot hold at n={n}: {zeros} of {n} elements at zero weight "
                              f"leave raw mass at most {top_mass:.6g} < 1 - nu = {1 - priors.nu:.6g}")
+    priors.atom_tables  # refuses the masses that generate_instance refuses
     for s in s_values:
         _check_rate(priors, n, s)
     rows = []

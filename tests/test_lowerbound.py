@@ -434,6 +434,8 @@ def test_atom_tables_reject_bad_masses():
         _hand_priors([0.0, 1.0], [-0.5, 1.0]).atom_tables
     with pytest.raises(ValueError, match="probabilities must be"):
         generate_instance(_hand_priors([0.0, 1.0], [np.nan, 1.0]), 10, 5, Rng(0))
+    with pytest.raises(ValueError, match="probabilities must be"):
+        indistinguishability_probe(_hand_priors([0.0, 1.0], [np.nan, 1.0]), 10, [5], 3, Rng(0))
 
 
 def test_normalized_views_are_built_on_first_read():
