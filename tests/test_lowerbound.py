@@ -23,6 +23,7 @@ from posetdist import (
     priors_from_gap_solution,
     solve_moment_gap,
 )
+import posetdist.lowerbound as lb
 from posetdist.lowerbound import MOMENT_REL_TOL, POISSON_LAM_MAX
 from posetdist.poset import MAX_DOMAIN
 from posetdist.prob import choice_indices
@@ -293,8 +294,6 @@ def test_probe_keeps_the_first_attempt_whose_flags_hold(monkeypatch):
     stream, the sides still open in turn, big side first; each trial keeps
     the fingerprint of each side's first draw whose event holds, and no
     attempt is drawn once both sides are kept."""
-    import posetdist.lowerbound as lb
-
     priors, n, trials = build_priors(0.5, 6.0, 4), 7, 30
     drawn, compared = [], []
     draw, advantage = lb._draw_side, lb._ks_advantage
@@ -559,8 +558,6 @@ def test_probe_fingerprint_law_matches_generate_instance(name, n, s):
     """Each side's four statistics and its event, over FP_DRAWS draws of the
     probe's per-atom law and as many generate_instance calls, pass the
     two-sample chi-square test at p > 1e-4."""
-    import posetdist.lowerbound as lb
-
     priors = FP_PRIORS if name == "hand" else build_priors(*BENCH_PRIORS[0])
     ref = reference_fingerprints(priors, n, s, range(FP_DRAWS))
     for side, atoms, mass in (("big", priors.atoms_big, priors.mass_big), ("far", priors.atoms_far, priors.mass_far)):
@@ -599,8 +596,6 @@ def test_one_atom_fingerprint_is_poisson(s):
     mean within 5 standard errors of 0 and variance within 5 of 1. Counts of
     3 or more all drawn as 3 would miss n * E[X - 3; X >= 3], a standard
     deviation of the total at r = 1."""
-    import posetdist.lowerbound as lb
-
     n, draws = 2000, 400
     law = lb._side_law(np.array([1.0]), np.array([1.0]), n, s)
     r = s * (1.0 / n)
@@ -620,8 +615,6 @@ def test_tail_law_is_the_truncated_poisson(r):
     truncated pmf r^(k-3) * 3!/k! summed in exact rationals, to a few units
     of 2^-53; the mass beyond the table, which its last entry of 1.0 takes,
     is below 2^-53."""
-    import posetdist.lowerbound as lb
-
     q3, cdf = lb._tail_law(np.array([r]))
     k = range(3, 60)
     assert q3[0] == pytest.approx(math.fsum(math.exp(-r + j * math.log(r) - math.lgamma(j + 1)) for j in k), rel=1e-12)
