@@ -13,10 +13,11 @@ vacuously), the normalized V-side vector is 1/(beta*n)-big while the V'-side
 vector is far from big by half the construction's gap value, yet the two
 histogram laws are nearly indistinguishable. indistinguishability_probe checks
 that empirically, drawing each side's fingerprint (zeros, ones, twos and total
-of the counts) and event inputs from their law per atom, not per element: an
-atom of rate r = s*w/n draws nothing at r = 0, sorts its members into counts
-0, 1, 2 and "3 or more" at 0 < r <= 1, and draws each member's count at r > 1.
-The gap optimum has a closed form
+of the counts) and event inputs from their law per atom, not per element: the
+members of an atom of rate r = s*w/n up to RATE_TABLE_MAX are sorted by count
+over a table of the Poisson(r) probabilities, cut where the mass left is
+below 2^-53, in one multinomial with every other atom's; an atom of higher
+rate draws each member's count. The gap optimum has a closed form
 via best polynomial approximation of 1/x: moment_gap_value is its value, and
 solve_moment_gap builds its atoms, the alternation points of that
 approximation with divided-difference weights.
@@ -45,6 +46,13 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max)
 WILSON_Z = 1.959963984540054  # 95%
 
 MAX_RETRIES = 200  # draws indistinguishability_probe makes for one trial's events
+# The highest rate whose members the probe sorts by a count table, not one
+# Poisson draw each. e^-r, the table's first entry, is a normal double up to
+# r of about 708; at r = 64 the table has 141 cells and one multinomial over
+# it takes about 9 us, the time of some 150 per-member draws, and its cells
+# grow as r + 8*sqrt(r), so an atom with fewer members than that draws them
+# faster one by one.
+RATE_TABLE_MAX = 64.0
 
 
 class ParameterError(ValueError):
@@ -493,78 +501,64 @@ class ProbeRow:
 class _SideLaw:
     """One side's fingerprint law at one (n, s), as _draw_side reads it.
 
-    Each atom has four cells, its members with a count of 0, 1, 2 and 3 or
-    more; at rate 0 all members count 0, and above rate 1 all sit in the
-    last cell and draw their counts one by one. The cell sizes are
-    Multinomial(n, prob), prob ascending so that numpy's sequential
-    binomials take each cell's share of a remainder at least as large as
-    the cell. A tally row is what a member of the cell adds to (zeros, ones,
+    An atom of rate r <= RATE_TABLE_MAX has one cell per count k = 0..K of
+    _count_table(r), its members with a count of k; an atom of higher rate
+    has one cell, whose members draw their counts one by one. The cell sizes
+    are Multinomial(n, prob), prob ascending so that numpy's sequential
+    binomials take each cell's share of a remainder at least as large as the
+    cell. A tally row is what a member of the cell adds to (zeros, ones,
     twos, count total, zero-weight members) before its own draw, if any."""
 
     n: int
     prob: np.ndarray
     tally: np.ndarray
     values: np.ndarray  # a member's raw weight, atom / n
-    tail: np.ndarray  # the last cells of the atoms of rate in (0, 1]
-    tail_cdf: np.ndarray  # their rows of _tail_law's cdf
-    high: np.ndarray  # the last cells of the atoms of rate above 1
+    high: np.ndarray  # the cells of the atoms of rate above RATE_TABLE_MAX
     high_rates: np.ndarray
 
 
-def _tail_law(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For rates 0 < r <= 1: q3 = P(Poisson(r) >= 3) from its series
-    e^-r * r^3/3! * sum_j r^j * 3!/(j+3)!, with no cancellation at small r,
-    and the cdf rows of a count given that it is at least 3, over 3, 4, ...,
-    whose pmf is proportional to the series' terms r^(k-3) * 3!/k!. The rows
-    stop where the mass left is below 2^-53 and end at 1.0, above every
-    uniform."""
-    terms = [np.ones_like(r)]
-    # at r <= 1 a term is at most a fifth of the one before from the second
-    # on, so the terms from one below 2^-54 on sum to less than 2^-53
-    while (nxt := terms[-1] * r / (len(terms) + 3)).max(initial=0.0) >= 2.0**-54:
-        terms.append(nxt)
-    # the mass from each term on, summed smallest first; the cdf is one less
-    # the mass after each entry, so every entry is within an ulp of exact
-    rest = np.cumsum(np.stack(terms[::-1], axis=1), axis=1)[:, ::-1]
-    cdf = 1.0 - np.append(rest[:, 1:], np.zeros((r.size, 1)), axis=1) / rest[:, :1]
-    return np.exp(-r) * r**3 / 6 * rest[:, 0], cdf
+def _count_table(r: float) -> np.ndarray:
+    """Poisson(r) probabilities of the counts 0..K, for 0 <= r <=
+    RATE_TABLE_MAX, by the product recursion p_k = p_(k-1) * r/k from
+    p_0 = e^-r, with no cancellation. Past k >= r each term is at most
+    r/(k+1) of the one before, so p_k * r/(k+1-r) bounds the mass after k:
+    the table ends at the first such k where that bound is below 2^-53, and
+    its largest entry takes the remainder, so the entries sum to 1."""
+    pmf, k = [math.exp(-r)], 0
+    while k + 1 <= r or pmf[-1] * r >= 2.0**-53 * (k + 1 - r):
+        k += 1
+        pmf.append(pmf[-1] * r / k)
+    pmf = np.array(pmf)
+    pmf[pmf.argmax()] += 1.0 - pmf.sum()
+    return pmf
 
 
 def _side_law(atoms: np.ndarray, mass: np.ndarray, n: int, s: int) -> _SideLaw:
-    """The _SideLaw of the prior (atoms, mass) at (n, s). The branch of an
-    atom depends on its rate alone, as in _poisson_counts; at 0 < r <= 1 its
-    cells take P(Poisson(r) = 0, 1, 2) and _tail_law's q3."""
+    """The _SideLaw of the prior (atoms, mass) at (n, s): an atom of rate
+    r = s * atom / n up to RATE_TABLE_MAX spreads its mass over the counts
+    of _count_table(r); one above it keeps its mass in one cell."""
     values = atoms / n
     rates = s * values
-    low, high = np.flatnonzero((rates > 0) & (rates <= 1.0)), np.flatnonzero(rates > 1.0)
-    r = rates[low]
-    q3, cdf = _tail_law(r)
-    e = np.exp(-r)
-    share = np.zeros((atoms.size, 4))
-    share[rates == 0, 0] = 1.0
-    share[low] = np.stack([e, r * e, r * r / 2 * e, q3], axis=1)
-    share[high, 3] = 1.0
-    prob = (mass[:, None] / mass.sum() * share).ravel()
-    tally = np.tile(np.array([[1, 0, 0, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 2, 0], [0, 0, 0, 3, 0]]), (atoms.size, 1))
-    tally[4 * high + 3, 3] = 0
-    tally[:, 4] = (values == 0).repeat(4)
+    high = rates > RATE_TABLE_MAX
+    tables = [np.ones(1) if above else _count_table(r) for r, above in zip(rates, high)]
+    atom = np.repeat(np.arange(atoms.size), [table.size for table in tables])
+    count = np.concatenate([np.arange(table.size) for table in tables])
+    prob = mass[atom] / mass.sum() * np.concatenate(tables)
     order = np.argsort(prob, kind="stable")
-    at = np.argsort(order)  # where each cell lands
-    return _SideLaw(n=n, prob=prob[order], tally=tally[order], values=values.repeat(4)[order],
-                    tail=at[4 * low + 3], tail_cdf=cdf, high=at[4 * high + 3], high_rates=rates[high])
+    atom, count, prob = atom[order], count[order], prob[order]
+    tally = np.stack([count == 0, count == 1, count == 2, count, values[atom] == 0], axis=1).astype(np.int64)
+    drawn = high[atom]
+    tally[drawn, :4] = 0
+    return _SideLaw(n=n, prob=prob, tally=tally, values=values[atom], high=np.flatnonzero(drawn),
+                    high_rates=rates[atom[drawn]])
 
 
 def _draw_side(law: _SideLaw, gen: np.random.Generator) -> tuple[np.ndarray, np.float64, np.int64]:
     """One side's fingerprint (zeros, ones, twos, count total), raw mass and
     zero count, drawn from their law: one multinomial over law's cells, then
-    an inverse-CDF draw over 3, 4, ... for each member with a count of 3 or
-    more, and a Poisson draw for each member of an atom of rate above 1."""
+    a Poisson draw for each member of an atom of rate above RATE_TABLE_MAX."""
     cells = gen.multinomial(law.n, law.prob)
     tally = cells @ law.tally
-    if law.tail.size:
-        big = cells[law.tail]
-        u = gen.random(big.sum())
-        tally[3] += np.count_nonzero(u[:, None] >= law.tail_cdf.repeat(big, axis=0))
     if law.high.size:
         drawn = gen.poisson(law.high_rates.repeat(cells[law.high]))
         tally[3] += drawn.sum()
@@ -588,16 +582,18 @@ def indistinguishability_probe(
 
     A side's fingerprint (zeros, ones, twos and total of its counts), raw
     mass and zero count are drawn from their law per atom (_draw_side), with
-    a per-member array only for the counts drawn one by one: the members of
-    an atom of rate r = s*atom/n count 0 at r = 0; at 0 < r <= 1 one
-    multinomial sorts them into counts 0, 1, 2 and 3 or more, each count of
-    3 or more an exact inverse-CDF draw of Poisson(r) conditioned on at
-    least 3; at r > 1 each draws its Poisson(r) count. That is the law of
+    a per-member array only for the counts drawn one by one: one multinomial
+    sorts the members of every atom of rate r = s*atom/n at most
+    RATE_TABLE_MAX by count, over the Poisson(r) probabilities of
+    _count_table, which stop where the mass left is below 2^-53; each member
+    of an atom of higher rate draws its Poisson(r) count. That is the law of
     generate_instance's fingerprints and event inputs, not its draws.
 
-    Each attempt derives one stream from rng, and the sides still needing a
-    trial's fingerprint draw from it, big side first; a side keeps its first
-    draw whose event (_event, as in generate_instance) holds. A trial whose
+    Each s derives one stream from rng, the i-th s stream 1_000_000 + i, so
+    a row does not depend on the retries of the rows before it. Its attempts
+    draw from that stream in turn, the sides still needing a trial's
+    fingerprint big side first; a side keeps its first draw whose event
+    (_event, as in generate_instance) holds. A trial whose
     events fail MAX_RETRIES attempts in a row raises ParameterError: the
     events are too rare at this n. So does, before any draw, a regime where
     the far side's z = ceil(beta*n*gap/2) zeros leave raw mass at most
@@ -619,15 +615,13 @@ def indistinguishability_probe(
     for s in s_values:
         _check_rate(priors, n, s)
     rows = []
-    stream = 1_000_000
-    for s in s_values:
+    for i, s in enumerate(s_values):
         laws = (_side_law(priors.atoms_big, priors.mass_big, n, s), _side_law(priors.atoms_far, priors.mass_far, n, s))
+        gen = rng.derive(1_000_000 + i).gen
         stats = np.zeros((2, trials, 4))
         for t in range(trials):
             need = [True, True]
             for _ in range(MAX_RETRIES):
-                gen = rng.derive(stream).gen
-                stream += 1
                 for side in (0, 1):
                     if need[side]:
                         fingerprint, mass, zero_count = _draw_side(laws[side], gen)

@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,42 +289,48 @@ def test_events_at_s0_are_the_mass_and_zero_count_clauses():
 
 def test_probe_keeps_the_first_attempt_whose_flags_hold(monkeypatch):
     """A call log of the per-attempt side draw and of the statistics the
-    probe compares: at s = 0 each attempt draws from the next derived
-    stream, the sides still open in turn, big side first; each trial keeps
-    the fingerprint of each side's first draw whose event holds, and no
-    attempt is drawn once both sides are kept."""
+    probe compares, over two rows at s = 0: the i-th row's attempts draw in
+    turn from one stream, derived as 1_000_000 + i and starting fresh
+    whatever the retries of the row before, the sides still open in turn,
+    big side first; each trial keeps the fingerprint of each side's first
+    draw whose event holds, and no attempt is drawn once both sides are
+    kept."""
     priors, n, trials = build_priors(0.5, 6.0, 4), 7, 30
     drawn, compared = [], []
     draw, advantage = lb._draw_side, lb._ks_advantage
 
     def logged_draw(law, gen):
-        state = gen.bit_generator.state
-        drawn.append((law, gen, state, draw(law, gen)))
-        return drawn[-1][3]
+        before = gen.bit_generator.state
+        result = draw(law, gen)
+        drawn.append((law, gen, before, gen.bit_generator.state, result))
+        return result
 
     monkeypatch.setattr(lb, "_draw_side", logged_draw)
     monkeypatch.setattr(lb, "_ks_advantage", lambda a, b: compared.append((a.copy(), b.copy())) or advantage(a, b))
-    indistinguishability_probe(priors, n, [0], trials, Rng(3))
+    indistinguishability_probe(priors, n, [0, 0], trials, Rng(3))
     big_law = drawn[0][0]
     assert sorted(set(big_law.values)) == sorted(priors.atoms_big / n)
-    kept, k, attempts = {"big": [], "far": []}, 0, 0
-    for _ in range(trials):
-        open_sides = ["big", "far"]
-        while open_sides:
-            gen = drawn[k][1]
-            assert drawn[k][2] == Rng(3).derive(1_000_000 + attempts).gen.bit_generator.state
-            attempts += 1
-            for side in list(open_sides):
-                law, call_gen, _, (fingerprint, mass, zero_count) = drawn[k]
-                k += 1
-                assert call_gen is gen and (law is big_law) == (side == "big")
-                if lb._event(priors, n, 0, mass, fingerprint[3], zero_count if side == "far" else None):
-                    kept[side].append(fingerprint)
-                    open_sides.remove(side)
-    assert k == len(drawn) and attempts > trials  # some attempt failed its events and was retried
-    assert len(compared) == 4
-    for j, (a, b) in enumerate(compared):
-        assert np.array_equal(a, np.array(kept["big"])[:, j]) and np.array_equal(b, np.array(kept["far"])[:, j])
+    k = 0
+    for row in range(2):
+        first, attempts = k, 0
+        kept = {"big": [], "far": []}
+        state = Rng(3).derive(1_000_000 + row).gen.bit_generator.state
+        for _ in range(trials):
+            open_sides = ["big", "far"]
+            while open_sides:
+                attempts += 1
+                for side in list(open_sides):
+                    law, gen, before, after, (fingerprint, mass, zero_count) = drawn[k]
+                    assert gen is drawn[first][1] and before == state
+                    assert (law is drawn[first][0]) == (side == "big")
+                    state, k = after, k + 1
+                    if lb._event(priors, n, 0, mass, fingerprint[3], zero_count if side == "far" else None):
+                        kept[side].append(fingerprint)
+                        open_sides.remove(side)
+        assert attempts > trials  # some attempt failed its events and was retried
+        for j, (a, b) in enumerate(compared[4 * row : 4 * row + 4]):
+            assert np.array_equal(a, np.array(kept["big"])[:, j]) and np.array_equal(b, np.array(kept["far"])[:, j])
+    assert k == len(drawn) and len(compared) == 8
 
 
 def test_fingerprint_stats():
@@ -535,15 +540,18 @@ def test_probe_refuses_impossible_regime_before_drawing(monkeypatch, setting):
 
 
 # The probe's fingerprint law against generate_instance's. At s = n the
-# hand pair's rates are 0.05 (well below 1), 0.99 and 1.01 (either side of
-# the branch at 1) and 5 (well above); the far side has a zero-weight atom
-# and the big side a zero-mass one, and nu and gap put the events' rates
-# inside (0, 1) at n = 2000. The benchmark's first pair at n = 2000 has every
-# rate below 1 at s = 300 and every nonzero rate above 1 at s = 20000.
+# hand pair's rates are 0.05, 0.99, 1.01 and 5; the far side has a
+# zero-weight atom and the big side a zero-mass one, and nu and gap put the
+# events' rates inside (0, 1) at n = 2000. At s = 16n the atom of weight 5
+# has rate 80, above RATE_TABLE_MAX, so its members draw their counts one by
+# one while the other atoms' rates (0.8 to 32) take the count table. The
+# benchmark's first pair at n = 2000 has every rate below 1 at s = 300 and
+# every nonzero rate above 1 at s = 20000.
 FP_PRIORS = MomentPriors(np.array([0.05, 0.99, 1.01, 5.0, 2.0]), np.array([0.3, 0.3, 0.3, 0.1, 0.0]),
                          np.array([0.0, 0.05, 0.99, 1.01, 5.0]), np.array([0.2, 0.2, 0.25, 0.25, 0.1]),
                          beta=1.5, nu=0.1, lam=6.0, L=2, gap=0.4 / 1.5)
-FP_GRID = [("hand", 1, 1), ("hand", 7, 7), ("hand", 2000, 2000), ("bench", 2000, 300), ("bench", 2000, 20000)]
+FP_GRID = [("hand", 1, 1), ("hand", 7, 7), ("hand", 2000, 2000), ("bench", 2000, 300), ("bench", 2000, 20000),
+           ("hand", 2000, 32000)]
 FP_DRAWS = 400
 
 
@@ -576,11 +584,16 @@ def test_probe_fingerprint_law_matches_generate_instance(name, n, s):
 
 def test_fingerprint_grid_takes_every_branch():
     """FP_GRID reaches the cases it names: rates well below 1, just below
-    and just above it and well above it, zero-weight and zero-mass atoms,
-    and at n = 2000 events that hold on some draws and fail on others."""
+    and just above it and well above it, on both sides a rate above
+    RATE_TABLE_MAX beside nonzero rates at or below it, zero-weight and
+    zero-mass atoms, and at n = 2000 events that hold on some draws and fail
+    on others."""
     rates = 2000 * (FP_PRIORS.atoms_big / 2000)
     assert np.allclose(rates[:4], [0.05, 0.99, 1.01, 5.0]) and 0.0 in FP_PRIORS.mass_big
     assert FP_PRIORS.atoms_far[0] == 0.0 and FP_PRIORS.mass_far[0] > 0
+    for atoms, mass in ((FP_PRIORS.atoms_big, FP_PRIORS.mass_big), (FP_PRIORS.atoms_far, FP_PRIORS.mass_far)):
+        high = 32000 * (atoms / 2000) > lb.RATE_TABLE_MAX
+        assert mass[high].sum() > 0 and mass[~high & (atoms > 0)].sum() > 0
     bench = build_priors(*BENCH_PRIORS[0])
     assert np.all(300 * bench.atoms_far / 2000 <= 1) and np.all(20000 * bench.atoms_far[1:] / 2000 > 1)
     ref = reference_fingerprints(FP_PRIORS, 2000, 2000, range(100))
@@ -588,43 +601,41 @@ def test_fingerprint_grid_takes_every_branch():
         assert 0 < events.mean() < 1
 
 
-@pytest.mark.parametrize("s", [600, 2000, 2020, 8000])
+@pytest.mark.parametrize("s", [600, 2000, 2020, 8000, 200000])
 def test_one_atom_fingerprint_is_poisson(s):
     """With one atom of weight 1 every member has rate r = s/n: a side's
     zeros, ones and twos are Binomial(n, P(Poisson(r) = j)) and its total is
     Poisson(s). Over 400 draws at n = 2000 each standardized statistic has
-    mean within 5 standard errors of 0 and variance within 5 of 1. Counts of
-    3 or more all drawn as 3 would miss n * E[X - 3; X >= 3], a standard
-    deviation of the total at r = 1."""
+    mean within 5 standard errors of 0 and variance within 5 of 1; at
+    r = 100, above RATE_TABLE_MAX, a count below 3 has chance below 1e-39,
+    and those statistics must be 0 on every draw. Counts of 3 or more all
+    drawn as 3 would miss n * E[X - 3; X >= 3], a standard deviation of the
+    total at r = 1."""
     n, draws = 2000, 400
     law = lb._side_law(np.array([1.0]), np.array([1.0]), n, s)
     r = s * (1.0 / n)
     fingerprints = np.array([lb._draw_side(law, Rng(seed).gen)[0] for seed in range(draws)])
     p = np.array([math.exp(-r) * r**j / math.factorial(j) for j in range(3)])
-    mean = np.append(n * p, s)
-    sd = np.sqrt(np.append(n * p * (1 - p), s))
-    z = (fingerprints - mean) / sd
+    live = np.append(n * p > 1e-20, True)
+    assert np.all(fingerprints[:, ~live] == 0)
+    mean = np.append(n * p, s)[live]
+    sd = np.sqrt(np.append(n * p * (1 - p), s))[live]
+    z = (fingerprints[:, live] - mean) / sd
     assert np.all(np.abs(z.mean(axis=0)) <= 5 / math.sqrt(draws)), z.mean(axis=0)
     assert np.all(np.abs(z.var(axis=0, ddof=1) - 1) <= 5 * math.sqrt(2 / (draws - 1))), z.var(axis=0, ddof=1)
 
 
-@pytest.mark.parametrize("r", [1e-3, 0.3, 1.0])
-def test_tail_law_is_the_truncated_poisson(r):
-    """q3 = P(Poisson(r) >= 3) against lgamma-summed terms to 1e-12
-    relative. The cdf of a count given that it is at least 3 against the
-    truncated pmf r^(k-3) * 3!/k! summed in exact rationals, to a few units
-    of 2^-53; the mass beyond the table, which its last entry of 1.0 takes,
-    is below 2^-53."""
-    q3, cdf = lb._tail_law(np.array([r]))
-    k = range(3, 60)
-    assert q3[0] == pytest.approx(math.fsum(math.exp(-r + j * math.log(r) - math.lgamma(j + 1)) for j in k), rel=1e-12)
-    terms = [Fraction(r) ** (j - 3) * 6 / math.factorial(j) for j in k]
-    total = sum(terms)
-    width = cdf.shape[1]
-    exact = [float(sum(terms[: j + 1]) / total) for j in range(width - 1)]
-    np.testing.assert_allclose(cdf[0, :-1], exact, rtol=0, atol=4 * 2.0**-53)
-    assert cdf[0, -1] == 1.0 and sum(terms[width:]) / total < Fraction(1, 2**53)
-    assert np.all(np.diff(cdf[0]) >= 0)
+@pytest.mark.parametrize("r", [1e-3, 0.3, 1.0, 9.4, lb.RATE_TABLE_MAX])
+def test_count_table_is_the_poisson_pmf(r):
+    """The count table against lgamma-summed Poisson(r) terms to 1e-12
+    relative; the mass past its end, which its largest entry takes, is below
+    2^-53; its entries are nonnegative and sum to 1 within a few units of
+    2^-53."""
+    pmf = lb._count_table(r)
+    exact = [math.exp(-r + k * math.log(r) - math.lgamma(k + 1)) for k in range(pmf.size + 200)]
+    np.testing.assert_allclose(pmf, exact[: pmf.size], rtol=1e-12, atol=0)
+    assert math.fsum(exact[pmf.size :]) < 2.0**-53
+    assert np.all(pmf >= 0) and abs(math.fsum(pmf) - 1.0) <= 4 * 2.0**-53
 
 
 # The law of the per-atom counts against the per-element route, at a size
