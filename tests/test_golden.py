@@ -307,7 +307,7 @@ def test_lb_gen_artifact_bytes(tmp_path, run):
 GOLDEN_LB_PROBE_CSV = (
     's,best_stat,advantage,ci_half\n'
     '0,0,0.0,0.08762160119728664\n'
-    '300,0,0.22500000000000003,0.28461170684513515\n'
+    '300,1,0.20000000000000007,0.2891259533986452\n'
     '5000,0,1.0,0.08762160119728664\n'
 )
 
