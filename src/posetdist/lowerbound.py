@@ -553,7 +553,7 @@ def _side_law(atoms: np.ndarray, mass: np.ndarray, n: int, s: int) -> _SideLaw:
                     high_rates=rates[atom[drawn]])
 
 
-def _draw_side(law: _SideLaw, gen: np.random.Generator) -> tuple[np.ndarray, np.float64, np.int64]:
+def _draw_side(law: _SideLaw, gen: np.random.Generator) -> tuple[np.ndarray, float, int]:
     """One side's fingerprint (zeros, ones, twos, count total), raw mass and
     zero count, drawn from their law: one multinomial over law's cells, then
     a Poisson draw for each member of an atom of rate above RATE_TABLE_MAX."""
@@ -563,7 +563,7 @@ def _draw_side(law: _SideLaw, gen: np.random.Generator) -> tuple[np.ndarray, np.
         drawn = gen.poisson(law.high_rates.repeat(cells[law.high]))
         tally[3] += drawn.sum()
         tally[:3] += np.bincount(drawn[drawn < 3], minlength=3)
-    return tally[:4], cells @ law.values, tally[4]
+    return tally[:4], float(cells @ law.values), int(tally[4])
 
 
 def indistinguishability_probe(
@@ -625,7 +625,7 @@ def indistinguishability_probe(
                 for side in (0, 1):
                     if need[side]:
                         fingerprint, mass, zero_count = _draw_side(laws[side], gen)
-                        if _event(priors, n, s, mass, fingerprint[3], zero_count if side else None):
+                        if _event(priors, n, s, mass, int(fingerprint[3]), zero_count if side else None):
                             stats[side, t] = fingerprint
                             need[side] = False
                 if not any(need):

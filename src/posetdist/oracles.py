@@ -213,14 +213,14 @@ def w_distance(h: PairHistogram, g: PairHistogram) -> float:
     return _transport_cost(supply, demand, cost)[0]
 
 
-def _midpoint_cost(x, y, c) -> float:
+def _midpoint_cost(x, y, c=None) -> float:
     """Transport cost of the midpoint fix of the pair histogram with keys
-    (x[i], y[i]) -> c[i]: the sum of c * (x - y) over the violating keys
-    (x > y)."""
+    (x[i], y[i]) -> c[i], every c[i] 1 when c is None: the sum of c * (x - y)
+    over the violating keys (x > y)."""
     bad = x > y
     # summed one term at a time in array order, so the value does not
     # depend on numpy's pairwise summation
-    return float(np.cumsum(c[bad] * (x[bad] - y[bad]))[-1]) if bad.any() else 0.0
+    return float(np.cumsum((x[bad] - y[bad]) * (1.0 if c is None else c[bad]))[-1]) if bad.any() else 0.0
 
 
 def min_w_to_monotone_pairhist(g: PairHistogram):

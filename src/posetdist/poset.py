@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -220,6 +221,12 @@ class Poset:
 
     def max_degree(self) -> int:
         return int(np.bincount(self.edge_array.ravel()).max(initial=0))
+
+    @cached_property
+    def _bottom_mask(self) -> np.ndarray:  # bottom_array as a read-only boolean vector
+        mask = np.isin(np.arange(self.n), self.bottom_array)
+        mask.flags.writeable = False
+        return mask
 
     def _key(self):
         return self.n, self.kind, self.bottom_array.tobytes(), self.edge_array.tobytes()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,6 +120,7 @@ def general_to_bipartite(G: Poset) -> Reduction:
     return Reduction(G, target, far_divisor=4.0, copies=np.column_stack((v, n + v)))
 
 
+@lru_cache(maxsize=8, typed=True)
 def bipartite_to_matching(G: Poset, delta: int) -> Reduction:
     """Realize the edges of a degree-<=delta bipartite poset disjointly on
     delta copies of every vertex; leftover copies pair with zero-mass bottom
@@ -126,7 +128,8 @@ def bipartite_to_matching(G: Poset, delta: int) -> Reduction:
 
     Copy c of vertex w is target vertex w*delta + c. In sorted edge order,
     the r-th edge at a vertex takes its copy r; the free copies, in (w, c)
-    order, are the heads of the dummy edges."""
+    order, are the heads of the dummy edges. Kept for the 8 (G, delta) keys
+    used last, G compared by content; a refusal raises on every call."""
     if G.kind != "bipartite":
         raise ValueError("bipartite_to_matching needs a bipartite poset")
     if delta < 1:

@@ -15,6 +15,9 @@ both laws are known, so a trial draws from the composed ExactDistAccess
 (_mixed here, reductions._lifted): one multinomial per learn step and one
 binomial per mass estimate. Any other access, an ExactDistAccess subclass
 included, draws through the MixedWithUniform and LiftedAccess wrappers.
+Trials come in runs over one input, so what they share is kept: p/2 + u/2
+on the Distribution object, the bottom mask on the Poset object, and the
+reduction in bipartite_to_matching's cache. A single trial gains nothing.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def _mixed(access: SampleAccess) -> SampleAccess:
     to MixedWithUniform's draws. Any other access, a subclass included, gets
     the MixedWithUniform wrapper."""
     if type(access) is ExactDistAccess:
-        return ExactDistAccess(Distribution(0.5 * access.dist.probs + 0.5 / access.n))
+        return ExactDistAccess(access.dist._half_uniform)
     return MixedWithUniform(access)
 
 
@@ -187,14 +190,11 @@ def matching_monotonicity_test(
     m = _sample_count("mass budget", MASS_EST_CONST, eps1 * eps1)
     mixed = _mixed(access)
     h = mixed.histogram(budget, rng)
-    bottoms, tops = G.edge_array.T
-    in_bottom = np.zeros(G.n, dtype=bool)
-    in_bottom[bottoms] = True
-    w_bottom = mixed.count_in(in_bottom, m, rng) / m
-    cb, ct = h[bottoms], h[tops]
+    w_bottom = mixed.count_in(G._bottom_mask, m, rng) / m
+    cb, ct = h[G.edge_array.T]
     x = w_bottom * (cb / max(int(cb.sum()), 1))
     y = (1.0 - w_bottom) * (ct / max(int(ct.sum()), 1))
-    stat = _midpoint_cost(x, y, np.ones(x.size))
+    stat = _midpoint_cost(x, y)
     return _verdict(
         stat,
         3.0 * eps1,

@@ -810,3 +810,31 @@ def test_sparse_regime_allocates_under_five_outputs():
         tracemalloc.stop()
     assert peak < 5 * 8 * n, peak / (8 * n)
     assert inst.hist_big.sum() > 0
+
+
+def test_ks_advantage_is_the_two_sample_ks_statistic():
+    """_ks_advantage's advantage is scipy's two-sample Kolmogorov-Smirnov
+    statistic on integer-valued samples with ties, of equal and of unequal
+    sizes, and its two shares are the samples' empirical cdfs at one
+    threshold, their gap that advantage."""
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(15)
+    for _ in range(500):
+        na, nb = rng.integers(1, 80, size=2)
+        top = int(rng.integers(1, 12))
+        a = rng.integers(0, top, na).astype(float)
+        b = (rng.integers(0, top, nb) + rng.integers(0, 3)).astype(float)
+        adv, fa, fb = lb._ks_advantage(a, b)
+        assert adv == pytest.approx(ks_2samp(a, b).statistic, abs=1e-12)
+        assert abs(fa - fb) == adv
+        assert any(fa == np.mean(a <= t) and fb == np.mean(b <= t) for t in np.union1d(a, b))
+
+
+def test_draw_side_returns_the_raw_mass_and_zero_count_as_python_scalars():
+    """_event then computes on Python scalars, and the probe passes it the
+    count total as an int."""
+    priors = build_priors(*BENCH_PRIORS[0])
+    for s in (0, 300, 36780):
+        fingerprint, mass, zeros = lb._draw_side(lb._side_law(priors.atoms_far, priors.mass_far, 10_000, s), Rng(s).gen)
+        assert type(mass) is float and type(zeros) is int and fingerprint.shape == (4,)

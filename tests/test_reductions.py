@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from posetdist import (
     Distribution,
     ExactDistAccess,
     LiftedAccess,
+    PosetError,
     Reduction,
     Rng,
     SizeCapError,
@@ -109,6 +111,28 @@ def test_bipartite_to_matching_structure():
         bipartite_to_matching(star, 1)  # degree 2 exceeds delta
     with pytest.raises(ValueError):
         bipartite_to_matching(make_line(3), 2)
+
+
+def test_bipartite_to_matching_refuses_on_every_call_and_keeps_what_it_built():
+    """A refusal raises on every call, before and after the same poset was
+    reduced at another delta; a reduction is built once per (G, delta), G
+    compared by content, and a float delta is not the int one."""
+    star = make_bipartite(3, [(0, 1), (0, 2)], bottom=[0])
+    refusals = [
+        (lambda: bipartite_to_matching(star, 1), ValueError, "max degree 2 exceeds delta=1"),
+        (lambda: bipartite_to_matching(star, 0), ValueError, "delta must be at least 1"),
+        (lambda: bipartite_to_matching(make_line(3), 2), ValueError, "needs a bipartite poset"),
+        (lambda: bipartite_to_matching(star, 2.0), PosetError, "vertex count must be an integer"),
+    ]
+    for _ in range(2):
+        for call, exc, message in refusals:
+            for _ in range(3):
+                with pytest.raises(exc, match=re.escape(message)):
+                    call()
+        red = bipartite_to_matching(star, 2)
+        assert bipartite_to_matching(make_bipartite(3, [(0, 2), (0, 1)], bottom=[0]), 2) is red
+        assert bipartite_to_matching(star, 3) is not red
+        assert bipartite_to_matching(star, 3).target != red.target
 
 
 def test_monotone_sources_stay_monotone():

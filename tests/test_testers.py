@@ -8,6 +8,7 @@ from posetdist import (
     ExactDistAccess,
     LearnerSpec,
     PairHistogram,
+    Poset,
     Rng,
     SampleAccess,
     SizeCapError,
@@ -25,6 +26,7 @@ from posetdist import (
     matching_monotonicity_test,
     uniform_subset_test,
 )
+from posetdist.oracles import _midpoint_cost
 from posetdist.reductions import LiftedAccess, _lifted
 from posetdist.testers import PAIR_CAP, MixedWithUniform, _enumerate_matchable_pairs, _mixed
 
@@ -444,3 +446,71 @@ def test_matchable_pairs_match_the_per_matching_walk(cap):
         assert _pairs_or_refusal(_enumerate_matchable_pairs, G, cap) == want, name
         outcomes.add(isinstance(want, str))
     assert outcomes == {False, True}  # both lists and refusals at every cap
+
+
+# What repeated trials over one input share is built once and kept: the
+# p/2 + u/2 Distribution on the base Distribution, the bottom mask on the
+# Poset, bipartite_to_matching's Reduction in its cache.
+
+
+def _equal_copy(G: Poset) -> Poset:
+    return Poset(G.n, G.edge_array.copy(), kind=G.kind, bottom=G.bottom_array.copy())
+
+
+def _matching_trial(G, access, t, rng):
+    return matching_monotonicity_test(G, access, 0.3, rng=rng)
+
+
+def _bipartite_trial(G, access, t, rng):
+    return bipartite_bounded_degree_test(G, access, (2, 2, 3)[t % 3], 0.3, rng=rng)
+
+
+_TRIAL_CASES = {
+    "matching": (_matching_trial, make_matching(20), (monotone_matching_dist(np.random.default_rng(8), 20),
+                                                      far_matching_dist(np.random.default_rng(9), 20, 0.3)[0])),
+    "bipartite": (_bipartite_trial, _B10, (_P10, Distribution(_P10.probs[::-1]))),
+}
+
+
+@pytest.mark.parametrize("access", [ExactDistAccess, _OwnHistogram], ids=["exact", "subclass"])
+@pytest.mark.parametrize("case", list(_TRIAL_CASES))
+def test_trials_reusing_one_input_equal_trials_over_fresh_equal_inputs(case, access):
+    """Six trials over one poset and one access per distribution, two
+    distributions alternating (and two deltas on the bipartite tester), give
+    the verdicts of the same seeds over freshly built equal objects with the
+    reduction cache emptied before each: what trials share is keyed on its
+    input and built from it alone."""
+    run, G, dists = _TRIAL_CASES[case]
+    shared = [access(p) for p in dists]
+    reused = [run(G, shared[t % 2], t, Rng(40 + t)) for t in range(6)]
+    fresh = []
+    for t in range(6):
+        bipartite_to_matching.cache_clear()
+        fresh.append(run(_equal_copy(G), access(Distribution(dists[t % 2].probs.copy())), t, Rng(40 + t)))
+    assert reused == fresh
+    assert len({v.stat for v in reused}) > 2
+
+
+def test_shared_trial_inputs_are_read_only_and_bit_equal_to_the_per_trial_expressions():
+    """_half_uniform is the Distribution 0.5 * p + 0.5 / n, _bottom_mask the
+    in_bottom vector a matching trial built from the edge tails (and, on a
+    bipartite poset, from bottom_array), both bit for bit, built once and
+    read-only; the unit-weight midpoint cost equals the one with
+    np.ones weights bit for bit."""
+    for p in (_P10, _with_zero_cell(7, 7), monotone_matching_dist(np.random.default_rng(10), 500)):
+        half = p._half_uniform
+        assert half is p._half_uniform
+        assert half.probs.tobytes() == Distribution(0.5 * p.probs + 0.5 / p.n).probs.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            half.probs[0] = 0.0
+    for G, bottoms in ((make_matching(7), make_matching(7).edge_array[:, 0]), (_B10, _B10.bottom_array),
+                       (_b2m_case(200).target, _b2m_case(200).target.edge_array[:, 0]), (make_line(3), [])):
+        in_bottom = np.zeros(G.n, dtype=bool)
+        in_bottom[bottoms] = True
+        mask = G._bottom_mask
+        assert mask is G._bottom_mask
+        assert mask.dtype == bool and mask.tobytes() == in_bottom.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = True
+    x, y = np.random.default_rng(11).random((2, 5000))
+    assert _midpoint_cost(x, y).hex() == _midpoint_cost(x, y, np.ones(x.size)).hex()
