@@ -503,10 +503,9 @@ def test_shared_trial_inputs_are_read_only_and_bit_equal_to_the_per_trial_expres
         assert half.probs.tobytes() == Distribution(0.5 * p.probs + 0.5 / p.n).probs.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             half.probs[0] = 0.0
-    for G, bottoms in ((make_matching(7), make_matching(7).edge_array[:, 0]), (_B10, _B10.bottom_array),
-                       (_b2m_case(200).target, _b2m_case(200).target.edge_array[:, 0]), (make_line(3), [])):
+    for G in (make_matching(7), _b2m_case(200).target, _B10, make_line(3)):
         in_bottom = np.zeros(G.n, dtype=bool)
-        in_bottom[bottoms] = True
+        in_bottom[G.edge_array[:, 0] if G.kind == "matching" else G.bottom_array] = True
         mask = G._bottom_mask
         assert mask is G._bottom_mask
         assert mask.dtype == bool and mask.tobytes() == in_bottom.tobytes()
