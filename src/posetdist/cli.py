@@ -113,14 +113,14 @@ def _write_all(*writes) -> None:
 
 def _save(a: argparse.Namespace, text: str, base: str = "") -> bool:
     """Write a run's CSV to its --out file, if it has one, with the fully
-    resolved config (seed included) in FILE.config; True iff it wrote."""
+    resolved config (seed included) in FILE.config, both as one step (a
+    failed write leaves neither); True iff it wrote."""
     out = getattr(a, "out", None)
     if out is None:
         return False
     path = os.path.join(base, out)
-    _emit(text, path)
     items = sorted((k, v) for k, v in vars(a).items() if v is not None and k not in ("out", "run"))
-    _emit("".join(f"{k}={v}\n" for k, v in items), path + ".config")
+    _write_all((_emit, text, path), (_emit, "".join(f"{k}={v}\n" for k, v in items), path + ".config"))
     return True
 
 

@@ -143,14 +143,12 @@ def solve_moment_gap(nu: float, lam: float, L: int):
     return float(inv_big - inv_far), big, far
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentPriors:
     """The prior pair (V, V') plus its construction parameters.
 
     gap is the construction's objective value (1/beta) * Pr[V' = 0]; it equals
-    the expected distance of the far-side vector to 1/(beta*n)-bigness. The
-    arrays are not to be modified once instances are drawn: atom_tables keeps
-    what the draws read from them.
+    the expected distance of the far-side vector to 1/(beta*n)-bigness.
     """
 
     atoms_big: np.ndarray
@@ -211,17 +209,6 @@ class MomentPriors:
 
     def zero_mass(self) -> float:
         return float(self.mass_far[self.atoms_far == 0.0].sum())
-
-    @cached_property
-    def atom_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """(atoms, cdf) of the big and the far prior, cdf being what
-        Generator.choice(k, p=mass/mass.sum()) draws the atom indices from.
-        Built on the first draw and kept, so every instance drawn from these
-        priors reuses it."""
-        return tuple(
-            (atoms, choice_cdf(mass / mass.sum()))
-            for atoms, mass in ((self.atoms_big, self.mass_big), (self.atoms_far, self.mass_far))
-        )
 
 
 def priors_from_gap_solution(nu, lam, L, atoms_x, mass_x, atoms_x2, mass_x2) -> MomentPriors:
@@ -319,7 +306,7 @@ def assign_parameters(n: int, eps: float, L: int) -> ParameterAssignment:
     return ParameterAssignment(nu=nu, lam=lam, s=s, gap=gap, rho=rho, L=L, n=n, eps=eps)
 
 
-@dataclass
+@dataclass(eq=False)
 class LBInstance:
     """One draw of the two-step process for both priors.
 
@@ -436,11 +423,11 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     _check_size(n)
     if s < 0:
         raise ValueError(f"sample rate s must be nonnegative, got {s}")
-    (atoms_big, cdf_big), (atoms_far, cdf_far) = priors.atom_tables
+    cdf_big, cdf_far = (choice_cdf(mass / mass.sum()) for mass in (priors.mass_big, priors.mass_far))
     _check_rate(priors, n, s)
     idx_big = choice_indices(cdf_big, n, rng)
     idx_far = choice_indices(cdf_far, n, rng)
-    values_big, values_far = atoms_big / n, atoms_far / n
+    values_big, values_far = priors.atoms_big / n, priors.atoms_far / n
     # take would widen a narrow index itself, and more slowly
     raw_big = values_big.take(idx_big.astype(np.intp, copy=False))
     raw_far = values_far.take(idx_far.astype(np.intp, copy=False))
@@ -497,7 +484,7 @@ class ProbeRow:
     ci_half: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SideLaw:
     """One side's fingerprint law at one (n, s), as _draw_side reads it.
 
@@ -611,7 +598,8 @@ def indistinguishability_probe(
     if top_mass < 1 - priors.nu:
         raise ParameterError(f"the far side's events cannot hold at n={n}: {zeros} of {n} elements at zero weight "
                              f"leave raw mass at most {top_mass:.6g} < 1 - nu = {1 - priors.nu:.6g}")
-    priors.atom_tables  # refuses the masses that generate_instance refuses
+    for mass in (priors.mass_big, priors.mass_far):
+        choice_cdf(mass / mass.sum())  # refuses the masses that generate_instance refuses
     for s in s_values:
         _check_rate(priors, n, s)
     rows = []

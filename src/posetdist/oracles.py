@@ -56,7 +56,7 @@ class WeightedMatching:
             used.update((u, v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     objective: float
     x: np.ndarray

@@ -159,10 +159,7 @@ class Poset:
         a.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_array", a)
-        bottom = np.sort(_int_array(bottom, 1, "bottom must be a set of integer vertices"))
-        repeat = np.zeros(len(bottom), dtype=bool)
-        repeat[1:] = bottom[1:] == bottom[:-1]
-        bottom = bottom[~repeat]
+        bottom = np.unique(_int_array(bottom, 1, "bottom must be a set of integer vertices"))
         k = _first((bottom < 0) | (bottom >= n))
         if k is not None:
             raise PosetError(f"bottom vertex {bottom[k]} out of range for n={n}")
@@ -228,14 +225,15 @@ class Poset:
         mask.flags.writeable = False
         return mask
 
-    def _key(self):
+    @cached_property
+    def _key(self) -> tuple:  # what equality and hash compare, built on first use
         return self.n, self.kind, self.bottom_array.tobytes(), self.edge_array.tobytes()
 
     def __eq__(self, other):
-        return type(other) is Poset and self._key() == other._key()
+        return type(other) is Poset and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
 
 # The edges as a sorted tuple of Python-int pairs and the bottom set as a

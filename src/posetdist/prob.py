@@ -60,7 +60,7 @@ def _check_finite(v: np.ndarray) -> None:
         raise ValueError("distribution has non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability vector over 0..n-1: entries >= 0, total within 1e-9 of 1."""
 

@@ -4,10 +4,12 @@ import dataclasses
 import inspect
 import types
 
+import numpy as np
 import pytest
 
 import posetdist
 from posetdist import ExactDistAccess, Poset, ReducedInstance, Reduction, make_matching
+from posetdist.lowerbound import _side_law
 
 PUBLIC_NAMES = [
     "Distribution", "ExactDistAccess", "HypercubeEmbedding", "LBInstance",
@@ -196,6 +198,35 @@ def test_reduction_constructor_fields():
 
 def test_reduced_instance_fields():
     assert [f.name for f in dataclasses.fields(ReducedInstance) if f.init] == ["target", "dist", "far_divisor"]
+
+
+def _equal_pairs() -> dict:
+    """Two distinct instances with equal content of each dataclass that holds
+    numpy arrays and so compares by identity."""
+    priors = [posetdist.build_priors(0.5, 6.0, 4) for _ in range(2)]
+    return {
+        "Distribution": [posetdist.Distribution.uniform(3) for _ in range(2)],
+        "LpSolution": [posetdist.LpSolution(1.0, np.zeros(3)) for _ in range(2)],
+        "MomentPriors": priors,
+        "LBInstance": [posetdist.generate_instance(priors[0], 50, 10, posetdist.Rng(1)) for _ in range(2)],
+        "_SideLaw": [_side_law(priors[0].atoms_big, priors[0].mass_big, 50, 10) for _ in range(2)],
+    }
+
+
+@pytest.mark.parametrize("name", list(_equal_pairs()))
+def test_array_holders_compare_by_identity(name):
+    """Equality and hash are object identity's: a comparison of array fields
+    would raise numpy's ambiguous truth value, and their hash TypeError."""
+    a, b = _equal_pairs()[name]
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_poset_compares_by_content_with_one_key():
+    G, H = make_matching(3), make_matching(3)
+    assert G == H and hash(G) == hash(H) and len({G, H}) == 1
+    assert G != make_matching(4) and G != posetdist.make_line(6)
+    assert G._key is G._key
 
 
 # Each tester's parameters in order: (G, access, its own parameter, eps),

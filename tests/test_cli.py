@@ -255,6 +255,18 @@ def test_a_failed_distribution_write_leaves_no_poset(workdir, capsys):
     assert not out_p.exists()
 
 
+def test_a_failed_config_write_leaves_no_csv(workdir, capsys):
+    """--out writes the CSV and its FILE.config as one step: with a directory
+    in the way of the .config, the run exits 2 and leaves no CSV."""
+    out = workdir / "out.csv"
+    (workdir / "out.csv.config").mkdir()
+    rc = main(["oracle", "--poset", str(workdir / "line3.poset"), "--dist", str(workdir / "line3.dist"),
+               "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert "Is a directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_suite_runs_and_is_deterministic(workdir):
     manifest = workdir / "demo.suite"
     manifest.write_text(

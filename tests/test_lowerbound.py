@@ -25,7 +25,7 @@ from posetdist import (
 import posetdist.lowerbound as lb
 from posetdist.lowerbound import MOMENT_REL_TOL, POISSON_LAM_MAX
 from posetdist.poset import MAX_DOMAIN
-from posetdist.prob import choice_indices
+from posetdist.prob import choice_cdf, choice_indices
 
 from genutil import (
     BENCH_PRIORS,
@@ -427,19 +427,36 @@ def draw_priors():
 def test_atom_draw_reproduces_choice(draw_priors, k, n):
     priors = draw_priors[k]
     ref, rng = Rng(n, k), Rng(n, k)
-    for (_, cdf), mass in zip(priors.atom_tables, (priors.mass_big, priors.mass_far)):
+    for mass in (priors.mass_big, priors.mass_far):
         expected = reference_choice(mass / mass.sum(), n, ref.gen)
-        assert np.array_equal(choice_indices(cdf, n, rng), expected)
+        assert np.array_equal(choice_indices(choice_cdf(mass / mass.sum()), n, rng), expected)
         assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
 
 
-def test_atom_tables_reject_bad_masses():
+def test_draws_reject_bad_masses():
     with pytest.raises(ValueError, match="probabilities must be"):
-        _hand_priors([0.0, 1.0], [-0.5, 1.0]).atom_tables
+        generate_instance(_hand_priors([0.0, 1.0], [-0.5, 1.0]), 10, 5, Rng(0))
     with pytest.raises(ValueError, match="probabilities must be"):
         generate_instance(_hand_priors([0.0, 1.0], [np.nan, 1.0]), 10, 5, Rng(0))
     with pytest.raises(ValueError, match="probabilities must be"):
         indistinguishability_probe(_hand_priors([0.0, 1.0], [np.nan, 1.0]), 10, [5], 3, Rng(0))
+
+
+def test_draws_follow_masses_edited_in_place():
+    """generate_instance reads the priors' masses on every call: after the
+    big side's mass is moved in place onto its top atom, it draws what fresh
+    priors with those masses draw, as the probe (which reads the masses
+    directly) does."""
+    priors = build_priors(0.5, 6.0, 4)
+    before = generate_instance(priors, 1000, 50, Rng(3))
+    priors.mass_big[:] = 0.0
+    priors.mass_big[-1] = 1.0
+    fresh = dataclasses.replace(priors, mass_big=priors.mass_big.copy())
+    got, want = generate_instance(priors, 1000, 50, Rng(3)), generate_instance(fresh, 1000, 50, Rng(3))
+    assert np.all(got.raw_big == priors.atoms_big[-1] / 1000) and got.raw_big.sum() != before.raw_big.sum()
+    for field in ("raw_big", "raw_far", "hist_big", "hist_far"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert (got.event_big, got.event_far, got.p_max) == (want.event_big, want.event_far, want.p_max)
 
 
 def test_normalized_views_are_built_on_first_read():
@@ -505,7 +522,7 @@ def test_cross_check_grid_takes_every_branch():
     assert generate_instance(priors["bench1"], 2000, 0, Rng(0)).zero_count > 0
     assert 0.0 in priors["zero-mass atom"].mass_far
     assert generate_instance(priors["massless side"], 7, 300, Rng(0)).norm_big is None
-    assert choice_indices(priors["70 atoms"].atom_tables[0][1], 5, Rng(0)).dtype == np.intp
+    assert choice_indices(choice_cdf(priors["70 atoms"].mass_big), 5, Rng(0)).dtype == np.intp
 
 
 def test_probe_reports_failed_conditioning_as_infeasible():
