@@ -43,7 +43,9 @@ PLACEMENT_ULPS = 2.0  # spacings of lam a point may be off: one for the map from
 LOG_W_BLOCK = 64  # rows of the atom-difference matrix that solve_moment_gap holds at once
 # the largest rate Generator.poisson accepts (numpy's POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-WILSON_Z = 1.959963984540054  # 95%
+# Phi^-1(1 - 0.05/8): each of the probe's four statistics gets a two-sided
+# 1 - 0.05/4 interval, so the one it reports, the best of four, is covered at 95%
+WILSON_Z = 2.497705474412374
 
 MAX_RETRIES = 200  # draws indistinguishability_probe makes for one trial's events
 # The highest rate at which the probe sorts an atom's members by count over a
@@ -564,8 +566,14 @@ def indistinguishability_probe(
 
     For every s, draws `trials` event-conditioned fingerprints per side,
     then reports the best advantage any single fingerprint statistic
-    achieves as a threshold classifier, with a Wilson 95% half-width. This
-    lower-bounds the histogram TV distance; it cannot certify an upper bound.
+    achieves as a threshold classifier, and ci_half, the sum of the two
+    sides' Wilson half-widths at that threshold with WILSON_Z, Bonferroni
+    over the four statistics. The best of four is biased upward (with one
+    prior on both sides, so a true advantage of 0, its median was about 0.09
+    at n = 10^4 and 200 trials), so advantage alone bounds nothing;
+    advantage - ci_half lower-bounds the histogram TV distance at about 95%
+    (it was positive in 4.5-5.0% of such same-prior runs). The probe cannot
+    certify an upper bound.
 
     A side's fingerprint (zeros, ones, twos and total of its counts), raw
     mass and zero count are drawn from their law per atom (_draw_side), with

@@ -306,9 +306,9 @@ def test_lb_gen_artifact_bytes(tmp_path, run):
 
 GOLDEN_LB_PROBE_CSV = (
     's,best_stat,advantage,ci_half\n'
-    '0,0,0.0,0.08762160119728664\n'
-    '300,1,0.20000000000000007,0.2891259533986452\n'
-    '5000,0,1.0,0.08762160119728664\n'
+    '0,0,0.0,0.13492064477689944\n'
+    '300,1,0.20000000000000007,0.3592249490549019\n'
+    '5000,0,1.0,0.13492064477689944\n'
 )
 
 

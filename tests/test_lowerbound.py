@@ -532,6 +532,18 @@ def test_probe_reports_failed_conditioning_as_infeasible():
         indistinguishability_probe(_hand_priors([0.0, 100.0], [0.5, 0.5]), 1, [0], 3, Rng(0))
 
 
+def test_probe_interval_covers_a_zero_advantage():
+    """With one prior on both sides the true advantage is 0, so a row with
+    advantage > ci_half is a miss of its interval. Over 210 rows (n = 1000,
+    200 trials, s = 30, 300 and 3000) at most 5% miss; with the unadjusted
+    z of 1.960 the best-of-four selection missed 30 of them."""
+    priors = build_priors(0.5, 6.0, 4)
+    same = dataclasses.replace(priors, atoms_far=priors.atoms_big, mass_far=priors.mass_big, gap=0.0)
+    rows = [row for seed in range(14)
+            for row in indistinguishability_probe(same, 1000, [30, 300, 3000] * 5, 200, Rng(seed))]
+    assert sum(row.advantage > row.ci_half for row in rows) <= 0.05 * len(rows)
+
+
 class _Drawn(Exception):
     pass
 
