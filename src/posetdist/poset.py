@@ -117,11 +117,11 @@ class Poset:
     stored sorted, only as edge_array, a read-only (m, 2) int64 array, so
     downstream iteration order is deterministic. bottom is stored the same
     way, as the sorted read-only int64 bottom_array; equality and hash come
-    from n, kind and the bytes of both arrays. edges and bottom, as tuples of
-    Python ints, are derived from the arrays on each read. bottom is data
-    only for a bipartite poset. A matching's bottom must be its edge tails
-    (they are filled in when it is omitted), and the other kinds take none.
-    top and dim are derived.
+    from n, kind and the bytes of both arrays, one key built on first use
+    and kept. edges and bottom, as tuples of Python ints, are derived from
+    the arrays on each read. bottom is data only for a bipartite poset. A
+    matching's bottom must be its edge tails (they are filled in when it is
+    omitted), and the other kinds take none. top and dim are derived.
     """
 
     n: int
@@ -159,7 +159,10 @@ class Poset:
         a.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_array", a)
-        bottom = np.unique(_int_array(bottom, 1, "bottom must be a set of integer vertices"))
+        bottom = np.sort(_int_array(bottom, 1, "bottom must be a set of integer vertices"))
+        repeat = np.zeros(len(bottom), dtype=bool)
+        repeat[1:] = bottom[1:] == bottom[:-1]
+        bottom = bottom[~repeat]
         k = _first((bottom < 0) | (bottom >= n))
         if k is not None:
             raise PosetError(f"bottom vertex {bottom[k]} out of range for n={n}")
@@ -226,7 +229,7 @@ class Poset:
         return mask
 
     @cached_property
-    def _key(self) -> tuple:  # what equality and hash compare, built on first use
+    def _key(self) -> tuple:
         return self.n, self.kind, self.bottom_array.tobytes(), self.edge_array.tobytes()
 
     def __eq__(self, other):
