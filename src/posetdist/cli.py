@@ -451,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--seed", type=_seed, default=0)
     lg.add_argument("--out-prefix", dest="out_prefix", required=True)
     lg.set_defaults(run=_run_lb_gen)
-    lp = lbsub.add_parser("probe", help="advantage-vs-s indistinguishability probe")
+    lp = lbsub.add_parser("probe", help="advantage-vs-s indistinguishability probe (advantage - ci_half "
+                                        "lower-bounds the histogram TV distance)")
     lp.add_argument("--nu", required=True, type=float)
     lp.add_argument("--lambda", dest="lam", required=True, type=float)
     lp.add_argument("--L", required=True, type=int)

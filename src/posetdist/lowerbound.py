@@ -43,9 +43,7 @@ PLACEMENT_ULPS = 2.0  # spacings of lam a point may be off: one for the map from
 LOG_W_BLOCK = 64  # rows of the atom-difference matrix that solve_moment_gap holds at once
 # the largest rate Generator.poisson accepts (numpy's POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-# Phi^-1(1 - 0.05/8): each of the probe's four statistics gets a two-sided
-# 1 - 0.05/4 interval, so the one it reports, the best of four, is covered at 95%
-WILSON_Z = 2.497705474412374
+WILSON_Z = 2.497705474412374  # Phi^-1(1 - 0.05/8): 95% over the probe's four statistics, Bonferroni
 
 MAX_RETRIES = 200  # draws indistinguishability_probe makes for one trial's events
 # The highest rate at which the probe sorts an atom's members by count over a
