@@ -445,8 +445,7 @@ def test_draws_reject_bad_masses():
 def test_draws_follow_masses_edited_in_place():
     """generate_instance reads the priors' masses on every call: after the
     big side's mass is moved in place onto its top atom, it draws what fresh
-    priors with those masses draw, as the probe (which reads the masses
-    directly) does."""
+    priors with those masses draw."""
     priors = build_priors(0.5, 6.0, 4)
     before = generate_instance(priors, 1000, 50, Rng(3))
     priors.mass_big[:] = 0.0
