@@ -8,6 +8,7 @@ so each check runs along two routes.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -653,6 +654,39 @@ def counting_pivots(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(simplex, "_entering", counting)
     return entered
+
+
+def record_pivot_path(monkeypatch, module, solver: str) -> tuple[list, list]:
+    """Wrap simplex._entering and module.<solver> (solve_lp or _transport_cost
+    as the caller imported it). The first list gets (result, bland) of every
+    pricing call, the -1 that ends each solve included; the second gets what
+    each solve returned."""
+    calls, results = [], []
+    solve = getattr(module, solver)
+
+    def entering(reduced, basic, bland):
+        enter = _entering(reduced, basic, bland)
+        calls.append((enter, bland))
+        return enter
+
+    def solving(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(simplex, "_entering", entering)
+    monkeypatch.setattr(module, solver, solving)
+    return calls, results
+
+
+def array_digest(arrays) -> str:
+    """sha256 (first 32 hex digits) over the dtype, shape and bytes of each
+    array in turn."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:32]
 
 
 def reference_transport_cost(supply, demand) -> float:

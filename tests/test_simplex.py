@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from posetdist import PairHistogram, simplex
+from posetdist import PairHistogram, make_hypercube, oracles, simplex
 from posetdist.simplex import LpError, _simplex, solve_lp
 
+from genutil import array_digest, random_dag, random_distribution, record_pivot_path
 from test_transport import TIED_PAIRS, _check_against_references
 
 
@@ -135,3 +136,51 @@ def test_end_of_phase_check_recovers_from_a_stale_inverse():
     np.testing.assert_allclose(xB, [1.0])
     np.testing.assert_allclose(Binv, [[0.5]])
     np.testing.assert_allclose(duals, [-1.5])
+
+
+def _flow_lp(G, seed, shift: bool):
+    p = random_distribution(np.random.default_rng(seed), G.n)
+    return lambda: oracles._monotone_flow(G, p, 0.5 if shift else 1.0, shift)
+
+
+def _desk_case(trial: int):
+    rng = np.random.default_rng([20261018, trial])
+    rows = int(rng.integers(50, 301))
+    n = int(rng.integers(rows // 2, rows + 1))
+    return lambda: oracles.solve_lp(*_desk_lp(rng, rows, n))
+
+
+DENSE_CASES = {
+    **{f"cube{d}{tag}": (lambda d=d, shift=shift: _flow_lp(make_hypercube(d), [d, 11], shift))
+       for d in (5, 6, 7) for tag, shift in (("", False), ("-shift", True))},
+    **{f"dag{n}{tag}": (lambda n=n, shift=shift: _flow_lp(random_dag(np.random.default_rng([n, 12]), n), [n, 13], shift))
+       for n in (24, 40) for tag, shift in (("", False), ("-shift", True))},
+    "desk5-bland": lambda: _desk_case(5),  # degenerate: 44 of its pricing calls are Bland's
+}
+
+# (pricing calls, digest of solve_lp's (objective, x, duals) and of every
+# pricing call's (column, bland)) per case. Work on the pivot loop
+# keeps every pivot and every output byte, so it never moves these pins.
+DENSE_PATH_PINS = {
+    "cube5": (26, "51b1478ba1de10b15c89a54535ad6f9d"),
+    "cube5-shift": (32, "1449d1b0ec606545046bc857c248ab79"),
+    "cube6": (61, "d92b111f9997457c683631840abda7eb"),
+    "cube6-shift": (63, "82603c2ca14c26714cff0c73f113f3c6"),
+    "cube7": (143, "1808b12c314ce62f89ce9b2ca939fd04"),
+    "cube7-shift": (153, "024c65c69a89116cf95e439eee5d1fe9"),
+    "dag24": (24, "90f38d18d0363162e2f7b91edac2dc66"),
+    "dag24-shift": (30, "13462b9d4dbd9a2194f3f983814e7327"),
+    "dag40": (68, "f6f8c31cf4599b58d05b5e9cc06e3fdd"),
+    "dag40-shift": (54, "b36c21d14d38ec922919e74c29da37b6"),
+    "desk5-bland": (236, "92172fbdf13e7b197b7e13fe79a2c641"),
+}
+
+
+@pytest.mark.parametrize("name", DENSE_CASES)
+def test_dense_pivot_path_pins(monkeypatch, name):
+    solve = DENSE_CASES[name]()
+    calls, results = record_pivot_path(monkeypatch, oracles, "solve_lp")
+    solve()
+    (obj, x, duals), = results
+    assert name.endswith("-bland") == any(bland for _, bland in calls)
+    assert (len(calls), array_digest([obj, x, duals, calls])) == DENSE_PATH_PINS[name]

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posetdist import PairHistogram, w_distance
-from posetdist import simplex
+from posetdist import PairHistogram, make_hypercube, max_violation_matching, min_perm_l1, w_distance
+from posetdist import oracles, simplex
 from posetdist.simplex import LpError
 
-from genutil import bench_shaped_pair_histograms, counting_pivots, reference_transport_cost
+from genutil import (
+    array_digest,
+    bench_shaped_pair_histograms,
+    counting_pivots,
+    random_dag,
+    random_distribution,
+    record_pivot_path,
+    reference_transport_cost,
+)
 
 # w_distance on bench_shaped_pair_histograms(101), in order.
 BENCH_PINS = [
@@ -179,3 +187,66 @@ def test_least_cost_start_is_a_feasible_spanning_tree(name):
     flow = flow.reshape(ns, nd)
     assert flow.sum(axis=1) == pytest.approx(supply, rel=1e-12)
     assert flow.sum(axis=0) == pytest.approx(demand, rel=1e-12)
+
+
+def _matching(G, seed):
+    p = random_distribution(np.random.default_rng(seed), G.n)
+    return lambda: max_violation_matching(G, p)
+
+
+def _perm(n: int, seed, quarter: bool):
+    rng = np.random.default_rng(seed)
+    vecs = [rng.integers(0, 5, n) / 4 if quarter else rng.random(n) for _ in range(4)]
+    return lambda: min_perm_l1(*vecs)
+
+
+def _quarter_assignment(n: int, seed):
+    cost = np.random.default_rng(seed).integers(0, 5, (n, n)) / 4
+    return lambda: oracles._transport_cost([1.0] * n, [1.0] * n, cost)
+
+
+def _tied_at_bland(monkeypatch):
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+    return lambda: [w_distance(PairHistogram(h), PairHistogram(g)) for h, g in TIED_PAIRS]
+
+
+TRANSPORT_CASES = {
+    "w20x22": lambda mp: lambda: [w_distance(h, g) for h, g in bench_shaped_pair_histograms(101)],
+    "match-cube6": lambda mp: _matching(make_hypercube(6), [6, 21]),
+    "match-cube7-bland": lambda mp: _matching(make_hypercube(7), [7, 21]),  # 9 pricing calls under Bland
+    **{f"match-dag{n}": (lambda mp, n=n: _matching(random_dag(np.random.default_rng([n, 22]), n), [n, 23]))
+       for n in (24, 40)},
+    "perm40": lambda mp: _perm(40, [40, 24], False),
+    "perm80-quarter": lambda mp: _perm(80, [7, 80, 0], True),
+    # degenerate quarter-grid costs: the default stall limit switches to
+    # Bland's rule on the assignment, and the tied pairs run under it from
+    # their first pivot
+    "assign120-quarter-bland": lambda mp: _quarter_assignment(120, [11, 120, 3]),
+    "tied-bland": _tied_at_bland,
+}
+
+# (pricing calls, digest of every _transport_cost (value, flow) and of every
+# pricing call's (cell, bland)) per case. Work on the pivot loop
+# keeps every pivot and every output byte, so it never moves these pins.
+TRANSPORT_PATH_PINS = {
+    "w20x22": (265, "df47c856eed1c471418783032e5045ca"),
+    "match-cube6": (56, "5d0d159be8de4a9b78776934f1ed50a0"),
+    "match-cube7-bland": (270, "fe83d150ddcd000263c0c33fbbe5af89"),
+    "match-dag24": (17, "d0eeac1ebc613ff8b67a83b1f2dbfaf5"),
+    "match-dag40": (56, "7323ea3d26a3e314dd8a8ffc26bdc86b"),
+    "perm40": (44, "e6dcd82db9d422c84ad580033c84e57e"),
+    "perm80-quarter": (113, "be29cca10bbb273d2fc33d9d4595acf6"),
+    "assign120-quarter-bland": (125, "822e2821d1fa2326cabecc9d6dc345f4"),
+    "tied-bland": (17, "29c0447a7fe0d8b88a5032af74524b33"),
+}
+
+
+@pytest.mark.parametrize("name", TRANSPORT_CASES)
+def test_transport_pivot_path_pins(monkeypatch, name):
+    solve = TRANSPORT_CASES[name](monkeypatch)
+    calls, results = record_pivot_path(monkeypatch, oracles, "_transport_cost")
+    solve()
+    assert results
+    assert name.endswith("-bland") == any(bland for _, bland in calls)
+    parts = [x for value, flow in results for x in (value, flow)]
+    assert (len(calls), array_digest(parts + [calls])) == TRANSPORT_PATH_PINS[name]
