@@ -461,7 +461,11 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
 def _ks_advantage(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Best threshold-classifier advantage between two samples of one statistic
     and, at the chosen threshold, the share of each sample at or below it."""
-    thresholds = np.unique(np.concatenate([a, b]))
+    # sort and mask: a plain np.unique imports numpy.ma on its first call
+    pooled = np.sort(np.concatenate([a, b]))
+    fresh = np.ones(pooled.size, dtype=bool)
+    fresh[1:] = pooled[1:] != pooled[:-1]
+    thresholds = pooled[fresh]
     fa = np.searchsorted(np.sort(a), thresholds, side="right") / a.size
     fb = np.searchsorted(np.sort(b), thresholds, side="right") / b.size
     gaps = np.abs(fa - fb)

@@ -349,6 +349,25 @@ def test_probe_endpoints():
     assert rows[0].kept_big == 60 and rows[0].kept_far == 60
 
 
+def test_probe_does_not_import_numpy_ma():
+    """np.unique imports numpy.ma on its first call; the probe's threshold
+    dedup must not, so a fresh interpreter that runs it never loads it."""
+    import os
+    import subprocess
+    import sys
+
+    import posetdist
+
+    code = ("import sys\n"
+            "from posetdist import Rng, build_priors, indistinguishability_probe\n"
+            "indistinguishability_probe(build_priors(0.5, 6.0, 4), 400, [0, 300], 20, Rng(1))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetdist.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 _TOO_LARGE = "is too large: s\\*max\\(atoms\\) must be at most 9.2233720064847708e\\+18"
 
 
