@@ -9,7 +9,8 @@ and LiftedAccess splits each source count evenly over its copies (the law of
 lifting every sample to a uniform copy), so the map and the counts agree.
 Over an ExactDistAccess, _lifted (the testers' route to a lift) returns the
 ExactDistAccess of Reduction.apply's distribution instead, which draws the
-same law in one multinomial.
+same law in one multinomial; that distribution is built once per
+(reduction, distribution) pair.
 Reduction.apply, bigness_to_matching and matching_to_hypercube each return
 a ReducedInstance, whose target poset and far_divisor the reduction states
 once; matching->hypercube divides by hypercube_scale, its far_divisor. The
@@ -106,7 +107,15 @@ def _lifted(access: SampleAccess, red: Reduction) -> SampleAccess:
     if type(access) is not ExactDistAccess:
         return LiftedAccess(access, red)
     _check_over(red.source, "base access", (access.n,))
-    return ExactDistAccess(red.apply(access.dist).dist)
+    return ExactDistAccess(_lifted_law(red, access.dist))
+
+
+@lru_cache(maxsize=8)
+def _lifted_law(red: Reduction, p: Distribution) -> Distribution:
+    """red.apply(p)'s distribution, built once per (reduction, distribution)
+    pair: both are immutable and hash by identity, and tester trials come in
+    runs over one input, so the law's p/2 + u/2 is kept with it."""
+    return red.apply(p).dist
 
 
 def general_to_bipartite(G: Poset) -> Reduction:

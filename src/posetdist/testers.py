@@ -16,8 +16,9 @@ both laws are known, so a trial draws from the composed ExactDistAccess
 binomial per mass estimate. Any other access, an ExactDistAccess subclass
 included, draws through the MixedWithUniform and LiftedAccess wrappers.
 Trials come in runs over one input, so what they share is kept: p/2 + u/2
-on the Distribution object, the bottom mask on the Poset object, and the
-reduction in bipartite_to_matching's cache. A single trial gains nothing.
+on the Distribution object, the bottom mask on the Poset object, the
+reduction in bipartite_to_matching's cache and the lifted law in
+reductions._lifted_law's. A single trial gains nothing.
 """
 
 from __future__ import annotations

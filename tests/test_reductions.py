@@ -29,6 +29,7 @@ from posetdist import (
     matching_to_hypercube,
     transitive_closure,
 )
+from posetdist.reductions import _lifted
 
 from genutil import (
     random_dag,
@@ -133,6 +134,22 @@ def test_bipartite_to_matching_refuses_on_every_call_and_keeps_what_it_built():
         assert bipartite_to_matching(make_bipartite(3, [(0, 2), (0, 1)], bottom=[0]), 2) is red
         assert bipartite_to_matching(star, 3) is not red
         assert bipartite_to_matching(star, 3).target != red.target
+
+
+def test_lifted_law_is_built_once_per_reduction_and_distribution():
+    """Over an ExactDistAccess the lifted law is red.apply's distribution,
+    built once per (reduction, distribution) pair, each compared by
+    identity, so its p/2 + u/2 is built once too."""
+    red = bipartite_to_matching(make_bipartite(4, [(0, 2), (0, 3), (1, 3)], bottom=[0, 1]), 2)
+    p = Distribution([0.1, 0.2, 0.3, 0.4])
+    law = _lifted(ExactDistAccess(p), red).dist
+    np.testing.assert_array_equal(law.probs, red.apply(p).dist.probs)
+    assert _lifted(ExactDistAccess(p), red).dist is law
+    assert _lifted(ExactDistAccess(p), red).dist._half_uniform is law._half_uniform
+    twin = Distribution(p.probs)
+    assert _lifted(ExactDistAccess(twin), red).dist is not law
+    with pytest.raises(ValueError, match="base access"):
+        _lifted(ExactDistAccess(Distribution([0.5, 0.5])), red)
 
 
 def test_monotone_sources_stay_monotone():
