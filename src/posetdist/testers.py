@@ -59,6 +59,7 @@ class Verdict:
     threshold: float
     samples: int
     details: dict = field(default_factory=dict)
+    __hash__ = None  # compared by content, with a dict among it: unhashable
 
     def __post_init__(self):
         object.__setattr__(self, "decision", "accept" if self.stat <= self.threshold else "reject")

@@ -56,6 +56,13 @@ def test_verdict_consistency():
         Verdict("reject", 0.1, 0.2, 10)  # decision is not a parameter
 
 
+def test_verdict_compares_by_content_and_is_unhashable():
+    v = Verdict(0.1, 0.2, 5, {"a": 1})
+    assert v == Verdict(0.1, 0.2, 5, {"a": 1}) and v != Verdict(0.1, 0.2, 5, {"a": 2})
+    with pytest.raises(TypeError, match="unhashable type: 'Verdict'"):
+        hash(v)
+
+
 def test_learner_spec():
     spec = LearnerSpec()
     assert spec.budget(100, 0.1) == int(np.ceil(20 * 100 / 0.01))
