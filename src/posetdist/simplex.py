@@ -5,11 +5,12 @@ x >= 0, with b_ub >= 0. Every LP in this library is desk-scale (a few
 hundred rows at most), so the basis inverse is kept as a dense array. With
 every right-hand side nonnegative the slack basis is feasible, so the
 solver starts there, from B^-1 = I, and runs one simplex phase. Each pivot
-updates B^-1 with one rank-1 eta step, touching only the block where the
-entering column and the pivot row are nonzero, so a pivot costs at most
-O(m^2) rather than a refactorization. When no entering column is left, the
-basic point and the duals are recomputed from the original data by a
-linear solve. If the fresh reduced costs still admit an entering column,
+prices every column, ratio-tests the entering column in one masked divide,
+and updates B^-1 with one rank-1 eta step that reads and writes only the
+block where the entering column and the pivot row are nonzero, so a pivot
+costs at most O(m^2) rather than a refactorization. When no entering column
+is left, the basic point and the duals are recomputed from the original
+data by a linear solve. If the fresh reduced costs still admit an entering column,
 B^-1 is re-inverted and the simplex goes on; otherwise the fresh point and
 duals are what it reports, so the returned point satisfies the constraints
 to linear-solve precision and eta drift never reaches it. The row duals
@@ -18,8 +19,12 @@ right-hand side (so <= 0). The feasibility contract is the 1e-9 tolerance.
 
 _transport_cost, a transportation simplex, solves every transportation and
 assignment problem of the library: W, the violation matching and
-min_perm_l1. It runs on the dense cost matrix from the least-cost basis and
-re-walks at each pivot only the subtree whose potentials move.
+min_perm_l1. It runs on the dense cost matrix from the least-cost basis.
+Its flows are Python floats, one per cell, so a pivot moves flow around its
+cycle cell by cell and the flow becomes an array once, at the end. Its
+potentials live in one array: a pivot re-walks only the subtree whose
+potentials move and writes those nodes alone, and pricing reads the array
+in place.
 
 Both price by _entering, the most negative reduced cost. A pivot that lowers
 the objective by at most 1e-12 is a stall; from _STALL_LIMIT stalls in a row
@@ -47,9 +52,9 @@ def _entering(reduced: np.ndarray, basis: np.ndarray, bland: bool) -> int:
     """Column to enter the basis, or -1 when no reduced cost is below -TOL."""
     reduced[basis] = 0.0
     if bland:
-        nz = np.flatnonzero(reduced < -TOL)
+        nz = (reduced < -TOL).nonzero()[0]
         return int(nz[0]) if nz.size else -1
-    j = int(np.argmin(reduced))
+    j = int(reduced.argmin())
     return j if reduced[j] < -TOL else -1
 
 
@@ -58,10 +63,11 @@ def _pivot(Binv: np.ndarray, d: np.ndarray, leave: int) -> None:
     where d = B^-1 a is the entering column. Only the block where d and the
     pivot row are both nonzero changes; B^-1 of these LPs stays sparse."""
     pivot_row = Binv[leave] / d[leave]
-    rows = np.flatnonzero(d)
-    cols = np.flatnonzero(pivot_row)
-    Binv[np.ix_(rows, cols)] -= np.outer(d[rows], pivot_row[cols])
-    Binv[leave, cols] = pivot_row[cols]
+    rows = d.nonzero()[0]
+    cols = pivot_row.nonzero()[0]
+    pivot_row = pivot_row[cols]
+    Binv[rows[:, None], cols] -= d[rows, None] * pivot_row
+    Binv[leave, cols] = pivot_row
 
 
 def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Binv: np.ndarray):
@@ -94,14 +100,12 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Bin
         pos = d > TOL
         if not pos.any():
             raise LpError("objective unbounded below")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = xB[pos] / d[pos]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + TOL)[0]
+        ratios = np.divide(xB, d, out=np.full(m, np.inf), where=pos)
+        ties = (ratios <= ratios.min() + TOL).nonzero()[0]
         if bland:
-            leave = int(ties[np.argmin(basis[ties])])
+            leave = int(ties[basis[ties].argmin()])
         else:
-            leave = int(ties[np.argmax(d[ties])])
+            leave = int(ties[d[ties].argmax()])
         theta = xB[leave] / d[leave]
         xB -= theta * d
         xB[leave] = theta
@@ -146,8 +150,8 @@ def _least_cost_start(supply: list[float], demand: list[float], cost: np.ndarray
     rs, rd = list(supply), list(demand)
     row_open, col_open = [True] * ns, [True] * nd
     rows_left, cols_left = ns, nd
-    for k in np.argsort(cost, axis=None, kind="stable").tolist():
-        i, j = divmod(k, nd)
+    order = np.argsort(cost, axis=None, kind="stable")
+    for k, i, j in zip(order.tolist(), (order // nd).tolist(), (order % nd).tolist()):
         if not (row_open[i] and col_open[j]):
             continue
         f = min(rs[i], rd[j])
@@ -190,6 +194,7 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
         return 0.0, np.zeros((ns, nd))
     c = cost.ravel().tolist()
     flow, cells = _least_cost_start(supply, demand, cost)
+    flow = flow.tolist()  # a cycle has a few cells: Python floats beat numpy's per-call cost
     basic = np.zeros(ns * nd, dtype=bool)
     # node i < ns is row i, node ns + j column j; a tree edge is (node, cell)
     adj = [[] for _ in range(ns + nd)]
@@ -202,7 +207,7 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
 
     for k in cells:
         link(k)
-    pot = [0.0] * (ns + nd)
+    pot = np.zeros(ns + nd)
     parent = [-1] * (ns + nd)
     up_cell = [-1] * (ns + nd)  # the cell joining a node to its parent
     depth = [0] * (ns + nd)
@@ -212,19 +217,23 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
         stack = [top]
         while stack:
             a = stack.pop()
+            pa, da, qa = parent[a], depth[a] + 1, pot[a]
             for b, k in adj[a]:
-                if b != parent[a]:
-                    parent[b], up_cell[b], depth[b] = a, k, depth[a] + 1
-                    pot[b] = c[k] - pot[a]
+                if b != pa:
+                    parent[b], up_cell[b], depth[b] = a, k, da
+                    pot[b] = c[k] - qa
                     stack.append(b)
 
     hang(0)
+    row_pot, col_pot = pot[:ns, None], pot[ns:]  # views: they see every write to pot
+    reduced = np.empty((ns, nd))
     stall = 0
     for _ in range(_MAX_ITER):
-        u = np.array(pot)
-        reduced = (cost - u[:ns, None] - u[None, ns:]).ravel()
-        enter = _entering(reduced, basic, stall >= _STALL_LIMIT)
+        np.subtract(cost, row_pot, out=reduced)
+        reduced -= col_pot
+        enter = _entering(reduced.ravel(), basic, stall >= _STALL_LIMIT)
         if enter < 0:
+            flow = np.array(flow)
             return float(cost.ravel() @ flow), flow.reshape(ns, nd)
         i, j = divmod(enter, nd)
         # The tree path from column j back to row i, as the cells along it.
@@ -243,11 +252,14 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
             a = parent[a]
         path = [up_cell[z] for z in up_b + up_a[::-1]]
         minus, plus = path[0::2], path[1::2]
-        theta = flow[minus].min()
+        theta = min([flow[k] for k in minus])
         leave = min(k for k in minus if flow[k] <= theta + TOL)
         theta = flow[leave]
-        flow[minus] = np.maximum(flow[minus] - theta, 0.0)
-        flow[plus] += theta
+        for k in minus:
+            f = flow[k] - theta
+            flow[k] = f if f > 0.0 else 0.0
+        for k in plus:
+            flow[k] += theta
         flow[enter] = theta
         flow[leave] = 0.0
         basic[leave] = False
@@ -261,5 +273,5 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
         parent[top], up_cell[top], depth[top] = anchor, enter, depth[anchor] + 1
         pot[top] = c[enter] - pot[anchor]
         hang(top)
-        stall = 0 if -reduced[enter] * theta > 1e-12 else stall + 1
+        stall = 0 if -reduced.flat[enter] * theta > 1e-12 else stall + 1
     raise LpError("transportation simplex iteration limit exceeded")
