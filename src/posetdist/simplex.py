@@ -151,9 +151,10 @@ def _least_cost_start(supply: list[float], demand: list[float], cost: np.ndarray
     row_open, col_open = [True] * ns, [True] * nd
     rows_left, cols_left = ns, nd
     order = np.argsort(cost, axis=None, kind="stable")
-    for k, i, j in zip(order.tolist(), (order // nd).tolist(), (order % nd).tolist()):
+    for i, j in zip((order // nd).tolist(), (order % nd).tolist()):
         if not (row_open[i] and col_open[j]):
             continue
+        k = i * nd + j
         f = min(rs[i], rd[j])
         flow[k] = f
         cells.append(k)
@@ -193,8 +194,11 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
     if not (ns and nd):
         return 0.0, np.zeros((ns, nd))
     c = cost.ravel().tolist()
-    flow, cells = _least_cost_start(supply, demand, cost)
-    flow = flow.tolist()  # a cycle has a few cells: Python floats beat numpy's per-call cost
+    start, cells = _least_cost_start(supply, demand, cost)
+    # one Python float per cell: a cycle has a few cells, too few for numpy calls to pay
+    flow = [0.0] * (ns * nd)
+    for k, f in zip(cells, start[cells].tolist()):
+        flow[k] = f
     basic = np.zeros(ns * nd, dtype=bool)
     # node i < ns is row i, node ns + j column j; a tree edge is (node, cell)
     adj = [[] for _ in range(ns + nd)]
