@@ -10,21 +10,20 @@ and updates B^-1 with one rank-1 eta step that reads and writes only the
 block where the entering column and the pivot row are nonzero, so a pivot
 costs at most O(m^2) rather than a refactorization. When no entering column
 is left, the basic point and the duals are recomputed from the original
-data by a linear solve. If the fresh reduced costs still admit an entering column,
-B^-1 is re-inverted and the simplex goes on; otherwise the fresh point and
-duals are what it reports, so the returned point satisfies the constraints
-to linear-solve precision and eta drift never reaches it. The row duals
-come with the point, each the derivative of the optimum in that row's
-right-hand side (so <= 0). The feasibility contract is the 1e-9 tolerance.
+data by a linear solve. If the fresh reduced costs still admit an entering
+column, B^-1 is re-inverted and the simplex goes on; otherwise the fresh
+point and duals are what it reports, so the returned point satisfies the
+constraints to linear-solve precision and eta drift never reaches it. The
+row duals come with the point, each the derivative of the optimum in that
+row's right-hand side (so <= 0). The feasibility contract is the 1e-9
+tolerance.
 
 _transport_cost, a transportation simplex, solves every transportation and
 assignment problem of the library: W, the violation matching and
 min_perm_l1. It runs on the dense cost matrix from the least-cost basis.
-Its flows are Python floats, one per cell, so a pivot moves flow around its
-cycle cell by cell and the flow becomes an array once, at the end. Its
-potentials live in one array: a pivot re-walks only the subtree whose
-potentials move and writes those nodes alone, and pricing reads the array
-in place.
+A pivot moves flow cell by cell around its cycle, the flow becoming an
+array only at the end, and re-walks only the subtree whose potentials move,
+writing those alone into the one potential array that pricing reads.
 
 Both price by _entering, the most negative reduced cost. A pivot that lowers
 the objective by at most 1e-12 is a stall; from _STALL_LIMIT stalls in a row
@@ -195,7 +194,7 @@ def _transport_cost(supply: list[float], demand: list[float], cost: np.ndarray) 
         return 0.0, np.zeros((ns, nd))
     c = cost.ravel().tolist()
     start, cells = _least_cost_start(supply, demand, cost)
-    # one Python float per cell: a cycle has a few cells, too few for numpy calls to pay
+    # Python floats: a cycle has too few cells for numpy calls to pay
     flow = [0.0] * (ns * nd)
     for k, f in zip(cells, start[cells].tolist()):
         flow[k] = f
