@@ -14,6 +14,7 @@ failed, else 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import shlex
@@ -72,6 +73,14 @@ _READS = {
             "uniform-subset": "poset! support_size", "all-matchings": "poset!"},
     "kind": {"g2b": "dist!", "b2m": "dist! delta", "big2m": "T", "m2hyp": "d! ell! pmax!"},
 }
+# The type of each read flag that converts its value; the others are paths.
+_READ_TYPES = {"T": float, "multiplier": float, "delta": int, "support_size": int, "d": int, "ell": int, "pmax": float}
+
+
+def _read_flags(selector: str) -> dict[str, str]:
+    """{dest: option string} of each flag that some --alg or --kind choice reads, in _READS order."""
+    dests = dict.fromkeys(f.rstrip("!") for text in _READS[selector].values() for f in text.split())
+    return {flag: "--" + flag.replace("_", "-") for flag in dests}
 
 
 def _fmt(v) -> str:
@@ -137,8 +146,8 @@ def _check_flags(a, selector: str) -> None:
     """Name a flag that the chosen --alg or --kind needs and lacks, or is given and does not read."""
     choice = getattr(a, selector)
     reads = _READS[selector][choice].split()
-    for flag in dict.fromkeys(f.rstrip("!") for text in _READS[selector].values() for f in text.split()):
-        given, name = getattr(a, flag) is not None, "--" + flag.replace("_", "-")
+    for flag, name in _read_flags(selector).items():
+        given = getattr(a, flag) is not None
         if not given and flag + "!" in reads:
             raise ValueError(f"--{selector} {choice} needs {name}")
         if given and flag not in reads and flag + "!" not in reads:
@@ -396,77 +405,64 @@ def _seed(text: str) -> int:
     return seed
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing never changes it."""
+    # A flag that verbs take alike is declared once, in a parent parser (its flags come first in usage).
+    # --dist stays per verb: as a parent it would reorder the missing flags that oracle and test name.
+    seed, out, n, L, priors = (_Parser(add_help=False) for _ in range(5))
+    seed.add_argument("--seed", type=_seed, default=0)
+    out.add_argument("--out")
+    n.add_argument("--n", required=True, type=int)
+    L.add_argument("--L", required=True, type=int)
+    priors.add_argument("--nu", required=True, type=float)  # with --L, the prior triple
+    priors.add_argument("--lambda", dest="lam", required=True, type=float)
+
     ap = _Parser(prog="posetdist", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    o = sub.add_parser("oracle", help="exact distances for a poset + distribution")
+    o = sub.add_parser("oracle", parents=[out], help="exact distances for a poset + distribution")
     o.add_argument("--poset", required=True)
     o.add_argument("--dist", required=True)
-    o.add_argument("--out")
     o.set_defaults(run=_run_oracle)
 
-    t = sub.add_parser("test", help="run a tester for several seeded trials")
+    t = sub.add_parser("test", parents=[seed, out], help="run a tester for several seeded trials")
     t.add_argument("--alg", required=True, choices=list(_READS["alg"]))
-    t.add_argument("--poset")
     t.add_argument("--dist", required=True)
     t.add_argument("--eps", required=True, type=float)
-    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--trials", type=int, default=1)
-    t.add_argument("--T", type=float)
-    t.add_argument("--delta", type=int)
-    t.add_argument("--support-size", dest="support_size", type=int)
-    t.add_argument("--multiplier", type=float)
-    t.add_argument("--out")
     t.set_defaults(run=_run_test)
 
     r = sub.add_parser("reduce", help="apply a structural reduction")
-    r.add_argument("--from", dest="from", required=True)
+    r.add_argument("--from", required=True)
     r.add_argument("--kind", required=True, choices=list(_READS["kind"]))
-    r.add_argument("--out-poset", dest="out_poset", required=True)
-    r.add_argument("--out-dist", dest="out_dist", required=True)
-    r.add_argument("--dist")
-    r.add_argument("--T", type=float)
-    r.add_argument("--delta", type=int)
-    r.add_argument("--d", type=int)
-    r.add_argument("--ell", type=int)
-    r.add_argument("--pmax", type=float)
+    r.add_argument("--out-poset", required=True)
+    r.add_argument("--out-dist", required=True)
     r.set_defaults(run=_run_reduce)
+
+    for verb, selector in ((t, "alg"), (r, "kind")):  # the flags _check_flags checks
+        for flag, name in _read_flags(selector).items():
+            verb.add_argument(name, type=_READ_TYPES.get(flag))
 
     lb = sub.add_parser("lb", help="lower-bound construction tools")
     lbsub = lb.add_subparsers(dest="lbverb", required=True)
-    ls = lbsub.add_parser("solve", help="solve the prior construction, print atoms")
-    ls.add_argument("--nu", required=True, type=float)
-    ls.add_argument("--lambda", dest="lam", required=True, type=float)
-    ls.add_argument("--L", required=True, type=int)
-    ls.add_argument("--out")
+    ls = lbsub.add_parser("solve", parents=[priors, L, out], help="solve the prior construction, print atoms")
     ls.set_defaults(run=_run_lb_solve)
-    lg = lbsub.add_parser("gen", help="generate one two-sided instance")
-    lg.add_argument("--n", required=True, type=int)
-    lg.add_argument("--L", required=True, type=int)
+    lg = lbsub.add_parser("gen", parents=[n, L, seed], help="generate one two-sided instance")
     lg.add_argument("--eps", type=float)
     lg.add_argument("--nu", type=float)
     lg.add_argument("--lambda", dest="lam", type=float)
     lg.add_argument("--s", type=int)
-    lg.add_argument("--seed", type=_seed, default=0)
-    lg.add_argument("--out-prefix", dest="out_prefix", required=True)
+    lg.add_argument("--out-prefix", required=True)
     lg.set_defaults(run=_run_lb_gen)
-    lp = lbsub.add_parser("probe", help="advantage-vs-s indistinguishability probe (advantage - ci_half "
-                                        "lower-bounds the histogram TV distance)")
-    lp.add_argument("--nu", required=True, type=float)
-    lp.add_argument("--lambda", dest="lam", required=True, type=float)
-    lp.add_argument("--L", required=True, type=int)
-    lp.add_argument("--n", required=True, type=int)
-    lp.add_argument("--s-values", dest="s_values", required=True)
+    lp = lbsub.add_parser("probe", parents=[priors, L, n, seed, out], help="advantage-vs-s indistinguishability "
+                          "probe (advantage - ci_half lower-bounds the histogram TV distance)")
+    lp.add_argument("--s-values", required=True)
     lp.add_argument("--trials", type=int, default=200)
-    lp.add_argument("--seed", type=_seed, default=0)
-    lp.add_argument("--out")
     lp.set_defaults(run=_run_lb_probe)
 
-    s = sub.add_parser("suite", help="run a manifest of configs, aggregate pass/fail")
+    s = sub.add_parser("suite", parents=[seed, out], help="run a manifest of configs, aggregate pass/fail")
     s.add_argument("--manifest", required=True)
-    s.add_argument("--out")
-    s.add_argument("--seed", type=_seed, default=0)
     return ap
 
 

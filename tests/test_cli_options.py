@@ -100,3 +100,7 @@ def _option_table(parser, verb=()):
 
 def test_option_table_pin():
     assert dict(_option_table(_build_parser())) == OPTIONS
+
+
+def test_the_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
