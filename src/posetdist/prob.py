@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,10 +40,12 @@ class Rng:
     """Reproducible random source keyed by a 64-bit seed and a stream index."""
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
+        try:  # operator.index, not int: a float or a string is refused, a numpy integer taken
+            self.seed, self.stream = operator.index(seed), operator.index(stream)
+        except TypeError:
+            raise ValueError(f"seed and stream must be integers, got {seed!r} and {stream!r}") from None
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        self.stream = int(stream)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self.gen = np.random.Generator(np.random.PCG64(ss))
 

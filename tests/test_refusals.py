@@ -125,6 +125,7 @@ REFUSALS = [
     ("priors beta", _validate(beta=100.0), PriorsError, "beta 100.0 outside [1+nu, min(lam, 1/gap)]"),
     ("gap below 2*eps", lambda: assign_parameters(1000, 0.007477648819402561, 3), ParameterError,
      "gap 0.01481 below 2*eps=0.01496"),
+    ("Rng float seed", lambda: Rng(0.7), ValueError, "seed and stream must be integers, got 0.7 and 0"),
 ]
 
 
