@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import Poset, SizeCapError, _check_over, transitive_closure
+from .poset import MONOTONE_TOL, Poset, SizeCapError, _check_over, transitive_closure
 from .prob import Distribution, PairHistogram
 from .simplex import _transport_cost, solve_lp
 
 DEFAULT_LP_CAP = 192
-WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def _violation_edges(G: Poset, probs: np.ndarray):
     # no matching or bipartite edge starts at a head: no 2-paths, the closure is the edges
     u, v = (G.edge_array if G.kind in ("matching", "bipartite") else transitive_closure(G).edge_array()).T
     w = probs[u] - probs[v]
-    keep = w > WEIGHT_TOL
+    keep = w > MONOTONE_TOL
     return u[keep], v[keep], w[keep]
 
 

@@ -29,7 +29,7 @@ from .prob import _blocks, _check_finite, _content
 HYPERCUBE_MAX_DIM = 16
 MAX_DOMAIN = 1 << 22
 
-MONOTONE_TOL = 1e-12
+MONOTONE_TOL = 1e-12  # p(u) - p(v) above it violates u <= v (is_monotone, the violation matching)
 
 KINDS = ("general", "line", "matching", "bipartite", "hypercube")
 
