@@ -414,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=_seed, default=0)
     out.add_argument("--out")
     n.add_argument("--n", required=True, type=int)
-    L.add_argument("--L", required=True, type=int)
-    priors.add_argument("--nu", required=True, type=float)  # with --L, the prior triple
+    L.add_argument("--L", required=True, type=int)  # apart from --nu/--lambda: lb gen requires --L alone
+    priors.add_argument("--nu", required=True, type=float)
     priors.add_argument("--lambda", dest="lam", required=True, type=float)
 
     ap = _Parser(prog="posetdist", description=__doc__)
