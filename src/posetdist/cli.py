@@ -395,14 +395,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text: str) -> int:
-    """A --seed value: an integer in [0, 2^64), the seeds that Rng takes."""
+    """A --seed value: an integer that Rng takes as a seed; Rng states the range."""
     try:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {seed}")
-    return seed
+    try:
+        return Rng(seed).seed
+    except ValueError as exc:  # argparse names the flag: "argument --seed: must lie in ..."
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("seed ")) from None
 
 
 @functools.cache

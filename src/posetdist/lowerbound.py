@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poset import MAX_DOMAIN
+from .poset import _check_domain
 from .prob import Distribution, Rng, choice_cdf, choice_indices
 # Not called here: perfbench/spans.py's tracer wraps lowerbound.solve_lp by name.
 from .simplex import solve_lp  # noqa: F401
@@ -218,10 +218,7 @@ def priors_from_gap_solution(nu, lam, L, atoms_x, mass_x, atoms_x2, mass_x2) -> 
     the measure normalized and turns matched X-moments j-1 into matched
     V-moments j; the far side's missing mass 1 - beta*E[1/X'] sits at 0.
     """
-    atoms_x = np.asarray(atoms_x, dtype=float)
-    mass_x = np.asarray(mass_x, dtype=float)
-    atoms_x2 = np.asarray(atoms_x2, dtype=float)
-    mass_x2 = np.asarray(mass_x2, dtype=float)
+    atoms_x, mass_x, atoms_x2, mass_x2 = (np.asarray(v, dtype=float) for v in (atoms_x, mass_x, atoms_x2, mass_x2))
     inv_mean_x = float(mass_x @ (1.0 / atoms_x))
     inv_mean_x2 = float(mass_x2 @ (1.0 / atoms_x2))
     beta = 1.0 / inv_mean_x
@@ -274,8 +271,7 @@ def _check_size(n: int) -> None:
     """An instance has 1..MAX_DOMAIN elements, the vertex cap of read_poset."""
     if n < 1:
         raise ValueError(f"instance size n must be at least 1, got {n}")
-    if n > MAX_DOMAIN:
-        raise ValueError(f"instance size n={n} exceeds the limit of {MAX_DOMAIN}")
+    _check_domain(n, "instance elements")
 
 
 def assign_parameters(n: int, eps: float, L: int) -> ParameterAssignment:
@@ -334,17 +330,23 @@ class LBInstance:
         return Distribution.normalized(self.raw_far) if self.raw_far.sum() > 0 else None
 
 
-def _check_rate(priors: MomentPriors, n: int, s: int) -> None:
-    """Refuse, with a ValueError, an s with s * max(atoms) above
-    POISSON_LAM_MAX: that product bounds every rate, which the Poisson
-    sampler takes up to that limit, and the mean count total, which must
-    stay within int64."""
-    # s > limit / top is tested first: an s beyond a float's range cannot be
-    # multiplied out
-    top = max(float(priors.atoms_big.max()), float(priors.atoms_far.max())) if s > 0 else 0.0
-    if top > 0 and (s > POISSON_LAM_MAX / top or s * top > POISSON_LAM_MAX):
-        raise ValueError(f"sample rate s={s} at n={n} is too large: s*max(atoms) must be at most "
-                         f"{POISSON_LAM_MAX:.17g}, numpy's Poisson limit, or a rate or a count total overflows")
+def _check_draws(priors: MomentPriors, n: int, s_values) -> tuple[np.ndarray, np.ndarray]:
+    """The choice_cdf of each side's masses, once a draw at n and each s of
+    s_values is known to be possible. A ValueError refuses an n outside
+    1..MAX_DOMAIN, masses that choice_cdf refuses, a negative s, and an s
+    with s * max(atoms) above POISSON_LAM_MAX, which bounds every rate the
+    Poisson sampler takes and keeps the mean count total within int64 (an s
+    beyond a float's range is compared as s > POISSON_LAM_MAX / max(atoms))."""
+    _check_size(n)
+    cdfs = tuple(choice_cdf(mass / mass.sum()) for mass in (priors.mass_big, priors.mass_far))
+    top = max(float(priors.atoms_big.max()), float(priors.atoms_far.max()))
+    for s in s_values:
+        if s < 0:
+            raise ValueError(f"sample rates must be nonnegative, got s={s}")
+        if s > 0 and top > 0 and (s > POISSON_LAM_MAX / top or s * top > POISSON_LAM_MAX):
+            raise ValueError(f"sample rate s={s} at n={n} is too large: s*max(atoms) must be at most "
+                             f"{POISSON_LAM_MAX:.17g}, numpy's Poisson limit, or a rate or a count total overflows")
+    return cdfs
 
 
 def _event(priors: MomentPriors, n: int, s: int, mass, total, zero_count=None) -> bool:
@@ -416,15 +418,11 @@ def generate_instance(priors: MomentPriors, n: int, s: int, rng: Rng) -> LBInsta
     raw masses (their pairwise sums fix the bits of p_max): the count totals
     are the sums of the drawn totals, zero_count the member count of the
     zero-valued atoms, and the peak the largest atom value with members.
-    An s that _check_rate refuses is a ValueError, raised before any draw.
+    What _check_draws refuses is a ValueError, raised before any draw.
     The normalized views norm_big and norm_far are built only when read.
     The event flags are _event's, Python bools.
     """
-    _check_size(n)
-    if s < 0:
-        raise ValueError(f"sample rate s must be nonnegative, got {s}")
-    cdf_big, cdf_far = (choice_cdf(mass / mass.sum()) for mass in (priors.mass_big, priors.mass_far))
-    _check_rate(priors, n, s)
+    cdf_big, cdf_far = _check_draws(priors, n, [s])
     idx_big = choice_indices(cdf_big, n, rng)
     idx_far = choice_indices(cdf_far, n, rng)
     values_big, values_far = priors.atoms_big / n, priors.atoms_far / n
@@ -594,24 +592,18 @@ def indistinguishability_probe(
     events fail MAX_RETRIES attempts in a row raises ParameterError: the
     events are too rare at this n. So does, before any draw, a regime where
     the far side's z = ceil(beta*n*gap/2) zeros leave raw mass at most
-    (n - z) * max(atoms_far) / n < 1 - nu; masses or an s that
-    generate_instance would refuse are refused before any draw too.
+    (n - z) * max(atoms_far) / n < 1 - nu; what _check_draws refuses, as
+    in generate_instance, is refused before any draw too.
     """
     s_values = [int(s) for s in s_values]
-    _check_size(n)
+    _check_draws(priors, n, s_values)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if any(s < 0 for s in s_values):
-        raise ValueError(f"sample rates must be nonnegative, got {s_values}")
     zeros = math.ceil(priors.beta * n * priors.gap / 2.0)
     top_mass = (n - zeros) * float(priors.atoms_far.max()) / n
     if top_mass < 1 - priors.nu:
         raise ParameterError(f"the far side's events cannot hold at n={n}: {zeros} of {n} elements at zero weight "
                              f"leave raw mass at most {top_mass:.6g} < 1 - nu = {1 - priors.nu:.6g}")
-    for mass in (priors.mass_big, priors.mass_far):
-        choice_cdf(mass / mass.sum())  # refuses the masses that generate_instance refuses
-    for s in s_values:
-        _check_rate(priors, n, s)
     rows = []
     for i, s in enumerate(s_values):
         laws = (_side_law(priors.atoms_big, priors.mass_big, n, s), _side_law(priors.atoms_far, priors.mass_far, n, s))

@@ -24,8 +24,8 @@ from .prob import _blocks, _check_finite, _content
 
 # Desk-scale capacity limits. make_hypercube and hypercube_embedding refuse
 # dimensions whose edge list would not fit the memory budget (d=16 is ~0.5M
-# edges), and read_poset refuses a header that declares more than MAX_DOMAIN
-# vertices before anything is allocated per vertex.
+# edges), and _check_domain refuses a count of vertices, elements or trials
+# above MAX_DOMAIN before anything is allocated per item.
 HYPERCUBE_MAX_DIM = 16
 MAX_DOMAIN = 1 << 22
 
@@ -39,12 +39,18 @@ class PosetError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """A request over a desk-scale size cap (hypercube, LP or matchable pairs)."""
+    """A request over a desk-scale size cap (domain, hypercube, LP, L or matchable pairs)."""
 
 
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise PosetError(f"unknown kind {kind!r}")
+
+
+def _check_domain(count: int, what: str) -> None:
+    """Refuse, as a SizeCapError, a count of `what` above MAX_DOMAIN."""
+    if count > MAX_DOMAIN:
+        raise SizeCapError(f"{count} {what} exceed the limit of {MAX_DOMAIN}")
 
 
 def _check_dim(d: int) -> None:
@@ -359,8 +365,7 @@ def _header(row: str) -> tuple[int, int, str]:
         raise ValueError("header must be 'n m kind'")
     (n, m), kind = _ints(head[:2]), head[2]
     _check_kind(kind)
-    if n > MAX_DOMAIN:
-        raise ValueError(f"{n} vertices exceed the limit of {MAX_DOMAIN}")
+    _check_domain(n, "vertices")
     return n, m, kind
 
 

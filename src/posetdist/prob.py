@@ -1,8 +1,8 @@
 """Distributions, seeded sampling, pair histograms.
 
 All randomness flows through Rng, a thin wrapper over numpy's PCG64 keyed by
-(seed, stream): the same key always replays the same draw sequence, and
-concurrent work derives disjoint streams instead of sharing state.
+(seed, stream): the same key always replays the same draw sequence, and each
+tester trial or probe row that needs its own draws derives its own stream.
 
 Sample access is the law of the counts: for i.i.d. samples the count
 vector is a sufficient statistic, so SampleAccess.histogram is the one
@@ -37,15 +37,16 @@ READ_BLOCK = 1 << 18
 
 
 class Rng:
-    """Reproducible random source keyed by a 64-bit seed and a stream index."""
+    """Reproducible random source keyed by a seed and a stream, integers in [0, 2^64)."""
 
     def __init__(self, seed: int, stream: int = 0):
         try:  # operator.index, not int: a float or a string is refused, a numpy integer taken
             self.seed, self.stream = operator.index(seed), operator.index(stream)
         except TypeError:
             raise ValueError(f"seed and stream must be integers, got {seed!r} and {stream!r}") from None
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        for name, key in (("seed", self.seed), ("stream", self.stream)):
+            if not 0 <= key < 1 << 64:
+                raise ValueError(f"{name} must lie in [0, 2^64), got {key}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self.gen = np.random.Generator(np.random.PCG64(ss))
 

@@ -717,9 +717,9 @@ LB_BAD_INPUTS = [
      "--s-values must be a comma-separated list of integers, got '1e3' in '1e3'"),
     # one past the vertex cap, at s = 0: refused before a single draw
     (["lb", "gen", "--n", str(MAX_DOMAIN + 1), "--L", "4", "--nu", "0.5", "--lambda", "10", "--s", "0"],
-     f"instance size n={MAX_DOMAIN + 1} exceeds the limit of {MAX_DOMAIN}"),
+     f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
     (["lb", "probe", "--nu", "0.5", "--lambda", "10", "--L", "4", "--n", str(MAX_DOMAIN + 1), "--s-values", "0"],
-     f"instance size n={MAX_DOMAIN + 1} exceeds the limit of {MAX_DOMAIN}"),
+     f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
 ]
 
 

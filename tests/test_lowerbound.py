@@ -13,6 +13,7 @@ from posetdist import (
     ParameterError,
     PriorsError,
     Rng,
+    SizeCapError,
     assign_parameters,
     build_priors,
     dist_to_bigness,
@@ -376,14 +377,15 @@ _TOO_LARGE = "is too large: s\\*max\\(atoms\\) must be at most 9.223372006484770
     pytest.param(1, 10**20, f"s={10**20} at n=1 {_TOO_LARGE}", id="1-1e20-too large"),
     pytest.param(1000, 10**400, f"s={10**400} at n=1000 {_TOO_LARGE}", id="1000-1e400-too large"),
     pytest.param(10**4, 10**19, f"s={10**19} at n=10000 {_TOO_LARGE}", id="10000-1e19-too large"),
-    pytest.param(MAX_DOMAIN + 1, 0, f"n={MAX_DOMAIN + 1} exceeds the limit of {MAX_DOMAIN}", id="cap-0-too large"),
+    pytest.param(MAX_DOMAIN + 1, 0, f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}", id="cap-0-too large"),
 ])
 def test_generate_instance_rejects_bad_sizes(n, s, message):
     rng = Rng(0)
     state = rng.gen.bit_generator.state
     with pytest.raises(ValueError, match=message) as exc:
         generate_instance(build_priors(0.5, 6.0, 4), n, s, rng)
-    assert type(exc.value) is ValueError  # not ParameterError, an infeasible regime
+    # not ParameterError, an infeasible regime; the vertex cap is the package's cap error
+    assert type(exc.value) is (SizeCapError if n > MAX_DOMAIN else ValueError)
     assert rng.gen.bit_generator.state == state  # refused before any draw
 
 
@@ -393,7 +395,7 @@ def test_generate_instance_rejects_bad_sizes(n, s, message):
         (0, [0, 20], 5, "n must be at least 1"),
         (50, [0, 20], 0, "trials must be at least 1"),
         (50, [20, -5], 5, "sample rates must be nonnegative"),
-        (MAX_DOMAIN + 1, [0], 5, f"n={MAX_DOMAIN + 1} exceeds the limit of {MAX_DOMAIN}"),
+        (MAX_DOMAIN + 1, [0], 5, f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
         # every s is checked against the Poisson limit before the first row is drawn
         (10_000, [0, 300, 1226, 10**19], 200, f"s={10**19} at n=10000 {_TOO_LARGE}"),
     ],
@@ -412,7 +414,7 @@ def test_probe_rejects_bad_inputs(n, s_values, trials, message):
     state = rng.gen.bit_generator.state
     with pytest.raises(ValueError, match=message) as exc:
         indistinguishability_probe(build_priors(0.5, 6.0, 4), n, s_values, trials, rng)
-    assert type(exc.value) is ValueError
+    assert type(exc.value) is (SizeCapError if n > MAX_DOMAIN else ValueError)
     assert rng.gen.bit_generator.state == state and derived == []
 
 

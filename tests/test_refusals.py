@@ -26,6 +26,7 @@ from posetdist import (
     closest_monotone_on_matching,
     func_dist_to_monotone,
     general_to_bipartite,
+    generate_instance,
     hypercube_embedding,
     is_monotone,
     make_hypercube,
@@ -38,7 +39,7 @@ from posetdist import (
     pair_histogram,
     tv_distance,
 )
-from posetdist.poset import HYPERCUBE_MAX_DIM
+from posetdist.poset import HYPERCUBE_MAX_DIM, MAX_DOMAIN
 
 LINE3 = make_line(3)
 U3, U4 = Distribution.uniform(3), Distribution.uniform(4)
@@ -126,6 +127,10 @@ REFUSALS = [
     ("gap below 2*eps", lambda: assign_parameters(1000, 0.007477648819402561, 3), ParameterError,
      "gap 0.01481 below 2*eps=0.01496"),
     ("Rng float seed", lambda: Rng(0.7), ValueError, "seed and stream must be integers, got 0.7 and 0"),
+    ("Rng negative stream", lambda: Rng(0, -1), ValueError, "stream must lie in [0, 2^64), got -1"),
+    ("Rng stream over 64 bits", lambda: Rng(0, 2**64), ValueError, f"stream must lie in [0, 2^64), got {2**64}"),
+    ("instance size cap", lambda: generate_instance(PRIORS, MAX_DOMAIN + 1, 0, Rng(0)), SizeCapError,
+     f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
 ]
 
 
