@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poset import _check_domain
+from .poset import SizeCapError, _check_domain
 from .prob import Distribution, Rng, choice_cdf, choice_indices
 # Not called here: perfbench/spans.py's tracer wraps lowerbound.solve_lp by name.
 from .simplex import solve_lp  # noqa: F401
@@ -53,6 +53,11 @@ MAX_RETRIES = 200  # draws indistinguishability_probe makes for one trial's even
 # n = 10^4, as long as the Poisson draws of some 100 members (2-core Xeon,
 # numpy 2.4), so the table pays for every atom with more members than that.
 RATE_TABLE_MAX = 64.0
+# The largest L that solve_moment_gap, and so build_priors, takes. build_priors
+# takes time growing as L^2, mostly in validate's moment loop: at L = 3500 every
+# accepted (nu, lam) tried took at most 0.82 s, at L = 3800 up to 1.25 s
+# (2-core Xeon, numpy 2.4).
+MAX_L = 3500
 
 
 class ParameterError(ValueError):
@@ -99,7 +104,8 @@ def solve_moment_gap(nu: float, lam: float, L: int):
     ParameterError, so every accepted L reproduces the closed-form gap to
     that relative tolerance. Both measures live on [1+nu, lam], so
     S >= 2/lam: an L that fails the rule with 2/lam for S is refused before
-    any point is computed. So is a lam at which c rounds to 1.
+    any point is computed. So is a lam at which c rounds to 1, and then an
+    L above MAX_L, as a SizeCapError.
     """
     gap = moment_gap_value(nu, lam, L)
 
@@ -116,6 +122,8 @@ def solve_moment_gap(nu: float, lam: float, L: int):
     if c == 1.0:  # then r = 1 and alternation points coincide
         raise ParameterError(f"lambda={lam:g} is beyond double precision at nu={nu:g}: "
                              f"(lambda+1+nu)/(lambda-1-nu) rounds to 1")
+    if L > MAX_L:
+        raise SizeCapError(f"L={L} exceeds the limit of {MAX_L}")
     r = c - math.sqrt(c * c - 1)
     target = np.arange(L + 1) * math.pi
     a = np.clip((target - math.pi) / L, 0.0, math.pi)
@@ -249,8 +257,9 @@ def priors_from_gap_solution(nu, lam, L, atoms_x, mass_x, atoms_x2, mass_x2) -> 
 def build_priors(nu: float, lam: float, L: int) -> MomentPriors:
     """The prior pair: the gap program's optimum in closed form
     (solve_moment_gap, which refuses an L beyond double precision with
-    ParameterError), then the change of measure, whose validate refuses a
-    moment missed only through the rounding of the atoms' places likewise."""
+    ParameterError and then one above MAX_L with SizeCapError), then the
+    change of measure, whose validate refuses a moment missed only through
+    the rounding of the atoms' places likewise."""
     _, (ax, mx), (ax2, mx2) = solve_moment_gap(nu, lam, L)
     return priors_from_gap_solution(nu, lam, L, ax, mx, ax2, mx2)
 
@@ -599,6 +608,7 @@ def indistinguishability_probe(
     _check_draws(priors, n, s_values)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_domain(trials, "trials")  # before the statistics, 64 bytes a trial, are allocated
     zeros = math.ceil(priors.beta * n * priors.gap / 2.0)
     top_mass = (n - zeros) * float(priors.atoms_far.max()) / n
     if top_mass < 1 - priors.nu:

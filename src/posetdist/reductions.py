@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .oracles import _check_threshold
-from .poset import Poset, _check_dim, _check_over, make_hypercube, make_matching, transitive_closure
+from .poset import Poset, _check_dim, _check_domain, _check_over, make_hypercube, make_matching, transitive_closure
 from .prob import Distribution, ExactDistAccess, Rng, SampleAccess
 
 
@@ -137,7 +137,8 @@ def bipartite_to_matching(G: Poset, delta: int) -> Reduction:
 
     Copy c of vertex w is target vertex w*delta + c. In sorted edge order,
     the r-th edge at a vertex takes its copy r; the free copies, in (w, c)
-    order, are the heads of the dummy edges. Kept for the 8 (G, delta) keys
+    order, are the heads of the dummy edges. A target over MAX_DOMAIN
+    vertices is refused before it is built. Kept for the 8 (G, delta) keys
     used last, G compared by content; a refusal raises on every call."""
     if G.kind != "bipartite":
         raise ValueError("bipartite_to_matching needs a bipartite poset")
@@ -146,6 +147,7 @@ def bipartite_to_matching(G: Poset, delta: int) -> Reduction:
     if G.max_degree() > delta:
         raise ValueError(f"max degree {G.max_degree()} exceeds delta={delta}")
     n = G.n
+    _check_domain(2 * n * delta - 2 * len(G.edge_array), "target vertices")  # n*delta copies, n*delta - 2m dummies
     u, v = G.edge_array.T  # sorted by tail, then head
     at = np.arange(len(u))
     cu = at - np.searchsorted(u, u)

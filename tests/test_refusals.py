@@ -22,12 +22,14 @@ from posetdist import (
     assign_parameters,
     bigness_test,
     bipartite_bounded_degree_test,
+    bipartite_to_matching,
     build_priors,
     closest_monotone_on_matching,
     func_dist_to_monotone,
     general_to_bipartite,
     generate_instance,
     hypercube_embedding,
+    indistinguishability_probe,
     is_monotone,
     make_hypercube,
     make_bipartite,
@@ -39,10 +41,12 @@ from posetdist import (
     pair_histogram,
     tv_distance,
 )
+from posetdist.lowerbound import MAX_L
 from posetdist.poset import HYPERCUBE_MAX_DIM, MAX_DOMAIN
 
 LINE3 = make_line(3)
 U3, U4 = Distribution.uniform(3), Distribution.uniform(4)
+B4 = make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1])
 PRIORS = build_priors(0.5, 6.0, 4)
 CAP = f"hypercube dimension {HYPERCUBE_MAX_DIM + 1} exceeds capacity cap {HYPERCUBE_MAX_DIM}"
 
@@ -129,6 +133,11 @@ REFUSALS = [
     ("Rng float seed", lambda: Rng(0.7), ValueError, "seed and stream must be integers, got 0.7 and 0"),
     ("Rng negative stream", lambda: Rng(0, -1), ValueError, "stream must lie in [0, 2^64), got -1"),
     ("Rng stream over 64 bits", lambda: Rng(0, 2**64), ValueError, f"stream must lie in [0, 2^64), got {2**64}"),
+    ("b2m target cap", lambda: bipartite_to_matching(B4, 10**12), SizeCapError,
+     f"7999999999996 target vertices exceed the limit of {MAX_DOMAIN}"),
+    ("probe trials cap", lambda: indistinguishability_probe(PRIORS, 50, [0], 10**12, Rng(0)), SizeCapError,
+     f"{10**12} trials exceed the limit of {MAX_DOMAIN}"),
+    ("L cap", lambda: build_priors(0.5, 1e16, MAX_L + 1), SizeCapError, f"L={MAX_L + 1} exceeds the limit of {MAX_L}"),
     ("instance size cap", lambda: generate_instance(PRIORS, MAX_DOMAIN + 1, 0, Rng(0)), SizeCapError,
      f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
 ]
