@@ -721,6 +721,12 @@ LB_BAD_INPUTS = [
      f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
     (["lb", "probe", "--nu", "0.5", "--lambda", "10", "--L", "4", "--n", str(MAX_DOMAIN + 1), "--s-values", "0"],
      f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
+    # counts that size an allocation: the probe's statistics take 64 bytes a trial, and
+    # build_priors' time grows as L^2
+    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0",
+      "--trials", "1000000000000"], f"1000000000000 trials exceed the limit of {MAX_DOMAIN}"),
+    (["lb", "solve", "--nu", "0.5", "--lambda", "1e16", "--L", str(MAX_L + 1)],
+     f"L={MAX_L + 1} exceeds the limit of {MAX_L}"),
 ]
 
 
@@ -780,34 +786,17 @@ def test_lb_bad_inputs_are_status_2_in_a_suite(workdir, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-# Counts over a size cap, refused before anything they size is allocated (argv
-# with paths relative to workdir, message): a b2m target of 2*n*delta - 2*m
-# vertices (the reduction behind the bipartite tester too) and the probe's
-# 64 bytes a trial are capped at MAX_DOMAIN, L at MAX_L.
-CAP_INPUTS = [
-    (["reduce", "--from", "b.poset", "--kind", "b2m", "--dist", "b.dist", "--delta", "1000000000000",
-      "--out-poset", "x.poset", "--out-dist", "x.dist"],
-     f"7999999999996 target vertices exceed the limit of {MAX_DOMAIN}"),
-    (["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--eps", "0.2",
-      "--delta", "1000000000000"], f"7999999999996 target vertices exceed the limit of {MAX_DOMAIN}"),
-    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0",
-      "--trials", "1000000000000"], f"1000000000000 trials exceed the limit of {MAX_DOMAIN}"),
-    (["lb", "solve", "--nu", "0.5", "--lambda", "1e16", "--L", str(MAX_L + 1)],
-     f"L={MAX_L + 1} exceeds the limit of {MAX_L}"),
-]
-
-
-@pytest.mark.parametrize("argv,message", CAP_INPUTS, ids=["reduce b2m", "test bipartite", "lb probe", "lb solve"])
-def test_size_caps_exit_2_and_are_status_2_in_a_suite(workdir, capsys, monkeypatch, argv, message):
+def test_a_b2m_target_over_the_vertex_cap_exits_2(workdir, monkeypatch, capsys):
+    """reduce --kind b2m refuses a target of 2*n*delta - 2*m vertices over
+    MAX_DOMAIN before building it, from main and from a suite row, and
+    writes no file."""
     monkeypatch.chdir(workdir)
-    assert main(argv) == EXIT_VALIDATION
-    assert f"error: {message}" in capsys.readouterr().err
-    verb = argv[:2] if argv[0] == "lb" else argv[:1]
-    flags = argv[len(verb):]
-    keys = [f"{flag[2:].replace('-', '_')}={value}" for flag, value in zip(flags[::2], flags[1::2])]
-    row = " ".join([f"verb={'-'.join(verb)}", *keys])
-    (workdir / "cap.suite").write_text(row + "\n")
-    assert run_suite("cap.suite", None, 0).split("\n")[1] == f"0,0,{EXIT_VALIDATION},0.0,fail"
+    message = f"7999999999996 target vertices exceed the limit of {MAX_DOMAIN}"
+    args = "from=b.poset kind=b2m dist=b.dist delta=1000000000000 out-poset=x.poset out-dist=x.dist"
+    assert main(["reduce", *(f"--{arg}" for arg in args.split())]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    (workdir / "b2m.suite").write_text(f"verb=reduce {args}\n")
+    assert run_suite("b2m.suite", None, 0).split("\n")[1] == f"0,0,{EXIT_VALIDATION},0.0,fail"
     assert message in capsys.readouterr().err
     assert not list(workdir.glob("x.*"))
 
@@ -907,6 +896,9 @@ TESTER_BAD_INPUTS = [
      "budget_multiplier must be positive and finite"),
     (["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--delta", "2", "--eps", "1.5"],
      "eps must lie in (0, 1]"),
+    # a reduction target of 2*n*delta - 2*m vertices over MAX_DOMAIN, refused before it is built
+    (["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--delta", "1000000000000",
+      "--eps", "0.2"], f"7999999999996 target vertices exceed the limit of {MAX_DOMAIN}"),
 ]
 
 
