@@ -15,6 +15,7 @@ equivalent.
 from __future__ import annotations
 
 import operator
+import warnings
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -110,6 +111,12 @@ def _int_array(values, ndim: int, message: str) -> np.ndarray:
     return a
 
 
+def _rises(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each row of the columns u, v after the first, whether it comes
+    after the row before it in (u, v) order."""
+    return (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+
+
 def _first(mask: np.ndarray) -> int | None:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
@@ -146,12 +153,19 @@ class Poset:
             raise PosetError("vertex count must be nonnegative")
         _check_kind(self.kind)
         a = _int_array(edges, 2, "edges must be (u, v) pairs of integers")
-        a = a[np.lexsort((a[:, 1], a[:, 0]))]
         u, v = a[:, 0], a[:, 1]
-        out = (a < 0).any(axis=1) | (a >= n).any(axis=1)
+        rise = _rises(u, v)
+        if rise.all():  # increasing rows, as the writers and make_* give them, need no sort
+            a = a.copy()  # own copy: the caller keeps theirs writable
+        else:
+            a = a[np.lexsort((v, u))]
+            u, v = a[:, 0], a[:, 1]
+            rise = _rises(u, v)
+        out = (a < 0) | (a >= n)
+        out = out[:, 0] | out[:, 1]
         loop = u == v
         dup = np.zeros(len(a), dtype=bool)
-        dup[1:] = (a[1:] == a[:-1]).all(axis=1)
+        dup[1:] = ~rise  # sorted, a row that does not rise repeats the one before it
         k = _first(out | loop | dup)
         if k is not None:
             bad = f"({u[k]},{v[k]})"
@@ -332,18 +346,18 @@ def is_monotone(G: Poset, probs) -> bool:
     return bool(np.all(p[u] <= p[v] + MONOTONE_TOL))
 
 
-def _edge_block(lines: list[str]) -> np.ndarray:
-    """The integer pairs of edge lines that hold exactly two tokens each, as
-    a flat int64 array. A token beyond int64 names no vertex; its block stays
-    an object array of Python ints, so that Poset words the fault as it does
-    for a list of pairs."""
-    if set(map(len, map(str.split, lines))) != {2}:
-        raise ValueError
-    vals = list(map(int, " ".join(lines).split()))
-    try:
-        return np.array(vals, dtype=np.int64)
-    except OverflowError:
-        return np.array(vals, dtype=object)
+def _int_rows(rows: list[str]) -> np.ndarray | None:
+    """Nonblank lines of integers as an int64 matrix, one row a line, read by
+    numpy's C parser; None for lines it refuses: a fault, a ragged block, or a
+    form only int() reads ('١', '1_0', a value past int64). Warnings are
+    errors, since numpy 1.x reads '1.0' into an integer column with only a
+    DeprecationWarning, and a line of no tokens gives a UserWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
 
 
 def _ints(toks, count: int | None = None) -> tuple[int, ...]:
@@ -378,7 +392,9 @@ def read_poset(path) -> Poset:
     Structural faults (range, self-loop, cycle, kind) come from the Poset
     checks, prefixed with the file.
 
-    One pass converts each block's edge lines to integers at once. Faults
+    One pass converts each block's edge lines, and the bottom line, with
+    numpy's C parser; only a block it refuses is read line by line, which
+    names the fault or reads the forms only int() takes. Faults
     rank as in a whole-file read: a non-UTF-8 byte anywhere, the header, too
     few edge lines, then the first bad line; past a fault the rest of the
     file is only decoded and its lines counted.
@@ -397,21 +413,24 @@ def read_poset(path) -> Poset:
                 n, declared, kind = _header(rows[0])
                 m, i = max(declared, 0), 1
             edges = rows[i : i + m]
+            rest = i + len(edges)
             if edges:
                 m -= len(edges)
-                try:
-                    parts.append(_edge_block(edges))
-                except ValueError:
+                block = _int_rows(edges)
+                if block is None or block.shape[1] != 2:
+                    block = []  # line by line: the first bad line raises, and i names it
                     for i, row in enumerate(edges, i):
-                        _ints(row.split(), 2)
-                    raise
-                i += len(edges)
-            for i in range(i, len(rows)):
+                        block.append(_ints(row.split(), 2))
+                    block = np.array(block, dtype=object)  # a vertex past int64 stays a Python int
+                parts.append(block)
+            for i in range(rest, len(rows)):
                 if bottom is not None:
                     raise ValueError("trailing content after the bottom line")
                 if not rows[i].startswith("bottom:"):
                     raise ValueError("trailing content is not a bottom line")
-                bottom = _ints(rows[i][len("bottom:") :].split())
+                text = rows[i][len("bottom:") :]
+                bottom = _int_rows([text])
+                bottom = _ints(text.split()) if bottom is None else bottom[0]
         except ValueError as exc:
             fault = PosetError(f"{path}:{_content(lines, start)[i][0]}: {exc}")
         start += len(lines)
@@ -421,9 +440,10 @@ def read_poset(path) -> Poset:
         raise fault
     if kind is None:
         raise PosetError(f"{path}: empty poset file")
-    edges = np.concatenate(parts or [np.empty(0, dtype=np.int64)]).reshape(-1, 2)
+    edges = np.concatenate(parts or [np.empty((0, 2), dtype=np.int64)])
     try:
-        return Poset(n, edges.tolist() if edges.dtype == object else edges, kind=kind, bottom=bottom or ())
+        return Poset(n, edges.tolist() if edges.dtype == object else edges, kind=kind,
+                     bottom=() if bottom is None else bottom)
     except PosetError as exc:
         raise PosetError(f"{path}: {exc}") from None
 

@@ -34,6 +34,9 @@ SUM_TOL = 1e-9
 # besides its result is bounded by a block, not by the file. Line numbers
 # are counted only for a block that holds a fault.
 READ_BLOCK = 1 << 18
+# The writers format this many lines per write, so the text they hold stays
+# bounded whatever the length of what they write.
+WRITE_CHUNK = 1 << 16
 
 
 class Rng:
@@ -352,18 +355,18 @@ def read_distribution(path) -> Distribution:
 
     Blank and '#' lines are skipped; errors name the file, and a bad token
     or byte also the 1-based line. One pass raises the first fault in file
-    order. float() runs over a block's stripped lines at once; only a block
-    where that fails is read line by line (a float token is never blank and
-    never starts with '#').
+    order. float() runs over a block's raw lines at once, since it strips
+    what str.strip strips; only a block where that fails is stripped and
+    read line by line (a float token is never blank and never starts with
+    '#').
     """
     parts, start = [], 1  # start: the number of the block's first line
     for lines in _blocks(path):
-        toks = list(map(str.strip, lines))
         try:
-            parts.append(np.fromiter(map(float, toks), float, len(toks)))
+            parts.append(np.fromiter(map(float, lines), float, len(lines)))
         except ValueError:
             vals = []
-            for k, tok in _content(toks, start):
+            for k, tok in _content(lines, start):
                 try:
                     vals.append(float(tok))
                 except ValueError:
@@ -377,14 +380,20 @@ def read_distribution(path) -> Distribution:
 
 
 def write_distribution(p: Distribution, path) -> None:
+    """One repr'd probability per line, written WRITE_CHUNK lines at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x in p.probs:
-            fh.write(repr(float(x)) + "\n")
+        for i in range(0, p.n, WRITE_CHUNK):
+            fh.write("\n".join(map(repr, p.probs[i : i + WRITE_CHUNK].tolist())) + "\n")
 
 
 def write_histogram_csv(counts: np.ndarray, path) -> None:
-    """Histogram CSV: an "index,count" header, then one row per element."""
+    """Histogram CSV: an "index,count" header, then one row per element,
+    written WRITE_CHUNK rows at a time."""
+    counts = np.asarray(counts)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,count\n")
-        for i, c in enumerate(counts):
-            fh.write(f"{i},{int(c)}\n")
+        for i in range(0, counts.size, WRITE_CHUNK):
+            chunk = counts[i : i + WRITE_CHUNK].tolist()
+            rows = [0] * (2 * len(chunk))
+            rows[::2], rows[1::2] = range(i, i + len(chunk)), chunk
+            fh.write("%d,%d\n" * len(chunk) % tuple(rows))
