@@ -429,8 +429,8 @@ def read_poset(path) -> Poset:
                 if not rows[i].startswith("bottom:"):
                     raise ValueError("trailing content is not a bottom line")
                 text = rows[i][len("bottom:") :]
-                bottom = _int_rows([text])
-                bottom = _ints(text.split()) if bottom is None else bottom[0]
+                matrix = _int_rows([text])
+                bottom = _ints(text.split()) if matrix is None else matrix[0]
         except ValueError as exc:
             fault = PosetError(f"{path}:{_content(lines, start)[i][0]}: {exc}")
         start += len(lines)

@@ -36,7 +36,7 @@ SUM_TOL = 1e-9
 READ_BLOCK = 1 << 18
 # The writers format this many lines per write, so the text they hold stays
 # bounded whatever the length of what they write.
-WRITE_CHUNK = 1 << 16
+_WRITE_CHUNK = 1 << 16
 
 
 class Rng:
@@ -380,20 +380,20 @@ def read_distribution(path) -> Distribution:
 
 
 def write_distribution(p: Distribution, path) -> None:
-    """One repr'd probability per line, written WRITE_CHUNK lines at a time."""
+    """One repr'd probability per line, written _WRITE_CHUNK lines at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(0, p.n, WRITE_CHUNK):
-            fh.write("\n".join(map(repr, p.probs[i : i + WRITE_CHUNK].tolist())) + "\n")
+        for i in range(0, p.n, _WRITE_CHUNK):
+            fh.write("\n".join(map(repr, p.probs[i : i + _WRITE_CHUNK].tolist())) + "\n")
 
 
 def write_histogram_csv(counts: np.ndarray, path) -> None:
     """Histogram CSV: an "index,count" header, then one row per element,
-    written WRITE_CHUNK rows at a time."""
+    written _WRITE_CHUNK rows at a time."""
     counts = np.asarray(counts)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,count\n")
-        for i in range(0, counts.size, WRITE_CHUNK):
-            chunk = counts[i : i + WRITE_CHUNK].tolist()
+        for i in range(0, counts.size, _WRITE_CHUNK):
+            chunk = counts[i : i + _WRITE_CHUNK].tolist()
             rows = [0] * (2 * len(chunk))
             rows[::2], rows[1::2] = range(i, i + len(chunk)), chunk
             fh.write("%d,%d\n" * len(chunk) % tuple(rows))
