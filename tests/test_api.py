@@ -138,9 +138,9 @@ def test_src_imports_are_used():
 
 
 def test_modules_parse_at_the_python_floor():
-    """Every module of src/ and tests/ parses at pyproject's requires-python
-    floor, so a newer syntax cannot slip in while the suite runs on a later
-    Python."""
+    """Every module of src/, tests/ and perfbench/ parses at pyproject's
+    requires-python floor, so a newer syntax cannot slip in while the suite
+    runs on a later Python."""
     import ast
     import pathlib
     import re
@@ -148,7 +148,7 @@ def test_modules_parse_at_the_python_floor():
     root = pathlib.Path(__file__).resolve().parent.parent
     floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (root / "pyproject.toml").read_text(encoding="utf-8"))
     assert floor, "pyproject.toml states no requires-python floor"
-    paths = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    paths = [path for part in ("src", "tests", "perfbench") for path in sorted((root / part).rglob("*.py"))]
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(int(floor[1]), int(floor[2])))

@@ -697,36 +697,56 @@ def test_m2hyp_above_the_dimension_cap_exits_2_at_once(workdir):
     assert not (workdir / "h.poset").exists()
 
 
+# Each row's id is fixed, so rewording a message renames no test. The ids are
+# the ones pytest derived from argv's position and the message before they
+# were fixed; they name the rows and need not follow the message.
 LB_BAD_INPUTS = [
-    (["lb", "gen", "--n", "0", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "10"], "n must be at least 1"),
-    (["lb", "gen", "--n", "50", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "-1"], "s must be nonnegative"),
-    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "0", "--s-values", "0,20"],
-     "n must be at least 1"),
-    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "-5"],
-     "sample rates must be nonnegative"),
-    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0",
-      "--trials", "0"], "trials must be at least 1"),
-    (["lb", "gen", "--n", "1", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "100000000000000000000"],
-     "s=100000000000000000000 at n=1 is too large"),
-    (["lb", "gen", "--n", "0", "--L", "4", "--eps", "0.01"], "n must be at least 1"),
+    pytest.param(["lb", "gen", "--n", "0", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "10"],
+                 "n must be at least 1",
+                 id="argv0-n must be at least 1"),
+    pytest.param(["lb", "gen", "--n", "50", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "-1"],
+                 "s must be nonnegative",
+                 id="argv1-s must be nonnegative"),
+    pytest.param(["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "0", "--s-values", "0,20"],
+                 "n must be at least 1",
+                 id="argv2-n must be at least 1"),
+    pytest.param(["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "-5"],
+                 "sample rates must be nonnegative",
+                 id="argv3-sample rates must be nonnegative"),
+    pytest.param(["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0",
+                  "--trials", "0"], "trials must be at least 1",
+                 id="argv4-trials must be at least 1"),
+    pytest.param(["lb", "gen", "--n", "1", "--L", "4", "--nu", "0.5", "--lambda", "6", "--s", "100000000000000000000"],
+                 "s=100000000000000000000 at n=1 is too large",
+                 id="argv5-s=100000000000000000000 at n=1 is too large"),
+    pytest.param(["lb", "gen", "--n", "0", "--L", "4", "--eps", "0.01"], "n must be at least 1",
+                 id="argv6-n must be at least 1"),
     # --s-values takes a non-empty list of integer tokens and names the first bad one
-    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", ","],
-     "--s-values must be a comma-separated list of integers, got '' in ','"),
-    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0,,300"],
-     "--s-values must be a comma-separated list of integers, got '' in '0,,300'"),
-    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "1e3"],
-     "--s-values must be a comma-separated list of integers, got '1e3' in '1e3'"),
+    pytest.param(["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", ","],
+                 "--s-values must be a comma-separated list of integers, got '' in ','",
+                 id="argv7---s-values must be a comma-separated list of integers, got '' in ','"),
+    pytest.param(["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0,,300"],
+                 "--s-values must be a comma-separated list of integers, got '' in '0,,300'",
+                 id="argv8---s-values must be a comma-separated list of integers, got '' in '0,,300'"),
+    pytest.param(["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "1e3"],
+                 "--s-values must be a comma-separated list of integers, got '1e3' in '1e3'",
+                 id="argv9---s-values must be a comma-separated list of integers, got '1e3' in '1e3'"),
     # one past the vertex cap, at s = 0: refused before a single draw
-    (["lb", "gen", "--n", str(MAX_DOMAIN + 1), "--L", "4", "--nu", "0.5", "--lambda", "10", "--s", "0"],
-     f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
-    (["lb", "probe", "--nu", "0.5", "--lambda", "10", "--L", "4", "--n", str(MAX_DOMAIN + 1), "--s-values", "0"],
-     f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
+    pytest.param(["lb", "gen", "--n", str(MAX_DOMAIN + 1), "--L", "4", "--nu", "0.5", "--lambda", "10", "--s", "0"],
+                 f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}",
+                 id="argv10-4194305 instance elements exceed the limit of 4194304"),
+    pytest.param(["lb", "probe", "--nu", "0.5", "--lambda", "10", "--L", "4", "--n", str(MAX_DOMAIN + 1),
+                  "--s-values", "0"],
+                 f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}",
+                 id="argv11-4194305 instance elements exceed the limit of 4194304"),
     # counts that size an allocation: the probe's statistics take 64 bytes a trial, and
     # build_priors' time grows as L^2
-    (["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0",
-      "--trials", "1000000000000"], f"1000000000000 trials exceed the limit of {MAX_DOMAIN}"),
-    (["lb", "solve", "--nu", "0.5", "--lambda", "1e16", "--L", str(MAX_L + 1)],
-     f"L={MAX_L + 1} exceeds the limit of {MAX_L}"),
+    pytest.param(["lb", "probe", "--nu", "0.5", "--lambda", "6", "--L", "4", "--n", "50", "--s-values", "0",
+                  "--trials", "1000000000000"], f"1000000000000 trials exceed the limit of {MAX_DOMAIN}",
+                 id="argv12-1000000000000 trials exceed the limit of 4194304"),
+    pytest.param(["lb", "solve", "--nu", "0.5", "--lambda", "1e16", "--L", str(MAX_L + 1)],
+                 f"L={MAX_L + 1} exceeds the limit of {MAX_L}",
+                 id="argv13-L=3501 exceeds the limit of 3500"),
 ]
 
 
@@ -884,21 +904,35 @@ def test_out_of_domain_value_exits_2_naming_the_flag(workdir, monkeypatch, capsy
 # sample counts a tester would draw beyond int64 (numpy's limit), a
 # multiplier no budget can be computed from, and an eps outside (0, 1] that
 # the bipartite tester's eps/(2*delta) would bring inside
+# (fixed ids, as in LB_BAD_INPUTS)
 M6 = ["--poset", "m6.poset", "--dist", "m6mono.dist"]
 TESTER_BAD_INPUTS = [
-    (["test", "--alg", "matching", *M6, "--eps", "1e-9"], "learn budget of 2.352e+22 samples exceeds 9223372036854775807"),
-    (["test", "--alg", "matching", *M6, "--eps", "1e-200"], "learn budget of inf samples"),
-    (["test", "--alg", "bigness", "--dist", "u40.dist", "--eps", "1e-12"], "learn budget of 7.2e+27 samples"),
-    (["test", "--alg", "all-matchings", *M6, "--eps", "1e-12"], "group size of 3.2e+25 samples"),
-    (["test", "--alg", "uniform-subset", *M6, "--eps", "1e-300"], "stage 1 size of 4.19"),
-    (["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "1e30"], "learn budget of 1.64085e+34 samples"),
-    (["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "inf"],
-     "budget_multiplier must be positive and finite"),
-    (["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--delta", "2", "--eps", "1.5"],
-     "eps must lie in (0, 1]"),
+    pytest.param(["test", "--alg", "matching", *M6, "--eps", "1e-9"],
+                 "learn budget of 2.352e+22 samples exceeds 9223372036854775807",
+                 id="argv0-learn budget of 2.352e+22 samples exceeds 9223372036854775807"),
+    pytest.param(["test", "--alg", "matching", *M6, "--eps", "1e-200"], "learn budget of inf samples",
+                 id="argv1-learn budget of inf samples"),
+    pytest.param(["test", "--alg", "bigness", "--dist", "u40.dist", "--eps", "1e-12"],
+                 "learn budget of 7.2e+27 samples",
+                 id="argv2-learn budget of 7.2e+27 samples"),
+    pytest.param(["test", "--alg", "all-matchings", *M6, "--eps", "1e-12"], "group size of 3.2e+25 samples",
+                 id="argv3-group size of 3.2e+25 samples"),
+    pytest.param(["test", "--alg", "uniform-subset", *M6, "--eps", "1e-300"], "stage 1 size of 4.19",
+                 id="argv4-stage 1 size of 4.19"),
+    pytest.param(["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "1e30"],
+                 "learn budget of 1.64085e+34 samples",
+                 id="argv5-learn budget of 1.64085e+34 samples"),
+    pytest.param(["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "inf"],
+                 "budget_multiplier must be positive and finite",
+                 id="argv6-budget_multiplier must be positive and finite"),
+    pytest.param(["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--delta", "2",
+                  "--eps", "1.5"],
+                 "eps must lie in (0, 1]",
+                 id="argv7-eps must lie in (0, 1]"),
     # a reduction target of 2*n*delta - 2*m vertices over MAX_DOMAIN, refused before it is built
-    (["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--delta", "1000000000000",
-      "--eps", "0.2"], f"7999999999996 target vertices exceed the limit of {MAX_DOMAIN}"),
+    pytest.param(["test", "--alg", "bipartite", "--poset", "b.poset", "--dist", "b.dist", "--delta", "1000000000000",
+                  "--eps", "0.2"], f"7999999999996 target vertices exceed the limit of {MAX_DOMAIN}",
+                 id="argv8-7999999999996 target vertices exceed the limit of 4194304"),
 ]
 
 

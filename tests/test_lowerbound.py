@@ -389,15 +389,23 @@ def test_generate_instance_rejects_bad_sizes(n, s, message):
     assert rng.gen.bit_generator.state == state  # refused before any draw
 
 
+# fixed ids, as in tests/test_cli.py's LB_BAD_INPUTS: a reworded message renames no test
 @pytest.mark.parametrize(
     "n,s_values,trials,message",
     [
-        (0, [0, 20], 5, "n must be at least 1"),
-        (50, [0, 20], 0, "trials must be at least 1"),
-        (50, [20, -5], 5, "sample rates must be nonnegative"),
-        (MAX_DOMAIN + 1, [0], 5, f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
+        pytest.param(0, [0, 20], 5, "n must be at least 1",
+                     id="0-s_values0-5-n must be at least 1"),
+        pytest.param(50, [0, 20], 0, "trials must be at least 1",
+                     id="50-s_values1-0-trials must be at least 1"),
+        pytest.param(50, [20, -5], 5, "sample rates must be nonnegative",
+                     id="50-s_values2-5-sample rates must be nonnegative"),
+        pytest.param(MAX_DOMAIN + 1, [0], 5,
+                     f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}",
+                     id="4194305-s_values3-5-4194305 instance elements exceed the limit of 4194304"),
         # every s is checked against the Poisson limit before the first row is drawn
-        (10_000, [0, 300, 1226, 10**19], 200, f"s={10**19} at n=10000 {_TOO_LARGE}"),
+        pytest.param(10_000, [0, 300, 1226, 10**19], 200, f"s={10**19} at n=10000 {_TOO_LARGE}",
+                     id=r"10000-s_values4-200-s=10000000000000000000 at n=10000 is too large: "
+                        r"s\*max\(atoms\) must be at most 9.2233720064847708e\+18"),
     ],
 )
 def test_probe_rejects_bad_inputs(n, s_values, trials, message):

@@ -411,6 +411,33 @@ def test_edge_array_is_the_sorted_edges_read_only():
     assert len({G, Poset(4, list(G.edges)), M}) == 2
 
 
+def _built(n, rows):
+    try:
+        return Poset(n, rows).edge_array.tobytes()
+    except PosetError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rows", [
+    [(2, 3), (0, 1), (1, 2)],
+    [(1, 2), (0, 1), (1, 2)],  # a duplicate
+    [(3, 9), (0, 1), (2, 7)],  # out of range
+    [(4, 4), (1, 1), (0, 1), (0, 1), (3, 9), (0, 8)],  # faults of each kind: the first in (u, v) order counts
+])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+def test_rows_in_any_order_give_what_sorted_rows_give(rows, dtype):
+    """Rows that already increase skip the sort; any order gives the same
+    edge_array or the same first fault, and the caller's array is left as
+    it was, writable."""
+    ordered = np.array(sorted(rows), dtype=dtype)
+    want = _built(8, ordered)
+    assert _built(8, np.array(rows, dtype=dtype)) == want == _built(8, sorted(rows))
+    if isinstance(want, bytes):
+        G = Poset(8, ordered)
+        ordered[0, 0] = 5
+        assert ordered.flags.writeable and G.edge_array[0, 0] == sorted(rows)[0][0]
+
+
 def test_only_general_posets_run_the_topological_sort(monkeypatch):
     calls = []
     real = poset_module._check_acyclic

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,9 @@ from posetdist import (
     tv_distance,
     write_distribution,
 )
-from posetdist import cli
+from posetdist import cli, prob
 from posetdist.lowerbound import _poisson_counts, build_priors, generate_instance
-from posetdist.prob import choice_cdf, choice_indices
+from posetdist.prob import choice_cdf, choice_indices, write_histogram_csv
 
 from scipy import stats
 
@@ -62,6 +64,20 @@ def test_rng_reproducible():
     h1 = _poissonized(np.full(50, 2.0), Rng(7, 0))
     h2 = _poissonized(np.full(50, 2.0), Rng(7, 0))
     np.testing.assert_array_equal(h1, h2)
+
+
+def test_rng_repr_names_its_key():
+    assert repr(Rng(42, 3)) == "Rng(seed=42, stream=3)"
+    assert repr(Rng(7).derive(2**64 - 1)) == f"Rng(seed=7, stream={2**64 - 1})"
+
+
+def test_a_sample_access_must_implement_histogram():
+    acc = SampleAccess()
+    acc.n = 2
+    with pytest.raises(NotImplementedError):
+        acc.histogram(1, Rng(0))
+    with pytest.raises(NotImplementedError):  # count_in draws through histogram
+        acc.count_in(np.array([True, False]), 1, Rng(0))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -176,6 +192,48 @@ def test_distribution_file_roundtrip(tmp_path):
     (tmp_path / "bad.dist").write_text("0.5\n0.6\n")
     with pytest.raises(ValueError):
         read_distribution(tmp_path / "bad.dist")
+
+
+def _written(fn, values, path) -> bytes:
+    fn(values, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
+def test_writers_give_the_same_bytes_in_any_chunk(tmp_path, monkeypatch, n):
+    """Written three lines at a time, across every chunk boundary, each file
+    holds one line an element, as repr(float(x)) and as f"{i},{int(c)}"."""
+    monkeypatch.setattr(prob, "_WRITE_CHUNK", 3)
+    w = np.random.default_rng(n).random(n)
+    p = Distribution(w / w.sum())
+    assert _written(write_distribution, p, tmp_path / "p.dist") == "".join(
+        repr(float(x)) + "\n" for x in p.probs).encode()
+    counts = np.random.default_rng(n).integers(0, 10**12, n)
+    for c in (counts, counts.astype(float) + 0.5):
+        assert _written(write_histogram_csv, c, tmp_path / "h.csv") == (
+            "index,count\n" + "".join(f"{i},{int(x)}\n" for i, x in enumerate(c))).encode()
+
+
+def _peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_hold_a_chunk_not_the_file(tmp_path, monkeypatch):
+    """What a writer allocates is bounded by a chunk, not by the file: two
+    and sixteen chunks' worth of elements peak alike."""
+    monkeypatch.setattr(prob, "_WRITE_CHUNK", 1 << 12)
+    peaks = []
+    for chunks in (2, 16):
+        w = np.random.default_rng(chunks).random(chunks << 12)
+        p, counts = Distribution(w / w.sum()), np.arange(w.size) * 10**9
+        peaks.append((_peak(write_distribution, p, tmp_path / "p.dist"),
+                      _peak(write_histogram_csv, counts, tmp_path / "h.csv")))
+    assert all(many < 1.2 * two for two, many in zip(*peaks)), peaks
 
 
 def test_read_distribution_names_file_and_line(tmp_path):
