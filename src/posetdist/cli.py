@@ -17,12 +17,14 @@ import argparse
 import functools
 import itertools
 import os
+import platform
 import shlex
 import sys
 import traceback
 
 import numpy as np
 
+from . import __version__
 from .lowerbound import (
     ParameterError,
     assign_parameters,
@@ -122,13 +124,16 @@ def _write_all(*writes) -> None:
 
 def _save(a: argparse.Namespace, text: str, base: str = "") -> bool:
     """Write a run's CSV to its --out file, if it has one, with the fully
-    resolved config (seed included) in FILE.config, both as one step (a
-    failed write leaves neither); True iff it wrote."""
+    resolved config (seed included) and the posetdist, numpy and Python
+    versions that made the bytes in FILE.config, both as one step (a failed
+    write leaves neither); True iff it wrote."""
     out = getattr(a, "out", None)
     if out is None:
         return False
     path = os.path.join(base, out)
-    items = sorted((k, v) for k, v in vars(a).items() if v is not None and k not in ("out", "run"))
+    items = [(k, v) for k, v in vars(a).items() if v is not None and k not in ("out", "run")]
+    items = sorted(items + [("numpy_version", np.__version__), ("posetdist_version", __version__),
+                            ("python_version", platform.python_version())])
     _write_all((_emit, text, path), (_emit, "".join(f"{k}={v}\n" for k, v in items), path + ".config"))
     return True
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import MONOTONE_TOL, Poset, SizeCapError, _check_over, transitive_closure
+from .poset import MONOTONE_TOL, Poset, SizeCapError, _check_domain, _check_over, transitive_closure
 from .prob import Distribution, PairHistogram
 from .simplex import _transport_cost, solve_lp
 
@@ -142,7 +142,9 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     other kind runs one max-weight assignment on the double cover of the
     closure, as _transport_cost with unit supplies and demands on the
     negated weights: rows are the tails of the violating edges, columns
-    their heads, and each cell holds that edge's violation weight. The
+    their heads, and each cell holds that edge's violation weight. That
+    dense n x n matrix, n the larger of the two counts, is refused as a
+    SizeCapError above MAX_DOMAIN cells, before it is built. The
     chosen links leave and enter each vertex at most once and follow the
     acyclic order, so they form vertex-disjoint chains. A chain's weights
     telescope to p(start) - p(end), the weight of the closure edge
@@ -165,6 +167,7 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     tails, row = np.unique(u, return_inverse=True)
     heads, col = np.unique(v, return_inverse=True)
     n = max(tails.size, heads.size)
+    _check_domain(n * n, "assignment cells")
     W = np.zeros((n, n))
     W[row, col] = w
     _, flow = _transport_cost([1.0] * n, [1.0] * n, -W)

@@ -28,16 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import _check_threshold, _midpoint_cost, dist_to_bigness
+from .oracles import _check_threshold, _midpoint_cost, dist_to_bigness, max_violation_matching
 # pair_histogram and min_w_to_monotone_pairhist are no longer called here but
 # stay bound: perfbench/spans.py wraps both names on this module.
 from .oracles import min_w_to_monotone_pairhist  # noqa: F401
-from .poset import Poset, SizeCapError, _check_over
+from .poset import Poset, _check_over
 from .prob import Distribution, ExactDistAccess, Rng, SampleAccess, pair_histogram  # noqa: F401
 from .reductions import _lifted, bipartite_to_matching
 
 MASS_EST_CONST = 32.0  # ceil(32/eps^2) samples per additive-eps mass estimate
-PAIR_CAP = 4096  # the most matchable subset pairs all_matchings_test enumerates
 # The most samples one draw may take: numpy's multinomial and binomial
 # counts are int64.
 MAX_SAMPLES = int(np.iinfo(np.int64).max)
@@ -274,21 +273,6 @@ def uniform_subset_test(
     )
 
 
-def _enumerate_matchable_pairs(G: Poset, cap: int):
-    """All (top set, bottom set) endpoint pairs of matchings in G, as sorted
-    tuples, empty pair included, from one pass over the edges: as edges run
-    bottom -> top, edge (u, v) extends each pair found so far whose bottoms
-    lack u and tops lack v. The work is at most the edge count times cap."""
-    pairs = {((), ())}
-    for u, v in G.edge_array.tolist():
-        for tops, bottoms in list(pairs):
-            if u not in bottoms and v not in tops:
-                pairs.add((tuple(sorted(tops + (v,))), tuple(sorted(bottoms + (u,)))))
-                if len(pairs) > cap:
-                    raise SizeCapError(f"more than {cap} matchable subset pairs")
-    return sorted(pairs)
-
-
 def all_matchings_test(
     G: Poset,
     access: SampleAccess,
@@ -296,34 +280,29 @@ def all_matchings_test(
     *,
     rng: Rng,
 ) -> Verdict:
-    """Compare top vs bottom mass over every perfectly-matchable subset pair,
-    found in one pass over the edges (work at most edge count times PAIR_CAP).
+    """Compare bottom vs top mass over every matchable (top set, bottom set)
+    pair, all scored at once from one learned histogram.
 
-    One shared sample pool, split into groups for a median-of-means estimate
-    per pair (failure probability O(1/M) each); reject as soon as some pair's
-    bottom mass beats its top mass by more than eps/2.
+    The statistic is the largest learned p(B) - p(T) over the pairs, which
+    is the weight of max_violation_matching on the learned distribution (a
+    pair's difference is the sum of its matching's edge violations, and the
+    empty pair gives 0); reject iff it exceeds eps/2. Each sample adds +1, -1
+    or 0 to a pair's count difference, so by Hoeffding and a union bound over
+    the M pairs a pool of ceil(32 (ln M + ln 6) / eps^2) samples keeps every
+    pair's estimate within eps/4 with probability at least 2/3. ln M is
+    bounded by log_pair_bound, the sum over bottoms of ln(1 + out-degree): a
+    matchable pair comes from a matching, each bottom unmatched or matched to
+    one of its neighbours, and the bound is exact on a matching poset.
     """
     _check_inputs("all_matchings_test", G, ("bipartite", "matching"), access, eps)
-    pairs = _enumerate_matchable_pairs(G, PAIR_CAP)
-    n_pairs = len(pairs)
-    groups = 2 * max(1, math.ceil(math.log2(max(n_pairs, 2)))) + 9
-    group_size = _sample_count("group size", MASS_EST_CONST, eps * eps)
-    hist = np.array([access.histogram(group_size, rng) for _ in range(groups)]) / group_size
-    stat = 0.0
-    worst = ((), ())
-    for tops, bottoms in pairs:
-        w_top = hist[:, list(tops)].sum(axis=1)
-        w_bottom = hist[:, list(bottoms)].sum(axis=1)
-        gap = float(np.median(w_bottom - w_top))
-        if gap > stat:
-            stat = gap
-            worst = (tops, bottoms)
-    return _verdict(
-        stat,
-        eps / 2.0,
-        groups * group_size,
-        pair_count=n_pairs,
-        groups=groups,
-        group_size=group_size,
-        worst_pair=worst,
-    )
+    # edges run bottom -> top, so only bottoms have out-edges
+    log_m = float(np.log1p(np.bincount(G.edge_array[:, 0])).sum())
+    s = _sample_count("sample pool", MASS_EST_CONST * (log_m + math.log(6.0)), eps * eps)
+    counts = access.histogram(s, rng)
+    total = counts.sum()
+    if total != s:
+        raise ValueError(f"sample access drew a total of {total} from a pool of {s} samples")
+    matching = max_violation_matching(G, Distribution(counts / s))
+    edges = [edge for edge, _ in matching.edges]
+    worst = (tuple(sorted(v for _, v in edges)), tuple(sorted(u for u, _ in edges)))
+    return _verdict(matching.weight, eps / 2.0, s, log_pair_bound=log_m, worst_pair=worst)

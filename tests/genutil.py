@@ -289,32 +289,6 @@ def reference_pair_cost(counts_bottom, counts_top, w_bottom: float) -> float:
     return cost
 
 
-def pair_admits_perfect_matching(G: Poset, tops, bottoms) -> bool:
-    """Hall-style check via augmenting paths on the induced subgraph."""
-    tops = list(tops)
-    bottoms = list(bottoms)
-    if len(tops) != len(bottoms):
-        return False
-    tset = set(tops)
-    adj = {b: [] for b in bottoms}
-    for u, v in G.edges:
-        if u in adj and v in tset:
-            adj[u].append(v)
-    match: dict[int, int] = {}
-
-    def augment(b, seen):
-        for t in adj[b]:
-            if t in seen:
-                continue
-            seen.add(t)
-            if t not in match or augment(match[t], seen):
-                match[t] = b
-                return True
-        return False
-
-    return all(augment(b, set()) for b in bottoms)
-
-
 def reference_matchable_pairs(G: Poset, cap: int):
     """The (top set, bottom set) endpoint pairs of G's matchings, as sorted
     tuples, empty pair included, by walking every matching edge by edge;

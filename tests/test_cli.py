@@ -1,12 +1,14 @@
 import argparse
 import math
 import os
+import platform
 import re
 import shlex
 
 import numpy as np
 import pytest
 
+import posetdist
 from posetdist import (
     Distribution,
     hypercube_scale,
@@ -424,6 +426,9 @@ def test_run_record_embeds_config(workdir, capsys):
     assert rc == EXIT_OK
     sidecar = (workdir / "run.csv.config").read_text()
     assert "verb=oracle" in sidecar and "poset=" in sidecar
+    for line in (f"posetdist_version={posetdist.__version__}", f"numpy_version={np.__version__}",
+                 f"python_version={platform.python_version()}"):
+        assert line in sidecar.splitlines()
 
 
 def test_shipped_demo_manifest():
@@ -915,8 +920,8 @@ TESTER_BAD_INPUTS = [
     pytest.param(["test", "--alg", "bigness", "--dist", "u40.dist", "--eps", "1e-12"],
                  "learn budget of 7.2e+27 samples",
                  id="argv2-learn budget of 7.2e+27 samples"),
-    pytest.param(["test", "--alg", "all-matchings", *M6, "--eps", "1e-12"], "group size of 3.2e+25 samples",
-                 id="argv3-group size of 3.2e+25 samples"),
+    pytest.param(["test", "--alg", "all-matchings", *M6, "--eps", "1e-12"], "sample pool of 1.90421e+26 samples",
+                 id="argv3-sample pool of 1.90421e+26 samples"),
     pytest.param(["test", "--alg", "uniform-subset", *M6, "--eps", "1e-300"], "stage 1 size of 4.19",
                  id="argv4-stage 1 size of 4.19"),
     pytest.param(["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "1e30"],

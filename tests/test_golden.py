@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import posetdist
 from posetdist import (
     Distribution,
     ExactDistAccess,
@@ -457,6 +460,17 @@ def test_demo_suite_bytes(capsys):
     capsys.readouterr()
     assert main(["suite", "--manifest", manifest, "--seed", "42"]) == 0
     assert capsys.readouterr() == GOLDEN_DEMO_SUITE
+
+
+def test_demo_suite_bytes_through_python_m():
+    """`python -m posetdist.cli` runs main and exits with its code."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetdist.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "posetdist.cli", "suite", "--manifest",
+                           os.path.join(root, "manifests", "demo.suite"), "--seed", "42"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN_DEMO_SUITE[0]
 
 
 # Reductions: byte pins of `reduce` output and of lifted sample counts

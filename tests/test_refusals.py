@@ -19,6 +19,7 @@ from posetdist import (
     Rng,
     SizeCapError,
     WeightedMatching,
+    all_matchings_test,
     assign_parameters,
     bigness_test,
     bipartite_bounded_degree_test,
@@ -58,6 +59,13 @@ class _DrawsNothing(ExactDistAccess):
         return np.zeros(self.n, dtype=np.int64)
 
 
+def _violated_pairs(k: int):
+    """max_violation_matching on a bipartite poset of k disjoint edges, each
+    violated: its assignment matrix is k x k."""
+    G = make_bipartite(2 * k, [(i, k + i) for i in range(k)], bottom=range(k))
+    return max_violation_matching(G, Distribution.normalized(np.repeat([2.0, 1.0], k)))
+
+
 def _validate(**changes):
     """MomentPriors.validate on the bench priors with some fields replaced."""
     return lambda: dataclasses.replace(PRIORS, **changes).validate()
@@ -85,6 +93,8 @@ REFUSALS = [
      "eps must lie in (0, 1]"),
     ("bigness drew nothing", lambda: bigness_test(_DrawsNothing(Distribution.uniform(10)), 0.1, 0.2, rng=Rng(0)),
      ValueError, "sample access drew a total of 0 from a budget of 45000 samples"),
+    ("all-matchings drew nothing", lambda: all_matchings_test(B4, _DrawsNothing(U4), 0.2, rng=Rng(0)), ValueError,
+     "sample access drew a total of 0 from a pool of 2543 samples"),
     ("bipartite eps", lambda: bipartite_bounded_degree_test(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]),
                                                             ExactDistAccess(U4), 2, 4.0, rng=Rng(0)), ValueError,
      "eps must lie in (0, 1]"),
@@ -138,6 +148,8 @@ REFUSALS = [
     ("probe trials cap", lambda: indistinguishability_probe(PRIORS, 50, [0], 10**12, Rng(0)), SizeCapError,
      f"{10**12} trials exceed the limit of {MAX_DOMAIN}"),
     ("L cap", lambda: build_priors(0.5, 1e16, MAX_L + 1), SizeCapError, f"L={MAX_L + 1} exceeds the limit of {MAX_L}"),
+    ("assignment cells cap", lambda: _violated_pairs(2049), SizeCapError,
+     f"{2049 * 2049} assignment cells exceed the limit of {MAX_DOMAIN}"),
     ("instance size cap", lambda: generate_instance(PRIORS, MAX_DOMAIN + 1, 0, Rng(0)), SizeCapError,
      f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
 ]

@@ -28,12 +28,11 @@ from posetdist import (
 )
 from posetdist.oracles import _midpoint_cost
 from posetdist.reductions import LiftedAccess, _lifted
-from posetdist.testers import PAIR_CAP, MixedWithUniform, _enumerate_matchable_pairs, _mixed
+from posetdist.testers import MixedWithUniform, _mixed
 
 from genutil import (
     far_matching_dist,
     monotone_matching_dist,
-    pair_admits_perfect_matching,
     random_bipartite,
     random_dag,
     reference_matchable_pairs,
@@ -402,24 +401,7 @@ def test_all_matchings_tester():
     assert rates(lambda r: all_matchings_test(single, ExactDistAccess(heavy), 0.2, rng=r), 20) <= 0.1
     empty = make_bipartite(3, [], bottom=[0])
     v = all_matchings_test(empty, ExactDistAccess(Distribution.uniform(3)), 0.2, rng=Rng(0))
-    assert v.accepted and v.details["pair_count"] == 1
-
-
-def test_matchable_pair_enumeration():
-    K22 = make_bipartite(4, [(0, 2), (0, 3), (1, 2), (1, 3)], bottom=[0, 1])
-    pairs = _enumerate_matchable_pairs(K22, 100)
-    # empty, four single edges -> 4 distinct endpoint pairs, one full pair
-    assert ((), ()) in pairs
-    assert ((2, 3), (0, 1)) in pairs
-    assert len(pairs) == 6
-    for tops, bottoms in pairs:
-        if tops:
-            assert pair_admits_perfect_matching(K22, tops, bottoms)
-    shared_top = make_bipartite(4, [(0, 2), (1, 2)], bottom=[0, 1])
-    assert not pair_admits_perfect_matching(shared_top, (2, 3), (0, 1))
-    assert not pair_admits_perfect_matching(shared_top, (2,), (0, 1))
-    with pytest.raises(SizeCapError):
-        _enumerate_matchable_pairs(K22, 3)
+    assert v.accepted and v.stat == 0.0 and v.details == {"log_pair_bound": 0.0, "worst_pair": ((), ())}
 
 
 def _complete_bipartite(k: int):
@@ -438,21 +420,43 @@ def _matchable_pair_grid():
         yield f"K{k},{k}", _complete_bipartite(k)
 
 
-def _pairs_or_refusal(enumerate_pairs, G, cap):
-    try:
-        return enumerate_pairs(G, cap)
-    except SizeCapError as exc:
-        return f"SizeCapError: {exc}"
+def test_all_matchings_statistic_is_the_brute_force_over_matchable_pairs():
+    """The statistic, the violation-matching weight of the learned
+    histogram, equals the largest learned p(B) - p(T) over every matchable
+    pair that the per-matching walk lists, and worst_pair is one such pair
+    that attains it."""
+    rng = np.random.default_rng(4242)
+    walked = 0
+    for t, (name, G) in enumerate(_matchable_pair_grid()):
+        try:
+            pairs = reference_matchable_pairs(G, 4096)
+        except SizeCapError:
+            continue  # the walk alone is too slow past a few thousand pairs
+        walked += 1
+        p = Distribution.normalized(rng.exponential(1.0, G.n))
+        v = all_matchings_test(G, ExactDistAccess(p), 0.5, rng=Rng(t))
+        q = ExactDistAccess(p).histogram(v.samples, Rng(t)) / v.samples  # the draw the tester learned from
+        gaps = {pair: q[list(pair[1])].sum() - q[list(pair[0])].sum() for pair in pairs}
+        assert abs(v.stat - max(gaps.values())) <= 1e-12, name
+        assert abs(gaps[v.details["worst_pair"]] - v.stat) <= 1e-12, name
+    assert walked >= 60
 
 
-@pytest.mark.parametrize("cap", [3, 50, PAIR_CAP])
-def test_matchable_pairs_match_the_per_matching_walk(cap):
-    outcomes = set()
-    for name, G in _matchable_pair_grid():
-        want = _pairs_or_refusal(reference_matchable_pairs, G, cap)
-        assert _pairs_or_refusal(_enumerate_matchable_pairs, G, cap) == want, name
-        outcomes.add(isinstance(want, str))
-    assert outcomes == {False, True}  # both lists and refusals at every cap
+def test_all_matchings_runs_past_the_old_pair_cap():
+    """A 13-pair matching (8192 matchable pairs) and a 12+12 bipartite poset
+    of degree 3 (527346) get verdicts, with pools sized from the bound on
+    ln M: exact on the matching, 12 ln 4 on the bipartite poset."""
+    m13 = make_matching(13)
+    ring = make_bipartite(24, [(b, 12 + (b + k) % 12) for b in range(12) for k in range(3)], bottom=range(12))
+    for G, log_m in ((m13, 13 * np.log(2)), (ring, 12 * np.log(4))):
+        bottoms = np.isin(np.arange(G.n), G.edge_array[:, 0])
+        mono = Distribution.normalized(np.where(bottoms, 1.0, 3.0))
+        v = all_matchings_test(G, ExactDistAccess(mono), 0.25, rng=Rng(3))
+        assert v.accepted and v.stat < v.threshold
+        assert v.details["log_pair_bound"] == pytest.approx(log_m, rel=1e-12)
+        assert v.samples == int(np.ceil(32 * (log_m + np.log(6)) / 0.0625))
+        far = Distribution.normalized(np.where(bottoms, 3.0, 1.0))
+        assert not all_matchings_test(G, ExactDistAccess(far), 0.25, rng=Rng(4)).accepted
 
 
 # What repeated trials over one input share is built once and kept: the
