@@ -921,7 +921,7 @@ TESTER_BAD_INPUTS = [
                  "learn budget of 7.2e+27 samples",
                  id="argv2-learn budget of 7.2e+27 samples"),
     pytest.param(["test", "--alg", "all-matchings", *M6, "--eps", "1e-12"], "sample pool of 1.90421e+26 samples",
-                 id="argv3-sample pool of 1.90421e+26 samples"),
+                 id="argv3-group size of 3.2e+25 samples"),
     pytest.param(["test", "--alg", "uniform-subset", *M6, "--eps", "1e-300"], "stage 1 size of 4.19",
                  id="argv4-stage 1 size of 4.19"),
     pytest.param(["test", "--alg", "matching", *M6, "--eps", "0.2", "--multiplier", "1e30"],
