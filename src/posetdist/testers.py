@@ -281,18 +281,14 @@ def all_matchings_test(
     rng: Rng,
 ) -> Verdict:
     """Compare bottom vs top mass over every matchable (top set, bottom set)
-    pair, all scored at once from one learned histogram.
-
-    The statistic is the largest learned p(B) - p(T) over the pairs, which
-    is the weight of max_violation_matching on the learned distribution (a
-    pair's difference is the sum of its matching's edge violations, and the
-    empty pair gives 0); reject iff it exceeds eps/2. Each sample adds +1, -1
-    or 0 to a pair's count difference, so by Hoeffding and a union bound over
+    pair at once: the statistic, the largest learned p(B) - p(T), is the
+    weight of max_violation_matching on the learned distribution (the empty
+    pair gives 0); reject iff it exceeds eps/2. Each sample moves a pair's
+    count difference by +1, -1 or 0, so by Hoeffding and a union bound over
     the M pairs a pool of ceil(32 (ln M + ln 6) / eps^2) samples keeps every
-    pair's estimate within eps/4 with probability at least 2/3. ln M is
-    bounded by log_pair_bound, the sum over bottoms of ln(1 + out-degree): a
-    matchable pair comes from a matching, each bottom unmatched or matched to
-    one of its neighbours, and the bound is exact on a matching poset.
+    pair within eps/4 with probability at least 2/3. log_pair_bound, the sum
+    over bottoms of ln(1 + out-degree), bounds ln M (each bottom is unmatched
+    or matched to one of its neighbours), exactly on a matching poset.
     """
     _check_inputs("all_matchings_test", G, ("bipartite", "matching"), access, eps)
     # edges run bottom -> top, so only bottoms have out-edges
