@@ -439,7 +439,7 @@ def test_all_matchings_statistic_is_the_brute_force_over_matchable_pairs():
         gaps = {pair: q[list(pair[1])].sum() - q[list(pair[0])].sum() for pair in pairs}
         assert abs(v.stat - max(gaps.values())) <= 1e-12, name
         assert abs(gaps[v.details["worst_pair"]] - v.stat) <= 1e-12, name
-    assert walked >= 60
+    assert walked == 65  # all but one random 7+8 poset, which has more than 4096 pairs
 
 
 def test_all_matchings_runs_past_the_old_pair_cap():
