@@ -452,7 +452,7 @@ def test_all_matchings_runs_past_the_old_pair_cap():
         bottoms = np.isin(np.arange(G.n), G.edge_array[:, 0])
         mono = Distribution.normalized(np.where(bottoms, 1.0, 3.0))
         v = all_matchings_test(G, ExactDistAccess(mono), 0.25, rng=Rng(3))
-        assert v.accepted and v.stat < v.threshold
+        assert v.accepted
         assert v.details["log_pair_bound"] == pytest.approx(log_m, rel=1e-12)
         assert v.samples == int(np.ceil(32 * (log_m + np.log(6)) / 0.0625))
         far = Distribution.normalized(np.where(bottoms, 3.0, 1.0))
