@@ -18,8 +18,8 @@ LP duality makes the function distance equal the weight of a maximum-weight
 matching on the transitive closure with violation weights max(0, p(u)-p(v)),
 and the TV distance is sandwiched between half that weight and the weight
 itself; both facts are exercised heavily by the test suite. That matching is
-found by one assignment on the closure's double cover (tails as rows, heads as
-columns), solved by simplex._transport_cost: the chosen links form
+found by augmenting paths on the closure's double cover (the violating edges'
+tails on one side, their heads on the other): the chosen links form
 vertex-disjoint chains whose weights telescope, so each chain collapses to the
 closure edge between its endpoints without losing weight.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import MONOTONE_TOL, Poset, SizeCapError, _check_domain, _check_over, transitive_closure
+from .poset import MONOTONE_TOL, Poset, SizeCapError, _check_over, _csr, transitive_closure
 from .prob import Distribution, PairHistogram
 from .simplex import _transport_cost, solve_lp
 
@@ -139,50 +139,55 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     """Maximum-weight matching on TC(G) under weights max(0, p(u) - p(v)).
 
     Matching posets have no 2-paths, so every violating edge is taken. Every
-    other kind runs one max-weight assignment on the double cover of the
-    closure, as _transport_cost with unit supplies and demands on the
-    negated weights: rows are the tails of the violating edges, columns
-    their heads, and each cell holds that edge's violation weight. That
-    dense n x n matrix, n the larger of the two counts, is refused as a
-    SizeCapError above MAX_DOMAIN cells, before it is built. The
-    chosen links leave and enter each vertex at most once and follow the
-    acyclic order, so they form vertex-disjoint chains. A chain's weights
-    telescope to p(start) - p(end), the weight of the closure edge
-    start -> end, so collapsing each chain to that edge gives a matching of
-    the assignment's weight, and every matching is itself an assignment:
-    the result is exact.
-    Each output edge (u, v) weighs p(u) - p(v) as the candidate scan computes
-    it, the edges come out sorted, and zero-weight edges never appear in the
-    output. Off the matching kind, the total weight is math.fsum of p(start)
-    and -p(end) over the chosen edges: the correctly rounded exact weight, the
-    same whichever way the solver pairs starts with ends in a tie. On a
-    matching poset the edge set is unique and the weights are summed left to
-    right.
+    other kind matches the violating edges' tails to their heads (the closure's
+    double cover) by the Hungarian method: each tail r also has a private dummy
+    head of cost 0 (r stays unmatched), and a link t -> h costs p(h) - p(t).
+    These costs are potential differences, so an alternating path from a new
+    root r to a free head h costs p(h) - p(r) whatever lies between, and the
+    cheapest augmenting path ends at the reachable free head of least p, when
+    that p is below p(r). Roots come in decreasing p, ties by vertex, so a path
+    to an earlier root's dummy is never cheaper than r's own: only real heads
+    are searched. Matched heads stay matched, so a search stops at the lowest
+    free head overall, and a root not above it is skipped. The links form
+    vertex-disjoint chains whose weights telescope to p(start) - p(end), the
+    weight of the closure edge start -> end, so each chain collapses to that
+    edge and the result is exact.
+    Each output edge (u, v) weighs p(u) - p(v), the edges come out sorted, and
+    zero-weight edges never appear. Off the matching kind, the total weight is
+    math.fsum of p(start) and -p(end) over the chosen edges: the correctly
+    rounded exact weight, whichever optimum a tie selects. On a matching poset
+    the edge set is unique and the weights are summed left to right.
     """
     _check_over(G, "distribution", (p.n,))
     u, v, w = _violation_edges(G, p.probs)
     if G.kind == "matching":
         weights = w.tolist()
         return WeightedMatching(tuple(zip(zip(u.tolist(), v.tolist()), weights)), float(sum(weights)))
-    tails, row = np.unique(u, return_inverse=True)
-    heads, col = np.unique(v, return_inverse=True)
-    n = max(tails.size, heads.size)
-    _check_domain(n * n, "assignment cells")
-    W = np.zeros((n, n))
-    W[row, col] = w
-    _, flow = _transport_cost([1.0] * n, [1.0] * n, -W)
-    link = {}
-    for i, j in zip(*flow[: tails.size].nonzero()):
-        if W[i, j] > 0:
-            link[tails[i].item()] = heads[j].item()
+    probs = p.probs.tolist()
+    first, arcs = _csr(np.column_stack((u, v)), G.n)
+    free, link, mate = sorted(set(v.tolist()), key=probs.__getitem__, reverse=True), {}, {}
+    for r in sorted(dict.fromkeys(u.tolist()), key=probs.__getitem__, reverse=True):  # np.unique would import numpy.ma
+        while free and free[-1] in mate:  # matched heads stay matched
+            free.pop()
+        via, stack, end, low = {}, [r], None, probs[r]
+        while stack and free and probs[free[-1]] < low:  # nothing reachable is lower than free[-1]
+            t = stack.pop()
+            for h in arcs[first[t] : first[t + 1]]:
+                if h not in via:
+                    via[h] = t
+                    if h in mate:
+                        stack.append(mate[h])
+                    elif probs[h] < low:
+                        end, low = h, probs[h]
+        while end is not None:  # flip the path r -> ... -> end
+            link[via[end]], mate[end], end = end, via[end], link.get(via[end])
     chosen = []
-    for start in link.keys() - set(link.values()):
+    for start in sorted(link.keys() - mate.keys()):  # one chain per start
         end = start
         while end in link:
             end = link[end]
-        chosen.append(((start, end), float(p.probs[start] - p.probs[end])))
-    chosen.sort()
-    weight = math.fsum(x for (a, b), _ in chosen for x in (p.probs[a], -p.probs[b]))
+        chosen.append(((start, end), probs[start] - probs[end]))
+    weight = math.fsum(x for (a, b), _ in chosen for x in (probs[a], -probs[b]))
     return WeightedMatching(tuple(chosen), weight)
 
 

@@ -25,8 +25,8 @@ from .prob import _blocks, _check_finite, _content
 
 # Desk-scale capacity limits. make_hypercube and hypercube_embedding refuse
 # dimensions whose edge list would not fit the memory budget (d=16 is ~0.5M
-# edges), and _check_domain refuses a count of vertices, elements, trials or
-# assignment cells above MAX_DOMAIN before anything is allocated per item.
+# edges), and _check_domain refuses a count of vertices, elements or trials
+# above MAX_DOMAIN before anything is allocated per item.
 HYPERCUBE_MAX_DIM = 16
 MAX_DOMAIN = 1 << 22
 

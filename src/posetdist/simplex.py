@@ -18,12 +18,12 @@ row duals come with the point, each the derivative of the optimum in that
 row's right-hand side (so <= 0). The feasibility contract is the 1e-9
 tolerance.
 
-_transport_cost, a transportation simplex, solves every transportation and
-assignment problem of the library: W, the violation matching and
-min_perm_l1. It runs on the dense cost matrix from the least-cost basis.
-A pivot moves flow cell by cell around its cycle, the flow becoming an
-array only at the end, and re-walks only the subtree whose potentials move,
-writing those alone into the one potential array that pricing reads.
+_transport_cost, a transportation simplex, solves the library's two
+transportation problems, W and min_perm_l1's assignment, on their dense
+cost matrices from the least-cost basis. A pivot moves flow cell by cell
+around its cycle, the flow becoming an array only at the end, and re-walks
+only the subtree whose potentials move, writing those alone into the one
+potential array that pricing reads.
 
 Both price by _entering, the most negative reduced cost. A pivot that lowers
 the objective by at most 1e-12 is a stall; from _STALL_LIMIT stalls in a row

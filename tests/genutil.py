@@ -110,6 +110,18 @@ def random_distribution(rng: np.random.Generator, n: int) -> Distribution:
     return Distribution(v / v.sum())
 
 
+def learned_ring(k: int, seed) -> tuple[Poset, Distribution]:
+    """A k + k bipartite poset of degree 3, bottom b below tops k + (b + j) mod k
+    for j = 0, 1, 2, with the learned distribution counts / s of s = 100 k
+    draws from a law whose bottoms lie in [3, 5] and tops in [0.5, 1]: every
+    edge is violated and many values tie, as in an all-matchings trial."""
+    rng = np.random.default_rng(seed)
+    G = make_bipartite(2 * k, [(b, k + (b + j) % k) for b in range(k) for j in range(3)], bottom=range(k))
+    law = np.concatenate([rng.uniform(3.0, 5.0, k), rng.uniform(0.5, 1.0, k)])
+    s = 100 * k
+    return G, Distribution(rng.multinomial(s, law / law.sum()) / s)
+
+
 def brute_force_violation_matching(G: Poset, p: Distribution) -> float:
     """Max-weight matching weight by recursive enumeration over TC edges."""
     if G.kind == "matching":

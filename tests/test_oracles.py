@@ -35,6 +35,7 @@ from genutil import (
     brute_force_violation_matching,
     counting_pivots,
     highs_lp,
+    learned_ring,
     lp_min_w_to_monotone_pairhist,
     random_bipartite,
     random_dag,
@@ -114,7 +115,7 @@ def test_matching_examples_and_tiebreak():
     assert m.weight == pytest.approx(0.5)
 
 
-def test_matching_equals_bruteforce_and_lp(monkeypatch):
+def test_matching_equals_bruteforce_and_lp():
     rng = np.random.default_rng(33)
     for _ in range(60):
         n = int(rng.integers(2, 9))
@@ -124,19 +125,11 @@ def test_matching_equals_bruteforce_and_lp(monkeypatch):
         assert W == pytest.approx(brute_force_violation_matching(G, p), abs=1e-10)
         d, _ = func_dist_to_monotone(G, p)
         assert d == pytest.approx(W, abs=1e-7)  # LP duality + integrality
-    # 1/4-grid probabilities tie many violation weights, so the assignment
-    # pivots degenerately; once more with Bland's rule from the first pivot
-    tied = []
+    # 1/4-grid probabilities tie many violation weights and many p values
     for _ in range(40):
         n = int(rng.integers(3, 9))
-        tied.append((random_dag(rng, n), Distribution.normalized(rng.integers(1, 5, n) / 4)))
-    entered = counting_pivots(monkeypatch)
-    for stall_limit in (simplex._STALL_LIMIT, 0):
-        monkeypatch.setattr(simplex, "_STALL_LIMIT", stall_limit)
-        entered.clear()
-        for G, p in tied:
-            assert max_violation_matching(G, p).weight == pytest.approx(brute_force_violation_matching(G, p), abs=1e-12)
-        assert entered
+        G, p = random_dag(rng, n), Distribution.normalized(rng.integers(1, 5, n) / 4)
+        assert max_violation_matching(G, p).weight == pytest.approx(brute_force_violation_matching(G, p), abs=1e-12)
 
 
 def test_bipartite_matching_path_agrees_with_dp():
@@ -152,16 +145,42 @@ def test_matching_on_large_posets_equals_lp():
     # beyond brute-force reach the function-distance LP is the independent route
     rng = np.random.default_rng(35)
     posets = [random_dag(rng, n, edge_prob=0.1) for n in (25, 40, 64)] + [make_hypercube(5), make_hypercube(6)]
-    for G in posets:
-        p = random_distribution(rng, G.n)
+    cases = [(G, random_distribution(rng, G.n)) for G in posets] + [learned_ring(300, 36)]
+    for G, p in cases:
         m = max_violation_matching(G, p)
-        d, _ = func_dist_to_monotone(G, p)
-        assert m.weight == pytest.approx(d, abs=1e-7)
+        if G.n <= DEFAULT_LP_CAP:
+            d, _ = func_dist_to_monotone(G, p)
+            assert m.weight == pytest.approx(d, abs=1e-7)
+        else:  # the learned 300 + 300 ring: HiGHS, past the flow LP's cap
+            assert m.weight == pytest.approx(reference_func_dist_lp(G, p), abs=1e-9)
         tc = transitive_closure(G)
         for (u, v), w in m.edges:
             assert tc.reach(u, v)
             assert w == p.probs[u] - p.probs[v]
         assert list(m.edges) == sorted(m.edges)
+
+
+def test_matching_runs_no_transportation_simplex(monkeypatch):
+    """The violation matching is an augmenting-path search: no kind of poset
+    reaches _transport_cost, on random p or on learned counts, whose many tied
+    values once drove the transportation simplex into its pivot limit."""
+    rng = np.random.default_rng(42)
+    cases = [(G, random_distribution(rng, G.n)) for G in (random_bipartite(rng, 6, 7), random_dag(rng, 9))]
+    cube = make_hypercube(6)
+    ring = learned_ring(200, 43)
+
+    def no_transport(*args):
+        raise AssertionError("the transportation simplex was called")
+
+    monkeypatch.setattr(oracles, "_transport_cost", no_transport)
+    for G, p in cases:
+        assert max_violation_matching(G, p).weight == pytest.approx(brute_force_violation_matching(G, p), abs=1e-12)
+    p = random_distribution(rng, cube.n)
+    assert max_violation_matching(cube, p).weight == pytest.approx(func_dist_to_monotone(cube, p)[0], abs=1e-7)
+    G, p = ring
+    u, v = G.edge_array.T
+    assert (p.probs[u] - p.probs[v] > 1e-12).all()
+    assert max_violation_matching(G, p).weight > 0
 
 
 def test_bipartite_matching_needs_no_closure(monkeypatch):

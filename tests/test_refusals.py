@@ -2,6 +2,7 @@
 message: one row per refusal, so a new check adds one more input here."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -59,11 +60,16 @@ class _DrawsNothing(ExactDistAccess):
         return np.zeros(self.n, dtype=np.int64)
 
 
-def _violated_pairs(k: int):
-    """max_violation_matching on a bipartite poset of k disjoint edges, each
-    violated: its assignment matrix is k x k."""
+def test_violation_matching_has_no_cell_cap():
+    """2049 disjoint violated edges, whose padded 2049 x 2049 assignment once
+    passed MAX_DOMAIN cells, give every edge and the fsum weight."""
+    k = 2049
     G = make_bipartite(2 * k, [(i, k + i) for i in range(k)], bottom=range(k))
-    return max_violation_matching(G, Distribution.normalized(np.repeat([2.0, 1.0], k)))
+    p = Distribution.normalized(np.repeat([2.0, 1.0], k))
+    m = max_violation_matching(G, p)
+    top, bottom = p.probs[0], p.probs[k]
+    assert m.edges == tuple(((i, k + i), top - bottom) for i in range(k))
+    assert m.weight == math.fsum([top, -bottom] * k)
 
 
 def _validate(**changes):
@@ -148,8 +154,6 @@ REFUSALS = [
     ("probe trials cap", lambda: indistinguishability_probe(PRIORS, 50, [0], 10**12, Rng(0)), SizeCapError,
      f"{10**12} trials exceed the limit of {MAX_DOMAIN}"),
     ("L cap", lambda: build_priors(0.5, 1e16, MAX_L + 1), SizeCapError, f"L={MAX_L + 1} exceeds the limit of {MAX_L}"),
-    ("assignment cells cap", lambda: _violated_pairs(2049), SizeCapError,
-     f"{2049 * 2049} assignment cells exceed the limit of {MAX_DOMAIN}"),
     ("instance size cap", lambda: generate_instance(PRIORS, MAX_DOMAIN + 1, 0, Rng(0)), SizeCapError,
      f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
 ]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posetdist import PairHistogram, make_hypercube, max_violation_matching, min_perm_l1, w_distance
+from posetdist import PairHistogram, min_perm_l1, w_distance
 from posetdist import oracles, simplex
 from posetdist.simplex import LpError
 
@@ -15,8 +15,6 @@ from genutil import (
     array_digest,
     bench_shaped_pair_histograms,
     counting_pivots,
-    random_dag,
-    random_distribution,
     record_pivot_path,
     reference_transport_cost,
 )
@@ -189,11 +187,6 @@ def test_least_cost_start_is_a_feasible_spanning_tree(name):
     assert flow.sum(axis=0) == pytest.approx(demand, rel=1e-12)
 
 
-def _matching(G, seed):
-    p = random_distribution(np.random.default_rng(seed), G.n)
-    return lambda: max_violation_matching(G, p)
-
-
 def _perm(n: int, seed, quarter: bool):
     rng = np.random.default_rng(seed)
     vecs = [rng.integers(0, 5, n) / 4 if quarter else rng.random(n) for _ in range(4)]
@@ -212,10 +205,6 @@ def _tied_at_bland(monkeypatch):
 
 TRANSPORT_CASES = {
     "w20x22": lambda mp: lambda: [w_distance(h, g) for h, g in bench_shaped_pair_histograms(101)],
-    "match-cube6": lambda mp: _matching(make_hypercube(6), [6, 21]),
-    "match-cube7-bland": lambda mp: _matching(make_hypercube(7), [7, 21]),  # 9 pricing calls under Bland
-    **{f"match-dag{n}": (lambda mp, n=n: _matching(random_dag(np.random.default_rng([n, 22]), n), [n, 23]))
-       for n in (24, 40)},
     "perm40": lambda mp: _perm(40, [40, 24], False),
     "perm80-quarter": lambda mp: _perm(80, [7, 80, 0], True),
     # degenerate quarter-grid costs: the default stall limit switches to
@@ -230,10 +219,6 @@ TRANSPORT_CASES = {
 # keeps every pivot and every output byte, so it never moves these pins.
 TRANSPORT_PATH_PINS = {
     "w20x22": (265, "df47c856eed1c471418783032e5045ca"),
-    "match-cube6": (56, "5d0d159be8de4a9b78776934f1ed50a0"),
-    "match-cube7-bland": (270, "fe83d150ddcd000263c0c33fbbe5af89"),
-    "match-dag24": (17, "d0eeac1ebc613ff8b67a83b1f2dbfaf5"),
-    "match-dag40": (56, "7323ea3d26a3e314dd8a8ffc26bdc86b"),
     "perm40": (44, "e6dcd82db9d422c84ad580033c84e57e"),
     "perm80-quarter": (113, "be29cca10bbb273d2fc33d9d4595acf6"),
     "assign120-quarter-bland": (125, "822e2821d1fa2326cabecc9d6dc345f4"),
