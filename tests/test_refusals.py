@@ -61,8 +61,8 @@ class _DrawsNothing(ExactDistAccess):
 
 
 def test_violation_matching_has_no_cell_cap():
-    """2049 disjoint violated edges, whose padded 2049 x 2049 assignment once
-    passed MAX_DOMAIN cells, give every edge and the fsum weight."""
+    """2049 disjoint violated edges (2049 x 2049 > MAX_DOMAIN) give every
+    edge and the fsum weight: the matching has no size cap of its own."""
     k = 2049
     G = make_bipartite(2 * k, [(i, k + i) for i in range(k)], bottom=range(k))
     p = Distribution.normalized(np.repeat([2.0, 1.0], k))
