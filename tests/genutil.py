@@ -43,6 +43,13 @@ def chebyshev_grid(nu: float, lam: float, size: int) -> np.ndarray:
     return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * k / (size - 1)))
 
 
+def reference_moments(sides, L: int):
+    """Each (atoms, mass) side's mass @ atoms**j for j = 1..L, a pow per atom and j:
+    the moment loop MomentPriors.validate ran before its running products."""
+    for j in range(1, L + 1):
+        yield tuple(float(a**j @ m) for a, m in sides)
+
+
 def grid_moment_gap(nu: float, lam: float, L: int, size: int = 400) -> float:
     """The moment-gap program discretized, an independent route to its value:
     maximize E[1/X] - E[1/X'] over two PMFs on a Chebyshev grid of `size`

@@ -751,7 +751,7 @@ LB_BAD_INPUTS = [
                  id="argv12-1000000000000 trials exceed the limit of 4194304"),
     pytest.param(["lb", "solve", "--nu", "0.5", "--lambda", "1e16", "--L", str(MAX_L + 1)],
                  f"L={MAX_L + 1} exceeds the limit of {MAX_L}",
-                 id="argv13-L=3501 exceeds the limit of 3500"),
+                 id=f"argv13-L={MAX_L + 1} exceeds the limit of {MAX_L}"),
 ]
 
 

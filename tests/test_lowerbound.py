@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import re
@@ -37,6 +38,7 @@ from genutil import (
     reference_fingerprints,
     reference_instance,
     reference_instance_counts,
+    reference_moments,
     two_sample_chi2_pvalue,
 )
 
@@ -182,6 +184,55 @@ def test_validate_reports_a_perturbed_far_atom_past_the_double_range():
             dataclasses.replace(priors, atoms_far=atoms).validate()
     assert "mean" not in str(exc.value)
     assert "moment 100 of the atoms" in str(exc.value)
+
+
+PRIOR_LAMBDAS = (1.6, 3, 6, 12, 1e2, 1e4, 1e8, 1e12, 1e16, 6257783137866831)
+PRIOR_GRID = [(nu, lam, L) for nu in (0.1, 0.5, 2) for lam in PRIOR_LAMBDAS
+              for L in (*range(2, 41), 60, 100, 200, 500, 1000) if lam > 1 + nu]
+
+
+def test_moment_products_match_the_pow_reference(monkeypatch):
+    """validate takes moment j from a running product of the scaled atoms, not a
+    pow per j. Over 1232 (nu, lam, L), build_priors accepts, or refuses with the
+    same error and the same missed moments, exactly where the pow loop of
+    tests/genutil.py does, and every moment agrees with its pow value to 1e-12
+    relative (products round about j*eps apart; 1.4e-15 is the largest seen).
+    The grid reaches validate's rounding refusal as well as the gap program's."""
+    products = lb._moments
+    tally = collections.Counter()
+    for point in PRIOR_GRID:
+        outcomes, moments = [], []
+        for route in (products, reference_moments):
+            def recording(sides, L, route=route):
+                moments.append(np.array(list(route(sides, L))))
+                return iter(moments[-1].tolist())
+            monkeypatch.setattr(lb, "_moments", recording)
+            try:
+                build_priors(*point)
+                outcomes.append(None)
+            except (ParameterError, PriorsError) as exc:
+                outcomes.append((type(exc), re.sub(r"mismatch: [^;]*", "mismatch", str(exc))))
+        assert outcomes[0] == outcomes[1], point
+        if moments:
+            np.testing.assert_allclose(*moments, rtol=1e-12, atol=0, err_msg=str(point))
+        tally["validated" if moments else "refused before validate", outcomes[0] is None] += 1
+    assert tally == {("validated", True): 880, ("validated", False): 9, ("refused before validate", False): 343}
+
+
+@pytest.mark.parametrize("lam", [1e12, 1e16])
+def test_priors_build_at_the_L_cap(lam):
+    """At the largest accepted L the products' rounding has grown most: every
+    moment still matches, and the change of measure keeps the gap program's
+    value. At lambda = 1e12 that value is the closed form. At 1e16 it is not:
+    0.5 * (lambda + 1.5) rounds to a multiple of 1, so the lowest alternation
+    point lands on 2, not on 1 + nu = 1.5, and the value is about 3/4 of it."""
+    value, _, _ = solve_moment_gap(0.5, lam, lb.MAX_L)
+    priors = build_priors(0.5, lam, lb.MAX_L)
+    priors.validate()
+    assert abs(priors.gap - value) <= MOMENT_REL_TOL * value
+    if lam == 1e12:
+        closed = moment_gap_value(0.5, lam, lb.MAX_L)
+        assert abs(value - closed) <= MOMENT_REL_TOL * closed
 
 
 def test_moment_gap_memory_is_linear_in_L():
