@@ -39,7 +39,6 @@ from .simplex import solve_lp  # noqa: F401
 MASS_TOL = 1e-9
 MEAN_TOL = 1e-8
 MOMENT_REL_TOL = 1e-8
-PLACEMENT_ULPS = 2.0  # spacings of lam a point may be off: one for the map from t, one for the clip
 LOG_W_BLOCK = 64  # rows of the atom-difference matrix that solve_moment_gap holds at once
 # the largest rate Generator.poisson accepts (numpy's POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
@@ -56,8 +55,8 @@ RATE_TABLE_MAX = 64.0
 # The largest L that solve_moment_gap, and so build_priors, takes. build_priors
 # takes time growing as L^2 in what the construction must do: the sum of L^2 log
 # differences in solve_moment_gap and L products of each atom in validate. At
-# L = 10500, nu in {0.1, 0.5, 2} and lam in {1e8, 1e12, 1e16}, it took at most
-# 0.93 s, at L = 11000 up to 1.07 s (2-core Xeon, numpy 2.4).
+# L = 10500, nu in {0.1, 0.5, 2} and lam in {1e8, 1e12, 1e16}, it took 0.55 to
+# 0.65 s (2-core Xeon, numpy 2.4).
 MAX_L = 10500
 
 
@@ -89,14 +88,18 @@ def solve_moment_gap(nu: float, lam: float, L: int):
 
     The optimal X - X' lives on the L+1 alternation points of the best
     uniform approximation to 1/x by polynomials of degree L-1. With
-    [1+nu, lam] mapped to t in [-1, 1], c = (lam+1+nu)/(lam-1-nu) and
-    r = c - sqrt(c^2-1), point k is t_k = -cos(theta_k), where theta_k solves
+    c = (lam+1+nu)/(lam-1-nu), r = c - sqrt(c^2-1) and u = sin^2(theta/2),
+    point k is x_k = 1+nu + (lam-1-nu)*u_k, where theta_k solves
     L*theta - 2*arg(1 - r*e^{i*theta}) = k*pi on [0, pi]. The left side
-    increases with theta and stays within pi of L*theta, so one bisection
-    over all k at once finds every root. The weights are the divided-difference
-    weights w_k = 1/prod_{j != k}(x_k - x_j), which annihilate every
-    polynomial of degree below L; their signs alternate, the even points
-    making up X and the odd ones X', each side normalized to mass 1.
+    increases with theta and stays within pi of L*theta, so theta_0 = 0,
+    theta_L = pi, and one bisection over all k at once finds the others.
+    At a large lam the low points crowd near theta = 0, where c - 1 and 1 - r
+    are too small to take as differences: they are d = 2(1+nu)/(lam-1-nu)
+    and sqrt(d(2+d)) - d, and 1 - r*cos(theta) is (1-r) + 2r*sin^2(theta/2). The
+    weights are the divided-difference weights w_k = 1/prod_{j != k}(x_k - x_j),
+    which annihilate every polynomial of degree below L; their signs
+    alternate, the even points making up X and the odd ones X', each side
+    normalized to mass 1.
 
     The value is a difference of two sums whose rounding error is about
     (L+1)*eps*S, eps the machine epsilon and S = E[1/X] + E[1/X'] =
@@ -119,30 +122,29 @@ def solve_moment_gap(nu: float, lam: float, L: int):
 
     refuse_unresolved(2.0 / lam)
     lo, hi = 1 + nu, lam
-    c = (hi + lo) / (hi - lo)
-    if c == 1.0:  # then r = 1 and alternation points coincide
+    if (hi + lo) / (hi - lo) == 1.0:  # then r = 1 and alternation points coincide
         raise ParameterError(f"lambda={lam:g} is beyond double precision at nu={nu:g}: "
                              f"(lambda+1+nu)/(lambda-1-nu) rounds to 1")
     if L > MAX_L:
         raise SizeCapError(f"L={L} exceeds the limit of {MAX_L}")
-    r = c - math.sqrt(c * c - 1)
-    target = np.arange(L + 1) * math.pi
-    a = np.clip((target - math.pi) / L, 0.0, math.pi)
-    b = np.clip((target + math.pi) / L, 0.0, math.pi)
-    while (b - a).max() > np.spacing(math.pi):
-        mid = 0.5 * (a + b)
-        below = L * mid - 2 * np.arctan2(-r * np.sin(mid), 1 - r * np.cos(mid)) < target
+    d = 2 * lo / (hi - lo)
+    one_minus_r = math.sqrt(d * (2 + d)) - d
+    r = 1 - one_minus_r
+    target = np.arange(1, L) * math.pi  # the interior roots
+    a, b = (target - math.pi) / L, (target + math.pi) / L
+    while ((a < (mid := 0.5 * (a + b))) & (mid < b)).any():  # until no midpoint moves
+        half_sin = np.sin(0.5 * mid)
+        below = L * mid - 2 * np.arctan2(-r * np.sin(mid), one_minus_r + 2 * r * half_sin * half_sin) < target
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
-    t = -np.cos(0.5 * (a + b))
-    # t is exactly -1 and 1 at the ends; the map may round those points out of [lo, hi]
-    x = np.clip(0.5 * (hi + lo) + 0.5 * (hi - lo) * t, lo, hi)
-    # |w_k| up to a common factor, from the differences 2(t_k - t_j) summed as
-    # logs (a product of L differences can leave the double range), a block
-    # of rows at a time so that memory stays O(L)
+    u = np.sin(0.5 * np.concatenate(([0.0], mid, [math.pi]))) ** 2
+    x = np.minimum(lo + (hi - lo) * u, hi)  # the sum may round above hi
+    # |w_k| up to a common factor, from the differences 4(u_k - u_j) = 2(t_k - t_j)
+    # summed as logs (a product of L differences can leave the double range), a
+    # block of rows at a time so that memory stays O(L)
     log_w = np.empty(L + 1)
     for k in range(0, L + 1, LOG_W_BLOCK):
-        diff = 2.0 * np.abs(t[k : k + LOG_W_BLOCK, None] - t)
+        diff = 4.0 * np.abs(u[k : k + LOG_W_BLOCK, None] - u)
         np.fill_diagonal(diff[:, k:], 1.0)
         log_w[k : k + LOG_W_BLOCK] = -np.log(diff).sum(axis=1)
     w = np.exp(log_w - log_w.max())
@@ -153,10 +155,15 @@ def solve_moment_gap(nu: float, lam: float, L: int):
 
 
 def _moments(sides, L: int):
-    """Each (atoms, mass) side's mass @ atoms**j for j = 1..L, by a running product, not L pows."""
+    """Each (atoms, mass) side's mass @ atoms**j for j = 1..L, by a running product, not L pows.
+    A power below the smallest normal double is set to 0: subnormal products are slow, and
+    the moments came out bit-identical at MAX_L."""
+    tiny = np.finfo(float).tiny
     powers = [np.ones_like(a) for a, _ in sides]
     for _ in range(L):
-        yield tuple(float(np.multiply(p, a, out=p) @ m) for p, (a, m) in zip(powers, sides))
+        for p, (a, _) in zip(powers, sides):
+            np.copyto(p, 0.0, where=np.multiply(p, a, out=p) < tiny)
+        yield tuple(float(p @ m) for p, (_, m) in zip(powers, sides))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +185,8 @@ class MomentPriors:
     gap: float
 
     def validate(self) -> None:
-        """Enforce all invariants, raising PriorsError with residuals, or
-        ParameterError when the only breaches are moment misses that placing
-        the atoms to PLACEMENT_ULPS spacings of lam (over beta) can explain:
-        rounding, not a bug, at a lambda beyond double precision for this L."""
+        """Enforce all invariants, raising PriorsError with residuals: a
+        breach, a moment miss included, is a bug in the construction."""
         problems = []
         for name, atoms, mass in (
             ("big", self.atoms_big, self.mass_big),
@@ -203,24 +208,15 @@ class MomentPriors:
         # MOMENT_REL_TOL * max(1, |a|) divided by S^j; a non-finite moment fails it.
         S = max(1.0, float(self.atoms_big.max(initial=0.0)), float(self.atoms_far.max(initial=0.0)))
         sides = ((self.atoms_big / S, self.mass_big), (self.atoms_far / S, self.mass_far))
-        e = PLACEMENT_ULPS * np.spacing(self.lam) / self.beta / S  # an atom's placement error / S
-        rounded = []  # moment misses that the atoms' placement error can explain
         for j, (mj_big, mj_far) in enumerate(_moments(sides, self.L), 1):
-            miss, tol = abs(mj_big - mj_far), MOMENT_REL_TOL * max(abs(mj_big), S**-j)
-            if not miss <= tol:
-                shift = sum(float(m @ (a * ((a + e) ** (j - 1) - a ** (j - 1)))) for a, m in sides)
-                (rounded if miss <= tol + shift else problems).append(
-                    f"moment {j} of the atoms / {S!r} mismatch: {mj_big!r} vs {mj_far!r}")
+            if not abs(mj_big - mj_far) <= MOMENT_REL_TOL * max(abs(mj_big), S**-j):
+                problems.append(f"moment {j} of the atoms / {S!r} mismatch: {mj_big!r} vs {mj_far!r}")
         if self.gap > 0 and not (
             1 + self.nu - 1e-9 <= self.beta <= min(self.lam, 1.0 / self.gap) + 1e-9
         ):
             problems.append(f"beta {self.beta!r} outside [1+nu, min(lam, 1/gap)]")
         if problems:
-            raise PriorsError("; ".join(problems + rounded))
-        if rounded:
-            raise ParameterError(f"L={self.L} is beyond double precision at nu={self.nu:g}, lambda={self.lam:g}: "
-                                 f"placing the atoms to within {PLACEMENT_ULPS:g} spacings of lambda can cause "
-                                 + "; ".join(rounded))
+            raise PriorsError("; ".join(problems))
 
     def zero_mass(self) -> float:
         return float(self.mass_far[self.atoms_far == 0.0].sum())
@@ -265,9 +261,8 @@ def build_priors(nu: float, lam: float, L: int) -> MomentPriors:
     """The prior pair: the gap program's optimum in closed form
     (solve_moment_gap, which refuses an L beyond double precision with
     ParameterError and then one above MAX_L with SizeCapError), then the
-    change of measure, whose validate refuses a moment missed only through
-    the rounding of the atoms' places likewise. Each step is O(L^2): at MAX_L
-    the gap program took about 0.4 s and validate's moments 0.35-0.5 s."""
+    change of measure, checked by validate. Each step is O(L^2): at MAX_L
+    the gap program took about 0.4 s and validate's moments about 0.2 s."""
     _, (ax, mx), (ax2, mx2) = solve_moment_gap(nu, lam, L)
     return priors_from_gap_solution(nu, lam, L, ax, mx, ax2, mx2)
 

@@ -31,7 +31,7 @@ from posetdist.cli import (
     main,
     run_suite,
 )
-from posetdist.lowerbound import MAX_L
+from posetdist.lowerbound import MAX_L, MOMENT_REL_TOL, moment_gap_value
 from posetdist.poset import MAX_DOMAIN
 from posetdist.simplex import LpError
 
@@ -1044,19 +1044,21 @@ def test_lb_lambda_beyond_double_precision_exits_3(workdir, capsys, lam, verb, e
     assert want in capsys.readouterr().err
 
 
-def test_lb_solve_where_atom_placement_rounding_breaks_a_moment(workdir, capsys):
-    """At lambda = 6257783137866831 and L = 2 the map from t places the
-    interior atom (about 6.6e7) only to about one spacing of lambda, and
-    moment 2 missed MOMENT_REL_TOL: the run ended in a PriorsError
-    traceback. It is refused as infeasible, by main and in a suite row."""
-    want = "infeasible parameters: L=2 is beyond double precision at nu=0.5, lambda=6.25778e+15: "
-    assert main(["lb", "solve", "--nu", "0.5", "--lambda", "6257783137866831", "--L", "2"]) == EXIT_INFEASIBLE
-    err = capsys.readouterr().err
-    assert err.startswith(want) and "moment 2 of the atoms" in err and "Traceback" not in err
+def test_lb_solve_between_two_to_the_52_and_53(workdir, capsys):
+    """At lambda = 6257783137866831 and L = 2 the map from t once placed the
+    interior atom (about 6.6e7) only to about one spacing of lambda, moment 2
+    missed MOMENT_REL_TOL, and the run was refused as infeasible. It now
+    exits 0 with the closed-form objective, by main and in a suite row."""
+    closed = moment_gap_value(0.5, 6257783137866831, 2)
+    assert main(["lb", "solve", "--nu", "0.5", "--lambda", "6257783137866831", "--L", "2"]) == EXIT_OK
+    objective = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
+    assert abs(objective - closed) <= MOMENT_REL_TOL * closed
     manifest = workdir / "lam.suite"
-    manifest.write_text("verb=lb-solve nu=0.5 lambda=6257783137866831 L=2\n")
-    assert run_suite(str(manifest), None, 0).split("\n")[1] == f"0,0,{EXIT_INFEASIBLE},0.0,fail"
-    assert want in capsys.readouterr().err
+    bounds = f"expect_min={closed * (1 - MOMENT_REL_TOL)!r} expect_max={closed * (1 + MOMENT_REL_TOL)!r}"
+    manifest.write_text(f"verb=lb-solve nu=0.5 lambda=6257783137866831 L=2 expect_field=objective {bounds}\n")
+    _, _, status, value, check = run_suite(str(manifest), None, 0).split("\n")[1].split(",")
+    assert (status, check) == (str(EXIT_OK), "pass")
+    assert abs(float(value) - closed) <= MOMENT_REL_TOL * closed
 
 
 def test_lb_solve_at_an_inexact_one_plus_nu(capsys):

@@ -128,27 +128,22 @@ def test_lambda_beyond_double_precision_is_refused():
         build_priors(0.5, 1e16, 4).validate()
 
 
-def test_atom_placement_rounding_is_refused_and_a_larger_miss_is_a_bug():
-    """At lambda = 6257783137866831, L = 2 the map from t places the interior
-    atom (about 6.6e7) only to about one spacing of lambda, and moment 2
-    missed MOMENT_REL_TOL: a PriorsError. It is refused with ParameterError;
-    the other L at that lambda, and lambda = 1e16, still build. Moving an X'
-    atom by ten spacings of lambda is more than placement rounding can do,
-    and stays a PriorsError."""
+def test_a_moment_miss_is_a_bug():
+    """At lambda = 6257783137866831, L = 2 the map from t once placed the
+    interior atom (about 6.6e7) only to about one spacing of lambda, moment 2
+    missed MOMENT_REL_TOL, and validate refused that with ParameterError as
+    rounding. Every L there and at lambda = 1e16 now builds, and an X' atom
+    moved by 2 or by 10 spacings of lambda is a PriorsError."""
     lam = 6257783137866831.0
-    with pytest.raises(ParameterError, match=re.escape("L=2 is beyond double precision at nu=0.5, lambda=6.25778e+15")):
-        build_priors(0.5, lam, 2)
-    for L in (3, 4, 5, 6, 8):
-        build_priors(0.5, lam, L).validate()
     for L in (2, 3, 4, 5, 6, 8):
+        build_priors(0.5, lam, L).validate()
         build_priors(0.5, 1e16, L).validate()
     _, (ax, mx), (ax2, mx2) = solve_moment_gap(0.5, lam, 3)
-    for spacings, error in ((2, ParameterError), (10, PriorsError)):
+    for spacings in (2, 10):
         moved = ax2.copy()
         moved[0] += spacings * np.spacing(lam)
-        with pytest.raises((ParameterError, PriorsError)) as exc:
+        with pytest.raises(PriorsError, match="moment 2 of the atoms"):
             priors_from_gap_solution(0.5, lam, 3, ax, mx, moved, mx2)
-        assert type(exc.value) is error and "moment 2 of the atoms" in str(exc.value)
 
 
 @pytest.mark.parametrize("nu,lam", [(0.1, 2e4), (0.1, 1e6), (0.1, 1e12), (0.9, 1e5), (0.9, 1e9)])
@@ -197,7 +192,9 @@ def test_moment_products_match_the_pow_reference(monkeypatch):
     same error and the same missed moments, exactly where the pow loop of
     tests/genutil.py does, and every moment agrees with its pow value to 1e-12
     relative (products round about j*eps apart; 1.4e-15 is the largest seen).
-    The grid reaches validate's rounding refusal as well as the gap program's."""
+    Every accepted point's gap is the closed form to MOMENT_REL_TOL, at
+    lambda = 1e16 and 6257783137866831 (between 2^52 and 2^53) too, where
+    the points were once placed only to a spacing of lambda."""
     products = lb._moments
     tally = collections.Counter()
     for point in PRIOR_GRID:
@@ -208,31 +205,31 @@ def test_moment_products_match_the_pow_reference(monkeypatch):
                 return iter(moments[-1].tolist())
             monkeypatch.setattr(lb, "_moments", recording)
             try:
-                build_priors(*point)
-                outcomes.append(None)
+                outcomes.append(build_priors(*point).gap)
             except (ParameterError, PriorsError) as exc:
                 outcomes.append((type(exc), re.sub(r"mismatch: [^;]*", "mismatch", str(exc))))
         assert outcomes[0] == outcomes[1], point
         if moments:
             np.testing.assert_allclose(*moments, rtol=1e-12, atol=0, err_msg=str(point))
-        tally["validated" if moments else "refused before validate", outcomes[0] is None] += 1
-    assert tally == {("validated", True): 880, ("validated", False): 9, ("refused before validate", False): 343}
+        accepted = isinstance(outcomes[0], float)
+        if accepted:
+            closed = moment_gap_value(*point)
+            assert abs(outcomes[0] - closed) <= MOMENT_REL_TOL * closed, point
+        tally["validated" if moments else "refused before validate", accepted] += 1
+    assert tally == {("validated", True): 889, ("refused before validate", False): 343}
 
 
 @pytest.mark.parametrize("lam", [1e12, 1e16])
 def test_priors_build_at_the_L_cap(lam):
     """At the largest accepted L the products' rounding has grown most: every
-    moment still matches, and the change of measure keeps the gap program's
-    value. At lambda = 1e12 that value is the closed form. At 1e16 it is not:
-    0.5 * (lambda + 1.5) rounds to a multiple of 1, so the lowest alternation
-    point lands on 2, not on 1 + nu = 1.5, and the value is about 3/4 of it."""
+    moment still matches, the change of measure keeps the gap program's
+    value, and that value is the closed form."""
     value, _, _ = solve_moment_gap(0.5, lam, lb.MAX_L)
     priors = build_priors(0.5, lam, lb.MAX_L)
     priors.validate()
     assert abs(priors.gap - value) <= MOMENT_REL_TOL * value
-    if lam == 1e12:
-        closed = moment_gap_value(0.5, lam, lb.MAX_L)
-        assert abs(value - closed) <= MOMENT_REL_TOL * closed
+    closed = moment_gap_value(0.5, lam, lb.MAX_L)
+    assert abs(value - closed) <= MOMENT_REL_TOL * closed
 
 
 def test_moment_gap_memory_is_linear_in_L():
