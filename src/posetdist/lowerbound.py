@@ -139,9 +139,9 @@ def solve_moment_gap(nu: float, lam: float, L: int):
         b = np.where(below, b, mid)
     u = np.sin(0.5 * np.concatenate(([0.0], mid, [math.pi]))) ** 2
     x = np.minimum(lo + (hi - lo) * u, hi)  # the sum may round above hi
-    # |w_k| up to a common factor, from the differences 4(u_k - u_j) = 2(t_k - t_j)
-    # summed as logs (a product of L differences can leave the double range), a
-    # block of rows at a time so that memory stays O(L)
+    # |w_k| up to a common factor, from the differences 4(u_k - u_j) summed as
+    # logs (a product of L differences can leave the double range), a block
+    # of rows at a time so that memory stays O(L)
     log_w = np.empty(L + 1)
     for k in range(0, L + 1, LOG_W_BLOCK):
         diff = 4.0 * np.abs(u[k : k + LOG_W_BLOCK, None] - u)
