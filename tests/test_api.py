@@ -38,6 +38,65 @@ def test_public_names():
     assert names == PUBLIC_NAMES
 
 
+def test_public_surface():
+    """__all__ is the pinned list and `import *` binds exactly it; each name is
+    the object its home submodule defines, so the package's name table cannot
+    send a name to a module that merely imports it; an unknown name is an
+    AttributeError, so hasattr answers False."""
+    import importlib
+
+    assert posetdist.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from posetdist import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        obj = getattr(posetdist, name)
+        assert obj.__module__ == f"posetdist.{posetdist._HOME[name]}", name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        posetdist.no_such_name
+    assert not hasattr(posetdist, "no_such_name")
+
+
+_ORACLE_MODULES = {"oracles", "poset", "prob", "simplex"}
+_LOWERBOUND_MODULES = {"lowerbound", "poset", "prob", "simplex"}
+
+
+@pytest.mark.parametrize("code,loaded", [
+    pytest.param("import posetdist", set(), id="bare"),
+    pytest.param("import posetdist\nposetdist.max_violation_matching", _ORACLE_MODULES, id="oracle-name"),
+    pytest.param("import posetdist\nposetdist.build_priors", _LOWERBOUND_MODULES, id="lowerbound-name"),
+    pytest.param("import posetdist\nposetdist.lowerbound.MAX_L", _LOWERBOUND_MODULES, id="submodule"),
+    pytest.param("import posetdist.cli", _ORACLE_MODULES | _LOWERBOUND_MODULES | {"cli", "reductions", "testers"},
+                 id="cli"),
+])
+def test_a_fresh_interpreter_loads_only_what_it_reads(code, loaded):
+    """`import posetdist` imports no submodule; reading a name imports its
+    home submodule and what that imports, and nothing else."""
+    import os
+    import subprocess
+    import sys
+
+    code += "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('posetdist.'))))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetdist.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == {f"posetdist.{name}" for name in loaded}
+
+
+def test_version_matches_pyproject():
+    """__version__ is kept by hand here and in pyproject.toml, and FILE.config
+    records it, so the two must agree. Read with a regex: Python 3.10 has no
+    tomllib."""
+    import pathlib
+    import re
+
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert version, "pyproject.toml states no version"
+    assert posetdist.__version__ == version[1]
+
+
 def _readme_section(title: str) -> str:
     import pathlib
 
