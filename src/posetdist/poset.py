@@ -394,19 +394,15 @@ def read_poset(path) -> Poset:
 
     One pass converts each block's edge lines, and the bottom line, with
     numpy's C parser; only a block it refuses is read line by line, which
-    names the fault or reads the forms only int() takes. Faults
-    rank as in a whole-file read: a non-UTF-8 byte anywhere, the header, too
-    few edge lines, then the first bad line; past a fault the rest of the
-    file is only decoded and its lines counted.
+    names the fault or reads the forms only int() takes. The pass raises
+    the first fault in file order, a non-UTF-8 byte included; too few edge
+    lines, a negative edge count and an empty file are found at the end.
     """
-    kind = fault = bottom = None
+    kind = bottom = None
     n = m = declared = 0  # m: edge lines still to come
     parts, start = [], 1  # start: the number of the block's first line
     for lines in _blocks(path, PosetError):
         rows = _content(lines)
-        if fault is not None:
-            m -= len(rows)
-            continue
         i = 0  # the row of `rows` being parsed, which a fault names
         try:
             if kind is None and rows:
@@ -432,12 +428,10 @@ def read_poset(path) -> Poset:
                 matrix = _int_rows([text])
                 bottom = _ints(text.split()) if matrix is None else matrix[0]
         except ValueError as exc:
-            fault = PosetError(f"{path}:{_content(lines, start)[i][0]}: {exc}")
+            raise PosetError(f"{path}:{_content(lines, start)[i][0]}: {exc}") from None
         start += len(lines)
     if m > 0 or declared < 0:
         raise PosetError(f"{path}: expected {declared} edge lines")
-    if fault is not None:
-        raise fault
     if kind is None:
         raise PosetError(f"{path}: empty poset file")
     edges = np.concatenate(parts or [np.empty((0, 2), dtype=np.int64)])

@@ -747,9 +747,9 @@ def text_lines(path, error: type[ValueError] = ValueError):
 
 
 # The file readers line by line, one int()/float() per token, as they were
-# before the block-wise parse. They refuse what the library's readers refuse
-# on purpose: a header declaring more than MAX_DOMAIN vertices and a line
-# after the bottom line.
+# before the block-wise parse, each raising the first fault in file order.
+# They refuse what the library's readers refuse on purpose: a header
+# declaring more than MAX_DOMAIN vertices and a line after the bottom line.
 
 
 def reference_read_distribution(path) -> Distribution:
@@ -778,33 +778,35 @@ def _reference_ints(path, lineno: int, toks, count: int | None = None) -> list[i
 
 
 def reference_read_poset(path) -> Poset:
-    numbered = [(k, ln.strip()) for k, ln in enumerate(text_lines(path, PosetError), 1)]
-    lines = [(k, ln) for k, ln in numbered if ln and not ln.startswith("#")]
-    if not lines:
-        raise PosetError(f"{path}: empty poset file")
-    k, ln = lines[0]
-    head = ln.split()
-    if len(head) != 3:
-        raise PosetError(f"{path}:{k}: header must be 'n m kind'")
-    n, m = _reference_ints(path, k, head[:2])
-    kind = head[2]
-    if kind not in KINDS:
-        raise PosetError(f"{path}:{k}: unknown kind {kind!r}")
-    if n > MAX_DOMAIN:
-        raise PosetError(f"{path}:{k}: {n} vertices exceed the limit of {MAX_DOMAIN}")
-    if m < 0 or len(lines) < 1 + m:
-        raise PosetError(f"{path}: expected {m} edge lines")
-    edges = [tuple(_reference_ints(path, k, ln.split(), 2)) for k, ln in lines[1 : 1 + m]]
-    bottom: tuple[int, ...] = ()
-    rest = lines[1 + m :]
-    if rest:
-        k, ln = rest[0]
-        if not ln.startswith("bottom:"):
+    """Line by line, raising the first fault in file order; too few edge
+    lines, a negative edge count and an empty file are found at the end."""
+    kind, edges, bottom = None, [], None
+    for k, ln in enumerate(text_lines(path, PosetError), 1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        if kind is None:
+            head = ln.split()
+            if len(head) != 3:
+                raise PosetError(f"{path}:{k}: header must be 'n m kind'")
+            (n, m), kind = _reference_ints(path, k, head[:2]), head[2]
+            if kind not in KINDS:
+                raise PosetError(f"{path}:{k}: unknown kind {kind!r}")
+            if n > MAX_DOMAIN:
+                raise PosetError(f"{path}:{k}: {n} vertices exceed the limit of {MAX_DOMAIN}")
+        elif len(edges) < m:
+            edges.append(tuple(_reference_ints(path, k, ln.split(), 2)))
+        elif bottom is not None:
+            raise PosetError(f"{path}:{k}: trailing content after the bottom line")
+        elif not ln.startswith("bottom:"):
             raise PosetError(f"{path}:{k}: trailing content is not a bottom line")
-        bottom = tuple(_reference_ints(path, k, ln[len("bottom:") :].split()))
-    if len(rest) > 1:
-        raise PosetError(f"{path}:{rest[1][0]}: trailing content after the bottom line")
+        else:
+            bottom = tuple(_reference_ints(path, k, ln[len("bottom:") :].split()))
+    if kind is None:
+        raise PosetError(f"{path}: empty poset file")
+    if m < 0 or len(edges) < m:
+        raise PosetError(f"{path}: expected {m} edge lines")
     try:
-        return Poset(n, edges, kind=kind, bottom=bottom)
+        return Poset(n, edges, kind=kind, bottom=bottom or ())
     except PosetError as exc:
         raise PosetError(f"{path}: {exc}") from None

@@ -353,13 +353,17 @@ def test_oracle_verb_on_six_cube(tmp_path, capsys):
 
 
 def test_malformed_poset_exits_2_with_file_and_line(workdir, capsys):
+    """Line 4 is malformed and the file is also an edge line short: line 4,
+    the first fault in file order, is named from main and from a suite row."""
     bad = workdir / "bad.poset"
-    bad.write_text("# a comment\n3 2 line\n0 1\n1\n")
+    bad.write_text("# a comment\n3 3 line\n0 1\n1\n")
     rc = main(["oracle", "--poset", str(bad), "--dist", str(workdir / "line3.dist")])
     assert rc == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert f"{bad}:4:" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {bad}:4: expected 2 integers, got 1\n"
+    manifest = workdir / "bad.suite"
+    manifest.write_text(f"verb=oracle poset={bad} dist={workdir / 'line3.dist'}\n")
+    assert run_suite(str(manifest), None, 0).splitlines()[1] == "0,0,2,0.0,fail"
+    assert f"{manifest}:1: row 0: {bad}:4: expected 2 integers, got 1" in capsys.readouterr().err
 
 
 def test_malformed_distribution_exits_2_with_file_and_line(workdir, capsys):

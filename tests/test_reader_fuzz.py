@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from posetdist import Distribution, PosetError, make_matching, read_distribution, read_poset
-from posetdist import cli, prob
+from posetdist import cli, poset, prob
 from posetdist.poset import KINDS, MAX_DOMAIN
 
 
@@ -178,8 +178,8 @@ def test_content_after_the_bottom_line_is_refused(tmp_path, text, line):
     (read_poset, reference_read_poset, "4 2 general\n0 1 2\n3\n", "2: expected 2 integers, got 3"),
     (read_poset, reference_read_poset, "4 2 general\n0\n1 2 3\n", "2: expected 2 integers, got 1"),
     (read_distribution, reference_read_distribution, "0.5 0.5\n", "1: not a number: '0.5 0.5'"),
-    # a bad edge line in a file that is also short of edge lines: the count comes first
-    (read_poset, reference_read_poset, "4 3 general\n0 1 2\n3 0 1\n", " expected 3 edge lines"),
+    # a bad edge line in a file that is also short of edge lines: the bad line comes first
+    (read_poset, reference_read_poset, "4 3 general\n0 1 2\n3 0 1\n", "2: expected 2 integers, got 3"),
 ])
 def test_token_counts_are_per_line(tmp_path, reader, reference, text, message):
     """Lines whose token counts are off but add up over the file."""
@@ -236,13 +236,13 @@ def _lines_past_one_block(make_line, blocks: float = 2.5) -> tuple[list[str], in
      lambda k: "1" if k == 0 else "0.000000000000", "0.5x", "not a number: '0.5x'", 0),
     (read_poset, reference_read_poset,
      lambda k: "400000 50000 general" if k == 0 else f"{k} {k + 200_000}", "12 x", "non-integer token in '12 x'", 0),
-    # a non-UTF-8 byte two blocks after the bad line: a distribution names the
-    # first fault in file order, a poset the byte wherever it is
+    # a non-UTF-8 byte two blocks after the bad line: the bad line, the first
+    # fault in file order, is named
     (read_distribution, reference_read_distribution,
      lambda k: "1" if k == 0 else "0.000000000000", "0.5x", "not a number: '0.5x'", 2),
     (read_poset, reference_read_poset,
      lambda k: "400000 50000 general" if k == 0 else f"{k} {k + 200_000}", "12 x",
-     "not UTF-8 text: byte 0xff at column 1", 2),
+     "non-integer token in '12 x'", 2),
 ])
 def test_file_of_several_blocks(tmp_path, reader, reference, make_line, bad, message, byte_after):
     lines, mid = _lines_past_one_block(make_line, 2.5 + byte_after)
@@ -254,7 +254,6 @@ def test_file_of_several_blocks(tmp_path, reader, reference, make_line, bad, mes
     assert not isinstance(out, Exception), out
     # A bad line in the second block is named by its own number.
     lines[mid] = bad
-    named = mid
     if byte_after:
         # the first far whose lines[mid:far], newlines included, reach
         # byte_after blocks, found with a running total
@@ -263,10 +262,9 @@ def test_file_of_several_blocks(tmp_path, reader, reference, make_line, bad, mes
             size += len(lines[far]) + 1
             far += 1
         lines[far] = "\udcff" + lines[far]  # the byte 0xff once written with surrogateescape
-        named = far if message.startswith("not UTF-8") else mid
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     exc = _same(reader, reference, path, prob.READ_BLOCK)
-    assert str(exc) == f"{path}:{named + 1}: {message}"
+    assert str(exc) == f"{path}:{mid + 1}: {message}"
 
 
 def test_many_blocks_give_the_same_poset(tmp_path):
@@ -277,10 +275,13 @@ def test_many_blocks_give_the_same_poset(tmp_path):
     assert _same(read_poset, reference_read_poset, path, 1000) == G
 
 
-@pytest.mark.parametrize("reader", [read_poset, read_distribution])
-def test_non_utf8_byte_names_file_line_and_column(tmp_path, reader):
+@pytest.mark.parametrize("reader, data", [
+    (read_poset, b"# p\r\n2 1 line\r\n0 \xff1\n"),
+    (read_distribution, b"# p\r\n0.5\r\n0.\xff5\n"),
+], ids=["read_poset", "read_distribution"])
+def test_non_utf8_byte_names_file_line_and_column(tmp_path, reader, data):
     path = tmp_path / "bad"
-    path.write_bytes(b"# p\r\n0.5\r\n0.\xff5\n")
+    path.write_bytes(data)
     with pytest.raises(ValueError) as exc:
         reader(path)
     assert str(exc.value) == f"{path}:3: not UTF-8 text: byte 0xff at column 3"
@@ -310,3 +311,25 @@ def test_a_read_opens_the_file_once(tmp_path, monkeypatch):
         opened.clear()
         _outcome(reader, path)
         assert opened.count(path) == opens, (reader.__name__, data)
+
+
+def test_a_refused_read_stops_at_its_fault(tmp_path, monkeypatch):
+    """A bad edge line in the first block is refused before the next block is read."""
+    yielded = []
+    real_blocks = poset._blocks
+
+    def counting_blocks(*args):
+        for lines in real_blocks(*args):
+            yielded.append(len(lines))
+            yield lines
+
+    monkeypatch.setattr(poset, "_blocks", counting_blocks)
+    lines, _ = _lines_past_one_block(lambda k: f"{k} {k + 200_000}", 3.5)
+    lines[0] = f"400000 {len(lines) - 1} general"
+    lines[2] = "2 x"
+    path = tmp_path / "bad.poset"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PosetError) as exc:
+        read_poset(path)
+    assert str(exc.value) == f"{path}:3: non-integer token in '2 x'"
+    assert len(yielded) == 1, yielded
