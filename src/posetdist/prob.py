@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,13 +125,15 @@ class PairHistogram:
     fractional.
 
     Stored as three read-only float arrays x, y, count, sorted by (x, y) with
-    unique keys. The constructor takes a mapping and rejects (0, 0), duplicate
-    keys and counts that are not positive; from_arrays builds one from
-    weighted key arrays, dropping (0, 0) and merging equal keys.
+    unique keys. The constructor takes a mapping or (key, count) pairs and
+    rejects (0, 0), duplicate keys and counts that are not positive;
+    from_arrays builds one from weighted key arrays, dropping (0, 0) and
+    merging equal keys.
     """
 
     def __init__(self, support):
-        rows = [(float(k[0]), float(k[1]), float(c)) for k, c in dict(support).items()]
+        pairs = support.items() if isinstance(support, Mapping) else support
+        rows = [(float(k[0]), float(k[1]), float(c)) for k, c in pairs]
         x, y, count = np.array(rows, dtype=float).reshape(-1, 3).T
         if np.any((x == 0.0) & (y == 0.0)):
             raise ValueError("(0, 0) is excluded from pair-histogram support")

@@ -130,6 +130,8 @@ REFUSALS = [
      "distribution has non-finite entries"),
     ("from_arrays length", lambda: PairHistogram.from_arrays([1.0], [1.0, 2.0], [1.0]), ValueError,
      "from_arrays needs three equal-length vectors"),
+    ("pair-histogram repeated pair", lambda: PairHistogram([((0.1, 0.2), 1.0), ((0.1, 0.2), 2.0)]), ValueError,
+     "pair-histogram support has duplicate keys"),
     ("pair_histogram length", lambda: pair_histogram([0.5, 0.5], [1.0]), ValueError,
      "pair_histogram needs two equal-length vectors"),
     ("tv_distance length", lambda: tv_distance(U3, U4), ValueError, "distributions have different lengths"),
