@@ -55,9 +55,10 @@ RATE_TABLE_MAX = 64.0
 # The largest L that solve_moment_gap, and so build_priors, takes. build_priors
 # takes time growing as L^2 in what the construction must do: the sum of L^2 log
 # differences in solve_moment_gap and L products of each atom in validate. At
-# L = 10500, nu in {0.1, 0.5, 2} and lam in {1e8, 1e12, 1e16}, it took 0.55 to
-# 0.65 s (2-core Xeon, numpy 2.4).
-MAX_L = 10500
+# L = 11250, nu in {0.1, 0.5, 2} and lam in {1e8, 1e12, 1e16}, it took 0.78 to
+# 0.93 s (median of five alternating rounds; 2-core Xeon, numpy 2.4), and at
+# 11500 up to 1.04 s.
+MAX_L = 11250
 
 
 class ParameterError(ValueError):
@@ -109,7 +110,7 @@ def solve_moment_gap(nu: float, lam: float, L: int):
     that relative tolerance. Both measures live on [1+nu, lam], so
     S >= 2/lam: an L that fails the rule with 2/lam for S is refused before
     any point is computed. So is a lam at which c rounds to 1, and then an
-    L above MAX_L, as a SizeCapError: the log sum below is O(L^2), 0.4 s there.
+    L above MAX_L, as a SizeCapError: the log sum below is O(L^2), 0.5 s there.
     """
     gap = moment_gap_value(nu, lam, L)
 
