@@ -4,7 +4,7 @@ Each public name lives in one submodule, and `import posetdist` imports none
 of them: the first read of a name (or of a submodule, `posetdist.oracles`)
 imports its home submodule and binds the value here, so a process compiles
 only the library code it reads. `posetdist.cli` and the console script
-import every submodule.
+import no submodule either: each verb imports those it runs, when it runs.
 """
 
 from importlib import import_module as _import_module

@@ -24,47 +24,23 @@ import traceback
 
 import numpy as np
 
-from . import __version__
-from .lowerbound import (
-    ParameterError,
-    assign_parameters,
-    build_priors,
-    generate_instance,
-    indistinguishability_probe,
-)
-from .oracles import exact_dtv_to_monotone, max_violation_matching
-# Not called here: perfbench/spans.py's tracer wraps cli.func_dist_to_monotone by name.
-from .oracles import func_dist_to_monotone  # noqa: F401
-from .poset import read_poset, write_poset
-from .prob import (
-    ExactDistAccess,
-    Rng,
-    _blocks,
-    _content,
-    read_distribution,
-    write_distribution,
-    write_histogram_csv,
-)
-from .reductions import (
-    bigness_to_matching,
-    bipartite_to_matching,
-    general_to_bipartite,
-    matching_to_hypercube,
-)
-from .testers import (
-    LearnerSpec,
-    all_matchings_test,
-    bigness_test,
-    bipartite_bounded_degree_test,
-    matching_monotonicity_test,
-    uniform_subset_test,
-)
+from . import _HOME, __version__
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_CHECK_FAILED = 4
+
+
+def __getattr__(name):
+    """A public name of the package read here, as in `cli.read_poset`, is the
+    package's, and no other name is. The verbs read what they run off the
+    package when they run, so importing this module imports no submodule."""
+    if name not in _HOME:
+        raise AttributeError(f"{__name__} forwards only the package's public names, not {name!r}")
+    return getattr(sys.modules[__package__], name)
+
 
 # Suite-only row keys: they check a row's summary and are not verb flags.
 _EXPECT_KEYS = ("expect_field", "expect_min", "expect_max")
@@ -139,6 +115,7 @@ def _save(a: argparse.Namespace, text: str, base: str = "") -> bool:
 
 
 def _run_oracle(a, base=""):
+    from . import exact_dtv_to_monotone, max_violation_matching, read_distribution, read_poset
     G = read_poset(os.path.join(base, a.poset))
     p = read_distribution(os.path.join(base, a.dist))
     d_tv = exact_dtv_to_monotone(G, p)  # first: its LP's size cap also guards the matching
@@ -170,6 +147,9 @@ def _threshold(a, p) -> float:
 
 
 def _run_test(a, base=""):
+    from . import (ExactDistAccess, LearnerSpec, Rng, all_matchings_test, bigness_test,
+                   bipartite_bounded_degree_test, matching_monotonicity_test, read_distribution, read_poset,
+                   uniform_subset_test)
     _check_flags(a, "alg")
     if a.trials < 1:
         raise ValueError("--trials must be at least 1")
@@ -201,6 +181,8 @@ def _run_test(a, base=""):
 def _run_reduce(a, base=""):
     """Read and reduce the source, then write the target poset and the
     reduced distribution; a refused input or a failed write leaves no file."""
+    from . import (bigness_to_matching, bipartite_to_matching, general_to_bipartite, matching_to_hypercube,
+                   read_distribution, read_poset, write_distribution, write_poset)
     _check_flags(a, "kind")
     source = os.path.join(base, getattr(a, "from"))
     if a.kind in ("g2b", "b2m"):
@@ -218,6 +200,7 @@ def _run_reduce(a, base=""):
 
 
 def _run_lb_solve(a, base=""):
+    from . import build_priors
     priors = build_priors(a.nu, a.lam, a.L)
     rows = []
     for side, atoms, mass in ((0, priors.atoms_big, priors.mass_big), (1, priors.atoms_far, priors.mass_far)):
@@ -228,6 +211,8 @@ def _run_lb_solve(a, base=""):
 
 
 def _run_lb_gen(a, base=""):
+    from . import Rng, assign_parameters, build_priors, generate_instance, write_distribution
+    from .prob import write_histogram_csv
     explicit = (a.nu, a.lam, a.s)
     if a.eps is not None and explicit == (None, None, None):
         params = assign_parameters(a.n, a.eps, a.L)
@@ -269,6 +254,7 @@ def _s_values(text: str) -> list[int]:
 
 
 def _run_lb_probe(a, base=""):
+    from . import Rng, build_priors, indistinguishability_probe
     s_values = _s_values(a.s_values)
     priors = build_priors(a.nu, a.lam, a.L)
     rows = indistinguishability_probe(priors, a.n, s_values, a.trials, Rng(a.seed))
@@ -343,6 +329,7 @@ def run_suite(manifest: str, out: str | None, master_seed: int) -> str:
     """Run every manifest row (derived seed = master xor row index), aggregate
     one line per row with a pass/fail check column. A failed row or a missed
     check gets one stderr line naming manifest:line; the suite goes on."""
+    from .prob import _blocks, _content
     base = os.path.dirname(os.path.abspath(manifest))
     rows = _content(itertools.chain.from_iterable(_blocks(manifest)), 1)
     parser = _build_parser()
@@ -366,6 +353,7 @@ def _fault(exc: Exception) -> tuple[int, str]:
     """The exit status of a run, or a suite row, that raised exc, and its
     message: infeasible parameters, bad input (a ValueError or OSError), or
     else a bug, whose message keeps the traceback."""
+    from . import ParameterError
     if isinstance(exc, ParameterError):
         return EXIT_INFEASIBLE, f"infeasible parameters: {exc}"
     if isinstance(exc, (ValueError, OSError)):
@@ -401,6 +389,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _seed(text: str) -> int:
     """A --seed value: an integer that Rng takes as a seed; Rng states the range."""
+    from . import Rng
     try:
         seed = int(text)
     except ValueError:

@@ -39,7 +39,7 @@ from .simplex import solve_lp  # noqa: F401
 MASS_TOL = 1e-9
 MEAN_TOL = 1e-8
 MOMENT_REL_TOL = 1e-8
-LOG_W_BLOCK = 64  # rows of the atom-difference matrix that solve_moment_gap holds at once
+LOG_W_BLOCK = 16  # rows of the atom-difference matrix that solve_moment_gap holds at once
 # the largest rate Generator.poisson accepts (numpy's POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 WILSON_Z = 2.497705474412374  # Phi^-1(1 - 0.05/8): 95% over the probe's four statistics, Bonferroni
@@ -55,9 +55,9 @@ RATE_TABLE_MAX = 64.0
 # The largest L that solve_moment_gap, and so build_priors, takes. build_priors
 # takes time growing as L^2 in what the construction must do: the sum of L^2 log
 # differences in solve_moment_gap and L products of each atom in validate. At
-# L = 11250, nu in {0.1, 0.5, 2} and lam in {1e8, 1e12, 1e16}, it took 0.78 to
-# 0.93 s (median of five alternating rounds; 2-core Xeon, numpy 2.4), and at
-# 11500 up to 1.04 s.
+# L = 11250, nu in {0.1, 0.5, 2} and lam in {1e8, 1e12, 1e16}, it took 0.69 to
+# 0.78 s with LOG_W_BLOCK = 16 and 0.87 to 1.01 s with the 64 rows it was set
+# with (median of five alternating rounds; 2-core Xeon, numpy 2.4).
 MAX_L = 11250
 
 

@@ -380,6 +380,8 @@ def _header(row: str) -> tuple[int, int, str]:
     (n, m), kind = _ints(head[:2]), head[2]
     _check_kind(kind)
     _check_domain(n, "vertices")
+    if m < 0:
+        raise ValueError(f"negative edge count {m}")
     return n, m, kind
 
 
@@ -388,7 +390,8 @@ def read_poset(path) -> Poset:
 
     Blank and '#' lines are skipped; errors name the file, and a malformed
     line also its 1-based number. A header that declares more than
-    MAX_DOMAIN vertices and any line after the bottom line are malformed.
+    MAX_DOMAIN vertices or a negative edge count is malformed, and so is
+    any line after the bottom line.
     Structural faults (range, self-loop, cycle, kind) come from the Poset
     checks, prefixed with the file.
 
@@ -396,7 +399,7 @@ def read_poset(path) -> Poset:
     numpy's C parser; only a block it refuses is read line by line, which
     names the fault or reads the forms only int() takes. The pass raises
     the first fault in file order, a non-UTF-8 byte included; too few edge
-    lines, a negative edge count and an empty file are found at the end.
+    lines and an empty file are found at the end.
     """
     kind = bottom = None
     n = m = declared = 0  # m: edge lines still to come
@@ -407,7 +410,7 @@ def read_poset(path) -> Poset:
         try:
             if kind is None and rows:
                 n, declared, kind = _header(rows[0])
-                m, i = max(declared, 0), 1
+                m, i = declared, 1
             edges = rows[i : i + m]
             rest = i + len(edges)
             if edges:
@@ -430,7 +433,7 @@ def read_poset(path) -> Poset:
         except ValueError as exc:
             raise PosetError(f"{path}:{_content(lines, start)[i][0]}: {exc}") from None
         start += len(lines)
-    if m > 0 or declared < 0:
+    if m > 0:
         raise PosetError(f"{path}: expected {declared} edge lines")
     if kind is None:
         raise PosetError(f"{path}: empty poset file")

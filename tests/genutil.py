@@ -779,7 +779,7 @@ def _reference_ints(path, lineno: int, toks, count: int | None = None) -> list[i
 
 def reference_read_poset(path) -> Poset:
     """Line by line, raising the first fault in file order; too few edge
-    lines, a negative edge count and an empty file are found at the end."""
+    lines and an empty file are found at the end."""
     kind, edges, bottom = None, [], None
     for k, ln in enumerate(text_lines(path, PosetError), 1):
         ln = ln.strip()
@@ -794,6 +794,8 @@ def reference_read_poset(path) -> Poset:
                 raise PosetError(f"{path}:{k}: unknown kind {kind!r}")
             if n > MAX_DOMAIN:
                 raise PosetError(f"{path}:{k}: {n} vertices exceed the limit of {MAX_DOMAIN}")
+            if m < 0:
+                raise PosetError(f"{path}:{k}: negative edge count {m}")
         elif len(edges) < m:
             edges.append(tuple(_reference_ints(path, k, ln.split(), 2)))
         elif bottom is not None:
@@ -804,7 +806,7 @@ def reference_read_poset(path) -> Poset:
             bottom = tuple(_reference_ints(path, k, ln[len("bottom:") :].split()))
     if kind is None:
         raise PosetError(f"{path}: empty poset file")
-    if m < 0 or len(edges) < m:
+    if len(edges) < m:
         raise PosetError(f"{path}: expected {m} edge lines")
     try:
         return Poset(n, edges, kind=kind, bottom=bottom or ())

@@ -62,26 +62,49 @@ _ORACLE_MODULES = {"oracles", "poset", "prob", "simplex"}
 _LOWERBOUND_MODULES = {"lowerbound", "poset", "prob", "simplex"}
 
 
+def _main(*argv):
+    """Code that runs one CLI call in the working directory and checks that it exits 0."""
+    return f"import posetdist.cli\nassert posetdist.cli.main({list(argv)!r}) == 0"
+
+
 @pytest.mark.parametrize("code,loaded", [
     pytest.param("import posetdist", set(), id="bare"),
     pytest.param("import posetdist\nposetdist.max_violation_matching", _ORACLE_MODULES, id="oracle-name"),
     pytest.param("import posetdist\nposetdist.build_priors", _LOWERBOUND_MODULES, id="lowerbound-name"),
     pytest.param("import posetdist\nposetdist.lowerbound.MAX_L", _LOWERBOUND_MODULES, id="submodule"),
-    pytest.param("import posetdist.cli", _ORACLE_MODULES | _LOWERBOUND_MODULES | {"cli", "reductions", "testers"},
-                 id="cli"),
+    pytest.param("import posetdist.cli", {"cli"}, id="cli"),
+    pytest.param("import posetdist.cli\nassert posetdist.cli.read_poset is posetdist.read_poset\n"
+                 "from posetdist.cli import write_poset\n"
+                 "assert not hasattr(posetdist.cli, '__path__') and not hasattr(posetdist.cli, 'no_such_name')",
+                 {"cli", "poset", "prob"}, id="cli-name"),
+    pytest.param(_main("oracle", "--poset", "line3.poset", "--dist", "line3.dist"), _ORACLE_MODULES | {"cli"},
+                 id="cli-oracle"),
+    pytest.param(_main("test", "--alg", "matching", "--poset", "m1.poset", "--dist", "m1.dist", "--eps", "0.5"),
+                 _ORACLE_MODULES | {"cli", "reductions", "testers"}, id="cli-test-matching"),
+    pytest.param(_main("lb", "solve", "--nu", "0.5", "--lambda", "6", "--L", "4"), _LOWERBOUND_MODULES | {"cli"},
+                 id="cli-lb-solve"),
+    pytest.param(_main("suite", "--manifest", "lb.suite", "--seed", "3"), _LOWERBOUND_MODULES | {"cli"},
+                 id="cli-suite"),
 ])
-def test_a_fresh_interpreter_loads_only_what_it_reads(code, loaded):
+def test_a_fresh_interpreter_loads_only_what_it_reads(tmp_path, code, loaded):
     """`import posetdist` imports no submodule; reading a name imports its
-    home submodule and what that imports, and nothing else."""
+    home submodule and what that imports, and nothing else. `posetdist.cli`
+    imports no other submodule, reads a public name off the package, and a
+    verb, or a suite of its rows, imports only the modules it runs."""
     import os
     import subprocess
     import sys
 
+    for name, text in (("line3.poset", "3 2 line\n0 1\n1 2\n"), ("line3.dist", "0.5\n0.3\n0.2\n"),
+                       ("m1.poset", "2 1 matching\n0 1\n"), ("m1.dist", "0.5\n0.5\n"),
+                       ("lb.suite", "verb=lb-solve nu=0.5 lambda=6 L=4\n")):
+        (tmp_path / name).write_text(text)
     code += "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('posetdist.'))))\n"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetdist.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
+                          cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == {f"posetdist.{name}" for name in loaded}
+    assert set(proc.stdout.splitlines()[-1].split()) == {f"posetdist.{name}" for name in loaded}
 
 
 def test_version_matches_pyproject():

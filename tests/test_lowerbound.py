@@ -245,6 +245,21 @@ def test_moment_gap_memory_is_linear_in_L():
     assert peak < 156.5 / 4 * 2**20, peak
 
 
+@pytest.mark.parametrize("nu,lam,L", [(0.5, 6.0, 4), (2.0, 1e8, 37), (0.5, 1e16, 65), (0.1, 1e16, 1000)])
+def test_log_weights_do_not_depend_on_the_block_size(monkeypatch, nu, lam, L):
+    """Each row's log sum is taken alone, so the number of rows summed at once
+    changes no byte of the gap program's value, atoms or masses."""
+
+    def solution():
+        value, big, far = solve_moment_gap(nu, lam, L)
+        return [np.float64(value).tobytes(), *(np.asarray(a).tobytes() for a in (*big, *far))]
+
+    want = solution()
+    for block in (1, 64):
+        monkeypatch.setattr(lb, "LOG_W_BLOCK", block)
+        assert solution() == want, block
+
+
 def test_build_priors_invariants():
     priors = build_priors(0.5, 6.0, 4)
     priors.validate()

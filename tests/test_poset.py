@@ -203,6 +203,8 @@ def write_text(path, text):
         ("3 1 bipartite\n0 2\nbottom: 0 b\n", 3),  # non-integer bottom token
         ("3 1 general\n0 2\n\n1 2\n", 4),  # trailing line that is not a bottom line
         ("3 1 nosuchkind\n0 1\n", 1),  # unknown kind
+        ("3 -1 general\n", 1),  # negative edge count
+        ("4 -1 general\n0 1\n", 1),  # negative edge count, then a line that would be trailing
     ],
 )
 def test_read_poset_malformed_names_file_and_line(tmp_path, text, line):
@@ -212,7 +214,7 @@ def test_read_poset_malformed_names_file_and_line(tmp_path, text, line):
 
 
 def test_read_poset_malformed_without_line(tmp_path):
-    for text in ("\n# only a comment\n", "3 2 line\n0 1\n", "3 -1 general\n"):
+    for text in ("\n# only a comment\n", "3 2 line\n0 1\n"):
         with pytest.raises(PosetError, match="bad.poset: "):
             read_poset(write_text(tmp_path / "bad.poset", text))
 
