@@ -34,10 +34,11 @@ EXIT_CHECK_FAILED = 4
 
 
 def __getattr__(name):
-    """A public name of the package read here, as in `cli.read_poset`, is the
-    package's, and no other name is. The verbs read what they run off the
-    package when they run, so importing this module imports no submodule."""
-    if name not in _HOME:
+    """A public function or class of the package read here, as in
+    `cli.read_poset`, is the package's; no other name, and no submodule, is.
+    The verbs read what they run off the package when they run, so importing
+    this module imports no submodule."""
+    if _HOME.get(name, name) == name:
         raise AttributeError(f"{__name__} forwards only the package's public names, not {name!r}")
     return getattr(sys.modules[__package__], name)
 
@@ -352,9 +353,11 @@ def run_suite(manifest: str, out: str | None, master_seed: int) -> str:
 def _fault(exc: Exception) -> tuple[int, str]:
     """The exit status of a run, or a suite row, that raised exc, and its
     message: infeasible parameters, bad input (a ValueError or OSError), or
-    else a bug, whose message keeps the traceback."""
-    from . import ParameterError
-    if isinstance(exc, ParameterError):
+    else a bug, whose message keeps the traceback. A ParameterError exists
+    only once `lowerbound` is loaded, so a run that never loaded it loads
+    nothing here."""
+    lowerbound = sys.modules.get(f"{__package__}.lowerbound")
+    if lowerbound is not None and isinstance(exc, lowerbound.ParameterError):
         return EXIT_INFEASIBLE, f"infeasible parameters: {exc}"
     if isinstance(exc, (ValueError, OSError)):
         return EXIT_VALIDATION, str(exc)

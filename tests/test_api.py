@@ -62,9 +62,9 @@ _ORACLE_MODULES = {"oracles", "poset", "prob", "simplex"}
 _LOWERBOUND_MODULES = {"lowerbound", "poset", "prob", "simplex"}
 
 
-def _main(*argv):
-    """Code that runs one CLI call in the working directory and checks that it exits 0."""
-    return f"import posetdist.cli\nassert posetdist.cli.main({list(argv)!r}) == 0"
+def _main(*argv, status=0):
+    """Code that runs one CLI call in the working directory and checks its exit status."""
+    return f"import posetdist.cli\nassert posetdist.cli.main({list(argv)!r}) == {status}"
 
 
 @pytest.mark.parametrize("code,loaded", [
@@ -75,10 +75,13 @@ def _main(*argv):
     pytest.param("import posetdist.cli", {"cli"}, id="cli"),
     pytest.param("import posetdist.cli\nassert posetdist.cli.read_poset is posetdist.read_poset\n"
                  "from posetdist.cli import write_poset\n"
-                 "assert not hasattr(posetdist.cli, '__path__') and not hasattr(posetdist.cli, 'no_such_name')",
+                 "assert not hasattr(posetdist.cli, '__path__') and not hasattr(posetdist.cli, 'no_such_name')\n"
+                 "assert not hasattr(posetdist.cli, 'lowerbound')",
                  {"cli", "poset", "prob"}, id="cli-name"),
     pytest.param(_main("oracle", "--poset", "line3.poset", "--dist", "line3.dist"), _ORACLE_MODULES | {"cli"},
                  id="cli-oracle"),
+    pytest.param(_main("oracle", "--poset", "line3.poset", "--dist", "m1.dist", status=2), _ORACLE_MODULES | {"cli"},
+                 id="cli-oracle-refused"),
     pytest.param(_main("test", "--alg", "matching", "--poset", "m1.poset", "--dist", "m1.dist", "--eps", "0.5"),
                  _ORACLE_MODULES | {"cli", "reductions", "testers"}, id="cli-test-matching"),
     pytest.param(_main("lb", "solve", "--nu", "0.5", "--lambda", "6", "--L", "4"), _LOWERBOUND_MODULES | {"cli"},
@@ -89,8 +92,10 @@ def _main(*argv):
 def test_a_fresh_interpreter_loads_only_what_it_reads(tmp_path, code, loaded):
     """`import posetdist` imports no submodule; reading a name imports its
     home submodule and what that imports, and nothing else. `posetdist.cli`
-    imports no other submodule, reads a public name off the package, and a
-    verb, or a suite of its rows, imports only the modules it runs."""
+    imports no other submodule, reads a public function or class off the
+    package (until a binding of its own shadows the name: see
+    test_tracer_wrap_sites_resolve), and a verb, or a suite of its rows,
+    imports only the modules it runs, refused or not."""
     import os
     import subprocess
     import sys
@@ -368,3 +373,11 @@ def test_tracer_wrap_sites_resolve():
     finally:
         tracer.uninstall()
     assert posetdist.lowerbound.solve_moment_gap is before
+    # For a "cli" site, install saved what cli forwarded, the package's wrapper, so uninstall binds
+    # that wrapper on cli, where it shadows the forward until deleted (ROADMAP items 2 and 3).
+    left = {name for name in vars(posetdist.cli) if name in posetdist._HOME}
+    assert left == {fname for _, fname, modules in spans.FUNCTION_SITES if "cli" in modules} - {"run_config"}
+    assert posetdist.cli.read_poset is not posetdist.read_poset
+    for name in left:
+        delattr(posetdist.cli, name)
+    assert posetdist.cli.read_poset is posetdist.read_poset
