@@ -10,9 +10,9 @@ Four distances live here, all desk-scale exact:
 
 Both monotone distances minimize ||x||_1 over perturbations x with p + x
 monotone on every edge (TV also holds sum(x) at 0). Each is solved as its
-LP dual, a flow on G's own edges with 2n rows |out - in + mu| <= c: no
-closure, no mass row, positive right-hand sides, so the slack basis is
-feasible. The row duals are x.
+LP dual, a flow on G's own edges with n ranged rows
+-c <= out - in + mu <= c: no closure, no mass row, and 0 inside every
+range, so the slack basis is feasible. The row duals are x.
 
 LP duality makes the function distance equal the weight of a maximum-weight
 matching on the transitive closure with violation weights max(0, p(u)-p(v)),
@@ -81,11 +81,10 @@ def _monotone_flow(G: Poset, p: Distribution, c: float, shift: bool):
     """(value, x) of the LP dual to the monotone-perturbation LP: a flow on
     G's own edges. Maximize sum_e y_e * (p(u) - p(v)) over y >= 0 on the
     edges (u, v) subject to -c <= out_y(w) - in_y(w) + mu <= c at every
-    vertex w, with mu = 0 or, with `shift`, free (passed as mu+ - mu-). All
-    2n right-hand sides are c > 0, so the slack basis is feasible. The
-    perturbation x is read off the row duals: upper row's dual minus lower
-    row's. The 2n x m constraint matrix is dense, so n is capped at
-    DEFAULT_LP_CAP."""
+    vertex w, with mu = 0 or, with `shift`, free (passed as mu+ - mu-):
+    one ranged row per vertex, whose range [-c, c] holds 0, so the slack
+    basis is feasible. The perturbation x is the row duals. The n x m
+    constraint matrix is dense, so n is capped at DEFAULT_LP_CAP."""
     if G.n > DEFAULT_LP_CAP:
         raise SizeCapError(f"n={G.n} exceeds LP cap {DEFAULT_LP_CAP}")
     _check_over(G, "distribution", (p.n,))
@@ -98,8 +97,8 @@ def _monotone_flow(G: Poset, p: Distribution, c: float, shift: bool):
         D[:, m:] = [1.0, -1.0]
     cost = np.zeros(D.shape[1])
     cost[:m] = p.probs[v] - p.probs[u]
-    obj, _, duals = solve_lp(cost, A_ub=np.vstack([D, -D]), b_ub=np.full(2 * n, c))
-    return 0.0 - obj, duals[:n] - duals[n:]  # 0.0 - obj: never -0.0
+    obj, _, x = solve_lp(cost, D, np.full(n, -c), np.full(n, c))
+    return 0.0 - obj, x  # 0.0 - obj: never -0.0
 
 
 def func_dist_to_monotone(G: Poset, p: Distribution):

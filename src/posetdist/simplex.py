@@ -1,22 +1,29 @@
 """The library's two simplex methods, under one pivot rule.
 
-solve_lp is a dense revised simplex for  min c.x  s.t.  A_ub x <= b_ub,
-x >= 0, with b_ub >= 0. Every LP in this library is desk-scale (a few
-hundred rows at most), so the basis inverse is kept as a dense array. With
-every right-hand side nonnegative the slack basis is feasible, so the
-solver starts there, from B^-1 = I, and runs one simplex phase. Each pivot
-prices every column, ratio-tests the entering column in one masked divide,
-and updates B^-1 with one rank-1 eta step that reads and writes only the
-block where the entering column and the pivot row are nonzero, so a pivot
-costs at most O(m^2) rather than a refactorization. When no entering column
-is left, the basic point and the duals are recomputed from the original
-data by a linear solve. If the fresh reduced costs still admit an entering
-column, B^-1 is re-inverted and the simplex goes on; otherwise the fresh
-point and duals are what it reports, so the returned point satisfies the
-constraints to linear-solve precision and eta drift never reaches it. The
-row duals come with the point, each the derivative of the optimum in that
-row's right-hand side (so <= 0). The feasibility contract is the 1e-9
-tolerance.
+solve_lp is a dense revised simplex for  min c.x  s.t.  lo <= A x <= hi
+row by row, x >= 0, with lo <= 0 <= hi. Each row has one slack
+s = hi - A x, bounded in [0, hi - lo] (unbounded above on a plain <= row,
+lo = -inf), so the slack basis is feasible at s = hi and the solver starts
+there, from B^-1 = I, and runs one simplex phase. The bounds are kept by
+the upper-bounding technique (Dantzig 1955; Chvatal 1983, ch. 8): a
+nonbasic variable sits at either bound, pricing reads each reduced cost
+with the sign of the direction the variable can move, and the ratio test
+is two-sided; an entering variable whose own range is the shortest step
+flips bound with no basis change. Every LP in this library is desk-scale
+(a few hundred rows at most), so the basis inverse is kept as a dense
+array. Each pivot prices every column, ratio-tests the entering column in
+two masked divides, and updates B^-1 with one rank-1 eta step that reads
+and writes only the block where the entering column and the pivot row are
+nonzero, so a pivot costs at most O(m^2) rather than a refactorization.
+When no entering column is left, the basic point (from b - A_N x_N) and the
+duals are recomputed from the original data by a linear solve. If the
+fresh reduced costs still admit an entering column, B^-1 is re-inverted
+and the simplex goes on; otherwise the fresh point and duals are what it
+reports, so the returned point satisfies the constraints to linear-solve
+precision and eta drift never reaches it. The row duals come with the
+point, each the derivative of the optimum in the bound its row holds:
+<= 0 where A x = hi, >= 0 where A x = lo, 0 where neither holds. The
+feasibility contract is the 1e-9 tolerance.
 
 _transport_cost, a transportation simplex, solves the library's two
 transportation problems, W and min_perm_l1's assignment, on their dense
@@ -29,7 +36,7 @@ Both price by _entering, the most negative reduced cost. A pivot that lowers
 the objective by at most 1e-12 is a stall; from _STALL_LIMIT stalls in a row
 until a pivot makes progress, pricing takes the lowest-index improving
 column (Bland's rule, which guarantees termination). A run past _MAX_ITER
-pivots, an unbounded objective, a negative right-hand side or a singular
+pivots, an unbounded objective, a row range without 0 or a singular
 basis at a fresh solve (numpy's LinAlgError, a ValueError) raises LpError,
 a fault of the code, never of user input.
 """
@@ -69,69 +76,108 @@ def _pivot(Binv: np.ndarray, d: np.ndarray, leave: int) -> None:
     Binv[leave, cols] = pivot_row
 
 
-def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, Binv: np.ndarray):
-    """Run the revised simplex to optimality from a feasible basis.
+def _leaving(xB: np.ndarray, e: np.ndarray, uB: np.ndarray, span: float, basis: np.ndarray, bland: bool):
+    """(row, theta) of the two-sided ratio test for an entering variable
+    that moves by theta >= 0 while each basic variable falls by theta * e:
+    the first to reach a bound leaves, at 0 where e > 0 and at its upper
+    bound uB where e < 0; ties go to the largest |e|, or under Bland's rule
+    to the lowest variable index. The row is -1 when the entering
+    variable's own span is no longer: it flips bound with no basis change."""
+    ratios = np.empty(e.size)
+    ratios.fill(np.inf)
+    np.divide(xB, e, out=ratios, where=e > TOL)
+    np.divide(xB - uB, e, out=ratios, where=e < -TOL)
+    step = ratios[ratios.argmin()]  # .min() costs three times as much at this size
+    if span <= step:
+        if span == np.inf:
+            raise LpError("objective unbounded below")
+        return -1, span
+    ties = (ratios <= step + TOL).nonzero()[0]
+    if ties.size == 1:
+        leave = int(ties[0])
+    elif bland:
+        leave = int(ties[basis[ties].argmin()])
+    else:
+        leave = int(ties[np.abs(e[ties]).argmax()])
+    return leave, (xB[leave] - (0.0 if e[leave] > 0 else uB[leave])) / e[leave]
+
+
+def _simplex(A, b, c, upper, basis, Binv):
+    """Run the bounded-variable revised simplex to optimality for
+    min c.x  s.t.  A x = b,  0 <= x <= upper, from a feasible basis with
+    every nonbasic variable at 0.
 
     Binv is the inverse of A[:, basis] and is updated in place, except when
-    the final check re-inverts it. Returns (basis, Binv, x_basic,
-    duals) with x_basic and the row duals solved afresh from the original data.
+    the final check re-inverts it. A nonbasic variable sits at 0 or at its
+    upper bound; sign is -1 at the upper bound and +1 elsewhere, so
+    sign * reduced is what _entering prices. Returns (basis, Binv, x,
+    duals) with the basic part of x and the row duals solved afresh from
+    the original data.
     """
-    m = A.shape[0]
-    xB = np.maximum(Binv @ b, 0.0)
+    sign = np.ones(c.size)
+    uB = upper[basis]
+    xB = np.minimum(np.maximum(Binv @ b, 0.0), uB)
     stall = 0
     for _ in range(_MAX_ITER):
         bland = stall >= _STALL_LIMIT
         reduced = c - (c[basis] @ Binv) @ A
+        reduced *= sign
         enter = _entering(reduced, basis, bland)
         if enter < 0:
             B = A[:, basis]
+            x = np.where(sign < 0, upper, 0.0)
             try:  # a LinAlgError is a ValueError, which would read as bad input
-                xB = np.maximum(np.linalg.solve(B, b), 0.0)  # clip solve noise on degenerate rows
+                # clip solve noise on degenerate rows
+                xB = np.minimum(np.maximum(np.linalg.solve(B, b - A @ x), 0.0), uB)
                 duals = np.linalg.solve(B.T, c[basis])
                 reduced = c - duals @ A
+                reduced *= sign
                 enter = _entering(reduced, basis, bland)
                 if enter < 0:
-                    return basis, Binv, xB, duals
+                    x[basis] = xB
+                    return basis, Binv, x, duals
                 Binv = np.linalg.inv(B)
             except np.linalg.LinAlgError as exc:
                 raise LpError(f"singular basis: {exc}") from exc
         d = Binv @ A[:, enter]
-        pos = d > TOL
-        if not pos.any():
-            raise LpError("objective unbounded below")
-        ratios = np.divide(xB, d, out=np.full(m, np.inf), where=pos)
-        ties = (ratios <= ratios.min() + TOL).nonzero()[0]
-        if bland:
-            leave = int(ties[basis[ties].argmin()])
+        e = -d if sign[enter] < 0 else d
+        leave, theta = _leaving(xB, e, uB, upper[enter], basis, bland)
+        xB -= theta * e
+        if leave < 0:
+            sign[enter] = -sign[enter]
         else:
-            leave = int(ties[d[ties].argmax()])
-        theta = xB[leave] / d[leave]
-        xB -= theta * d
-        xB[leave] = theta
+            if e[leave] < 0:
+                sign[basis[leave]] = -1.0
+            xB[leave] = theta if sign[enter] > 0 else upper[enter] - theta
+            sign[enter] = 1.0
+            uB[leave] = upper[enter]
+            _pivot(Binv, d, leave)
+            basis[leave] = enter
         np.maximum(xB, 0.0, out=xB)
-        _pivot(Binv, d, leave)
-        basis[leave] = enter
+        np.minimum(xB, uB, out=xB)
         stall = 0 if -reduced[enter] * theta > 1e-12 else stall + 1
     raise LpError("simplex iteration limit exceeded")
 
 
-def solve_lp(c, A_ub, b_ub) -> tuple[float, np.ndarray, np.ndarray]:
-    """Return (objective, x, duals) for the minimization LP, one dual per
-    A_ub row; raises LpError on a negative b_ub or an unbounded objective."""
+def solve_lp(c, A, lo, hi) -> tuple[float, np.ndarray, np.ndarray]:
+    """Return (objective, x, duals) for  min c.x  s.t.  lo <= A x <= hi row
+    by row, x >= 0, one dual per row. lo and hi are scalars or one value per
+    row; lo = -inf makes a plain <= row. Raises LpError on a row whose range
+    excludes 0 or on an unbounded objective."""
     c = np.asarray(c, dtype=float)
-    A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-    b = np.asarray(b_ub, dtype=float).ravel()
-    if (b < 0).any():
-        raise LpError("a right-hand side is negative: the slack basis is infeasible")
-    m, nvar = A_ub.shape[0], c.size
+    A_rows = np.atleast_2d(np.asarray(A, dtype=float))
+    m, nvar = A_rows.shape[0], c.size
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in (lo, hi))
+    if not ((lo <= 0) & (0 <= hi) & (hi < np.inf)).all():
+        raise LpError("a row range holds no 0 or has no finite hi: the slack basis is infeasible")
     A = np.zeros((m, nvar + m))
-    A[:, :nvar] = A_ub
+    A[:, :nvar] = A_rows
     A[np.arange(m), nvar + np.arange(m)] = 1.0
     cost = np.zeros(nvar + m)
     cost[:nvar] = c
-    basis, _, xB, duals = _simplex(A, b, cost, nvar + np.arange(m), np.eye(m))
-    x = np.zeros(nvar + m)
-    x[basis] = xB
+    upper = np.full(nvar + m, np.inf)
+    upper[nvar:] = hi - lo
+    _, _, x, duals = _simplex(A, hi, cost, upper, nvar + np.arange(m), np.eye(m))
     return float(c @ x[:nvar]), x[:nvar], duals
 
 

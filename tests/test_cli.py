@@ -32,8 +32,11 @@ from posetdist.cli import (
     run_suite,
 )
 from posetdist.lowerbound import MAX_L, MOMENT_REL_TOL, moment_gap_value
+from posetdist.oracles import DEFAULT_LP_CAP
 from posetdist.poset import MAX_DOMAIN
 from posetdist.simplex import LpError
+
+from genutil import random_dag
 
 
 @pytest.fixture()
@@ -409,16 +412,18 @@ def test_structural_poset_fault_exits_2_with_file(workdir, capsys):
 
 
 def test_oracle_verb_on_128_vertices(tmp_path, capsys):
-    n = 128  # the 7-cube's size, inside DEFAULT_LP_CAP
-    G = make_line(n)
-    write_poset(G, tmp_path / "line.poset")
-    v = np.random.default_rng(128).exponential(1.0, n)
-    write_distribution(Distribution(v / v.sum()), tmp_path / "line.dist")
-    rc = main(["oracle", "--poset", str(tmp_path / "line.poset"), "--dist", str(tmp_path / "line.dist")])
-    assert rc == EXIT_OK
-    d_tv, w, lp = (float(tok) for tok in capsys.readouterr().out.strip().split("\n")[1].split(","))
-    assert w == pytest.approx(lp, abs=1e-7)
-    assert w / 2 - 1e-9 <= d_tv <= w + 1e-9
+    """A line at the 7-cube's size, and a line and a dense random DAG
+    (m about n^2/8) at DEFAULT_LP_CAP, so the test follows the cap."""
+    dag = random_dag(np.random.default_rng(DEFAULT_LP_CAP), DEFAULT_LP_CAP, edge_prob=0.25)
+    for G in (make_line(128), make_line(DEFAULT_LP_CAP), dag):
+        write_poset(G, tmp_path / "g.poset")
+        v = np.random.default_rng(G.n).exponential(1.0, G.n)
+        write_distribution(Distribution(v / v.sum()), tmp_path / "g.dist")
+        rc = main(["oracle", "--poset", str(tmp_path / "g.poset"), "--dist", str(tmp_path / "g.dist")])
+        assert rc == EXIT_OK
+        d_tv, w, lp = (float(tok) for tok in capsys.readouterr().out.strip().split("\n")[1].split(","))
+        assert w == pytest.approx(lp, abs=1e-7)
+        assert w / 2 - 1e-9 <= d_tv <= w + 1e-9
 
 
 def test_run_record_embeds_config(workdir, capsys):

@@ -10,20 +10,20 @@ from test_transport import TIED_PAIRS, _check_against_references
 
 
 def test_basic_inequality():
-    obj, x, _ = solve_lp([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6])
+    obj, x, _ = solve_lp([-1, -1], [[1, 2], [3, 1]], -np.inf, [4, 6])
     assert obj == pytest.approx(-2.8, abs=1e-9)
     np.testing.assert_allclose(x, [1.6, 1.2], atol=1e-9)
 
 
 def test_negative_rhs_raises():
     # x >= 1 as -x <= -1: the slack basis is infeasible, a caller's bug
-    with pytest.raises(LpError, match="negative"):
-        solve_lp([1], A_ub=[[-1]], b_ub=[-1])
+    with pytest.raises(LpError, match="holds no 0"):
+        solve_lp([1], [[-1]], -np.inf, [-1])
 
 
 def test_unbounded_raises():
     with pytest.raises(LpError, match="objective unbounded below"):
-        solve_lp([-1, 0], A_ub=[[0, 1]], b_ub=[1])
+        solve_lp([-1, 0], [[0, 1]], -np.inf, [1])
 
 
 def _assert_dual_optimal(c, A_ub, b_ub, obj, duals):
@@ -46,7 +46,7 @@ def test_random_lps_match_scipy():
         b_ub = rng.uniform(0, 1, m)  # x = 0 is feasible
         c = rng.uniform(-1, 1, n)
         A_ub[0] = np.abs(A_ub[0]) + 0.1  # a positive row keeps the LP bounded
-        obj, x, duals = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+        obj, x, duals = solve_lp(c, A_ub, -np.inf, b_ub)
         ref = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None))
         assert ref.status == 0
         assert obj == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
@@ -65,7 +65,7 @@ def test_degenerate_transportation_like():
     for i in range(n):
         A_ub[i, i * n : (i + 1) * n] = 1.0
         A_ub[n + i, i::n] = 1.0
-    obj, _, _ = solve_lp(c, A_ub=A_ub, b_ub=np.full(2 * n, 1.0))
+    obj, _, _ = solve_lp(c, A_ub, -np.inf, np.full(2 * n, 1.0))
     assert obj == pytest.approx(-2.0 * n, abs=1e-9)
 
 
@@ -95,6 +95,55 @@ def test_both_methods_read_the_solver_constants(monkeypatch, solve):
         solve()
 
 
+def _ranged_lp(rng, tall: bool):
+    """Random LP with finite ranges lo < 0 < hi on every row; a positive
+    row 0 keeps it bounded. Tall LPs have more rows than columns, so many
+    rows are tight at either end."""
+    n = int(rng.integers(3, 10)) if tall else int(rng.integers(4, 12))
+    m = int(rng.integers(8, 30)) if tall else n
+    A = rng.normal(size=(m, n))
+    A[0] = np.abs(A[0]) + 0.1
+    lo, hi = -rng.uniform(0.05, 1, m), rng.uniform(0.05, 1, m)
+    return rng.normal(size=n), A, lo, hi
+
+
+def test_ranged_rows_match_scipy(monkeypatch):
+    """lo <= A x <= hi against HiGHS on the stacked rows [A; -A] <= [hi; -lo]:
+    the objective, feasibility, and each row dual as HiGHS's upper marginal
+    minus its lower one. The ratio tests include bound flips and basic
+    slacks leaving at their upper bound."""
+    seen = {"flip": 0, "upper": 0}
+    leaving = simplex._leaving
+
+    def counting(xB, e, uB, span, basis, bland):
+        leave, theta = leaving(xB, e, uB, span, basis, bland)
+        if leave < 0:
+            seen["flip"] += 1
+        elif e[leave] < 0:
+            seen["upper"] += 1
+        return leave, theta
+
+    monkeypatch.setattr(simplex, "_leaving", counting)
+    rng = np.random.default_rng(20261022)
+    for trial in range(60):
+        c, A, lo, hi = _ranged_lp(rng, tall=trial % 2 == 0)
+        obj, x, duals = solve_lp(c, A, lo, hi)
+        m = A.shape[0]
+        ref = linprog(c, A_ub=np.vstack([A, -A]), b_ub=np.concatenate([hi, -lo]), bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert obj == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
+        assert np.all(A @ x <= hi + 1e-9) and np.all(A @ x >= lo - 1e-9) and np.all(x >= -1e-9)
+        marginals = ref.ineqlin.marginals
+        np.testing.assert_allclose(duals, marginals[:m] - marginals[m:], atol=1e-7, err_msg=f"trial {trial}")
+    assert seen["flip"] and seen["upper"], seen
+
+
+def test_row_range_must_hold_zero():
+    for lo, hi in ((0.5, 1.0), (-1.0, -0.5), (-1.0, np.inf), (-1.0, np.nan)):
+        with pytest.raises(LpError, match="slack basis is infeasible"):
+            solve_lp([1], [[1]], lo, hi)
+
+
 def _desk_lp(rng, m_ub, n):
     """Feasible bounded LP with sparse small-integer rows, nonnegative
     small-integer right-hand sides and many tight constraints, so vertices
@@ -115,7 +164,7 @@ def test_desk_scale_lps_match_scipy(trial):
     rows = int(rng.integers(50, 301))
     n = int(rng.integers(rows // 2, rows + 1))
     c, A_ub, b_ub = _desk_lp(rng, rows, n)
-    obj, x, duals = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+    obj, x, duals = solve_lp(c, A_ub, -np.inf, b_ub)
     ref = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     assert ref.status == 0
     assert obj == pytest.approx(ref.fun, abs=1e-7)
@@ -131,9 +180,9 @@ def test_end_of_phase_check_recovers_from_a_stale_inverse():
     A = np.array([[1.0, 2.0, 1.0]])
     b = np.array([2.0])
     c = np.array([-1.0, -3.0, 0.0])
-    basis, Binv, xB, duals = _simplex(A, b, c, np.array([0]), np.array([[2.0]]))
+    basis, Binv, x, duals = _simplex(A, b, c, np.full(3, np.inf), np.array([0]), np.array([[2.0]]))
     assert basis.tolist() == [1]
-    np.testing.assert_allclose(xB, [1.0])
+    np.testing.assert_allclose(x, [0.0, 1.0, 0.0])
     np.testing.assert_allclose(Binv, [[0.5]])
     np.testing.assert_allclose(duals, [-1.5])
 
@@ -147,7 +196,8 @@ def _desk_case(trial: int):
     rng = np.random.default_rng([20261018, trial])
     rows = int(rng.integers(50, 301))
     n = int(rng.integers(rows // 2, rows + 1))
-    return lambda: oracles.solve_lp(*_desk_lp(rng, rows, n))
+    c, A_ub, b_ub = _desk_lp(rng, rows, n)
+    return lambda: oracles.solve_lp(c, A_ub, -np.inf, b_ub)
 
 
 DENSE_CASES = {
