@@ -212,16 +212,16 @@ DENSE_CASES = {
 # pricing call's (column, bland)) per case. Work on the pivot loop
 # keeps every pivot and every output byte, so it never moves these pins.
 DENSE_PATH_PINS = {
-    "cube5": (26, "51b1478ba1de10b15c89a54535ad6f9d"),
-    "cube5-shift": (32, "1449d1b0ec606545046bc857c248ab79"),
-    "cube6": (61, "d92b111f9997457c683631840abda7eb"),
-    "cube6-shift": (63, "82603c2ca14c26714cff0c73f113f3c6"),
-    "cube7": (143, "1808b12c314ce62f89ce9b2ca939fd04"),
-    "cube7-shift": (153, "024c65c69a89116cf95e439eee5d1fe9"),
-    "dag24": (24, "90f38d18d0363162e2f7b91edac2dc66"),
-    "dag24-shift": (30, "13462b9d4dbd9a2194f3f983814e7327"),
-    "dag40": (68, "f6f8c31cf4599b58d05b5e9cc06e3fdd"),
-    "dag40-shift": (54, "b36c21d14d38ec922919e74c29da37b6"),
+    "cube5": (27, "d8d89cd5e1231b51dfb81dfec9764de6"),
+    "cube5-shift": (32, "d7a6426cbdad0c175280088d8612756f"),
+    "cube6": (59, "2388f9870577bac388dbb6f8d38c08f4"),
+    "cube6-shift": (68, "01f285154343ab21e80c10dab2a8a071"),
+    "cube7": (140, "8c7901dfec09035b40deaf506d91ca05"),
+    "cube7-shift": (143, "59443ff238308f6e84b02796d40931a4"),
+    "dag24": (26, "f4434b35757bcdd4d6b2533d20f7cc13"),
+    "dag24-shift": (32, "a6214f04f67d032e2d0c143f86afe6c9"),
+    "dag40": (58, "238338f3c0eff0708b9c2f6ccddcb112"),
+    "dag40-shift": (59, "daff0fedc215534940d436b6cb2c041a"),
     "desk5-bland": (236, "92172fbdf13e7b197b7e13fe79a2c641"),
 }
 
