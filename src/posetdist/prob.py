@@ -264,7 +264,9 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
 class SampleAccess:
     """Sample-only access to an unknown distribution over 0..n-1: a subclass
     implements histogram(s, rng), the int64 counts of s i.i.d. draws, and
-    may override count_in with a draw of the same law."""
+    may override count_in with a draw of the same law. The testers and the
+    library's wrapping accesses refuse a draw that breaks this contract
+    (see _drawn)."""
 
     n: int
 
@@ -316,6 +318,30 @@ class ExactDistAccess(SampleAccess):
         clipped at 1 (a distribution's total may exceed 1 by SUM_TOL)."""
         mask = self._mask(mask, s)
         return int(rng.gen.binomial(int(s), min(1.0, float(self.dist.probs[mask].sum()))))
+
+
+def _drawn(access: SampleAccess, s: int, rng: Rng, mask=None):
+    """access.histogram(s, rng), or with a mask access.count_in(mask, s,
+    rng), checked as a draw of s samples: n integer counts, none negative,
+    totalling s, or one count in [0, s]. An access of exactly type
+    ExactDistAccess draws from numpy and skips the check."""
+    if mask is not None:
+        count = access.count_in(mask, s, rng)
+        if type(access) is not ExactDistAccess and not 0 <= count <= s:
+            raise ValueError(f"sample access counted {count} of {s} samples in a mask")
+        return count
+    counts = access.histogram(s, rng)
+    if type(access) is ExactDistAccess:
+        return counts
+    counts = np.asarray(counts)
+    if not np.issubdtype(counts.dtype, np.integer) or counts.shape != (access.n,):
+        raise ValueError(f"sample access drew {counts.dtype} counts of shape {counts.shape}, not n={access.n} integer counts")
+    if (counts < 0).any():
+        raise ValueError(f"sample access drew a negative count from a budget of {s} samples")
+    total = counts.sum()
+    if total != s:
+        raise ValueError(f"sample access drew a total of {total} from a budget of {s} samples")
+    return counts
 
 
 def _blocks(path, error: type[ValueError] = ValueError):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .oracles import _check_threshold
 from .poset import Poset, _check_dim, _check_domain, _check_over, make_hypercube, make_matching, transitive_closure
-from .prob import Distribution, ExactDistAccess, Rng, SampleAccess
+from .prob import Distribution, ExactDistAccess, Rng, SampleAccess, _drawn
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +90,7 @@ class LiftedAccess(SampleAccess):
         """Each source count splits evenly over its copies as a multinomial,
         all rows in one call, which draws exactly what one call per row draws;
         a zero count, or a split over one copy, draws nothing."""
-        src_counts = self.base.histogram(s, rng)
+        src_counts = _drawn(self.base, s, rng)
         copies = self.reduction.copies
         k = copies.shape[1]
         out = np.zeros(self.n, dtype=np.int64)

@@ -33,7 +33,7 @@ from .oracles import _check_threshold, _midpoint_cost, dist_to_bigness, max_viol
 # stay bound: perfbench/spans.py wraps both names on this module.
 from .oracles import min_w_to_monotone_pairhist  # noqa: F401
 from .poset import Poset, _check_over
-from .prob import Distribution, ExactDistAccess, Rng, SampleAccess, pair_histogram  # noqa: F401
+from .prob import Distribution, ExactDistAccess, Rng, SampleAccess, _drawn, pair_histogram  # noqa: F401
 from .reductions import _lifted, bipartite_to_matching
 
 MASS_EST_CONST = 32.0  # ceil(32/eps^2) samples per additive-eps mass estimate
@@ -115,13 +115,13 @@ class MixedWithUniform(SampleAccess):
     def histogram(self, s: int, rng: Rng) -> np.ndarray:
         self._check_count(s)
         k = int(rng.gen.binomial(s, 0.5))
-        return self.base.histogram(k, rng) + rng.gen.multinomial(s - k, np.full(self.n, 1.0 / self.n))
+        return _drawn(self.base, k, rng) + rng.gen.multinomial(s - k, np.full(self.n, 1.0 / self.n))
 
     def count_in(self, mask, s: int, rng: Rng) -> int:
         """The base's count_in of k draws plus Binomial(s - k, |mask| / n)."""
         mask = self._mask(mask, s)
         k = int(rng.gen.binomial(s, 0.5))
-        from_base = self.base.count_in(mask, k, rng)
+        from_base = _drawn(self.base, k, rng, mask)
         return from_base + int(rng.gen.binomial(s - k, np.count_nonzero(mask) / self.n))
 
 
@@ -152,11 +152,7 @@ def bigness_test(
     _check_threshold(threshold, n)
     eps1 = eps / 3.0
     budget = learner.budget(n, eps1)
-    counts = access.histogram(budget, rng)
-    total = counts.sum()
-    if not total > 0:
-        raise ValueError(f"sample access drew a total of {total} from a budget of {budget} samples")
-    q = counts / total
+    q = _drawn(access, budget, rng) / budget
     learned = Distribution(q / q.sum())
     stat = dist_to_bigness(learned, threshold)
     return _verdict(stat, eps1, budget, bigness_threshold=threshold)
@@ -246,7 +242,7 @@ def uniform_subset_test(
     n = G.n
     s1 = _sample_count("stage 1 size", 8.0 * n ** (2.0 / 3.0), eps)
     s2 = _sample_count("stage 2 size", 8.0 * n ** (2.0 / 3.0), 1.0)
-    h1 = access.histogram(s1, rng)
+    h1 = _drawn(access, s1, rng)
     # every edge runs bottom -> top, so the heads of the edges whose tail was
     # sampled are the neighborhood T of the sampled bottom vertices
     u, v = G.edge_array.T
@@ -256,7 +252,7 @@ def uniform_subset_test(
     cutoff = eps * s1 / 2.0
     if t_size <= cutoff:
         return _verdict(t_size, cutoff, s1, branch=1, stage1=s1)
-    hits = float(access.count_in(in_t, s2, rng))
+    hits = float(_drawn(access, s2, rng, in_t))
     eps_prime = eps * s1 / (2.0 * t_size)
     required = s2 * (1.0 - eps_prime / 2.0) * t_size / support_size
     # accept iff hits >= required, phrased as shortfall <= 0
@@ -294,10 +290,7 @@ def all_matchings_test(
     # edges run bottom -> top, so only bottoms have out-edges
     log_m = float(np.log1p(np.bincount(G.edge_array[:, 0])).sum())
     s = _sample_count("sample pool", MASS_EST_CONST * (log_m + math.log(6.0)), eps * eps)
-    counts = access.histogram(s, rng)
-    total = counts.sum()
-    if total != s:
-        raise ValueError(f"sample access drew a total of {total} from a pool of {s} samples")
+    counts = _drawn(access, s, rng)
     matching = max_violation_matching(G, Distribution(counts / s))
     edges = [edge for edge, _ in matching.edges]
     worst = (tuple(sorted(v for _, v in edges)), tuple(sorted(u for u, _ in edges)))

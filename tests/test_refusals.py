@@ -18,6 +18,7 @@ from posetdist import (
     PosetError,
     PriorsError,
     Rng,
+    SampleAccess,
     SizeCapError,
     WeightedMatching,
     all_matchings_test,
@@ -38,6 +39,7 @@ from posetdist import (
     make_line,
     make_matching,
     matching_monotonicity_test,
+    uniform_subset_test,
     matching_to_hypercube,
     max_violation_matching,
     pair_histogram,
@@ -58,6 +60,24 @@ class _DrawsNothing(ExactDistAccess):
 
     def histogram(self, s, rng):
         return np.zeros(self.n, dtype=np.int64)
+
+
+class _UserDraws(SampleAccess):
+    """A user access whose histogram(s) is hist(s) and whose count_in is
+    count(s), whatever the law."""
+
+    def __init__(self, n, hist, count=lambda s: 0):
+        self.n, self.hist, self.count = n, hist, count
+
+    def histogram(self, s, rng):
+        return self.hist(s)
+
+    def count_in(self, mask, s, rng):
+        return self.count(s)
+
+
+M200, M300 = make_matching(200), make_matching(300)
+_FAIR400 = ExactDistAccess(Distribution.uniform(400))
 
 
 def test_violation_matching_has_no_cell_cap():
@@ -100,7 +120,30 @@ REFUSALS = [
     ("bigness drew nothing", lambda: bigness_test(_DrawsNothing(Distribution.uniform(10)), 0.1, 0.2, rng=Rng(0)),
      ValueError, "sample access drew a total of 0 from a budget of 45000 samples"),
     ("all-matchings drew nothing", lambda: all_matchings_test(B4, _DrawsNothing(U4), 0.2, rng=Rng(0)), ValueError,
-     "sample access drew a total of 0 from a pool of 2543 samples"),
+     "sample access drew a total of 0 from a budget of 2543 samples"),
+    ("user histogram of floats",
+     lambda: matching_monotonicity_test(M200, _UserDraws(400, lambda s: np.full(400, 0.5), lambda s: -5), 0.2,
+                                        rng=Rng(0)),
+     ValueError, "sample access drew float64 counts of shape (400,), not n=400 integer counts"),
+    ("user histogram too long",
+     lambda: matching_monotonicity_test(M200, _UserDraws(400, lambda s: np.eye(403, dtype=np.int64)[0] * s), 0.2,
+                                        rng=Rng(0)),
+     ValueError, "sample access drew int64 counts of shape (403,), not n=400 integer counts"),
+    ("user negative count",
+     lambda: bigness_test(_UserDraws(4, lambda s: np.array([s + 1, -1, 0, 0])), 0.1, 0.2, rng=Rng(0)), ValueError,
+     "sample access drew a negative count from a budget of"),
+    ("user lifted total",
+     lambda: bipartite_bounded_degree_test(B4, _UserDraws(4, lambda s: np.array([2 * s, 0, 0, 0])), 2, 0.5,
+                                           rng=Rng(0)),
+     ValueError, "sample access drew a total of"),
+    ("user count_in below 0",
+     lambda: matching_monotonicity_test(M200, _UserDraws(400, lambda s: _FAIR400.histogram(s, Rng(1)), lambda s: -5),
+                                        0.2, rng=Rng(0)),
+     ValueError, "sample access counted -5 of"),
+    ("user count_in above s",  # every bottom drawn, so stage 2 runs and counts
+     lambda: uniform_subset_test(M300, _UserDraws(600, lambda s: np.bincount(np.arange(s) % 300, minlength=600),
+                                                  lambda s: s + 1), 600, 1.0, rng=Rng(0)),
+     ValueError, "sample access counted 571 of 570 samples in a mask"),
     ("bipartite eps", lambda: bipartite_bounded_degree_test(make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1]),
                                                             ExactDistAccess(U4), 2, 4.0, rng=Rng(0)), ValueError,
      "eps must lie in (0, 1]"),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -98,9 +99,18 @@ class _FixedCounts(SampleAccess):
         return self.counts.copy()
 
 
+def _fixed_bigness(counts, threshold, eps):
+    """bigness_test learning exactly these counts: a learner whose budget is
+    their total, as the tester refuses a draw of any other total."""
+    n, total = len(counts), int(np.sum(counts))
+    learner = LearnerSpec((total - 0.5) * (eps / 3) ** 2 * math.log(max(n, 2)) / n)
+    assert learner.budget(n, eps / 3) == total
+    return bigness_test(_FixedCounts(counts), threshold, eps, learner=learner, rng=Rng(0))
+
+
 def test_bigness_boundary_inclusive():
     # counts whose learned distribution lies at distance exactly eps/3
-    v = bigness_test(_FixedCounts([0, 1, 1, 1, 1]), 0.1875, 0.5625, rng=Rng(0))
+    v = _fixed_bigness([0, 1, 1, 1, 1], 0.1875, 0.5625)
     assert v.stat == v.threshold == 0.1875  # 3/16 exactly representable
     assert v.accepted
 
@@ -108,9 +118,9 @@ def test_bigness_boundary_inclusive():
 def test_bigness_stat_is_label_free():
     rng = np.random.default_rng(7)
     counts = rng.integers(0, 50, size=12)
-    base = bigness_test(_FixedCounts(counts), 0.05, 0.9, rng=Rng(0)).stat
+    base = _fixed_bigness(counts, 0.05, 0.9).stat
     for _ in range(10):
-        permuted = bigness_test(_FixedCounts(counts[rng.permutation(12)]), 0.05, 0.9, rng=Rng(0)).stat
+        permuted = _fixed_bigness(counts[rng.permutation(12)], 0.05, 0.9).stat
         assert permuted == pytest.approx(base, abs=1e-15)
 
 
