@@ -35,7 +35,7 @@ from .poset import MONOTONE_TOL, Poset, SizeCapError, _check_over, _csr, transit
 from .prob import Distribution, PairHistogram
 from .simplex import _transport_cost, solve_lp
 
-DEFAULT_LP_CAP = 192
+DEFAULT_LP_CAP = 256
 
 
 @dataclass(frozen=True)
