@@ -335,7 +335,9 @@ def _drawn(access: SampleAccess, s: int, rng: Rng, mask=None):
         return counts
     counts = np.asarray(counts)
     if not np.issubdtype(counts.dtype, np.integer) or counts.shape != (access.n,):
-        raise ValueError(f"sample access drew {counts.dtype} counts of shape {counts.shape}, not n={access.n} integer counts")
+        raise ValueError(
+            f"sample access drew {counts.dtype} counts of shape {counts.shape}, not n={access.n} integer counts"
+        )
     if (counts < 0).any():
         raise ValueError(f"sample access drew a negative count from a budget of {s} samples")
     total = counts.sum()

@@ -102,7 +102,7 @@ def _leaving(xB: np.ndarray, e: np.ndarray, uB: np.ndarray, span: float, basis: 
     return leave, (xB[leave] - (0.0 if e[leave] > 0 else uB[leave])) / e[leave]
 
 
-def _simplex(A, b, c, upper, basis, Binv):
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, upper: np.ndarray, basis: np.ndarray, Binv: np.ndarray):
     """Run the bounded-variable revised simplex to optimality for
     min c.x  s.t.  A x = b,  0 <= x <= upper, from a feasible basis with
     every nonbasic variable at 0.
