@@ -325,15 +325,14 @@ def _drawn(access: SampleAccess, s: int, rng: Rng, mask=None):
     rng), checked as a draw of s samples: n integer counts, none negative,
     totalling s, or one count in [0, s]. An access of exactly type
     ExactDistAccess draws from numpy and skips the check."""
-    if mask is not None:
-        count = access.count_in(mask, s, rng)
-        if type(access) is not ExactDistAccess and not 0 <= count <= s:
-            raise ValueError(f"sample access counted {count} of {s} samples in a mask")
-        return count
-    counts = access.histogram(s, rng)
+    drawn = access.histogram(s, rng) if mask is None else access.count_in(mask, s, rng)
     if type(access) is ExactDistAccess:
-        return counts
-    counts = np.asarray(counts)
+        return drawn
+    if mask is not None:
+        if not 0 <= drawn <= s:
+            raise ValueError(f"sample access counted {drawn} of {s} samples in a mask")
+        return drawn
+    counts = np.asarray(drawn)
     if not np.issubdtype(counts.dtype, np.integer) or counts.shape != (access.n,):
         raise ValueError(
             f"sample access drew {counts.dtype} counts of shape {counts.shape}, not n={access.n} integer counts"
