@@ -1,6 +1,6 @@
 """Ground-truth distance computations.
 
-Four distances live here, all desk-scale exact:
+Four distances live here, all exact:
 
 * distance to T-bigness (closed form),
 * l1 distance from a distribution to the nearest monotone *function*,
@@ -9,19 +9,17 @@ Four distances live here, all desk-scale exact:
   |dx| + |dy| and (0,0) padding to balance totals.
 
 Both monotone distances minimize ||x||_1 over perturbations x with p + x
-monotone on every edge (TV also holds sum(x) at 0). Each is solved as its
-LP dual, a flow on G's own edges with n ranged rows
--c <= out - in + mu <= c: no closure, no mass row, and 0 inside every
-range, so the slack basis is feasible. The row duals are x.
+monotone on every edge (TV also holds sum(x) at 0).
 
 LP duality makes the function distance equal the weight of a maximum-weight
 matching on the transitive closure with violation weights max(0, p(u)-p(v)),
-and the TV distance is sandwiched between half that weight and the weight
-itself; both facts are exercised heavily by the test suite. That matching is
-found by augmenting paths on the closure's double cover (the violating edges'
-tails on one side, their heads on the other): the chosen links form
-vertex-disjoint chains whose weights telescope, so each chain collapses to the
-closure edge between its endpoints without losing weight.
+its one solver, with no size cap; the optimal x is that matching's duals. The
+matching is found by augmenting paths on the closure's double cover (the
+violating edges' tails on one side, their heads on the other): the chosen
+links form vertex-disjoint chains whose weights telescope, so each chain
+collapses to the closure edge between its endpoints without losing weight.
+The TV distance lies between half that weight and the weight itself, and is
+solved as its LP dual, a flow on G's own edges (exact_dtv_to_monotone).
 """
 
 from __future__ import annotations
@@ -77,51 +75,70 @@ def dist_to_bigness(p: Distribution, threshold: float) -> float:
     return float(np.maximum(0.0, threshold - p.probs).sum())
 
 
-def _monotone_flow(G: Poset, p: Distribution, c: float, shift: bool):
-    """(value, x) of the LP dual to the monotone-perturbation LP: a flow on
-    G's own edges. Maximize sum_e y_e * (p(u) - p(v)) over y >= 0 on the
-    edges (u, v) subject to -c <= out_y(w) - in_y(w) + mu <= c at every
-    vertex w, with mu = 0 or, with `shift`, free (passed as mu+ - mu-):
-    one ranged row per vertex, whose range [-c, c] holds 0, so the slack
-    basis is feasible. The perturbation x is the row duals. The n x m
-    constraint matrix is dense, so n is capped at DEFAULT_LP_CAP."""
-    if G.n > DEFAULT_LP_CAP:
-        raise SizeCapError(f"n={G.n} exceeds LP cap {DEFAULT_LP_CAP}")
-    _check_over(G, "distribution", (p.n,))
-    n, m = G.n, len(G.edge_array)
-    u, v = G.edge_array.T
-    D = np.zeros((n, m + 2 * shift))
-    D[u, np.arange(m)] = 1.0
-    D[v, np.arange(m)] = -1.0
-    if shift:
-        D[:, m:] = [1.0, -1.0]
-    cost = np.zeros(D.shape[1])
-    cost[:m] = p.probs[v] - p.probs[u]
-    obj, _, x = solve_lp(cost, D, np.full(n, -c), np.full(n, c))
-    return 0.0 - obj, x  # 0.0 - obj: never -0.0
-
-
 def func_dist_to_monotone(G: Poset, p: Distribution):
     """Minimal l1 perturbation x making p + x a monotone function on G.
 
-    Returns (d, LpSolution) with d = ||x||_1, by the flow LP with c = 1.
+    Returns (d, LpSolution(d, x)): d is max_violation_matching's weight, bit
+    for bit, and x its duals. With the search's source and sink at potential
+    0, a free tail t enters its final residual graph at -p(t), a matched head
+    h at -p(h), and the alternating arcs cost 0, so one walk of the entries in
+    decreasing p gives each tail and head copy the p of the first entry that
+    reaches it, its level. Then x(w) = max(0, head level - p(w)) - max(0,
+    p(w) - tail level).
     """
-    d, x = _monotone_flow(G, p, 1.0, False)
-    return d, LpSolution(d, x)
+    m, search = _violation_search(G, p)
+    x = np.zeros(G.n)
+    if search is None:  # a matching poset: each violating tail drops to its head
+        x[[t for (t, _), _ in m.edges]] = [-w for _, w in m.edges]
+        return m.weight, LpSolution(m.weight, x)
+    probs, first, arcs, roots, link, mate = search
+    entries = [(t, False) for t in roots if t not in link] + [(h, True) for h in mate]
+    seen = set()  # head copies; a tail copy is reached once, as a free tail or from its mate
+    for w, is_head in sorted(entries, key=lambda e: probs[e[0]], reverse=True):
+        level = probs[w]
+        if is_head:
+            if w in seen:
+                continue
+            seen.add(w)
+            w = mate[w]
+        stack = [w]
+        while stack:
+            t = stack.pop()
+            x[t] -= max(0.0, probs[t] - level)
+            for h in arcs[first[t] : first[t + 1]]:
+                if h not in seen:
+                    seen.add(h)
+                    x[h] += max(0.0, level - probs[h])
+                    if h in mate:
+                        stack.append(mate[h])
+    return m.weight, LpSolution(m.weight, x)
 
 
 def exact_dtv_to_monotone(G: Poset, p: Distribution) -> float:
     """TV distance from p to the set of monotone distributions on G, by LP.
 
     The primal minimizes ||x||_1 / 2 over x with p + x monotone and
-    sum(x) = 0; its dual is the flow LP with c = 1/2 and the mass row's
-    multiplier as the free shift. No q >= 0 rows are needed: clipping a
-    monotone q of mass 1 at 0 keeps it monotone and, as p >= 0, lowers
-    ||q - p||_1 by exactly the mass N it adds; rescaling by 1/(1 + N) keeps it
-    monotone and moves it by N in l1, so the result is a monotone
-    distribution no farther from p.
+    sum(x) = 0. Its dual is a flow y >= 0 on G's own edges (u, v), maximizing
+    sum_e y_e * (p(u) - p(v)) with one ranged row -1/2 <= out_y - in_y + mu <=
+    1/2 per vertex, mu = mu+ - mu- being the mass row's free multiplier: 0 is
+    in every range, so the slack basis is feasible. No q >= 0 rows are needed:
+    clipping a monotone q of mass 1 at 0 keeps it monotone and, as p >= 0,
+    lowers ||q - p||_1 by exactly the mass N it adds; rescaling by 1/(1 + N)
+    keeps it monotone and moves it by N in l1, so the result is a monotone
+    distribution no farther from p. The dense matrix caps n at DEFAULT_LP_CAP.
     """
-    return _monotone_flow(G, p, 0.5, True)[0]
+    if G.n > DEFAULT_LP_CAP:
+        raise SizeCapError(f"n={G.n} exceeds LP cap {DEFAULT_LP_CAP}")
+    _check_over(G, "distribution", (p.n,))
+    n, m = G.n, len(G.edge_array)
+    u, v = G.edge_array.T
+    D = np.zeros((n, m + 2))
+    D[u, np.arange(m)] = 1.0
+    D[v, np.arange(m)] = -1.0
+    D[:, m:] = [1.0, -1.0]
+    cost = np.zeros(m + 2)
+    cost[:m] = p.probs[v] - p.probs[u]
+    return 0.0 - solve_lp(cost, D, np.full(n, -0.5), np.full(n, 0.5))[0]  # 0.0 - obj: never -0.0
 
 
 def _violation_edges(G: Poset, probs: np.ndarray):
@@ -157,15 +174,23 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
     rounded exact weight, whichever optimum a tie selects. On a matching poset
     the edge set is unique and the weights are summed left to right.
     """
+    return _violation_search(G, p)[0]
+
+
+def _violation_search(G: Poset, p: Distribution):
+    """(max_violation_matching(G, p), search): search is None on a matching
+    poset, else (probs, first, arcs, roots, link, mate), p as a list, the
+    violating arcs as CSR, the distinct tails and the double cover's links."""
     _check_over(G, "distribution", (p.n,))
     u, v, w = _violation_edges(G, p.probs)
     if G.kind == "matching":
         weights = w.tolist()
-        return WeightedMatching(tuple(zip(zip(u.tolist(), v.tolist()), weights)), float(sum(weights)))
+        return WeightedMatching(tuple(zip(zip(u.tolist(), v.tolist()), weights)), float(sum(weights))), None
     probs = p.probs.tolist()
     first, arcs = _csr(np.column_stack((u, v)), G.n)
     free, link, mate = sorted(set(v.tolist()), key=probs.__getitem__, reverse=True), {}, {}
-    for r in sorted(dict.fromkeys(u.tolist()), key=probs.__getitem__, reverse=True):  # np.unique would import numpy.ma
+    roots = sorted(dict.fromkeys(u.tolist()), key=probs.__getitem__, reverse=True)  # np.unique would import numpy.ma
+    for r in roots:
         while free and free[-1] in mate:  # matched heads stay matched
             free.pop()
         via, stack, end, low = {}, [r], None, probs[r]
@@ -187,7 +212,7 @@ def max_violation_matching(G: Poset, p: Distribution) -> WeightedMatching:
             end = link[end]
         chosen.append(((start, end), probs[start] - probs[end]))
     weight = math.fsum(x for (a, b), _ in chosen for x in (probs[a], -probs[b]))
-    return WeightedMatching(tuple(chosen), weight)
+    return WeightedMatching(tuple(chosen), weight), (probs, first, arcs, roots, link, mate)
 
 
 def closest_monotone_on_matching(G: Poset, p: Distribution) -> Distribution:

@@ -24,7 +24,6 @@ from posetdist import (
     closest_monotone_on_matching,
     dist_to_bigness,
     exact_dtv_to_monotone,
-    func_dist_to_monotone,
     general_to_bipartite,
     generate_instance,
     hypercube_embedding,
@@ -53,6 +52,7 @@ from genutil import (
     random_bipartite,
     random_dag,
     random_distribution,
+    reference_func_dist_lp,
 )
 
 EPS = 0.2
@@ -67,7 +67,8 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def duality_instances():
-    """500 random posets with n <= 10; (W, lp objective, exact TV distance)."""
+    """500 random posets with n <= 10; (W, the function-distance LP's
+    objective by HiGHS, exact TV distance)."""
     rng = np.random.default_rng(777)
     out = []
     start = time.time()
@@ -76,7 +77,7 @@ def duality_instances():
         G = random_dag(rng, n)
         p = random_distribution(rng, n)
         W = max_violation_matching(G, p).weight
-        lp, _ = func_dist_to_monotone(G, p)
+        lp = reference_func_dist_lp(G, p)
         d = exact_dtv_to_monotone(G, p)
         out.append((W, lp, d))
     return out, time.time() - start

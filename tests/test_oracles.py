@@ -9,7 +9,6 @@ from posetdist import (
     Distribution,
     PairHistogram,
     Poset,
-    SizeCapError,
     closest_monotone_on_matching,
     dist_to_bigness,
     exact_dtv_to_monotone,
@@ -99,8 +98,31 @@ def test_func_dist_examples():
     assert d == pytest.approx(0.3, abs=1e-9)
     d, _ = func_dist_to_monotone(make_line(3), Distribution(np.array([0.2, 0.3, 0.5])))
     assert d == 0.0
-    with pytest.raises(SizeCapError):
-        func_dist_to_monotone(make_line(DEFAULT_LP_CAP + 1), Distribution.uniform(DEFAULT_LP_CAP + 1))
+    # past the d_TV LP's cap: the function distance has none
+    line = make_line(300)
+    for G, p in ((line, random_distribution(np.random.default_rng(300), line.n)), learned_ring(300, 36)):
+        assert G.n > DEFAULT_LP_CAP
+        d, sol = func_dist_to_monotone(G, p)
+        assert d == pytest.approx(reference_func_dist_lp(G, p), abs=1e-9)
+        q = p.probs + sol.x
+        u, v = G.edge_array.T
+        assert np.all(q[u] <= q[v] + 1e-12)
+        assert float(np.abs(sol.x).sum()) == pytest.approx(d, rel=0, abs=1e-12)
+
+
+def test_func_dist_solves_no_lp(monkeypatch):
+    """The function distance and its x come from the violation matching alone."""
+    rng = np.random.default_rng(45)
+
+    def no_lp(*args):
+        raise AssertionError("solve_lp was called")
+
+    monkeypatch.setattr(oracles, "solve_lp", no_lp)
+    for G in (make_hypercube(5), random_dag(rng, 20), make_matching(6)):
+        p = random_distribution(rng, G.n)
+        d, sol = func_dist_to_monotone(G, p)
+        assert d == max_violation_matching(G, p).weight > 0
+        assert is_monotone(G, p.probs + sol.x)
 
 
 def test_matching_examples_and_tiebreak():
@@ -123,8 +145,7 @@ def test_matching_equals_bruteforce_and_lp():
         p = random_distribution(rng, n)
         W = max_violation_matching(G, p).weight
         assert W == pytest.approx(brute_force_violation_matching(G, p), abs=1e-10)
-        d, _ = func_dist_to_monotone(G, p)
-        assert d == pytest.approx(W, abs=1e-7)  # LP duality + integrality
+        assert W == pytest.approx(reference_func_dist_lp(G, p), abs=1e-7)  # LP duality + integrality
     # 1/4-grid probabilities tie many violation weights and many p values
     for _ in range(40):
         n = int(rng.integers(3, 9))
@@ -142,17 +163,13 @@ def test_bipartite_matching_path_agrees_with_dp():
 
 
 def test_matching_on_large_posets_equals_lp():
-    # beyond brute-force reach the function-distance LP is the independent route
+    # beyond brute-force reach the function-distance LP (HiGHS) is the independent route
     rng = np.random.default_rng(35)
     posets = [random_dag(rng, n, edge_prob=0.1) for n in (25, 40, 64)] + [make_hypercube(5), make_hypercube(6)]
     cases = [(G, random_distribution(rng, G.n)) for G in posets] + [learned_ring(300, 36)]
     for G, p in cases:
         m = max_violation_matching(G, p)
-        if G.n <= DEFAULT_LP_CAP:
-            d, _ = func_dist_to_monotone(G, p)
-            assert m.weight == pytest.approx(d, abs=1e-7)
-        else:  # the learned 300 + 300 ring: HiGHS, past the flow LP's cap
-            assert m.weight == pytest.approx(reference_func_dist_lp(G, p), abs=1e-9)
+        assert m.weight == pytest.approx(reference_func_dist_lp(G, p), abs=1e-9)
         tc = transitive_closure(G)
         for (u, v), w in m.edges:
             assert tc.reach(u, v)
@@ -176,7 +193,7 @@ def test_matching_runs_no_transportation_simplex(monkeypatch):
     for G, p in cases:
         assert max_violation_matching(G, p).weight == pytest.approx(brute_force_violation_matching(G, p), abs=1e-12)
     p = random_distribution(rng, cube.n)
-    assert max_violation_matching(cube, p).weight == pytest.approx(func_dist_to_monotone(cube, p)[0], abs=1e-7)
+    assert max_violation_matching(cube, p).weight == pytest.approx(reference_func_dist_lp(cube, p), abs=1e-7)
     G, p = ring
     u, v = G.edge_array.T
     assert (p.probs[u] - p.probs[v] > 1e-12).all()
@@ -237,8 +254,8 @@ def test_exact_dtv_examples_and_sandwich():
 def monotone_instances(draw):
     """(G, p, shape): a line, matching, bipartite poset, hypercube (d <= 5),
     random DAG, or random DAG with isolated vertices added; edgeless and
-    one-vertex posets included. p is random, a point mass, constant, or
-    already monotone."""
+    one-vertex posets included. p is random, a point mass, constant, already
+    monotone, or on the 1/4 grid (many tied values and violation weights)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["line", "matching", "bipartite", "hypercube", "general", "isolated"]))
     if kind == "line":
@@ -258,7 +275,7 @@ def monotone_instances(draw):
     else:
         core = random_dag(rng, draw(st.integers(2, 10)), edge_prob=0.5)
         G = Poset(core.n + draw(st.integers(1, 4)), core.edges, kind="general")
-    shape = draw(st.sampled_from(["random", "point", "constant", "monotone"]))
+    shape = draw(st.sampled_from(["random", "point", "constant", "monotone", "grid"]))
     p = random_distribution(rng, G.n)
     if shape == "point":
         probs = np.zeros(G.n)
@@ -275,6 +292,8 @@ def monotone_instances(draw):
         probs = np.empty(G.n)
         probs[order] = np.sort(p.probs)
         p = Distribution(probs)
+    elif shape == "grid":
+        p = Distribution.normalized(rng.integers(1, 5, G.n) / 4)
     return G, p, shape
 
 
