@@ -20,7 +20,7 @@ below 2^-53, in one multinomial with every other atom's; an atom of higher
 rate draws each member's count. The gap optimum has a closed form
 via best polynomial approximation of 1/x: moment_gap_value is its value, and
 solve_moment_gap builds its atoms, the alternation points of that
-approximation with divided-difference weights.
+approximation with their divided-difference weights in closed form, in O(L).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .simplex import solve_lp  # noqa: F401
 MASS_TOL = 1e-9
 MEAN_TOL = 1e-8
 MOMENT_REL_TOL = 1e-8
-LOG_W_BLOCK = 16  # rows of the atom-difference matrix that solve_moment_gap holds at once
 # the largest rate Generator.poisson accepts (numpy's POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 WILSON_Z = 2.497705474412374  # Phi^-1(1 - 0.05/8): 95% over the probe's four statistics, Bonferroni
@@ -52,12 +51,11 @@ MAX_RETRIES = 200  # draws indistinguishability_probe makes for one trial's even
 # n = 10^4, as long as the Poisson draws of some 100 members (2-core Xeon,
 # numpy 2.4), so the table pays for every atom with more members than that.
 RATE_TABLE_MAX = 64.0
-# The largest L that solve_moment_gap, and so build_priors, takes. build_priors
-# takes time growing as L^2 in what the construction must do: the sum of L^2 log
-# differences in solve_moment_gap and L products of each atom in validate. At
-# L = 11250, nu in {0.1, 0.5, 2} and lam in {1e8, 1e12, 1e16}, it took 0.69 to
-# 0.78 s with LOG_W_BLOCK = 16 and 0.87 to 1.01 s with the 64 rows it was set
-# with (median of five alternating rounds; 2-core Xeon, numpy 2.4).
+# The largest L that solve_moment_gap, and so build_priors, takes. build_priors is
+# O(L^2) in validate's moment check, L products of each atom; solve_moment_gap is O(L).
+# At L = 11250, nu in {0.1, 0.5, 2} and lam in {1e8, 1e12, 1e16}, it took about 0.3 s,
+# almost all of it in validate (2-core Xeon, numpy 2.4). The cap dates from an O(L^2)
+# gap program and is kept until it is derived again.
 MAX_L = 11250
 
 
@@ -100,7 +98,13 @@ def solve_moment_gap(nu: float, lam: float, L: int):
     weights are the divided-difference weights w_k = 1/prod_{j != k}(x_k - x_j),
     which annihilate every polynomial of degree below L; their signs
     alternate, the even points making up X and the odd ones X', each side
-    normalized to mass 1.
+    normalized to mass 1. They have a closed form: with Phi(theta) the left side above,
+    |1 - r*e^{i*theta}|^2 * sin(Phi) = sin(L*theta) - 2r*sin((L-1)*theta) + r^2*sin((L-2)*theta),
+    so in t = cos(theta) the node polynomial is a multiple of (1-t^2)*P(t), with
+    P = U_{L-1} - 2r*U_{L-2} + r^2*U_{L-3} (Chebyshev, second kind), and |w_k| is proportional
+    to 1/(delta_k*D_k), delta_k = 2 at the ends and 1 inside, D_k = |1 - r*e^{i*theta_k}|^2 *
+    Phi'(theta_k) = (1-r)*(L*(1-r) + 2r) + 4*(L-1)*r*u_k: a sum of positive terms, so nothing
+    cancels as r nears 1 (at r = 0 they are the Chebyshev-Lobatto weights).
 
     The value is a difference of two sums whose rounding error is about
     (L+1)*eps*S, eps the machine epsilon and S = E[1/X] + E[1/X'] =
@@ -110,7 +114,7 @@ def solve_moment_gap(nu: float, lam: float, L: int):
     that relative tolerance. Both measures live on [1+nu, lam], so
     S >= 2/lam: an L that fails the rule with 2/lam for S is refused before
     any point is computed. So is a lam at which c rounds to 1, and then an
-    L above MAX_L, as a SizeCapError: the log sum below is O(L^2), 0.5 s there.
+    L above MAX_L, as a SizeCapError: validate's moment check of the atoms is O(L^2).
     """
     gap = moment_gap_value(nu, lam, L)
 
@@ -140,15 +144,8 @@ def solve_moment_gap(nu: float, lam: float, L: int):
         b = np.where(below, b, mid)
     u = np.sin(0.5 * np.concatenate(([0.0], mid, [math.pi]))) ** 2
     x = np.minimum(lo + (hi - lo) * u, hi)  # the sum may round above hi
-    # |w_k| up to a common factor, from the differences 4(u_k - u_j) summed as
-    # logs (a product of L differences can leave the double range), a block
-    # of rows at a time so that memory stays O(L)
-    log_w = np.empty(L + 1)
-    for k in range(0, L + 1, LOG_W_BLOCK):
-        diff = 4.0 * np.abs(u[k : k + LOG_W_BLOCK, None] - u)
-        np.fill_diagonal(diff[:, k:], 1.0)
-        log_w[k : k + LOG_W_BLOCK] = -np.log(diff).sum(axis=1)
-    w = np.exp(log_w - log_w.max())
+    w = 1.0 / (one_minus_r * (L * one_minus_r + 2 * r) + 4 * (L - 1) * r * u)  # delta_k * |w_k|, up to a factor
+    w[[0, -1]] *= 0.5
     big, far = ((x[k::2], w[k::2] / w[k::2].sum()) for k in (0, 1))
     inv_big, inv_far = big[1] @ (1.0 / big[0]), far[1] @ (1.0 / far[0])
     refuse_unresolved(inv_big + inv_far)
@@ -262,8 +259,8 @@ def build_priors(nu: float, lam: float, L: int) -> MomentPriors:
     """The prior pair: the gap program's optimum in closed form
     (solve_moment_gap, which refuses an L beyond double precision with
     ParameterError and then one above MAX_L with SizeCapError), then the
-    change of measure, checked by validate. Each step is O(L^2): at MAX_L
-    the gap program took about 0.4 s and validate's moments about 0.2 s."""
+    change of measure, checked by validate. The gap program is O(L), validate's
+    moments O(L^2): at MAX_L about 0.3 s, almost all of it in validate."""
     _, (ax, mx), (ax2, mx2) = solve_moment_gap(nu, lam, L)
     return priors_from_gap_solution(nu, lam, L, ax, mx, ax2, mx2)
 

@@ -50,6 +50,22 @@ def reference_moments(sides, L: int):
         yield tuple(float(a**j @ m) for a, m in sides)
 
 
+def reference_gap_masses(atoms_x, atoms_x2) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's masses from the divided-difference weights
+    |w_k| = 1/prod_{j != k} |x_k - x_j| of the two sides' atoms merged, each
+    product summed as logs (one of L differences can leave the double range)
+    one row at a time, then normalized to mass 1 per side: the route
+    solve_moment_gap took before its weights had a closed form."""
+    x = np.sort(np.concatenate([atoms_x, atoms_x2]))
+    log_w = np.empty(x.size)
+    for k in range(x.size):
+        diff = np.abs(x[k] - x)
+        diff[k] = 1.0
+        log_w[k] = -np.log(diff).sum()
+    w = np.exp(log_w - log_w.max())
+    return tuple(w[k::2] / w[k::2].sum() for k in (0, 1))
+
+
 def grid_moment_gap(nu: float, lam: float, L: int, size: int = 400) -> float:
     """The moment-gap program discretized, an independent route to its value:
     maximize E[1/X] - E[1/X'] over two PMFs on a Chebyshev grid of `size`

@@ -36,6 +36,7 @@ from genutil import (
     grid_moment_gap,
     reference_choice,
     reference_fingerprints,
+    reference_gap_masses,
     reference_instance,
     reference_instance_counts,
     reference_moments,
@@ -233,8 +234,9 @@ def test_priors_build_at_the_L_cap(lam):
 
 
 def test_moment_gap_memory_is_linear_in_L():
-    """The log-weights are summed a block of rows at a time: at L = 3200 the
-    dense (L+1) x (L+1) difference matrix and its logs took 156.5 MiB."""
+    """The weights are one vector expression over the points, so the gap
+    program holds O(L) memory: at L = 3200 the peak was 0.26 MiB, against
+    1.37 MiB for a log sum of the (L+1) x (L+1) differences 16 rows at a time."""
     solve_moment_gap(0.5, 1e6, 4)
     tracemalloc.start()
     try:
@@ -242,22 +244,19 @@ def test_moment_gap_memory_is_linear_in_L():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 156.5 / 4 * 2**20, peak
+    assert peak < 0.5 * 2**20, peak
 
 
 @pytest.mark.parametrize("nu,lam,L", [(0.5, 6.0, 4), (2.0, 1e8, 37), (0.5, 1e16, 65), (0.1, 1e16, 1000)])
-def test_log_weights_do_not_depend_on_the_block_size(monkeypatch, nu, lam, L):
-    """Each row's log sum is taken alone, so the number of rows summed at once
-    changes no byte of the gap program's value, atoms or masses."""
-
-    def solution():
-        value, big, far = solve_moment_gap(nu, lam, L)
-        return [np.float64(value).tobytes(), *(np.asarray(a).tobytes() for a in (*big, *far))]
-
-    want = solution()
-    for block in (1, 64):
-        monkeypatch.setattr(lb, "LOG_W_BLOCK", block)
-        assert solution() == want, block
+def test_closed_form_weights_match_the_log_sum(nu, lam, L):
+    """The closed-form weights agree with the divided differences of the
+    atoms summed as logs (tests/genutil.py), and so does the value."""
+    value, big, far = solve_moment_gap(nu, lam, L)
+    ref_big, ref_far = reference_gap_masses(big[0], far[0])
+    np.testing.assert_allclose(big[1], ref_big, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(far[1], ref_far, rtol=1e-9, atol=0)
+    ref_value = ref_big @ (1.0 / big[0]) - ref_far @ (1.0 / far[0])
+    assert abs(value - ref_value) <= 1e-12 * ref_value
 
 
 def test_build_priors_invariants():
