@@ -289,10 +289,10 @@ GOLDEN_LB_GEN = {
         "far.hist.csv": "ef6442220556531819d66db057261928945df44030aceee8498918e14444487e",
     },
     "explicit": {
-        "big.dist": "c6239763646e3c8ff733c8464d235f4f5cf90b840a9c1c2072a6bff4f0515075",
+        "big.dist": "1fdc2fed76b1ba054aea5c07f7aac823807b34bb817d317e7bf8ba35b45b9eac",
         "big.hist.csv": "771db7d80d4708f221002aafa957c42f227077ac4166c42b6e28496a0d6ddfe3",
-        "events.csv": "ced3158b24bf2b11e1744ce9561750cf5fea10f282535ef158bce9c92e3cb61e",
-        "far.dist": "4d7ad21efd7740cf146cc878989b1b6e5113c46fa3985683eac478f0fad3a41c",
+        "events.csv": "415604e47ca1fe04cfdeaab756ce822cedd008dcaac6b0c46c1c5d118757c823",
+        "far.dist": "df52787c03547d47e2822e46bfb1951b915867d11befc456d5ae4370590b45ed",
         "far.hist.csv": "771db7d80d4708f221002aafa957c42f227077ac4166c42b6e28496a0d6ddfe3",
     },
 }
@@ -354,16 +354,16 @@ def instance_pins() -> list[str]:
 
 
 GOLDEN_INSTANCES = [
-    '5b216671e4b12e7f318b50d19a5e87a4 0 True False 1.0 False False',
-    '1527359d81b5b8a04020726d6d1ce3e3 0 True False 1.0 False False',
-    'a3fdb78ebfd0db2113ebd47dc72ea338 449 True True 0.00025541560908641026 False False',
-    '5375a0b3fadb64c346b2804f703d7cc9 449 True True 0.0002552648372686662 False False',
-    '07d8f6205fe69b3e31b825699adc19d9 0 False False 1.0 False False',
-    '404b89008582730bf5a6f04208d1d1cd 0 True False 1.0 False False',
-    'ec7969691b61d0e69fa41e12d3e58201 779 True True 0.0004659856844326314 False False',
-    '1d10127f3c509afd8650aecf303f4f77 790 True True 0.00046712293431258513 False False',
-    'a1cd9461f64c95bcfe47a25665b3e841 1 True False 1.0 False True',
-    '50d4256b9cacd885566ea41bf5bd3375 1 False False 1.0 False True',
+    '5366307687896faa7cc562baf4427717 0 True False 1.0 False False',
+    '01c49298841594d14cc134cdac455ac5 0 True False 1.0 False False',
+    '39275d8ed2d8438c0394935f0ffd2762 449 True True 0.0002554156090864103 False False',
+    '5ee6f13911fadf69c2b272935982d2c1 449 True True 0.00025526483726866624 False False',
+    '16fd98042bf5c6bd406013a65547b0ec 0 False False 1.0 False False',
+    'bdf77cd06db5e0fe66777d3a6b64c52d 0 True False 1.0 False False',
+    'bd3e0a0f97762ebcca8f39722ed84e02 779 True True 0.0004659856844326315 False False',
+    'e440ca13348829648033a2502993f46a 790 True True 0.0004671229343125852 False False',
+    'be5732b24f09bccf5da08ca27f4e93e2 1 True False 1.0 False True',
+    'd8ff4a38b025af76c71564359642c003 1 False False 1.0 False True',
 ]
 
 
@@ -450,7 +450,7 @@ def test_oracle_csv_bytes(tmp_path, capsys, name):
 GOLDEN_DEMO_SUITE = (
     "row,seed,status,value,check\n"
     "0,42,0,0.3,pass\n"
-    "1,43,0,0.018518518518518507,pass\n"
+    "1,43,0,0.018518518518518406,pass\n"
     "2,40,0,1.0,pass\n",
     "",
 )
