@@ -13,7 +13,8 @@ monotone on every edge (TV also holds sum(x) at 0).
 
 LP duality makes the function distance equal the weight of a maximum-weight
 matching on the transitive closure with violation weights max(0, p(u)-p(v)),
-its one solver, with no size cap; the optimal x is that matching's duals. The
+its one solver, capped only by the closure (transitive_closure refuses more
+than MAX_DOMAIN pairs); the optimal x is that matching's duals. The
 matching is found by augmenting paths on the closure's double cover (the
 violating edges' tails on one side, their heads on the other): the chosen
 links form vertex-disjoint chains whose weights telescope, so each chain

@@ -25,8 +25,9 @@ from .prob import _blocks, _check_finite, _content
 
 # Desk-scale capacity limits. make_hypercube and hypercube_embedding refuse
 # dimensions whose edge list would not fit the memory budget (d=16 is ~0.5M
-# edges), and _check_domain refuses a count of vertices, elements or trials
-# above MAX_DOMAIN before anything is allocated per item.
+# edges), _check_domain refuses a count of vertices, elements or trials
+# above MAX_DOMAIN before anything is allocated per item, and
+# transitive_closure stops once it has found more than MAX_DOMAIN pairs.
 HYPERCUBE_MAX_DIM = 16
 MAX_DOMAIN = 1 << 22
 
@@ -40,7 +41,7 @@ class PosetError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """A request over a desk-scale size cap (domain, hypercube, LP or L)."""
+    """A request over a desk-scale size cap (domain, closure, hypercube, LP or L)."""
 
 
 def _check_kind(kind: str) -> None:
@@ -324,15 +325,21 @@ def transitive_closure(G: Poset) -> TransitiveClosure:
     backwards. Only a general poset needs a sort for it: line and hypercube
     edges run upwards, and matching and bipartite heads have no out-edges, so
     for those kinds descending index order is a valid sweep. A general
-    poset's order leaves out the vertices on no edge, which reach nothing."""
+    poset's order leaves out the vertices on no edge, which reach nothing.
+    A closure of more than MAX_DOMAIN pairs is refused as a SizeCapError as
+    soon as the pairs found so far pass that count."""
     order = _check_acyclic(G.edge_array) if G.kind == "general" else range(G.n)
     adj = G.adjacency()
     bits = [0] * G.n
+    pairs = 0
     for u in reversed(order):
         acc = 0
         for w in adj[u]:
             acc |= 1 << w | bits[w]
         bits[u] = acc
+        pairs += acc.bit_count()
+        if pairs > MAX_DOMAIN:
+            raise SizeCapError(f"the transitive closure exceeds the limit of {MAX_DOMAIN} pairs")
     return TransitiveClosure(G.n, bits)
 
 

@@ -709,6 +709,18 @@ def test_m2hyp_above_the_dimension_cap_exits_2_at_once(workdir):
     assert not (workdir / "h.poset").exists()
 
 
+def test_g2b_over_the_closure_cap_exits_2_and_writes_nothing(workdir, capsys):
+    """A 2897-vertex line has 552 closure pairs above MAX_DOMAIN; without the
+    cap, g2b would hold about 75 bytes a pair."""
+    write_poset(make_line(2897), workdir / "long.poset")
+    write_distribution(Distribution.uniform(2897), workdir / "long.dist")
+    argv = ["reduce", "--from", str(workdir / "long.poset"), "--kind", "g2b", "--dist", str(workdir / "long.dist"),
+            "--out-poset", str(workdir / "out.poset"), "--out-dist", str(workdir / "out.dist")]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"the transitive closure exceeds the limit of {MAX_DOMAIN} pairs" in capsys.readouterr().err
+    assert not (workdir / "out.poset").exists() and not (workdir / "out.dist").exists()
+
+
 # Each row's id is fixed, so rewording a message renames no test. The ids are
 # the ones pytest derived from argv's position and the message before they
 # were fixed; they name the rows and need not follow the message.

@@ -19,7 +19,7 @@ from posetdist import (
     transitive_closure,
     write_poset,
 )
-from posetdist.poset import KINDS
+from posetdist.poset import KINDS, MAX_DOMAIN
 
 from genutil import (
     random_bipartite,
@@ -117,6 +117,24 @@ def test_transitive_closure_examples():
     tc = transitive_closure(make_hypercube(2))
     added = set(map(tuple, tc.edge_array().tolist())) - set(make_hypercube(2).edges)
     assert added == {(0, 3)}
+
+
+def test_closure_of_exactly_max_domain_pairs_is_built():
+    """The closure cap counts pairs exactly: a line of 2896 vertices (4191960
+    pairs) with 2344 more vertices below its top has MAX_DOMAIN pairs and is
+    built; one more vertex below the top is refused."""
+    line = 2896
+    extra = MAX_DOMAIN - line * (line - 1) // 2
+
+    def poset(k):
+        below_top = np.column_stack((np.arange(line, line + k), np.full(k, line - 1)))
+        return Poset(line + k, np.concatenate((make_line(line).edge_array, below_top)))
+
+    tc = transitive_closure(poset(extra))
+    assert sum(bits.bit_count() for bits in tc._bits) == MAX_DOMAIN
+    assert tc.reach(0, line - 1) and tc.reach(line + extra - 1, line - 1)
+    with pytest.raises(SizeCapError, match=f"the transitive closure exceeds the limit of {MAX_DOMAIN} pairs"):
+        transitive_closure(poset(extra + 1))
 
 
 @pytest.mark.parametrize("G", [

@@ -43,6 +43,7 @@ from posetdist import (
     matching_to_hypercube,
     max_violation_matching,
     pair_histogram,
+    transitive_closure,
     tv_distance,
 )
 from posetdist.lowerbound import MAX_L
@@ -52,6 +53,8 @@ LINE3 = make_line(3)
 U3, U4 = Distribution.uniform(3), Distribution.uniform(4)
 B4 = make_bipartite(4, [(0, 2), (1, 3)], bottom=[0, 1])
 PRIORS = build_priors(0.5, 6.0, 4)
+LONG_LINE = make_line(2897)  # 4194856 closure pairs, 552 above MAX_DOMAIN
+CLOSURE_CAP = f"the transitive closure exceeds the limit of {MAX_DOMAIN} pairs"
 CAP = f"hypercube dimension {HYPERCUBE_MAX_DIM + 1} exceeds capacity cap {HYPERCUBE_MAX_DIM}"
 
 
@@ -198,6 +201,12 @@ REFUSALS = [
      f"7999999999996 target vertices exceed the limit of {MAX_DOMAIN}"),
     ("probe trials cap", lambda: indistinguishability_probe(PRIORS, 50, [0], 10**12, Rng(0)), SizeCapError,
      f"{10**12} trials exceed the limit of {MAX_DOMAIN}"),
+    ("closure cap", lambda: transitive_closure(LONG_LINE), SizeCapError, CLOSURE_CAP),
+    ("g2b closure cap", lambda: general_to_bipartite(LONG_LINE), SizeCapError, CLOSURE_CAP),
+    ("matching closure cap", lambda: max_violation_matching(LONG_LINE, Distribution.uniform(2897)), SizeCapError,
+     CLOSURE_CAP),
+    ("func dist closure cap", lambda: func_dist_to_monotone(LONG_LINE, Distribution.uniform(2897)), SizeCapError,
+     CLOSURE_CAP),
     ("L cap", lambda: build_priors(0.5, 1e16, MAX_L + 1), SizeCapError, f"L={MAX_L + 1} exceeds the limit of {MAX_L}"),
     ("instance size cap", lambda: generate_instance(PRIORS, MAX_DOMAIN + 1, 0, Rng(0)), SizeCapError,
      f"{MAX_DOMAIN + 1} instance elements exceed the limit of {MAX_DOMAIN}"),
