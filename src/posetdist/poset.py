@@ -326,12 +326,10 @@ def transitive_closure(G: Poset) -> TransitiveClosure:
     edges run upwards, and matching and bipartite heads have no out-edges, so
     for those kinds descending index order is a valid sweep. A general
     poset's order leaves out the vertices on no edge, which reach nothing.
-    A closure of more than MAX_DOMAIN pairs is refused as a SizeCapError as
-    soon as the pairs found so far pass that count."""
+    More than MAX_DOMAIN pairs is a SizeCapError, raised as soon as they are found."""
     order = _check_acyclic(G.edge_array) if G.kind == "general" else range(G.n)
     adj = G.adjacency()
-    bits = [0] * G.n
-    pairs = 0
+    bits, pairs = [0] * G.n, 0
     for u in reversed(order):
         acc = 0
         for w in adj[u]:
