@@ -54,8 +54,8 @@ def reference_gap_masses(atoms_x, atoms_x2) -> tuple[np.ndarray, np.ndarray]:
     """Each side's masses from the divided-difference weights
     |w_k| = 1/prod_{j != k} |x_k - x_j| of the two sides' atoms merged, each
     product summed as logs (one of L differences can leave the double range)
-    one row at a time, then normalized to mass 1 per side: the route
-    solve_moment_gap took before its weights had a closed form."""
+    one row at a time, then normalized to mass 1 per side: an independent
+    route to solve_moment_gap's closed-form weights."""
     x = np.sort(np.concatenate([atoms_x, atoms_x2]))
     log_w = np.empty(x.size)
     for k in range(x.size):
