@@ -711,7 +711,7 @@ def test_m2hyp_above_the_dimension_cap_exits_2_at_once(workdir):
 
 def test_g2b_over_the_closure_cap_exits_2_and_writes_nothing(workdir, capsys):
     """A 2897-vertex line has 552 closure pairs above MAX_DOMAIN; without the
-    cap, g2b would hold about 75 bytes a pair."""
+    cap, g2b would hold about 79 bytes a pair."""
     write_poset(make_line(2897), workdir / "long.poset")
     write_distribution(Distribution.uniform(2897), workdir / "long.dist")
     argv = ["reduce", "--from", str(workdir / "long.poset"), "--kind", "g2b", "--dist", str(workdir / "long.dist"),

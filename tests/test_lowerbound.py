@@ -235,7 +235,7 @@ def test_priors_build_at_the_L_cap(lam):
 
 def test_moment_gap_memory_is_linear_in_L():
     """The weights are one vector expression over the points, so the gap
-    program holds O(L) memory: at L = 3200 the peak was 0.26 MiB, against
+    program holds O(L) memory: at L = 3200 the peak was 0.24 MiB, against
     1.37 MiB for a log sum of the (L+1) x (L+1) differences 16 rows at a time."""
     solve_moment_gap(0.5, 1e6, 4)
     tracemalloc.start()
