@@ -119,7 +119,7 @@ def _run_oracle(a, base=""):
     from . import exact_dtv_to_monotone, max_violation_matching, read_distribution, read_poset
     G = read_poset(os.path.join(base, a.poset))
     p = read_distribution(os.path.join(base, a.dist))
-    d_tv = exact_dtv_to_monotone(G, p)  # first: its LP's size cap also guards the matching
+    d_tv = exact_dtv_to_monotone(G, p)  # first: an n above DEFAULT_LP_CAP is refused before the matching works
     W = max_violation_matching(G, p).weight  # lp_value too: the function distance, by LP duality
     summary = {"d_tv": d_tv, "matching_weight": W, "lp_value": W}
     return summary, _csv(list(summary), [list(summary.values())])

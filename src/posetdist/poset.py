@@ -21,14 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .prob import _blocks, _check_finite, _content
+from .prob import _WRITE_CHUNK, _blocks, _check_finite, _content
 
-# Desk-scale capacity limits. make_hypercube and hypercube_embedding refuse
-# dimensions whose edge list would not fit the memory budget (d=16 is ~0.5M
-# edges), _check_domain refuses a count of vertices, elements or trials
-# above MAX_DOMAIN before anything is allocated per item, and
-# transitive_closure stops once it has found more than MAX_DOMAIN pairs.
-HYPERCUBE_MAX_DIM = 16
+# The one memory budget. _check_domain refuses a count of vertices, elements
+# or trials above MAX_DOMAIN before anything is allocated per item,
+# _check_dim refuses a hypercube whose d * 2^(d-1) edges exceed it (d = 18,
+# 2359296 edges, is built; d = 19 is refused), and transitive_closure stops
+# once it has found more than MAX_DOMAIN pairs.
 MAX_DOMAIN = 1 << 22
 
 MONOTONE_TOL = 1e-12  # p(u) - p(v) above it violates u <= v (is_monotone, the violation matching)
@@ -41,7 +40,9 @@ class PosetError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """A request over a desk-scale size cap (domain, closure, hypercube, LP or L)."""
+    """A request over a desk-scale size cap: the MAX_DOMAIN memory budget
+    (vertices, elements, trials, hypercube edges, closure pairs), or the LP
+    or L cap, which are set by time."""
 
 
 def _check_kind(kind: str) -> None:
@@ -56,10 +57,12 @@ def _check_domain(count: int, what: str) -> None:
 
 
 def _check_dim(d: int) -> None:
+    """Refuse d < 1, and a d-cube whose d * 2^(d-1) edges exceed MAX_DOMAIN; past
+    MAX_DOMAIN's bit length 2^(d-1) alone does, and the count is not formed."""
     if d < 1:
         raise PosetError("hypercube needs d >= 1")
-    if d > HYPERCUBE_MAX_DIM:
-        raise SizeCapError(f"hypercube dimension {d} exceeds capacity cap {HYPERCUBE_MAX_DIM}")
+    if d > MAX_DOMAIN.bit_length() or d << (d - 1) > MAX_DOMAIN:
+        raise SizeCapError(f"hypercube dimension {d}: its {d}*2^{d - 1} edges exceed the limit of {MAX_DOMAIN}")
 
 
 def _check_over(G: Poset, what: str, shape: tuple) -> None:
@@ -451,8 +454,17 @@ def read_poset(path) -> Poset:
 
 
 def write_poset(G: Poset, path) -> None:
+    """The file read_poset reads, its edge lines and bottom vertices written
+    _WRITE_CHUNK at a time."""
+    edges, bottom = G.edge_array, G.bottom_array
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{G.n} {len(G.edge_array)} {G.kind}\n")
-        fh.write("%d %d\n" * len(G.edge_array) % tuple(G.edge_array.ravel().tolist()))
-        if G.bottom_array.size:
-            fh.write("bottom: " + " ".join(map(str, G.bottom_array.tolist())) + "\n")
+        fh.write(f"{G.n} {len(edges)} {G.kind}\n")
+        for i in range(0, len(edges), _WRITE_CHUNK):
+            chunk = edges[i : i + _WRITE_CHUNK]
+            fh.write("%d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+        if bottom.size:
+            fh.write("bottom:")
+            for i in range(0, bottom.size, _WRITE_CHUNK):
+                chunk = bottom[i : i + _WRITE_CHUNK]
+                fh.write(" %d" * len(chunk) % tuple(chunk.tolist()))
+            fh.write("\n")

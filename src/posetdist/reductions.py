@@ -124,7 +124,8 @@ def general_to_bipartite(G: Poset) -> Reduction:
     Mass halves onto the two copies; a lifted sample appends a fair sign."""
     n = G.n
     closure = transitive_closure(G).edge_array()
-    target = Poset(2 * n, closure + [0, n], kind="bipartite", bottom=range(n))
+    closure[:, 1] += n  # in place: the heads become the top copies
+    target = Poset(2 * n, closure, kind="bipartite", bottom=range(n))
     v = np.arange(n)
     return Reduction(G, target, far_divisor=4.0, copies=np.column_stack((v, n + v)))
 

@@ -688,9 +688,10 @@ def test_readme_examples_parse():
 
 
 def test_m2hyp_above_the_dimension_cap_exits_2_at_once(workdir):
-    # Without the cap, hypercube_embedding would enumerate 2^40 vertices and
-    # never return; a child process with a timeout makes such a regression
-    # fail instead of hanging the suite.
+    # The 19-cube's 4980736 edges exceed MAX_DOMAIN, and so do the 40-cube's.
+    # Without the budget, hypercube_embedding would enumerate 2^40 vertices
+    # and never return; a child process with a timeout makes such a
+    # regression fail instead of hanging the suite.
     import subprocess
     import sys
 
@@ -698,15 +699,16 @@ def test_m2hyp_above_the_dimension_cap_exits_2_at_once(workdir):
 
     write_distribution(Distribution(np.full(6, 1 / 6)), workdir / "m3.dist")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetdist.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "posetdist.cli", "reduce", "--from", str(workdir / "m3.dist"),
-         "--kind", "m2hyp", "--d", "40", "--ell", "2", "--pmax", "0.3",
-         "--out-poset", str(workdir / "h.poset"), "--out-dist", str(workdir / "h.dist")],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    assert proc.returncode == EXIT_VALIDATION
-    assert "hypercube dimension 40 exceeds capacity cap" in proc.stderr
-    assert not (workdir / "h.poset").exists()
+    for d in ("19", "40"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "posetdist.cli", "reduce", "--from", str(workdir / "m3.dist"),
+             "--kind", "m2hyp", "--d", d, "--ell", "2", "--pmax", "0.3",
+             "--out-poset", str(workdir / "h.poset"), "--out-dist", str(workdir / "h.dist")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert f"hypercube dimension {d}: its {d}*2^{int(d) - 1} edges exceed the limit of {MAX_DOMAIN}" in proc.stderr
+        assert not (workdir / "h.poset").exists() and not (workdir / "h.dist").exists()
 
 
 def test_g2b_over_the_closure_cap_exits_2_and_writes_nothing(workdir, capsys):

@@ -205,6 +205,40 @@ def test_poset_file_roundtrip(tmp_path):
         read_poset(write_text(tmp_path / "bad.poset", "3 1 nosuchkind\n0 1\n"))
 
 
+@pytest.mark.parametrize("G", [
+    Poset(3, []),
+    make_line(8),
+    make_matching(7),
+    make_hypercube(3),
+    make_bipartite(9, [(0, 5), (1, 6), (2, 7), (3, 8), (0, 8)], bottom=range(5)),
+], ids=lambda G: f"{G.kind}-{G.n}")
+def test_write_poset_gives_the_same_bytes_in_any_chunk(tmp_path, monkeypatch, G):
+    """Written three edges and three bottom vertices at a time, across every
+    chunk boundary, the file holds the header, one "u v" line an edge and
+    one "bottom:" line of space-separated vertices."""
+    monkeypatch.setattr(poset_module, "_WRITE_CHUNK", 3)
+    write_poset(G, tmp_path / "g.poset")
+    want = f"{G.n} {len(G.edges)} {G.kind}\n" + "".join(f"{u} {v}\n" for u, v in G.edges)
+    if G.bottom:
+        want += "bottom: " + " ".join(map(str, G.bottom)) + "\n"
+    assert (tmp_path / "g.poset").read_bytes() == want.encode()
+
+
+def test_write_poset_holds_a_chunk_not_the_file(tmp_path):
+    """A matching of 2^18 edges (four chunks of edges, four of bottom
+    vertices) is written with a tracemalloc peak of one chunk's text and
+    ints, about 6.4 MiB; formatted in one string it peaked at 26 MiB."""
+    G = make_matching(1 << 18)
+    tracemalloc.start()
+    try:
+        write_poset(G, tmp_path / "m.poset")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert read_poset(tmp_path / "m.poset") == G
+
+
 def write_text(path, text):
     path.write_text(text)
     return path

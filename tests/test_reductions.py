@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from posetdist import (
     matching_to_hypercube,
     transitive_closure,
 )
+from posetdist.poset import MAX_DOMAIN
 from posetdist.reductions import _lifted
 
 from genutil import (
@@ -247,14 +249,25 @@ def test_matching_to_hypercube_monotone_and_distance():
 
 
 def test_hypercube_embedding_dimension_cap():
-    from posetdist.poset import HYPERCUBE_MAX_DIM
-
-    for d in (HYPERCUBE_MAX_DIM + 1, 40, 1000):
-        with pytest.raises(SizeCapError, match=f"hypercube dimension {d} exceeds capacity cap"):
-            hypercube_embedding(d, 2)
-    with pytest.raises(SizeCapError):
-        matching_to_hypercube(40, 2, Distribution.uniform(2), 0.5)
-    assert len(hypercube_embedding(HYPERCUBE_MAX_DIM, 1).pairs) == 1
+    """The d-cube's d * 2^(d-1) edges count against MAX_DOMAIN. The 18-cube's
+    2359296 fit: it is built and embedded. The 19-cube's 4980736 do not, and
+    each builder refuses it, and any larger d, before it allocates per
+    vertex, without forming a count too long to build or print."""
+    H = make_hypercube(18)
+    assert H.n == 1 << 18 and len(H.edge_array) == 18 << 17
+    assert len(hypercube_embedding(18, 1).pairs) == 1
+    for build in (make_hypercube, lambda d: hypercube_embedding(d, 1),
+                  lambda d: matching_to_hypercube(d, 1, Distribution.uniform(2), 0.5)):
+        for d in (19, 40, 1000, 10**12):
+            message = re.escape(f"hypercube dimension {d}: its {d}*2^{d - 1} edges exceed the limit of {MAX_DOMAIN}")
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeCapError, match=message):
+                    build(d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16, (d, peak)
 
 
 def _shared_lift():
